@@ -1,7 +1,8 @@
 """Dense complex-matrix primitives with explicit tolerance control.
 
 Matrices are plain 2-D ``numpy`` arrays of ``complex128``; :func:`as_matrix`
-is the single validation gate (finite entries, two axes).  Every
+is the single validation gate (finite entries, two axes).  :func:`sqrt_psd`
+also takes a ``(k, n, n)`` stack, validated by the same rules.  Every
 floating-point judgment call -- what counts as rank, as positive, as a zero
 residual -- goes through a :class:`ToleranceConfig` so the decision
 thresholds are visible and overridable.
@@ -28,6 +29,7 @@ __all__ = [
     "matrix_from_json",
     "matrix_to_json",
     "spectral_norm",
+    "spectral_norms",
     "adjoint",
     "hermitian_deviation",
     "is_hermitian",
@@ -106,12 +108,17 @@ def as_matrix(m) -> np.ndarray:
     Raises :class:`MatrixFormatError` for wrong dimensionality or non-finite
     entries.
     """
+    return _as_complex_array(m, (2,), "a 2-D matrix")
+
+
+def _as_complex_array(m, ndims, what) -> np.ndarray:
+    """``m`` as a finite complex128 array with one of the axis counts ``ndims``."""
     try:
         a = np.asarray(m, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise MatrixFormatError(f"not a complex matrix: {exc}") from exc
-    if a.ndim != 2:
-        raise MatrixFormatError(f"expected a 2-D matrix, got {a.ndim} axes")
+    if a.ndim not in ndims:
+        raise MatrixFormatError(f"expected {what}, got {a.ndim} axes")
     if a.size and not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
         raise MatrixFormatError("matrix entries must be finite (no NaN/Inf)")
     return a
@@ -244,31 +251,61 @@ def _eigh_sym(m):
     return w, v
 
 
-def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+def spectral_norms(stack) -> np.ndarray:
+    """Operator norm of each matrix of a ``(k, r, c)`` stack: one batched SVD."""
+    return np.max(np.linalg.svd(stack, compute_uv=False), axis=-1, initial=0.0)
 
-    Eigenvalues in ``[-psd_atol * ||M||, 0)`` are clamped to zero (roundoff
-    from upstream products); anything more negative, or a gross failure of
-    Hermitian symmetry, raises :class:`NotPSD`.
+
+def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
+
+    ``m`` is a square matrix or a stack ``(k, n, n)`` of them; the result has
+    the same shape.  Each matrix is tested on its own: a Hermitian deviation
+    ``||M - M*||`` above ``residual_atol * max(1, ||M||)`` raises
+    :class:`NotPSD`, eigenvalues in ``[-psd_atol * max|lambda|, 0)`` are
+    clamped to zero (roundoff from upstream products), and anything more
+    negative raises :class:`NotPSD`.  For a stack the certificate carries the
+    ``index`` of the first failing matrix.  A single matrix is the stack of
+    one, so both shapes run the same batched calls: one SVD per norm and one
+    ``eigh``.
     """
-    a = as_matrix(m)
-    dev = hermitian_deviation(a)
-    scale = spectral_norm(a)
-    if dev > tol.residual_atol * max(1.0, scale):
-        raise NotPSD(
-            f"matrix is not Hermitian (deviation {dev:.3e})",
-            certificate={"hermitian_deviation": dev},
+    a = _as_complex_array(m, (2, 3), "a matrix or a stack of matrices")
+    stacked = a.ndim == 3
+    if not stacked:
+        a = a[np.newaxis]
+    if a.shape[1] != a.shape[2]:
+        raise ShapeMismatch("Hermitian deviation needs a square matrix")
+
+    def failure(i, message, certificate):
+        if stacked:
+            return NotPSD(f"matrix {i} of the stack {message}", certificate={**certificate, "index": i})
+        return NotPSD(f"matrix {message}", certificate=certificate)
+
+    a_star = a.conj().swapaxes(1, 2)
+    dev = spectral_norms(a - a_star)
+    bad = np.flatnonzero(dev > tol.residual_atol * np.maximum(1.0, spectral_norms(a)))
+    if bad.size:
+        i = int(bad[0])
+        raise failure(
+            i,
+            f"is not Hermitian (deviation {dev[i]:.3e})",
+            {"hermitian_deviation": float(dev[i])},
         )
-    w, v = _eigh_sym(a)
-    norm = float(np.max(np.abs(w))) if w.size else 0.0
-    floor = tol.psd_atol * norm
-    if w.size and w[0] < -floor:
-        raise NotPSD(
-            f"matrix has eigenvalue {w[0]:.6e} below -psd_atol*norm = {-floor:.6e}",
-            certificate={"min_eigenvalue": float(w[0]), "floor": -floor},
+    w, v = np.linalg.eigh(0.5 * (a + a_star))
+    floor = tol.psd_atol * np.max(np.abs(w), axis=-1, initial=0.0)
+    # the least eigenvalue, or 0 for an empty matrix; below -floor exactly when w[0] is
+    lowest = np.min(w, axis=-1, initial=0.0)
+    bad = np.flatnonzero(lowest < -floor)
+    if bad.size:
+        i = int(bad[0])
+        raise failure(
+            i,
+            f"has eigenvalue {lowest[i]:.6e} below -psd_atol*norm = {-floor[i]:.6e}",
+            {"min_eigenvalue": float(lowest[i]), "floor": float(-floor[i])},
         )
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    roots = (v * np.sqrt(w)[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
+    return roots if stacked else roots[0]
 
 
 def polar_partial_isometry(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:

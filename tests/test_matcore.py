@@ -190,6 +190,45 @@ def test_sqrt_psd_rejects_negative():
         mc.sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_spectral_norms_of_a_stack():
+    rng = np.random.default_rng(5)
+    stack = np.array([complex_gaussian(rng, 3, 2) for _ in range(4)])
+    np.testing.assert_array_equal(mc.spectral_norms(stack), [mc.spectral_norm(m) for m in stack])
+    assert mc.spectral_norms(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+
+
+def test_sqrt_psd_stack_equals_single_calls():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5):
+        stack = np.array([random_psd(rng, n, rank=int(rng.integers(1, n + 1))) for _ in range(9)])
+        roots = mc.sqrt_psd(stack)
+        assert roots.shape == stack.shape
+        for m, root in zip(stack, roots):
+            np.testing.assert_array_equal(root, mc.sqrt_psd(m))
+
+
+def test_sqrt_psd_single_certificates_have_no_index():
+    with pytest.raises(NotPSD) as negative:
+        mc.sqrt_psd(-np.eye(2))
+    assert str(negative.value).startswith("matrix has eigenvalue -1.000000e+00 below")
+    assert negative.value.certificate == {"min_eigenvalue": -1.0, "floor": -1e-10}
+    with pytest.raises(NotPSD) as skew:
+        mc.sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert str(skew.value) == "matrix is not Hermitian (deviation 1.000e+00)"
+    assert skew.value.certificate == {"hermitian_deviation": 1.0}
+
+
+def test_sqrt_psd_stack_shape_checks():
+    with pytest.raises(ShapeMismatch):
+        mc.sqrt_psd(np.zeros((3, 2, 4)))
+    with pytest.raises(MatrixFormatError):
+        mc.sqrt_psd(np.zeros((2, 2, 2, 2)))
+    bad = np.eye(2)[np.newaxis].repeat(3, axis=0)
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(MatrixFormatError):
+        mc.sqrt_psd(bad)
+
+
 # ---------------------------------------------------------------------------
 # polar partial isometry
 

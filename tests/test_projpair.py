@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from opeq import matcore as mc
 from opeq import projpair as pp
-from opeq.errors import BadEpsilon, BadGridSize, MatrixFormatError, SingularAtZero
+from opeq.errors import BadEpsilon, BadGridSize, MatrixFormatError, NotPSD, SingularAtZero
 
 INV_ROOT2 = 1.0 / math.sqrt(2.0)
 
@@ -267,6 +268,91 @@ def test_perturbed_solution_residual(grid, pair):
 
 
 # ---------------------------------------------------------------------------
+# blocked residual check
+
+BLOCK = pp._BLOCK_NODES
+
+
+def residual_per_node(p, q, x):
+    """The residual check one node at a time, with 2-D square roots."""
+    offset = 1 if isinstance(x, pp.PartialGridFunction) else 0
+    worst = 0.0
+    for k, x_value in enumerate(x.values):
+        node = k + offset
+        root = mc.sqrt_psd(p.values[node] + q.values[node])
+        worst = max(worst, float(np.linalg.norm(root @ x_value - p.values[node], 2)))
+    return worst
+
+
+@pytest.fixture(scope="module")
+def blocked_grid():
+    # neither N nor N - 1 is a multiple of the block size: the last block is partial
+    return pp.uniform_grid(2 * BLOCK + 37)
+
+
+def test_residual_matches_per_node_reference(blocked_grid):
+    p, q = pp.canonical_pair(blocked_grid)
+    qp = pp.perturb_q(blocked_grid, 0.1)
+    x = pp.perturbed_solution(blocked_grid, 0.1)
+    assert abs(pp.equation_residual_max(p, qp, x) - residual_per_node(p, qp, x)) <= 1e-15
+    xs = pp.pointwise_solution(blocked_grid)
+    assert abs(pp.equation_residual_max(p, q, xs) - residual_per_node(p, q, xs)) <= 1e-15
+
+
+def _spoiled_q(grid, node, value):
+    _, q = pp.canonical_pair(grid)
+    vals = q.values.copy()
+    vals[node] = value
+    return pp.GridFunction(grid, vals)
+
+
+@pytest.mark.parametrize(
+    "value, key",
+    [
+        # P + Q = [[1, 1], [0, 0]] at the spoiled node
+        (np.array([[0, 1], [0, 0]]), "hermitian_deviation"),
+        # P + Q = diag(-1, 0)
+        (np.diag([-2.0, 0.0]), "min_eigenvalue"),
+    ],
+)
+def test_checks_survive_batching(blocked_grid, value, key):
+    node = BLOCK + 5  # inside the second block
+    p, _ = pp.canonical_pair(blocked_grid)
+    q_bad = _spoiled_q(blocked_grid, node, value)
+    with pytest.raises(NotPSD) as stacked:
+        mc.sqrt_psd(p.values + q_bad.values)
+    assert stacked.value.certificate["index"] == node
+    assert key in stacked.value.certificate
+    for x in (pp.perturbed_solution(blocked_grid, 0.1), pp.pointwise_solution(blocked_grid)):
+        with pytest.raises(NotPSD) as residual:
+            pp.equation_residual_max(p, q_bad, x)
+        assert residual.value.certificate["index"] == node
+        assert key in residual.value.certificate
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
+    # np.linalg.norm(M, 2) calls the private module's own svd, so count there too
+    private = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    calls = {"svd": 0, "eigh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(private, name, counted)
+    grid = pp.uniform_grid(n)
+    p, _ = pp.canonical_pair(grid)
+    pp.equation_residual_max(p, pp.perturb_q(grid, 0.1), pp.perturbed_solution(grid, 0.1))
+    blocks = math.ceil(n / BLOCK)
+    assert 0 < calls["svd"] <= 3 * blocks
+    assert 0 < calls["eigh"] <= blocks
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -293,3 +379,34 @@ def test_csv_export(grid):
     assert float(last[0]) == 1.0
     assert float(last[1]) == pytest.approx(1.0, abs=1e-8)  # x11(1) = 1
     assert float(last[5]) == pytest.approx(0.0, abs=1e-8)  # x21(1) = 0
+
+
+def csv_per_entry(f):
+    """The CSV as written one ``repr(float(...))`` entry at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(pp.CSV_HEADER)
+    for t, value in zip(f.points, f.values):
+        row = [repr(float(t))]
+        for i in (0, 1):
+            for j in (0, 1):
+                row.append(repr(float(value[i, j].real)))
+                row.append(repr(float(value[i, j].imag)))
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def test_csv_bytes_match_per_entry_format():
+    grid = pp.uniform_grid(BLOCK + 45)  # the rows cross a block boundary
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((grid.n_points, 2, 2)) + 1j * rng.standard_normal((grid.n_points, 2, 2))
+    vals[0] = [[-0.0, 1e-300], [-1e-300j, complex(-0.0, -0.0)]]
+    vals[BLOCK] = [[5e-324, -5e-324j], [1e300 + 1e-300j, 0.1 + 0.2j]]
+    written = {}
+    for f in (pp.GridFunction(grid, vals), pp.pointwise_solution(grid)):
+        buf = io.StringIO()
+        pp.write_csv(f, buf)
+        assert buf.getvalue() == csv_per_entry(f)
+        written[type(f)] = buf.getvalue().splitlines()
+    assert written[pp.GridFunction][1] == "0.0,-0.0,0.0,1e-300,0.0,-0.0,-1e-300,-0.0,-0.0"
+    assert written[pp.GridFunction][BLOCK + 1].split(",")[1:5] == ["5e-324", "0.0", "-0.0", "-5e-324"]
