@@ -6,12 +6,14 @@ Four layers:
   root, polar partial isometry, range and majorization tests) behind a single
   tolerance configuration;
 - :mod:`opeq.douglas` -- the solvability criteria and the general /
-  Hermitian / positive solution families;
+  Hermitian / positive solution families, all read from one
+  :class:`~opeq.douglas.Factorization` per ``(A, C, tol)``;
 - :mod:`opeq.projpair` -- a discretized algebra of 2x2 matrix functions on
   [0, 1] with diagonal boundary values, where ``(P + Q)^{1/2} X = P`` is
   provably unsolvable and an arbitrarily small perturbation of Q repairs it;
-- :mod:`opeq.oracle` -- deliberately naive independent verifiers and the
-  seeded randomized property suite.
+- :mod:`opeq.oracle` -- deliberately naive verifiers, the ``T_n`` scan that
+  cross-checks the closed-form lambda, and the seeded randomized property
+  suite.
 
 The ``opeq`` console script exposes all of it; see ``opeq --help``.
 """
@@ -50,23 +52,17 @@ from .matcore import (
     sqrt_psd,
 )
 from .douglas import (
-    LambdaDiagnostic,
-    SolutionFamily,
-    SolutionKind,
+    Factorization,
     SolvabilityReport,
     Verdict,
     block_psd_test,
+    factorize,
     general_solution,
     hermitian_solution,
-    hermitian_solvability,
-    lambda_diagnostic,
     positive_solution,
-    positive_solvability,
     recover_parameter,
     reduced_solution,
-    solution_family,
     solvability_report,
-    tn_sequence,
 )
 from .projpair import (
     Grid,
@@ -84,12 +80,15 @@ from .projpair import (
     uniform_grid,
 )
 from .oracle import (
+    LambdaDiagnostic,
     TrialSpec,
     douglas_properties_check,
+    lambda_diagnostic,
     lsq_solve,
     positive_search,
     property_suite,
     psd_quadratic_probe,
+    tn_sequence,
 )
 
 __version__ = "0.1.0"

@@ -44,7 +44,6 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     min_majorization_scale,
-    range_inclusion,
     spectral_norm,
 )
 
@@ -176,17 +175,18 @@ def _cmd_solve(args, tol) -> int:
 
     n_param = (a.shape[1], c.shape[1])
     try:
+        f = douglas.factorize(a, c, tol)
         if args.mode == "general":
             y = _load_matrix(args.y) if args.y else np.zeros(n_param)
-            x = douglas.general_solution(a, c, y, tol)
+            x = douglas.general_solution(f, y)
         elif args.mode == "hermitian":
             y = _load_matrix(args.y) if args.y else np.zeros((a.shape[1], a.shape[1]))
-            x = douglas.hermitian_solution(a, c, y, tol)
+            x = douglas.hermitian_solution(f, y)
         else:
             z = _load_matrix(args.z) if args.z else np.zeros((a.shape[1], a.shape[1]))
-            x = douglas.positive_solution(a, c, z, tol)
+            x = douglas.positive_solution(f, z)
     except (NotSolvable, NotSolvableHermitian, NotSolvablePositive) as exc:
-        report = douglas.solvability_report(a, c, tol) if a.shape == c.shape else None
+        report = douglas.solvability_report(f) if a.shape == c.shape else None
         _emit(
             {
                 "status": "unsolvable",
@@ -200,6 +200,7 @@ def _cmd_solve(args, tol) -> int:
         return EXIT_NEGATIVE
     except (ParameterNotHermitian, ParameterNotPSD, ShapeMismatch) as exc:
         raise _InputError(str(exc)) from exc
+    del f  # free its cached factors before the solution is serialized
 
     _emit(
         {
@@ -217,7 +218,7 @@ def _cmd_check(args, tol) -> int:
     a = _load_matrix(args.a)
     c = _load_matrix(args.c)
     try:
-        report = douglas.solvability_report(a, c, tol)
+        report = douglas.solvability_report(douglas.factorize(a, c, tol))
     except ShapeMismatch as exc:
         raise _InputError(str(exc)) from exc
     _emit(report.to_json(), args.out)
@@ -228,17 +229,12 @@ def _cmd_majorize(args, tol) -> int:
     a = _load_matrix(args.a)
     c = _load_matrix(args.c)
     try:
-        result = min_majorization_scale(a, c, tol)
-        included = range_inclusion(a, c, tol)
+        f = douglas.factorize(a, c, tol)
     except ShapeMismatch as exc:
         raise _InputError(str(exc)) from exc
-    payload = result.to_json()
-    payload["range_inclusion"] = included
-    if included:
-        d = douglas.reduced_solution(a, c, tol)
-        payload["d_norm_sq"] = spectral_norm(d) ** 2
-    else:
-        payload["d_norm_sq"] = None
+    payload = min_majorization_scale(a, c, tol).to_json()
+    payload["range_inclusion"] = f.range_ok
+    payload["d_norm_sq"] = f.d_norm**2 if f.range_ok else None
     _emit(payload, args.out)
     return EXIT_OK
 

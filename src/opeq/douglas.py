@@ -18,20 +18,25 @@ with ``X0 = D + (I - P) D* + (I - P) D* (D P)^dagger D (I - P)``.  The
 positive family keeps its free parameter in the complement of ``P``: that is
 the form under which ``A X = C`` holds for every PSD ``Z``.
 
+Every decision reads one :class:`Factorization` of ``(A, C, tol)``, made by
+:func:`factorize` from a single SVD of ``A``; the builders check each
+solution they emit before returning it.
+
 Positive solvability admits two equivalent finite-dimensional tests, and
 both are computed so they can cross-check each other: the least ``t`` with
 ``C C* <= t C A*`` is finite exactly when ``C A*`` is PSD and the ranges of
-``D`` and ``D P`` coincide.  The range-equality test is authoritative; the
-compressed-resolvent sequence ``T_n`` is a diagnostic whose norms converge
-to the positive-family correction term when a positive solution exists and
-grow linearly when it does not.
+``D`` and ``D P`` coincide.  The range-equality test is authoritative.  When
+it holds, the norm ``lambda`` of the correction term
+``(I - P) D* (D P)^dagger D (I - P)`` is reported in closed form; it is the
+limit of the compressed-resolvent norms ``||T_n||``, whose scan
+:mod:`opeq.oracle` keeps as a cross-check.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +48,6 @@ from .errors import (
     NotSolvablePositive,
     ParameterNotHermitian,
     ParameterNotPSD,
-    PreconditionFailed,
     ShapeMismatch,
 )
 from .matcore import (
@@ -53,40 +57,23 @@ from .matcore import (
     hermitian_deviation,
     is_psd,
     least_dominating_scale,
-    matrix_rank,
-    pinv,
-    range_inclusion_residual,
-    range_projector,
-    row_space_basis,
     spectral_norm,
+    truncated_svd,
 )
 
 __all__ = [
     "Verdict",
     "SolvabilityReport",
-    "SolutionKind",
-    "SolutionFamily",
-    "LambdaDiagnostic",
-    "DEFAULT_N_MAX",
+    "Factorization",
+    "factorize",
     "reduced_solution",
     "general_solution",
     "recover_parameter",
     "solvability_report",
-    "hermitian_solvability",
     "hermitian_solution",
-    "positive_solvability",
     "positive_solution",
-    "solution_family",
-    "tn_sequence",
-    "tn_matrix",
-    "lambda_diagnostic",
     "block_psd_test",
 ]
-
-# cap for the geometric schedule n = 1, 2, 4, ... used by the T_n diagnostic;
-# large enough to separate convergence from linear growth, small enough that
-# 1/n stays well above eigenvalue roundoff
-DEFAULT_N_MAX = 2**40
 
 
 class Verdict(enum.Enum):
@@ -97,20 +84,9 @@ class Verdict(enum.Enum):
     HERMITIAN = "SolvableHermitian"
     POSITIVE = "SolvablePositive"
 
-    @property
-    def level(self) -> int:
-        return _VERDICT_LEVEL[self]
-
     def at_least(self, other: "Verdict") -> bool:
-        return self.level >= other.level
-
-
-_VERDICT_LEVEL = {
-    Verdict.UNSOLVABLE: 0,
-    Verdict.GENERAL: 1,
-    Verdict.HERMITIAN: 2,
-    Verdict.POSITIVE: 3,
-}
+        order = list(Verdict)  # definition order, weakest first
+        return order.index(self) >= order.index(other)
 
 
 @dataclass(frozen=True)
@@ -118,9 +94,11 @@ class SolvabilityReport:
     """Structured verdict for AX = C with the failing certificate when negative.
 
     ``t_min`` is the least ``t`` with ``C C* <= t C A*`` (None when no finite
-    ``t`` exists).  ``lambda_estimate`` is the limit estimate of the
-    compressed-resolvent norms ``||T_n||`` (None when they diverge or the
-    diagnostic does not apply).  Both serialize as the string ``"inf"``.
+    ``t`` exists).  ``lambda_estimate`` is the closed form
+    ``||(I - P) D* (DP)^dagger D (I - P)||``, the limit of the
+    compressed-resolvent norms ``||T_n||``; it is set exactly when the
+    verdict is POSITIVE, since otherwise those norms diverge or are
+    undefined.  Both serialize as the string ``"inf"`` when None.
     """
 
     range_ok: bool
@@ -141,6 +119,8 @@ class SolvabilityReport:
             self.range_ok and self.ca_star_hermitian
         ):
             raise ValueError("Hermitian verdict requires range and Hermitian flags")
+        if (self.lambda_estimate is not None) != (self.verdict is Verdict.POSITIVE):
+            raise ValueError("lambda_estimate is present exactly for a positive verdict")
 
     def to_json(self) -> dict:
         return {
@@ -157,439 +137,337 @@ class SolvabilityReport:
         }
 
 
-class SolutionKind(enum.Enum):
-    GENERAL = "General"
-    HERMITIAN = "Hermitian"
-    POSITIVE = "Positive"
+def _pinv(u, s, vh) -> np.ndarray:
+    """Moore-Penrose pseudoinverse from a :func:`~opeq.matcore.truncated_svd`."""
+    return (vh.conj().T / s) @ u.conj().T
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
-    """Reduced solution plus the projector data that parametrizes a family.
+def _norm(s) -> float:
+    """Operator norm from the singular values of a truncated SVD."""
+    return float(s[0]) if s.size else 0.0
 
-    ``x_zero`` is only populated for the positive family (the distinguished
-    PSD member reached at parameter zero).
+
+@dataclass(frozen=True, eq=False)
+class Factorization:
+    """The one factorization of ``(A, C, tol)`` that every decision reads.
+
+    :func:`factorize` fills the fields from a single SVD of A: the
+    orthonormal row-space basis ``B`` (so ``P = B B*``), the reduced solution
+    ``D = A^dagger C``, ``||C||`` and the range residual ``||A D - C||``.
+    The rest are properties computed on first use, and cached when more than
+    one decision reads them, so a caller pays only for what it reads.  One
+    SVD of D gives its rank, range and norm.  The square-only data -- ``C A*``
+    with its Hermitian deviation and PSD test, and one SVD of ``DP`` for its
+    rank, range, norm and ``(DP)^dagger`` -- are never computed for a
+    general solution or a majorization.  ``a`` and ``c`` are held as given
+    and must not be changed while the factorization is in use.
     """
 
-    reduced: np.ndarray
-    projector_p: np.ndarray
-    complement: np.ndarray
-    x_zero: np.ndarray | None
-    kind: SolutionKind
+    a: np.ndarray
+    c: np.ndarray
+    tol: ToleranceConfig
+    row_basis: np.ndarray
+    d: np.ndarray
+    c_norm: float
+    range_residual: float
+
+    @property
+    def range_ok(self) -> bool:
+        """R(C) inside R(A): range residual at most ``residual_atol * max(1, ||C||)``."""
+        return self.range_residual <= self.tol.residual_atol * max(1.0, self.c_norm)
+
+    @property
+    def p(self) -> np.ndarray:
+        """Orthogonal projector onto the row space of A."""
+        return self.row_basis @ self.row_basis.conj().T
+
+    @cached_property
+    def ip(self) -> np.ndarray:
+        """Its complement ``I - P``."""
+        return np.eye(self.a.shape[1], dtype=np.complex128) - self.p
+
+    @cached_property
+    def ca(self) -> np.ndarray:
+        """``C A*``, whose Hermitian and PSD tests decide the Hermitian class."""
+        return self.c @ self.a.conj().T
+
+    @cached_property
+    def ca_deviation(self) -> float:
+        return hermitian_deviation(self.ca)
+
+    @property
+    def ca_hermitian(self) -> bool:
+        return self.ca_deviation <= self.tol.residual_atol
+
+    @cached_property
+    def ca_psd(self) -> bool:
+        return is_psd(self.ca, self.tol)
+
+    @cached_property
+    def dp(self) -> np.ndarray:
+        """``D P``, the reduced solution compressed to the row space of A."""
+        return (self.d @ self.row_basis) @ self.row_basis.conj().T
+
+    @cached_property
+    def _d_svd(self):
+        u, s, _ = truncated_svd(self.d, self.tol)
+        return u, s  # Vh of D is never read; dropping it keeps the cache small
+
+    @cached_property
+    def _dp_svd(self):
+        return truncated_svd(self.dp, self.tol)
+
+    @property
+    def d_norm(self) -> float:
+        return _norm(self._d_svd[1])
+
+    @cached_property
+    def range_equality(self) -> dict:
+        """Ranks of D and DP and each one's residual outside the other's range."""
+        u_d, s_d = self._d_svd
+        u_dp, s_dp, _ = self._dp_svd
+        return {
+            "rank_d": int(s_d.size),
+            "rank_dp": int(s_dp.size),
+            "d_outside_range_dp": spectral_norm(self.d - (u_dp @ u_dp.conj().T) @ self.d),
+            "dp_outside_range_d": spectral_norm(self.dp - (u_d @ u_d.conj().T) @ self.dp),
+        }
+
+    @property
+    def dp_range_eq(self) -> bool:
+        """R(D) = R(DP): equal ranks and both residuals within ``residual_atol * max(1, norm)``."""
+        eq = self.range_equality
+        atol = self.tol.residual_atol
+        return (
+            eq["rank_d"] == eq["rank_dp"]
+            and eq["d_outside_range_dp"] <= atol * max(1.0, self.d_norm)
+            and eq["dp_outside_range_d"] <= atol * max(1.0, _norm(self._dp_svd[1]))
+        )
+
+    @property
+    def h0(self) -> np.ndarray:
+        """``D + (I - P) D*``, the Hermitian family's member at ``Y = 0``."""
+        return self.d + self.ip @ self.d.conj().T
+
+    @property
+    def x0_correction(self) -> np.ndarray:
+        """``(I - P) D* (DP)^dagger D (I - P)``; its norm is the reported lambda."""
+        return self.ip @ self.d.conj().T @ _pinv(*self._dp_svd) @ (self.d @ self.ip)
+
+    @property
+    def x0(self) -> np.ndarray:
+        """The positive family's member at ``Z = 0``."""
+        return self.h0 + self.x0_correction
 
 
-@dataclass(frozen=True)
-class LambdaDiagnostic:
-    """Outcome of scanning ``||T_n||`` along a geometric schedule.
+def factorize(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
+    """Validate A and C, which must share their row count, and factorize them once."""
+    a = as_matrix(a)
+    c = as_matrix(c)
+    if a.shape[0] != c.shape[0]:
+        raise ShapeMismatch(
+            f"A has {a.shape[0]} rows but C has {c.shape[0]}; ranges live in different spaces"
+        )
+    u, s, vh = truncated_svd(a, tol)
+    d = _pinv(u, s, vh) @ c
+    basis = vh.conj().T
+    # reduced_solution hands D out; read-only, so no caller can change it under f
+    d.flags.writeable = basis.flags.writeable = False
+    return Factorization(
+        a=a,
+        c=c,
+        tol=tol,
+        row_basis=basis,
+        d=d,
+        c_norm=spectral_norm(c),
+        range_residual=spectral_norm(a @ d - c),
+    )
 
-    ``estimate`` is the last norm on the schedule, or None when sustained
-    geometric growth marks the sequence as divergent.  ``converged`` means
-    the final doubling changed the norm by less than
-    ``residual_atol * (1 + estimate)``.
-    """
 
-    converged: bool
-    diverged: bool
-    estimate: float | None
-    n_max: int
-
-    def __post_init__(self):
-        if self.converged and self.diverged:
-            raise ValueError("a sequence cannot both converge and diverge")
-        if self.diverged != (self.estimate is None):
-            raise ValueError("estimate must be absent exactly when divergent")
-
-
-def _check_same_shape(a, c):
-    if a.shape != c.shape:
+def _check_same_shape(f: Factorization):
+    if f.a.shape != f.c.shape:
         raise ShapeMismatch(
             f"A and C must have identical shape for a square solution space, "
-            f"got {a.shape} and {c.shape}"
+            f"got {f.a.shape} and {f.c.shape}"
         )
 
 
-def reduced_solution(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+def reduced_solution(f: Factorization) -> np.ndarray:
     """The unique solution D of AX = C with range inside the row space of A.
 
     Computed as ``A^dagger C``.  Raises :class:`NotSolvable` carrying the
     range residual ``||A A^dagger C - C||`` when the equation is inconsistent.
     """
-    a = as_matrix(a)
-    c = as_matrix(c)
-    resid = range_inclusion_residual(a, c, tol)
-    if resid > tol.residual_atol * max(1.0, spectral_norm(c)):
+    if not f.range_ok:
         raise NotSolvable(
-            f"range of C is not contained in range of A (residual {resid:.3e})",
-            certificate={"range_residual": resid},
+            f"range of C is not contained in range of A (residual {f.range_residual:.3e})",
+            certificate={"range_residual": f.range_residual},
         )
-    return pinv(a, tol) @ c
+    return f.d
 
 
-def general_solution(a, c, y, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+def general_solution(f: Factorization, y) -> np.ndarray:
     """Member ``D + (I - P) Y`` of the general solution family."""
-    a = as_matrix(a)
-    c = as_matrix(c)
     y = as_matrix(y)
-    d = reduced_solution(a, c, tol)
+    d = reduced_solution(f)
     if y.shape != d.shape:
         raise ShapeMismatch(f"parameter Y must have shape {d.shape}, got {y.shape}")
-    b = row_space_basis(a, tol)
-    ip = np.eye(a.shape[1], dtype=np.complex128) - b @ b.conj().T
-    return d + ip @ y
+    return d + f.ip @ y
 
 
-def recover_parameter(a, c, x, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+def recover_parameter(f: Factorization, x) -> np.ndarray:
     """Invert the general parametrization: the Y with X = D + (I - P) Y.
 
     Returns ``Y = X - D``; feeding it back through :func:`general_solution`
     reproduces X, which makes the parametrization onto the full solution set.
     """
-    a = as_matrix(a)
-    c = as_matrix(c)
     x = as_matrix(x)
-    if x.shape != (a.shape[1], c.shape[1]):
-        raise ShapeMismatch(f"X must have shape {(a.shape[1], c.shape[1])}, got {x.shape}")
-    resid = spectral_norm(a @ x - c)
-    if resid > tol.residual_atol * max(1.0, spectral_norm(c)):
+    shape = (f.a.shape[1], f.c.shape[1])
+    if x.shape != shape:
+        raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
+    resid = spectral_norm(f.a @ x - f.c)
+    if resid > f.tol.residual_atol * max(1.0, f.c_norm):
         raise NotASolution(
             f"AX differs from C by {resid:.3e}", certificate={"equation_residual": resid}
         )
-    return x - reduced_solution(a, c, tol)
+    return x - reduced_solution(f)
 
 
-def _range_equality(d, dp, tol):
-    """Mutual projector residuals and rank comparison for R(D) = R(DP)."""
-    rank_d = matrix_rank(d, tol)
-    rank_dp = matrix_rank(dp, tol)
-    proj_dp = range_projector(dp, tol)
-    proj_d = range_projector(d, tol)
-    resid_d = spectral_norm(d - proj_dp @ d)
-    resid_dp = spectral_norm(dp - proj_d @ dp)
-    ok = (
-        rank_d == rank_dp
-        and resid_d <= tol.residual_atol * max(1.0, spectral_norm(d))
-        and resid_dp <= tol.residual_atol * max(1.0, spectral_norm(dp))
-    )
-    return ok, {
-        "rank_d": rank_d,
-        "rank_dp": rank_dp,
-        "d_outside_range_dp": resid_d,
-        "dp_outside_range_d": resid_dp,
-    }
+def _verdict(f: Factorization) -> Verdict:
+    if not f.range_ok:
+        return Verdict.UNSOLVABLE
+    if f.ca_psd and f.dp_range_eq:
+        return Verdict.POSITIVE
+    if f.ca_hermitian:
+        return Verdict.HERMITIAN
+    return Verdict.GENERAL
 
 
-def _compressed_state(a, d, tol):
-    """Eigendata of DP compressed to the row space of A, plus D(I - P) there.
-
-    Returns ``(w, f, n)``: eigenvalues ``w`` of the compression, and ``f``
-    such that ``T_n = f* diag(1 / (1/n + w)) f``.  Raises
-    :class:`PreconditionFailed` unless the compression is Hermitian PSD
-    within tolerance.
-    """
-    n = d.shape[0]
-    b = row_space_basis(a, tol)
-    if b.shape[1] == 0:
-        return np.zeros(0), np.zeros((0, n), dtype=np.complex128), n
-    comp = b.conj().T @ d @ b
-    dev = float(np.linalg.norm(comp - comp.conj().T, 2))
-    if dev > tol.residual_atol * max(1.0, float(np.linalg.norm(comp, 2))):
-        raise PreconditionFailed(
-            f"DP is not Hermitian on the row space (deviation {dev:.3e})",
-            certificate={"dp_hermitian_deviation": dev},
-        )
-    w, vecs = np.linalg.eigh(0.5 * (comp + comp.conj().T))
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    if w.size and w[0] < -tol.psd_atol * scale:
-        raise PreconditionFailed(
-            f"DP is not PSD on the row space (eigenvalue {w[0]:.3e})",
-            certificate={"dp_min_eigenvalue": float(w[0])},
-        )
-    w = np.clip(w, 0.0, None)
-    e = d - d @ (b @ b.conj().T)  # D (I - P)
-    f = vecs.conj().T @ (b.conj().T @ e)
-    return w, f, n
+def _failure_certificate(f: Factorization) -> dict:
+    """Every failed criterion, with the numbers behind it."""
+    failed = []
+    certificate = {}
+    if not f.range_ok:
+        failed.append("range_inclusion")
+        certificate["range_residual"] = f.range_residual
+    if not f.ca_hermitian:
+        failed.append("ca_star_hermitian")
+        certificate["ca_star_deviation"] = f.ca_deviation
+    if not f.ca_psd:
+        failed.append("ca_star_psd")
+    if not f.dp_range_eq:
+        failed.append("dp_range_eq")
+        certificate.update(f.range_equality)
+    certificate["failed_conditions"] = failed
+    return certificate
 
 
-def _tn_from_state(w, f, n_value, size):
-    if w.size == 0:
-        return np.zeros((size, size), dtype=np.complex128)
-    inv = 1.0 / (1.0 / n_value + w)
-    return (f.conj().T * inv) @ f
-
-
-def _schedule(n_max: int):
-    if not (isinstance(n_max, int) and n_max >= 1):
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    ns = [1]
-    while ns[-1] * 2 <= n_max:
-        ns.append(ns[-1] * 2)
-    return ns
-
-
-def tn_matrix(a, c, n_value: int, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Single compressed-resolvent term for one value of n (mainly for tests)."""
-    a = as_matrix(a)
-    c = as_matrix(c)
-    d = reduced_solution(a, c, tol)
-    w, f, size = _compressed_state(a, d, tol)
-    return _tn_from_state(w, f, float(n_value), size)
-
-
-def tn_sequence(a, c, n_max: int = DEFAULT_N_MAX, tol: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Norms ``||T_n||`` along the geometric schedule ``1, 2, 4, ..., n_max``.
-
-    ``T_n = (I - P) D* (1/n + DP)^{-1}|_{row space} D (I - P)`` is PSD and
-    nondecreasing in n.  Requires the equation to be consistent and the
-    compression of DP to be Hermitian PSD; otherwise
-    :class:`~opeq.errors.PreconditionFailed` (or
-    :class:`~opeq.errors.NotSolvable`) is raised.
-    """
-    a = as_matrix(a)
-    c = as_matrix(c)
-    d = reduced_solution(a, c, tol)
-    w, f, size = _compressed_state(a, d, tol)
-    out = []
-    for n_value in _schedule(n_max):
-        t = _tn_from_state(w, f, float(n_value), size)
-        norm = float(np.linalg.norm(t, 2)) if t.size else 0.0
-        out.append((n_value, norm))
-    return out
-
-
-def lambda_diagnostic(
-    a, c, n_max: int = DEFAULT_N_MAX, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> LambdaDiagnostic:
-    """Classify sup_n ||T_n|| as finite or divergent from the schedule norms.
-
-    Convergence is declared when the final doubling moves the norm by less
-    than ``residual_atol * (1 + estimate)``; divergence when, absent that,
-    each of the last three doublings grew the norm by at least the factor
-    ``1 + psd_atol`` (linear growth in n doubles it).  A uniform bound on the
-    compressed resolvent norms would also certify finiteness; for matrices
-    that is exactly invertibility of DP on the range of DP, i.e. the range
-    equality R(D) = R(DP), which remains the authoritative test.
-    """
-    norms = [norm for _, norm in tn_sequence(a, c, n_max, tol)]
-    estimate = norms[-1]
-    converged = (
-        len(norms) >= 2 and abs(norms[-1] - norms[-2]) < tol.residual_atol * (1.0 + estimate)
-    )
-    diverged = False
-    if not converged and len(norms) >= 4:
-        tail = norms[-4:]
-        diverged = all(
-            tail[k + 1] >= (1.0 + tol.psd_atol) * tail[k] and tail[k + 1] > 0.0
-            for k in range(3)
-        )
-    return LambdaDiagnostic(
-        converged=converged,
-        diverged=diverged,
-        estimate=None if diverged else estimate,
-        n_max=int(n_max),
-    )
-
-
-def solvability_report(
-    a,
-    c,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-    n_max: int = DEFAULT_N_MAX,
-) -> SolvabilityReport:
+def solvability_report(f: Factorization) -> SolvabilityReport:
     """Full solvability classification of AX = C over square parameter space.
 
     Populates every criterion: range inclusion, Hermitian-ness and
     positivity of ``C A*``, the least majorization scale ``t_min`` with
-    ``C C* <= t C A*``, the range equality ``R(D) = R(DP)``, and the ``T_n``
-    limit estimate.  The verdict is decided by the exact finite-dimensional
-    tests (range, PSD, range equality); ``t_min`` offers the independent
-    route, finite precisely when those hold, so the two can be checked
-    against each other.
+    ``C C* <= t C A*``, the range equality ``R(D) = R(DP)``, and, for a
+    positive verdict, the closed-form lambda.  The verdict is decided by the
+    exact finite-dimensional tests (range, PSD, range equality); ``t_min``
+    offers the independent route, finite precisely when those hold, so the
+    two can be checked against each other.
     """
-    a = as_matrix(a)
-    c = as_matrix(c)
-    _check_same_shape(a, c)
-
-    c_norm = spectral_norm(c)
-    range_residual = range_inclusion_residual(a, c, tol)
-    range_ok = range_residual <= tol.residual_atol * max(1.0, c_norm)
-
-    ca = c @ a.conj().T
-    ca_dev = hermitian_deviation(ca)
-    ca_hermitian = ca_dev <= tol.residual_atol
-    ca_psd = is_psd(ca, tol)
-
-    t_min = least_dominating_scale(ca, c @ c.conj().T, tol) if ca_psd else None
-
-    d = pinv(a, tol) @ c
-    b = row_space_basis(a, tol)
-    dp = (d @ b) @ b.conj().T
-    dp_range_eq, range_detail = _range_equality(d, dp, tol)
-
-    lam = None
-    if range_ok and ca_psd:
-        try:
-            diag = lambda_diagnostic(a, c, n_max, tol)
-        except PreconditionFailed:
-            diag = None
-        if diag is not None:
-            lam = diag.estimate
-
-    if not range_ok:
-        verdict = Verdict.UNSOLVABLE
-    elif ca_psd and dp_range_eq:
-        verdict = Verdict.POSITIVE
-    elif ca_hermitian:
-        verdict = Verdict.HERMITIAN
-    else:
-        verdict = Verdict.GENERAL
-
-    certificate = {}
-    if verdict is not Verdict.POSITIVE:
-        failed = []
-        if not range_ok:
-            failed.append("range_inclusion")
-            certificate["range_residual"] = range_residual
-        if not ca_hermitian:
-            failed.append("ca_star_hermitian")
-            certificate["ca_star_deviation"] = ca_dev
-        if not ca_psd:
-            failed.append("ca_star_psd")
-        if not dp_range_eq:
-            failed.append("dp_range_eq")
-            certificate.update(range_detail)
-        certificate["failed_conditions"] = failed
-
+    _check_same_shape(f)
+    verdict = _verdict(f)
+    positive = verdict is Verdict.POSITIVE
     return SolvabilityReport(
-        range_ok=range_ok,
-        ca_star_hermitian=ca_hermitian,
-        ca_star_psd=ca_psd,
-        t_min=t_min,
-        dp_range_eq=dp_range_eq,
-        lambda_estimate=lam,
+        range_ok=f.range_ok,
+        ca_star_hermitian=f.ca_hermitian,
+        ca_star_psd=f.ca_psd,
+        t_min=least_dominating_scale(f.ca, f.c @ f.c.conj().T, f.tol) if f.ca_psd else None,
+        dp_range_eq=f.dp_range_eq,
+        lambda_estimate=spectral_norm(f.x0_correction) if positive else None,
         verdict=verdict,
-        certificate=certificate,
+        certificate={} if positive else _failure_certificate(f),
     )
 
 
-def hermitian_solvability(
-    a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> SolvabilityReport:
-    """Does AX = C admit a Hermitian solution?  (range inclusion and CA* Hermitian)."""
-    return solvability_report(a, c, tol)
+def _checked(f: Factorization, x, error, failed: list, numbers: dict) -> np.ndarray:
+    """Return the emitted X if it solves AX = C and passed its class tests.
+
+    ``failed`` names the class tests X failed.  The equation residual must be
+    at most ``residual_atol * max(1, ||C||)``.  On any failure raise
+    ``error`` with the failed conditions, the residual, its bound and
+    ``numbers`` in the certificate.
+    """
+    resid = spectral_norm(f.a @ x - f.c)
+    bound = f.tol.residual_atol * max(1.0, f.c_norm)
+    failed = failed + ["solution_residual"] * (resid > bound)
+    if failed:
+        numbers = {**numbers, "equation_residual": resid, "residual_bound": bound}
+        raise error(
+            f"the emitted solution failed its own check: {', '.join(failed)}",
+            certificate={"failed_conditions": failed, **numbers},
+        )
+    return x
 
 
-def positive_solvability(
-    a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES, n_max: int = DEFAULT_N_MAX
-) -> SolvabilityReport:
-    """Does AX = C admit a PSD solution?  (adds CA* PSD and R(D) = R(DP))."""
-    return solvability_report(a, c, tol, n_max)
-
-
-def hermitian_solution(a, c, y, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+def hermitian_solution(f: Factorization, y) -> np.ndarray:
     """Member ``D + (I-P) D* + (I-P) Y (I-P)`` of the Hermitian family.
 
     Y must be Hermitian; the output is then Hermitian and solves AX = C.
+    It is checked before it is returned: ``||X - X*||`` at most
+    ``residual_atol * max(1, ||X||)`` and the equation residual at most
+    ``residual_atol * max(1, ||C||)``, else :class:`NotSolvableHermitian`.
     """
-    a = as_matrix(a)
-    c = as_matrix(c)
+    _check_same_shape(f)
     y = as_matrix(y)
-    _check_same_shape(a, c)
-    if y.shape != (a.shape[1], a.shape[1]):
-        raise ShapeMismatch(f"parameter Y must be {a.shape[1]}x{a.shape[1]}, got {y.shape}")
-
-    range_residual = range_inclusion_residual(a, c, tol)
-    if range_residual > tol.residual_atol * max(1.0, spectral_norm(c)):
+    n = f.a.shape[1]
+    if y.shape != (n, n):
+        raise ShapeMismatch(f"parameter Y must be {n}x{n}, got {y.shape}")
+    if not (f.range_ok and f.ca_hermitian):
         raise NotSolvableHermitian(
-            "no solutions at all: range inclusion fails",
-            certificate={"failed_conditions": ["range_inclusion"], "range_residual": range_residual},
-        )
-    ca_dev = hermitian_deviation(c @ a.conj().T)
-    if ca_dev > tol.residual_atol:
-        raise NotSolvableHermitian(
-            f"C A* is not Hermitian (deviation {ca_dev:.3e})",
-            certificate={"failed_conditions": ["ca_star_hermitian"], "ca_star_deviation": ca_dev},
+            f"no Hermitian solution exists (verdict {_verdict(f).value})",
+            certificate=_failure_certificate(f),
         )
     y_dev = hermitian_deviation(y)
-    if y_dev > tol.residual_atol:
+    if y_dev > f.tol.residual_atol:
         raise ParameterNotHermitian(
             f"parameter Y must be Hermitian (deviation {y_dev:.3e})",
             certificate={"parameter_deviation": y_dev},
         )
 
-    d = pinv(a, tol) @ c
-    b = row_space_basis(a, tol)
-    ip = np.eye(a.shape[1], dtype=np.complex128) - b @ b.conj().T
-    return d + ip @ d.conj().T + ip @ y @ ip
+    x = f.h0 + f.ip @ y @ f.ip
+    dev = hermitian_deviation(x)
+    bound = f.tol.residual_atol * max(1.0, spectral_norm(x))
+    numbers = {"solution_deviation": dev, "deviation_bound": bound}
+    return _checked(f, x, NotSolvableHermitian, ["solution_hermitian"] * (dev > bound), numbers)
 
 
-def _x_zero(d, b, tol):
-    """Distinguished PSD member: D + (I-P) D* + (I-P) D* (DP)^dagger D (I-P)."""
-    ip = np.eye(d.shape[0], dtype=np.complex128) - b @ b.conj().T
-    dp = d - d @ ip
-    return d + ip @ d.conj().T + ip @ d.conj().T @ pinv(dp, tol) @ (d @ ip)
-
-
-def positive_solution(a, c, z, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+def positive_solution(f: Factorization, z) -> np.ndarray:
     """Member ``X0 + (I-P) Z (I-P)`` of the positive family.
 
     Z must be PSD.  The free part lives in the complement of the row-space
     projector, which is what keeps ``A X = C`` true for every admissible Z.
+    Reads only the range, ``C A*`` PSD and range-equality tests and
+    ``(DP)^dagger``.  The output is checked before it is returned (PSD, and
+    the equation residual at most ``residual_atol * max(1, ||C||)``), else
+    :class:`NotSolvablePositive`.
     """
-    a = as_matrix(a)
-    c = as_matrix(c)
+    _check_same_shape(f)
     z = as_matrix(z)
-    _check_same_shape(a, c)
-    if z.shape != (a.shape[1], a.shape[1]):
-        raise ShapeMismatch(f"parameter Z must be {a.shape[1]}x{a.shape[1]}, got {z.shape}")
-
-    report = positive_solvability(a, c, tol)
-    if report.verdict is not Verdict.POSITIVE:
+    n = f.a.shape[1]
+    if z.shape != (n, n):
+        raise ShapeMismatch(f"parameter Z must be {n}x{n}, got {z.shape}")
+    if not (f.range_ok and f.ca_psd and f.dp_range_eq):
         raise NotSolvablePositive(
-            f"no PSD solution exists (verdict {report.verdict.value})",
-            certificate=report.certificate,
+            f"no PSD solution exists (verdict {_verdict(f).value})",
+            certificate=_failure_certificate(f),
         )
-    if not is_psd(z, tol):
+    if not is_psd(z, f.tol):
         raise ParameterNotPSD("parameter Z must be positive semidefinite")
 
-    d = pinv(a, tol) @ c
-    b = row_space_basis(a, tol)
-    ip = np.eye(a.shape[1], dtype=np.complex128) - b @ b.conj().T
-    return _x_zero(d, b, tol) + ip @ z @ ip
-
-
-def solution_family(
-    a,
-    c,
-    kind: SolutionKind = SolutionKind.GENERAL,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> SolutionFamily:
-    """Bundle the reduced solution with its projector data for one family kind."""
-    a = as_matrix(a)
-    c = as_matrix(c)
-    d = reduced_solution(a, c, tol)
-    b = row_space_basis(a, tol)
-    p = b @ b.conj().T
-    identity = np.eye(a.shape[1], dtype=np.complex128)
-    x_zero = None
-    if kind is not SolutionKind.GENERAL:
-        _check_same_shape(a, c)
-        ca_dev = hermitian_deviation(c @ a.conj().T)
-        if ca_dev > tol.residual_atol:
-            raise NotSolvableHermitian(
-                f"C A* is not Hermitian (deviation {ca_dev:.3e})",
-                certificate={"ca_star_deviation": ca_dev},
-            )
-    if kind is SolutionKind.POSITIVE:
-        report = positive_solvability(a, c, tol)
-        if report.verdict is not Verdict.POSITIVE:
-            raise NotSolvablePositive(
-                f"no PSD solution exists (verdict {report.verdict.value})",
-                certificate=report.certificate,
-            )
-        x_zero = _x_zero(d, b, tol)
-    return SolutionFamily(
-        reduced=d, projector_p=p, complement=identity - p, x_zero=x_zero, kind=kind
-    )
+    x = f.x0 + f.ip @ z @ f.ip
+    if is_psd(x, f.tol):
+        return _checked(f, x, NotSolvablePositive, [], {})
+    lowest = float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0])
+    return _checked(f, x, NotSolvablePositive, ["solution_psd"], {"min_eigenvalue": lowest})
 
 
 def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
@@ -617,9 +495,6 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
             )
     if not is_psd(a11, tol):
         return False
-    a11_pinv = pinv(a11, tol)
-    range_resid = spectral_norm(a11 @ (a11_pinv @ a12) - a12)
-    if range_resid > tol.residual_atol * max(1.0, spectral_norm(a12)):
-        return False
-    schur = a22 - a12.conj().T @ a11_pinv @ a12
-    return is_psd(schur, tol)
+    # A11 X = A12: the range condition, and X = A11^dagger A12 for the Schur complement
+    f = factorize(a11, a12, tol)
+    return f.range_ok and is_psd(a22 - a12.conj().T @ f.d, tol)

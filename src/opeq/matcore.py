@@ -35,9 +35,9 @@ __all__ = [
     "is_hermitian",
     "pinv",
     "matrix_rank",
+    "truncated_svd",
     "row_space_basis",
     "row_space_projector",
-    "range_projector",
     "sqrt_psd",
     "polar_partial_isometry",
     "is_psd",
@@ -184,8 +184,9 @@ def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     return hermitian_deviation(m) <= tol.residual_atol
 
 
-def _svd(a):
-    return np.linalg.svd(a, full_matrices=False)
+def _rank_of(s, tol: ToleranceConfig) -> int:
+    """Count of singular values ``s`` (descending) above ``rank_rtol * s[0]``."""
+    return int(np.count_nonzero(s > tol.rank_rtol * s[0])) if s.size else 0
 
 
 def matrix_rank(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
@@ -193,10 +194,20 @@ def matrix_rank(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
     a = as_matrix(m)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_rtol * s[0]))
+    return _rank_of(np.linalg.svd(a, compute_uv=False), tol)
+
+
+def truncated_svd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Thin SVD ``(U, s, Vh)`` of M cut to its rank.
+
+    Singular values below ``rank_rtol * sigma_max`` are dropped with their
+    vectors, so the zero matrix has rank 0 and empty factors.  The
+    pseudoinverse, row-space and polar helpers below all read it.
+    """
+    a = as_matrix(m)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    r = _rank_of(s, tol)
+    return u[:, :r], s[:r], vh[:r, :]
 
 
 def pinv(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -205,40 +216,19 @@ def pinv(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     Singular values below ``rank_rtol * sigma_max`` are treated as exactly
     zero, so the zero matrix maps to the zero matrix of transposed shape.
     """
-    a = as_matrix(m)
-    u, s, vh = _svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=np.complex128)
-    keep = s > tol.rank_rtol * s[0]
-    u, s, vh = u[:, keep], s[keep], vh[keep, :]
+    u, s, vh = truncated_svd(m, tol)
     return (vh.conj().T / s) @ u.conj().T
 
 
 def row_space_basis(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthonormal columns spanning the row space (range of M*)."""
-    a = as_matrix(m)
-    _, s, vh = _svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], 0), dtype=np.complex128)
-    r = int(np.sum(s > tol.rank_rtol * s[0]))
-    return vh[:r, :].conj().T
+    return truncated_svd(m, tol)[2].conj().T
 
 
 def row_space_projector(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthogonal projector onto the row space of M."""
     b = row_space_basis(m, tol)
     return b @ b.conj().T
-
-
-def range_projector(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthogonal projector onto the column space of M."""
-    a = as_matrix(m)
-    u, s, _ = _svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], a.shape[0]), dtype=np.complex128)
-    r = int(np.sum(s > tol.rank_rtol * s[0]))
-    ur = u[:, :r]
-    return ur @ ur.conj().T
 
 
 def _eigh_sym(m):
@@ -314,12 +304,8 @@ def polar_partial_isometry(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.n
     Built from the SVD with the shared rank cutoff; the zero matrix yields
     the zero partial isometry.
     """
-    a = as_matrix(m)
-    u, s, vh = _svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(a)
-    r = int(np.sum(s > tol.rank_rtol * s[0]))
-    return u[:, :r] @ vh[:r, :]
+    u, _, vh = truncated_svd(m, tol)
+    return u @ vh
 
 
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -1,10 +1,12 @@
-"""Independent brute-force verifiers and the randomized property suite.
+"""Brute-force verifiers, the T_n cross-check and the randomized property suite.
 
-Nothing here shares a code path with the decision logic it checks: the
-least-squares route goes through normal equations instead of the SVD
-pseudoinverse, positivity is probed with random quadratic forms, and PSD
-solutions are hunted by sampling the Hermitian family rather than by the
-closed-form construction.  Absence of a search hit is evidence, never proof.
+Each check reaches a decision by a second route: normal equations instead
+of the SVD pseudoinverse, random quadratic forms for positivity, sampling of
+the Hermitian family for PSD solutions instead of the closed form, and the
+``||T_n||`` scan for the closed-form lambda.  Absence of a search hit is
+evidence, never proof.  The routes share their inputs with the decisions:
+every trial builds one :class:`~opeq.douglas.Factorization` and reads D, P,
+``C A*`` and DP from it.
 
 All randomness flows from a named generator (PCG64) with an explicit seed;
 every trial derives its own sub-seed deterministically from the seed and the
@@ -19,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import douglas
-from .errors import NotHermitian, NotSolvable, ShapeMismatch
+from .errors import (
+    NotHermitian,
+    NotSolvableHermitian,
+    NotSolvablePositive,
+    PreconditionFailed,
+    ShapeMismatch,
+)
 from .matcore import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
@@ -32,8 +40,6 @@ from .matcore import (
     min_majorization_scale,
     pinv,
     polar_partial_isometry,
-    range_inclusion,
-    row_space_basis,
     row_space_projector,
     spectral_norm,
     sqrt_psd,
@@ -42,18 +48,28 @@ from .matcore import (
 __all__ = [
     "GENERATOR_NAME",
     "DEFAULT_SEED",
+    "DEFAULT_N_MAX",
     "TrialSpec",
     "DouglasReport",
+    "LambdaDiagnostic",
     "lsq_solve",
     "psd_quadratic_probe",
     "positive_search",
     "douglas_properties_check",
+    "tn_matrix",
+    "tn_sequence",
+    "lambda_diagnostic",
     "property_suite",
     "PROPERTY_NAMES",
 ]
 
 GENERATOR_NAME = "PCG64"
 DEFAULT_SEED = 20514
+
+# cap for the geometric schedule n = 1, 2, 4, ... used by the T_n diagnostic;
+# large enough to separate convergence from linear growth, small enough that
+# 1/n stays well above eigenvalue roundoff
+DEFAULT_N_MAX = 2**40
 
 
 @dataclass(frozen=True)
@@ -131,11 +147,7 @@ def psd_quadratic_probe(m, probes: int = 1000, seed: int = DEFAULT_SEED) -> bool
 
 
 def positive_search(
-    a,
-    c,
-    budget: int = 1000,
-    seed: int = DEFAULT_SEED,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+    f: douglas.Factorization, budget: int = 1000, seed: int = DEFAULT_SEED
 ) -> np.ndarray | None:
     """Randomized hunt for a PSD solution of AX = C inside the Hermitian family.
 
@@ -144,23 +156,17 @@ def positive_search(
     the PSD and residual tests.  Returns None when the budget is exhausted;
     that is evidence of unsolvability, not proof.
     """
-    a = as_matrix(a)
-    c = as_matrix(c)
-    if a.shape != c.shape:
+    if f.a.shape != f.c.shape:
         raise ShapeMismatch("A and C must have identical shape")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if not range_inclusion(a, c, tol):
-        return None
-    ca_dev = hermitian_deviation(c @ a.conj().T)
-    if ca_dev > tol.residual_atol:
+    if not (f.range_ok and f.ca_hermitian):
         return None
 
-    n = a.shape[1]
-    d = pinv(a, tol) @ c
-    b = row_space_basis(a, tol)
-    ip = np.eye(n, dtype=np.complex128) - b @ b.conj().T
-    base = d + ip @ d.conj().T
+    tol = f.tol
+    n = f.a.shape[1]
+    ip = f.ip
+    base = f.h0
 
     rng = _sub_rng(seed, 1)
     chunk = 256
@@ -180,8 +186,8 @@ def positive_search(
         hits = np.nonzero(eigs[:, 0] >= -tol.psd_atol * scale)[0]
         for k in hits:
             candidate = x[k]
-            resid = spectral_norm(a @ candidate - c)
-            if resid <= tol.residual_atol * max(1.0, spectral_norm(c)) and is_psd(
+            resid = spectral_norm(f.a @ candidate - f.c)
+            if resid <= tol.residual_atol * max(1.0, f.c_norm) and is_psd(
                 candidate, tol
             ):
                 return candidate
@@ -223,26 +229,22 @@ class DouglasReport:
         }
 
 
-def douglas_properties_check(
-    a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> DouglasReport:
+def douglas_properties_check(f: douglas.Factorization) -> DouglasReport:
     """Verify the norm identity, kernel equality and row-space location of D."""
-    a = as_matrix(a)
-    c = as_matrix(c)
-    d = douglas.reduced_solution(a, c, tol)  # raises NotSolvable if inconsistent
+    tol = f.tol
+    d = douglas.reduced_solution(f)  # raises NotSolvable if inconsistent
 
-    maj = min_majorization_scale(a, c, tol)
-    d_norm_sq = spectral_norm(d) ** 2
+    maj = min_majorization_scale(f.a, f.c, tol)
+    d_norm_sq = f.d_norm**2
     norm_ok = maj.finite and abs(maj.mu_star - d_norm_sq) <= 1e-8 * max(1.0, d_norm_sq)
 
-    proj_c = row_space_projector(c, tol)
+    proj_c = row_space_projector(f.c, tol)
     proj_d = row_space_projector(d, tol)
     resid_dc = spectral_norm(proj_d - proj_c @ proj_d)
     resid_cd = spectral_norm(proj_c - proj_d @ proj_c)
     kernel_ok = resid_dc <= 1e-8 and resid_cd <= 1e-8
 
-    proj_a = row_space_projector(a, tol)
-    rowspace_resid = spectral_norm(d - proj_a @ d)
+    rowspace_resid = spectral_norm(d - f.p @ d)
     rowspace_ok = rowspace_resid < 1e-10 * max(1.0, spectral_norm(d))
 
     return DouglasReport(
@@ -253,6 +255,130 @@ def douglas_properties_check(
         rowspace_ok=rowspace_ok,
         kernel_residuals=(resid_dc, resid_cd),
         rowspace_residual=rowspace_resid,
+    )
+
+
+# ---------------------------------------------------------------------------
+# compressed-resolvent sequence T_n: the scan whose limit the closed-form
+# lambda of the solvability report must match
+
+
+@dataclass(frozen=True)
+class LambdaDiagnostic:
+    """Outcome of scanning ``||T_n||`` along a geometric schedule.
+
+    ``estimate`` is the last norm on the schedule, or None when sustained
+    geometric growth marks the sequence as divergent.  ``converged`` means
+    the final doubling changed the norm by less than
+    ``residual_atol * (1 + estimate)``.
+    """
+
+    converged: bool
+    diverged: bool
+    estimate: float | None
+    n_max: int
+
+    def __post_init__(self):
+        if self.converged and self.diverged:
+            raise ValueError("a sequence cannot both converge and diverge")
+        if self.diverged != (self.estimate is None):
+            raise ValueError("estimate must be absent exactly when divergent")
+
+
+def _compressed_state(f: douglas.Factorization):
+    """Eigendata of DP compressed to the row space of A, plus D(I - P) there.
+
+    Returns ``(w, g)``: eigenvalues ``w`` of the compression, and ``g``
+    such that ``T_n = g* diag(1 / (1/n + w)) g``.  Raises
+    :class:`PreconditionFailed` unless the compression is Hermitian PSD
+    within tolerance.
+    """
+    tol = f.tol
+    d = douglas.reduced_solution(f)
+    b = f.row_basis
+    if b.shape[1] == 0:
+        return np.zeros(0), np.zeros((0, d.shape[0]), dtype=np.complex128)
+    comp = b.conj().T @ d @ b
+    dev = float(np.linalg.norm(comp - comp.conj().T, 2))
+    if dev > tol.residual_atol * max(1.0, float(np.linalg.norm(comp, 2))):
+        raise PreconditionFailed(
+            f"DP is not Hermitian on the row space (deviation {dev:.3e})",
+            certificate={"dp_hermitian_deviation": dev},
+        )
+    w, vecs = np.linalg.eigh(0.5 * (comp + comp.conj().T))
+    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+    if w.size and w[0] < -tol.psd_atol * scale:
+        raise PreconditionFailed(
+            f"DP is not PSD on the row space (eigenvalue {w[0]:.3e})",
+            certificate={"dp_min_eigenvalue": float(w[0])},
+        )
+    w = np.clip(w, 0.0, None)
+    e = d - d @ f.p  # D (I - P)
+    g = vecs.conj().T @ (b.conj().T @ e)
+    return w, g
+
+
+def _tn_from_state(w, g, n_value):
+    return (g.conj().T * (1.0 / (1.0 / n_value + w))) @ g
+
+
+def _schedule(n_max: int):
+    if not (isinstance(n_max, int) and n_max >= 1):
+        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    return [2**k for k in range(n_max.bit_length())]
+
+
+def tn_matrix(f: douglas.Factorization, n_value: int) -> np.ndarray:
+    """Single compressed-resolvent term for one value of n (mainly for tests)."""
+    w, g = _compressed_state(f)
+    return _tn_from_state(w, g, float(n_value))
+
+
+def tn_sequence(f: douglas.Factorization, n_max: int = DEFAULT_N_MAX):
+    """Norms ``||T_n||`` along the geometric schedule ``1, 2, 4, ..., n_max``.
+
+    ``T_n = (I - P) D* (1/n + DP)^{-1}|_{row space} D (I - P)`` is PSD and
+    nondecreasing in n.  Requires the equation to be consistent and the
+    compression of DP to be Hermitian PSD; otherwise
+    :class:`~opeq.errors.PreconditionFailed` (or
+    :class:`~opeq.errors.NotSolvable`) is raised.
+    """
+    w, g = _compressed_state(f)
+    return [
+        (n_value, float(np.linalg.norm(_tn_from_state(w, g, float(n_value)), 2)))
+        for n_value in _schedule(n_max)
+    ]
+
+
+def lambda_diagnostic(f: douglas.Factorization, n_max: int = DEFAULT_N_MAX) -> LambdaDiagnostic:
+    """Classify sup_n ||T_n|| as finite or divergent from the schedule norms.
+
+    Convergence is declared when the final doubling moves the norm by less
+    than ``residual_atol * (1 + estimate)``; divergence when, absent that,
+    each of the last three doublings grew the norm by at least the factor
+    ``1 + psd_atol`` (linear growth in n doubles it).  A uniform bound on the
+    compressed resolvent norms would also certify finiteness; for matrices
+    that is exactly invertibility of DP on the range of DP, i.e. the range
+    equality R(D) = R(DP), which remains the authoritative test.
+    """
+    tol = f.tol
+    norms = [norm for _, norm in tn_sequence(f, n_max)]
+    estimate = norms[-1]
+    converged = (
+        len(norms) >= 2 and abs(norms[-1] - norms[-2]) < tol.residual_atol * (1.0 + estimate)
+    )
+    diverged = False
+    if not converged and len(norms) >= 4:
+        tail = norms[-4:]
+        diverged = all(
+            tail[k + 1] >= (1.0 + tol.psd_atol) * tail[k] and tail[k + 1] > 0.0
+            for k in range(3)
+        )
+    return LambdaDiagnostic(
+        converged=converged,
+        diverged=diverged,
+        estimate=None if diverged else estimate,
+        n_max=int(n_max),
     )
 
 
@@ -410,9 +536,10 @@ def _check_polar(rng, spec, tol):
 
 def _check_consistency_and_lsq(rng, spec, tol):
     a, c, _ = _consistent_pair(rng, spec, "general")
-    if not range_inclusion(a, c, tol):
+    f = douglas.factorize(a, c, tol)
+    if not f.range_ok:
         return _fail("range inclusion rejected a consistent pair", a=a, c=c)
-    d = douglas.reduced_solution(a, c, tol)
+    d = douglas.reduced_solution(f)
     x = lsq_solve(a, c)
     gap = spectral_norm(d - x)
     if gap > 1e-8 * max(1.0, spectral_norm(d)):
@@ -424,48 +551,39 @@ def _check_parametrization(rng, spec, tol):
     a, c, _ = _consistent_pair(rng, spec, "general")
     n = a.shape[1]
     y0 = random_operator(rng, n, c.shape[1])
-    x = douglas.general_solution(a, c, y0, tol)
-    if spectral_norm(a @ x - c) > tol.residual_atol * max(1.0, spectral_norm(c)):
+    f = douglas.factorize(a, c, tol)
+    x = douglas.general_solution(f, y0)
+    if spectral_norm(a @ x - c) > tol.residual_atol * max(1.0, f.c_norm):
         return _fail("family member does not solve the equation", a=a, c=c)
-    y = douglas.recover_parameter(a, c, x, tol)
-    x_back = douglas.general_solution(a, c, y, tol)
+    y = douglas.recover_parameter(f, x)
+    x_back = douglas.general_solution(f, y)
     gap = spectral_norm(x_back - x)
     if gap > 1e-9 * max(1.0, spectral_norm(x)):
         return _fail(f"parameter round trip off by {gap:.3e}", a=a, c=c)
     return None
 
 
-def _hermitian_flags(a, c, tol):
-    d = pinv(a, tol) @ c
-    b = row_space_basis(a, tol)
-    dp = (d @ b) @ b.conj().T
-    ca = c @ a.conj().T
-    return (
-        hermitian_deviation(dp) <= tol.residual_atol,
-        hermitian_deviation(ca) <= tol.residual_atol,
-        is_psd(dp, tol),
-        is_psd(ca, tol),
-    )
-
-
 def _check_hermitian_criterion(rng, spec, tol):
     flavor = ("hermitian", "general", "positive")[int(rng.integers(3))]
     a, c, _ = _consistent_pair(rng, spec, flavor)
-    dp_herm, ca_herm, dp_psd, ca_psd = _hermitian_flags(a, c, tol)
-    if dp_herm != ca_herm:
+    f = douglas.factorize(a, c, tol)
+    if (hermitian_deviation(f.dp) <= tol.residual_atol) != f.ca_hermitian:
         return _fail("Hermitian-ness of DP and CA* disagree", a=a, c=c)
-    if dp_psd != ca_psd:
+    if is_psd(f.dp, tol) != f.ca_psd:
         return _fail("positivity of DP and CA* disagree", a=a, c=c)
-    report = douglas.hermitian_solvability(a, c, tol)
+    report = douglas.solvability_report(f)
     if flavor == "hermitian" and not report.verdict.at_least(douglas.Verdict.HERMITIAN):
         return _fail("pair built from a Hermitian factor judged non-Hermitian", a=a, c=c)
     if report.verdict.at_least(douglas.Verdict.HERMITIAN):
         y = random_hermitian(rng, a.shape[1])
-        x = douglas.hermitian_solution(a, c, y, tol)
+        try:
+            x = douglas.hermitian_solution(f, y)
+        except NotSolvableHermitian as exc:
+            return _fail(f"Hermitian builder refused its own output: {exc}", a=a, c=c)
         scale = max(1.0, spectral_norm(x))
         if hermitian_deviation(x) > 1e-9 * scale:
             return _fail("emitted solution is not Hermitian", a=a, c=c)
-        if spectral_norm(a @ x - c) > 1e-9 * max(1.0, spectral_norm(c)):
+        if spectral_norm(a @ x - c) > 1e-9 * max(1.0, f.c_norm):
             return _fail("emitted Hermitian member does not solve the equation", a=a, c=c)
     return None
 
@@ -481,7 +599,8 @@ def _check_positive_criteria(rng, spec, tol):
         flavor = ("positive", "hermitian", "general")[pick % 3]
         a, c = _consistent_pair(rng, spec, flavor)[:2]
         expect = "positive" if flavor == "positive" else None
-    report = douglas.positive_solvability(a, c, tol)
+    f = douglas.factorize(a, c, tol)
+    report = douglas.solvability_report(f)
     t_finite = report.t_min is not None
     exact = report.ca_star_psd and report.dp_range_eq
     if t_finite != exact:
@@ -495,10 +614,13 @@ def _check_positive_criteria(rng, spec, tol):
         if report.verdict is not douglas.Verdict.POSITIVE:
             return _fail("pair built from a PSD factor judged not positively solvable", a=a, c=c)
         z = random_psd(rng, a.shape[1], rank=_pick_rank(rng, a.shape[1], "random"))
-        x = douglas.positive_solution(a, c, z, tol)
+        try:
+            x = douglas.positive_solution(f, z)
+        except NotSolvablePositive as exc:
+            return _fail(f"positive builder refused its own output: {exc}", a=a, c=c)
         if not is_psd(x, tol):
             return _fail("emitted member of the positive family is not PSD", a=a, c=c)
-        if spectral_norm(a @ x - c) > tol.residual_atol * max(1.0, spectral_norm(c)):
+        if spectral_norm(a @ x - c) > tol.residual_atol * max(1.0, f.c_norm):
             return _fail("emitted positive member does not solve the equation", a=a, c=c)
         if report.t_min > spectral_norm(x) + 1e-8:
             return _fail("t_min exceeds the norm of an emitted positive solution", a=a, c=c)
@@ -540,7 +662,7 @@ def _check_block_positivity(rng, spec, tol):
 def _check_douglas_properties(rng, spec, tol):
     flavor = ("general", "hermitian", "positive")[int(rng.integers(3))]
     a, c, _ = _consistent_pair(rng, spec, flavor)
-    report = douglas_properties_check(a, c, tol)
+    report = douglas_properties_check(douglas.factorize(a, c, tol))
     if not report.all_ok:
         return _fail(
             f"reduced-solution properties failed: norm={report.norm_identity_ok} "
@@ -559,10 +681,10 @@ def _check_tn_lambda(rng, spec, tol):
     else:
         a, c = _consistent_pair(rng, spec, "positive")[:2]
 
-    seq = douglas.tn_sequence(a, c, n_max=16, tol=tol)
+    f = douglas.factorize(a, c, tol)
     prev = None
-    for n_value, _ in seq:
-        t = douglas.tn_matrix(a, c, n_value, tol)
+    for n_value, _ in tn_sequence(f, n_max=16):
+        t = tn_matrix(f, n_value)
         eigs = np.linalg.eigvalsh(0.5 * (t + t.conj().T))
         scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
         if eigs.size and eigs[0] < -tol.psd_atol * scale:
@@ -573,12 +695,23 @@ def _check_tn_lambda(rng, spec, tol):
                 return _fail(f"T_n not nondecreasing at n={n_value}", a=a, c=c)
         prev = t
 
-    diag = douglas.lambda_diagnostic(a, c, tol=tol)
-    report = douglas.positive_solvability(a, c, tol)
+    diag = lambda_diagnostic(f)
+    report = douglas.solvability_report(f)
     if report.dp_range_eq and not diag.converged:
         return _fail("ranges match but the T_n norms did not settle", a=a, c=c)
     if not report.dp_range_eq and not diag.diverged:
         return _fail("ranges differ but the T_n norms did not diverge", a=a, c=c)
+    # the scan's own convergence rule bounds how far the closed form may sit
+    if diag.converged and (
+        report.lambda_estimate is None
+        or abs(report.lambda_estimate - diag.estimate) > tol.residual_atol * (1.0 + diag.estimate)
+    ):
+        return _fail(
+            f"closed-form lambda {report.lambda_estimate!r} misses the T_n limit "
+            f"{diag.estimate!r}",
+            a=a,
+            c=c,
+        )
     return None
 
 
@@ -586,15 +719,16 @@ def _check_positive_search(rng, spec, tol):
     flavor = ("positive", "hermitian")[int(rng.integers(2))]
     a, c, _ = _consistent_pair(rng, spec, flavor)
     sub_seed = int(rng.integers(2**32))
-    found = positive_search(a, c, budget=384, seed=sub_seed, tol=tol)
+    f = douglas.factorize(a, c, tol)
+    found = positive_search(f, budget=384, seed=sub_seed)
     if found is None:
         return None
-    report = douglas.positive_solvability(a, c, tol)
+    report = douglas.solvability_report(f)
     if report.verdict is not douglas.Verdict.POSITIVE:
         return _fail("search produced a PSD solution on a pair judged unsolvable", a=a, c=c)
     if not is_psd(found, tol):
         return _fail("search returned a non-PSD matrix", a=a, c=c)
-    if spectral_norm(a @ found - c) > tol.residual_atol * max(1.0, spectral_norm(c)):
+    if spectral_norm(a @ found - c) > tol.residual_atol * max(1.0, f.c_norm):
         return _fail("search returned a non-solution", a=a, c=c)
     return None
 

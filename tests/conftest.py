@@ -36,3 +36,20 @@ def random_hermitian(rng, n):
 def random_psd(rng, n, rank=None):
     g = complex_gaussian(rng, n, rank if rank is not None else n)
     return g @ g.conj().T
+
+
+def count_lapack(monkeypatch):
+    """Log every svd, eigh and eigvalsh call as ``(name, args, kwargs)``."""
+    # np.linalg.norm(M, 2) calls the private module's own svd, so patch there too
+    private = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    log = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            log.append((_name, args, kwargs))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(private, name, counted)
+    return log

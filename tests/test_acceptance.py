@@ -42,9 +42,9 @@ def pair3():
 
 def test_criterion_1_rank_one_counterexample(pair2):
     a, c = pair2
-    dg.reduced_solution(a, c)  # warm up lapack/blas before timing
+    dg.reduced_solution(dg.factorize(a, c))  # warm up lapack/blas before timing
     t0 = time.perf_counter()
-    d = dg.reduced_solution(a, c)
+    d = dg.reduced_solution(dg.factorize(a, c))
     elapsed = time.perf_counter() - t0
 
     exact = np.max(np.abs(d - np.array([[2, 1], [0, 0]]))) <= 1e-12
@@ -67,19 +67,20 @@ def test_criterion_1_rank_one_counterexample(pair2):
 def test_criterion_2_hermitian_but_never_positive(pair3):
     a, c = pair3
     t0 = time.perf_counter()
+    f = dg.factorize(a, c)
 
     shape_ok = True
     for x33 in (-1.0, 0.0, 2.0, 10.0):
         y = np.zeros((3, 3), dtype=complex)
         y[2, 2] = x33
-        x = dg.hermitian_solution(a, c, y)
+        x = dg.hermitian_solution(f, y)
         expected = np.array([[1, 0, 0], [0, 0, 1], [0, 1, x33]], dtype=complex)
         shape_ok &= np.max(np.abs(x - expected)) <= 1e-12
 
-    rep = dg.positive_solvability(a, c)
+    rep = dg.solvability_report(f)
     verdict_ok = rep.verdict is dg.Verdict.HERMITIAN and rep.dp_range_eq is False
 
-    found = oc.positive_search(a, c, budget=10**4, seed=oc.DEFAULT_SEED)
+    found = oc.positive_search(f, budget=10**4, seed=oc.DEFAULT_SEED)
     elapsed = time.perf_counter() - t0
     report(
         2,
@@ -190,7 +191,7 @@ def test_criterion_7_norm_identity():
         a = g1 @ g2
         c = a @ (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         result = mc.min_majorization_scale(a, c)
-        d_norm_sq = mc.spectral_norm(dg.reduced_solution(a, c)) ** 2
+        d_norm_sq = mc.spectral_norm(dg.reduced_solution(dg.factorize(a, c))) ** 2
         rel = abs(result.mu_star - d_norm_sq) / max(1.0, d_norm_sq)
         worst = max(worst, rel)
     report(

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian, rank_deficient, random_hermitian, random_psd
+from conftest import complex_gaussian, count_lapack, rank_deficient, random_hermitian, random_psd
 from opeq import douglas as dg
 from opeq import matcore as mc
+from opeq import oracle as oc
 from opeq.errors import (
     NotASolution,
     NotHermitian,
@@ -12,7 +15,6 @@ from opeq.errors import (
     NotSolvablePositive,
     ParameterNotHermitian,
     ParameterNotPSD,
-    PreconditionFailed,
     ShapeMismatch,
 )
 
@@ -34,7 +36,7 @@ def consistent_pair(rng, n, flavor="general"):
 
 def test_reduced_solution_fixture(rank1_pair):
     a, c = rank1_pair
-    d = dg.reduced_solution(a, c)
+    d = dg.reduced_solution(dg.factorize(a, c))
     np.testing.assert_array_equal(d, c)
     assert mc.hermitian_deviation(d) > 0.5  # genuinely non-Hermitian
 
@@ -43,17 +45,18 @@ def test_reduced_solution_invertible():
     rng = np.random.default_rng(3)
     a = complex_gaussian(rng, 3, 3) + 3 * np.eye(3)
     c = complex_gaussian(rng, 3, 3)
-    np.testing.assert_allclose(dg.reduced_solution(a, c), np.linalg.solve(a, c), atol=1e-10)
+    d = dg.reduced_solution(dg.factorize(a, c))
+    np.testing.assert_allclose(d, np.linalg.solve(a, c), atol=1e-10)
 
 
 def test_reduced_solution_three_by_three(hermitian_only_pair):
     a, c = hermitian_only_pair
-    np.testing.assert_allclose(dg.reduced_solution(a, c), c, atol=1e-14)
+    np.testing.assert_allclose(dg.reduced_solution(dg.factorize(a, c)), c, atol=1e-14)
 
 
 def test_reduced_solution_certificate():
     with pytest.raises(NotSolvable) as info:
-        dg.reduced_solution(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+        dg.reduced_solution(dg.factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])))
     assert info.value.certificate["range_residual"] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -61,7 +64,7 @@ def test_reduced_solution_lives_in_row_space():
     rng = np.random.default_rng(31)
     for _ in range(50):
         a, c = consistent_pair(rng, int(rng.integers(1, 6)))
-        d = dg.reduced_solution(a, c)
+        d = dg.reduced_solution(dg.factorize(a, c))
         p = mc.row_space_projector(a)
         assert mc.spectral_norm(d - p @ d) < 1e-10
         assert mc.spectral_norm(a @ d - c) <= 1e-8 * max(1.0, mc.spectral_norm(c))
@@ -69,13 +72,14 @@ def test_reduced_solution_lives_in_row_space():
 
 def test_zero_operator_edge_cases():
     zero = np.zeros((2, 2), dtype=complex)
-    d = dg.reduced_solution(zero, zero)
+    f = dg.factorize(zero, zero)
+    d = dg.reduced_solution(f)
     assert np.all(d == 0)
     # every parameter is a solution parameter: the projector complement is I
     y = np.array([[1, 2], [3, 4]], dtype=complex)
-    np.testing.assert_allclose(dg.general_solution(zero, zero, y), y, atol=1e-14)
+    np.testing.assert_allclose(dg.general_solution(f, y), y, atol=1e-14)
     with pytest.raises(NotSolvable):
-        dg.reduced_solution(zero, np.eye(2))
+        dg.reduced_solution(dg.factorize(zero, np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +88,14 @@ def test_zero_operator_edge_cases():
 
 def test_general_solution_zero_parameter(rank1_pair):
     a, c = rank1_pair
-    np.testing.assert_allclose(dg.general_solution(a, c, np.zeros((2, 2))), c, atol=1e-14)
+    x = dg.general_solution(dg.factorize(a, c), np.zeros((2, 2)))
+    np.testing.assert_allclose(x, c, atol=1e-14)
 
 
 def test_general_solution_fixture(rank1_pair):
     a, c = rank1_pair
     y = np.array([[9, 9], [1, 1]], dtype=complex)
-    x = dg.general_solution(a, c, y)
+    x = dg.general_solution(dg.factorize(a, c), y)
     np.testing.assert_allclose(x, np.array([[2, 1], [1, 1]]), atol=1e-14)
     np.testing.assert_allclose(a @ x, c, atol=1e-14)
 
@@ -101,28 +106,30 @@ def test_general_solution_random():
         n = int(rng.integers(1, 6))
         a, c = consistent_pair(rng, n)
         y = complex_gaussian(rng, n, n)
-        x = dg.general_solution(a, c, y)
+        x = dg.general_solution(dg.factorize(a, c), y)
         assert mc.spectral_norm(a @ x - c) <= 1e-8 * max(1.0, mc.spectral_norm(c))
 
 
 def test_general_solution_shape_mismatch(rank1_pair):
     a, c = rank1_pair
     with pytest.raises(ShapeMismatch):
-        dg.general_solution(a, c, np.zeros((3, 3)))
+        dg.general_solution(dg.factorize(a, c), np.zeros((3, 3)))
 
 
 def test_recover_parameter_reduced_is_zero(rank1_pair):
     a, c = rank1_pair
-    y = dg.recover_parameter(a, c, dg.reduced_solution(a, c))
+    f = dg.factorize(a, c)
+    y = dg.recover_parameter(f, dg.reduced_solution(f))
     assert mc.spectral_norm(y) < 1e-12
 
 
 def test_recover_parameter_fixture(rank1_pair):
     a, c = rank1_pair
     x = np.array([[2, 1], [1, 1]], dtype=complex)
-    y = dg.recover_parameter(a, c, x)
+    f = dg.factorize(a, c)
+    y = dg.recover_parameter(f, x)
     np.testing.assert_allclose(y, np.array([[0, 0], [1, 1]]), atol=1e-14)
-    np.testing.assert_allclose(dg.general_solution(a, c, y), x, atol=1e-14)
+    np.testing.assert_allclose(dg.general_solution(f, y), x, atol=1e-14)
 
 
 def test_recover_parameter_round_trip_random():
@@ -130,15 +137,16 @@ def test_recover_parameter_round_trip_random():
     for _ in range(200):
         n = int(rng.integers(1, 6))
         a, c = consistent_pair(rng, n)
-        x = dg.general_solution(a, c, complex_gaussian(rng, n, n))
-        x_back = dg.general_solution(a, c, dg.recover_parameter(a, c, x))
+        f = dg.factorize(a, c)
+        x = dg.general_solution(f, complex_gaussian(rng, n, n))
+        x_back = dg.general_solution(f, dg.recover_parameter(f, x))
         assert mc.spectral_norm(x_back - x) <= 1e-9 * max(1.0, mc.spectral_norm(x))
 
 
 def test_recover_parameter_rejects_non_solution(rank1_pair):
     a, c = rank1_pair
     with pytest.raises(NotASolution):
-        dg.recover_parameter(a, c, np.eye(2))
+        dg.recover_parameter(dg.factorize(a, c), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +155,7 @@ def test_recover_parameter_rejects_non_solution(rank1_pair):
 
 def test_report_fixture(rank1_pair):
     a, c = rank1_pair
-    report = dg.hermitian_solvability(a, c)
+    report = dg.solvability_report(dg.factorize(a, c))
     assert report.range_ok and report.ca_star_hermitian
     np.testing.assert_allclose(c @ a.conj().T, np.diag([2.0, 0.0]))
     assert report.verdict is dg.Verdict.POSITIVE
@@ -156,7 +164,7 @@ def test_report_fixture(rank1_pair):
 
 def test_report_three_by_three(hermitian_only_pair):
     a, c = hermitian_only_pair
-    report = dg.positive_solvability(a, c)
+    report = dg.solvability_report(dg.factorize(a, c))
     assert report.verdict is dg.Verdict.HERMITIAN
     assert report.range_ok and report.ca_star_hermitian and report.ca_star_psd
     assert not report.dp_range_eq
@@ -168,7 +176,7 @@ def test_report_three_by_three(hermitian_only_pair):
 def test_report_non_hermitian_product():
     a = np.eye(2, dtype=complex)
     c = np.array([[0, 1], [0, 0]], dtype=complex)
-    report = dg.hermitian_solvability(a, c)
+    report = dg.solvability_report(dg.factorize(a, c))
     assert not report.ca_star_hermitian
     assert report.verdict is dg.Verdict.GENERAL
 
@@ -176,27 +184,27 @@ def test_report_non_hermitian_product():
 def test_report_c_equals_a():
     rng = np.random.default_rng(43)
     a = rank_deficient(rng, 4, 4, 2)
-    report = dg.positive_solvability(a, a)
+    report = dg.solvability_report(dg.factorize(a, a))
     assert report.verdict is dg.Verdict.POSITIVE
     assert report.t_min == pytest.approx(1.0, rel=1e-8)
     assert report.lambda_estimate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_report_zero_c():
-    report = dg.positive_solvability(np.eye(3), np.zeros((3, 3)))
+    report = dg.solvability_report(dg.factorize(np.eye(3), np.zeros((3, 3))))
     assert report.verdict is dg.Verdict.POSITIVE
     assert report.t_min == 0.0
 
 
 def test_report_unsolvable():
-    report = dg.solvability_report(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    report = dg.solvability_report(dg.factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])))
     assert report.verdict is dg.Verdict.UNSOLVABLE
     assert not report.range_ok
     assert report.certificate["range_residual"] > 0.5
 
 
 def test_report_json_markers(hermitian_only_pair):
-    payload = dg.positive_solvability(*hermitian_only_pair).to_json()
+    payload = dg.solvability_report(dg.factorize(*hermitian_only_pair)).to_json()
     assert payload["t_min"] == "inf"
     assert payload["lambda_estimate"] == "inf"
     assert payload["verdict"] == "SolvableHermitian"
@@ -223,7 +231,7 @@ def test_report_invariant_enforced():
 
 def test_report_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        dg.solvability_report(np.eye(2), np.eye(3))
+        dg.solvability_report(dg.factorize(np.eye(2), np.eye(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +240,7 @@ def test_report_shape_mismatch():
 
 def test_hermitian_solution_zero_parameter(rank1_pair):
     a, c = rank1_pair
-    x = dg.hermitian_solution(a, c, np.zeros((2, 2)))
+    x = dg.hermitian_solution(dg.factorize(a, c), np.zeros((2, 2)))
     np.testing.assert_allclose(x, np.array([[2, 1], [1, 0]]), atol=1e-14)
     np.testing.assert_allclose(a @ x, c, atol=1e-14)
     assert mc.hermitian_deviation(x) < 1e-14
@@ -243,7 +251,7 @@ def test_hermitian_solution_three_by_three(hermitian_only_pair):
     for x33 in (-2.0, 0.0, 1.5):
         y = np.zeros((3, 3), dtype=complex)
         y[2, 2] = x33
-        x = dg.hermitian_solution(a, c, y)
+        x = dg.hermitian_solution(dg.factorize(a, c), y)
         expected = np.array([[1, 0, 0], [0, 0, 1], [0, 1, x33]], dtype=complex)
         np.testing.assert_allclose(x, expected, atol=1e-12)
         assert not mc.is_psd(x)
@@ -254,7 +262,7 @@ def test_hermitian_solution_random_outputs():
     for _ in range(200):
         n = int(rng.integers(1, 6))
         a, c = consistent_pair(rng, n, "hermitian")
-        x = dg.hermitian_solution(a, c, random_hermitian(rng, n))
+        x = dg.hermitian_solution(dg.factorize(a, c), random_hermitian(rng, n))
         scale = max(1.0, mc.spectral_norm(x))
         assert mc.hermitian_deviation(x) <= 1e-9 * scale
         assert mc.spectral_norm(a @ x - c) <= 1e-9 * max(1.0, mc.spectral_norm(c))
@@ -263,16 +271,17 @@ def test_hermitian_solution_random_outputs():
 def test_hermitian_solution_rejects_bad_parameter(rank1_pair):
     a, c = rank1_pair
     with pytest.raises(ParameterNotHermitian):
-        dg.hermitian_solution(a, c, np.array([[0, 1], [0, 0]], dtype=complex))
+        dg.hermitian_solution(dg.factorize(a, c), np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_hermitian_solution_rejects_unsolvable():
     a = np.eye(2, dtype=complex)
     c = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(NotSolvableHermitian):
-        dg.hermitian_solution(a, c, np.zeros((2, 2)))
+        dg.hermitian_solution(dg.factorize(a, c), np.zeros((2, 2)))
     with pytest.raises(NotSolvableHermitian):
-        dg.hermitian_solution(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.zeros((2, 2)))
+        f = dg.factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+        dg.hermitian_solution(f, np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +290,7 @@ def test_hermitian_solution_rejects_unsolvable():
 
 def test_positive_solution_fixture(rank1_pair):
     a, c = rank1_pair
-    x0 = dg.positive_solution(a, c, np.zeros((2, 2)))
+    x0 = dg.positive_solution(dg.factorize(a, c), np.zeros((2, 2)))
     np.testing.assert_allclose(x0, np.array([[2, 1], [1, 0.5]]), atol=1e-12)
     eigs = np.linalg.eigvalsh(x0)
     np.testing.assert_allclose(sorted(eigs), [0.0, 2.5], atol=1e-12)
@@ -291,18 +300,18 @@ def test_positive_solution_fixture(rank1_pair):
 def test_positive_solution_c_equals_a():
     rng = np.random.default_rng(53)
     a = rank_deficient(rng, 3, 3, 2)
-    x0 = dg.positive_solution(a, a, np.zeros((3, 3)))
+    x0 = dg.positive_solution(dg.factorize(a, a), np.zeros((3, 3)))
     np.testing.assert_allclose(x0, mc.row_space_projector(a), atol=1e-10)
 
 
 def test_positive_solution_random_parameters():
     rng = np.random.default_rng(59)
     a, c = consistent_pair(rng, 4, "positive")
-    report = dg.positive_solvability(a, c)
+    report = dg.solvability_report(dg.factorize(a, c))
     assert report.verdict is dg.Verdict.POSITIVE
     for _ in range(200):
         z = random_psd(rng, 4, rank=int(rng.integers(1, 5)))
-        x = dg.positive_solution(a, c, z)
+        x = dg.positive_solution(dg.factorize(a, c), z)
         assert mc.is_psd(x)
         assert mc.spectral_norm(a @ x - c) <= 1e-8 * max(1.0, mc.spectral_norm(c))
         # norm bound: the least majorization scale never exceeds ||X||
@@ -312,99 +321,95 @@ def test_positive_solution_random_parameters():
 def test_positive_solution_rejects_three_by_three(hermitian_only_pair):
     a, c = hermitian_only_pair
     with pytest.raises(NotSolvablePositive):
-        dg.positive_solution(a, c, np.zeros((3, 3)))
+        dg.positive_solution(dg.factorize(a, c), np.zeros((3, 3)))
 
 
 def test_positive_solution_rejects_bad_parameter(rank1_pair):
     a, c = rank1_pair
     with pytest.raises(ParameterNotPSD):
-        dg.positive_solution(a, c, -np.eye(2))
+        dg.positive_solution(dg.factorize(a, c), -np.eye(2))
+
+
+def test_positive_solution_checks_its_output_at_small_scale():
+    # a Hermitian-only pair scaled by 1e-6 passes the absolute thresholds of
+    # the criteria; the X0 built from it is not PSD, and the check catches it
+    a, c, _ = oc._consistent_pair(np.random.default_rng(1), oc.TrialSpec(dim_max=6), "hermitian")
+    f = dg.factorize(1e-6 * a, 1e-6 * c)
+    with pytest.raises(NotSolvablePositive) as info:
+        dg.positive_solution(f, np.zeros((a.shape[1], a.shape[1])))
+    certificate = info.value.certificate
+    assert "solution_psd" in certificate["failed_conditions"]
+    assert certificate["min_eigenvalue"] < 0.0
+    assert "equation_residual" in certificate and "residual_bound" in certificate
+
+
+def test_hermitian_solution_checks_its_output_at_small_scale():
+    a, c, _ = oc._consistent_pair(np.random.default_rng(0), oc.TrialSpec(dim_max=6), "general")
+    assert a.shape == (6, 6)
+    f = dg.factorize(1e-6 * a, 1e-6 * c)
+    with pytest.raises(NotSolvableHermitian) as info:
+        dg.hermitian_solution(f, np.zeros((6, 6)))
+    certificate = info.value.certificate
+    assert "solution_hermitian" in certificate["failed_conditions"]
+    assert certificate["solution_deviation"] > certificate["deviation_bound"]
 
 
 # ---------------------------------------------------------------------------
-# solution family bundle
+# the factorization every decision reads
 
 
-def test_solution_family_invariants(rank1_pair):
+def test_factorization_invariants(rank1_pair):
     a, c = rank1_pair
-    fam = dg.solution_family(a, c, dg.SolutionKind.POSITIVE)
-    p = fam.projector_p
+    f = dg.factorize(a, c)
+    p = f.p
     assert mc.hermitian_deviation(p) < 1e-12
     assert mc.spectral_norm(p @ p - p) < 1e-12
-    np.testing.assert_allclose(p @ fam.reduced, fam.reduced, atol=1e-12)
-    np.testing.assert_allclose(fam.complement, np.eye(2) - p, atol=1e-14)
-    np.testing.assert_allclose(fam.x_zero, np.array([[2, 1], [1, 0.5]]), atol=1e-12)
-    general = dg.solution_family(a, c, dg.SolutionKind.GENERAL)
-    assert general.x_zero is None
+    np.testing.assert_allclose(p @ f.d, f.d, atol=1e-12)
+    np.testing.assert_allclose(f.ip, np.eye(2) - p, atol=1e-14)
+    np.testing.assert_allclose(f.x0, np.array([[2, 1], [1, 0.5]]), atol=1e-12)
 
 
-def test_solution_family_rejects(hermitian_only_pair):
-    with pytest.raises(NotSolvablePositive):
-        dg.solution_family(*hermitian_only_pair, kind=dg.SolutionKind.POSITIVE)
+def test_square_only_decisions_reject_column_mismatch():
+    # A and C share their rows, so factorize accepts them and the general
+    # family exists; C A* and DP, which need C shaped like A, are never formed
+    a = np.eye(2, dtype=complex)
+    c = np.ones((2, 3), dtype=complex)
+    f = dg.factorize(a, c)
+    np.testing.assert_allclose(dg.general_solution(f, np.zeros((2, 3))), c, atol=1e-14)
+    for decide in (
+        dg.solvability_report,
+        lambda f: dg.hermitian_solution(f, np.zeros((2, 2))),
+        lambda f: dg.positive_solution(f, np.zeros((2, 2))),
+    ):
+        with pytest.raises(ShapeMismatch):
+            decide(f)
 
 
-# ---------------------------------------------------------------------------
-# T_n sequences and the lambda diagnostic
+def test_report_lapack_calls_do_not_grow_with_n(monkeypatch):
+    log = count_lapack(monkeypatch)
+    counts = []
+    for n in (12, 40):
+        rng = np.random.default_rng(83)
+        a = rank_deficient(rng, n, n, 3 * n // 4)
+        c = a @ random_psd(rng, n)
+        log.clear()
+        report = dg.solvability_report(dg.factorize(a, c))
+        assert report.verdict is dg.Verdict.POSITIVE
+        counts.append(Counter(name for name, _, _ in log))
+    # the T_n scan alone used to add 41 SVDs
+    assert counts[0] == counts[1]
+    assert counts[0]["svd"] <= 12 and counts[0]["eigh"] + counts[0]["eigvalsh"] <= 4
 
 
-def test_tn_sequence_fixture(rank1_pair):
-    a, c = rank1_pair
-    seq = dg.tn_sequence(a, c, n_max=8)
-    expected = {n: n / (1 + 2 * n) for n in (1, 2, 4, 8)}
-    assert [n for n, _ in seq] == [1, 2, 4, 8]
-    for n, norm in seq:
-        assert norm == pytest.approx(expected[n], rel=1e-12)
-
-
-def test_tn_limit_matches_closed_form(rank1_pair):
-    a, c = rank1_pair
-    d = dg.reduced_solution(a, c)
-    p = mc.row_space_projector(a)
-    ip = np.eye(2) - p
-    limit = mc.spectral_norm(ip @ d.conj().T @ mc.pinv(d @ p) @ d @ ip)
-    assert limit == pytest.approx(0.5, abs=1e-12)
-    diag = dg.lambda_diagnostic(a, c)
-    assert diag.converged and not diag.diverged
-    assert diag.estimate == pytest.approx(limit, abs=1e-6)
-
-
-def test_tn_sequence_c_equals_a():
-    rng = np.random.default_rng(61)
-    a = rank_deficient(rng, 3, 3, 2)
-    for _, norm in dg.tn_sequence(a, a, n_max=16):
-        assert norm <= 1e-12
-
-
-def test_tn_sequence_divergent(hermitian_only_pair):
-    a, c = hermitian_only_pair
-    for n, norm in dg.tn_sequence(a, c, n_max=16):
-        assert norm == pytest.approx(float(n), rel=1e-9)
-    diag = dg.lambda_diagnostic(a, c)
-    assert diag.diverged and not diag.converged and diag.estimate is None
-
-
-def test_tn_monotone_loewner(rank1_pair):
-    a, c = rank1_pair
-    prev = None
-    for n in (1, 2, 3, 4, 5, 8, 16, 32):
-        t = dg.tn_matrix(a, c, n)
-        assert np.linalg.eigvalsh(t)[0] >= -1e-12
-        if prev is not None:
-            assert np.linalg.eigvalsh(t - prev)[0] >= -1e-12
-        prev = t
-
-
-def test_tn_precondition(rank1_pair):
-    # DP must be PSD on the row space: A = I, C = -I gives DP = -I
-    with pytest.raises(PreconditionFailed):
-        dg.tn_sequence(np.eye(2), -np.eye(2), n_max=4)
-
-
-def test_lambda_c_equals_a():
-    rng = np.random.default_rng(67)
-    a = rank_deficient(rng, 4, 4, 2)
-    diag = dg.lambda_diagnostic(a, a)
-    assert diag.converged and diag.estimate == pytest.approx(0.0, abs=1e-12)
+def test_factorize_runs_one_full_svd_of_a(monkeypatch):
+    rng = np.random.default_rng(89)
+    a = rank_deficient(rng, 8, 8, 5)
+    c = a @ complex_gaussian(rng, 8, 8)
+    log = count_lapack(monkeypatch)
+    dg.factorize(a, c)
+    assert all(name == "svd" for name, _, _ in log)
+    full = [args[0] for _, args, kwargs in log if kwargs.get("compute_uv", True)]
+    assert len(full) == 1 and full[0] is a
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +474,7 @@ def test_positive_routes_agree_on_thousand_instances():
             n = int(rng.integers(1, 7))
             flavor = ("general", "hermitian", "positive")[k % 3]
             a, c = consistent_pair(rng, n, flavor)
-        rep = dg.positive_solvability(a, c)
+        rep = dg.solvability_report(dg.factorize(a, c))
         if (rep.t_min is not None) != (rep.ca_star_psd and rep.dp_range_eq):
             disagreements += 1
     assert disagreements == 0
@@ -486,7 +491,7 @@ def test_dp_ca_transfer_random():
         n = int(rng.integers(1, 7))
         flavor = ("general", "hermitian", "positive")[int(rng.integers(3))]
         a, c = consistent_pair(rng, n, flavor)
-        d = dg.reduced_solution(a, c)
+        d = dg.reduced_solution(dg.factorize(a, c))
         dp = d @ mc.row_space_projector(a)
         ca = c @ a.conj().T
         assert (mc.hermitian_deviation(dp) <= tol.residual_atol) == (

@@ -7,7 +7,7 @@ from conftest import complex_gaussian, rank_deficient, random_psd
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq import oracle as oc
-from opeq.errors import NotHermitian, NotSolvable
+from opeq.errors import NotHermitian, NotSolvable, PreconditionFailed
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,7 @@ def test_lsq_agrees_with_reduced_solution():
         n = int(rng.integers(1, 7))
         a = rank_deficient(rng, n, n, int(rng.integers(1, n + 1)))
         c = a @ complex_gaussian(rng, n, n)
-        d = dg.reduced_solution(a, c)
+        d = dg.reduced_solution(dg.factorize(a, c))
         gap = mc.spectral_norm(oc.lsq_solve(a, c) - d)
         assert gap <= 1e-8 * max(1.0, mc.spectral_norm(d))
 
@@ -82,7 +82,7 @@ def test_probe_one_sided_soundness():
 
 def test_search_finds_fixture_solution(rank1_pair):
     a, c = rank1_pair
-    x = oc.positive_search(a, c, budget=100, seed=oc.DEFAULT_SEED)
+    x = oc.positive_search(dg.factorize(a, c), budget=100, seed=oc.DEFAULT_SEED)
     assert x is not None
     assert mc.is_psd(x)
     assert mc.spectral_norm(a @ x - c) < 1e-8
@@ -90,24 +90,25 @@ def test_search_finds_fixture_solution(rank1_pair):
 
 def test_search_exhausts_on_hermitian_only_pair(hermitian_only_pair):
     a, c = hermitian_only_pair
-    assert oc.positive_search(a, c, budget=10**4, seed=oc.DEFAULT_SEED) is None
+    assert oc.positive_search(dg.factorize(a, c), budget=10**4, seed=oc.DEFAULT_SEED) is None
 
 
 def test_search_immediate_for_self():
     rng = np.random.default_rng(29)
     a = rank_deficient(rng, 3, 3, 2)
-    x = oc.positive_search(a, a, budget=10, seed=1)
+    x = oc.positive_search(dg.factorize(a, a), budget=10, seed=1)
     assert x is not None and mc.is_psd(x)
 
 
 def test_search_skips_unsolvable():
-    assert oc.positive_search(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), budget=10) is None
+    f = dg.factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    assert oc.positive_search(f, budget=10) is None
 
 
 def test_search_deterministic(rank1_pair):
-    a, c = rank1_pair
-    x1 = oc.positive_search(a, c, budget=64, seed=5)
-    x2 = oc.positive_search(a, c, budget=64, seed=5)
+    f = dg.factorize(*rank1_pair)
+    x1 = oc.positive_search(f, budget=64, seed=5)
+    x2 = oc.positive_search(f, budget=64, seed=5)
     np.testing.assert_array_equal(x1, x2)
 
 
@@ -117,7 +118,7 @@ def test_search_deterministic(rank1_pair):
 
 def test_douglas_check_fixture(rank1_pair):
     a, c = rank1_pair
-    report = oc.douglas_properties_check(a, c)
+    report = oc.douglas_properties_check(dg.factorize(a, c))
     assert report.all_ok
     assert report.mu_star == pytest.approx(5.0, rel=1e-10)
     assert report.d_norm_sq == pytest.approx(5.0, rel=1e-10)
@@ -128,12 +129,12 @@ def test_douglas_check_fixture(rank1_pair):
 def test_douglas_check_identity():
     rng = np.random.default_rng(31)
     c = complex_gaussian(rng, 3, 3)
-    assert oc.douglas_properties_check(np.eye(3), c).all_ok
+    assert oc.douglas_properties_check(dg.factorize(np.eye(3), c)).all_ok
 
 
 def test_douglas_check_rejects_inconsistent():
     with pytest.raises(NotSolvable):
-        oc.douglas_properties_check(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+        oc.douglas_properties_check(dg.factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])))
 
 
 def test_douglas_check_random():
@@ -142,7 +143,73 @@ def test_douglas_check_random():
         n = int(rng.integers(1, 7))
         a = rank_deficient(rng, n, n, int(rng.integers(1, n + 1)))
         c = a @ complex_gaussian(rng, n, n)
-        assert oc.douglas_properties_check(a, c).all_ok
+        assert oc.douglas_properties_check(dg.factorize(a, c)).all_ok
+
+
+# ---------------------------------------------------------------------------
+# T_n sequences and the lambda diagnostic
+
+
+def test_tn_sequence_fixture(rank1_pair):
+    a, c = rank1_pair
+    seq = oc.tn_sequence(dg.factorize(a, c), n_max=8)
+    expected = {n: n / (1 + 2 * n) for n in (1, 2, 4, 8)}
+    assert [n for n, _ in seq] == [1, 2, 4, 8]
+    for n, norm in seq:
+        assert norm == pytest.approx(expected[n], rel=1e-12)
+
+
+def test_tn_limit_matches_closed_form(rank1_pair):
+    a, c = rank1_pair
+    f = dg.factorize(a, c)
+    d = dg.reduced_solution(f)
+    p = mc.row_space_projector(a)
+    ip = np.eye(2) - p
+    limit = mc.spectral_norm(ip @ d.conj().T @ mc.pinv(d @ p) @ d @ ip)
+    assert limit == pytest.approx(0.5, abs=1e-12)
+    diag = oc.lambda_diagnostic(f)
+    assert diag.converged and not diag.diverged
+    assert diag.estimate == pytest.approx(limit, abs=1e-6)
+
+
+def test_tn_sequence_c_equals_a():
+    rng = np.random.default_rng(61)
+    a = rank_deficient(rng, 3, 3, 2)
+    for _, norm in oc.tn_sequence(dg.factorize(a, a), n_max=16):
+        assert norm <= 1e-12
+
+
+def test_tn_sequence_divergent(hermitian_only_pair):
+    a, c = hermitian_only_pair
+    f = dg.factorize(a, c)
+    for n, norm in oc.tn_sequence(f, n_max=16):
+        assert norm == pytest.approx(float(n), rel=1e-9)
+    diag = oc.lambda_diagnostic(f)
+    assert diag.diverged and not diag.converged and diag.estimate is None
+
+
+def test_tn_monotone_loewner(rank1_pair):
+    f = dg.factorize(*rank1_pair)
+    prev = None
+    for n in (1, 2, 3, 4, 5, 8, 16, 32):
+        t = oc.tn_matrix(f, n)
+        assert np.linalg.eigvalsh(t)[0] >= -1e-12
+        if prev is not None:
+            assert np.linalg.eigvalsh(t - prev)[0] >= -1e-12
+        prev = t
+
+
+def test_tn_precondition(rank1_pair):
+    # DP must be PSD on the row space: A = I, C = -I gives DP = -I
+    with pytest.raises(PreconditionFailed):
+        oc.tn_sequence(dg.factorize(np.eye(2), -np.eye(2)), n_max=4)
+
+
+def test_lambda_c_equals_a():
+    rng = np.random.default_rng(67)
+    a = rank_deficient(rng, 4, 4, 2)
+    diag = oc.lambda_diagnostic(dg.factorize(a, a))
+    assert diag.converged and diag.estimate == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import csv
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import count_lapack
 from opeq import matcore as mc
 from opeq import projpair as pp
 from opeq.errors import BadEpsilon, BadGridSize, MatrixFormatError, NotPSD, SingularAtZero
@@ -332,21 +334,11 @@ def test_checks_survive_batching(blocked_grid, value, key):
 
 @pytest.mark.parametrize("n", [1000, 4000])
 def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
-    # np.linalg.norm(M, 2) calls the private module's own svd, so count there too
-    private = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    calls = {"svd": 0, "eigh": 0}
-    for name in calls:
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-        monkeypatch.setattr(private, name, counted)
+    log = count_lapack(monkeypatch)
     grid = pp.uniform_grid(n)
     p, _ = pp.canonical_pair(grid)
     pp.equation_residual_max(p, pp.perturb_q(grid, 0.1), pp.perturbed_solution(grid, 0.1))
+    calls = Counter(name for name, _, _ in log)
     blocks = math.ceil(n / BLOCK)
     assert 0 < calls["svd"] <= 3 * blocks
     assert 0 < calls["eigh"] <= blocks
