@@ -42,7 +42,7 @@ from .errors import (
 from .matcore import (
     ToleranceConfig,
     matrix_from_json,
-    matrix_to_json,
+    matrix_to_wire,
     min_majorization_scale,
     spectral_norm,
 )
@@ -137,7 +137,7 @@ def _load_matrix(path: str) -> np.ndarray:
             obj = json.load(handle)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return matrix_from_json(obj)
@@ -145,16 +145,61 @@ def _load_matrix(path: str) -> np.ndarray:
         raise _InputError(f"{path}: {exc}") from exc
 
 
+_INDENT = 2
+_STAND_IN = "\0array {}\0"
+_BLOCK_ROWS = 1024  # rows of an array formatted at a time; bounds the temporaries
+
+
+def _json_pieces(payload: dict) -> list[str]:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, in pieces.
+
+    A float array in the payload stands for its nested list.  With ``indent``
+    json.dumps takes its pure-Python encoder, which spends most of a large
+    matrix's time on the values one by one, so each array -- the ``(k, 2)``
+    data of :func:`~opeq.matcore.matrix_to_wire`, nonempty and finite -- is
+    formatted here instead: ``float.__repr__`` per value, as that encoder
+    writes it, in the layout it gives the list.  The pieces are written in
+    turn, never joined into one string.
+    """
+    arrays = []
+
+    def stand_in(array):  # json.dumps calls this for each array it meets
+        arrays.append(array)
+        return _STAND_IN.format(len(arrays) - 1)
+
+    rest = json.dumps(payload, indent=_INDENT, sort_keys=True, default=stand_in)
+    pieces = []
+    for k, array in enumerate(arrays):
+        head, rest = rest.split(json.dumps(_STAND_IN.format(k)))
+        line = head[head.rfind("\n") + 1 :]
+        pieces += [head, *_array_pieces(array, line[: len(line) - len(line.lstrip(" "))])]
+    return pieces + [rest, "\n"]
+
+
+def _array_pieces(array, pad: str) -> list[str]:
+    """A 2-D float array's nested list, laid out as a value on a line indented by ``pad``."""
+    outer = pad + " " * _INDENT
+    inner = outer + " " * _INDENT
+    value_sep = ",\n" + inner
+    row_sep = "\n" + outer + "],\n" + outer + "[\n" + inner
+    pieces = [f"[\n{outer}[\n{inner}"]
+    for start in range(0, len(array), _BLOCK_ROWS):
+        reprs = map(float.__repr__, array[start : start + _BLOCK_ROWS].ravel().tolist())
+        pieces += [row_sep.join(map(value_sep.join, zip(*[reprs] * array.shape[1]))), row_sep]
+    pieces[-1] = f"\n{outer}]\n{pad}]"  # the last row separator closes the list instead
+    return pieces
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    pieces = _json_pieces(payload)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
         except OSError as exc:
             raise _InputError(f"cannot write {out_path}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _write_csv(fn, path: str) -> None:
@@ -206,7 +251,7 @@ def _cmd_solve(args, tol) -> int:
         {
             "status": "ok",
             "mode": args.mode,
-            "solution": matrix_to_json(x),
+            "solution": matrix_to_wire(x),
             "residual": spectral_norm(a @ x - c),
         },
         args.out,

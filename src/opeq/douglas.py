@@ -52,11 +52,11 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOLERANCES,
+    HermitianSpectrum,
     ToleranceConfig,
     as_matrix,
     hermitian_deviation,
     is_psd,
-    least_dominating_scale,
     spectral_norm,
     truncated_svd,
 )
@@ -157,10 +157,11 @@ class Factorization:
     The rest are properties computed on first use, and cached when more than
     one decision reads them, so a caller pays only for what it reads.  One
     SVD of D gives its rank, range and norm.  The square-only data -- ``C A*``
-    with its Hermitian deviation and PSD test, and one SVD of ``DP`` for its
-    rank, range, norm and ``(DP)^dagger`` -- are never computed for a
-    general solution or a majorization.  ``a`` and ``c`` are held as given
-    and must not be changed while the factorization is in use.
+    with one Hermitian deviation and one eigendecomposition for its Hermitian
+    and PSD tests and ``t_min``, and one SVD of ``DP`` for its rank, range,
+    norm and ``(DP)^dagger`` -- are never computed for a general solution or
+    a majorization.  ``a`` and ``c`` are held as given and must not be
+    changed while the factorization is in use.
     """
 
     a: np.ndarray
@@ -192,16 +193,28 @@ class Factorization:
         return self.c @ self.a.conj().T
 
     @cached_property
+    def _ca_spectrum(self) -> HermitianSpectrum:
+        """The one deviation and eigendecomposition of ``C A*`` that its three tests read."""
+        return HermitianSpectrum(self.ca)
+
+    @property
     def ca_deviation(self) -> float:
-        return hermitian_deviation(self.ca)
+        return self._ca_spectrum.deviation
 
     @property
     def ca_hermitian(self) -> bool:
         return self.ca_deviation <= self.tol.residual_atol
 
-    @cached_property
+    @property
     def ca_psd(self) -> bool:
-        return is_psd(self.ca, self.tol)
+        return self._ca_spectrum.is_psd(self.tol)
+
+    @property
+    def t_min(self) -> float | None:
+        """Least t with ``C C* <= t C A*``; None when ``C A*`` is not PSD or no finite t exists."""
+        if not self.ca_psd:
+            return None
+        return self._ca_spectrum.dominating_scale(self.c @ self.c.conj().T, self.tol)
 
     @cached_property
     def dp(self) -> np.ndarray:
@@ -380,7 +393,7 @@ def solvability_report(f: Factorization) -> SolvabilityReport:
         range_ok=f.range_ok,
         ca_star_hermitian=f.ca_hermitian,
         ca_star_psd=f.ca_psd,
-        t_min=least_dominating_scale(f.ca, f.c @ f.c.conj().T, f.tol) if f.ca_psd else None,
+        t_min=f.t_min,
         dp_range_eq=f.dp_range_eq,
         lambda_estimate=spectral_norm(f.x0_correction) if positive else None,
         verdict=verdict,

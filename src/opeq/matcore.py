@@ -9,13 +9,20 @@ thresholds are visible and overridable.
 
 The wire format shared by all modules is
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` with ``data`` row-major
-of length ``r * c``; the parser rejects NaN and infinity.
+of length ``r * c``.  ``rows`` and ``cols`` are positive integers.  Each
+entry is a list or tuple of two finite numbers: floats, integers of any size
+that converts to a finite float, or booleans (read as 1 and 0).  The parser
+rejects anything else -- strings, ``null``, lists of another length, NaN,
+infinity, integers too large for a float -- naming the first bad entry as
+``data[k]``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +35,7 @@ __all__ = [
     "as_matrix",
     "matrix_from_json",
     "matrix_to_json",
+    "matrix_to_wire",
     "spectral_norm",
     "spectral_norms",
     "adjoint",
@@ -40,6 +48,7 @@ __all__ = [
     "row_space_projector",
     "sqrt_psd",
     "polar_partial_isometry",
+    "HermitianSpectrum",
     "is_psd",
     "range_inclusion",
     "range_inclusion_residual",
@@ -125,7 +134,13 @@ def _as_complex_array(m, ndims, what) -> np.ndarray:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Parse the shared matrix wire format into an array."""
+    """Parse the shared matrix wire format into an array.
+
+    ``data`` is converted by one ``np.array`` call; only when numpy cannot
+    type it as a ``(rows*cols, 2)`` array of finite booleans, integers or
+    floats does :func:`_parse_entries` walk it entry by entry, to convert
+    integers beyond 64 bits or to name the first bad entry.
+    """
     if not isinstance(obj, dict):
         raise MatrixFormatError("matrix JSON must be an object")
     try:
@@ -136,26 +151,61 @@ def matrix_from_json(obj) -> np.ndarray:
         raise MatrixFormatError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFormatError(f"data must hold exactly rows*cols = {rows * cols} entries")
-    values = np.empty(rows * cols, dtype=np.complex128)
+    try:
+        pairs = np.array(data)
+    except (ValueError, TypeError, OverflowError):  # ragged, or not numbers
+        pairs = None
+    if (
+        pairs is None
+        or pairs.shape != (rows * cols, 2)
+        or pairs.dtype.kind not in "biuf"
+        or not np.all(np.isfinite(pairs))
+    ):
+        return _parse_entries(data).reshape(rows, cols)
+    # a contiguous (k, 2) float64 array is (re, im) pairs in complex128's layout;
+    # the view keeps every bit, signed zeros included
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+
+
+def _parse_entries(data) -> np.ndarray:
+    """``data`` converted one entry at a time; the first bad entry raises."""
+    values = np.empty(len(data), dtype=np.complex128)
     for k, entry in enumerate(data):
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(part, (int, float)) and math.isfinite(part) for part in entry)
-        ):
+        ok = (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and all(isinstance(part, (int, float)) for part in entry)
+        )
+        try:
+            value = complex(float(entry[0]), float(entry[1])) if ok else None
+        except OverflowError:  # an integer too large for a float
+            value = None
+        if value is None or not cmath.isfinite(value):
             raise MatrixFormatError(f"data[{k}] must be a finite [re, im] pair")
-        values[k] = complex(entry[0], entry[1])
-    return values.reshape(rows, cols)
+        values[k] = value
+    return values
+
+
+def matrix_to_wire(m) -> dict:
+    """The wire format of a matrix with ``data`` left as a ``(rows*cols, 2)`` float64 array.
+
+    :func:`matrix_to_json` is this with ``data`` as nested lists; a writer
+    that formats the array itself skips building those lists.
+    """
+    a = as_matrix(m)
+    v = a.ravel()
+    return {
+        "rows": int(a.shape[0]),
+        "cols": int(a.shape[1]),
+        "data": np.stack([v.real, v.imag], axis=1),
+    }
 
 
 def matrix_to_json(m) -> dict:
     """Serialize a matrix to the shared wire format."""
-    a = as_matrix(m)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in a.ravel()],
-    }
+    wire = matrix_to_wire(m)
+    wire["data"] = wire["data"].tolist()
+    return wire
 
 
 def spectral_norm(m) -> float:
@@ -308,6 +358,58 @@ def polar_partial_isometry(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.n
     return u @ vh
 
 
+class HermitianSpectrum:
+    """``||M - M*||`` and the eigendecomposition of ``(M + M*)/2`` for one square M.
+
+    Each is computed on first use and kept, so that the PSD test and the
+    least dominating scale of one matrix share them: :func:`is_psd` and
+    :func:`least_dominating_scale` are these methods on a fresh instance.
+    """
+
+    def __init__(self, m):
+        self.m = as_matrix(m)
+        if self.m.shape[0] != self.m.shape[1]:
+            raise ShapeMismatch(f"expected a square matrix, got shape {self.m.shape}")
+
+    @cached_property
+    def deviation(self) -> float:
+        return hermitian_deviation(self.m)
+
+    @cached_property
+    def eigh(self):
+        return _eigh_sym(self.m)
+
+    def is_psd(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+        """See :func:`is_psd`."""
+        if self.deviation > tol.residual_atol:
+            return False
+        w, _ = self.eigh
+        if w.size == 0:
+            return True
+        scale = max(1.0, float(np.max(np.abs(w))))
+        return bool(w[0] >= -tol.psd_atol * scale)
+
+    def dominating_scale(self, h, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float | None:
+        """See :func:`least_dominating_scale`, with M as G."""
+        h = as_matrix(h)
+        if h.shape != self.m.shape:
+            raise ShapeMismatch("G and H must be square matrices of equal size")
+        w, v = self.eigh
+        w = np.clip(w, 0.0, None)
+        wmax = float(w[-1]) if w.size else 0.0
+        keep = w > tol.rank_rtol * wmax if wmax > 0.0 else np.zeros_like(w, dtype=bool)
+        vr = v[:, keep]
+        outside = h - vr @ (vr.conj().T @ h) if np.any(keep) else h
+        if spectral_norm(outside) > tol.residual_atol * max(1.0, spectral_norm(h)):
+            return None
+        if not np.any(keep):
+            return 0.0
+        scaled = vr / np.sqrt(w[keep])
+        compressed = scaled.conj().T @ h @ scaled
+        ew, _ = _eigh_sym(compressed)
+        return float(max(ew[-1], 0.0)) if ew.size else 0.0
+
+
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """Positive-semidefinite test.
 
@@ -318,13 +420,7 @@ def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
-    if hermitian_deviation(a) > tol.residual_atol:
-        return False
-    w, _ = _eigh_sym(a)
-    if w.size == 0:
-        return True
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(w[0] >= -tol.psd_atol * scale)
+    return HermitianSpectrum(a).is_psd(tol)
 
 
 def range_inclusion_residual(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -353,24 +449,7 @@ def least_dominating_scale(g, h, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> f
     to the range of ``G``; both matrices are symmetrized and eigenvalue-
     clamped before use, so roundoff-level negativity is tolerated.
     """
-    g = as_matrix(g)
-    h = as_matrix(h)
-    if g.shape != h.shape or g.shape[0] != g.shape[1]:
-        raise ShapeMismatch("G and H must be square matrices of equal size")
-    w, v = _eigh_sym(g)
-    w = np.clip(w, 0.0, None)
-    wmax = float(w[-1]) if w.size else 0.0
-    keep = w > tol.rank_rtol * wmax if wmax > 0.0 else np.zeros_like(w, dtype=bool)
-    vr = v[:, keep]
-    outside = h - vr @ (vr.conj().T @ h) if np.any(keep) else h
-    if spectral_norm(outside) > tol.residual_atol * max(1.0, spectral_norm(h)):
-        return None
-    if not np.any(keep):
-        return 0.0
-    scaled = vr / np.sqrt(w[keep])
-    compressed = scaled.conj().T @ h @ scaled
-    ew, _ = _eigh_sym(compressed)
-    return float(max(ew[-1], 0.0)) if ew.size else 0.0
+    return HermitianSpectrum(g).dominating_scale(h, tol)
 
 
 def min_majorization_scale(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> MajorizationResult:

@@ -343,7 +343,10 @@ def tn_sequence(f: douglas.Factorization, n_max: int = DEFAULT_N_MAX):
     :class:`~opeq.errors.PreconditionFailed` (or
     :class:`~opeq.errors.NotSolvable`) is raised.
     """
-    w, g = _compressed_state(f)
+    return _tn_norms(*_compressed_state(f), n_max)
+
+
+def _tn_norms(w, g, n_max):
     return [
         (n_value, float(np.linalg.norm(_tn_from_state(w, g, float(n_value)), 2)))
         for n_value in _schedule(n_max)
@@ -361,8 +364,11 @@ def lambda_diagnostic(f: douglas.Factorization, n_max: int = DEFAULT_N_MAX) -> L
     that is exactly invertibility of DP on the range of DP, i.e. the range
     equality R(D) = R(DP), which remains the authoritative test.
     """
-    tol = f.tol
-    norms = [norm for _, norm in tn_sequence(f, n_max)]
+    return _diagnose(tn_sequence(f, n_max), f.tol, n_max)
+
+
+def _diagnose(sequence, tol, n_max) -> LambdaDiagnostic:
+    norms = [norm for _, norm in sequence]
     estimate = norms[-1]
     converged = (
         len(norms) >= 2 and abs(norms[-1] - norms[-2]) < tol.residual_atol * (1.0 + estimate)
@@ -682,9 +688,10 @@ def _check_tn_lambda(rng, spec, tol):
         a, c = _consistent_pair(rng, spec, "positive")[:2]
 
     f = douglas.factorize(a, c, tol)
+    w, g = _compressed_state(f)  # once: every T_n below and the diagnostic read it
     prev = None
-    for n_value, _ in tn_sequence(f, n_max=16):
-        t = tn_matrix(f, n_value)
+    for n_value in _schedule(16):
+        t = _tn_from_state(w, g, float(n_value))
         eigs = np.linalg.eigvalsh(0.5 * (t + t.conj().T))
         scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
         if eigs.size and eigs[0] < -tol.psd_atol * scale:
@@ -695,7 +702,7 @@ def _check_tn_lambda(rng, spec, tol):
                 return _fail(f"T_n not nondecreasing at n={n_value}", a=a, c=c)
         prev = t
 
-    diag = lambda_diagnostic(f)
+    diag = _diagnose(_tn_norms(w, g, DEFAULT_N_MAX), tol, DEFAULT_N_MAX)
     report = douglas.solvability_report(f)
     if report.dp_range_eq and not diag.converged:
         return _fail("ranges match but the T_n norms did not settle", a=a, c=c)

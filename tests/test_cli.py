@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from opeq import cli
 from opeq import matcore as mc
 from opeq.cli import main
 
@@ -262,6 +263,15 @@ def test_nan_entries_rejected(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+# 401 digits overflow a float; 5000 pass Python's limit for reading an int
+@pytest.mark.parametrize("digits, message", [(401, "data[1] must be"), (5000, "is not valid JSON")])
+def test_huge_integer_entry_is_input_error(capsys, tmp_path, digits, message):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"rows": 1, "cols": 2, "data": [[1, 0], [1' + "0" * (digits - 1) + ", 0]]}")
+    code, _, err = run_cli(capsys, "check", "--a", str(huge), "--c", str(huge))
+    assert code == 1 and err.startswith("error: ") and message in err
+
+
 def test_shape_mismatch_exit(capsys, tmp_path):
     a_file = write_matrix(tmp_path / "a.json", np.eye(2))
     c_file = write_matrix(tmp_path / "c.json", np.eye(3))
@@ -302,3 +312,35 @@ def test_console_entry_point(tmp_path, rank1_pair):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "SolvablePositive"
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+
+# signed zero, the least subnormal, and the switch points of float.__repr__
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1.0, 1e16, 1e22, 123456789.0]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 6)])
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("block_rows", [cli._BLOCK_ROWS, 4])  # 4: across block boundaries
+def test_emit_writes_the_bytes_of_json_dumps(capsys, monkeypatch, tmp_path, shape, depth, block_rows):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    values = np.resize(EDGE_VALUES + [-v for v in EDGE_VALUES], 2 * shape[0] * shape[1])
+    x = np.empty(shape, dtype=np.complex128)
+    x.real = values[0::2].reshape(shape)
+    x.imag = values[1::2].reshape(shape)
+
+    def payload(solution):
+        inner = {"status": "ok", "mode": "positive", "solution": solution, "residual": 1e-300}
+        for _ in range(depth):
+            inner = {"nested": inner, "z": [1.5, None]}
+        return inner
+
+    expected = json.dumps(payload(mc.matrix_to_json(x)), indent=2, sort_keys=True) + "\n"
+    out = tmp_path / "out.json"
+    cli._emit(payload(mc.matrix_to_wire(x)), str(out))
+    assert out.read_text(encoding="utf-8") == expected
+    cli._emit(payload(mc.matrix_to_wire(x)), None)
+    assert capsys.readouterr().out == expected

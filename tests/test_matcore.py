@@ -60,11 +60,60 @@ def test_matrix_json_round_trip():
         {"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]},
         {"rows": 1, "cols": 1, "data": [[1.0]]},
         {"rows": 1, "cols": 1, "data": ["x"]},
+        {"rows": 1, "cols": 1, "data": [[10**400, 0]]},
     ],
 )
 def test_matrix_json_rejects_garbage(obj):
     with pytest.raises(MatrixFormatError):
         mc.matrix_from_json(obj)
+
+
+# the edge values of the float wire format: signed zero, the least subnormal,
+# and the switch points of float.__repr__ between fixed and exponent notation
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 1.0, 1e16, 1e22, 123456789.0]
+
+
+def float_reprs(m):
+    """Each real and imaginary part of m as float.__repr__ writes it (tells -0.0 from 0.0)."""
+    return [repr(v) for v in np.asarray(m).ravel().view(np.float64).tolist()]
+
+
+@pytest.mark.parametrize(
+    "bad", ["1", None, [1.0, 2.0, 3.0], [float("nan"), 0.0], [10**400, 0], [1.0], [[1.0], 2.0]]
+)
+def test_matrix_json_names_the_first_bad_entry(bad):
+    data = [[1.0, 0.0], [2, -3], bad, "a later bad entry"]
+    with pytest.raises(MatrixFormatError, match=r"^data\[2\] must be a finite \[re, im\] pair$"):
+        mc.matrix_from_json({"rows": 2, "cols": 2, "data": data})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[True, False], (2, -3), [1.5, -0.0], [0, 2**63 - 1]],  # typed by numpy as float64
+        [[True, False], [False, True]],  # bool
+        [[2, -3], (0, -(2**63))],  # int64
+        [[2**63 + 1025, 0], [2**64 - 1, 1]],  # past int64
+        [[10**30, -0.0], [1, 2]],  # past 64 bits: read one entry at a time
+        [[v, -v] for v in EDGE_VALUES],
+    ],
+)
+def test_matrix_json_reads_entries_as_complex_of_floats(data):
+    m = mc.matrix_from_json({"rows": 1, "cols": len(data), "data": data})
+    expected = [complex(float(re), float(im)) for re, im in data]  # the per-entry reading
+    assert m.shape == (1, len(data)) and m.dtype == np.complex128
+    assert float_reprs(m) == float_reprs(np.array(expected))
+
+
+def test_matrix_json_round_trip_is_exact():
+    values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+    m = np.empty((2, 7), dtype=np.complex128)
+    m.real = values.reshape(2, 7)
+    m.imag = values[::-1].reshape(2, 7)
+    obj = mc.matrix_to_json(m)
+    assert obj["data"] == [[float(z.real), float(z.imag)] for z in m.ravel()]
+    back = mc.matrix_from_json(json.loads(json.dumps(obj)))
+    assert float_reprs(back) == float_reprs(m)
 
 
 def test_as_matrix_rejects_nonfinite():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian, rank_deficient, random_psd
+from conftest import complex_gaussian, count_lapack, rank_deficient, random_psd
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq import oracle as oc
@@ -203,6 +203,31 @@ def test_tn_precondition(rank1_pair):
     # DP must be PSD on the row space: A = I, C = -I gives DP = -I
     with pytest.raises(PreconditionFailed):
         oc.tn_sequence(dg.factorize(np.eye(2), -np.eye(2)), n_max=4)
+
+
+def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
+    made, original = [], dg.factorize
+
+    def factorize(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    monkeypatch.setattr(dg, "factorize", factorize)
+    log = count_lapack(monkeypatch)
+    spec = oc.TrialSpec(dim_min=1, dim_max=6, trials=12, seed=7)
+    prop = oc.PROPERTY_NAMES.index("tn_monotone_lambda_match")
+    for trial in range(spec.trials):
+        log.clear()
+        rng = oc._sub_rng(spec.seed, prop, trial)
+        assert oc._check_tn_lambda(rng, spec, mc.DEFAULT_TOLERANCES) is None
+        f = made[-1]
+        comp = f.row_basis.conj().T @ f.d @ f.row_basis
+        sym = 0.5 * (comp + comp.conj().T)
+        of_comp = sum(
+            name == "eigh" and args[0].shape == sym.shape and np.allclose(args[0], sym, rtol=0, atol=1e-12)
+            for name, args, _ in log
+        )
+        assert of_comp == 1
 
 
 def test_lambda_c_equals_a():
