@@ -3,7 +3,7 @@
 Four layers:
 
 - :mod:`opeq.matcore` -- complex-matrix primitives (pseudoinverse, PSD square
-  root, polar partial isometry, range and majorization tests) behind a single
+  root, polar partial isometry, PSD and majorization tests) behind a single
   tolerance configuration;
 - :mod:`opeq.douglas` -- the solvability criteria and the general /
   Hermitian / positive solution families, all read from one
@@ -33,13 +33,11 @@ from .errors import (
     ParameterNotPSD,
     PreconditionFailed,
     ShapeMismatch,
-    SingularAtZero,
 )
 from .matcore import (
     DEFAULT_TOLERANCES,
     MajorizationResult,
     ToleranceConfig,
-    adjoint,
     as_matrix,
     is_psd,
     matrix_from_json,
@@ -47,7 +45,6 @@ from .matcore import (
     min_majorization_scale,
     pinv,
     polar_partial_isometry,
-    range_inclusion,
     spectral_norm,
     sqrt_psd,
 )

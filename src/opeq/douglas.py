@@ -54,6 +54,7 @@ from .matcore import (
     DEFAULT_TOLERANCES,
     HermitianSpectrum,
     ToleranceConfig,
+    _pinv_from_svd,
     as_matrix,
     hermitian_deviation,
     is_psd,
@@ -135,11 +136,6 @@ class SolvabilityReport:
             "verdict": self.verdict.value,
             "certificate": self.certificate,
         }
-
-
-def _pinv(u, s, vh) -> np.ndarray:
-    """Moore-Penrose pseudoinverse from a :func:`~opeq.matcore.truncated_svd`."""
-    return (vh.conj().T / s) @ u.conj().T
 
 
 def _norm(s) -> float:
@@ -265,7 +261,7 @@ class Factorization:
     @property
     def x0_correction(self) -> np.ndarray:
         """``(I - P) D* (DP)^dagger D (I - P)``; its norm is the reported lambda."""
-        return self.ip @ self.d.conj().T @ _pinv(*self._dp_svd) @ (self.d @ self.ip)
+        return self.ip @ self.d.conj().T @ _pinv_from_svd(*self._dp_svd) @ (self.d @ self.ip)
 
     @property
     def x0(self) -> np.ndarray:
@@ -282,7 +278,7 @@ def factorize(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
             f"A has {a.shape[0]} rows but C has {c.shape[0]}; ranges live in different spaces"
         )
     u, s, vh = truncated_svd(a, tol)
-    d = _pinv(u, s, vh) @ c
+    d = _pinv_from_svd(u, s, vh) @ c
     basis = vh.conj().T
     # reduced_solution hands D out; read-only, so no caller can change it under f
     d.flags.writeable = basis.flags.writeable = False
@@ -320,12 +316,16 @@ def reduced_solution(f: Factorization) -> np.ndarray:
 
 
 def general_solution(f: Factorization, y) -> np.ndarray:
-    """Member ``D + (I - P) Y`` of the general solution family."""
+    """Member ``D + (I - P) Y`` of the general solution family.
+
+    It is checked before it is returned: the equation residual must be at
+    most ``residual_atol * max(1, ||C||)``, else :class:`NotSolvable`.
+    """
     y = as_matrix(y)
     d = reduced_solution(f)
     if y.shape != d.shape:
         raise ShapeMismatch(f"parameter Y must have shape {d.shape}, got {y.shape}")
-    return d + f.ip @ y
+    return _checked(f, d + f.ip @ y, NotSolvable, [], {})
 
 
 def recover_parameter(f: Factorization, x) -> np.ndarray:
@@ -499,14 +499,16 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
         raise ShapeMismatch(
             f"off-diagonal block must be {(a11.shape[0], a22.shape[0])}, got {a12.shape}"
         )
-    for name, block in (("A11", a11), ("A22", a22)):
-        dev = hermitian_deviation(block)
+    # A11's deviation is read again by its PSD test
+    spectra = {"A11": HermitianSpectrum(a11), "A22": HermitianSpectrum(a22)}
+    for name, spectrum in spectra.items():
+        dev = spectrum.deviation
         if dev > tol.residual_atol:
             raise NotHermitian(
                 f"{name} must be Hermitian (deviation {dev:.3e})",
                 certificate={"block": name, "deviation": dev},
             )
-    if not is_psd(a11, tol):
+    if not spectra["A11"].is_psd(tol):
         return False
     # A11 X = A12: the range condition, and X = A11^dagger A12 for the Schur complement
     f = factorize(a11, a12, tol)

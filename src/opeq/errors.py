@@ -60,10 +60,6 @@ class PreconditionFailed(OpeqError):
     """An operation was called outside its stated domain."""
 
 
-class SingularAtZero(OpeqError):
-    """The requested quantity is undefined at the left endpoint t = 0."""
-
-
 class BadGridSize(OpeqError):
     """Grid resolution outside the supported range."""
 

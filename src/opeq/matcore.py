@@ -38,21 +38,15 @@ __all__ = [
     "matrix_to_wire",
     "spectral_norm",
     "spectral_norms",
-    "adjoint",
     "hermitian_deviation",
-    "is_hermitian",
     "pinv",
     "matrix_rank",
     "truncated_svd",
-    "row_space_basis",
     "row_space_projector",
     "sqrt_psd",
     "polar_partial_isometry",
     "HermitianSpectrum",
     "is_psd",
-    "range_inclusion",
-    "range_inclusion_residual",
-    "least_dominating_scale",
     "min_majorization_scale",
 ]
 
@@ -65,11 +59,20 @@ class ToleranceConfig:
         Relative singular-value cutoff: values below ``rank_rtol * sigma_max``
         are treated as zero.
     psd_atol
-        Eigenvalue floor for positivity tests, scaled by the matrix norm
-        where noted.
+        Eigenvalue floor: the least eigenvalue ``w`` of ``(M + M*)/2`` must be
+        at least ``-psd_atol * max(1, max|w|)`` in :func:`is_psd` and
+        ``-psd_atol * max|w|`` in :func:`sqrt_psd`.
     residual_atol
-        Absolute residual threshold for equation and Hermitian-deviation
-        checks.
+        Equation and range-inclusion residuals must be at most
+        ``residual_atol * max(1, ||C||)``.  The Hermitian deviation
+        ``||M - M*||`` must be at most ``residual_atol`` (absolute) in
+        :func:`is_psd`, the ``C A*`` test, ``block_psd_test`` and for the
+        Hermitian family's parameter Y, and at most
+        ``residual_atol * max(1, ||M||)`` in :func:`sqrt_psd` and for the
+        emitted Hermitian solution X.
+
+    Each ``max(1, .)`` makes its threshold absolute below norm 1, so a
+    verdict can change when ``(A, C)`` is scaled far enough.
     """
 
     rank_rtol: float = 1e-10
@@ -216,22 +219,12 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
 def hermitian_deviation(m) -> float:
     """Operator norm of M - M*."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("Hermitian deviation needs a square matrix")
     return float(np.linalg.norm(a - a.conj().T, 2))
-
-
-def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """True when ``||M - M*|| <= residual_atol`` (absolute)."""
-    return hermitian_deviation(m) <= tol.residual_atol
 
 
 def _rank_of(s, tol: ToleranceConfig) -> int:
@@ -266,18 +259,17 @@ def pinv(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     Singular values below ``rank_rtol * sigma_max`` are treated as exactly
     zero, so the zero matrix maps to the zero matrix of transposed shape.
     """
-    u, s, vh = truncated_svd(m, tol)
+    return _pinv_from_svd(*truncated_svd(m, tol))
+
+
+def _pinv_from_svd(u, s, vh) -> np.ndarray:
+    """Moore-Penrose pseudoinverse from the factors of a :func:`truncated_svd`."""
     return (vh.conj().T / s) @ u.conj().T
 
 
-def row_space_basis(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthonormal columns spanning the row space (range of M*)."""
-    return truncated_svd(m, tol)[2].conj().T
-
-
 def row_space_projector(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Orthogonal projector onto the row space of M."""
-    b = row_space_basis(m, tol)
+    """Orthogonal projector onto the row space (range of M*) of M."""
+    b = truncated_svd(m, tol)[2].conj().T
     return b @ b.conj().T
 
 
@@ -361,9 +353,9 @@ def polar_partial_isometry(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.n
 class HermitianSpectrum:
     """``||M - M*||`` and the eigendecomposition of ``(M + M*)/2`` for one square M.
 
-    Each is computed on first use and kept, so that the PSD test and the
-    least dominating scale of one matrix share them: :func:`is_psd` and
-    :func:`least_dominating_scale` are these methods on a fresh instance.
+    Each is computed on first use and kept, so that the Hermitian test, the
+    PSD test and the least dominating scale of one matrix share them;
+    :func:`is_psd` is the method on a fresh instance.
     """
 
     def __init__(self, m):
@@ -390,10 +382,17 @@ class HermitianSpectrum:
         return bool(w[0] >= -tol.psd_atol * scale)
 
     def dominating_scale(self, h, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float | None:
-        """See :func:`least_dominating_scale`, with M as G."""
+        """Least ``t >= 0`` with ``H <= t M`` for Hermitian PSD ``M`` and ``H``.
+
+        Returns None when no finite ``t`` exists, i.e. when ``H`` leaks outside
+        the range of ``M`` (tested through a projector residual).  Otherwise the
+        value is the top eigenvalue of ``M^{dagger/2} H M^{dagger/2}`` restricted
+        to the range of ``M``; both matrices are symmetrized and eigenvalue-
+        clamped before use, so roundoff-level negativity is tolerated.
+        """
         h = as_matrix(h)
         if h.shape != self.m.shape:
-            raise ShapeMismatch("G and H must be square matrices of equal size")
+            raise ShapeMismatch("M and H must be square matrices of equal size")
         w, v = self.eigh
         w = np.clip(w, 0.0, None)
         wmax = float(w[-1]) if w.size else 0.0
@@ -413,43 +412,15 @@ class HermitianSpectrum:
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """Positive-semidefinite test.
 
-    True iff ``||M - M*|| <= residual_atol`` and the smallest eigenvalue of
-    the symmetrization is at least ``-psd_atol * max(1, ||M||)``.  The
-    ``max(1, .)`` scaling keeps the floor sensible near the zero matrix.
+    True iff ``||M - M*|| <= residual_atol`` (absolute) and the smallest
+    eigenvalue of the symmetrization is at least ``-psd_atol * max(1, max|w|)``
+    over its eigenvalues ``w``.  The ``max(1, .)`` makes the floor absolute
+    below norm 1.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
     return HermitianSpectrum(a).is_psd(tol)
-
-
-def range_inclusion_residual(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Residual ``||A A^dagger C - C||`` of the range-inclusion test."""
-    a = as_matrix(a)
-    c = as_matrix(c)
-    if a.shape[0] != c.shape[0]:
-        raise ShapeMismatch(
-            f"A has {a.shape[0]} rows but C has {c.shape[0]}; ranges live in different spaces"
-        )
-    return spectral_norm(a @ (pinv(a, tol) @ c) - c)
-
-
-def range_inclusion(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """True iff the column space of C is contained in the column space of A."""
-    resid = range_inclusion_residual(a, c, tol)
-    return resid <= tol.residual_atol * max(1.0, spectral_norm(c))
-
-
-def least_dominating_scale(g, h, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float | None:
-    """Least ``t >= 0`` with ``H <= t G`` for Hermitian PSD ``G`` and ``H``.
-
-    Returns None when no finite ``t`` exists, i.e. when ``H`` leaks outside
-    the range of ``G`` (tested through a projector residual).  Otherwise the
-    value is the top eigenvalue of ``G^{dagger/2} H G^{dagger/2}`` restricted
-    to the range of ``G``; both matrices are symmetrized and eigenvalue-
-    clamped before use, so roundoff-level negativity is tolerated.
-    """
-    return HermitianSpectrum(g).dominating_scale(h, tol)
 
 
 def min_majorization_scale(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> MajorizationResult:
@@ -463,7 +434,7 @@ def min_majorization_scale(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> M
     c = as_matrix(c)
     if a.shape[0] != c.shape[0]:
         raise ShapeMismatch("A and C must share their row count")
-    mu = least_dominating_scale(a @ a.conj().T, c @ c.conj().T, tol)
+    mu = HermitianSpectrum(a @ a.conj().T).dominating_scale(c @ c.conj().T, tol)
     if mu is None:
         return MajorizationResult(finite=False, mu_star=None)
     return MajorizationResult(finite=True, mu_star=mu)

@@ -23,6 +23,7 @@ import numpy as np
 from . import douglas
 from .errors import (
     NotHermitian,
+    NotSolvable,
     NotSolvableHermitian,
     NotSolvablePositive,
     PreconditionFailed,
@@ -30,8 +31,8 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOLERANCES,
+    HermitianSpectrum,
     ToleranceConfig,
-    adjoint,
     as_matrix,
     hermitian_deviation,
     is_psd,
@@ -215,18 +216,6 @@ class DouglasReport:
     @property
     def all_ok(self) -> bool:
         return self.norm_identity_ok and self.kernel_match_ok and self.rowspace_ok
-
-    def to_json(self) -> dict:
-        return {
-            "mu_star": self.mu_star if self.mu_star is not None else "inf",
-            "d_norm_sq": self.d_norm_sq,
-            "norm_identity_ok": self.norm_identity_ok,
-            "kernel_match_ok": self.kernel_match_ok,
-            "rowspace_ok": self.rowspace_ok,
-            "kernel_residuals": list(self.kernel_residuals),
-            "rowspace_residual": self.rowspace_residual,
-            "all_ok": self.all_ok,
-        }
 
 
 def douglas_properties_check(f: douglas.Factorization) -> DouglasReport:
@@ -558,11 +547,11 @@ def _check_parametrization(rng, spec, tol):
     n = a.shape[1]
     y0 = random_operator(rng, n, c.shape[1])
     f = douglas.factorize(a, c, tol)
-    x = douglas.general_solution(f, y0)
-    if spectral_norm(a @ x - c) > tol.residual_atol * max(1.0, f.c_norm):
-        return _fail("family member does not solve the equation", a=a, c=c)
-    y = douglas.recover_parameter(f, x)
-    x_back = douglas.general_solution(f, y)
+    try:  # the builder checks that each member solves the equation
+        x = douglas.general_solution(f, y0)
+        x_back = douglas.general_solution(f, douglas.recover_parameter(f, x))
+    except NotSolvable as exc:
+        return _fail(f"family member does not solve the equation: {exc}", a=a, c=c)
     gap = spectral_norm(x_back - x)
     if gap > 1e-9 * max(1.0, spectral_norm(x)):
         return _fail(f"parameter round trip off by {gap:.3e}", a=a, c=c)
@@ -573,9 +562,10 @@ def _check_hermitian_criterion(rng, spec, tol):
     flavor = ("hermitian", "general", "positive")[int(rng.integers(3))]
     a, c, _ = _consistent_pair(rng, spec, flavor)
     f = douglas.factorize(a, c, tol)
-    if (hermitian_deviation(f.dp) <= tol.residual_atol) != f.ca_hermitian:
+    dp = HermitianSpectrum(f.dp)
+    if (dp.deviation <= tol.residual_atol) != f.ca_hermitian:
         return _fail("Hermitian-ness of DP and CA* disagree", a=a, c=c)
-    if is_psd(f.dp, tol) != f.ca_psd:
+    if dp.is_psd(tol) != f.ca_psd:
         return _fail("positivity of DP and CA* disagree", a=a, c=c)
     report = douglas.solvability_report(f)
     if flavor == "hermitian" and not report.verdict.at_least(douglas.Verdict.HERMITIAN):

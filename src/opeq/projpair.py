@@ -35,12 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadEpsilon, BadGridSize, MatrixFormatError, NotPSD, SingularAtZero
+from .errors import BadEpsilon, BadGridSize, MatrixFormatError, NotPSD
 from .matcore import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    matrix_from_json,
-    matrix_to_json,
     spectral_norms,
     sqrt_psd,
 )
@@ -62,8 +60,6 @@ __all__ = [
     "algebra_membership",
     "sup_distance",
     "equation_residual_max",
-    "gridfunction_to_json",
-    "gridfunction_from_json",
     "write_csv",
     "CSV_HEADER",
 ]
@@ -100,23 +96,12 @@ class Grid:
     def n_points(self) -> int:
         return int(self.points.size)
 
-    @property
-    def spacing(self) -> float:
-        return 1.0 / (self.n_points - 1)
-
 
 def uniform_grid(n_points: int) -> Grid:
     """Uniform grid on [0, 1] with the given number of nodes (at least 3)."""
     if not (isinstance(n_points, int) and n_points >= 3):
         raise BadGridSize(f"need an integer number of points >= 3, got {n_points!r}")
     return Grid(np.linspace(0.0, 1.0, n_points))
-
-
-def _node_index(grid: Grid, t: float) -> int:
-    idx = int(round(float(t) * (grid.n_points - 1)))
-    if not (0 <= idx < grid.n_points) or abs(grid.points[idx] - t) > 1e-9:
-        raise KeyError(f"{t!r} is not a node of this grid")
-    return idx
 
 
 @dataclass(frozen=True)
@@ -140,9 +125,6 @@ class GridFunction:
     @property
     def points(self) -> np.ndarray:
         return self.grid.points
-
-    def value_at(self, t: float) -> np.ndarray:
-        return self.values[_node_index(self.grid, t)]
 
 
 @dataclass(frozen=True)
@@ -169,12 +151,6 @@ class PartialGridFunction:
     @property
     def points(self) -> np.ndarray:
         return self.grid.points[1:]
-
-    def value_at(self, t: float) -> np.ndarray:
-        idx = _node_index(self.grid, t)
-        if idx == 0:
-            raise SingularAtZero("this function is undefined at t = 0")
-        return self.values[idx - 1]
 
 
 @dataclass(frozen=True)
@@ -210,18 +186,22 @@ def _cos_sin(points: np.ndarray):
     return np.cos(half_pi * points), np.sin(half_pi * points)
 
 
+def _rotating_projection(grid: Grid, u: np.ndarray) -> GridFunction:
+    """``[[c^2, s c], [s c, s^2]]`` with ``c, s`` the cosine and sine of ``pi u / 2``."""
+    c, s = _cos_sin(u)
+    vals = np.empty((grid.n_points, 2, 2), dtype=np.complex128)
+    vals[:, 0, 0] = c * c
+    vals[:, 0, 1] = s * c
+    vals[:, 1, 0] = s * c
+    vals[:, 1, 1] = s * s
+    return GridFunction(grid, vals)
+
+
 def canonical_pair(grid: Grid) -> tuple[GridFunction, GridFunction]:
     """The constant projection P and the rotating projection Q."""
-    n = grid.n_points
-    c, s = _cos_sin(grid.points)
-    p_vals = np.zeros((n, 2, 2), dtype=np.complex128)
+    p_vals = np.zeros((grid.n_points, 2, 2), dtype=np.complex128)
     p_vals[:, 0, 0] = 1.0
-    q_vals = np.empty((n, 2, 2), dtype=np.complex128)
-    q_vals[:, 0, 0] = c * c
-    q_vals[:, 0, 1] = s * c
-    q_vals[:, 1, 0] = s * c
-    q_vals[:, 1, 1] = s * s
-    return GridFunction(grid, p_vals), GridFunction(grid, q_vals)
+    return GridFunction(grid, p_vals), _rotating_projection(grid, grid.points)
 
 
 def _alpha_beta_gamma(points: np.ndarray):
@@ -331,13 +311,7 @@ def perturb_q(grid: Grid, eps: float) -> GridFunction:
     eps_hat = snap_eps(grid, eps)
     pts = grid.points
     u = np.where(pts >= eps_hat, (pts - eps_hat) / (1.0 - eps_hat), 0.0)
-    c, s = _cos_sin(u)
-    vals = np.empty((grid.n_points, 2, 2), dtype=np.complex128)
-    vals[:, 0, 0] = c * c
-    vals[:, 0, 1] = s * c
-    vals[:, 1, 0] = s * c
-    vals[:, 1, 1] = s * s
-    return GridFunction(grid, vals)
+    return _rotating_projection(grid, u)
 
 
 def perturbed_solution(grid: Grid, eps: float) -> GridFunction:
@@ -414,32 +388,6 @@ def equation_residual_max(
         resid = spectral_norms(root @ x.values[lo : lo + _BLOCK_NODES] - p_vals)
         worst = max(worst, float(np.max(resid)))
     return worst
-
-
-def gridfunction_to_json(f) -> dict:
-    """Serialize a (possibly partial) grid function with its node count."""
-    return {
-        "n_points": f.grid.n_points,
-        "start_index": 1 if isinstance(f, PartialGridFunction) else 0,
-        "values": [matrix_to_json(v) for v in f.values],
-    }
-
-
-def gridfunction_from_json(obj):
-    """Inverse of :func:`gridfunction_to_json`."""
-    if not isinstance(obj, dict) or "n_points" not in obj or "values" not in obj:
-        raise MatrixFormatError("grid-function JSON must carry n_points and values")
-    n = obj["n_points"]
-    if not (isinstance(n, int) and n >= 3):
-        raise MatrixFormatError("n_points must be an integer >= 3")
-    grid = uniform_grid(n)
-    start = obj.get("start_index", 0)
-    vals = np.array([matrix_from_json(v) for v in obj["values"]], dtype=np.complex128)
-    if start == 0:
-        return GridFunction(grid, vals)
-    if start == 1:
-        return PartialGridFunction(grid, vals)
-    raise MatrixFormatError(f"unsupported start_index {start!r}")
 
 
 def write_csv(f, stream) -> None:

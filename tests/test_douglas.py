@@ -149,6 +149,20 @@ def test_recover_parameter_rejects_non_solution(rank1_pair):
         dg.recover_parameter(dg.factorize(a, c), np.eye(2))
 
 
+def test_general_solution_checks_its_output():
+    # a huge Y loses the equation to roundoff in (I - P) Y
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    a = u @ np.diag([1.0, 1.0, 0.0]) @ u.T
+    c = a @ np.ones((3, 3))
+    y = 1e12 * rng.standard_normal((3, 3))
+    with pytest.raises(NotSolvable) as info:
+        dg.general_solution(dg.factorize(a, c), y)
+    certificate = info.value.certificate
+    assert certificate["failed_conditions"] == ["solution_residual"]
+    assert certificate["equation_residual"] > certificate["residual_bound"]
+
+
 # ---------------------------------------------------------------------------
 # solvability reports
 
@@ -441,6 +455,16 @@ def test_block_psd_agrees_with_eigen_oracle():
         by_blocks = dg.block_psd_test(a11, a12, a22)
         by_eigen = bool(np.linalg.eigvalsh(full)[0] >= -1e-10 * max(1.0, mc.spectral_norm(full)))
         assert by_blocks == by_eigen
+
+
+def test_block_psd_reads_each_hermitian_deviation_once(monkeypatch):
+    rng = np.random.default_rng(73)
+    full = random_psd(rng, 5)
+    log = count_lapack(monkeypatch)
+    assert dg.block_psd_test(full[:3, :3], full[:3, 3:], full[3:, 3:])
+    # one SVD per deviation of A11 and A22, three in factorize(A11, A12) and one
+    # for the Schur complement's deviation: A11's PSD test reuses its deviation
+    assert Counter(name for name, _, _ in log) == Counter(svd=6, eigh=2)
 
 
 def test_block_psd_rejects_non_hermitian():

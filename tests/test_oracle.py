@@ -122,8 +122,6 @@ def test_douglas_check_fixture(rank1_pair):
     assert report.all_ok
     assert report.mu_star == pytest.approx(5.0, rel=1e-10)
     assert report.d_norm_sq == pytest.approx(5.0, rel=1e-10)
-    payload = report.to_json()
-    assert payload["all_ok"] is True
 
 
 def test_douglas_check_identity():

@@ -9,7 +9,7 @@ import pytest
 from conftest import count_lapack
 from opeq import matcore as mc
 from opeq import projpair as pp
-from opeq.errors import BadEpsilon, BadGridSize, MatrixFormatError, NotPSD, SingularAtZero
+from opeq.errors import BadEpsilon, BadGridSize, MatrixFormatError, NotPSD
 
 INV_ROOT2 = 1.0 / math.sqrt(2.0)
 
@@ -32,7 +32,6 @@ def test_uniform_grid_basic():
     g = pp.uniform_grid(5)
     np.testing.assert_allclose(g.points, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert g.n_points == 5
-    assert g.spacing == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, -3, 2.5])
@@ -56,27 +55,16 @@ def test_gridfunction_shape_checks():
         pp.PartialGridFunction(g, np.zeros((4, 2, 2)))
 
 
-def test_value_access(grid):
-    p, _ = pp.canonical_pair(grid)
-    np.testing.assert_array_equal(p.value_at(0.0), np.diag([1.0, 0.0]))
-    x = pp.pointwise_solution(grid)
-    with pytest.raises(SingularAtZero):
-        x.value_at(0.0)
-    np.testing.assert_allclose(x.value_at(1.0), np.diag([1.0, 0.0]), atol=1e-8)
-    with pytest.raises(KeyError):
-        p.value_at(0.12345)
-
-
 # ---------------------------------------------------------------------------
 # canonical pair
 
 
 def test_rotating_projection_endpoints():
-    g = pp.uniform_grid(1001)  # contains t = 1/2 exactly
+    g = pp.uniform_grid(1001)  # node 500 is t = 1/2 exactly
     _, q = pp.canonical_pair(g)
-    np.testing.assert_allclose(q.value_at(0.0), np.diag([1.0, 0.0]), atol=1e-15)
-    np.testing.assert_allclose(q.value_at(1.0), np.diag([0.0, 1.0]), atol=1e-15)
-    np.testing.assert_allclose(q.value_at(0.5), 0.5 * np.ones((2, 2)), atol=1e-15)
+    np.testing.assert_allclose(q.values[0], np.diag([1.0, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(q.values[-1], np.diag([0.0, 1.0]), atol=1e-15)
+    np.testing.assert_allclose(q.values[500], 0.5 * np.ones((2, 2)), atol=1e-15)
 
 
 def test_pointwise_projection_law(pair):
@@ -94,8 +82,8 @@ def test_pointwise_projection_law(pair):
 
 def test_sqrt_sum_endpoints(grid):
     s = pp.sqrt_sum_closed_form(grid)
-    np.testing.assert_allclose(s.value_at(0.0), np.diag([math.sqrt(2.0), 0.0]), atol=1e-15)
-    np.testing.assert_allclose(s.value_at(1.0), np.eye(2), atol=1e-8)
+    np.testing.assert_allclose(s.values[0], np.diag([math.sqrt(2.0), 0.0]), atol=1e-15)
+    np.testing.assert_allclose(s.values[-1], np.eye(2), atol=1e-8)
 
 
 def test_sqrt_sum_squares_to_sum(grid, pair):
@@ -124,7 +112,7 @@ def test_determinant_identity(grid, pair):
 
 def test_inv_sqrt_sum_endpoint(grid):
     inv = pp.inv_sqrt_sum(grid)
-    np.testing.assert_allclose(inv.value_at(1.0), np.eye(2), atol=1e-8)
+    np.testing.assert_allclose(inv.values[-1], np.eye(2), atol=1e-8)
 
 
 def test_inv_sqrt_sum_is_inverse(grid):
@@ -140,14 +128,15 @@ def test_inv_sqrt_sum_is_inverse(grid):
 
 def test_pointwise_solution_at_one(grid):
     x = pp.pointwise_solution(grid)
-    np.testing.assert_allclose(x.value_at(1.0), np.array([[1.0, 0.0], [0.0, 0.0]]), atol=1e-8)
+    np.testing.assert_allclose(x.values[-1], np.array([[1.0, 0.0], [0.0, 0.0]]), atol=1e-8)
 
 
 def test_pointwise_solution_limits(grid):
     x = pp.pointwise_solution(grid)
     first = x.values[0]
-    assert abs(first[1, 0].real - (-INV_ROOT2)) < 2.0 * grid.spacing
-    assert abs(first[0, 0].real - INV_ROOT2) < 2.0 * grid.spacing
+    step = grid.points[1]
+    assert abs(first[1, 0].real - (-INV_ROOT2)) < 2.0 * step
+    assert abs(first[0, 0].real - INV_ROOT2) < 2.0 * step
     assert np.max(np.abs(x.values[:, :, 1])) == 0.0  # second column identically zero
 
 
@@ -235,7 +224,7 @@ def test_perturbation_distance(grid, pair):
     qp = pp.perturb_q(grid, 0.1)
     dist = pp.sup_distance(q, qp)
     assert dist == pytest.approx(math.sin(0.05 * math.pi), abs=0.01)
-    assert dist <= math.sin(0.05 * math.pi) + 2.0 * grid.spacing
+    assert dist <= math.sin(0.05 * math.pi) + 2.0 * grid.points[1]
 
 
 def test_perturbation_distance_decreases(grid, pair):
@@ -246,7 +235,7 @@ def test_perturbation_distance_decreases(grid, pair):
 
 def test_perturbed_solution_boundary(grid):
     x = pp.perturbed_solution(grid, 0.1)
-    np.testing.assert_allclose(x.value_at(0.0), np.diag([INV_ROOT2, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(x.values[0], np.diag([INV_ROOT2, 0.0]), atol=1e-15)
     assert pp.algebra_membership(x)
 
 
@@ -257,7 +246,7 @@ def test_perturbed_solution_continuous_at_eps(grid):
     assert x.values[k][1, 0].real == pytest.approx(-INV_ROOT2, abs=1e-12)
     # adjacent nodes on both sides stay within a spacing-scaled jump bound
     for j in (k - 1, k + 1):
-        assert mc.spectral_norm(x.values[j] - x.values[k]) < 10.0 * grid.spacing
+        assert mc.spectral_norm(x.values[j] - x.values[k]) < 10.0 * grid.points[1]
 
 
 def test_perturbed_solution_residual(grid, pair):
@@ -342,22 +331,6 @@ def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
     blocks = math.ceil(n / BLOCK)
     assert 0 < calls["svd"] <= 3 * blocks
     assert 0 < calls["eigh"] <= blocks
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_gridfunction_json_round_trip():
-    g = pp.uniform_grid(4)
-    p, _ = pp.canonical_pair(g)
-    back = pp.gridfunction_from_json(pp.gridfunction_to_json(p))
-    assert isinstance(back, pp.GridFunction)
-    np.testing.assert_allclose(back.values, p.values)
-    x = pp.pointwise_solution(g)
-    back_x = pp.gridfunction_from_json(pp.gridfunction_to_json(x))
-    assert isinstance(back_x, pp.PartialGridFunction)
-    np.testing.assert_allclose(back_x.values, x.values)
 
 
 def test_csv_export(grid):
