@@ -510,6 +510,10 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
             )
     if not spectra["A11"].is_psd(tol):
         return False
-    # A11 X = A12: the range condition, and X = A11^dagger A12 for the Schur complement
-    f = factorize(a11, a12, tol)
-    return f.range_ok and is_psd(a22 - a12.conj().T @ f.d, tol)
+    # A11's eigenpairs give the range condition, and X = A11^dagger A12 for the Schur complement
+    w, v = spectra["A11"].range_pairs(tol)
+    coeffs = v.conj().T @ a12
+    outside = spectral_norm(a12 - v @ coeffs)
+    if outside > tol.residual_atol * max(1.0, spectral_norm(a12)):
+        return False
+    return is_psd(a22 - a12.conj().T @ ((v / w) @ coeffs), tol)

@@ -131,7 +131,8 @@ def _as_complex_array(m, ndims, what) -> np.ndarray:
         raise MatrixFormatError(f"not a complex matrix: {exc}") from exc
     if a.ndim not in ndims:
         raise MatrixFormatError(f"expected {what}, got {a.ndim} axes")
-    if a.size and not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
+    # a complex entry is finite exactly when both of its parts are
+    if not np.isfinite(a).all():
         raise MatrixFormatError("matrix entries must be finite (no NaN/Inf)")
     return a
 
@@ -211,20 +212,29 @@ def matrix_to_json(m) -> dict:
     return wire
 
 
+def _norm2(a) -> float:
+    """Largest singular value of a 2-D array from one zgesdd call; 0.0 when it is empty.
+
+    This is the SVD call of numpy's matrix 2-norm, without its axis handling,
+    so the bits are the same.
+    """
+    return float(np.linalg.svd(a, compute_uv=False)[0]) if a.size else 0.0
+
+
 def spectral_norm(m) -> float:
-    """Operator norm (largest singular value)."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    """Operator norm (largest singular value): one zgesdd call.
+
+    It has the bits of the same matrix's entry of :func:`spectral_norms`.
+    """
+    return _norm2(as_matrix(m))
 
 
 def hermitian_deviation(m) -> float:
-    """Operator norm of M - M*."""
+    """Operator norm of M - M*: one zgesdd call."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("Hermitian deviation needs a square matrix")
-    return float(np.linalg.norm(a - a.conj().T, 2))
+    return _norm2(a - a.conj().T)
 
 
 def _rank_of(s, tol: ToleranceConfig) -> int:
@@ -284,7 +294,11 @@ def _eigh_sym(m):
 
 
 def spectral_norms(stack) -> np.ndarray:
-    """Operator norm of each matrix of a ``(k, r, c)`` stack: one batched SVD."""
+    """Operator norm of each matrix of a ``(k, r, c)`` stack: one batched SVD.
+
+    The batched call runs zgesdd once per matrix, so each norm has the bits
+    :func:`spectral_norm` gives for that matrix alone.
+    """
     return np.max(np.linalg.svd(stack, compute_uv=False), axis=-1, initial=0.0)
 
 
@@ -381,6 +395,19 @@ class HermitianSpectrum:
         scale = max(1.0, float(np.max(np.abs(w))))
         return bool(w[0] >= -tol.psd_atol * scale)
 
+    def range_pairs(self, tol: ToleranceConfig = DEFAULT_TOLERANCES):
+        """Eigenpairs ``(w, V)`` that span the range of a PSD ``M``.
+
+        The eigenvalues are clamped at 0 and kept where ``w > rank_rtol * w_max``;
+        ``V`` holds their eigenvectors as columns, so ``V diag(1/w) V*`` is
+        ``M^dagger`` and ``V V*`` the projector onto the range.
+        """
+        w, v = self.eigh
+        w = np.clip(w, 0.0, None)
+        wmax = float(w[-1]) if w.size else 0.0
+        keep = w > tol.rank_rtol * wmax if wmax > 0.0 else np.zeros_like(w, dtype=bool)
+        return w[keep], v[:, keep]
+
     def dominating_scale(self, h, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float | None:
         """Least ``t >= 0`` with ``H <= t M`` for Hermitian PSD ``M`` and ``H``.
 
@@ -393,17 +420,13 @@ class HermitianSpectrum:
         h = as_matrix(h)
         if h.shape != self.m.shape:
             raise ShapeMismatch("M and H must be square matrices of equal size")
-        w, v = self.eigh
-        w = np.clip(w, 0.0, None)
-        wmax = float(w[-1]) if w.size else 0.0
-        keep = w > tol.rank_rtol * wmax if wmax > 0.0 else np.zeros_like(w, dtype=bool)
-        vr = v[:, keep]
-        outside = h - vr @ (vr.conj().T @ h) if np.any(keep) else h
+        w, vr = self.range_pairs(tol)
+        outside = h - vr @ (vr.conj().T @ h) if w.size else h
         if spectral_norm(outside) > tol.residual_atol * max(1.0, spectral_norm(h)):
             return None
-        if not np.any(keep):
+        if not w.size:
             return 0.0
-        scaled = vr / np.sqrt(w[keep])
+        scaled = vr / np.sqrt(w)
         compressed = scaled.conj().T @ h @ scaled
         ew, _ = _eigh_sym(compressed)
         return float(max(ew[-1], 0.0)) if ew.size else 0.0

@@ -10,7 +10,13 @@ every trial builds one :class:`~opeq.douglas.Factorization` and reads D, P,
 
 All randomness flows from a named generator (PCG64) with an explicit seed;
 every trial derives its own sub-seed deterministically from the seed and the
-trial index, so any reported failure is reproducible bit for bit.
+trial index, so any reported failure is reproducible bit for bit.  Haar
+unitaries are drawn in batches from that one stream: the stack of ``k`` is one
+normal draw and one stacked QR, with the numbers ``k`` single draws give.
+
+The ``T_n`` scan is one stacked call: the matrices along the schedule form
+one ``(k, n, n)`` stack, whose norms are one batched SVD and whose PSD and
+monotonicity tests are one ``eigvalsh`` each.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .matcore import (
     polar_partial_isometry,
     row_space_projector,
     spectral_norm,
+    spectral_norms,
     sqrt_psd,
 )
 
@@ -288,8 +295,8 @@ def _compressed_state(f: douglas.Factorization):
     if b.shape[1] == 0:
         return np.zeros(0), np.zeros((0, d.shape[0]), dtype=np.complex128)
     comp = b.conj().T @ d @ b
-    dev = float(np.linalg.norm(comp - comp.conj().T, 2))
-    if dev > tol.residual_atol * max(1.0, float(np.linalg.norm(comp, 2))):
+    dev = hermitian_deviation(comp)
+    if dev > tol.residual_atol * max(1.0, spectral_norm(comp)):
         raise PreconditionFailed(
             f"DP is not Hermitian on the row space (deviation {dev:.3e})",
             certificate={"dp_hermitian_deviation": dev},
@@ -307,8 +314,10 @@ def _compressed_state(f: douglas.Factorization):
     return w, g
 
 
-def _tn_from_state(w, g, n_value):
-    return (g.conj().T * (1.0 / (1.0 / n_value + w))) @ g
+def _tn_stack(w, g, n_values):
+    """The ``(len(n_values), k, k)`` stack of ``T_n`` from the state ``(w, g)``."""
+    inv = 1.0 / (1.0 / np.asarray(n_values, dtype=np.float64)[:, np.newaxis] + w)
+    return (g.conj().T * inv[:, np.newaxis, :]) @ g
 
 
 def _schedule(n_max: int):
@@ -319,8 +328,7 @@ def _schedule(n_max: int):
 
 def tn_matrix(f: douglas.Factorization, n_value: int) -> np.ndarray:
     """Single compressed-resolvent term for one value of n (mainly for tests)."""
-    w, g = _compressed_state(f)
-    return _tn_from_state(w, g, float(n_value))
+    return _tn_stack(*_compressed_state(f), [n_value])[0]
 
 
 def tn_sequence(f: douglas.Factorization, n_max: int = DEFAULT_N_MAX):
@@ -332,14 +340,14 @@ def tn_sequence(f: douglas.Factorization, n_max: int = DEFAULT_N_MAX):
     :class:`~opeq.errors.PreconditionFailed` (or
     :class:`~opeq.errors.NotSolvable`) is raised.
     """
-    return _tn_norms(*_compressed_state(f), n_max)
+    w, g = _compressed_state(f)
+    schedule = _schedule(n_max)
+    return _tn_norms(_tn_stack(w, g, schedule), schedule)
 
 
-def _tn_norms(w, g, n_max):
-    return [
-        (n_value, float(np.linalg.norm(_tn_from_state(w, g, float(n_value)), 2)))
-        for n_value in _schedule(n_max)
-    ]
+def _tn_norms(stack, schedule):
+    """``(n, ||T_n||)`` pairs from the stack of ``T_n`` along ``schedule``: one batched SVD."""
+    return [(n_value, float(norm)) for n_value, norm in zip(schedule, spectral_norms(stack))]
 
 
 def lambda_diagnostic(f: douglas.Factorization, n_max: int = DEFAULT_N_MAX) -> LambdaDiagnostic:
@@ -382,12 +390,18 @@ def _diagnose(sequence, tol, n_max) -> LambdaDiagnostic:
 # 1e-8 / 1e-9 assertions sit far above roundoff)
 
 
-def _unitary(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    diag = np.diag(r).copy()
+def _unitaries(rng, n, k):
+    """``k`` Haar-random ``n x n`` unitaries as a ``(k, n, n)`` stack: one batched QR.
+
+    The draw ``(k, 2, n, n)`` is the stream of ``k`` draws of a real then an
+    imaginary ``n x n`` part, so the generator ends where ``k`` one-at-a-time
+    draws would leave it, and each unitary has the same bits.
+    """
+    x = rng.standard_normal((k, 2, n, n))
+    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+    diag = np.diagonal(r, axis1=1, axis2=2).copy()
     diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[:, np.newaxis, :]
 
 
 def _pick_rank(rng, n, policy):
@@ -406,8 +420,11 @@ def random_operator(rng, rows, cols, rank=None):
     rank = max(0, min(rank, full))
     if rank == 0:
         return np.zeros((rows, cols), dtype=np.complex128)
-    u = _unitary(rng, rows)[:, :rank]
-    v = _unitary(rng, cols)[:, :rank]
+    if rows == cols:
+        u, v = _unitaries(rng, rows, 2)
+    else:
+        u, v = _unitaries(rng, rows, 1)[0], _unitaries(rng, cols, 1)[0]
+    u, v = u[:, :rank], v[:, :rank]
     sing = rng.uniform(0.3, 2.0, size=rank)
     return (u * sing) @ v.conj().T
 
@@ -422,7 +439,7 @@ def random_psd(rng, n, rank=None):
     if rank is None:
         rank = n
     rank = max(0, min(rank, n))
-    u = _unitary(rng, n)
+    u = _unitaries(rng, n, 1)[0]
     eigs = np.zeros(n)
     eigs[:rank] = rng.uniform(0.3, 2.0, size=rank)
     return (u * eigs) @ u.conj().T
@@ -447,8 +464,7 @@ def _hermitian_but_never_positive(rng, n):
             val = rng.uniform(0.3, 2.0)
             a_diag[extra, extra] = val
             c_core[extra, extra] = val
-    u = _unitary(rng, n)
-    v = _unitary(rng, n)
+    u, v = _unitaries(rng, n, 2)
     return u @ a_diag @ v.conj().T, u @ c_core @ v.conj().T
 
 
@@ -678,21 +694,21 @@ def _check_tn_lambda(rng, spec, tol):
         a, c = _consistent_pair(rng, spec, "positive")[:2]
 
     f = douglas.factorize(a, c, tol)
-    w, g = _compressed_state(f)  # once: every T_n below and the diagnostic read it
-    prev = None
-    for n_value in _schedule(16):
-        t = _tn_from_state(w, g, float(n_value))
-        eigs = np.linalg.eigvalsh(0.5 * (t + t.conj().T))
-        scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-        if eigs.size and eigs[0] < -tol.psd_atol * scale:
+    schedule = _schedule(DEFAULT_N_MAX)
+    # one stack of every T_n: the PSD and monotonicity tests read its head, the scan all of it
+    ts = _tn_stack(*_compressed_state(f), schedule)
+    head = ts[: len(_schedule(16))]
+    steps = head[1:] - head[:-1]
+    eigs = np.linalg.eigvalsh(0.5 * (head + head.conj().swapaxes(1, 2)))
+    diffs = np.linalg.eigvalsh(0.5 * (steps + steps.conj().swapaxes(1, 2)))
+    scales = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
+    for k, n_value in enumerate(schedule[: len(head)]):
+        if eigs[k, 0] < -tol.psd_atol * scales[k]:
             return _fail(f"T_{n_value} is not PSD", a=a, c=c)
-        if prev is not None:
-            diff = np.linalg.eigvalsh(0.5 * ((t - prev) + (t - prev).conj().T))
-            if diff.size and diff[0] < -tol.psd_atol * scale:
-                return _fail(f"T_n not nondecreasing at n={n_value}", a=a, c=c)
-        prev = t
+        if k and diffs[k - 1, 0] < -tol.psd_atol * scales[k]:
+            return _fail(f"T_n not nondecreasing at n={n_value}", a=a, c=c)
 
-    diag = _diagnose(_tn_norms(w, g, DEFAULT_N_MAX), tol, DEFAULT_N_MAX)
+    diag = _diagnose(_tn_norms(ts, schedule), tol, DEFAULT_N_MAX)
     report = douglas.solvability_report(f)
     if report.dp_range_eq and not diag.converged:
         return _fail("ranges match but the T_n norms did not settle", a=a, c=c)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -238,6 +239,28 @@ def test_verify_deterministic_bytes(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of the --out file; a change that moves these bytes on purpose updates
+# them and says so in CHANGES.md
+VERIFY_DIGESTS = {
+    ("--trials", "10", "--max-dim", "6", "--seed", "1000"): (
+        "e2b9ee0636442927e589d9c7d17cd4fd56717cbeafc06f7b7b420796ef000e2f"
+    ),
+    ("--trials", "10", "--max-dim", "6", "--seed", "1007"): (
+        "6a090209c6be2dd6dcc4130d0b916c9953d05c618675be38afb386ccf361b984"
+    ),
+    ("--trials", "40", "--seed", "20514"): (
+        "96a0d6564b3ff1a136bb48e54588d994e7c9c269835d50ef1761cda5db74ee8d"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(VERIFY_DIGESTS), ids=" ".join)
+def test_verify_bytes_are_pinned(tmp_path, args):
+    out = tmp_path / "verify.json"
+    assert main(["verify", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[args]
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,20 @@ def test_as_matrix_rejects_nonfinite():
         mc.as_matrix(np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 0)])
+def test_as_matrix_rejects_either_nonfinite_part(bad):
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = bad
+    with pytest.raises(MatrixFormatError):
+        mc.as_matrix(m)
+
+
+def test_as_matrix_keeps_signed_zero_and_subnormals():
+    m = np.array([[-0.0, complex(5e-324, -0.0)], [complex(0.0, -5e-324), 1.0]])
+    out = mc.as_matrix(m)
+    assert out.view(np.float64).tobytes() == m.view(np.float64).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pseudoinverse
 
@@ -219,6 +233,24 @@ def test_sqrt_psd_rejects_negative():
         mc.sqrt_psd(-np.eye(2))
     with pytest.raises(NotPSD):
         mc.sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (6, 6), "rank 1"])
+def test_norms_have_the_bits_of_numpy_2_norm(shape):
+    rng = np.random.default_rng(3)
+    if shape == "rank 1":
+        m = rank_deficient(rng, 6, 6, 1)
+    else:
+        m = complex_gaussian(rng, *shape)
+    assert mc.spectral_norm(m) == float(np.linalg.norm(m, 2))
+    if m.shape[0] == m.shape[1]:
+        assert mc.hermitian_deviation(m) == float(np.linalg.norm(m - m.conj().T, 2))
+
+
+def test_norms_of_an_empty_matrix_are_zero():
+    assert mc.spectral_norm(np.zeros((0, 3))) == 0.0
+    assert mc.spectral_norm(np.zeros((0, 0))) == 0.0
+    assert mc.hermitian_deviation(np.zeros((0, 0))) == 0.0
 
 
 def test_spectral_norms_of_a_stack():

@@ -228,6 +228,56 @@ def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
         assert of_comp == 1
 
 
+def test_tn_stack_matches_one_matrix_at_a_time():
+    spec = oc.TrialSpec(dim_min=1, dim_max=6, trials=1)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a, c = oc._consistent_pair(rng, spec, "positive")[:2]
+        f = dg.factorize(a, c)
+        w, g = oc._compressed_state(f)
+        for n, norm in oc.tn_sequence(f):
+            t = (g.conj().T * (1.0 / (1.0 / float(n) + w))) @ g
+            np.testing.assert_array_equal(oc.tn_matrix(f, n), t)
+            assert norm == float(np.linalg.norm(t, 2))
+
+
+def test_tn_check_takes_the_schedule_norms_in_one_call(monkeypatch):
+    log = count_lapack(monkeypatch)
+    spec = oc.TrialSpec(dim_min=1, dim_max=6, trials=12, seed=7)
+    prop = oc.PROPERTY_NAMES.index("tn_monotone_lambda_match")
+    schedule = len(oc._schedule(oc.DEFAULT_N_MAX))
+    for trial in range(spec.trials):
+        log.clear()
+        rng = oc._sub_rng(spec.seed, prop, trial)
+        assert oc._check_tn_lambda(rng, spec, mc.DEFAULT_TOLERANCES) is None
+        svds = [args[0].shape for name, args, _ in log if name == "svd"]
+        # the 41 norms are one stacked call, so the trial makes far fewer than 41
+        assert sum(len(shape) == 3 and shape[0] == schedule for shape in svds) == 1
+        assert len(svds) < schedule
+        # 5 PSD tests and 4 monotonicity tests, each set as one stacked call
+        assert sum(name == "eigvalsh" for name, _, _ in log) <= 2
+
+
+def _unitary_one_at_a_time(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    diag = np.diag(r).copy()
+    diag[diag == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_unitaries_match_one_at_a_time_draws(n):
+    batched_rng, single_rng = np.random.default_rng(n), np.random.default_rng(n)
+    batch = oc._unitaries(batched_rng, n, 2)
+    assert batch.shape == (2, n, n)
+    for u in batch:
+        np.testing.assert_array_equal(u, _unitary_one_at_a_time(single_rng, n))
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
+    # the generator stands where two single draws leave it
+    assert batched_rng.standard_normal() == single_rng.standard_normal()
+
+
 def test_lambda_c_equals_a():
     rng = np.random.default_rng(67)
     a = rank_deficient(rng, 4, 4, 2)
