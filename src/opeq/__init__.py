@@ -84,7 +84,6 @@ from .oracle import (
     lsq_solve,
     positive_search,
     property_suite,
-    psd_quadratic_probe,
     tn_sequence,
 )
 

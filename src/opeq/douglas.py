@@ -170,8 +170,15 @@ class Factorization:
 
     @property
     def range_ok(self) -> bool:
-        """R(C) inside R(A): range residual at most ``residual_atol * max(1, ||C||)``."""
-        return self.range_residual <= self.tol.residual_atol * max(1.0, self.c_norm)
+        """R(C) inside R(A): range residual within the residual bound of ``||C||``."""
+        return self.range_residual <= self.tol.residual_bound(self.c_norm)
+
+    def _equation_residual(self, x) -> float:
+        """``||A X - C||``, kept for the last X, so ``opeq solve`` reports its builder's value."""
+        last = self.__dict__.get("_last_residual")
+        if last is None or last[0] is not x:
+            last = self.__dict__["_last_residual"] = (x, spectral_norm(self.a @ x - self.c))
+        return last[1]
 
     @property
     def p(self) -> np.ndarray:
@@ -199,7 +206,7 @@ class Factorization:
 
     @property
     def ca_hermitian(self) -> bool:
-        return self.ca_deviation <= self.tol.residual_atol
+        return self.ca_deviation <= self.tol.residual_bound()
 
     @property
     def ca_psd(self) -> bool:
@@ -244,13 +251,12 @@ class Factorization:
 
     @property
     def dp_range_eq(self) -> bool:
-        """R(D) = R(DP): equal ranks and both residuals within ``residual_atol * max(1, norm)``."""
+        """R(D) = R(DP): equal ranks, and each residual within the residual bound of its norm."""
         eq = self.range_equality
-        atol = self.tol.residual_atol
         return (
             eq["rank_d"] == eq["rank_dp"]
-            and eq["d_outside_range_dp"] <= atol * max(1.0, self.d_norm)
-            and eq["dp_outside_range_d"] <= atol * max(1.0, _norm(self._dp_svd[1]))
+            and eq["d_outside_range_dp"] <= self.tol.residual_bound(self.d_norm)
+            and eq["dp_outside_range_d"] <= self.tol.residual_bound(_norm(self._dp_svd[1]))
         )
 
     @property
@@ -318,8 +324,8 @@ def reduced_solution(f: Factorization) -> np.ndarray:
 def general_solution(f: Factorization, y) -> np.ndarray:
     """Member ``D + (I - P) Y`` of the general solution family.
 
-    It is checked before it is returned: the equation residual must be at
-    most ``residual_atol * max(1, ||C||)``, else :class:`NotSolvable`.
+    It is checked before it is returned: the equation residual must be within
+    the residual bound of ``||C||``, else :class:`NotSolvable`.
     """
     y = as_matrix(y)
     d = reduced_solution(f)
@@ -339,7 +345,7 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     if x.shape != shape:
         raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
     resid = spectral_norm(f.a @ x - f.c)
-    if resid > f.tol.residual_atol * max(1.0, f.c_norm):
+    if resid > f.tol.residual_bound(f.c_norm):
         raise NotASolution(
             f"AX differs from C by {resid:.3e}", certificate={"equation_residual": resid}
         )
@@ -405,12 +411,12 @@ def _checked(f: Factorization, x, error, failed: list, numbers: dict) -> np.ndar
     """Return the emitted X if it solves AX = C and passed its class tests.
 
     ``failed`` names the class tests X failed.  The equation residual must be
-    at most ``residual_atol * max(1, ||C||)``.  On any failure raise
+    within the residual bound of ``||C||``.  On any failure raise
     ``error`` with the failed conditions, the residual, its bound and
     ``numbers`` in the certificate.
     """
-    resid = spectral_norm(f.a @ x - f.c)
-    bound = f.tol.residual_atol * max(1.0, f.c_norm)
+    resid = f._equation_residual(x)
+    bound = f.tol.residual_bound(f.c_norm)
     failed = failed + ["solution_residual"] * (resid > bound)
     if failed:
         numbers = {**numbers, "equation_residual": resid, "residual_bound": bound}
@@ -425,9 +431,8 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
     """Member ``D + (I-P) D* + (I-P) Y (I-P)`` of the Hermitian family.
 
     Y must be Hermitian; the output is then Hermitian and solves AX = C.
-    It is checked before it is returned: ``||X - X*||`` at most
-    ``residual_atol * max(1, ||X||)`` and the equation residual at most
-    ``residual_atol * max(1, ||C||)``, else :class:`NotSolvableHermitian`.
+    It is checked before it is returned: ``||X - X*||`` and the equation residual must be within
+    the residual bounds of ``||X||`` and ``||C||``, else :class:`NotSolvableHermitian`.
     """
     _check_same_shape(f)
     y = as_matrix(y)
@@ -440,7 +445,7 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
             certificate=_failure_certificate(f),
         )
     y_dev = hermitian_deviation(y)
-    if y_dev > f.tol.residual_atol:
+    if y_dev > f.tol.residual_bound():
         raise ParameterNotHermitian(
             f"parameter Y must be Hermitian (deviation {y_dev:.3e})",
             certificate={"parameter_deviation": y_dev},
@@ -448,7 +453,7 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
 
     x = f.h0 + f.ip @ y @ f.ip
     dev = hermitian_deviation(x)
-    bound = f.tol.residual_atol * max(1.0, spectral_norm(x))
+    bound = f.tol.residual_bound(spectral_norm(x))
     numbers = {"solution_deviation": dev, "deviation_bound": bound}
     return _checked(f, x, NotSolvableHermitian, ["solution_hermitian"] * (dev > bound), numbers)
 
@@ -459,9 +464,8 @@ def positive_solution(f: Factorization, z) -> np.ndarray:
     Z must be PSD.  The free part lives in the complement of the row-space
     projector, which is what keeps ``A X = C`` true for every admissible Z.
     Reads only the range, ``C A*`` PSD and range-equality tests and
-    ``(DP)^dagger``.  The output is checked before it is returned (PSD, and
-    the equation residual at most ``residual_atol * max(1, ||C||)``), else
-    :class:`NotSolvablePositive`.
+    ``(DP)^dagger``.  The output is checked before it is returned (PSD, and the
+    equation residual within the residual bound of ``||C||``), else :class:`NotSolvablePositive`.
     """
     _check_same_shape(f)
     z = as_matrix(z)
@@ -503,7 +507,7 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
     spectra = {"A11": HermitianSpectrum(a11), "A22": HermitianSpectrum(a22)}
     for name, spectrum in spectra.items():
         dev = spectrum.deviation
-        if dev > tol.residual_atol:
+        if dev > tol.residual_bound():
             raise NotHermitian(
                 f"{name} must be Hermitian (deviation {dev:.3e})",
                 certificate={"block": name, "deviation": dev},
@@ -514,6 +518,6 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
     w, v = spectra["A11"].range_pairs(tol)
     coeffs = v.conj().T @ a12
     outside = spectral_norm(a12 - v @ coeffs)
-    if outside > tol.residual_atol * max(1.0, spectral_norm(a12)):
+    if outside > tol.residual_bound(spectral_norm(a12)):
         return False
     return is_psd(a22 - a12.conj().T @ ((v / w) @ coeffs), tol)

@@ -53,26 +53,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Thresholds governing every floating-point decision.
+    """Thresholds of every floating-point decision, and the three rules that apply them.
 
-    rank_rtol
-        Relative singular-value cutoff: values below ``rank_rtol * sigma_max``
-        are treated as zero.
-    psd_atol
-        Eigenvalue floor: the least eigenvalue ``w`` of ``(M + M*)/2`` must be
-        at least ``-psd_atol * max(1, max|w|)`` in :func:`is_psd` and
-        ``-psd_atol * max|w|`` in :func:`sqrt_psd`.
-    residual_atol
-        Equation and range-inclusion residuals must be at most
-        ``residual_atol * max(1, ||C||)``.  The Hermitian deviation
-        ``||M - M*||`` must be at most ``residual_atol`` (absolute) in
-        :func:`is_psd`, the ``C A*`` test, ``block_psd_test`` and for the
-        Hermitian family's parameter Y, and at most
-        ``residual_atol * max(1, ||M||)`` in :func:`sqrt_psd` and for the
-        emitted Hermitian solution X.
+    Each setting is a number strictly between 0 and 1.  Every decision asks
+    one of the methods below for its threshold; each takes a float or an
+    array (elementwise), so a batched test runs the code of a single one.
 
-    Each ``max(1, .)`` makes its threshold absolute below norm 1, so a
-    verdict can change when ``(A, C)`` is scaled far enough.
+    :meth:`residual_bound` -- ``residual_atol * max(1, norm)``
+        A residual or Hermitian deviation passes when it is at most this.
+        With no norm it is the absolute ``residual_atol``: so for the ``C A*``
+        Hermitian test, the Hermitian test of :func:`is_psd`, the diagonal
+        blocks of ``block_psd_test``, the Hermitian family's parameter Y and
+        ``algebra_membership``.  The others pass ``||C||`` (range and equation
+        residuals), ``||D||`` or ``||DP||`` (range equality), ``||M||``
+        (:func:`sqrt_psd`, the emitted Hermitian X) or ``||H||`` (the leak
+        test of :meth:`HermitianSpectrum.dominating_scale`).
+    :meth:`eigenvalue_floor` -- ``-psd_atol * max(1, top)``
+        The least eigenvalue of ``(M + M*)/2`` passes when it is at least
+        this, ``top`` being the largest ``|w|``.
+    :meth:`rank_cut` -- ``rank_rtol * top``
+        A singular value, or a clamped eigenvalue of a PSD matrix, counts
+        toward the rank when it is above this, ``top`` being the largest.
+
+    Four tests read a field as rules of their own: :func:`sqrt_psd` clamps
+    eigenvalues down to ``-psd_atol * max|w|`` (no ``max(1, .)``), and the
+    ``T_n`` scan of :mod:`opeq.oracle` converges when a doubling moves the
+    norm by less than ``residual_atol * (1 + estimate)``, diverges on growth
+    by ``1 + psd_atol`` per doubling, and matches lambda within that same
+    bound.  Each ``max(1, .)`` makes its threshold absolute below norm 1, so
+    a verdict can change when ``(A, C)`` is scaled far enough.
     """
 
     rank_rtol: float = 1e-10
@@ -86,6 +95,23 @@ class ToleranceConfig:
                 raise ValueError(
                     f"{name} must be a number strictly between 0 and 1, got {value!r}"
                 )
+
+    def residual_bound(self, norm=0.0):
+        """``residual_atol * max(1, norm)``: the largest residual that passes."""
+        return self.residual_atol * _at_least_one(norm)
+
+    def eigenvalue_floor(self, top=0.0):
+        """``-psd_atol * max(1, top)``: the least eigenvalue that passes."""
+        return -self.psd_atol * _at_least_one(top)
+
+    def rank_cut(self, top):
+        """``rank_rtol * top``: the values above it count toward the rank."""
+        return self.rank_rtol * top
+
+
+def _at_least_one(x):
+    """``max(1, x)``, elementwise for an array."""
+    return np.maximum(1.0, x) if isinstance(x, np.ndarray) else max(1.0, x)
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -238,8 +264,8 @@ def hermitian_deviation(m) -> float:
 
 
 def _rank_of(s, tol: ToleranceConfig) -> int:
-    """Count of singular values ``s`` (descending) above ``rank_rtol * s[0]``."""
-    return int(np.count_nonzero(s > tol.rank_rtol * s[0])) if s.size else 0
+    """Count of singular values ``s`` (descending) above the rank cut of ``s[0]``."""
+    return int(np.count_nonzero(s > tol.rank_cut(s[0]))) if s.size else 0
 
 
 def matrix_rank(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
@@ -329,7 +355,7 @@ def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
     a_star = a.conj().swapaxes(1, 2)
     dev = spectral_norms(a - a_star)
-    bad = np.flatnonzero(dev > tol.residual_atol * np.maximum(1.0, spectral_norms(a)))
+    bad = np.flatnonzero(dev > tol.residual_bound(spectral_norms(a)))
     if bad.size:
         i = int(bad[0])
         raise failure(
@@ -387,25 +413,21 @@ class HermitianSpectrum:
 
     def is_psd(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
         """See :func:`is_psd`."""
-        if self.deviation > tol.residual_atol:
+        if self.deviation > tol.residual_bound():
             return False
         w, _ = self.eigh
-        if w.size == 0:
-            return True
-        scale = max(1.0, float(np.max(np.abs(w))))
-        return bool(w[0] >= -tol.psd_atol * scale)
+        return w.size == 0 or bool(w[0] >= tol.eigenvalue_floor(float(np.max(np.abs(w)))))
 
     def range_pairs(self, tol: ToleranceConfig = DEFAULT_TOLERANCES):
         """Eigenpairs ``(w, V)`` that span the range of a PSD ``M``.
 
-        The eigenvalues are clamped at 0 and kept where ``w > rank_rtol * w_max``;
-        ``V`` holds their eigenvectors as columns, so ``V diag(1/w) V*`` is
-        ``M^dagger`` and ``V V*`` the projector onto the range.
+        The eigenvalues are clamped at 0 and kept above the rank cut of the
+        largest; ``V`` holds their eigenvectors as columns, so ``V diag(1/w) V*``
+        is ``M^dagger`` and ``V V*`` the projector onto the range.
         """
         w, v = self.eigh
         w = np.clip(w, 0.0, None)
-        wmax = float(w[-1]) if w.size else 0.0
-        keep = w > tol.rank_rtol * wmax if wmax > 0.0 else np.zeros_like(w, dtype=bool)
+        keep = w > tol.rank_cut(np.max(w, initial=0.0))
         return w[keep], v[:, keep]
 
     def dominating_scale(self, h, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float | None:
@@ -422,7 +444,7 @@ class HermitianSpectrum:
             raise ShapeMismatch("M and H must be square matrices of equal size")
         w, vr = self.range_pairs(tol)
         outside = h - vr @ (vr.conj().T @ h) if w.size else h
-        if spectral_norm(outside) > tol.residual_atol * max(1.0, spectral_norm(h)):
+        if spectral_norm(outside) > tol.residual_bound(spectral_norm(h)):
             return None
         if not w.size:
             return 0.0
@@ -435,10 +457,9 @@ class HermitianSpectrum:
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """Positive-semidefinite test.
 
-    True iff ``||M - M*|| <= residual_atol`` (absolute) and the smallest
-    eigenvalue of the symmetrization is at least ``-psd_atol * max(1, max|w|)``
-    over its eigenvalues ``w``.  The ``max(1, .)`` makes the floor absolute
-    below norm 1.
+    True iff ``||M - M*||`` is within the absolute residual bound and the
+    least eigenvalue of the symmetrization is at least its eigenvalue floor
+    (:class:`ToleranceConfig`).
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:

@@ -1,12 +1,11 @@
 """Brute-force verifiers, the T_n cross-check and the randomized property suite.
 
 Each check reaches a decision by a second route: normal equations instead
-of the SVD pseudoinverse, random quadratic forms for positivity, sampling of
-the Hermitian family for PSD solutions instead of the closed form, and the
-``||T_n||`` scan for the closed-form lambda.  Absence of a search hit is
-evidence, never proof.  The routes share their inputs with the decisions:
-every trial builds one :class:`~opeq.douglas.Factorization` and reads D, P,
-``C A*`` and DP from it.
+of the SVD pseudoinverse, sampling of the Hermitian family for PSD solutions
+instead of the closed form, and the ``||T_n||`` scan for the closed-form
+lambda.  Absence of a search hit is evidence, never proof.  The routes share
+their inputs with the decisions: every trial builds one
+:class:`~opeq.douglas.Factorization` and reads D, P, ``C A*`` and DP from it.
 
 All randomness flows from a named generator (PCG64) with an explicit seed;
 every trial derives its own sub-seed deterministically from the seed and the
@@ -28,10 +27,10 @@ import numpy as np
 
 from . import douglas
 from .errors import (
-    NotHermitian,
     NotSolvable,
     NotSolvableHermitian,
     NotSolvablePositive,
+    OpeqError,
     PreconditionFailed,
     ShapeMismatch,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "DouglasReport",
     "LambdaDiagnostic",
     "lsq_solve",
-    "psd_quadratic_probe",
     "positive_search",
     "douglas_properties_check",
     "tn_matrix",
@@ -131,29 +129,6 @@ def lsq_solve(a, c) -> np.ndarray:
     return (v * inv) @ (v.conj().T @ rhs)
 
 
-def psd_quadratic_probe(m, probes: int = 1000, seed: int = DEFAULT_SEED) -> bool:
-    """Monte Carlo positivity probe: random vectors x against Re<Mx, x> >= 0.
-
-    A False answer exhibits a witness vector and is conclusive; True only
-    says no witness was found among the probes (one-sided evidence).
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch("positivity is only defined for square matrices")
-    dev = hermitian_deviation(m)
-    if dev > 1e-8 * max(1.0, spectral_norm(m)):
-        raise NotHermitian(f"probe needs a Hermitian matrix (deviation {dev:.3e})")
-    if probes < 1:
-        raise ValueError("probes must be at least 1")
-    rng = _sub_rng(seed, 0)
-    n = m.shape[0]
-    xs = rng.standard_normal((probes, n)) + 1j * rng.standard_normal((probes, n))
-    quad = np.einsum("pi,ij,pj->p", xs.conj(), m, xs).real
-    norms = np.einsum("pi,pi->p", xs.conj(), xs).real
-    floor = -1e-10 * max(1.0, spectral_norm(m))
-    return bool(np.all(quad >= floor * norms))
-
-
 def positive_search(
     f: douglas.Factorization, budget: int = 1000, seed: int = DEFAULT_SEED
 ) -> np.ndarray | None:
@@ -190,14 +165,11 @@ def positive_search(
         x = base[None, :, :] + ip[None, :, :] @ y @ ip[None, :, :]
         x = 0.5 * (x + np.conj(np.transpose(x, (0, 2, 1))))
         eigs = np.linalg.eigvalsh(x)
-        scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
-        hits = np.nonzero(eigs[:, 0] >= -tol.psd_atol * scale)[0]
+        hits = np.nonzero(eigs[:, 0] >= tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1)))[0]
         for k in hits:
             candidate = x[k]
             resid = spectral_norm(f.a @ candidate - f.c)
-            if resid <= tol.residual_atol * max(1.0, f.c_norm) and is_psd(
-                candidate, tol
-            ):
+            if resid <= tol.residual_bound(f.c_norm) and is_psd(candidate, tol):
                 return candidate
         drawn += take
     return None
@@ -296,14 +268,13 @@ def _compressed_state(f: douglas.Factorization):
         return np.zeros(0), np.zeros((0, d.shape[0]), dtype=np.complex128)
     comp = b.conj().T @ d @ b
     dev = hermitian_deviation(comp)
-    if dev > tol.residual_atol * max(1.0, spectral_norm(comp)):
+    if dev > tol.residual_bound(spectral_norm(comp)):
         raise PreconditionFailed(
             f"DP is not Hermitian on the row space (deviation {dev:.3e})",
             certificate={"dp_hermitian_deviation": dev},
         )
     w, vecs = np.linalg.eigh(0.5 * (comp + comp.conj().T))
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    if w.size and w[0] < -tol.psd_atol * scale:
+    if w[0] < tol.eigenvalue_floor(float(np.max(np.abs(w)))):  # comp is at least 1x1
         raise PreconditionFailed(
             f"DP is not PSD on the row space (eigenvalue {w[0]:.3e})",
             certificate={"dp_min_eigenvalue": float(w[0])},
@@ -502,12 +473,12 @@ def _check_penrose(rng, spec, tol):
     cols = int(rng.integers(spec.dim_min, spec.dim_max + 1))
     m = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
     mp = pinv(m, tol)
-    scale = max(1.0, spectral_norm(m))
+    scaled = tol.residual_bound(spectral_norm(m))
     checks = [
-        ("M Mp M = M", spectral_norm(m @ mp @ m - m), tol.residual_atol * scale),
-        ("Mp M Mp = Mp", spectral_norm(mp @ m @ mp - mp), tol.residual_atol * scale),
-        ("M Mp Hermitian", hermitian_deviation(m @ mp), tol.residual_atol),
-        ("Mp M Hermitian", hermitian_deviation(mp @ m), tol.residual_atol),
+        ("M Mp M = M", spectral_norm(m @ mp @ m - m), scaled),
+        ("Mp M Mp = Mp", spectral_norm(mp @ m @ mp - mp), scaled),
+        ("M Mp Hermitian", hermitian_deviation(m @ mp), tol.residual_bound()),
+        ("Mp M Hermitian", hermitian_deviation(mp @ m), tol.residual_bound()),
     ]
     for label, resid, bound in checks:
         if resid > bound:
@@ -532,13 +503,13 @@ def _check_polar(rng, spec, tol):
     cols = int(rng.integers(spec.dim_min, spec.dim_max + 1))
     a = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
     u = polar_partial_isometry(a, tol)
-    scale = max(1.0, spectral_norm(a))
-    if spectral_norm(u @ sqrt_psd(a.conj().T @ a, tol) - a) > tol.residual_atol * scale:
+    bound = tol.residual_bound()
+    if spectral_norm(u @ sqrt_psd(a.conj().T @ a, tol) - a) > tol.residual_bound(spectral_norm(a)):
         return _fail("U |A| does not reproduce A", a=a)
-    if spectral_norm(u @ u.conj().T @ u - u) > tol.residual_atol:
+    if spectral_norm(u @ u.conj().T @ u - u) > bound:
         return _fail("U is not a partial isometry", a=a)
     p = u.conj().T @ u
-    if hermitian_deviation(p) > tol.residual_atol or spectral_norm(p @ p - p) > tol.residual_atol:
+    if hermitian_deviation(p) > bound or spectral_norm(p @ p - p) > bound:
         return _fail("U*U is not an orthogonal projection", a=a)
     if matrix_rank(p, tol) != matrix_rank(a, tol):
         return _fail("initial projection has wrong rank", a=a)
@@ -579,7 +550,7 @@ def _check_hermitian_criterion(rng, spec, tol):
     a, c, _ = _consistent_pair(rng, spec, flavor)
     f = douglas.factorize(a, c, tol)
     dp = HermitianSpectrum(f.dp)
-    if (dp.deviation <= tol.residual_atol) != f.ca_hermitian:
+    if (dp.deviation <= tol.residual_bound()) != f.ca_hermitian:
         return _fail("Hermitian-ness of DP and CA* disagree", a=a, c=c)
     if dp.is_psd(tol) != f.ca_psd:
         return _fail("positivity of DP and CA* disagree", a=a, c=c)
@@ -632,7 +603,7 @@ def _check_positive_criteria(rng, spec, tol):
             return _fail(f"positive builder refused its own output: {exc}", a=a, c=c)
         if not is_psd(x, tol):
             return _fail("emitted member of the positive family is not PSD", a=a, c=c)
-        if spectral_norm(a @ x - c) > tol.residual_atol * max(1.0, f.c_norm):
+        if spectral_norm(a @ x - c) > tol.residual_bound(f.c_norm):
             return _fail("emitted positive member does not solve the equation", a=a, c=c)
         if report.t_min > spectral_norm(x) + 1e-8:
             return _fail("t_min exceeds the norm of an emitted positive solution", a=a, c=c)
@@ -701,11 +672,11 @@ def _check_tn_lambda(rng, spec, tol):
     steps = head[1:] - head[:-1]
     eigs = np.linalg.eigvalsh(0.5 * (head + head.conj().swapaxes(1, 2)))
     diffs = np.linalg.eigvalsh(0.5 * (steps + steps.conj().swapaxes(1, 2)))
-    scales = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
+    floors = tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1))
     for k, n_value in enumerate(schedule[: len(head)]):
-        if eigs[k, 0] < -tol.psd_atol * scales[k]:
+        if eigs[k, 0] < floors[k]:
             return _fail(f"T_{n_value} is not PSD", a=a, c=c)
-        if k and diffs[k - 1, 0] < -tol.psd_atol * scales[k]:
+        if k and diffs[k - 1, 0] < floors[k]:
             return _fail(f"T_n not nondecreasing at n={n_value}", a=a, c=c)
 
     diag = _diagnose(_tn_norms(ts, schedule), tol, DEFAULT_N_MAX)
@@ -741,7 +712,7 @@ def _check_positive_search(rng, spec, tol):
         return _fail("search produced a PSD solution on a pair judged unsolvable", a=a, c=c)
     if not is_psd(found, tol):
         return _fail("search returned a non-PSD matrix", a=a, c=c)
-    if spectral_norm(a @ found - c) > tol.residual_atol * max(1.0, f.c_norm):
+    if spectral_norm(a @ found - c) > tol.residual_bound(f.c_norm):
         return _fail("search returned a non-solution", a=a, c=c)
     return None
 
@@ -767,7 +738,9 @@ def property_suite(spec: TrialSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
     """Run every named property for ``spec.trials`` seeded trials each.
 
     Returns a JSON-ready report with per-property pass counts and the first
-    failing instance (serialized matrices) when there is one.  Identical
+    failing instance (serialized matrices) when there is one.  A check that
+    raises an :class:`~opeq.errors.OpeqError` fails its trial, with the
+    exception's type and message as the detail and an empty instance.  Identical
     specs produce identical reports.
     """
     properties = {}
@@ -777,7 +750,10 @@ def property_suite(spec: TrialSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
         first_failure = None
         for trial in range(spec.trials):
             rng = _sub_rng(spec.seed, prop_index, trial)
-            outcome = check(rng, spec, tol)
+            try:
+                outcome = check(rng, spec, tol)
+            except OpeqError as exc:
+                outcome = _fail(f"{type(exc).__name__}: {exc}")
             if outcome is not None:
                 failures += 1
                 if first_failure is None:

@@ -341,7 +341,7 @@ def perturbed_solution(grid: Grid, eps: float) -> GridFunction:
 def algebra_membership(f: GridFunction, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True iff the values at t = 0 and t = 1 are diagonal within tolerance."""
     for value in (f.values[0], f.values[-1]):
-        if max(abs(value[0, 1]), abs(value[1, 0])) > tol.residual_atol:
+        if max(abs(value[0, 1]), abs(value[1, 0])) > tol.residual_bound():
             return False
     return True
 

@@ -1,6 +1,9 @@
+import ast
 import importlib
 import inspect
+import pkgutil
 import types
+from collections import Counter
 
 import pytest
 
@@ -32,3 +35,36 @@ def test_package_exports_only_layer_api():
         if name not in declared and not (inspect.isclass(value) and issubclass(value, OpeqError))
     ]
     assert stray == []
+
+
+TOLERANCE_FIELDS = ("rank_rtol", "psd_atol", "residual_atol")
+# the rules of their own that the ToleranceConfig docstring lists: sqrt_psd's
+# clamp floor, and the T_n scan's convergence, divergence and lambda-match tests
+OWN_RULES = Counter(
+    {
+        ("opeq.matcore", "sqrt_psd"): 1,
+        ("opeq.oracle", "_diagnose"): 2,
+        ("opeq.oracle", "_check_tn_lambda"): 1,
+    }
+)
+
+
+def _field_reads(name):
+    """Tolerance-field reads in a module's source, by the top-level def or class holding them."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    return Counter(
+        (name, getattr(top, "name", None))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in TOLERANCE_FIELDS
+    )
+
+
+def test_tolerance_fields_are_read_only_by_their_rules():
+    import opeq
+
+    names = ["opeq"] + [f"opeq.{info.name}" for info in pkgutil.iter_modules(opeq.__path__)]
+    reads = sum((_field_reads(name) for name in names), Counter())
+    del reads[("opeq.matcore", "ToleranceConfig")]
+    del reads[("opeq.cli", "_tolerances")]  # reads the parsed flags, not a ToleranceConfig
+    assert reads == OWN_RULES

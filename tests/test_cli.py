@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import count_lapack
 from opeq import cli
+from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq.cli import main
 
@@ -65,6 +67,24 @@ def test_solve_with_parameter_file(capsys, tmp_path, rank1_files):
     assert code == 0
     x = mc.matrix_from_json(payload["solution"])
     np.testing.assert_allclose(x, np.array([[2, 1], [1, 1]]), atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["general", "hermitian", "positive"])
+def test_solve_reports_the_residual_its_builder_checked(capsys, monkeypatch, tmp_path, mode):
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    a = (rng.standard_normal((5, 3)) @ rng.standard_normal((3, 5))).astype(complex)
+    c = a @ g @ g.conj().T  # C = A X0 with X0 PSD: every mode has a solution
+    a_file, c_file = write_matrix(tmp_path / "a.json", a), write_matrix(tmp_path / "c.json", c)
+    log = count_lapack(monkeypatch)
+    code, payload, _ = run_cli(capsys, "solve", "--a", a_file, "--c", c_file, "--mode", mode)
+    cli_svds = [name for name, _, _ in log].count("svd")
+    log.clear()
+    build = getattr(dg, f"{mode}_solution")
+    x = build(dg.factorize(a, c), np.zeros((5, 5)))
+    assert code == 0
+    assert cli_svds == [name for name, _, _ in log].count("svd")
+    assert payload["residual"] == mc.spectral_norm(a @ x - c)
 
 
 def test_solve_positive_unsolvable_is_exit_two(capsys, hermitian_only_files):
@@ -239,6 +259,29 @@ def test_verify_deterministic_bytes(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "flag, value, prop, detail",
+    [
+        ("--psd-atol", "1e-300", "sqrt_psd_round_trip", "NotPSD: matrix has eigenvalue"),
+        (
+            "--rank-rtol",
+            "0.5",
+            "reduced_solution_properties",
+            "NotSolvable: range of C is not contained in range of A",
+        ),
+    ],
+)
+def test_verify_reports_a_check_that_raises(capsys, flag, value, prop, detail):
+    args = ["verify", "--trials", "10", "--max-dim", "6", "--seed", "1000", flag, value]
+    code, payload, err = run_cli(capsys, *args)
+    assert code == 2 and err == ""
+    result = payload["properties"][prop]
+    assert result["failures"] >= 1
+    assert result["first_failure"]["detail"].startswith(detail)
+    assert result["first_failure"]["instance"] == {}
+    assert payload["violations"] == sum(p["failures"] for p in payload["properties"].values())
 
 
 # sha256 of the --out file; a change that moves these bytes on purpose updates

@@ -143,6 +143,15 @@ def test_recover_parameter_round_trip_random():
         assert mc.spectral_norm(x_back - x) <= 1e-9 * max(1.0, mc.spectral_norm(x))
 
 
+def test_equation_residual_is_kept_for_the_last_x_only():
+    rng = np.random.default_rng(43)
+    a, c = consistent_pair(rng, 4)
+    f = dg.factorize(a, c)
+    xs = [dg.general_solution(f, complex_gaussian(rng, 4, 4)), np.eye(4, dtype=complex)]
+    for x in xs + xs:
+        assert f._equation_residual(x) == mc.spectral_norm(a @ x - c)
+
+
 def test_recover_parameter_rejects_non_solution(rank1_pair):
     a, c = rank1_pair
     with pytest.raises(NotASolution):

@@ -41,6 +41,93 @@ def test_tolerance_validation(bad):
         mc.ToleranceConfig(residual_atol=bad)
 
 
+# each rule, of a float and of an array: the value exactly at the threshold
+# passes, and the next float on the failing side fails
+RULE_TOL = mc.ToleranceConfig(rank_rtol=1e-6, psd_atol=3e-10, residual_atol=7e-9)
+TOPS = np.array([0.0, 0.5, 1.0, 3.0, 7.25e5])
+
+
+def test_residual_bound_of_a_float_and_an_array():
+    expected = 7e-9 * np.maximum(1.0, TOPS)
+    bounds = RULE_TOL.residual_bound(TOPS)
+    np.testing.assert_array_equal(bounds, expected)
+    assert np.all(expected <= bounds)
+    assert not np.any(np.nextafter(expected, np.inf) <= bounds)
+    for norm, bound in zip(TOPS.tolist(), expected.tolist()):
+        value = RULE_TOL.residual_bound(norm)
+        assert type(value) is float
+        assert bound <= value and not np.nextafter(bound, np.inf) <= value
+
+
+def test_residual_bound_without_a_norm_is_absolute():
+    assert RULE_TOL.residual_bound() == 7e-9
+    assert RULE_TOL.residual_bound(0.25) == 7e-9
+
+
+@pytest.mark.parametrize("norm", [0.0, 0.5, 3.0, 7.25e5])
+def test_range_inclusion_passes_at_its_residual_bound(norm):
+    def range_ok(residual):
+        one = np.ones((1, 1), dtype=complex)
+        return dg.Factorization(one, one, RULE_TOL, one, one, norm, residual).range_ok
+
+    bound = 7e-9 * max(1.0, norm)
+    assert range_ok(bound)
+    assert not range_ok(np.nextafter(bound, np.inf))
+
+
+def test_eigenvalue_floor_of_a_float_and_an_array():
+    expected = -3e-10 * np.maximum(1.0, TOPS)
+    floors = RULE_TOL.eigenvalue_floor(TOPS)
+    np.testing.assert_array_equal(floors, expected)
+    assert np.all(expected >= floors)
+    assert not np.any(np.nextafter(expected, -np.inf) >= floors)
+    assert RULE_TOL.eigenvalue_floor() == -3e-10
+    for top, floor in zip(TOPS.tolist(), expected.tolist()):
+        value = RULE_TOL.eigenvalue_floor(top)
+        assert type(value) is float
+        assert floor >= value and not np.nextafter(floor, -np.inf) >= value
+
+
+@pytest.mark.parametrize("top", [0.5, 3.0, 7.25e5])
+def test_is_psd_passes_at_its_eigenvalue_floor(top):
+    # eigh returns a real diagonal's entries exactly
+    floor = -3e-10 * max(1.0, top)
+    assert mc.is_psd(np.diag([floor, top]), RULE_TOL)
+    assert not mc.is_psd(np.diag([np.nextafter(floor, -np.inf), top]), RULE_TOL)
+
+
+def test_rank_cut_of_a_float_and_an_array():
+    expected = 1e-6 * TOPS
+    np.testing.assert_array_equal(RULE_TOL.rank_cut(TOPS), expected)
+    for top, cut in zip(TOPS.tolist(), expected.tolist()):
+        assert RULE_TOL.rank_cut(top) == cut
+
+
+@pytest.mark.parametrize("top", [0.5, 3.0, 7.25e5])
+def test_rank_and_range_pairs_cut_at_the_same_value(top):
+    # a value exactly at the cut is dropped; the next float above counts
+    cut = 1e-6 * top
+    above = np.nextafter(cut, np.inf)
+    assert mc._rank_of(np.array([top, cut]), RULE_TOL) == 1
+    assert mc._rank_of(np.array([top, above]), RULE_TOL) == 2
+    assert mc.matrix_rank(np.diag([top, cut]), RULE_TOL) == 1
+    assert mc.matrix_rank(np.diag([top, above]), RULE_TOL) == 2
+    assert mc.HermitianSpectrum(np.diag([cut, top])).range_pairs(RULE_TOL)[0].tolist() == [top]
+    kept = mc.HermitianSpectrum(np.diag([above, top])).range_pairs(RULE_TOL)[0]
+    assert kept.tolist() == [above, top]
+
+
+def test_rules_on_an_empty_spectrum():
+    empty = np.zeros((0, 0))
+    assert mc._rank_of(np.zeros(0), RULE_TOL) == 0
+    assert mc.is_psd(empty, RULE_TOL)
+    w, v = mc.HermitianSpectrum(empty).range_pairs(RULE_TOL)
+    assert w.shape == (0,) and v.shape == (0, 0)
+    assert mc.sqrt_psd(np.zeros((3, 0, 0)), RULE_TOL).shape == (3, 0, 0)
+    # an all-zero PSD matrix has an empty range
+    assert mc.HermitianSpectrum(np.zeros((2, 2))).range_pairs(RULE_TOL)[0].shape == (0,)
+
+
 def test_matrix_json_round_trip():
     rng = np.random.default_rng(5)
     m = complex_gaussian(rng, 3, 4)

@@ -7,7 +7,7 @@ from conftest import complex_gaussian, count_lapack, rank_deficient, random_psd
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq import oracle as oc
-from opeq.errors import NotHermitian, NotSolvable, PreconditionFailed
+from opeq.errors import NotSolvable, PreconditionFailed
 
 
 # ---------------------------------------------------------------------------
@@ -41,39 +41,6 @@ def test_lsq_agrees_with_reduced_solution():
         d = dg.reduced_solution(dg.factorize(a, c))
         gap = mc.spectral_norm(oc.lsq_solve(a, c) - d)
         assert gap <= 1e-8 * max(1.0, mc.spectral_norm(d))
-
-
-# ---------------------------------------------------------------------------
-# quadratic-form probe
-
-
-def test_probe_positive_example():
-    assert oc.psd_quadratic_probe(np.array([[2, 1], [1, 1]], dtype=complex), probes=1000)
-
-
-def test_probe_finds_witness():
-    # x = (1, -1) gives quadratic form -2
-    assert not oc.psd_quadratic_probe(np.array([[0, 1], [1, 0]], dtype=complex), probes=50)
-
-
-def test_probe_boundary_case():
-    assert oc.psd_quadratic_probe(np.diag([1.0, 0.0]), probes=500)
-
-
-def test_probe_requires_hermitian():
-    with pytest.raises(NotHermitian):
-        oc.psd_quadratic_probe(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_probe_one_sided_soundness():
-    # a False probe must imply the eigenvalue test also says no
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        g = complex_gaussian(rng, n, n)
-        m = 0.5 * (g + g.conj().T)
-        if not oc.psd_quadratic_probe(m, probes=200, seed=9):
-            assert not mc.is_psd(m)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +278,29 @@ def test_property_suite_small_run_passes():
     assert set(report["properties"]) == set(oc.PROPERTY_NAMES)
     for entry in report["properties"].values():
         assert entry["trials"] == 8 and entry["failures"] == 0
+
+
+def test_property_suite_counts_a_raised_error_as_a_failed_trial(monkeypatch):
+    def raises_on_odd_trials(rng, spec, tol):
+        if rng.integers(2):
+            raise PreconditionFailed("no state", certificate={"why": "test"})
+        return None
+
+    monkeypatch.setattr(oc, "_PROPERTY_CHECKS", [("raises", raises_on_odd_trials)])
+    report = oc.property_suite(oc.TrialSpec(trials=6, seed=5))
+    entry = report["properties"]["raises"]
+    assert report["violations"] == entry["failures"] >= 1
+    assert entry["first_failure"]["detail"] == "PreconditionFailed: no state"
+    assert entry["first_failure"]["instance"] == {}
+
+
+def test_property_suite_lets_other_exceptions_through(monkeypatch):
+    def broken(rng, spec, tol):
+        raise TypeError("a bug, not a failed property")
+
+    monkeypatch.setattr(oc, "_PROPERTY_CHECKS", [("broken", broken)])
+    with pytest.raises(TypeError):
+        oc.property_suite(oc.TrialSpec(trials=1))
 
 
 def test_property_suite_deterministic():
