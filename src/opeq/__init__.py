@@ -77,14 +77,11 @@ from .projpair import (
     uniform_grid,
 )
 from .oracle import (
-    LambdaDiagnostic,
     TrialSpec,
     douglas_properties_check,
-    lambda_diagnostic,
     lsq_solve,
     positive_search,
     property_suite,
-    tn_sequence,
 )
 
 __version__ = "0.1.0"

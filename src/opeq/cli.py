@@ -329,7 +329,6 @@ def _cmd_perturb(args, tol) -> int:
 def _cmd_verify(args, tol) -> int:
     try:
         spec = oracle.TrialSpec(
-            dim_min=1,
             dim_max=args.max_dim,
             rank_policy=args.rank_policy,
             trials=args.trials,

@@ -177,7 +177,8 @@ def matrix_from_json(obj) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise MatrixFormatError(f"matrix JSON missing key {exc}") from exc
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+    # booleans are ints to isinstance, and valid only as entries
+    if not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in (rows, cols)):
         raise MatrixFormatError("rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise MatrixFormatError(f"data must hold exactly rows*cols = {rows * cols} entries")

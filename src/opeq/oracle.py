@@ -13,14 +13,14 @@ trial index, so any reported failure is reproducible bit for bit.  Haar
 unitaries are drawn in batches from that one stream: the stack of ``k`` is one
 normal draw and one stacked QR, with the numbers ``k`` single draws give.
 
-The ``T_n`` scan is one stacked call: the matrices along the schedule form
-one ``(k, n, n)`` stack, whose norms are one batched SVD and whose PSD and
-monotonicity tests are one ``eigvalsh`` each.
+The ``T_n`` scan runs only inside the ``tn_monotone_lambda_match`` property,
+on the fixed schedule ``n = 1, 2, 4, ..., 2^40``: the matrices along it form
+one ``(41, k, k)`` stack, whose norms are one batched SVD, and the PSD and
+monotonicity tests of its head ``T_1, ..., T_16`` are one ``eigvalsh`` each.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,42 +55,36 @@ from .matcore import (
 __all__ = [
     "GENERATOR_NAME",
     "DEFAULT_SEED",
-    "DEFAULT_N_MAX",
     "TrialSpec",
     "DouglasReport",
-    "LambdaDiagnostic",
     "lsq_solve",
     "positive_search",
     "douglas_properties_check",
-    "tn_matrix",
-    "tn_sequence",
-    "lambda_diagnostic",
     "property_suite",
-    "PROPERTY_NAMES",
 ]
 
 GENERATOR_NAME = "PCG64"
 DEFAULT_SEED = 20514
 
-# cap for the geometric schedule n = 1, 2, 4, ... used by the T_n diagnostic;
-# large enough to separate convergence from linear growth, small enough that
-# 1/n stays well above eigenvalue roundoff
-DEFAULT_N_MAX = 2**40
+# the geometric schedule n = 1, 2, 4, ..., 2^40 of the T_n scan: long enough to
+# separate convergence from linear growth, short enough that 1/n stays well
+# above eigenvalue roundoff.  The PSD and monotonicity tests read its head.
+_SCHEDULE = tuple(2**k for k in range(41))
+_HEAD = _SCHEDULE[:5]  # T_1, T_2, T_4, T_8, T_16
 
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """How to drive a randomized run: dimensions, rank policy, count, seed."""
+    """How to drive a randomized run: dimensions 1 to dim_max, rank policy, count, seed."""
 
-    dim_min: int = 1
     dim_max: int = 6
     rank_policy: str = "random"
     trials: int = 500
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not (1 <= self.dim_min <= self.dim_max <= 8):
-            raise ValueError("dimensions must satisfy 1 <= dim_min <= dim_max <= 8")
+        if not (1 <= self.dim_max <= 8):
+            raise ValueError("dimensions must satisfy 1 <= dim_max <= 8")
         if self.rank_policy not in ("full", "deficient", "random"):
             raise ValueError(f"unknown rank policy {self.rank_policy!r}")
         if self.trials < 1:
@@ -231,33 +225,12 @@ def douglas_properties_check(f: douglas.Factorization) -> DouglasReport:
 # lambda of the solvability report must match
 
 
-@dataclass(frozen=True)
-class LambdaDiagnostic:
-    """Outcome of scanning ``||T_n||`` along a geometric schedule.
-
-    ``estimate`` is the last norm on the schedule, or None when sustained
-    geometric growth marks the sequence as divergent.  ``converged`` means
-    the final doubling changed the norm by less than
-    ``residual_atol * (1 + estimate)``.
-    """
-
-    converged: bool
-    diverged: bool
-    estimate: float | None
-    n_max: int
-
-    def __post_init__(self):
-        if self.converged and self.diverged:
-            raise ValueError("a sequence cannot both converge and diverge")
-        if self.diverged != (self.estimate is None):
-            raise ValueError("estimate must be absent exactly when divergent")
-
-
 def _compressed_state(f: douglas.Factorization):
     """Eigendata of DP compressed to the row space of A, plus D(I - P) there.
 
     Returns ``(w, g)``: eigenvalues ``w`` of the compression, and ``g``
     such that ``T_n = g* diag(1 / (1/n + w)) g``.  Raises
+    :class:`~opeq.errors.NotSolvable` unless the equation is consistent, and
     :class:`PreconditionFailed` unless the compression is Hermitian PSD
     within tolerance.
     """
@@ -286,74 +259,30 @@ def _compressed_state(f: douglas.Factorization):
 
 
 def _tn_stack(w, g, n_values):
-    """The ``(len(n_values), k, k)`` stack of ``T_n`` from the state ``(w, g)``."""
+    """The ``(len(n_values), k, k)`` stack of ``T_n`` from the state ``(w, g)``.
+
+    ``T_n = (I - P) D* (1/n + DP)^{-1}|_{row space} D (I - P)`` is PSD and
+    nondecreasing in n.
+    """
     inv = 1.0 / (1.0 / np.asarray(n_values, dtype=np.float64)[:, np.newaxis] + w)
     return (g.conj().T * inv[:, np.newaxis, :]) @ g
 
 
-def _schedule(n_max: int):
-    if not (isinstance(n_max, int) and n_max >= 1):
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    return [2**k for k in range(n_max.bit_length())]
-
-
-def tn_matrix(f: douglas.Factorization, n_value: int) -> np.ndarray:
-    """Single compressed-resolvent term for one value of n (mainly for tests)."""
-    return _tn_stack(*_compressed_state(f), [n_value])[0]
-
-
-def tn_sequence(f: douglas.Factorization, n_max: int = DEFAULT_N_MAX):
-    """Norms ``||T_n||`` along the geometric schedule ``1, 2, 4, ..., n_max``.
-
-    ``T_n = (I - P) D* (1/n + DP)^{-1}|_{row space} D (I - P)`` is PSD and
-    nondecreasing in n.  Requires the equation to be consistent and the
-    compression of DP to be Hermitian PSD; otherwise
-    :class:`~opeq.errors.PreconditionFailed` (or
-    :class:`~opeq.errors.NotSolvable`) is raised.
-    """
-    w, g = _compressed_state(f)
-    schedule = _schedule(n_max)
-    return _tn_norms(_tn_stack(w, g, schedule), schedule)
-
-
-def _tn_norms(stack, schedule):
-    """``(n, ||T_n||)`` pairs from the stack of ``T_n`` along ``schedule``: one batched SVD."""
-    return [(n_value, float(norm)) for n_value, norm in zip(schedule, spectral_norms(stack))]
-
-
-def lambda_diagnostic(f: douglas.Factorization, n_max: int = DEFAULT_N_MAX) -> LambdaDiagnostic:
-    """Classify sup_n ||T_n|| as finite or divergent from the schedule norms.
+def _diagnose(norms, tol):
+    """``(converged, diverged)`` for the norms along the schedule; the estimate is the last.
 
     Convergence is declared when the final doubling moves the norm by less
     than ``residual_atol * (1 + estimate)``; divergence when, absent that,
     each of the last three doublings grew the norm by at least the factor
-    ``1 + psd_atol`` (linear growth in n doubles it).  A uniform bound on the
-    compressed resolvent norms would also certify finiteness; for matrices
-    that is exactly invertibility of DP on the range of DP, i.e. the range
-    equality R(D) = R(DP), which remains the authoritative test.
+    ``1 + psd_atol`` (linear growth in n doubles it).
     """
-    return _diagnose(tn_sequence(f, n_max), f.tol, n_max)
-
-
-def _diagnose(sequence, tol, n_max) -> LambdaDiagnostic:
-    norms = [norm for _, norm in sequence]
     estimate = norms[-1]
-    converged = (
-        len(norms) >= 2 and abs(norms[-1] - norms[-2]) < tol.residual_atol * (1.0 + estimate)
+    converged = abs(norms[-1] - norms[-2]) < tol.residual_atol * (1.0 + estimate)
+    tail = norms[-4:]
+    diverged = not converged and all(
+        tail[k + 1] >= (1.0 + tol.psd_atol) * tail[k] and tail[k + 1] > 0.0 for k in range(3)
     )
-    diverged = False
-    if not converged and len(norms) >= 4:
-        tail = norms[-4:]
-        diverged = all(
-            tail[k + 1] >= (1.0 + tol.psd_atol) * tail[k] and tail[k + 1] > 0.0
-            for k in range(3)
-        )
-    return LambdaDiagnostic(
-        converged=converged,
-        diverged=diverged,
-        estimate=None if diverged else estimate,
-        n_max=int(n_max),
-    )
+    return converged, diverged
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +370,7 @@ def _hermitian_but_never_positive(rng, n):
 
 def _consistent_pair(rng, spec: TrialSpec, flavor: str):
     """Dimensions and factors for one randomized AX = C instance."""
-    n = int(rng.integers(spec.dim_min, spec.dim_max + 1))
+    n = int(rng.integers(1, spec.dim_max + 1))
     rank = _pick_rank(rng, n, spec.rank_policy)
     a = random_operator(rng, n, n, rank)
     if flavor == "general":
@@ -469,8 +398,8 @@ def _fail(detail, **mats):
 
 
 def _check_penrose(rng, spec, tol):
-    rows = int(rng.integers(spec.dim_min, spec.dim_max + 1))
-    cols = int(rng.integers(spec.dim_min, spec.dim_max + 1))
+    rows = int(rng.integers(1, spec.dim_max + 1))
+    cols = int(rng.integers(1, spec.dim_max + 1))
     m = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
     mp = pinv(m, tol)
     scaled = tol.residual_bound(spectral_norm(m))
@@ -487,7 +416,7 @@ def _check_penrose(rng, spec, tol):
 
 
 def _check_sqrt_round_trip(rng, spec, tol):
-    n = int(rng.integers(spec.dim_min, spec.dim_max + 1))
+    n = int(rng.integers(1, spec.dim_max + 1))
     m = random_psd(rng, n, rank=_pick_rank(rng, n, spec.rank_policy))
     s = sqrt_psd(m, tol)
     resid = spectral_norm(s @ s - m)
@@ -499,8 +428,8 @@ def _check_sqrt_round_trip(rng, spec, tol):
 
 
 def _check_polar(rng, spec, tol):
-    rows = int(rng.integers(spec.dim_min, spec.dim_max + 1))
-    cols = int(rng.integers(spec.dim_min, spec.dim_max + 1))
+    rows = int(rng.integers(1, spec.dim_max + 1))
+    cols = int(rng.integers(1, spec.dim_max + 1))
     a = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
     u = polar_partial_isometry(a, tol)
     bound = tol.residual_bound()
@@ -574,8 +503,7 @@ def _check_hermitian_criterion(rng, spec, tol):
 def _check_positive_criteria(rng, spec, tol):
     pick = int(rng.integers(4))
     if pick == 3 and spec.dim_max >= 3:
-        lo = max(3, spec.dim_min)
-        n = int(rng.integers(lo, spec.dim_max + 1))
+        n = int(rng.integers(3, spec.dim_max + 1))
         a, c = _hermitian_but_never_positive(rng, n)
         expect = "blocked"
     else:
@@ -657,42 +585,48 @@ def _check_douglas_properties(rng, spec, tol):
 
 
 def _check_tn_lambda(rng, spec, tol):
+    """``||T_n||`` settles exactly when R(D) = R(DP), and then on the closed-form lambda.
+
+    A uniform bound on the compressed resolvent norms would also certify
+    finiteness; for matrices that is exactly invertibility of DP on the range
+    of DP, i.e. the range equality R(D) = R(DP), which remains the
+    authoritative test.  The scan only cross-checks it.
+    """
     if spec.dim_max >= 3 and rng.random() < 0.4:
-        lo = max(3, spec.dim_min)
-        n = int(rng.integers(lo, spec.dim_max + 1))
+        n = int(rng.integers(3, spec.dim_max + 1))
         a, c = _hermitian_but_never_positive(rng, n)
     else:
         a, c = _consistent_pair(rng, spec, "positive")[:2]
 
     f = douglas.factorize(a, c, tol)
-    schedule = _schedule(DEFAULT_N_MAX)
     # one stack of every T_n: the PSD and monotonicity tests read its head, the scan all of it
-    ts = _tn_stack(*_compressed_state(f), schedule)
-    head = ts[: len(_schedule(16))]
+    ts = _tn_stack(*_compressed_state(f), _SCHEDULE)
+    head = ts[: len(_HEAD)]
     steps = head[1:] - head[:-1]
     eigs = np.linalg.eigvalsh(0.5 * (head + head.conj().swapaxes(1, 2)))
     diffs = np.linalg.eigvalsh(0.5 * (steps + steps.conj().swapaxes(1, 2)))
     floors = tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1))
-    for k, n_value in enumerate(schedule[: len(head)]):
+    for k, n_value in enumerate(_HEAD):
         if eigs[k, 0] < floors[k]:
             return _fail(f"T_{n_value} is not PSD", a=a, c=c)
         if k and diffs[k - 1, 0] < floors[k]:
             return _fail(f"T_n not nondecreasing at n={n_value}", a=a, c=c)
 
-    diag = _diagnose(_tn_norms(ts, schedule), tol, DEFAULT_N_MAX)
+    norms = spectral_norms(ts).tolist()
+    converged, diverged = _diagnose(norms, tol)
+    estimate = norms[-1]
     report = douglas.solvability_report(f)
-    if report.dp_range_eq and not diag.converged:
+    if report.dp_range_eq and not converged:
         return _fail("ranges match but the T_n norms did not settle", a=a, c=c)
-    if not report.dp_range_eq and not diag.diverged:
+    if not report.dp_range_eq and not diverged:
         return _fail("ranges differ but the T_n norms did not diverge", a=a, c=c)
     # the scan's own convergence rule bounds how far the closed form may sit
-    if diag.converged and (
+    if converged and (
         report.lambda_estimate is None
-        or abs(report.lambda_estimate - diag.estimate) > tol.residual_atol * (1.0 + diag.estimate)
+        or abs(report.lambda_estimate - estimate) > tol.residual_atol * (1.0 + estimate)
     ):
         return _fail(
-            f"closed-form lambda {report.lambda_estimate!r} misses the T_n limit "
-            f"{diag.estimate!r}",
+            f"closed-form lambda {report.lambda_estimate!r} misses the T_n limit {estimate!r}",
             a=a,
             c=c,
         )
@@ -731,8 +665,6 @@ _PROPERTY_CHECKS = [
     ("positive_search_consistency", _check_positive_search),
 ]
 
-PROPERTY_NAMES = [name for name, _ in _PROPERTY_CHECKS]
-
 
 def property_suite(spec: TrialSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> dict:
     """Run every named property for ``spec.trials`` seeded trials each.
@@ -768,7 +700,7 @@ def property_suite(spec: TrialSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
         "generator": GENERATOR_NAME,
         "seed": spec.seed,
         "trials_per_property": spec.trials,
-        "dim_min": spec.dim_min,
+        "dim_min": 1,
         "dim_max": spec.dim_max,
         "rank_policy": spec.rank_policy,
         "properties": properties,

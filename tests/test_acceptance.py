@@ -158,7 +158,7 @@ def test_criterion_5_perturbation_realization():
 
 def test_criterion_6_property_suite():
     t0 = time.perf_counter()
-    spec = oc.TrialSpec(dim_min=1, dim_max=6, rank_policy="random", trials=200)
+    spec = oc.TrialSpec(dim_max=6, rank_policy="random", trials=200)
     suite = oc.property_suite(spec)
     elapsed = time.perf_counter() - t0
     required = [

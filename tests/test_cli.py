@@ -296,6 +296,19 @@ VERIFY_DIGESTS = {
     ("--trials", "40", "--seed", "20514"): (
         "96a0d6564b3ff1a136bb48e54588d994e7c9c269835d50ef1761cda5db74ee8d"
     ),
+    # the smallest and largest --max-dim, and each fixed rank policy
+    ("--trials", "10", "--max-dim", "3", "--seed", "1000"): (
+        "21156cbfbd2e879469fb38929286664257838105e8dc9cd95fab76f6abc8fd83"
+    ),
+    ("--trials", "10", "--max-dim", "8", "--seed", "1000"): (
+        "21013ad950e1650dd17c2172dbed05bb18252dc4106b12077abc877c62d9572f"
+    ),
+    ("--trials", "10", "--max-dim", "6", "--seed", "1000", "--rank-policy", "full"): (
+        "f0d450b958fa75b213fe7cb10b75988c26559f180664efb0bb121cc3575dc1c7"
+    ),
+    ("--trials", "10", "--max-dim", "6", "--seed", "1000", "--rank-policy", "deficient"): (
+        "de6603edd80dffc0fab2b274899a8eac9a162825412f9e46b9d6acda787f19a6"
+    ),
 }
 
 
@@ -336,6 +349,13 @@ def test_huge_integer_entry_is_input_error(capsys, tmp_path, digits, message):
     huge.write_text('{"rows": 1, "cols": 2, "data": [[1, 0], [1' + "0" * (digits - 1) + ", 0]]}")
     code, _, err = run_cli(capsys, "check", "--a", str(huge), "--c", str(huge))
     assert code == 1 and err.startswith("error: ") and message in err
+
+
+def test_boolean_dimensions_are_input_error(capsys, tmp_path):
+    flags = tmp_path / "flags.json"
+    flags.write_text('{"rows": true, "cols": true, "data": [[2, 0]]}')
+    code, _, err = run_cli(capsys, "check", "--a", str(flags), "--c", str(flags))
+    assert code == 1 and err.startswith("error: ") and "rows and cols must be positive integers" in err
 
 
 def test_shape_mismatch_exit(capsys, tmp_path):

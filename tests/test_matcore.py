@@ -149,6 +149,8 @@ def test_matrix_json_round_trip():
         {"rows": 1, "cols": 1, "data": [[1.0]]},
         {"rows": 1, "cols": 1, "data": ["x"]},
         {"rows": 1, "cols": 1, "data": [[10**400, 0]]},
+        {"rows": True, "cols": True, "data": [[2, 0]]},
+        {"rows": 2, "cols": True, "data": [[2, 0], [1, 0]]},
     ],
 )
 def test_matrix_json_rejects_garbage(obj):

@@ -112,16 +112,25 @@ def test_douglas_check_random():
 
 
 # ---------------------------------------------------------------------------
-# T_n sequences and the lambda diagnostic
+# the T_n scan of the tn_monotone_lambda_match property
+
+
+def _scan(f):
+    """The property's scan: the schedule's norms and its ``(converged, diverged)``."""
+    norms = mc.spectral_norms(oc._tn_stack(*oc._compressed_state(f), oc._SCHEDULE)).tolist()
+    return norms, oc._diagnose(norms, f.tol)
+
+
+def _property_index(name):
+    return [entry for entry, _ in oc._PROPERTY_CHECKS].index(name)
 
 
 def test_tn_sequence_fixture(rank1_pair):
     a, c = rank1_pair
-    seq = oc.tn_sequence(dg.factorize(a, c), n_max=8)
-    expected = {n: n / (1 + 2 * n) for n in (1, 2, 4, 8)}
-    assert [n for n, _ in seq] == [1, 2, 4, 8]
-    for n, norm in seq:
-        assert norm == pytest.approx(expected[n], rel=1e-12)
+    norms, _ = _scan(dg.factorize(a, c))
+    assert oc._HEAD[:4] == (1, 2, 4, 8)
+    for n, norm in zip(oc._HEAD[:4], norms):
+        assert norm == pytest.approx(n / (1 + 2 * n), rel=1e-12)
 
 
 def test_tn_limit_matches_closed_form(rank1_pair):
@@ -132,32 +141,31 @@ def test_tn_limit_matches_closed_form(rank1_pair):
     ip = np.eye(2) - p
     limit = mc.spectral_norm(ip @ d.conj().T @ mc.pinv(d @ p) @ d @ ip)
     assert limit == pytest.approx(0.5, abs=1e-12)
-    diag = oc.lambda_diagnostic(f)
-    assert diag.converged and not diag.diverged
-    assert diag.estimate == pytest.approx(limit, abs=1e-6)
+    norms, (converged, diverged) = _scan(f)
+    assert converged and not diverged
+    assert norms[-1] == pytest.approx(limit, abs=1e-6)
 
 
 def test_tn_sequence_c_equals_a():
     rng = np.random.default_rng(61)
     a = rank_deficient(rng, 3, 3, 2)
-    for _, norm in oc.tn_sequence(dg.factorize(a, a), n_max=16):
-        assert norm <= 1e-12
+    norms, _ = _scan(dg.factorize(a, a))
+    assert max(norms) <= 1e-12
 
 
 def test_tn_sequence_divergent(hermitian_only_pair):
     a, c = hermitian_only_pair
-    f = dg.factorize(a, c)
-    for n, norm in oc.tn_sequence(f, n_max=16):
+    norms, (converged, diverged) = _scan(dg.factorize(a, c))
+    for n, norm in zip(oc._HEAD, norms):
         assert norm == pytest.approx(float(n), rel=1e-9)
-    diag = oc.lambda_diagnostic(f)
-    assert diag.diverged and not diag.converged and diag.estimate is None
+    assert diverged and not converged
 
 
 def test_tn_monotone_loewner(rank1_pair):
-    f = dg.factorize(*rank1_pair)
+    # 3 and 5 are off the schedule
+    ts = oc._tn_stack(*oc._compressed_state(dg.factorize(*rank1_pair)), [1, 2, 3, 4, 5, 8, 16, 32])
     prev = None
-    for n in (1, 2, 3, 4, 5, 8, 16, 32):
-        t = oc.tn_matrix(f, n)
+    for t in ts:
         assert np.linalg.eigvalsh(t)[0] >= -1e-12
         if prev is not None:
             assert np.linalg.eigvalsh(t - prev)[0] >= -1e-12
@@ -167,7 +175,7 @@ def test_tn_monotone_loewner(rank1_pair):
 def test_tn_precondition(rank1_pair):
     # DP must be PSD on the row space: A = I, C = -I gives DP = -I
     with pytest.raises(PreconditionFailed):
-        oc.tn_sequence(dg.factorize(np.eye(2), -np.eye(2)), n_max=4)
+        oc._compressed_state(dg.factorize(np.eye(2), -np.eye(2)))
 
 
 def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
@@ -179,8 +187,8 @@ def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
 
     monkeypatch.setattr(dg, "factorize", factorize)
     log = count_lapack(monkeypatch)
-    spec = oc.TrialSpec(dim_min=1, dim_max=6, trials=12, seed=7)
-    prop = oc.PROPERTY_NAMES.index("tn_monotone_lambda_match")
+    spec = oc.TrialSpec(dim_max=6, trials=12, seed=7)
+    prop = _property_index("tn_monotone_lambda_match")
     for trial in range(spec.trials):
         log.clear()
         rng = oc._sub_rng(spec.seed, prop, trial)
@@ -196,23 +204,23 @@ def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
 
 
 def test_tn_stack_matches_one_matrix_at_a_time():
-    spec = oc.TrialSpec(dim_min=1, dim_max=6, trials=1)
+    spec = oc.TrialSpec(dim_max=6, trials=1)
     for seed in range(20):
         rng = np.random.default_rng(seed)
         a, c = oc._consistent_pair(rng, spec, "positive")[:2]
-        f = dg.factorize(a, c)
-        w, g = oc._compressed_state(f)
-        for n, norm in oc.tn_sequence(f):
+        w, g = oc._compressed_state(dg.factorize(a, c))
+        norms = mc.spectral_norms(oc._tn_stack(w, g, oc._SCHEDULE))
+        for n, norm in zip(oc._SCHEDULE, norms):
             t = (g.conj().T * (1.0 / (1.0 / float(n) + w))) @ g
-            np.testing.assert_array_equal(oc.tn_matrix(f, n), t)
+            np.testing.assert_array_equal(oc._tn_stack(w, g, [n])[0], t)
             assert norm == float(np.linalg.norm(t, 2))
 
 
 def test_tn_check_takes_the_schedule_norms_in_one_call(monkeypatch):
     log = count_lapack(monkeypatch)
-    spec = oc.TrialSpec(dim_min=1, dim_max=6, trials=12, seed=7)
-    prop = oc.PROPERTY_NAMES.index("tn_monotone_lambda_match")
-    schedule = len(oc._schedule(oc.DEFAULT_N_MAX))
+    spec = oc.TrialSpec(dim_max=6, trials=12, seed=7)
+    prop = _property_index("tn_monotone_lambda_match")
+    schedule = len(oc._SCHEDULE)
     for trial in range(spec.trials):
         log.clear()
         rng = oc._sub_rng(spec.seed, prop, trial)
@@ -248,8 +256,8 @@ def test_batched_unitaries_match_one_at_a_time_draws(n):
 def test_lambda_c_equals_a():
     rng = np.random.default_rng(67)
     a = rank_deficient(rng, 4, 4, 2)
-    diag = oc.lambda_diagnostic(dg.factorize(a, a))
-    assert diag.converged and diag.estimate == pytest.approx(0.0, abs=1e-12)
+    norms, (converged, _) = _scan(dg.factorize(a, a))
+    assert converged and norms[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +267,23 @@ def test_lambda_c_equals_a():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"dim_min": 0},
         {"dim_max": 9},
-        {"dim_min": 5, "dim_max": 3},
+        {"dim_max": 0},
         {"rank_policy": "bogus"},
         {"trials": 0},
         {"seed": -1},
     ],
 )
 def test_trial_spec_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         oc.TrialSpec(**kwargs)
+    assert "dim_min" not in str(info.value)
 
 
 def test_property_suite_small_run_passes():
     report = oc.property_suite(oc.TrialSpec(trials=8, seed=123))
     assert report["violations"] == 0
-    assert set(report["properties"]) == set(oc.PROPERTY_NAMES)
+    assert list(report["properties"]) == [name for name, _ in oc._PROPERTY_CHECKS]
     for entry in report["properties"].values():
         assert entry["trials"] == 8 and entry["failures"] == 0
 
@@ -311,5 +319,5 @@ def test_property_suite_deterministic():
 
 
 def test_property_suite_scalar_dims():
-    report = oc.property_suite(oc.TrialSpec(dim_min=1, dim_max=1, trials=8, seed=11))
+    report = oc.property_suite(oc.TrialSpec(dim_max=1, trials=8, seed=11))
     assert report["violations"] == 0
