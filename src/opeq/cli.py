@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -65,6 +66,7 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(message)
 
 
+@cache  # built on first use, once per process; parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")

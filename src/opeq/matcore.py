@@ -38,6 +38,7 @@ __all__ = [
     "matrix_to_wire",
     "spectral_norm",
     "spectral_norms",
+    "max_spectral_norm",
     "hermitian_deviation",
     "pinv",
     "matrix_rank",
@@ -329,6 +330,55 @@ def spectral_norms(stack) -> np.ndarray:
     return np.max(np.linalg.svd(stack, compute_uv=False), axis=-1, initial=0.0)
 
 
+# relative widening of both Frobenius bounds; far above the rounding of a sum
+# of squares and of zgesdd, so a matrix within rounding of a decision always
+# gets its exact norm
+_BOUND_SLACK = 1e-6
+# above this Frobenius norm, the squares that underflow to subnormals or zero
+# are far below the rounding of the sum
+_FROBENIUS_FLOOR = 1e-150
+
+
+def _norm_bounds(stack):
+    """Bounds ``(lo, hi)`` on the zgesdd 2-norm of each matrix of a ``(k, r, c)`` stack.
+
+    ``||M||_F / sqrt(min(r, c)) <= ||M||_2 <= ||M||_F``, each widened by
+    ``_BOUND_SLACK``.  The Frobenius norm is a plain sum of squares, which
+    overflows above about 1e154 and drops squares below the least subnormal,
+    so a matrix whose Frobenius norm is not finite, or below
+    ``_FROBENIUS_FLOOR``, gets ``(0, inf)``; an exactly zero one gets ``(0, 0)``.
+    """
+    stack = np.ascontiguousarray(stack, dtype=np.complex128)
+    _, rows, cols = stack.shape
+    parts = stack.view(np.float64)
+    fro = np.sqrt(np.einsum("kij,kij->k", parts, parts))
+    sure = (fro >= _FROBENIUS_FLOOR) & (fro < np.inf)
+    lo = np.where(sure, fro * ((1.0 - _BOUND_SLACK) / math.sqrt(max(1, min(rows, cols)))), 0.0)
+    hi = np.where(sure, fro * (1.0 + _BOUND_SLACK), np.inf)
+    if not sure.all():
+        hi[~parts.any(axis=(1, 2))] = 0.0
+    return lo, hi
+
+
+def max_spectral_norm(stack, floor: float = 0.0) -> float:
+    """``max(floor, ||M||)`` over the matrices M of a ``(k, r, c)`` stack.
+
+    Only the matrices whose Frobenius bound can still reach the max -- above
+    ``floor`` and above every other matrix's lower bound -- go to one
+    :func:`spectral_norms` call, and no call is made when none is left.  Each
+    norm has the bits of the full batch's, so the result is
+    ``max(floor, np.max(spectral_norms(stack)))`` bit for bit.  A grid walked
+    block by block with the running max as ``floor`` reaches zgesdd only
+    where that max can still grow.
+    """
+    stack = np.asarray(stack, dtype=np.complex128)
+    lo, hi = _norm_bounds(stack)
+    reach = np.flatnonzero(hi > max(floor, np.max(lo, initial=0.0)))
+    if not reach.size:
+        return floor
+    return max(floor, float(np.max(spectral_norms(stack[reach]))))
+
+
 def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
 
@@ -339,8 +389,11 @@ def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     clamped to zero (roundoff from upstream products), and anything more
     negative raises :class:`NotPSD`.  For a stack the certificate carries the
     ``index`` of the first failing matrix.  A single matrix is the stack of
-    one, so both shapes run the same batched calls: one SVD per norm and one
-    ``eigh``.
+    one, so both shapes run the same batched calls.  A matrix passes the
+    Hermitian test without an SVD when ``||M - M*||_F`` is within the bound
+    of ``||M||_F / sqrt(n)`` (see :func:`_norm_bounds`); the others take both
+    2-norms from one SVD call each, none when there are no others, so a
+    certificate carries the exact deviation.  One ``eigh`` takes the roots.
     """
     a = _as_complex_array(m, (2, 3), "a matrix or a stack of matrices")
     stacked = a.ndim == 3
@@ -355,15 +408,18 @@ def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
         return NotPSD(f"matrix {message}", certificate=certificate)
 
     a_star = a.conj().swapaxes(1, 2)
-    dev = spectral_norms(a - a_star)
-    bad = np.flatnonzero(dev > tol.residual_bound(spectral_norms(a)))
-    if bad.size:
-        i = int(bad[0])
-        raise failure(
-            i,
-            f"is not Hermitian (deviation {dev[i]:.3e})",
-            {"hermitian_deviation": float(dev[i])},
-        )
+    skew = a - a_star
+    unsure = np.flatnonzero(_norm_bounds(skew)[1] > tol.residual_bound(_norm_bounds(a)[0]))
+    if unsure.size:
+        dev = spectral_norms(skew[unsure])
+        bad = np.flatnonzero(dev > tol.residual_bound(spectral_norms(a[unsure])))
+        if bad.size:
+            j = int(bad[0])
+            raise failure(
+                int(unsure[j]),
+                f"is not Hermitian (deviation {dev[j]:.3e})",
+                {"hermitian_deviation": float(dev[j])},
+            )
     w, v = np.linalg.eigh(0.5 * (a + a_star))
     floor = tol.psd_atol * np.max(np.abs(w), axis=-1, initial=0.0)
     # the least eigenvalue, or 0 for an empty matrix; below -floor exactly when w[0] is

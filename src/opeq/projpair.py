@@ -39,7 +39,7 @@ from .errors import BadEpsilon, BadGridSize, MatrixFormatError, NotPSD
 from .matcore import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
-    spectral_norms,
+    max_spectral_norm,
     sqrt_psd,
 )
 
@@ -66,9 +66,9 @@ __all__ = [
 
 CSV_HEADER = ["t", "re11", "im11", "re12", "im12", "re21", "im21", "re22", "im22"]
 
-# nodes per batched LAPACK call in equation_residual_max and per write in
-# write_csv; 256 to 1024 ran about equally fast at 10^5 nodes, and blocks
-# keep the temporaries small for any grid size
+# nodes per batched LAPACK call in sup_distance and equation_residual_max and
+# per write in write_csv; 256 to 1024 ran about equally fast at 10^5 nodes,
+# and blocks keep the temporaries small for any grid size
 _BLOCK_NODES = 512
 
 
@@ -347,10 +347,20 @@ def algebra_membership(f: GridFunction, tol: ToleranceConfig = DEFAULT_TOLERANCE
 
 
 def sup_distance(f: GridFunction, g: GridFunction) -> float:
-    """Max over shared nodes of the operator-norm distance between values."""
+    """Max over shared nodes of the operator-norm distance between values.
+
+    The nodes are processed in blocks of ``_BLOCK_NODES``, each one
+    :func:`opeq.matcore.max_spectral_norm` call with the running max as its
+    floor, so only nodes whose distance can still raise the max reach zgesdd
+    and the temporaries stay the size of one block.
+    """
     if f.grid.n_points != g.grid.n_points:
         raise MatrixFormatError("grid functions live on different grids")
-    return float(np.max(spectral_norms(f.values - g.values)))
+    worst = 0.0
+    for lo in range(0, f.grid.n_points, _BLOCK_NODES):
+        nodes = slice(lo, lo + _BLOCK_NODES)
+        worst = max_spectral_norm(f.values[nodes] - g.values[nodes], worst)
+    return worst
 
 
 def equation_residual_max(
@@ -366,7 +376,8 @@ def equation_residual_max(
     checks), never taken from the closed forms used to build candidate
     solutions, so the check stays independent of them.  The nodes are
     processed in blocks of ``_BLOCK_NODES``: one stacked ``sqrt_psd`` call
-    and one batched 2-norm per block, so the LAPACK call count grows with
+    and one :func:`opeq.matcore.max_spectral_norm` call, with the running
+    max as its floor, per block, so the LAPACK call count grows at most with
     the number of blocks, not of nodes, while the temporaries stay the size
     of one block.  ``x`` may be partial, in which case t = 0 is skipped.
     A node where ``P + Q`` is not PSD raises :class:`NotPSD` whose
@@ -385,8 +396,7 @@ def equation_residual_max(
                 f"P + Q is not PSD at grid node {node} (t = {p.grid.points[node]!r})",
                 certificate={**exc.certificate, "index": node},
             ) from exc
-        resid = spectral_norms(root @ x.values[lo : lo + _BLOCK_NODES] - p_vals)
-        worst = max(worst, float(np.max(resid)))
+        worst = max_spectral_norm(root @ x.values[lo : lo + _BLOCK_NODES] - p_vals, worst)
     return worst
 
 

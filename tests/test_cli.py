@@ -377,6 +377,35 @@ def test_bad_tolerance_override(capsys, rank1_files):
     assert code == 1 and "error" in err
 
 
+def _outputs(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["perturb", "--n", "many", "--eps", "0.1"],  # argparse's own usage error
+        ["perturb", "--n", "200"],  # a missing required option
+        ["twoproj"],
+        ["frobnicate"],
+        ["check", "--a", "x.json", "--c", "y.json", "--rank-rtol", "2.0"],  # rejected after parsing
+    ],
+)
+def test_parser_is_built_once_and_survives_usage_errors(capsys, rank1_files, bad):
+    good = ["check", "--a", rank1_files[0], "--c", rank1_files[1], "--residual-atol", "1e-6"]
+    cli._build_parser.cache_clear()
+    fresh = [_outputs(capsys, *bad), _outputs(capsys, *good)]
+    cli._build_parser.cache_clear()
+    fresh_good = _outputs(capsys, *good)
+    assert cli._build_parser() is cli._build_parser()
+    # the same parser, after an error: the same exit codes and bytes as fresh calls
+    assert [_outputs(capsys, *bad), _outputs(capsys, *good)] == fresh
+    assert fresh[1] == fresh_good and fresh_good[0] == 0
+    assert fresh[0][0] == 1 and fresh[0][2].startswith("usage: opeq") == (bad[0] != "check")
+
+
 def test_out_file(capsys, tmp_path, rank1_files):
     out = tmp_path / "report.json"
     code, payload, _ = run_cli(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian, rank_deficient, random_psd
+from conftest import complex_gaussian, count_lapack, rank_deficient, random_psd
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq.errors import MatrixFormatError, NotPSD, ShapeMismatch
@@ -379,6 +379,241 @@ def test_sqrt_psd_stack_shape_checks():
     bad[1, 0, 0] = np.nan
     with pytest.raises(MatrixFormatError):
         mc.sqrt_psd(bad)
+
+
+# ---------------------------------------------------------------------------
+# Frobenius-screened norms, against the unscreened code they replace
+
+
+def sqrt_psd_unscreened(m, tol=mc.DEFAULT_TOLERANCES):
+    """``sqrt_psd`` with both 2-norms of every matrix taken by zgesdd."""
+    a = np.asarray(m, dtype=complex)
+    stacked = a.ndim == 3
+    a = a if stacked else a[np.newaxis]
+
+    def failure(i, message, certificate):
+        if stacked:
+            return NotPSD(f"matrix {i} of the stack {message}", certificate={**certificate, "index": i})
+        return NotPSD(f"matrix {message}", certificate=certificate)
+
+    a_star = a.conj().swapaxes(1, 2)
+    dev = mc.spectral_norms(a - a_star)
+    bad = np.flatnonzero(dev > tol.residual_bound(mc.spectral_norms(a)))
+    if bad.size:
+        i = int(bad[0])
+        raise failure(
+            i, f"is not Hermitian (deviation {dev[i]:.3e})", {"hermitian_deviation": float(dev[i])}
+        )
+    w, v = np.linalg.eigh(0.5 * (a + a_star))
+    floor = tol.psd_atol * np.max(np.abs(w), axis=-1, initial=0.0)
+    lowest = np.min(w, axis=-1, initial=0.0)
+    bad = np.flatnonzero(lowest < -floor)
+    if bad.size:
+        i = int(bad[0])
+        raise failure(
+            i,
+            f"has eigenvalue {lowest[i]:.6e} below -psd_atol*norm = {-floor[i]:.6e}",
+            {"min_eigenvalue": float(lowest[i]), "floor": float(-floor[i])},
+        )
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
+    return roots if stacked else roots[0]
+
+
+def _sqrt_outcome(fn, m, tol):
+    try:
+        return fn(m, tol), None
+    except NotPSD as exc:
+        return None, (str(exc), exc.certificate)
+
+
+def assert_screen_keeps_sqrt_psd(m, tol=mc.DEFAULT_TOLERANCES):
+    """Same roots, or the same NotPSD message and certificate, as the unscreened code."""
+    root, failure = _sqrt_outcome(mc.sqrt_psd, m, tol)
+    ref_root, ref_failure = _sqrt_outcome(sqrt_psd_unscreened, m, tol)
+    assert failure == ref_failure
+    if ref_failure is None:
+        np.testing.assert_array_equal(root, ref_root)
+    return ref_failure
+
+
+def assert_screen_keeps_max(stack, floor=0.0):
+    """The screened max has the bits of the max of every zgesdd norm."""
+    expected = max(floor, float(np.max(mc.spectral_norms(stack), initial=0.0)))
+    got = mc.max_spectral_norm(stack, floor)
+    assert type(got) is float and got.hex() == expected.hex()
+
+
+def near_hermitian_stack(rng, n, k, skew):
+    """k PSD matrices M of size n and random rank, each plus a skew-Hermitian part of norm skew*||M||."""
+    stack = []
+    for _ in range(k):
+        m = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+        g = complex_gaussian(rng, n, n)
+        g = g - g.conj().T
+        stack.append(m + skew * mc.spectral_norm(m) * g / mc.spectral_norm(g))
+    return np.array(stack)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sqrt_psd_screen_matches_unscreened(n):
+    rng = np.random.default_rng(40 + n)
+    failures = set()
+    # skews of 3e-9 and 1e-8 put deviations of 6e-9 and 2e-8 times ||M|| on
+    # both sides of the residual bound
+    for skew in (0.0, 1e-15, 1e-10, 3e-9, 1e-8, 1e-6):
+        for scale in (1e-3, 1.0, 1e3):
+            stack = scale * near_hermitian_stack(rng, n, 40, skew)
+            failures.add(assert_screen_keeps_sqrt_psd(stack) is None)
+            for m in stack[:6]:
+                assert_screen_keeps_sqrt_psd(m)
+    assert failures == {True, False}
+    rank1 = np.array([random_psd(rng, n, rank=1) for _ in range(7)])
+    assert assert_screen_keeps_sqrt_psd(rank1) is None
+    assert assert_screen_keeps_sqrt_psd(np.array([rank_deficient(rng, n, n, 1) for _ in range(7)]))
+    indefinite = np.array([m - 2 * mc.spectral_norm(m) * np.eye(n) for m in rank1])
+    assert "min_eigenvalue" in assert_screen_keeps_sqrt_psd(indefinite)[1]
+    for empty in (np.zeros((4, n, n)), np.zeros((0, n, n)), np.zeros((3, 0, 0))):
+        assert assert_screen_keeps_sqrt_psd(empty) is None
+
+
+@pytest.mark.parametrize("key", ["hermitian_deviation", "min_eigenvalue"])
+def test_sqrt_psd_screen_finds_a_late_failure(key):
+    # matrices 100 to 199 sit close enough to the bound that some take the
+    # exact path and pass; the first failure is matrix 700
+    rng = np.random.default_rng(47)
+    stack = near_hermitian_stack(rng, 2, 2 * 512 + 37, 1e-10)
+    stack[100:200] = near_hermitian_stack(rng, 2, 100, 3e-9)
+    stack[700] = stack[900] = [[1, 1], [0, 1]] if key == "hermitian_deviation" else -np.eye(2)
+    message, certificate = assert_screen_keeps_sqrt_psd(stack)
+    assert certificate["index"] == 700 and key in certificate
+    assert message.startswith("matrix 700 of the stack")
+
+
+def skewed(n, diagonal, b):
+    """``diagonal * I`` plus a skew part of 2-norm ``2 b``: ``[[d + i b]]`` or ``[[d, b], [-b, d]]``."""
+    if n == 1:
+        return np.array([[diagonal + 1j * b]])
+    return np.array([[diagonal, b], [-b, diagonal]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "n, diagonal, b",
+    [
+        (1, 0.5, 0.5e-8),  # deviation 1e-8 at the absolute bound
+        (2, 0.5, 0.5e-8),  # the same, in a 2x2
+        (2, 4.0, 2e-8),  # deviation 4e-8 at 1e-8 * ||M||
+    ],
+)
+def test_sqrt_psd_screen_at_the_residual_bound(n, diagonal, b):
+    tol = mc.DEFAULT_TOLERANCES
+    m = skewed(n, diagonal, b)
+    assert mc.hermitian_deviation(m) == tol.residual_bound(mc.spectral_norm(m))
+    assert assert_screen_keeps_sqrt_psd(m) is None
+    above = skewed(n, diagonal, np.nextafter(b, 1.0))
+    deviation = mc.hermitian_deviation(above)
+    assert deviation == np.nextafter(tol.residual_bound(mc.spectral_norm(above)), 1.0)
+    assert assert_screen_keeps_sqrt_psd(above)[1] == {"hermitian_deviation": deviation}
+    stack = np.array([np.eye(m.shape[0]), m, above])
+    assert assert_screen_keeps_sqrt_psd(stack)[1]["index"] == 2
+
+
+def test_screen_slack_covers_rounding():
+    # the deviation i v v* has rank one, so its Frobenius and 2-norms agree and
+    # their computed values can land an ulp apart either way; a bound or floor
+    # set to the Frobenius value then decides by rounding alone
+    rng = np.random.default_rng(2)
+    rounded_below = 0
+    for _ in range(40):
+        v = 1e-4 * complex_gaussian(rng, 2, 1)
+        m = 0.25 * np.eye(2) + 0.5j * (v @ v.conj().T)
+        skew = m - m.conj().T
+        fro = float(np.sqrt(np.sum(skew.real**2 + skew.imag**2)))
+        rounded_below += mc.hermitian_deviation(m) > fro
+        assert_screen_keeps_sqrt_psd(m, mc.ToleranceConfig(residual_atol=fro))
+        assert_screen_keeps_max(skew[np.newaxis], fro)
+    assert rounded_below > 0
+
+
+def test_sqrt_psd_screen_survives_overflow_and_underflow():
+    # a plain sum of squares gives an infinite deviation and norm to the first
+    # and a zero deviation to the second, and either passes a naive screen
+    huge = np.array([[1e200, 1e200], [0, 1e200]])
+    assert assert_screen_keeps_sqrt_psd(huge)[1] == {"hermitian_deviation": 1e200}
+    assert assert_screen_keeps_sqrt_psd(np.array([np.eye(2), huge]))[1]["index"] == 1
+    tiny = np.array([[1, 1e-170], [0, 1]])
+    strict = mc.ToleranceConfig(residual_atol=1e-300)
+    assert assert_screen_keeps_sqrt_psd(tiny, strict)[1] == {"hermitian_deviation": 1e-170}
+    assert assert_screen_keeps_sqrt_psd(tiny) is None
+    # a huge Hermitian matrix still has its root
+    assert assert_screen_keeps_sqrt_psd(np.array([[1e200, 1e199], [1e199, 1e200]])) is None
+
+
+def test_sqrt_psd_screen_at_an_extreme_residual_atol():
+    strict = mc.ToleranceConfig(residual_atol=1e-300)
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 5):
+        for skew in (0.0, 1e-17, 1e-12):
+            assert_screen_keeps_sqrt_psd(near_hermitian_stack(rng, n, 20, skew), strict)
+    # exactly Hermitian nodes, as P + Q on a grid, pass at any tolerance
+    symmetric = near_hermitian_stack(rng, 3, 20, 0.0).real
+    symmetric = symmetric + symmetric.swapaxes(1, 2)
+    assert assert_screen_keeps_sqrt_psd(symmetric, strict) is None
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_max_spectral_norm_has_the_bits_of_every_norm(n):
+    rng = np.random.default_rng(60 + n)
+    for cols in (1, n, 6):
+        for scale in (1e-160, 1e-3, 1.0, 1e150):
+            stack = np.array([complex_gaussian(rng, n, cols) for _ in range(50)])
+            assert_screen_keeps_max(scale * stack)
+        assert_screen_keeps_max(np.array([rank_deficient(rng, n, cols, 1) for _ in range(50)]))
+    assert_screen_keeps_max(np.zeros((5, n, n)))
+    assert_screen_keeps_max(np.zeros((0, n, n)))
+    assert_screen_keeps_max(np.zeros((3, n, 0)))
+    # ties: one matrix, and unitary rotations of it, many times over
+    m = complex_gaussian(rng, n, n)
+    u = np.linalg.qr(complex_gaussian(rng, n, n))[0]
+    assert_screen_keeps_max(np.array([m, u @ m, m @ u, m] * 20))
+
+
+def test_max_spectral_norm_with_a_running_floor():
+    # a slowly varying norm, walked in blocks with the running max as floor
+    rng = np.random.default_rng(71)
+    t = np.linspace(0.0, 1.0, 2 * 512 + 37)
+    noise = np.array([complex_gaussian(rng, 2, 2) for _ in t])
+    stack = np.sin(3 * t)[:, np.newaxis, np.newaxis] * complex_gaussian(rng, 2, 2) + 1e-3 * noise
+    worst = 0.0
+    for lo in range(0, t.size, 512):
+        assert_screen_keeps_max(stack[lo : lo + 512], worst)
+        worst = mc.max_spectral_norm(stack[lo : lo + 512], worst)
+    assert worst == float(np.max(mc.spectral_norms(stack)))
+    assert_screen_keeps_max(stack, 2 * worst)
+
+
+def test_max_spectral_norm_survives_overflow_and_underflow():
+    # a plain sum of squares makes the first stack's norms all 0.0, and the
+    # max with them, and the second's infinite
+    tiny = np.zeros((4, 2, 2), dtype=complex)
+    tiny[2, 0, 1] = 1e-170
+    assert mc.max_spectral_norm(tiny) == 1e-170
+    assert_screen_keeps_max(tiny)
+    huge = np.array([np.eye(2), [[1e200, 1e200], [0, 1e200]], 1e199 * np.eye(2)])
+    assert_screen_keeps_max(huge)
+    assert_screen_keeps_max(np.array([np.eye(2), [[1e308, 1e308], [1e308, 1e308]]]))
+
+
+def test_max_spectral_norm_calls_zgesdd_only_where_the_max_can_grow(monkeypatch):
+    log = count_lapack(monkeypatch)
+    rng = np.random.default_rng(73)
+    stack = np.array([complex_gaussian(rng, 2, 2) for _ in range(100)])
+    top = mc.max_spectral_norm(stack)
+    assert [name for name, _, _ in log] == ["svd"] and 0 < len(log[0][1][0]) < 100
+    log.clear()
+    assert mc.max_spectral_norm(stack, 2 * top) == 2 * top
+    assert mc.max_spectral_norm(np.zeros((0, 2, 2))) == 0.0
+    assert mc.max_spectral_norm(np.zeros((5, 2, 2))) == 0.0
+    assert log == []
 
 
 # ---------------------------------------------------------------------------

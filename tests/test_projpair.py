@@ -321,6 +321,11 @@ def test_checks_survive_batching(blocked_grid, value, key):
         assert key in residual.value.certificate
 
 
+def svd_matrices(log):
+    """The number of matrices each logged ``svd`` call was handed."""
+    return [len(args[0]) for name, args, _ in log if name == "svd"]
+
+
 @pytest.mark.parametrize("n", [1000, 4000])
 def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
     log = count_lapack(monkeypatch)
@@ -328,9 +333,25 @@ def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
     p, _ = pp.canonical_pair(grid)
     pp.equation_residual_max(p, pp.perturb_q(grid, 0.1), pp.perturbed_solution(grid, 0.1))
     calls = Counter(name for name, _, _ in log)
-    blocks = math.ceil(n / BLOCK)
-    assert 0 < calls["svd"] <= 3 * blocks
-    assert 0 < calls["eigh"] <= blocks
+    assert calls["eigh"] == math.ceil(n / BLOCK)
+    # P + Q' is exactly Hermitian, so every node passes the Hermitian screen;
+    # of the residuals, only the two largest, just right of eps, where P + Q'
+    # is nearly singular, can reach the max
+    assert svd_matrices(log) == [2]
+
+
+@pytest.mark.parametrize("n, matrices", [(1000, [294]), (4000, [229, 512, 436])])
+def test_sup_distance_lapack_calls(monkeypatch, n, matrices):
+    grid = pp.uniform_grid(n)
+    _, q = pp.canonical_pair(grid)
+    qp = pp.perturb_q(grid, 0.1)
+    log = count_lapack(monkeypatch)
+    distance = pp.sup_distance(q, qp)
+    # ||Q - Q'|| peaks at eps, in the first block; a later node reaches zgesdd
+    # only while its Frobenius norm, sqrt(2) times its 2-norm, reaches that peak
+    assert [name for name, _, _ in log] == ["svd"] * len(matrices)
+    assert svd_matrices(log) == matrices
+    assert distance == float(np.max(mc.spectral_norms(q.values - qp.values)))
 
 
 def test_csv_export(grid):
