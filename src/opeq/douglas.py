@@ -20,7 +20,7 @@ the form under which ``A X = C`` holds for every PSD ``Z``.
 
 Every decision reads one :class:`Factorization` of ``(A, C, tol)``, made by
 :func:`factorize` from a single SVD of ``A``; the builders check each
-solution they emit before returning it.
+solution they emit before returning it, read-only.
 
 Positive solvability admits two equivalent finite-dimensional tests, and
 both are computed so they can cross-check each other: the least ``t`` with
@@ -55,6 +55,7 @@ from .matcore import (
     HermitianSpectrum,
     ToleranceConfig,
     _pinv_from_svd,
+    _within_residual_bound,
     as_matrix,
     hermitian_deviation,
     is_psd,
@@ -148,16 +149,20 @@ class Factorization:
     """The one factorization of ``(A, C, tol)`` that every decision reads.
 
     :func:`factorize` fills the fields from a single SVD of A: the
-    orthonormal row-space basis ``B`` (so ``P = B B*``), the reduced solution
-    ``D = A^dagger C``, ``||C||`` and the range residual ``||A D - C||``.
-    The rest are properties computed on first use, and cached when more than
-    one decision reads them, so a caller pays only for what it reads.  One
-    SVD of D gives its rank, range and norm.  The square-only data -- ``C A*``
-    with one Hermitian deviation and one eigendecomposition for its Hermitian
-    and PSD tests and ``t_min``, and one SVD of ``DP`` for its rank, range,
-    norm and ``(DP)^dagger`` -- are never computed for a general solution or
-    a majorization.  ``a`` and ``c`` are held as given and must not be
-    changed while the factorization is in use.
+    orthonormal row-space basis ``B`` (so ``P = B B*``) and the reduced
+    solution ``D = A^dagger C``.  The rest are properties computed on first
+    use, and cached when more than one decision reads them, so a caller pays
+    only for what it reads.  One SVD of D gives its rank, range and norm.
+    The square-only data -- ``C A*`` with one eigendecomposition for its PSD
+    test and ``t_min``, and one SVD of ``DP`` for its rank, range, norm and
+    ``(DP)^dagger`` -- are never computed for a general solution or a
+    majorization.  Each threshold test asks
+    :func:`~opeq.matcore._within_residual_bound`, which takes a zgesdd norm
+    only when Frobenius bounds cannot settle it; the exact norms
+    (``c_norm``, ``range_residual``, ``ca_deviation``, ``range_equality``)
+    are computed on first read, for certificates, and no residual matrix is
+    kept.  ``a`` and ``c`` are held as given and must not be changed while
+    the factorization is in use.
     """
 
     a: np.ndarray
@@ -165,20 +170,35 @@ class Factorization:
     tol: ToleranceConfig
     row_basis: np.ndarray
     d: np.ndarray
-    c_norm: float
-    range_residual: float
 
-    @property
+    @cached_property
+    def c_norm(self) -> float:
+        return spectral_norm(self.c)
+
+    @cached_property
+    def range_residual(self) -> float:
+        """``||A D - C||``."""
+        return spectral_norm(self.a @ self.d - self.c)
+
+    @cached_property
     def range_ok(self) -> bool:
         """R(C) inside R(A): range residual within the residual bound of ``||C||``."""
-        return self.range_residual <= self.tol.residual_bound(self.c_norm)
+        return _within_residual_bound(self.a @ self.d - self.c, self.c, self.tol)
 
     def _equation_residual(self, x) -> float:
-        """``||A X - C||``, kept for the last X, so ``opeq solve`` reports its builder's value."""
+        """``||A X - C||``, kept for the last X while that X cannot change in place.
+
+        The value is read again only for the same read-only array that owns
+        its data, as :func:`_checked` emits it, so ``opeq solve`` and
+        :func:`recover_parameter` read the builder's value; any other X, which
+        its caller may have changed since, gets its norm taken afresh.
+        """
         last = self.__dict__.get("_last_residual")
-        if last is None or last[0] is not x:
-            last = self.__dict__["_last_residual"] = (x, spectral_norm(self.a @ x - self.c))
-        return last[1]
+        if last is not None and last[0] is x and not x.flags.writeable and x.flags.owndata:
+            return last[1]
+        resid = spectral_norm(self.a @ x - self.c)
+        self.__dict__["_last_residual"] = (x, resid)
+        return resid
 
     @property
     def p(self) -> np.ndarray:
@@ -204,11 +224,11 @@ class Factorization:
     def ca_deviation(self) -> float:
         return self._ca_spectrum.deviation
 
-    @property
+    @cached_property
     def ca_hermitian(self) -> bool:
-        return self.ca_deviation <= self.tol.residual_bound()
+        return self._ca_spectrum.is_hermitian(self.tol)
 
-    @property
+    @cached_property
     def ca_psd(self) -> bool:
         return self._ca_spectrum.is_psd(self.tol)
 
@@ -237,26 +257,32 @@ class Factorization:
     def d_norm(self) -> float:
         return _norm(self._d_svd[1])
 
+    def _outside_ranges(self):
+        """D outside the range of DP, and DP outside the range of D."""
+        u_d = self._d_svd[0]
+        u_dp = self._dp_svd[0]
+        return self.d - (u_dp @ u_dp.conj().T) @ self.d, self.dp - (u_d @ u_d.conj().T) @ self.dp
+
     @cached_property
     def range_equality(self) -> dict:
         """Ranks of D and DP and each one's residual outside the other's range."""
-        u_d, s_d = self._d_svd
-        u_dp, s_dp, _ = self._dp_svd
+        d_outside, dp_outside = self._outside_ranges()
         return {
-            "rank_d": int(s_d.size),
-            "rank_dp": int(s_dp.size),
-            "d_outside_range_dp": spectral_norm(self.d - (u_dp @ u_dp.conj().T) @ self.d),
-            "dp_outside_range_d": spectral_norm(self.dp - (u_d @ u_d.conj().T) @ self.dp),
+            "rank_d": int(self._d_svd[1].size),
+            "rank_dp": int(self._dp_svd[1].size),
+            "d_outside_range_dp": spectral_norm(d_outside),
+            "dp_outside_range_d": spectral_norm(dp_outside),
         }
 
-    @property
+    @cached_property
     def dp_range_eq(self) -> bool:
         """R(D) = R(DP): equal ranks, and each residual within the residual bound of its norm."""
-        eq = self.range_equality
-        return (
-            eq["rank_d"] == eq["rank_dp"]
-            and eq["d_outside_range_dp"] <= self.tol.residual_bound(self.d_norm)
-            and eq["dp_outside_range_d"] <= self.tol.residual_bound(_norm(self._dp_svd[1]))
+        if self._d_svd[1].size != self._dp_svd[1].size:
+            return False
+        d_outside, dp_outside = self._outside_ranges()
+        dp_norm = _norm(self._dp_svd[1])
+        return _within_residual_bound(d_outside, self.d_norm, self.tol) and _within_residual_bound(
+            dp_outside, dp_norm, self.tol
         )
 
     @property
@@ -288,15 +314,7 @@ def factorize(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     basis = vh.conj().T
     # reduced_solution hands D out; read-only, so no caller can change it under f
     d.flags.writeable = basis.flags.writeable = False
-    return Factorization(
-        a=a,
-        c=c,
-        tol=tol,
-        row_basis=basis,
-        d=d,
-        c_norm=spectral_norm(c),
-        range_residual=spectral_norm(a @ d - c),
-    )
+    return Factorization(a=a, c=c, tol=tol, row_basis=basis, d=d)
 
 
 def _check_same_shape(f: Factorization):
@@ -331,7 +349,7 @@ def general_solution(f: Factorization, y) -> np.ndarray:
     d = reduced_solution(f)
     if y.shape != d.shape:
         raise ShapeMismatch(f"parameter Y must have shape {d.shape}, got {y.shape}")
-    return _checked(f, d + f.ip @ y, NotSolvable, [], {})
+    return _checked(f, d + f.ip @ y, NotSolvable, [])
 
 
 def recover_parameter(f: Factorization, x) -> np.ndarray:
@@ -344,8 +362,8 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     shape = (f.a.shape[1], f.c.shape[1])
     if x.shape != shape:
         raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
-    resid = spectral_norm(f.a @ x - f.c)
-    if resid > f.tol.residual_bound(f.c_norm):
+    resid = f._equation_residual(x)
+    if not _within_residual_bound(resid, f.c, f.tol):
         raise NotASolution(
             f"AX differs from C by {resid:.3e}", certificate={"equation_residual": resid}
         )
@@ -407,22 +425,28 @@ def solvability_report(f: Factorization) -> SolvabilityReport:
     )
 
 
-def _checked(f: Factorization, x, error, failed: list, numbers: dict) -> np.ndarray:
+def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarray:
     """Return the emitted X if it solves AX = C and passed its class tests.
 
     ``failed`` names the class tests X failed.  The equation residual must be
     within the residual bound of ``||C||``.  On any failure raise
-    ``error`` with the failed conditions, the residual, its bound and
-    ``numbers`` in the certificate.
+    ``error`` with the failed conditions, the numbers of ``numbers()``, the
+    residual and its bound in the certificate.  X is returned read-only, so
+    the residual kept for it cannot go stale.
     """
+    x.flags.writeable = False
     resid = f._equation_residual(x)
-    bound = f.tol.residual_bound(f.c_norm)
-    failed = failed + ["solution_residual"] * (resid > bound)
+    failed = failed + ["solution_residual"] * (not _within_residual_bound(resid, f.c, f.tol))
     if failed:
-        numbers = {**numbers, "equation_residual": resid, "residual_bound": bound}
+        bound = f.tol.residual_bound(f.c_norm)
         raise error(
             f"the emitted solution failed its own check: {', '.join(failed)}",
-            certificate={"failed_conditions": failed, **numbers},
+            certificate={
+                "failed_conditions": failed,
+                **numbers(),
+                "equation_residual": resid,
+                "residual_bound": bound,
+            },
         )
     return x
 
@@ -444,18 +468,23 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
             f"no Hermitian solution exists (verdict {_verdict(f).value})",
             certificate=_failure_certificate(f),
         )
-    y_dev = hermitian_deviation(y)
-    if y_dev > f.tol.residual_bound():
+    if not _within_residual_bound(y - y.conj().T, 0.0, f.tol):
+        y_dev = hermitian_deviation(y)
         raise ParameterNotHermitian(
             f"parameter Y must be Hermitian (deviation {y_dev:.3e})",
             certificate={"parameter_deviation": y_dev},
         )
 
     x = f.h0 + f.ip @ y @ f.ip
-    dev = hermitian_deviation(x)
-    bound = f.tol.residual_bound(spectral_norm(x))
-    numbers = {"solution_deviation": dev, "deviation_bound": bound}
-    return _checked(f, x, NotSolvableHermitian, ["solution_hermitian"] * (dev > bound), numbers)
+
+    def numbers():
+        return {
+            "solution_deviation": hermitian_deviation(x),
+            "deviation_bound": f.tol.residual_bound(spectral_norm(x)),
+        }
+
+    failed = ["solution_hermitian"] * (not _within_residual_bound(x - x.conj().T, x, f.tol))
+    return _checked(f, x, NotSolvableHermitian, failed, numbers)
 
 
 def positive_solution(f: Factorization, z) -> np.ndarray:
@@ -482,9 +511,9 @@ def positive_solution(f: Factorization, z) -> np.ndarray:
 
     x = f.x0 + f.ip @ z @ f.ip
     if is_psd(x, f.tol):
-        return _checked(f, x, NotSolvablePositive, [], {})
+        return _checked(f, x, NotSolvablePositive, [])
     lowest = float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0])
-    return _checked(f, x, NotSolvablePositive, ["solution_psd"], {"min_eigenvalue": lowest})
+    return _checked(f, x, NotSolvablePositive, ["solution_psd"], lambda: {"min_eigenvalue": lowest})
 
 
 def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
@@ -503,11 +532,10 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
         raise ShapeMismatch(
             f"off-diagonal block must be {(a11.shape[0], a22.shape[0])}, got {a12.shape}"
         )
-    # A11's deviation is read again by its PSD test
     spectra = {"A11": HermitianSpectrum(a11), "A22": HermitianSpectrum(a22)}
     for name, spectrum in spectra.items():
-        dev = spectrum.deviation
-        if dev > tol.residual_bound():
+        if not spectrum.is_hermitian(tol):
+            dev = spectrum.deviation
             raise NotHermitian(
                 f"{name} must be Hermitian (deviation {dev:.3e})",
                 certificate={"block": name, "deviation": dev},
@@ -517,7 +545,6 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
     # A11's eigenpairs give the range condition, and X = A11^dagger A12 for the Schur complement
     w, v = spectra["A11"].range_pairs(tol)
     coeffs = v.conj().T @ a12
-    outside = spectral_norm(a12 - v @ coeffs)
-    if outside > tol.residual_bound(spectral_norm(a12)):
+    if not _within_residual_bound(a12 - v @ coeffs, a12, tol):
         return False
     return is_psd(a22 - a12.conj().T @ ((v / w) @ coeffs), tol)

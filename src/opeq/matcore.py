@@ -68,7 +68,11 @@ class ToleranceConfig:
         ``algebra_membership``.  The others pass ``||C||`` (range and equation
         residuals), ``||D||`` or ``||DP||`` (range equality), ``||M||``
         (:func:`sqrt_psd`, the emitted Hermitian X) or ``||H||`` (the leak
-        test of :meth:`HermitianSpectrum.dominating_scale`).
+        test of :meth:`HermitianSpectrum.dominating_scale`).  The tests of
+        :mod:`opeq.douglas` and :class:`HermitianSpectrum` ask
+        :func:`_within_residual_bound`, and :func:`sqrt_psd` screens its stack
+        the same way: Frobenius bounds settle the test, and zgesdd norms are
+        taken only when they cannot, so each verdict is the one exact norms give.
     :meth:`eigenvalue_floor` -- ``-psd_atol * max(1, top)``
         The least eigenvalue of ``(M + M*)/2`` passes when it is at least
         this, ``top`` being the largest ``|w|``.
@@ -339,25 +343,90 @@ _BOUND_SLACK = 1e-6
 _FROBENIUS_FLOOR = 1e-150
 
 
+def _trusted(fro):
+    """Whether a computed Frobenius norm (a float or an array) may bound a 2-norm."""
+    return (fro >= _FROBENIUS_FLOOR) & (fro < math.inf)
+
+
+def _lower_factor(rows, cols) -> float:
+    """``(1 - slack) / sqrt(min(r, c))``: the lower bound over the Frobenius norm."""
+    return (1.0 - _BOUND_SLACK) / math.sqrt(max(1, min(rows, cols)))
+
+
 def _norm_bounds(stack):
     """Bounds ``(lo, hi)`` on the zgesdd 2-norm of each matrix of a ``(k, r, c)`` stack.
 
     ``||M||_F / sqrt(min(r, c)) <= ||M||_2 <= ||M||_F``, each widened by
     ``_BOUND_SLACK``.  The Frobenius norm is a plain sum of squares, which
     overflows above about 1e154 and drops squares below the least subnormal,
-    so a matrix whose Frobenius norm is not finite, or below
-    ``_FROBENIUS_FLOOR``, gets ``(0, inf)``; an exactly zero one gets ``(0, 0)``.
+    so a matrix whose Frobenius norm is not :func:`_trusted` gets
+    ``(0, inf)``; an exactly zero one gets ``(0, 0)``.  A 2x2 matrix has its
+    2-norm in closed form, ``s1^2 = (F^2 + sqrt(F^2 - 2|det|) sqrt(F^2 + 2|det|)) / 2``,
+    and both of its bounds come from that, widened by the same slack, wherever
+    it is finite; written as a product of two roots, no step exceeds ``2 F^2``,
+    so it overflows only where ``F^2`` is within a factor 2 of overflow itself.
     """
     stack = np.ascontiguousarray(stack, dtype=np.complex128)
     _, rows, cols = stack.shape
     parts = stack.view(np.float64)
-    fro = np.sqrt(np.einsum("kij,kij->k", parts, parts))
-    sure = (fro >= _FROBENIUS_FLOOR) & (fro < np.inf)
-    lo = np.where(sure, fro * ((1.0 - _BOUND_SLACK) / math.sqrt(max(1, min(rows, cols)))), 0.0)
+    squares = np.einsum("kij,kij->k", parts, parts)
+    fro = np.sqrt(squares)
+    sure = _trusted(fro)
+    lo = np.where(sure, fro * _lower_factor(rows, cols), 0.0)
     hi = np.where(sure, fro * (1.0 + _BOUND_SLACK), np.inf)
+    if rows == cols == 2:
+        # untrusted matrices may overflow here; tight leaves them out
+        with np.errstate(over="ignore", invalid="ignore"):
+            det2 = 2.0 * np.abs(stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0])
+            # rounding can leave F^2 - 2|det| (that is (s1 - s2)^2) an ulp below zero
+            spread = np.sqrt(np.maximum(squares - det2, 0.0)) * np.sqrt(squares + det2)
+            top = np.sqrt(0.5 * (squares + spread))
+        tight = sure & (top < np.inf)
+        lo = np.where(tight, top * (1.0 - _BOUND_SLACK), lo)
+        hi = np.where(tight, top * (1.0 + _BOUND_SLACK), hi)
     if not sure.all():
         hi[~parts.any(axis=(1, 2))] = 0.0
     return lo, hi
+
+
+def _single_norm_bounds(x):
+    """Bounds ``(lo, hi)`` on the zgesdd 2-norm of one 2-D array, or ``(x, x)`` for a float.
+
+    The rule of :func:`_norm_bounds` without the 2x2 closed form, from one
+    ``vdot``: a stack of one costs most of an SVD of a small matrix.
+    """
+    if isinstance(x, float):
+        return x, x
+    fro = math.sqrt(np.vdot(x, x).real)
+    if _trusted(fro):
+        return fro * _lower_factor(*x.shape), fro * (1.0 + _BOUND_SLACK)
+    return 0.0, (math.inf if x.any() else 0.0)
+
+
+def _within_residual_bound(m, r, tol: ToleranceConfig) -> bool:
+    """``||M|| <= tol.residual_bound(||R||)``, decided as zgesdd's norms decide it.
+
+    ``m`` and ``r`` are each a 2-D array or an exact norm (a float; ``0.0``
+    gives the absolute bound).  The test passes when the upper bound of
+    ``||M||`` is within the residual bound of the lower bound of ``||R||``, and
+    fails when the lower bound of ``||M||`` is above the residual bound of the
+    upper bound of ``||R||`` (:func:`_single_norm_bounds`).  Only an undecided
+    test takes the norms from zgesdd, so the verdict always has the bits of
+    ``spectral_norm(m) <= tol.residual_bound(spectral_norm(r))``; a caller that
+    prints a norm takes it exactly.
+    """
+    m_lo, m_hi = _single_norm_bounds(m)
+    r_lo, r_hi = _single_norm_bounds(r)
+    if m_hi <= tol.residual_bound(r_lo):
+        return True
+    if m_lo > tol.residual_bound(r_hi):
+        return False
+    return _exact_norm(m) <= tol.residual_bound(_exact_norm(r))
+
+
+def _exact_norm(x) -> float:
+    """The zgesdd 2-norm of a 2-D array; a float is already one."""
+    return x if isinstance(x, float) else _norm2(x)
 
 
 def max_spectral_norm(stack, floor: float = 0.0) -> float:
@@ -450,9 +519,11 @@ def polar_partial_isometry(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.n
 class HermitianSpectrum:
     """``||M - M*||`` and the eigendecomposition of ``(M + M*)/2`` for one square M.
 
-    Each is computed on first use and kept, so that the Hermitian test, the
-    PSD test and the least dominating scale of one matrix share them;
-    :func:`is_psd` is the method on a fresh instance.
+    Each is computed on first use and kept, so that the PSD test and the
+    least dominating scale of one matrix share the eigendecomposition;
+    :func:`is_psd` is the method on a fresh instance.  The Hermitian test
+    needs the exact deviation only when its Frobenius bounds cannot settle
+    it, and reads :attr:`deviation` when a certificate has already taken it.
     """
 
     def __init__(self, m):
@@ -464,13 +535,20 @@ class HermitianSpectrum:
     def deviation(self) -> float:
         return hermitian_deviation(self.m)
 
+    def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+        """``||M - M*||`` within the absolute residual bound; reads :attr:`deviation` if it is taken."""
+        deviation = self.__dict__.get("deviation")
+        if deviation is None:
+            deviation = self.m - self.m.conj().T
+        return _within_residual_bound(deviation, 0.0, tol)
+
     @cached_property
     def eigh(self):
         return _eigh_sym(self.m)
 
     def is_psd(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
         """See :func:`is_psd`."""
-        if self.deviation > tol.residual_bound():
+        if not self.is_hermitian(tol):
             return False
         w, _ = self.eigh
         return w.size == 0 or bool(w[0] >= tol.eigenvalue_floor(float(np.max(np.abs(w)))))
@@ -501,7 +579,7 @@ class HermitianSpectrum:
             raise ShapeMismatch("M and H must be square matrices of equal size")
         w, vr = self.range_pairs(tol)
         outside = h - vr @ (vr.conj().T @ h) if w.size else h
-        if spectral_norm(outside) > tol.residual_bound(spectral_norm(h)):
+        if not _within_residual_bound(outside, h, tol):
             return None
         if not w.size:
             return 0.0

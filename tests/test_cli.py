@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 import subprocess
 import sys
 
@@ -85,6 +86,21 @@ def test_solve_reports_the_residual_its_builder_checked(capsys, monkeypatch, tmp
     assert code == 0
     assert cli_svds == [name for name, _, _ in log].count("svd")
     assert payload["residual"] == mc.spectral_norm(a @ x - c)
+
+
+def test_solve_positive_lapack_calls(capsys, monkeypatch, tmp_path):
+    rng = np.random.default_rng(83)
+    g = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    a = (rng.standard_normal((40, 30)) @ rng.standard_normal((30, 40))).astype(complex)
+    c = a @ g @ g.conj().T
+    a_file, c_file = write_matrix(tmp_path / "a.json", a), write_matrix(tmp_path / "c.json", c)
+    log = count_lapack(monkeypatch)
+    code, _, _ = run_cli(capsys, "solve", "--a", a_file, "--c", c_file, "--mode", "positive")
+    assert code == 0
+    # one SVD each of A, D and DP, and one for the printed residual; one eigh
+    # each of C A*, Z and X for their PSD tests, whose Hermitian tests, like the
+    # range and range-equality tests, are settled by Frobenius bounds
+    assert Counter(name for name, _, _ in log) == Counter(svd=4, eigh=3)
 
 
 def test_solve_positive_unsolvable_is_exit_two(capsys, hermitian_only_files):

@@ -152,6 +152,42 @@ def test_equation_residual_is_kept_for_the_last_x_only():
         assert f._equation_residual(x) == mc.spectral_norm(a @ x - c)
 
 
+def test_recover_parameter_reads_the_residual_its_builder_took(monkeypatch):
+    rng = np.random.default_rng(47)
+    a, c = consistent_pair(rng, 5)
+    f = dg.factorize(a, c)
+    y = complex_gaussian(rng, 5, 5)
+    log = count_lapack(monkeypatch)
+    x = dg.general_solution(f, y)
+    # ||A X - C|| is the only norm the builder takes, and recover_parameter reads it
+    assert len(log) == 1 and log[0][0] == "svd"
+    np.testing.assert_array_equal(dg.recover_parameter(f, x), x - f.d)
+    assert len(log) == 1
+
+
+def test_recover_parameter_rejects_an_x_changed_in_place():
+    rng = np.random.default_rng(53)
+    a, c = consistent_pair(rng, 4)
+    f = dg.factorize(a, c)
+    x = dg.general_solution(f, complex_gaussian(rng, 4, 4))
+    with pytest.raises(ValueError):
+        x[0, 0] += 1e3
+    x.flags.writeable = True
+    x[0, 0] += 1e3
+    with pytest.raises(NotASolution):
+        dg.recover_parameter(f, x)
+    # a caller's own X, and a read-only view of one, are read afresh each time
+    mine = np.array(dg.general_solution(f, complex_gaussian(rng, 4, 4)))
+    view = mine.view()
+    view.flags.writeable = False
+    for x in (mine, view):
+        dg.recover_parameter(f, x)
+        mine[0, 0] += 1e3
+        with pytest.raises(NotASolution):
+            dg.recover_parameter(f, x)
+        mine[0, 0] -= 1e3
+
+
 def test_recover_parameter_rejects_non_solution(rank1_pair):
     a, c = rank1_pair
     with pytest.raises(NotASolution):
@@ -419,9 +455,10 @@ def test_report_lapack_calls_do_not_grow_with_n(monkeypatch):
         report = dg.solvability_report(dg.factorize(a, c))
         assert report.verdict is dg.Verdict.POSITIVE
         counts.append(Counter(name for name, _, _ in log))
-    # the T_n scan alone used to add 41 SVDs
-    assert counts[0] == counts[1]
-    assert counts[0]["svd"] <= 11 and counts[0]["eigh"] + counts[0]["eigvalsh"] <= 2
+    # one SVD each of A, D and DP, and one for the printed lambda; every
+    # threshold test is settled by Frobenius bounds (the T_n scan alone used to
+    # add 41 SVDs); one eigh of C A* and one of the compression behind t_min
+    assert counts[0] == counts[1] == Counter(svd=4, eigh=2)
 
 
 def test_factorize_runs_one_full_svd_of_a(monkeypatch):
@@ -471,10 +508,10 @@ def test_block_psd_reads_each_hermitian_deviation_once(monkeypatch):
     full = random_psd(rng, 5)
     log = count_lapack(monkeypatch)
     assert dg.block_psd_test(full[:3, :3], full[:3, 3:], full[3:, 3:])
-    # one SVD per deviation of A11 and A22, two for the range test (||A12|| and
-    # its part outside A11's range) and one for the Schur complement's deviation;
-    # A11's PSD test, range and pseudoinverse all read its one eigh
-    assert Counter(name for name, _, _ in log) == Counter(svd=5, eigh=2)
+    # the Hermitian tests of A11, A22 and the Schur complement and the range
+    # test are settled by Frobenius bounds, with no SVD; A11's PSD test, range
+    # and pseudoinverse all read its one eigh, and the Schur complement has one
+    assert Counter(name for name, _, _ in log) == Counter(eigh=2)
 
 
 def test_block_psd_rejects_non_hermitian():

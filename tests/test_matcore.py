@@ -66,11 +66,16 @@ def test_residual_bound_without_a_norm_is_absolute():
 
 @pytest.mark.parametrize("norm", [0.0, 0.5, 3.0, 7.25e5])
 def test_range_inclusion_passes_at_its_residual_bound(norm):
+    # the range test of a factorization is this decision on ||A D - C|| and ||C||;
+    # zgesdd gives a 1x1 matrix's norm exactly, so the matrix forms meet the same edge
     def range_ok(residual):
-        one = np.ones((1, 1), dtype=complex)
-        return dg.Factorization(one, one, RULE_TOL, one, one, norm, residual).range_ok
+        as_floats = mc._within_residual_bound(residual, norm, RULE_TOL)
+        as_matrices = mc._within_residual_bound(np.array([[residual]]), np.array([[norm]]), RULE_TOL)
+        assert as_floats is as_matrices
+        return as_floats
 
     bound = 7e-9 * max(1.0, norm)
+    assert mc.spectral_norm(np.array([[bound]])) == bound
     assert range_ok(bound)
     assert not range_ok(np.nextafter(bound, np.inf))
 
@@ -614,6 +619,129 @@ def test_max_spectral_norm_calls_zgesdd_only_where_the_max_can_grow(monkeypatch)
     assert mc.max_spectral_norm(np.zeros((0, 2, 2))) == 0.0
     assert mc.max_spectral_norm(np.zeros((5, 2, 2))) == 0.0
     assert log == []
+
+
+def test_two_by_two_bounds_are_tight_and_bracket_zgesdd():
+    # Q - Q' on the grid has two equal singular values, where the Frobenius
+    # bounds are a factor sqrt(2) apart; the closed form is within the slack
+    rng = np.random.default_rng(75)
+    g = np.array([complex_gaussian(rng, 2, 2) for _ in range(400)])
+    unitaries = np.linalg.qr(g)[0]
+    rank1 = g[:, :, :1] @ g[:, :1, :]
+    for stack in (g, unitaries, 0.3 * unitaries + 1e-9 * g, rank1, rank1 + 1e-12 * g):
+        for scale in (1e-148, 1e-3, 1.0, 1e150):
+            lo, hi = mc._norm_bounds(scale * stack)
+            norms = mc.spectral_norms(scale * stack)
+            assert np.all(lo <= norms) and np.all(norms <= hi)
+            assert np.all(hi <= norms * (1 + 3 * mc._BOUND_SLACK))
+    # where F^2 + 2|det| overflows, and where the sum of squares does, the
+    # Frobenius rule and then the exact path take over
+    for m in ([[1e154, 0], [0, 1e154]], [[1e200, 1e200], [0, 1e200]], [[1e-170, 0], [0, 0]]):
+        lo, hi = mc._norm_bounds(np.array([m], dtype=complex))
+        assert lo[0] <= mc.spectral_norm(np.array(m)) <= hi[0]
+
+
+# ---------------------------------------------------------------------------
+# screened residual decisions, against the exact decision
+
+
+def exact_decision(m, r, tol):
+    def norm(x):
+        return x if isinstance(x, float) else mc.spectral_norm(x)
+
+    return norm(m) <= tol.residual_bound(norm(r))
+
+
+def assert_screen_keeps_decision(m, r, tol=mc.DEFAULT_TOLERANCES):
+    """The screened decision is the exact one, and the scalar bounds bracket zgesdd."""
+    expected = exact_decision(m, r, tol)
+    assert mc._within_residual_bound(m, r, tol) is expected
+    for x in (m, r):
+        if not isinstance(x, float):
+            lo, hi = mc._single_norm_bounds(x)
+            assert lo <= mc.spectral_norm(x) <= hi
+    return expected
+
+
+def near_the_bound(rng, tol, rows, cols, r):
+    """A random ``rows x cols`` M whose norm is within 1e-16..10 relative of the bound of ``||R||``."""
+    bound = tol.residual_bound(r if isinstance(r, float) else mc.spectral_norm(r))
+    m = complex_gaussian(rng, rows, cols)
+    offset = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-16, 1)
+    return m * (bound * max(1.0 + offset, 0.0) / mc.spectral_norm(m))
+
+
+@pytest.mark.parametrize("tol", [mc.DEFAULT_TOLERANCES, mc.ToleranceConfig(residual_atol=1e-300)])
+def test_screened_decision_matches_the_exact_one(tol):
+    rng = np.random.default_rng(81)
+    outcomes = []
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for r_scale in (1e-3, 1.0, 1e4):
+                r = r_scale * complex_gaussian(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+                for r_form in (r, mc.spectral_norm(r)):
+                    m = near_the_bound(rng, tol, rows, cols, r_form)
+                    outcomes.append(assert_screen_keeps_decision(m, r_form, tol))
+                    outcomes.append(assert_screen_keeps_decision(mc.spectral_norm(m), r, tol))
+    assert set(outcomes) == {True, False}
+
+
+def test_screened_decision_far_from_the_bound_takes_no_norm(monkeypatch):
+    # a factor 10 from the bound is beyond the looseness sqrt(6) of either
+    # matrix's bounds, so no zgesdd norm is taken
+    rng = np.random.default_rng(83)
+    tol = mc.DEFAULT_TOLERANCES
+    cases = []
+    for rows in range(1, 7):
+        r = 10.0 ** rng.uniform(-3, 4) * complex_gaussian(rng, rows, 7 - rows)
+        m = complex_gaussian(rng, 7 - rows, rows)
+        m *= tol.residual_bound(mc.spectral_norm(r)) / mc.spectral_norm(m)
+        cases += [(0.1 * m, r, True), (10.0 * m, r, False)]
+    log = count_lapack(monkeypatch)
+    assert [mc._within_residual_bound(m, r, tol) for m, r, _ in cases] == [e for _, _, e in cases]
+    assert log == []
+
+
+@pytest.mark.parametrize("norm", [0.0, 0.5, 3.0, 7.25e5])
+def test_screened_decision_at_the_bound(norm):
+    # a 2x2 matrix at the bound, and the next float above it, with R a matrix of norm norm
+    tol = mc.DEFAULT_TOLERANCES
+    r = np.diag([norm, 0.25 * norm])
+    bound = tol.residual_bound(norm)
+    for value, expected in ((bound, True), (np.nextafter(bound, np.inf), False)):
+        m = np.diag([value, 0.5 * value])
+        assert mc.spectral_norm(m) == value
+        assert assert_screen_keeps_decision(m, r, tol) is expected
+        assert assert_screen_keeps_decision(m, norm, tol) is expected
+
+
+def test_screened_decision_survives_overflow_underflow_and_empty():
+    strict = mc.ToleranceConfig(residual_atol=1e-300)
+    huge = np.array([[1e200, 1e200], [0, 1e200]], dtype=complex)
+    tiny = np.zeros((3, 2), dtype=complex)
+    tiny[1, 0] = 1e-170
+    zero = np.zeros((2, 3), dtype=complex)
+    empty = np.zeros((0, 3), dtype=complex)
+    for tol in (mc.DEFAULT_TOLERANCES, strict):
+        for m in (huge, 1e-9 * huge, 1e-8 * huge, tiny, zero, empty):
+            for r in (huge, tiny, zero, empty, 0.0, 1e200):
+                assert_screen_keeps_decision(m, r, tol)
+    assert not mc._within_residual_bound(huge, huge, mc.DEFAULT_TOLERANCES)
+    assert mc._within_residual_bound(1e-9 * huge, huge, mc.DEFAULT_TOLERANCES)
+    assert mc._within_residual_bound(tiny, 0.0, mc.DEFAULT_TOLERANCES)
+    assert not mc._within_residual_bound(tiny, 0.0, strict)
+    assert mc._within_residual_bound(zero, 0.0, strict) and mc._within_residual_bound(empty, 0.0, strict)
+    assert mc._single_norm_bounds(zero) == mc._single_norm_bounds(empty) == (0.0, 0.0)
+
+
+def test_hermitian_test_reuses_a_deviation_already_taken(monkeypatch):
+    # a deviation exactly at the absolute bound, which Frobenius bounds cannot settle
+    spectrum = mc.HermitianSpectrum(skewed(2, 0.5, 0.5e-8))
+    log = count_lapack(monkeypatch)
+    assert spectrum.is_hermitian() and len(log) == 1
+    assert spectrum.deviation == mc.DEFAULT_TOLERANCES.residual_bound() and len(log) == 2
+    assert spectrum.is_hermitian() and spectrum.is_psd()
+    assert [name for name, _, _ in log] == ["svd", "svd", "eigh"]
 
 
 # ---------------------------------------------------------------------------

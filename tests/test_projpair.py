@@ -335,20 +335,22 @@ def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
     calls = Counter(name for name, _, _ in log)
     assert calls["eigh"] == math.ceil(n / BLOCK)
     # P + Q' is exactly Hermitian, so every node passes the Hermitian screen;
-    # of the residuals, only the two largest, just right of eps, where P + Q'
-    # is nearly singular, can reach the max
-    assert svd_matrices(log) == [2]
+    # of the residuals, only the largest, just right of eps, where P + Q' is
+    # nearly singular, can reach the max under the closed-form 2x2 bounds
+    assert svd_matrices(log) == [1]
 
 
-@pytest.mark.parametrize("n, matrices", [(1000, [294]), (4000, [229, 512, 436])])
+@pytest.mark.parametrize("n, matrices", [(1000, [1]), (4000, [1])])
 def test_sup_distance_lapack_calls(monkeypatch, n, matrices):
     grid = pp.uniform_grid(n)
     _, q = pp.canonical_pair(grid)
     qp = pp.perturb_q(grid, 0.1)
     log = count_lapack(monkeypatch)
     distance = pp.sup_distance(q, qp)
-    # ||Q - Q'|| peaks at eps, in the first block; a later node reaches zgesdd
-    # only while its Frobenius norm, sqrt(2) times its 2-norm, reaches that peak
+    # ||Q - Q'|| peaks at eps, in the first block; its two singular values are
+    # equal, so its Frobenius norm is sqrt(2) times its 2-norm, but the
+    # closed-form 2x2 bounds are within the slack of it, and no other node
+    # can reach the peak
     assert [name for name, _, _ in log] == ["svd"] * len(matrices)
     assert svd_matrices(log) == matrices
     assert distance == float(np.max(mc.spectral_norms(q.values - qp.values)))
