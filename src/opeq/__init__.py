@@ -68,12 +68,10 @@ from .projpair import (
     PartialGridFunction,
     algebra_membership,
     canonical_pair,
-    inv_sqrt_sum,
     nonexistence_certificate,
     perturb_q,
     perturbed_solution,
     pointwise_solution,
-    sqrt_sum_closed_form,
     uniform_grid,
 )
 from .oracle import (

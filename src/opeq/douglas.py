@@ -20,7 +20,7 @@ the form under which ``A X = C`` holds for every PSD ``Z``.
 
 Every decision reads one :class:`Factorization` of ``(A, C, tol)``, made by
 :func:`factorize` from a single SVD of ``A``; the builders check each
-solution they emit before returning it, read-only.
+solution they emit before returning it.
 
 Positive solvability admits two equivalent finite-dimensional tests, and
 both are computed so they can cross-check each other: the least ``t`` with
@@ -161,8 +161,9 @@ class Factorization:
     only when Frobenius bounds cannot settle it; the exact norms
     (``c_norm``, ``range_residual``, ``ca_deviation``, ``range_equality``)
     are computed on first read, for certificates, and no residual matrix is
-    kept.  ``a`` and ``c`` are held as given and must not be changed while
-    the factorization is in use.
+    kept; nor is anything of an X it checks, so each check of an X reads that
+    X as it is then.  ``a`` and ``c`` are held as given and must not be
+    changed while the factorization is in use.
     """
 
     a: np.ndarray
@@ -184,21 +185,6 @@ class Factorization:
     def range_ok(self) -> bool:
         """R(C) inside R(A): range residual within the residual bound of ``||C||``."""
         return _within_residual_bound(self.a @ self.d - self.c, self.c, self.tol)
-
-    def _equation_residual(self, x) -> float:
-        """``||A X - C||``, kept for the last X while that X cannot change in place.
-
-        The value is read again only for the same read-only array that owns
-        its data, as :func:`_checked` emits it, so ``opeq solve`` and
-        :func:`recover_parameter` read the builder's value; any other X, which
-        its caller may have changed since, gets its norm taken afresh.
-        """
-        last = self.__dict__.get("_last_residual")
-        if last is not None and last[0] is x and not x.flags.writeable and x.flags.owndata:
-            return last[1]
-        resid = spectral_norm(self.a @ x - self.c)
-        self.__dict__["_last_residual"] = (x, resid)
-        return resid
 
     @property
     def p(self) -> np.ndarray:
@@ -362,8 +348,9 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     shape = (f.a.shape[1], f.c.shape[1])
     if x.shape != shape:
         raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
-    resid = f._equation_residual(x)
-    if not _within_residual_bound(resid, f.c, f.tol):
+    residual = f.a @ x - f.c
+    if not _within_residual_bound(residual, f.c, f.tol):
+        resid = spectral_norm(residual)
         raise NotASolution(
             f"AX differs from C by {resid:.3e}", certificate={"equation_residual": resid}
         )
@@ -431,21 +418,18 @@ def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarr
     ``failed`` names the class tests X failed.  The equation residual must be
     within the residual bound of ``||C||``.  On any failure raise
     ``error`` with the failed conditions, the numbers of ``numbers()``, the
-    residual and its bound in the certificate.  X is returned read-only, so
-    the residual kept for it cannot go stale.
+    residual and its bound in the certificate.
     """
-    x.flags.writeable = False
-    resid = f._equation_residual(x)
-    failed = failed + ["solution_residual"] * (not _within_residual_bound(resid, f.c, f.tol))
+    residual = f.a @ x - f.c
+    failed = failed + ["solution_residual"] * (not _within_residual_bound(residual, f.c, f.tol))
     if failed:
-        bound = f.tol.residual_bound(f.c_norm)
         raise error(
             f"the emitted solution failed its own check: {', '.join(failed)}",
             certificate={
                 "failed_conditions": failed,
                 **numbers(),
-                "equation_residual": resid,
-                "residual_bound": bound,
+                "equation_residual": spectral_norm(residual),
+                "residual_bound": f.tol.residual_bound(f.c_norm),
             },
         )
     return x

@@ -64,15 +64,18 @@ class ToleranceConfig:
         A residual or Hermitian deviation passes when it is at most this.
         With no norm it is the absolute ``residual_atol``: so for the ``C A*``
         Hermitian test, the Hermitian test of :func:`is_psd`, the diagonal
-        blocks of ``block_psd_test``, the Hermitian family's parameter Y and
-        ``algebra_membership``.  The others pass ``||C||`` (range and equation
+        blocks of ``block_psd_test``, the Hermitian family's parameter Y,
+        ``algebra_membership`` and the property suite's Hermitian and
+        projection identities.  The others pass ``||C||`` (range and equation
         residuals), ``||D||`` or ``||DP||`` (range equality), ``||M||``
-        (:func:`sqrt_psd`, the emitted Hermitian X) or ``||H||`` (the leak
-        test of :meth:`HermitianSpectrum.dominating_scale`).  The tests of
-        :mod:`opeq.douglas` and :class:`HermitianSpectrum` ask
-        :func:`_within_residual_bound`, and :func:`sqrt_psd` screens its stack
-        the same way: Frobenius bounds settle the test, and zgesdd norms are
-        taken only when they cannot, so each verdict is the one exact norms give.
+        (:func:`sqrt_psd`, the emitted Hermitian X, the compressed ``DP`` and
+        the Penrose and polar identities) or ``||H||`` (the leak test of
+        :meth:`HermitianSpectrum.dominating_scale`).  The tests of
+        :mod:`opeq.douglas`, :mod:`opeq.oracle` and :class:`HermitianSpectrum`
+        ask :func:`_within_residual_bound`, and :func:`sqrt_psd` screens its
+        stack the same way: Frobenius bounds settle the test, and zgesdd norms
+        are taken only when they cannot, so each verdict is the one exact norms
+        give; a norm is taken exactly only where it is printed.
     :meth:`eigenvalue_floor` -- ``-psd_atol * max(1, top)``
         The least eigenvalue of ``(M + M*)/2`` passes when it is at least
         this, ``top`` being the largest ``|w|``.

@@ -38,6 +38,7 @@ from .matcore import (
     DEFAULT_TOLERANCES,
     HermitianSpectrum,
     ToleranceConfig,
+    _within_residual_bound,
     as_matrix,
     hermitian_deviation,
     is_psd,
@@ -162,8 +163,7 @@ def positive_search(
         hits = np.nonzero(eigs[:, 0] >= tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1)))[0]
         for k in hits:
             candidate = x[k]
-            resid = spectral_norm(f.a @ candidate - f.c)
-            if resid <= tol.residual_bound(f.c_norm) and is_psd(candidate, tol):
+            if _within_residual_bound(f.a @ candidate - f.c, f.c, tol) and is_psd(candidate, tol):
                 return candidate
         drawn += take
     return None
@@ -240,8 +240,8 @@ def _compressed_state(f: douglas.Factorization):
     if b.shape[1] == 0:
         return np.zeros(0), np.zeros((0, d.shape[0]), dtype=np.complex128)
     comp = b.conj().T @ d @ b
-    dev = hermitian_deviation(comp)
-    if dev > tol.residual_bound(spectral_norm(comp)):
+    if not _within_residual_bound(comp - comp.conj().T, comp, tol):
+        dev = hermitian_deviation(comp)
         raise PreconditionFailed(
             f"DP is not Hermitian on the row space (deviation {dev:.3e})",
             certificate={"dp_hermitian_deviation": dev},
@@ -402,16 +402,16 @@ def _check_penrose(rng, spec, tol):
     cols = int(rng.integers(1, spec.dim_max + 1))
     m = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
     mp = pinv(m, tol)
-    scaled = tol.residual_bound(spectral_norm(m))
+    m_mp, mp_m = m @ mp, mp @ m
     checks = [
-        ("M Mp M = M", spectral_norm(m @ mp @ m - m), scaled),
-        ("Mp M Mp = Mp", spectral_norm(mp @ m @ mp - mp), scaled),
-        ("M Mp Hermitian", hermitian_deviation(m @ mp), tol.residual_bound()),
-        ("Mp M Hermitian", hermitian_deviation(mp @ m), tol.residual_bound()),
+        ("M Mp M = M", m_mp @ m - m, m),
+        ("Mp M Mp = Mp", mp_m @ mp - mp, m),
+        ("M Mp Hermitian", m_mp - m_mp.conj().T, 0.0),
+        ("Mp M Hermitian", mp_m - mp_m.conj().T, 0.0),
     ]
-    for label, resid, bound in checks:
-        if resid > bound:
-            return _fail(f"{label} violated by {resid:.3e}", m=m)
+    for label, residual, norm in checks:
+        if not _within_residual_bound(residual, norm, tol):
+            return _fail(f"{label} violated by {spectral_norm(residual):.3e}", m=m)
     return None
 
 
@@ -432,13 +432,15 @@ def _check_polar(rng, spec, tol):
     cols = int(rng.integers(1, spec.dim_max + 1))
     a = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
     u = polar_partial_isometry(a, tol)
-    bound = tol.residual_bound()
-    if spectral_norm(u @ sqrt_psd(a.conj().T @ a, tol) - a) > tol.residual_bound(spectral_norm(a)):
+    if not _within_residual_bound(u @ sqrt_psd(a.conj().T @ a, tol) - a, a, tol):
         return _fail("U |A| does not reproduce A", a=a)
-    if spectral_norm(u @ u.conj().T @ u - u) > bound:
+    if not _within_residual_bound(u @ u.conj().T @ u - u, 0.0, tol):
         return _fail("U is not a partial isometry", a=a)
     p = u.conj().T @ u
-    if hermitian_deviation(p) > bound or spectral_norm(p @ p - p) > bound:
+    if not (
+        _within_residual_bound(p - p.conj().T, 0.0, tol)
+        and _within_residual_bound(p @ p - p, 0.0, tol)
+    ):
         return _fail("U*U is not an orthogonal projection", a=a)
     if matrix_rank(p, tol) != matrix_rank(a, tol):
         return _fail("initial projection has wrong rank", a=a)
@@ -479,7 +481,7 @@ def _check_hermitian_criterion(rng, spec, tol):
     a, c, _ = _consistent_pair(rng, spec, flavor)
     f = douglas.factorize(a, c, tol)
     dp = HermitianSpectrum(f.dp)
-    if (dp.deviation <= tol.residual_bound()) != f.ca_hermitian:
+    if dp.is_hermitian(tol) != f.ca_hermitian:
         return _fail("Hermitian-ness of DP and CA* disagree", a=a, c=c)
     if dp.is_psd(tol) != f.ca_psd:
         return _fail("positivity of DP and CA* disagree", a=a, c=c)
@@ -531,7 +533,7 @@ def _check_positive_criteria(rng, spec, tol):
             return _fail(f"positive builder refused its own output: {exc}", a=a, c=c)
         if not is_psd(x, tol):
             return _fail("emitted member of the positive family is not PSD", a=a, c=c)
-        if spectral_norm(a @ x - c) > tol.residual_bound(f.c_norm):
+        if not _within_residual_bound(a @ x - c, f.c, tol):
             return _fail("emitted positive member does not solve the equation", a=a, c=c)
         if report.t_min > spectral_norm(x) + 1e-8:
             return _fail("t_min exceeds the norm of an emitted positive solution", a=a, c=c)
@@ -646,7 +648,7 @@ def _check_positive_search(rng, spec, tol):
         return _fail("search produced a PSD solution on a pair judged unsolvable", a=a, c=c)
     if not is_psd(found, tol):
         return _fail("search returned a non-PSD matrix", a=a, c=c)
-    if spectral_norm(a @ found - c) > tol.residual_bound(f.c_norm):
+    if not _within_residual_bound(a @ found - c, f.c, tol):
         return _fail("search returned a non-solution", a=a, c=c)
     return None
 

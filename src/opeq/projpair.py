@@ -50,8 +50,6 @@ __all__ = [
     "NonexistenceCertificate",
     "uniform_grid",
     "canonical_pair",
-    "sqrt_sum_closed_form",
-    "inv_sqrt_sum",
     "pointwise_solution",
     "nonexistence_certificate",
     "snap_eps",
@@ -202,44 +200,6 @@ def canonical_pair(grid: Grid) -> tuple[GridFunction, GridFunction]:
     p_vals = np.zeros((grid.n_points, 2, 2), dtype=np.complex128)
     p_vals[:, 0, 0] = 1.0
     return GridFunction(grid, p_vals), _rotating_projection(grid, grid.points)
-
-
-def _alpha_beta_gamma(points: np.ndarray):
-    c, s = _cos_sin(points)
-    root_plus = np.sqrt(1.0 + c)
-    root_minus = np.sqrt(1.0 - c)
-    alpha = 0.5 * (2.0 - s) * (root_plus + root_minus)
-    beta = 0.5 * s * (root_plus - root_minus)
-    gamma = 0.5 * s * (root_plus + root_minus)
-    return alpha, beta, gamma
-
-
-def sqrt_sum_closed_form(grid: Grid) -> GridFunction:
-    """Closed-form ``(P + Q)^{1/2}`` as the symmetric matrix [[a, b], [b, g]]."""
-    alpha, beta, gamma = _alpha_beta_gamma(grid.points)
-    vals = np.empty((grid.n_points, 2, 2), dtype=np.complex128)
-    vals[:, 0, 0] = alpha
-    vals[:, 0, 1] = beta
-    vals[:, 1, 0] = beta
-    vals[:, 1, 1] = gamma
-    return GridFunction(grid, vals)
-
-
-def inv_sqrt_sum(grid: Grid) -> PartialGridFunction:
-    """Closed-form ``(P + Q)^{-1/2}`` on the positive nodes.
-
-    ``P + Q`` is singular at t = 0 (determinant ``sin(pi t / 2)^2``), so the
-    value table starts at the first positive node.
-    """
-    pts = grid.points[1:]
-    alpha, beta, gamma = _alpha_beta_gamma(pts)
-    _, s = _cos_sin(pts)
-    vals = np.empty((pts.size, 2, 2), dtype=np.complex128)
-    vals[:, 0, 0] = gamma / s
-    vals[:, 0, 1] = -beta / s
-    vals[:, 1, 0] = -beta / s
-    vals[:, 1, 1] = alpha / s
-    return PartialGridFunction(grid, vals)
 
 
 def _solution_columns(points: np.ndarray):

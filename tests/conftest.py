@@ -53,3 +53,41 @@ def count_lapack(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
         monkeypatch.setattr(private, name, counted)
     return log
+
+
+# closed forms for the canonical pair of opeq.projpair, the reference that
+# sqrt_psd is held to: with c, s the cosine and sine of pi t / 2,
+# (P + Q)^(1/2) = [[alpha, beta], [beta, gamma]] and (P + Q)^(-1/2) is that
+# matrix's adjugate over its determinant s
+
+
+def _alpha_beta_gamma(points):
+    c, s = np.cos(0.5 * np.pi * points), np.sin(0.5 * np.pi * points)
+    root_plus = np.sqrt(1.0 + c)
+    root_minus = np.sqrt(1.0 - c)
+    alpha = 0.5 * (2.0 - s) * (root_plus + root_minus)
+    beta = 0.5 * s * (root_plus - root_minus)
+    gamma = 0.5 * s * (root_plus + root_minus)
+    return alpha, beta, gamma
+
+
+def _symmetric(diagonal_1, off, diagonal_2):
+    """The ``(k, 2, 2)`` stack of ``[[diagonal_1, off], [off, diagonal_2]]``."""
+    vals = np.empty((len(off), 2, 2), dtype=np.complex128)
+    vals[:, 0, 0] = diagonal_1
+    vals[:, 0, 1] = vals[:, 1, 0] = off
+    vals[:, 1, 1] = diagonal_2
+    return vals
+
+
+def sqrt_sum_closed_form(points):
+    """``(P + Q)^(1/2)`` at each point, as a ``(k, 2, 2)`` stack."""
+    alpha, beta, gamma = _alpha_beta_gamma(points)
+    return _symmetric(alpha, beta, gamma)
+
+
+def inv_sqrt_sum(points):
+    """``(P + Q)^(-1/2)`` at each point; ``P + Q`` is singular at 0, so each must be positive."""
+    alpha, beta, gamma = _alpha_beta_gamma(points)
+    s = np.sin(0.5 * np.pi * points)
+    return _symmetric(gamma / s, -beta / s, alpha / s)

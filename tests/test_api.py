@@ -66,11 +66,6 @@ def _package_modules():
     return ["opeq"] + [f"opeq.{info.name}" for info in pkgutil.iter_modules(opeq.__path__)]
 
 
-# read only by tests, which hold sqrt_psd to them; the README documents them and
-# ROADMAP item 8 decides their future
-UNREAD_API = {("opeq.projpair", "sqrt_sum_closed_form"), ("opeq.projpair", "inv_sqrt_sum")}
-
-
 def test_every_layer_name_is_read_in_the_package():
     # a public name that only tests call is test-only API
     reads = set()
@@ -88,7 +83,7 @@ def test_every_layer_name_is_read_in_the_package():
         for entry in importlib.import_module(layer).__all__
         if not any(read == entry and (module, holder) != (layer, entry) for read, module, holder in reads)
     }
-    assert unread == UNREAD_API
+    assert unread == set()
 
 
 def test_tolerance_fields_are_read_only_by_their_rules():
@@ -96,3 +91,34 @@ def test_tolerance_fields_are_read_only_by_their_rules():
     del reads[("opeq.matcore", "ToleranceConfig")]
     del reads[("opeq.cli", "_tolerances")]  # reads the parsed flags, not a ToleranceConfig
     assert reads == OWN_RULES
+
+
+# algebra_membership compares entry magnitudes with the absolute bound, not a norm
+BOUND_COMPARISONS = {("opeq.projpair", "algebra_membership")}
+
+
+def _calls_residual_bound(node):
+    return any(
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "residual_bound"
+        for call in ast.walk(node)
+    )
+
+
+def test_norms_meet_residual_bounds_only_in_matcore():
+    # each ||M|| <= residual_bound(||R||) asks matcore._within_residual_bound,
+    # which screens with Frobenius bounds before it takes a zgesdd norm
+    found = set()
+    for name in _package_modules():
+        if name == "opeq.matcore":
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        found |= {
+            (name, getattr(top, "name", None))
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Compare)
+            and any(_calls_residual_bound(side) for side in (node.left, *node.comparators))
+        }
+    assert found == BOUND_COMPARISONS

