@@ -41,7 +41,6 @@ __all__ = [
     "max_spectral_norm",
     "hermitian_deviation",
     "pinv",
-    "matrix_rank",
     "truncated_svd",
     "row_space_projector",
     "sqrt_psd",
@@ -65,12 +64,13 @@ class ToleranceConfig:
         With no norm it is the absolute ``residual_atol``: so for the ``C A*``
         Hermitian test, the Hermitian test of :func:`is_psd`, the diagonal
         blocks of ``block_psd_test``, the Hermitian family's parameter Y,
-        ``algebra_membership`` and the property suite's Hermitian and
-        projection identities.  The others pass ``||C||`` (range and equation
+        ``algebra_membership`` and the property suite's Penrose Hermitian
+        identities.  The others pass ``||C||`` (range and equation
         residuals), ``||D||`` or ``||DP||`` (range equality), ``||M||``
         (:func:`sqrt_psd`, the emitted Hermitian X, the compressed ``DP`` and
-        the Penrose and polar identities) or ``||H||`` (the leak test of
-        :meth:`HermitianSpectrum.dominating_scale`).  The tests of
+        the Penrose and polar identities), ``||X||`` (the suite's
+        partial-isometry route to the general solution) or ``||H||`` (the
+        leak test of :meth:`HermitianSpectrum.dominating_scale`).  The tests of
         :mod:`opeq.douglas`, :mod:`opeq.oracle` and :class:`HermitianSpectrum`
         ask :func:`_within_residual_bound`, and :func:`sqrt_psd` screens its
         stack the same way: Frobenius bounds settle the test, and zgesdd norms
@@ -275,14 +275,6 @@ def hermitian_deviation(m) -> float:
 def _rank_of(s, tol: ToleranceConfig) -> int:
     """Count of singular values ``s`` (descending) above the rank cut of ``s[0]``."""
     return int(np.count_nonzero(s > tol.rank_cut(s[0]))) if s.size else 0
-
-
-def matrix_rank(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    """Rank under the relative singular-value cutoff."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
-    return _rank_of(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def truncated_svd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES):

@@ -1,11 +1,13 @@
 """Brute-force verifiers, the T_n cross-check and the randomized property suite.
 
 Each check reaches a decision by a second route: normal equations instead
-of the SVD pseudoinverse, sampling of the Hermitian family for PSD solutions
-instead of the closed form, and the ``||T_n||`` scan for the closed-form
-lambda.  Absence of a search hit is evidence, never proof.  The routes share
-their inputs with the decisions: every trial builds one
-:class:`~opeq.douglas.Factorization` and reads D, P, ``C A*`` and DP from it.
+of the SVD pseudoinverse, the partial-isometry form
+``|A|^+ U* C + (I - U*U) Y`` (with ``A = U|A|``) instead of ``D + (I - P) Y``,
+sampling of the Hermitian family for PSD solutions instead of the closed
+form, and the ``||T_n||`` scan for the closed-form lambda.  Absence of a
+search hit is evidence, never proof.  The routes share their inputs with
+the decisions: every trial builds one :class:`~opeq.douglas.Factorization`
+and reads D, P, ``C A*`` and DP from it.
 
 All randomness flows from a named generator (PCG64) with an explicit seed;
 every trial derives its own sub-seed deterministically from the seed and the
@@ -15,8 +17,9 @@ normal draw and one stacked QR, with the numbers ``k`` single draws give.
 
 The ``T_n`` scan runs only inside the ``tn_monotone_lambda_match`` property,
 on the fixed schedule ``n = 1, 2, 4, ..., 2^40``: the matrices along it form
-one ``(41, k, k)`` stack, whose norms are one batched SVD, and the PSD and
-monotonicity tests of its head ``T_1, ..., T_16`` are one ``eigvalsh`` each.
+one ``(41, k, k)`` stack.  Each ``T_n`` is PSD, so one ``eigvalsh`` of the
+stack gives every norm (the largest ``|eigenvalue|``) and the PSD tests of
+its head ``T_1, ..., T_16``; the head's monotonicity tests are one more.
 """
 
 from __future__ import annotations
@@ -42,14 +45,12 @@ from .matcore import (
     as_matrix,
     hermitian_deviation,
     is_psd,
-    matrix_rank,
     matrix_to_json,
     min_majorization_scale,
     pinv,
     polar_partial_isometry,
     row_space_projector,
     spectral_norm,
-    spectral_norms,
     sqrt_psd,
 )
 
@@ -427,49 +428,40 @@ def _check_sqrt_round_trip(rng, spec, tol):
     return None
 
 
-def _check_polar(rng, spec, tol):
-    rows = int(rng.integers(1, spec.dim_max + 1))
-    cols = int(rng.integers(1, spec.dim_max + 1))
+def _check_general_solution(rng, spec, tol):
+    """Every route to the general solution of one rectangular pair lands on the same X.
+
+    With ``A = U|A|``, the paper's partial-isometry form ``|A|^+ U* C + (I - U*U) Y``
+    must equal the builder's ``D + (I - P) Y``, the normal equations must give D,
+    and recovering Y from X must give X back.
+    """
+    rows, cols, k = (int(rng.integers(1, spec.dim_max + 1)) for _ in range(3))
     a = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
-    u = polar_partial_isometry(a, tol)
-    if not _within_residual_bound(u @ sqrt_psd(a.conj().T @ a, tol) - a, a, tol):
-        return _fail("U |A| does not reproduce A", a=a)
-    if not _within_residual_bound(u @ u.conj().T @ u - u, 0.0, tol):
-        return _fail("U is not a partial isometry", a=a)
-    p = u.conj().T @ u
-    if not (
-        _within_residual_bound(p - p.conj().T, 0.0, tol)
-        and _within_residual_bound(p @ p - p, 0.0, tol)
-    ):
-        return _fail("U*U is not an orthogonal projection", a=a)
-    if matrix_rank(p, tol) != matrix_rank(a, tol):
-        return _fail("initial projection has wrong rank", a=a)
-    return None
-
-
-def _check_consistency_and_lsq(rng, spec, tol):
-    a, c, _ = _consistent_pair(rng, spec, "general")
+    c = a @ random_operator(rng, cols, k)
+    y = random_operator(rng, cols, k)
     f = douglas.factorize(a, c, tol)
     if not f.range_ok:
         return _fail("range inclusion rejected a consistent pair", a=a, c=c)
-    d = douglas.reduced_solution(f)
-    x = lsq_solve(a, c)
-    gap = spectral_norm(d - x)
-    if gap > 1e-8 * max(1.0, spectral_norm(d)):
-        return _fail(f"normal-equation route disagrees by {gap:.3e}", a=a, c=c)
-    return None
-
-
-def _check_parametrization(rng, spec, tol):
-    a, c, _ = _consistent_pair(rng, spec, "general")
-    n = a.shape[1]
-    y0 = random_operator(rng, n, c.shape[1])
-    f = douglas.factorize(a, c, tol)
+    u = polar_partial_isometry(a, tol)
+    modulus = sqrt_psd(a.conj().T @ a, tol)
+    if not _within_residual_bound(u @ modulus - a, a, tol):
+        return _fail("U |A| does not reproduce A", a=a)
+    # |A| + I - U*U is invertible and agrees with |A| on the range of U*U, so
+    # solving with it gives |A|^+ U* C; pinv(|A|) would count the square roots
+    # of A*A's roundoff eigenvalues (about 1e-8) toward the rank
+    leak = np.eye(cols) - u.conj().T @ u
+    x_pi = np.linalg.solve(modulus + leak, u.conj().T @ c) + leak @ y
     try:  # the builder checks that each member solves the equation
-        x = douglas.general_solution(f, y0)
+        x = douglas.general_solution(f, y)
         x_back = douglas.general_solution(f, douglas.recover_parameter(f, x))
     except NotSolvable as exc:
         return _fail(f"family member does not solve the equation: {exc}", a=a, c=c)
+    if not _within_residual_bound(x_pi - x, x, tol):
+        return _fail(f"partial-isometry route disagrees by {spectral_norm(x_pi - x):.3e}", a=a, c=c)
+    d = douglas.reduced_solution(f)
+    gap = spectral_norm(d - lsq_solve(a, c))
+    if gap > 1e-8 * max(1.0, spectral_norm(d)):
+        return _fail(f"normal-equation route disagrees by {gap:.3e}", a=a, c=c)
     gap = spectral_norm(x_back - x)
     if gap > 1e-9 * max(1.0, spectral_norm(x)):
         return _fail(f"parameter round trip off by {gap:.3e}", a=a, c=c)
@@ -601,20 +593,21 @@ def _check_tn_lambda(rng, spec, tol):
         a, c = _consistent_pair(rng, spec, "positive")[:2]
 
     f = douglas.factorize(a, c, tol)
-    # one stack of every T_n: the PSD and monotonicity tests read its head, the scan all of it
+    # one stack of every T_n and one eigvalsh of it: T_n is PSD, so its norm is
+    # its largest |eigenvalue|, and the PSD tests read the head's least
     ts = _tn_stack(*_compressed_state(f), _SCHEDULE)
-    head = ts[: len(_HEAD)]
-    steps = head[1:] - head[:-1]
-    eigs = np.linalg.eigvalsh(0.5 * (head + head.conj().swapaxes(1, 2)))
+    eigs = np.linalg.eigvalsh(0.5 * (ts + ts.conj().swapaxes(1, 2)))
+    norms = np.max(np.abs(eigs), axis=1)
+    steps = ts[1 : len(_HEAD)] - ts[: len(_HEAD) - 1]
     diffs = np.linalg.eigvalsh(0.5 * (steps + steps.conj().swapaxes(1, 2)))
-    floors = tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1))
+    floors = tol.eigenvalue_floor(norms)
     for k, n_value in enumerate(_HEAD):
         if eigs[k, 0] < floors[k]:
             return _fail(f"T_{n_value} is not PSD", a=a, c=c)
         if k and diffs[k - 1, 0] < floors[k]:
             return _fail(f"T_n not nondecreasing at n={n_value}", a=a, c=c)
 
-    norms = spectral_norms(ts).tolist()
+    norms = norms.tolist()
     converged, diverged = _diagnose(norms, tol)
     estimate = norms[-1]
     report = douglas.solvability_report(f)
@@ -656,9 +649,7 @@ def _check_positive_search(rng, spec, tol):
 _PROPERTY_CHECKS = [
     ("penrose_identities", _check_penrose),
     ("sqrt_psd_round_trip", _check_sqrt_round_trip),
-    ("polar_consistency", _check_polar),
-    ("consistency_and_lsq_agreement", _check_consistency_and_lsq),
-    ("parametrization_completeness", _check_parametrization),
+    ("general_solution_routes", _check_general_solution),
     ("hermitian_criterion_transfer", _check_hermitian_criterion),
     ("positive_criteria_agreement", _check_positive_criteria),
     ("block_positivity_vs_eigen", _check_block_positivity),
@@ -702,7 +693,6 @@ def property_suite(spec: TrialSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
         "generator": GENERATOR_NAME,
         "seed": spec.seed,
         "trials_per_property": spec.trials,
-        "dim_min": 1,
         "dim_max": spec.dim_max,
         "rank_policy": spec.rank_policy,
         "properties": properties,

@@ -163,7 +163,7 @@ def test_criterion_6_property_suite():
     suite = oc.property_suite(spec)
     elapsed = time.perf_counter() - t0
     required = [
-        "parametrization_completeness",
+        "general_solution_routes",
         "hermitian_criterion_transfer",
         "positive_criteria_agreement",
         "block_positivity_vs_eigen",

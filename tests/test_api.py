@@ -106,19 +106,76 @@ def _calls_residual_bound(node):
     )
 
 
+def _names(node):
+    return {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+
+
+def _bound_names(top):
+    """Names in one top-level def that hold a residual bound.
+
+    They are the targets of an assignment from an expression that calls
+    ``.residual_bound(...)``, and the targets of a loop over such a name.
+    """
+    names = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Assign) and _calls_residual_bound(node.value):
+            names |= set().union(*map(_names, node.targets))
+    for node in ast.walk(top):
+        if isinstance(node, (ast.For, ast.comprehension)) and _names(node.iter) & names:
+            names |= _names(node.target)
+    return names
+
+
+def _bound_comparisons(source):
+    """The top-level defs of ``source`` that compare with a residual bound."""
+    found = set()
+    for top in ast.parse(source).body:
+        names = _bound_names(top)
+        found |= {
+            getattr(top, "name", None)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Compare)
+            and any(
+                _calls_residual_bound(side) or _names(side) & names
+                for side in (node.left, *node.comparators)
+            )
+        }
+    return found
+
+
 def test_norms_meet_residual_bounds_only_in_matcore():
     # each ||M|| <= residual_bound(||R||) asks matcore._within_residual_bound,
     # which screens with Frobenius bounds before it takes a zgesdd norm
-    found = set()
-    for name in _package_modules():
-        if name == "opeq.matcore":
-            continue
-        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
-        found |= {
-            (name, getattr(top, "name", None))
-            for top in tree.body
-            for node in ast.walk(top)
-            if isinstance(node, ast.Compare)
-            and any(_calls_residual_bound(side) for side in (node.left, *node.comparators))
-        }
+    found = {
+        (name, top)
+        for name in _package_modules()
+        if name != "opeq.matcore"
+        for top in _bound_comparisons(inspect.getsource(importlib.import_module(name)))
+    }
     assert found == BOUND_COMPARISONS
+
+
+def test_bound_comparisons_are_seen_through_names_and_loops():
+    source = """
+def inline(m, tol):
+    return norm(m) <= tol.residual_bound(1.0)
+
+def named(m, tol):
+    bound = tol.residual_bound(1.0)
+    return norm(m) <= bound
+
+def looped(m, tol):
+    checks = [(m, tol.residual_bound(1.0))]
+    for residual, bound in checks:
+        if norm(residual) > bound:
+            return False
+
+def certificate(m, tol):
+    bound = tol.residual_bound(1.0)
+    return {"bound": bound, "ok": within(m, 1.0, tol)}
+
+def elsewhere(m, tol):
+    bound = tol.eigenvalue_floor(1.0)
+    return norm(m) <= bound
+"""
+    assert _bound_comparisons(source) == {"inline", "named", "looped"}

@@ -285,7 +285,7 @@ def test_verify_deterministic_bytes(capsys):
         (
             "--rank-rtol",
             "0.5",
-            "reduced_solution_properties",
+            "tn_monotone_lambda_match",
             "NotSolvable: range of C is not contained in range of A",
         ),
     ],
@@ -305,26 +305,26 @@ def test_verify_reports_a_check_that_raises(capsys, flag, value, prop, detail):
 # them and says so in CHANGES.md
 VERIFY_DIGESTS = {
     ("--trials", "10", "--max-dim", "6", "--seed", "1000"): (
-        "e2b9ee0636442927e589d9c7d17cd4fd56717cbeafc06f7b7b420796ef000e2f"
+        "a19d671bd6e576e8596f744bc6cb1500f80d62e578b2e0a4519a10c3004aa07c"
     ),
     ("--trials", "10", "--max-dim", "6", "--seed", "1007"): (
-        "6a090209c6be2dd6dcc4130d0b916c9953d05c618675be38afb386ccf361b984"
+        "156f7e66f1f69c9ac6153a5783aeea5d58dbd59bead72ff00e0465ffba59f5bc"
     ),
     ("--trials", "40", "--seed", "20514"): (
-        "96a0d6564b3ff1a136bb48e54588d994e7c9c269835d50ef1761cda5db74ee8d"
+        "ad9cde1f3b05f633e37e7521a4c4593ed92f8a6b7d618dd625c156225e733b36"
     ),
     # the smallest and largest --max-dim, and each fixed rank policy
     ("--trials", "10", "--max-dim", "3", "--seed", "1000"): (
-        "21156cbfbd2e879469fb38929286664257838105e8dc9cd95fab76f6abc8fd83"
+        "549e7ec472d6289589fd5451aaeb1b304e11c9217195d708a516afc0012829c2"
     ),
     ("--trials", "10", "--max-dim", "8", "--seed", "1000"): (
-        "21013ad950e1650dd17c2172dbed05bb18252dc4106b12077abc877c62d9572f"
+        "a9d93789aa275aa840c51e483a1b0c0cc2bca3767dd975817f0f2bbfaefa3870"
     ),
     ("--trials", "10", "--max-dim", "6", "--seed", "1000", "--rank-policy", "full"): (
-        "f0d450b958fa75b213fe7cb10b75988c26559f180664efb0bb121cc3575dc1c7"
+        "cc82568d34eaeba8f53d6ce103abe386a4604f4cdb6d062095f2bb795bc955e2"
     ),
     ("--trials", "10", "--max-dim", "6", "--seed", "1000", "--rank-policy", "deficient"): (
-        "de6603edd80dffc0fab2b274899a8eac9a162825412f9e46b9d6acda787f19a6"
+        "8272155b391b73901a9b22f2d1e62b29d67ccaeabc100d6ba487519bdeea6e45"
     ),
 }
 

@@ -117,7 +117,9 @@ def test_douglas_check_random():
 
 def _scan(f):
     """The property's scan: the schedule's norms and its ``(converged, diverged)``."""
-    norms = mc.spectral_norms(oc._tn_stack(*oc._compressed_state(f), oc._SCHEDULE)).tolist()
+    ts = oc._tn_stack(*oc._compressed_state(f), oc._SCHEDULE)
+    eigs = np.linalg.eigvalsh(0.5 * (ts + ts.conj().swapaxes(1, 2)))
+    norms = np.max(np.abs(eigs), axis=1).tolist()
     return norms, oc._diagnose(norms, f.tol)
 
 
@@ -225,12 +227,38 @@ def test_tn_check_takes_the_schedule_norms_in_one_call(monkeypatch):
         log.clear()
         rng = oc._sub_rng(spec.seed, prop, trial)
         assert oc._check_tn_lambda(rng, spec, mc.DEFAULT_TOLERANCES) is None
-        svds = [args[0].shape for name, args, _ in log if name == "svd"]
-        # the 41 norms are one stacked call, so the trial makes far fewer than 41
-        assert sum(len(shape) == 3 and shape[0] == schedule for shape in svds) == 1
-        assert len(svds) < schedule
-        # 5 PSD tests and 4 monotonicity tests, each set as one stacked call
-        assert sum(name == "eigvalsh" for name, _, _ in log) <= 2
+        # the 41 norms and the 5 PSD tests are one eigvalsh of the stack, and
+        # the 4 monotonicity tests one more; no SVD reads a stack
+        assert [args[0].shape for name, args, _ in log if name == "svd" and args[0].ndim != 2] == []
+        stacks = [args[0].shape for name, args, _ in log if name == "eigvalsh"]
+        assert sum(len(shape) == 3 and shape[0] == schedule for shape in stacks) == 1
+        assert len(stacks) <= 2
+
+
+# ---------------------------------------------------------------------------
+# the general_solution_routes property
+
+
+def test_general_solution_routes_pass_on_rank_deficient_pairs():
+    spec = oc.TrialSpec(dim_max=8, rank_policy="deficient", trials=300, seed=3)
+    prop = _property_index("general_solution_routes")
+    for trial in range(spec.trials):
+        rng = oc._sub_rng(spec.seed, prop, trial)
+        assert oc._check_general_solution(rng, spec, mc.DEFAULT_TOLERANCES) is None
+
+
+def test_partial_isometry_route_matches_the_builder():
+    # a rectangular rank-2 A: |A|^+ U* C + (I - U*U) Y is D + (I - P) Y
+    rng = np.random.default_rng(41)
+    a = rank_deficient(rng, 5, 3, 2)
+    c = a @ complex_gaussian(rng, 3, 4)
+    y = complex_gaussian(rng, 3, 4)
+    u = mc.polar_partial_isometry(a)
+    modulus = mc.sqrt_psd(a.conj().T @ a)
+    leak = np.eye(3) - u.conj().T @ u
+    x_pi = np.linalg.solve(modulus + leak, u.conj().T @ c) + leak @ y
+    x = dg.general_solution(dg.factorize(a, c), y)
+    assert mc.spectral_norm(x_pi - x) <= 1e-10 * mc.spectral_norm(x)
 
 
 def _unitary_one_at_a_time(rng, n):
