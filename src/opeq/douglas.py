@@ -55,6 +55,7 @@ from .matcore import (
     HermitianSpectrum,
     ToleranceConfig,
     _pinv_from_svd,
+    _residual_test,
     _within_residual_bound,
     as_matrix,
     hermitian_deviation,
@@ -160,10 +161,11 @@ class Factorization:
     :func:`~opeq.matcore._within_residual_bound`, which takes a zgesdd norm
     only when Frobenius bounds cannot settle it; the exact norms
     (``c_norm``, ``range_residual``, ``ca_deviation``, ``range_equality``)
-    are computed on first read, for certificates, and no residual matrix is
-    kept; nor is anything of an X it checks, so each check of an X reads that
-    X as it is then.  ``a`` and ``c`` are held as given and must not be
-    changed while the factorization is in use.
+    are computed on first read, for certificates; ``range_residual`` and
+    ``ca_deviation`` read the norm their test took when it was undecided.
+    No residual matrix is kept; nor is anything of an X it checks, so each
+    check of an X reads that X as it is then.  ``a`` and ``c`` are held as
+    given and must not be changed while the factorization is in use.
     """
 
     a: np.ndarray
@@ -177,14 +179,20 @@ class Factorization:
         return spectral_norm(self.c)
 
     @cached_property
-    def range_residual(self) -> float:
-        """``||A D - C||``."""
-        return spectral_norm(self.a @ self.d - self.c)
+    def _range_test(self):
+        """The range test, and ``||A D - C||`` when the test took that norm."""
+        return _residual_test(self.a @ self.d - self.c, self.c, self.tol)
 
     @cached_property
+    def range_residual(self) -> float:
+        """``||A D - C||``, read from the range test when it took the norm."""
+        taken = self._range_test[1]
+        return spectral_norm(self.a @ self.d - self.c) if taken is None else taken
+
+    @property
     def range_ok(self) -> bool:
         """R(C) inside R(A): range residual within the residual bound of ``||C||``."""
-        return _within_residual_bound(self.a @ self.d - self.c, self.c, self.tol)
+        return self._range_test[0]
 
     @property
     def p(self) -> np.ndarray:
@@ -349,8 +357,9 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     if x.shape != shape:
         raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
     residual = f.a @ x - f.c
-    if not _within_residual_bound(residual, f.c, f.tol):
-        resid = spectral_norm(residual)
+    passed, resid = _residual_test(residual, f.c, f.tol)
+    if not passed:
+        resid = spectral_norm(residual) if resid is None else resid
         raise NotASolution(
             f"AX differs from C by {resid:.3e}", certificate={"equation_residual": resid}
         )
@@ -421,14 +430,15 @@ def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarr
     residual and its bound in the certificate.
     """
     residual = f.a @ x - f.c
-    failed = failed + ["solution_residual"] * (not _within_residual_bound(residual, f.c, f.tol))
+    passed, resid = _residual_test(residual, f.c, f.tol)
+    failed = failed + ["solution_residual"] * (not passed)
     if failed:
         raise error(
             f"the emitted solution failed its own check: {', '.join(failed)}",
             certificate={
                 "failed_conditions": failed,
                 **numbers(),
-                "equation_residual": spectral_norm(residual),
+                "equation_residual": spectral_norm(residual) if resid is None else resid,
                 "residual_bound": f.tol.residual_bound(f.c_norm),
             },
         )
@@ -452,22 +462,24 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
             f"no Hermitian solution exists (verdict {_verdict(f).value})",
             certificate=_failure_certificate(f),
         )
-    if not _within_residual_bound(y - y.conj().T, 0.0, f.tol):
-        y_dev = hermitian_deviation(y)
+    passed, y_dev = _residual_test(y - y.conj().T, 0.0, f.tol)
+    if not passed:
+        y_dev = hermitian_deviation(y) if y_dev is None else y_dev
         raise ParameterNotHermitian(
             f"parameter Y must be Hermitian (deviation {y_dev:.3e})",
             certificate={"parameter_deviation": y_dev},
         )
 
     x = f.h0 + f.ip @ y @ f.ip
+    passed, x_dev = _residual_test(x - x.conj().T, x, f.tol)
 
     def numbers():
         return {
-            "solution_deviation": hermitian_deviation(x),
+            "solution_deviation": hermitian_deviation(x) if x_dev is None else x_dev,
             "deviation_bound": f.tol.residual_bound(spectral_norm(x)),
         }
 
-    failed = ["solution_hermitian"] * (not _within_residual_bound(x - x.conj().T, x, f.tol))
+    failed = ["solution_hermitian"] * (not passed)
     return _checked(f, x, NotSolvableHermitian, failed, numbers)
 
 

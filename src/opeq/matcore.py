@@ -408,15 +408,26 @@ def _within_residual_bound(m, r, tol: ToleranceConfig) -> bool:
     upper bound of ``||R||`` (:func:`_single_norm_bounds`).  Only an undecided
     test takes the norms from zgesdd, so the verdict always has the bits of
     ``spectral_norm(m) <= tol.residual_bound(spectral_norm(r))``; a caller that
-    prints a norm takes it exactly.
+    prints a norm takes it exactly, or reads it from :func:`_residual_test`.
+    """
+    return _residual_test(m, r, tol)[0]
+
+
+def _residual_test(m, r, tol: ToleranceConfig):
+    """``(passed, norm)``: the test of :func:`_within_residual_bound` and the ``||M||`` it took.
+
+    ``norm`` is the zgesdd 2-norm of ``m`` when the Frobenius bounds left the
+    test undecided, and None when they settled it; a certificate that prints
+    ``||M||`` reads it rather than taking the same norm twice.
     """
     m_lo, m_hi = _single_norm_bounds(m)
     r_lo, r_hi = _single_norm_bounds(r)
     if m_hi <= tol.residual_bound(r_lo):
-        return True
+        return True, None
     if m_lo > tol.residual_bound(r_hi):
-        return False
-    return _exact_norm(m) <= tol.residual_bound(_exact_norm(r))
+        return False, None
+    norm = _exact_norm(m)
+    return norm <= tol.residual_bound(_exact_norm(r)), norm
 
 
 def _exact_norm(x) -> float:
@@ -518,7 +529,8 @@ class HermitianSpectrum:
     least dominating scale of one matrix share the eigendecomposition;
     :func:`is_psd` is the method on a fresh instance.  The Hermitian test
     needs the exact deviation only when its Frobenius bounds cannot settle
-    it, and reads :attr:`deviation` when a certificate has already taken it.
+    it; it reads :attr:`deviation` when a certificate has already taken it,
+    and keeps the one it takes as :attr:`deviation`.
     """
 
     def __init__(self, m):
@@ -531,11 +543,14 @@ class HermitianSpectrum:
         return hermitian_deviation(self.m)
 
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-        """``||M - M*||`` within the absolute residual bound; reads :attr:`deviation` if it is taken."""
+        """``||M - M*||`` within the absolute residual bound; reads and keeps :attr:`deviation`."""
         deviation = self.__dict__.get("deviation")
         if deviation is None:
             deviation = self.m - self.m.conj().T
-        return _within_residual_bound(deviation, 0.0, tol)
+        passed, taken = _residual_test(deviation, 0.0, tol)
+        if taken is not None:
+            self.__dict__["deviation"] = taken
+        return passed
 
     @cached_property
     def eigh(self):
@@ -543,6 +558,8 @@ class HermitianSpectrum:
 
     def is_psd(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
         """See :func:`is_psd`."""
+        if not self.m.any():
+            return True
         if not self.is_hermitian(tol):
             return False
         w, _ = self.eigh
@@ -589,7 +606,8 @@ def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
 
     True iff ``||M - M*||`` is within the absolute residual bound and the
     least eigenvalue of the symmetrization is at least its eigenvalue floor
-    (:class:`ToleranceConfig`).
+    (:class:`ToleranceConfig`).  An all-zero M passes without an
+    eigendecomposition.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:

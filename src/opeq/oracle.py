@@ -24,6 +24,7 @@ its head ``T_1, ..., T_16``; the head's monotonicity tests are one more.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ from .matcore import (
     DEFAULT_TOLERANCES,
     HermitianSpectrum,
     ToleranceConfig,
+    _BOUND_SLACK,
+    _single_norm_bounds,
     _within_residual_bound,
     as_matrix,
     hermitian_deviation,
@@ -134,6 +137,22 @@ def positive_search(
     ``X = D + (I-P) D* + (I-P) Y (I-P)`` and keeps the first X that passes
     the PSD and residual tests.  Returns None when the budget is exhausted;
     that is evidence of unsolvability, not proof.
+
+    Candidates that cannot pass are never formed.  With ``P = B B*``, every
+    X has the same compression ``B* X B = B* H0 B`` (``H0 = D + (I-P) D*``),
+    so by the Rayleigh quotient ``lambda_min(X) <= mu``, the least eigenvalue
+    of that compression.  ``U = (h + s ||G||_F^2)(1 + slack)``, with ``h``
+    the Frobenius bound of ``||H0||`` and ``slack = matcore._BOUND_SLACK``,
+    bounds ``||X||``, since ``||Y|| <= s ||G||_F^2`` and ``||I - P|| = 1``.
+    A candidate with ``mu + slack * U < eigenvalue_floor(U)`` fails the
+    floor test, and the rule is exact: the computed least eigenvalue is at
+    most ``mu`` plus a roundoff far below ``slack * U``, and the floor,
+    nonincreasing in the norm, is at least ``eigenvalue_floor(U)``.  The
+    generator is still drawn in chunks of 256, so each candidate keeps its
+    bits; the rest are formed and tested in order, in slices of 1, 4, 16, ...
+    up to 256, and the search stops at its first hit.  So it returns what
+    testing every candidate returns, bit for bit.  Nothing is screened when
+    A has rank 0 or ``mu`` or ``h`` is not finite.
     """
     if f.a.shape != f.c.shape:
         raise ShapeMismatch("A and C must have identical shape")
@@ -146,9 +165,11 @@ def positive_search(
     n = f.a.shape[1]
     ip = f.ip
     base = f.h0
+    mu, base_top = _compression_floor(f.row_basis, base)
 
     rng = _sub_rng(seed, 1)
     chunk = 256
+    step = 1
     drawn = 0
     while drawn < budget:
         take = min(chunk, budget - drawn)
@@ -157,17 +178,44 @@ def positive_search(
         # would eventually slip an indefinite matrix of huge norm past any
         # norm-relative eigenvalue floor, turning absence-evidence into noise
         scales = 2.0 ** np.minimum((drawn + np.arange(take)) // 256, 6)
-        y = np.einsum("kij,kil->kjl", g.conj(), g) * scales[:, None, None]
-        x = base[None, :, :] + ip[None, :, :] @ y @ ip[None, :, :]
-        x = 0.5 * (x + np.conj(np.transpose(x, (0, 2, 1))))
-        eigs = np.linalg.eigvalsh(x)
-        hits = np.nonzero(eigs[:, 0] >= tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1)))[0]
-        for k in hits:
-            candidate = x[k]
-            if _within_residual_bound(f.a @ candidate - f.c, f.c, tol) and is_psd(candidate, tol):
-                return candidate
         drawn += take
+        survivors = np.arange(take)
+        if mu is not None:
+            parts = g.view(np.float64)
+            top = (base_top + scales * np.einsum("kij,kij->k", parts, parts)) * (1.0 + _BOUND_SLACK)
+            survivors = np.flatnonzero(~(mu + _BOUND_SLACK * top < tol.eigenvalue_floor(top)))
+        while survivors.size:
+            pick, survivors = survivors[:step], survivors[step:]
+            step = min(4 * step, chunk)
+            gp = g[pick]
+            y = np.einsum("kij,kil->kjl", gp.conj(), gp) * scales[pick, None, None]
+            x = base[None, :, :] + ip[None, :, :] @ y @ ip[None, :, :]
+            x = 0.5 * (x + np.conj(np.transpose(x, (0, 2, 1))))
+            eigs = np.linalg.eigvalsh(x)
+            hits = np.nonzero(eigs[:, 0] >= tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1)))[0]
+            for k in hits:
+                candidate = x[k]
+                if _within_residual_bound(f.a @ candidate - f.c, f.c, tol) and is_psd(candidate, tol):
+                    return candidate
     return None
+
+
+def _compression_floor(basis, h0):
+    """``(mu, h)`` for the screen of :func:`positive_search`, or ``(None, None)`` for none.
+
+    ``mu`` is the least eigenvalue of ``sym(B* H0 B)``, from one ``eigvalsh`` of
+    an ``r x r`` matrix, and ``h`` the Frobenius upper bound of ``||H0||``
+    (``matcore._single_norm_bounds``).  There is no screen when A has rank 0
+    or either number is not finite.
+    """
+    if not basis.shape[1]:
+        return None, None
+    comp = basis.conj().T @ h0 @ basis
+    mu = float(np.linalg.eigvalsh(0.5 * (comp + comp.conj().T))[0])
+    top = _single_norm_bounds(h0)[1]
+    if not (math.isfinite(mu) and math.isfinite(top)):
+        return None, None
+    return mu, top
 
 
 @dataclass(frozen=True)

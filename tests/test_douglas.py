@@ -448,6 +448,39 @@ def test_report_lapack_calls_do_not_grow_with_n(monkeypatch):
     assert counts[0] == counts[1] == Counter(svd=4, eigh=2)
 
 
+@pytest.mark.parametrize("ratio", [1.0, 1.5])
+def test_range_certificate_reads_the_norm_its_test_took(ratio, monkeypatch):
+    # a range residual at or above its bound, inside the band where Frobenius
+    # bounds cannot decide, so the test takes ||A D - C|| from zgesdd once
+    tol = mc.DEFAULT_TOLERANCES
+    a = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    c = np.diag([2.0, 1.0, ratio * tol.residual_bound(2.0)]).astype(complex)
+    f = dg.factorize(a, c, tol)
+    residual = f.a @ f.d - f.c
+    exact = mc.spectral_norm(residual)
+    log = count_lapack(monkeypatch)
+    assert f.range_ok is (ratio == 1.0)
+    assert f.range_residual == exact
+    if not f.range_ok:
+        assert dg.solvability_report(f).certificate["range_residual"] == exact
+    # one SVD of the residual for the test and its certificate together
+    assert sum(name == "svd" and np.array_equal(args[0], residual) for name, args, _ in log) == 1
+
+
+def test_parameter_certificate_reads_the_norm_its_test_took(rank1_pair, monkeypatch):
+    # ||Y - Y*|| = 1.2e-8 over the absolute bound 1e-8, with a lower Frobenius
+    # bound of 1.2e-8 / sqrt(2) below it: undecided, so it takes one SVD
+    f = dg.factorize(*rank1_pair)
+    y = np.diag([0.6e-8j, 0.0])
+    skew = y - y.conj().T
+    exact = mc.hermitian_deviation(y)
+    log = count_lapack(monkeypatch)
+    with pytest.raises(ParameterNotHermitian) as info:
+        dg.hermitian_solution(f, y)
+    assert info.value.certificate["parameter_deviation"] == exact
+    assert sum(name == "svd" and np.array_equal(args[0], skew) for name, args, _ in log) == 1
+
+
 def test_factorize_runs_one_full_svd_of_a(monkeypatch):
     rng = np.random.default_rng(89)
     a = rank_deficient(rng, 8, 8, 5)

@@ -101,6 +101,17 @@ def test_is_psd_passes_at_its_eigenvalue_floor(top):
     assert not mc.is_psd(np.diag([np.nextafter(floor, -np.inf), top]), RULE_TOL)
 
 
+def test_is_psd_of_a_zero_matrix_takes_no_eigendecomposition(monkeypatch):
+    log = count_lapack(monkeypatch)
+    zeros = [np.zeros((n, n)) for n in (1, 3, 8)] + [np.full((2, 2), -0.0 - 0.0j), np.zeros((0, 0))]
+    assert all(mc.is_psd(z, RULE_TOL) for z in zeros)
+    assert log == []
+    # one nonzero entry is enough to need the eigendecomposition
+    tiny = np.zeros((3, 3))
+    tiny[2, 2] = -5e-324
+    assert mc.is_psd(tiny, RULE_TOL) and [name for name, _, _ in log] == ["eigh"]
+
+
 def test_rank_cut_of_a_float_and_an_array():
     expected = 1e-6 * TOPS
     np.testing.assert_array_equal(RULE_TOL.rank_cut(TOPS), expected)
@@ -739,9 +750,10 @@ def test_hermitian_test_reuses_a_deviation_already_taken(monkeypatch):
     spectrum = mc.HermitianSpectrum(skewed(2, 0.5, 0.5e-8))
     log = count_lapack(monkeypatch)
     assert spectrum.is_hermitian() and len(log) == 1
-    assert spectrum.deviation == mc.DEFAULT_TOLERANCES.residual_bound() and len(log) == 2
+    # the undecided test keeps the norm it took, so the certificate takes none
+    assert spectrum.deviation == mc.DEFAULT_TOLERANCES.residual_bound() and len(log) == 1
     assert spectrum.is_hermitian() and spectrum.is_psd()
-    assert [name for name, _, _ in log] == ["svd", "svd", "eigh"]
+    assert [name for name, _, _ in log] == ["svd", "eigh"]
 
 
 # ---------------------------------------------------------------------------

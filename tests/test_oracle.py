@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian, count_lapack, rank_deficient, random_psd
+from conftest import (
+    complex_gaussian,
+    count_lapack,
+    rank_deficient,
+    random_psd,
+    reference_positive_search,
+)
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq import oracle as oc
@@ -77,6 +83,114 @@ def test_search_deterministic(rank1_pair):
     x1 = oc.positive_search(f, budget=64, seed=5)
     x2 = oc.positive_search(f, budget=64, seed=5)
     np.testing.assert_array_equal(x1, x2)
+
+
+def assert_search_matches_reference(f, budget, seed):
+    """positive_search returns what the unscreened search returns, bit for bit."""
+    got = oc.positive_search(f, budget=budget, seed=seed)
+    want = reference_positive_search(f, budget=budget, seed=seed)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.shape == want.shape and got.tobytes() == want.tobytes()
+    return want is not None
+
+
+SEARCH_BUDGETS = (1, 255, 256, 257, 384)
+
+
+@pytest.mark.parametrize("psd_atol", [1e-10, 1e-300])
+def test_screened_search_matches_the_unscreened_one(psd_atol):
+    tol = mc.ToleranceConfig(psd_atol=psd_atol)
+    spec = oc.TrialSpec(dim_max=6, trials=1)
+    found = {}
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        flavor = ("positive", "hermitian", "general", "never_positive")[seed % 4]
+        if flavor == "never_positive":
+            a, c = oc._hermitian_but_never_positive(rng, int(rng.integers(3, 7)))
+        else:
+            a, c = oc._consistent_pair(rng, spec, flavor)[:2]
+        budget = SEARCH_BUDGETS[(seed // 4) % len(SEARCH_BUDGETS)]
+        hit = assert_search_matches_reference(dg.factorize(a, c, tol), budget, seed)
+        found[flavor] = found.get(flavor, 0) + hit
+    # both outcomes are covered: positive pairs are found, the others are not
+    assert found["positive"] > 0 and found["never_positive"] == 0
+
+
+@pytest.mark.parametrize("budget", SEARCH_BUDGETS)
+def test_screened_search_matches_on_rank_zero_and_one_by_one(budget):
+    rng = np.random.default_rng(budget)
+    pairs = [(np.zeros((3, 3)), np.zeros((3, 3))), (np.zeros((1, 1)), np.zeros((1, 1)))]
+    for _ in range(12):
+        a = complex_gaussian(rng, 1, 1)
+        pairs.append((a, a * rng.uniform(-2.0, 2.0)))
+    hits = [assert_search_matches_reference(dg.factorize(a, c), budget, 7) for a, c in pairs]
+    # rank 0 has no screen, and every candidate is PSD
+    assert hits[0] and hits[1] and not all(hits)
+
+
+def compression_with_least_eigenvalue(rng, delta, n=4, rank=2):
+    """A pair whose solutions all compress to the row space with least eigenvalue ``-delta``.
+
+    X is block diagonal in ``P = V V*``: ``-delta`` and 1 on the row space, a
+    PSD block on its complement, so the candidates' least eigenvalue is near
+    ``-delta`` and a small ``delta`` survives the screen.
+    """
+    u, v = oc._unitaries(rng, n, 2)
+    v = v[:, :rank]
+    a = (u[:, :rank] * rng.uniform(0.3, 2.0, rank)) @ v.conj().T
+    w = v @ np.diag([-delta, 1.0]) @ v.conj().T
+    ip = np.eye(n) - v @ v.conj().T
+    return a, a @ (w + ip @ random_psd(rng, n) @ ip)
+
+
+@pytest.mark.parametrize("delta", [10.0**-k for k in range(2, 15)])
+def test_screened_search_matches_near_a_psd_compression(delta, monkeypatch):
+    log = count_lapack(monkeypatch)
+    outcomes = []
+    for seed in range(3):
+        f = dg.factorize(*compression_with_least_eigenvalue(np.random.default_rng(seed), delta))
+        for budget in (1, 257):
+            outcomes.append(assert_search_matches_reference(f, budget, seed))
+    log.clear()
+    oc.positive_search(f, budget=257, seed=0)
+    formed = sum(args[0].shape[0] for name, args, _ in log if name == "eigvalsh" and args[0].ndim == 3)
+    if delta >= 1e-4:
+        # mu + 1e-6 * ||X|| is below the floor: every candidate is ruled out
+        assert formed == 0 and not any(outcomes)
+    elif delta <= 1e-12:
+        # -delta is above the floor: the first candidate is a hit
+        assert formed == 1 and all(outcomes)
+    else:
+        assert formed > 0
+
+
+def test_search_forms_no_candidate_when_the_compression_is_negative(monkeypatch):
+    rng = np.random.default_rng(5)
+    a = complex_gaussian(rng, 4, 4)
+    h = np.diag([1.0, 0.5, -0.25, 2.0]).astype(complex)
+    f = dg.factorize(a, a @ h)  # C A* = A H A* is Hermitian, not PSD
+    assert f.ca_hermitian and not f.ca_psd
+    log = count_lapack(monkeypatch)
+    assert oc.positive_search(f, budget=10**4, seed=3) is None
+    # the compression's one eigvalsh; no candidate stack
+    assert [(name, args[0].shape) for name, args, _ in log] == [("eigvalsh", (4, 4))]
+
+
+def test_search_hit_at_the_first_candidate_forms_only_it(monkeypatch):
+    rng = np.random.default_rng(29)
+    a = rank_deficient(rng, 3, 3, 2)
+    f = dg.factorize(a, a)
+    log = count_lapack(monkeypatch)
+    x = oc.positive_search(f, budget=10**4, seed=1)
+    calls = [(name, args[0].shape) for name, args, _ in log]
+    assert x is not None and mc.is_psd(x)
+    # the 2x2 compression's eigvalsh first, then at most two candidate matrices:
+    # the stack of one and the PSD test of the hit
+    assert calls[0] == ("eigvalsh", (2, 2))
+    assert sum(int(np.prod(shape[:-2])) for _, shape in calls[1:]) <= 2
+    np.testing.assert_array_equal(x, reference_positive_search(f, budget=10**4, seed=1))
 
 
 # ---------------------------------------------------------------------------
