@@ -76,7 +76,6 @@ from .projpair import (
 )
 from .oracle import (
     TrialSpec,
-    douglas_properties_check,
     lsq_solve,
     positive_search,
     property_suite,

@@ -506,9 +506,10 @@ def positive_solution(f: Factorization, z) -> np.ndarray:
         raise ParameterNotPSD("parameter Z must be positive semidefinite")
 
     x = f.x0 + f.ip @ z @ f.ip
-    if is_psd(x, f.tol):
+    spectrum = HermitianSpectrum(x)
+    if spectrum.is_psd(f.tol):
         return _checked(f, x, NotSolvablePositive, [])
-    lowest = float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0])
+    lowest = float(spectrum.eigh[0][0])
     return _checked(f, x, NotSolvablePositive, ["solution_psd"], lambda: {"min_eigenvalue": lowest})
 
 

@@ -310,16 +310,6 @@ def row_space_projector(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndar
     return b @ b.conj().T
 
 
-def _eigh_sym(m):
-    """Eigendecomposition of the Hermitian symmetrization of m."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch("eigendecomposition needs a square matrix")
-    h = 0.5 * (a + a.conj().T)
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
 def spectral_norms(stack) -> np.ndarray:
     """Operator norm of each matrix of a ``(k, r, c)`` stack: one batched SVD.
 
@@ -554,7 +544,7 @@ class HermitianSpectrum:
 
     @cached_property
     def eigh(self):
-        return _eigh_sym(self.m)
+        return np.linalg.eigh(0.5 * (self.m + self.m.conj().T))
 
     def is_psd(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
         """See :func:`is_psd`."""
@@ -597,7 +587,7 @@ class HermitianSpectrum:
             return 0.0
         scaled = vr / np.sqrt(w)
         compressed = scaled.conj().T @ h @ scaled
-        ew, _ = _eigh_sym(compressed)
+        ew = np.linalg.eigh(0.5 * (compressed + compressed.conj().T))[0]
         return float(max(ew[-1], 0.0)) if ew.size else 0.0
 
 

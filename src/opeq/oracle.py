@@ -9,6 +9,12 @@ search hit is evidence, never proof.  The routes share their inputs with
 the decisions: every trial builds one :class:`~opeq.douglas.Factorization`
 and reads D, P, ``C A*`` and DP from it.
 
+The suite has five properties, and a check runs on the pair of the property
+that builds its input: ``general_solution_routes`` also checks the Penrose
+identities of ``pinv(A)``, ``|A|`` as the square root of ``A*A`` and
+Douglas's three facts about D, and ``positive_criteria_agreement`` runs the
+search on every pair it classifies.
+
 All randomness flows from a named generator (PCG64) with an explicit seed;
 every trial derives its own sub-seed deterministically from the seed and the
 trial index, so any reported failure is reproducible bit for bit.  Haar
@@ -61,10 +67,8 @@ __all__ = [
     "GENERATOR_NAME",
     "DEFAULT_SEED",
     "TrialSpec",
-    "DouglasReport",
     "lsq_solve",
     "positive_search",
-    "douglas_properties_check",
     "property_suite",
 ]
 
@@ -216,57 +220,6 @@ def _compression_floor(basis, h0):
     if not (math.isfinite(mu) and math.isfinite(top)):
         return None, None
     return mu, top
-
-
-@dataclass(frozen=True)
-class DouglasReport:
-    """Checks of the three classical properties of the reduced solution D.
-
-    norm identity: ``||D||^2`` equals the least majorization scale;
-    kernel match: ``N(D) = N(C)`` through mutual projector residuals;
-    row-space location: ``(I - P) D = 0``.
-    """
-
-    mu_star: float | None
-    d_norm_sq: float
-    norm_identity_ok: bool
-    kernel_match_ok: bool
-    rowspace_ok: bool
-    kernel_residuals: tuple[float, float]
-    rowspace_residual: float
-
-    @property
-    def all_ok(self) -> bool:
-        return self.norm_identity_ok and self.kernel_match_ok and self.rowspace_ok
-
-
-def douglas_properties_check(f: douglas.Factorization) -> DouglasReport:
-    """Verify the norm identity, kernel equality and row-space location of D."""
-    tol = f.tol
-    d = douglas.reduced_solution(f)  # raises NotSolvable if inconsistent
-
-    maj = min_majorization_scale(f.a, f.c, tol)
-    d_norm_sq = f.d_norm**2
-    norm_ok = maj.finite and abs(maj.mu_star - d_norm_sq) <= 1e-8 * max(1.0, d_norm_sq)
-
-    proj_c = row_space_projector(f.c, tol)
-    proj_d = row_space_projector(d, tol)
-    resid_dc = spectral_norm(proj_d - proj_c @ proj_d)
-    resid_cd = spectral_norm(proj_c - proj_d @ proj_c)
-    kernel_ok = resid_dc <= 1e-8 and resid_cd <= 1e-8
-
-    rowspace_resid = spectral_norm(d - f.p @ d)
-    rowspace_ok = rowspace_resid < 1e-10 * max(1.0, spectral_norm(d))
-
-    return DouglasReport(
-        mu_star=maj.mu_star,
-        d_norm_sq=d_norm_sq,
-        norm_identity_ok=norm_ok,
-        kernel_match_ok=kernel_ok,
-        rowspace_ok=rowspace_ok,
-        kernel_residuals=(resid_dc, resid_cd),
-        rowspace_residual=rowspace_resid,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,42 +391,26 @@ def _consistent_pair(rng, spec: TrialSpec, flavor: str):
 # one check per named property; return None on pass, failure detail on fail
 
 
-def _instance_json(**mats):
-    return {name: matrix_to_json(m) for name, m in mats.items()}
-
-
 def _fail(detail, **mats):
-    return {"detail": detail, "instance": _instance_json(**mats)}
+    return {"detail": detail, "instance": {name: matrix_to_json(m) for name, m in mats.items()}}
 
 
-def _check_penrose(rng, spec, tol):
-    rows = int(rng.integers(1, spec.dim_max + 1))
-    cols = int(rng.integers(1, spec.dim_max + 1))
-    m = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
-    mp = pinv(m, tol)
-    m_mp, mp_m = m @ mp, mp @ m
-    checks = [
-        ("M Mp M = M", m_mp @ m - m, m),
-        ("Mp M Mp = Mp", mp_m @ mp - mp, m),
-        ("M Mp Hermitian", m_mp - m_mp.conj().T, 0.0),
-        ("Mp M Hermitian", mp_m - mp_m.conj().T, 0.0),
-    ]
-    for label, residual, norm in checks:
-        if not _within_residual_bound(residual, norm, tol):
-            return _fail(f"{label} violated by {spectral_norm(residual):.3e}", m=m)
-    return None
+def _reduced_solution_facts(f: douglas.Factorization) -> tuple[bool, bool, bool]:
+    """Douglas's three facts about the reduced solution D: ``(norm, kernel, rowspace)``.
 
-
-def _check_sqrt_round_trip(rng, spec, tol):
-    n = int(rng.integers(1, spec.dim_max + 1))
-    m = random_psd(rng, n, rank=_pick_rank(rng, n, spec.rank_policy))
-    s = sqrt_psd(m, tol)
-    resid = spectral_norm(s @ s - m)
-    if resid > 1e-9 * max(1.0, spectral_norm(m)):
-        return _fail(f"sqrt round trip off by {resid:.3e}", m=m)
-    if not is_psd(s, tol):
-        return _fail("square root is not PSD", m=m)
-    return None
+    norm identity: ``||D||^2`` equals the least majorization scale;
+    kernel match: ``N(D) = N(C)`` through mutual projector residuals;
+    row-space location: ``(I - P) D = 0``.  They hold when the equation is consistent.
+    """
+    tol = f.tol
+    d = f.d
+    maj = min_majorization_scale(f.a, f.c, tol)
+    d_norm_sq = f.d_norm**2
+    norm_ok = maj.finite and abs(maj.mu_star - d_norm_sq) <= 1e-8 * max(1.0, d_norm_sq)
+    pc, pd = row_space_projector(f.c, tol), row_space_projector(d, tol)
+    kernel_ok = max(spectral_norm(pd - pc @ pd), spectral_norm(pc - pd @ pc)) <= 1e-8
+    rowspace_ok = spectral_norm(d - f.p @ d) < 1e-10 * max(1.0, spectral_norm(d))
+    return norm_ok, kernel_ok, rowspace_ok
 
 
 def _check_general_solution(rng, spec, tol):
@@ -481,7 +418,9 @@ def _check_general_solution(rng, spec, tol):
 
     With ``A = U|A|``, the paper's partial-isometry form ``|A|^+ U* C + (I - U*U) Y``
     must equal the builder's ``D + (I - P) Y``, the normal equations must give D,
-    and recovering Y from X must give X back.
+    and recovering Y from X must give X back.  The same pair checks the parts:
+    the four Penrose identities of ``pinv(A)``, ``|A|`` as the PSD square root
+    of ``A*A``, and the three facts of :func:`_reduced_solution_facts`.
     """
     rows, cols, k = (int(rng.integers(1, spec.dim_max + 1)) for _ in range(3))
     a = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
@@ -490,8 +429,25 @@ def _check_general_solution(rng, spec, tol):
     f = douglas.factorize(a, c, tol)
     if not f.range_ok:
         return _fail("range inclusion rejected a consistent pair", a=a, c=c)
+    ap = pinv(a, tol)
+    a_ap, ap_a = a @ ap, ap @ a
+    penrose = [
+        ("M Mp M = M", a_ap @ a - a, a),
+        ("Mp M Mp = Mp", ap_a @ ap - ap, a),
+        ("M Mp Hermitian", a_ap - a_ap.conj().T, 0.0),
+        ("Mp M Hermitian", ap_a - ap_a.conj().T, 0.0),
+    ]
+    for label, residual, norm in penrose:
+        if not _within_residual_bound(residual, norm, tol):
+            return _fail(f"{label} violated by {spectral_norm(residual):.3e}", a=a)
+    gram = a.conj().T @ a
+    modulus = sqrt_psd(gram, tol)
+    resid = spectral_norm(modulus @ modulus - gram)
+    if resid > 1e-9 * max(1.0, spectral_norm(gram)):
+        return _fail(f"sqrt round trip off by {resid:.3e}", a=a)
+    if not is_psd(modulus, tol):
+        return _fail("square root is not PSD", a=a)
     u = polar_partial_isometry(a, tol)
-    modulus = sqrt_psd(a.conj().T @ a, tol)
     if not _within_residual_bound(u @ modulus - a, a, tol):
         return _fail("U |A| does not reproduce A", a=a)
     # |A| + I - U*U is invertible and agrees with |A| on the range of U*U, so
@@ -513,6 +469,14 @@ def _check_general_solution(rng, spec, tol):
     gap = spectral_norm(x_back - x)
     if gap > 1e-9 * max(1.0, spectral_norm(x)):
         return _fail(f"parameter round trip off by {gap:.3e}", a=a, c=c)
+    norm_ok, kernel_ok, rowspace_ok = _reduced_solution_facts(f)
+    if not (norm_ok and kernel_ok and rowspace_ok):
+        return _fail(
+            f"reduced-solution properties failed: norm={norm_ok} kernel={kernel_ok} "
+            f"rowspace={rowspace_ok}",
+            a=a,
+            c=c,
+        )
     return None
 
 
@@ -543,6 +507,10 @@ def _check_hermitian_criterion(rng, spec, tol):
 
 
 def _check_positive_criteria(rng, spec, tol):
+    """The positivity routes agree on one pair, and the randomized search respects them.
+
+    A search hit must come with a POSITIVE verdict, be PSD and solve the equation.
+    """
     pick = int(rng.integers(4))
     if pick == 3 and spec.dim_max >= 3:
         n = int(rng.integers(3, spec.dim_max + 1))
@@ -552,6 +520,7 @@ def _check_positive_criteria(rng, spec, tol):
         flavor = ("positive", "hermitian", "general")[pick % 3]
         a, c = _consistent_pair(rng, spec, flavor)[:2]
         expect = "positive" if flavor == "positive" else None
+    sub_seed = int(rng.integers(2**32))
     f = douglas.factorize(a, c, tol)
     report = douglas.solvability_report(f)
     t_finite = report.t_min is not None
@@ -584,6 +553,15 @@ def _check_positive_criteria(rng, spec, tol):
             )
         if report.dp_range_eq or report.t_min is not None:
             return _fail("range-deficient pattern passed a positivity route", a=a, c=c)
+    found = positive_search(f, budget=384, seed=sub_seed)
+    if found is None:
+        return None
+    if report.verdict is not douglas.Verdict.POSITIVE:
+        return _fail("search produced a PSD solution on a pair judged unsolvable", a=a, c=c)
+    if not is_psd(found, tol):
+        return _fail("search returned a non-PSD matrix", a=a, c=c)
+    if not _within_residual_bound(a @ found - c, f.c, tol):
+        return _fail("search returned a non-solution", a=a, c=c)
     return None
 
 
@@ -608,20 +586,6 @@ def _check_block_positivity(rng, spec, tol):
             a11=a11,
             a12=a12,
             a22=a22,
-        )
-    return None
-
-
-def _check_douglas_properties(rng, spec, tol):
-    flavor = ("general", "hermitian", "positive")[int(rng.integers(3))]
-    a, c, _ = _consistent_pair(rng, spec, flavor)
-    report = douglas_properties_check(douglas.factorize(a, c, tol))
-    if not report.all_ok:
-        return _fail(
-            f"reduced-solution properties failed: norm={report.norm_identity_ok} "
-            f"kernel={report.kernel_match_ok} rowspace={report.rowspace_ok}",
-            a=a,
-            c=c,
         )
     return None
 
@@ -676,34 +640,12 @@ def _check_tn_lambda(rng, spec, tol):
     return None
 
 
-def _check_positive_search(rng, spec, tol):
-    flavor = ("positive", "hermitian")[int(rng.integers(2))]
-    a, c, _ = _consistent_pair(rng, spec, flavor)
-    sub_seed = int(rng.integers(2**32))
-    f = douglas.factorize(a, c, tol)
-    found = positive_search(f, budget=384, seed=sub_seed)
-    if found is None:
-        return None
-    report = douglas.solvability_report(f)
-    if report.verdict is not douglas.Verdict.POSITIVE:
-        return _fail("search produced a PSD solution on a pair judged unsolvable", a=a, c=c)
-    if not is_psd(found, tol):
-        return _fail("search returned a non-PSD matrix", a=a, c=c)
-    if not _within_residual_bound(a @ found - c, f.c, tol):
-        return _fail("search returned a non-solution", a=a, c=c)
-    return None
-
-
 _PROPERTY_CHECKS = [
-    ("penrose_identities", _check_penrose),
-    ("sqrt_psd_round_trip", _check_sqrt_round_trip),
     ("general_solution_routes", _check_general_solution),
     ("hermitian_criterion_transfer", _check_hermitian_criterion),
     ("positive_criteria_agreement", _check_positive_criteria),
     ("block_positivity_vs_eigen", _check_block_positivity),
-    ("reduced_solution_properties", _check_douglas_properties),
     ("tn_monotone_lambda_match", _check_tn_lambda),
-    ("positive_search_consistency", _check_positive_search),
 ]
 
 

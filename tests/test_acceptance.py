@@ -167,7 +167,6 @@ def test_criterion_6_property_suite():
         "hermitian_criterion_transfer",
         "positive_criteria_agreement",
         "block_positivity_vs_eigen",
-        "reduced_solution_properties",
         "tn_monotone_lambda_match",
     ]
     covered = sum(suite["properties"][name]["trials"] for name in required)

@@ -282,7 +282,7 @@ def test_verify_deterministic_bytes(capsys):
 @pytest.mark.parametrize(
     "flag, value, prop, detail",
     [
-        ("--psd-atol", "1e-300", "sqrt_psd_round_trip", "NotPSD: matrix has eigenvalue"),
+        ("--psd-atol", "1e-300", "general_solution_routes", "NotPSD: matrix has eigenvalue"),
         (
             "--rank-rtol",
             "0.5",
@@ -306,26 +306,26 @@ def test_verify_reports_a_check_that_raises(capsys, flag, value, prop, detail):
 # them and says so in CHANGES.md
 VERIFY_DIGESTS = {
     ("--trials", "10", "--max-dim", "6", "--seed", "1000"): (
-        "a19d671bd6e576e8596f744bc6cb1500f80d62e578b2e0a4519a10c3004aa07c"
+        "a6d5b13076975fc805e2d7e7723c6db331b5486eb7b65f86ff891611cf741704"
     ),
     ("--trials", "10", "--max-dim", "6", "--seed", "1007"): (
-        "156f7e66f1f69c9ac6153a5783aeea5d58dbd59bead72ff00e0465ffba59f5bc"
+        "fbdab5532cbe4441f66af9732bb63d02bd2c9fe12589f568b5fd1c205a7332b8"
     ),
     ("--trials", "40", "--seed", "20514"): (
-        "ad9cde1f3b05f633e37e7521a4c4593ed92f8a6b7d618dd625c156225e733b36"
+        "88f63503d6be8fb4354fa9c6870213522dd507555048b5448e066f6a748e6a4b"
     ),
     # the smallest and largest --max-dim, and each fixed rank policy
     ("--trials", "10", "--max-dim", "3", "--seed", "1000"): (
-        "549e7ec472d6289589fd5451aaeb1b304e11c9217195d708a516afc0012829c2"
+        "bb4e81e5c22eadcac4ce93b6319bb446faa2ba687536e8533736c3aae6d6da89"
     ),
     ("--trials", "10", "--max-dim", "8", "--seed", "1000"): (
-        "a9d93789aa275aa840c51e483a1b0c0cc2bca3767dd975817f0f2bbfaefa3870"
+        "0318822e7917add08586327654b7a776a915681ec41b1d181dc9183acd05d3fb"
     ),
     ("--trials", "10", "--max-dim", "6", "--seed", "1000", "--rank-policy", "full"): (
-        "cc82568d34eaeba8f53d6ce103abe386a4604f4cdb6d062095f2bb795bc955e2"
+        "8ee760099293f796c189d82220c320c060b75b7dad3003b238592f5338f5afd2"
     ),
     ("--trials", "10", "--max-dim", "6", "--seed", "1000", "--rank-policy", "deficient"): (
-        "8272155b391b73901a9b22f2d1e62b29d67ccaeabc100d6ba487519bdeea6e45"
+        "77b801a83003d7d9d3ed6394a6eae8d04984f2111483eb81698c4dc3839858f0"
     ),
 }
 

@@ -389,6 +389,20 @@ def test_positive_solution_checks_its_output_at_small_scale():
     assert "equation_residual" in certificate and "residual_bound" in certificate
 
 
+def test_positive_solution_eigendecomposes_a_failing_output_once(monkeypatch):
+    # the pair above: the PSD test and the certificate's least eigenvalue share one eigh of X
+    a, c, _ = oc._consistent_pair(np.random.default_rng(1), oc.TrialSpec(dim_max=6), "hermitian")
+    f = dg.factorize(1e-6 * a, 1e-6 * c)
+    x = f.x0  # X for Z = 0; the criteria read below are taken before counting
+    assert f.range_ok and f.ca_psd and f.dp_range_eq
+    log = count_lapack(monkeypatch)
+    with pytest.raises(NotSolvablePositive) as info:
+        dg.positive_solution(f, np.zeros(x.shape))
+    assert [name for name, _, _ in log if name != "svd"] == ["eigh"]
+    lowest = np.linalg.eigh(0.5 * (x + x.conj().T))[0][0]
+    assert info.value.certificate["min_eigenvalue"] == float(lowest)
+
+
 def test_hermitian_solution_checks_its_output_at_small_scale():
     a, c, _ = oc._consistent_pair(np.random.default_rng(0), oc.TrialSpec(dim_max=6), "general")
     assert a.shape == (6, 6)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from conftest import (
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq import oracle as oc
-from opeq.errors import NotSolvable, PreconditionFailed
+from opeq.errors import PreconditionFailed
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +195,21 @@ def test_search_hit_at_the_first_candidate_forms_only_it(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# reduced-solution property report
+# Douglas's three facts about the reduced solution D
 
 
 def test_douglas_check_fixture(rank1_pair):
     a, c = rank1_pair
-    report = oc.douglas_properties_check(dg.factorize(a, c))
-    assert report.all_ok
-    assert report.mu_star == pytest.approx(5.0, rel=1e-10)
-    assert report.d_norm_sq == pytest.approx(5.0, rel=1e-10)
+    f = dg.factorize(a, c)
+    assert oc._reduced_solution_facts(f) == (True, True, True)
+    assert mc.min_majorization_scale(a, c).mu_star == pytest.approx(5.0, rel=1e-10)
+    assert f.d_norm**2 == pytest.approx(5.0, rel=1e-10)
 
 
 def test_douglas_check_identity():
     rng = np.random.default_rng(31)
     c = complex_gaussian(rng, 3, 3)
-    assert oc.douglas_properties_check(dg.factorize(np.eye(3), c)).all_ok
-
-
-def test_douglas_check_rejects_inconsistent():
-    with pytest.raises(NotSolvable):
-        oc.douglas_properties_check(dg.factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])))
+    assert oc._reduced_solution_facts(dg.factorize(np.eye(3), c)) == (True, True, True)
 
 
 def test_douglas_check_random():
@@ -222,7 +218,7 @@ def test_douglas_check_random():
         n = int(rng.integers(1, 7))
         a = rank_deficient(rng, n, n, int(rng.integers(1, n + 1)))
         c = a @ complex_gaussian(rng, n, n)
-        assert oc.douglas_properties_check(dg.factorize(a, c)).all_ok
+        assert oc._reduced_solution_facts(dg.factorize(a, c)) == (True, True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +297,27 @@ def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
         made.append(original(*args))
         return made[-1]
 
+    # matched by caller, not by value: the t_min compression of a 1x1 pair
+    # can equal the compression of D
+    calls, eigh = [], np.linalg.eigh
+
+    def logged(m, *args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, m))
+        return eigh(m, *args, **kwargs)
+
     monkeypatch.setattr(dg, "factorize", factorize)
-    log = count_lapack(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigh", logged)
     spec = oc.TrialSpec(dim_max=6, trials=12, seed=7)
     prop = _property_index("tn_monotone_lambda_match")
     for trial in range(spec.trials):
-        log.clear()
+        calls.clear()
         rng = oc._sub_rng(spec.seed, prop, trial)
         assert oc._check_tn_lambda(rng, spec, mc.DEFAULT_TOLERANCES) is None
         f = made[-1]
         comp = f.row_basis.conj().T @ f.d @ f.row_basis
-        sym = 0.5 * (comp + comp.conj().T)
-        of_comp = sum(
-            name == "eigh" and args[0].shape == sym.shape and np.allclose(args[0], sym, rtol=0, atol=1e-12)
-            for name, args, _ in log
-        )
-        assert of_comp == 1
+        of_comp = [m for caller, m in calls if caller == "_compressed_state"]
+        assert len(of_comp) == 1
+        np.testing.assert_allclose(of_comp[0], 0.5 * (comp + comp.conj().T), rtol=0, atol=1e-12)
 
 
 def test_tn_stack_matches_one_matrix_at_a_time():
@@ -451,6 +452,79 @@ def test_property_suite_lets_other_exceptions_through(monkeypatch):
     monkeypatch.setattr(oc, "_PROPERTY_CHECKS", [("broken", broken)])
     with pytest.raises(TypeError):
         oc.property_suite(oc.TrialSpec(trials=1))
+
+
+SEARCH = oc.positive_search
+
+
+def _search_hit_on_unsolvable(f, budget, seed):
+    if dg.solvability_report(f).verdict is dg.Verdict.POSITIVE:
+        return SEARCH(f, budget, seed)
+    return np.eye(f.a.shape[1])
+
+
+def _search_hit_moved(shift):
+    def search(f, budget, seed):
+        x = SEARCH(f, budget, seed)
+        return None if x is None else x + shift(x)
+
+    return search
+
+
+def _majorization_off_by_one(a, c, tol):
+    mu_star = mc.min_majorization_scale(a, c, tol).mu_star
+    return mc.MajorizationResult(finite=True, mu_star=mu_star + 1.0)
+
+
+# a wrong part fails the property that checks it, with that check's detail
+MUTANTS = {
+    "pinv": (
+        "pinv",
+        lambda m, tol: 2.0 * mc.pinv(m, tol),
+        "general_solution_routes",
+        "M Mp M = M violated by",
+    ),
+    "sqrt_psd": (
+        "sqrt_psd",
+        lambda m, tol: 1.5 * mc.sqrt_psd(m, tol),
+        "general_solution_routes",
+        "sqrt round trip off by",
+    ),
+    "majorization": (
+        "min_majorization_scale",
+        _majorization_off_by_one,
+        "general_solution_routes",
+        "reduced-solution properties failed: norm=False kernel=True rowspace=True",
+    ),
+    "search_unsolvable": (
+        "positive_search",
+        _search_hit_on_unsolvable,
+        "positive_criteria_agreement",
+        "search produced a PSD solution on a pair judged unsolvable",
+    ),
+    "search_non_psd": (
+        "positive_search",
+        _search_hit_moved(lambda x: -(1.0 + mc.spectral_norm(x)) * np.eye(len(x))),
+        "positive_criteria_agreement",
+        "search returned a non-PSD matrix",
+    ),
+    "search_non_solution": (
+        "positive_search",
+        _search_hit_moved(lambda x: np.eye(len(x))),
+        "positive_criteria_agreement",
+        "search returned a non-solution",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_property_suite_catches_a_wrong_part(monkeypatch, mutant):
+    attribute, wrong, prop, detail = MUTANTS[mutant]
+    monkeypatch.setattr(oc, attribute, wrong)
+    report = oc.property_suite(oc.TrialSpec(trials=12, seed=3))
+    failed = report["properties"][prop]
+    assert report["violations"] == failed["failures"] >= 1
+    assert failed["first_failure"]["detail"].startswith(detail)
 
 
 def test_property_suite_deterministic():
