@@ -160,9 +160,9 @@ class Factorization:
     majorization.  Each threshold test asks
     :func:`~opeq.matcore._within_residual_bound`, which takes a zgesdd norm
     only when Frobenius bounds cannot settle it; the exact norms
-    (``c_norm``, ``range_residual``, ``ca_deviation``, ``range_equality``)
-    are computed on first read, for certificates; ``range_residual`` and
-    ``ca_deviation`` read the norm their test took when it was undecided.
+    (``c_norm``, ``range_residual``, the deviation of ``C A*``,
+    ``range_equality``) are computed on first read, for certificates; all but
+    ``c_norm`` read the norms their tests took when those were undecided.
     No residual matrix is kept; nor is anything of an X it checks, so each
     check of an X reads that X as it is then.  ``a`` and ``c`` are held as
     given and must not be changed while the factorization is in use.
@@ -214,10 +214,6 @@ class Factorization:
         """The one deviation and eigendecomposition of ``C A*`` that its three tests read."""
         return HermitianSpectrum(self.ca)
 
-    @property
-    def ca_deviation(self) -> float:
-        return self._ca_spectrum.deviation
-
     @cached_property
     def ca_hermitian(self) -> bool:
         return self._ca_spectrum.is_hermitian(self.tol)
@@ -258,26 +254,30 @@ class Factorization:
         return self.d - (u_dp @ u_dp.conj().T) @ self.d, self.dp - (u_d @ u_d.conj().T) @ self.dp
 
     @cached_property
+    def _outside_tests(self) -> list:
+        """``(passed, norm)`` for each residual of ``_outside_ranges`` against its matrix's norm.
+
+        ``norm`` is the residual's exact norm when its test took it, else None.
+        """
+        norms = (self.d_norm, _norm(self._dp_svd[1]))
+        return [_residual_test(m, norm, self.tol)[:2] for m, norm in zip(self._outside_ranges(), norms)]
+
+    @cached_property
     def range_equality(self) -> dict:
         """Ranks of D and DP and each one's residual outside the other's range."""
-        d_outside, dp_outside = self._outside_ranges()
+        keys = ("d_outside_range_dp", "dp_outside_range_d")
+        residuals = zip(keys, self._outside_ranges(), self._outside_tests)
         return {
             "rank_d": int(self._d_svd[1].size),
             "rank_dp": int(self._dp_svd[1].size),
-            "d_outside_range_dp": spectral_norm(d_outside),
-            "dp_outside_range_d": spectral_norm(dp_outside),
+            **{key: spectral_norm(m) if taken is None else taken for key, m, (_, taken) in residuals},
         }
 
-    @cached_property
+    @property
     def dp_range_eq(self) -> bool:
         """R(D) = R(DP): equal ranks, and each residual within the residual bound of its norm."""
-        if self._d_svd[1].size != self._dp_svd[1].size:
-            return False
-        d_outside, dp_outside = self._outside_ranges()
-        dp_norm = _norm(self._dp_svd[1])
-        return _within_residual_bound(d_outside, self.d_norm, self.tol) and _within_residual_bound(
-            dp_outside, dp_norm, self.tol
-        )
+        same_rank = self._d_svd[1].size == self._dp_svd[1].size
+        return same_rank and all(passed for passed, _ in self._outside_tests)
 
     @property
     def h0(self) -> np.ndarray:
@@ -357,7 +357,7 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     if x.shape != shape:
         raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
     residual = f.a @ x - f.c
-    passed, resid = _residual_test(residual, f.c, f.tol)
+    passed, resid, _ = _residual_test(residual, f.c, f.tol)
     if not passed:
         resid = spectral_norm(residual) if resid is None else resid
         raise NotASolution(
@@ -385,7 +385,7 @@ def _failure_certificate(f: Factorization) -> dict:
         certificate["range_residual"] = f.range_residual
     if not f.ca_hermitian:
         failed.append("ca_star_hermitian")
-        certificate["ca_star_deviation"] = f.ca_deviation
+        certificate["ca_star_deviation"] = f._ca_spectrum.deviation
     if not f.ca_psd:
         failed.append("ca_star_psd")
     if not f.dp_range_eq:
@@ -430,7 +430,7 @@ def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarr
     residual and its bound in the certificate.
     """
     residual = f.a @ x - f.c
-    passed, resid = _residual_test(residual, f.c, f.tol)
+    passed, resid, c_norm = _residual_test(residual, f.c, f.tol)
     failed = failed + ["solution_residual"] * (not passed)
     if failed:
         raise error(
@@ -439,7 +439,7 @@ def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarr
                 "failed_conditions": failed,
                 **numbers(),
                 "equation_residual": spectral_norm(residual) if resid is None else resid,
-                "residual_bound": f.tol.residual_bound(f.c_norm),
+                "residual_bound": f.tol.residual_bound(f.c_norm if c_norm is None else c_norm),
             },
         )
     return x
@@ -462,7 +462,7 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
             f"no Hermitian solution exists (verdict {_verdict(f).value})",
             certificate=_failure_certificate(f),
         )
-    passed, y_dev = _residual_test(y - y.conj().T, 0.0, f.tol)
+    passed, y_dev, _ = _residual_test(y - y.conj().T, y, f.tol)
     if not passed:
         y_dev = hermitian_deviation(y) if y_dev is None else y_dev
         raise ParameterNotHermitian(
@@ -471,12 +471,12 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
         )
 
     x = f.h0 + f.ip @ y @ f.ip
-    passed, x_dev = _residual_test(x - x.conj().T, x, f.tol)
+    passed, x_dev, x_norm = _residual_test(x - x.conj().T, x, f.tol)
 
     def numbers():
         return {
             "solution_deviation": hermitian_deviation(x) if x_dev is None else x_dev,
-            "deviation_bound": f.tol.residual_bound(spectral_norm(x)),
+            "deviation_bound": f.tol.residual_bound(spectral_norm(x) if x_norm is None else x_norm),
         }
 
     failed = ["solution_hermitian"] * (not passed)
@@ -518,7 +518,9 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
 
     Three conditions, jointly equivalent to positivity of the assembled
     matrix: A11 PSD, the columns of A12 inside the range of A11, and the
-    Schur complement ``A22 - A12* A11^dagger A12`` PSD.
+    Schur complement ``A22 - A12* A11^dagger A12`` PSD.  The complement is
+    judged at the scale of A22, not its own: it cancels to roundoff when the
+    assembled matrix is singular.
     """
     a11 = as_matrix(a11)
     a12 = as_matrix(a12)
@@ -544,4 +546,4 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
     coeffs = v.conj().T @ a12
     if not _within_residual_bound(a12 - v @ coeffs, a12, tol):
         return False
-    return is_psd(a22 - a12.conj().T @ ((v / w) @ coeffs), tol)
+    return HermitianSpectrum(a22 - a12.conj().T @ ((v / w) @ coeffs), scale=a22).is_psd(tol)

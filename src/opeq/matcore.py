@@ -55,41 +55,46 @@ __all__ = [
 class ToleranceConfig:
     """Thresholds of every floating-point decision, and the three rules that apply them.
 
-    Each setting is a number strictly between 0 and 1.  Every decision asks
-    one of the methods below for its threshold; each takes a float or an
+    Each setting is a number strictly between 0 and 1, and each rule is the
+    setting times the norm of the matrix a decision judges, so a verdict does
+    not change when its inputs are scaled: Douglas's criteria are homogeneous
+    in ``(A, C)``.  A zero norm gives a zero threshold, so the test of a zero
+    matrix is exact: only an exact zero passes a residual test against it, and
+    only a nonnegative eigenvalue its floor.  Each rule takes a float or an
     array (elementwise), so a batched test runs the code of a single one.
 
-    :meth:`residual_bound` -- ``residual_atol * max(1, norm)``
+    :meth:`residual_bound` -- ``residual_atol * norm``
         A residual or Hermitian deviation passes when it is at most this.
-        With no norm it is the absolute ``residual_atol``: so for the ``C A*``
-        Hermitian test, the Hermitian test of :func:`is_psd`, the diagonal
-        blocks of ``block_psd_test``, the Hermitian family's parameter Y,
-        ``algebra_membership`` and the property suite's Penrose Hermitian
-        identities.  The others pass ``||C||`` (range and equation
-        residuals), ``||D||`` or ``||DP||`` (range equality), ``||M||``
-        (:func:`sqrt_psd`, the emitted Hermitian X, the compressed ``DP`` and
-        the Penrose and polar identities), ``||X||`` (the suite's
-        partial-isometry route to the general solution) or ``||H||`` (the
-        leak test of :meth:`HermitianSpectrum.dominating_scale`).  The tests of
-        :mod:`opeq.douglas`, :mod:`opeq.oracle` and :class:`HermitianSpectrum`
-        ask :func:`_within_residual_bound`, and :func:`sqrt_psd` screens its
-        stack the same way: Frobenius bounds settle the test, and zgesdd norms
-        are taken only when they cannot, so each verdict is the one exact norms
-        give; a norm is taken exactly only where it is printed.
-    :meth:`eigenvalue_floor` -- ``-psd_atol * max(1, top)``
+        ``norm`` is that of ``C`` for the range and equation residuals, of
+        ``D`` or ``DP`` for range equality, and of the matrix itself for every
+        Hermitian test (``C A*``, :func:`is_psd`, :func:`sqrt_psd`, the
+        Hermitian family's parameter Y and its X, the compressed ``DP``, the
+        Penrose identities), ``||A||`` for the polar identity, ``||X||`` for the
+        property suite's partial-isometry route to the general solution, ``||H||``
+        for the leak test of :meth:`HermitianSpectrum.dominating_scale`, the
+        node value for the off-diagonal part in ``algebra_membership``, and
+        ``||P(t)|| = 1`` for the ``perturb`` residual.  The tests of
+        :mod:`opeq.douglas`, :mod:`opeq.oracle`, :mod:`opeq.projpair` and
+        :class:`HermitianSpectrum` ask :func:`_within_residual_bound`, and
+        :func:`sqrt_psd` screens its stack the same way: Frobenius bounds
+        settle the test, and zgesdd norms are taken only when they cannot, so
+        each verdict is the one exact norms give; a norm is taken exactly only
+        where it is printed.
+    :meth:`eigenvalue_floor` -- ``-psd_atol * top``
         The least eigenvalue of ``(M + M*)/2`` passes when it is at least
-        this, ``top`` being the largest ``|w|``.
+        this, ``top`` being the largest ``|w|``; :func:`sqrt_psd` clamps the
+        eigenvalues between it and 0 to 0.
     :meth:`rank_cut` -- ``rank_rtol * top``
         A singular value, or a clamped eigenvalue of a PSD matrix, counts
         toward the rank when it is above this, ``top`` being the largest.
 
-    Four tests read a field as rules of their own: :func:`sqrt_psd` clamps
-    eigenvalues down to ``-psd_atol * max|w|`` (no ``max(1, .)``), and the
-    ``T_n`` scan of :mod:`opeq.oracle` converges when a doubling moves the
-    norm by less than ``residual_atol * (1 + estimate)``, diverges on growth
-    by ``1 + psd_atol`` per doubling, and matches lambda within that same
-    bound.  Each ``max(1, .)`` makes its threshold absolute below norm 1, so
-    a verdict can change when ``(A, C)`` is scaled far enough.
+    One decision takes its scale from another matrix: ``block_psd_test``
+    judges the Schur complement ``A22 - A12* A11^dagger A12`` at the norm of
+    ``A22``, since the complement cancels to roundoff when the block matrix is
+    singular.  The ``T_n`` scan of :mod:`opeq.oracle` reads the fields as
+    rules of its own: it converges when a doubling moves the norm by less
+    than ``residual_atol * (1 + estimate)``, diverges on growth by
+    ``1 + psd_atol`` per doubling, and matches lambda within that same bound.
     """
 
     rank_rtol: float = 1e-10
@@ -104,22 +109,17 @@ class ToleranceConfig:
                     f"{name} must be a number strictly between 0 and 1, got {value!r}"
                 )
 
-    def residual_bound(self, norm=0.0):
-        """``residual_atol * max(1, norm)``: the largest residual that passes."""
-        return self.residual_atol * _at_least_one(norm)
+    def residual_bound(self, norm):
+        """``residual_atol * norm``: the largest residual that passes."""
+        return self.residual_atol * norm
 
-    def eigenvalue_floor(self, top=0.0):
-        """``-psd_atol * max(1, top)``: the least eigenvalue that passes."""
-        return -self.psd_atol * _at_least_one(top)
+    def eigenvalue_floor(self, top):
+        """``-psd_atol * top``: the least eigenvalue that passes."""
+        return -self.psd_atol * top
 
     def rank_cut(self, top):
         """``rank_rtol * top``: the values above it count toward the rank."""
         return self.rank_rtol * top
-
-
-def _at_least_one(x):
-    """``max(1, x)``, elementwise for an array."""
-    return np.maximum(1.0, x) if isinstance(x, np.ndarray) else max(1.0, x)
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
@@ -392,7 +392,7 @@ def _within_residual_bound(m, r, tol: ToleranceConfig) -> bool:
     """``||M|| <= tol.residual_bound(||R||)``, decided as zgesdd's norms decide it.
 
     ``m`` and ``r`` are each a 2-D array or an exact norm (a float; ``0.0``
-    gives the absolute bound).  The test passes when the upper bound of
+    makes the test exact).  The test passes when the upper bound of
     ``||M||`` is within the residual bound of the lower bound of ``||R||``, and
     fails when the lower bound of ``||M||`` is above the residual bound of the
     upper bound of ``||R||`` (:func:`_single_norm_bounds`).  Only an undecided
@@ -403,21 +403,24 @@ def _within_residual_bound(m, r, tol: ToleranceConfig) -> bool:
     return _residual_test(m, r, tol)[0]
 
 
-def _residual_test(m, r, tol: ToleranceConfig):
-    """``(passed, norm)``: the test of :func:`_within_residual_bound` and the ``||M||`` it took.
+def _residual_test(m, r, tol: ToleranceConfig, rule=None):
+    """``(passed, m_norm, r_norm)``: ``||M|| <= rule(||R||)``, and the norms it took.
 
-    ``norm`` is the zgesdd 2-norm of ``m`` when the Frobenius bounds left the
-    test undecided, and None when they settled it; a certificate that prints
-    ``||M||`` reads it rather than taking the same norm twice.
+    ``rule`` is ``tol.residual_bound`` unless given; any rule nondecreasing in
+    the norm is screened as :func:`_within_residual_bound` describes.  The
+    norms are the zgesdd 2-norms of ``m`` and ``r`` when the Frobenius bounds
+    left the test undecided, and None when they settled it; a certificate that
+    prints either reads it rather than taking the same norm twice.
     """
+    rule = tol.residual_bound if rule is None else rule
     m_lo, m_hi = _single_norm_bounds(m)
     r_lo, r_hi = _single_norm_bounds(r)
-    if m_hi <= tol.residual_bound(r_lo):
-        return True, None
-    if m_lo > tol.residual_bound(r_hi):
-        return False, None
-    norm = _exact_norm(m)
-    return norm <= tol.residual_bound(_exact_norm(r)), norm
+    if m_hi <= rule(r_lo):
+        return True, None, None
+    if m_lo > rule(r_hi):
+        return False, None, None
+    m_norm, r_norm = _exact_norm(m), _exact_norm(r)
+    return m_norm <= rule(r_norm), m_norm, r_norm
 
 
 def _exact_norm(x) -> float:
@@ -449,10 +452,10 @@ def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
     ``m`` is a square matrix or a stack ``(k, n, n)`` of them; the result has
     the same shape.  Each matrix is tested on its own: a Hermitian deviation
-    ``||M - M*||`` above ``residual_atol * max(1, ||M||)`` raises
-    :class:`NotPSD`, eigenvalues in ``[-psd_atol * max|lambda|, 0)`` are
-    clamped to zero (roundoff from upstream products), and anything more
-    negative raises :class:`NotPSD`.  For a stack the certificate carries the
+    ``||M - M*||`` above ``residual_bound(||M||)`` raises :class:`NotPSD`,
+    eigenvalues in ``[eigenvalue_floor(max|lambda|), 0)`` are clamped to zero
+    (roundoff from upstream products), and anything more negative raises
+    :class:`NotPSD`.  For a stack the certificate carries the
     ``index`` of the first failing matrix.  A single matrix is the stack of
     one, so both shapes run the same batched calls.  A matrix passes the
     Hermitian test without an SVD when ``||M - M*||_F`` is within the bound
@@ -486,16 +489,16 @@ def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
                 {"hermitian_deviation": float(dev[j])},
             )
     w, v = np.linalg.eigh(0.5 * (a + a_star))
-    floor = tol.psd_atol * np.max(np.abs(w), axis=-1, initial=0.0)
-    # the least eigenvalue, or 0 for an empty matrix; below -floor exactly when w[0] is
+    floor = tol.eigenvalue_floor(np.max(np.abs(w), axis=-1, initial=0.0))
+    # the least eigenvalue, or 0 for an empty matrix; below floor exactly when w[0] is
     lowest = np.min(w, axis=-1, initial=0.0)
-    bad = np.flatnonzero(lowest < -floor)
+    bad = np.flatnonzero(lowest < floor)
     if bad.size:
         i = int(bad[0])
         raise failure(
             i,
-            f"has eigenvalue {lowest[i]:.6e} below -psd_atol*norm = {-floor[i]:.6e}",
-            {"min_eigenvalue": float(lowest[i]), "floor": float(-floor[i])},
+            f"has eigenvalue {lowest[i]:.6e} below -psd_atol*norm = {floor[i]:.6e}",
+            {"min_eigenvalue": float(lowest[i]), "floor": float(floor[i])},
         )
     w = np.clip(w, 0.0, None)
     roots = (v * np.sqrt(w)[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
@@ -517,29 +520,34 @@ class HermitianSpectrum:
 
     Each is computed on first use and kept, so that the PSD test and the
     least dominating scale of one matrix share the eigendecomposition;
-    :func:`is_psd` is the method on a fresh instance.  The Hermitian test
-    needs the exact deviation only when its Frobenius bounds cannot settle
-    it; it reads :attr:`deviation` when a certificate has already taken it,
-    and keeps the one it takes as :attr:`deviation`.
+    :func:`is_psd` is the method on a fresh instance.  Both tests judge M at
+    its own norm unless ``scale`` names another matrix (the Schur complement
+    of ``block_psd_test``).  The Hermitian test needs exact norms only when
+    its Frobenius bounds cannot settle it; it reads :attr:`deviation` when a
+    certificate has already taken it, and keeps the deviation and the norm of
+    the scale that it takes.
     """
 
-    def __init__(self, m):
+    def __init__(self, m, scale=None):
         self.m = as_matrix(m)
         if self.m.shape[0] != self.m.shape[1]:
             raise ShapeMismatch(f"expected a square matrix, got shape {self.m.shape}")
+        self._own_scale = scale is None
+        # the matrix whose norm sets the thresholds, replaced by that norm once taken
+        self._scale = self.m if scale is None else as_matrix(scale)
 
     @cached_property
     def deviation(self) -> float:
         return hermitian_deviation(self.m)
 
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-        """``||M - M*||`` within the absolute residual bound; reads and keeps :attr:`deviation`."""
+        """``||M - M*||`` within the residual bound of the scale; keeps the norms it takes."""
         deviation = self.__dict__.get("deviation")
         if deviation is None:
             deviation = self.m - self.m.conj().T
-        passed, taken = _residual_test(deviation, 0.0, tol)
+        passed, taken, scale = _residual_test(deviation, self._scale, tol)
         if taken is not None:
-            self.__dict__["deviation"] = taken
+            self.__dict__["deviation"], self._scale = taken, scale
         return passed
 
     @cached_property
@@ -547,13 +555,15 @@ class HermitianSpectrum:
         return np.linalg.eigh(0.5 * (self.m + self.m.conj().T))
 
     def is_psd(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-        """See :func:`is_psd`."""
+        """See :func:`is_psd`; at another matrix's scale, its norm is screened like a residual test's."""
         if not self.m.any():
             return True
         if not self.is_hermitian(tol):
             return False
         w, _ = self.eigh
-        return w.size == 0 or bool(w[0] >= tol.eigenvalue_floor(float(np.max(np.abs(w)))))
+        if self._own_scale:
+            return bool(w[0] >= tol.eigenvalue_floor(float(np.max(np.abs(w)))))
+        return _residual_test(float(-w[0]), self._scale, tol, lambda norm: -tol.eigenvalue_floor(norm))[0]
 
     def range_pairs(self, tol: ToleranceConfig = DEFAULT_TOLERANCES):
         """Eigenpairs ``(w, V)`` that span the range of a PSD ``M``.
@@ -594,10 +604,11 @@ class HermitianSpectrum:
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """Positive-semidefinite test.
 
-    True iff ``||M - M*||`` is within the absolute residual bound and the
+    True iff ``||M - M*||`` is within the residual bound of ``||M||`` and the
     least eigenvalue of the symmetrization is at least its eigenvalue floor
     (:class:`ToleranceConfig`).  An all-zero M passes without an
-    eigendecomposition.
+    eigendecomposition; any other M is judged at its own scale, however small,
+    so a subnormal negative eigenvalue on an otherwise zero M fails.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:

@@ -434,8 +434,8 @@ def _check_general_solution(rng, spec, tol):
     penrose = [
         ("M Mp M = M", a_ap @ a - a, a),
         ("Mp M Mp = Mp", ap_a @ ap - ap, a),
-        ("M Mp Hermitian", a_ap - a_ap.conj().T, 0.0),
-        ("Mp M Hermitian", ap_a - ap_a.conj().T, 0.0),
+        ("M Mp Hermitian", a_ap - a_ap.conj().T, a_ap),
+        ("Mp M Hermitian", ap_a - ap_a.conj().T, ap_a),
     ]
     for label, residual, norm in penrose:
         if not _within_residual_bound(residual, norm, tol):

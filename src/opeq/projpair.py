@@ -39,6 +39,7 @@ from .errors import BadEpsilon, BadGridSize, MatrixFormatError, NotPSD
 from .matcore import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
+    _within_residual_bound,
     max_spectral_norm,
     sqrt_psd,
 )
@@ -299,11 +300,13 @@ def perturbed_solution(grid: Grid, eps: float) -> GridFunction:
 
 
 def algebra_membership(f: GridFunction, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """True iff the values at t = 0 and t = 1 are diagonal within tolerance."""
-    for value in (f.values[0], f.values[-1]):
-        if max(abs(value[0, 1]), abs(value[1, 0])) > tol.residual_bound():
-            return False
-    return True
+    """True iff the values at t = 0 and t = 1 are diagonal within tolerance.
+
+    A value is diagonal when its off-diagonal part is within the residual
+    bound of the value's norm.
+    """
+    ends = (f.values[0], f.values[-1])
+    return all(_within_residual_bound(v - np.diag(np.diag(v)), v, tol) for v in ends)
 
 
 def sup_distance(f: GridFunction, g: GridFunction) -> float:

@@ -38,11 +38,10 @@ def test_package_exports_only_layer_api():
 
 
 TOLERANCE_FIELDS = ("rank_rtol", "psd_atol", "residual_atol")
-# the rules of their own that the ToleranceConfig docstring lists: sqrt_psd's
-# clamp floor, and the T_n scan's convergence, divergence and lambda-match tests
+# the rules of their own that the ToleranceConfig docstring lists: the T_n
+# scan's convergence, divergence and lambda-match tests
 OWN_RULES = Counter(
     {
-        ("opeq.matcore", "sqrt_psd"): 1,
         ("opeq.oracle", "_diagnose"): 2,
         ("opeq.oracle", "_check_tn_lambda"): 1,
     }
@@ -91,10 +90,6 @@ def test_tolerance_fields_are_read_only_by_their_rules():
     del reads[("opeq.matcore", "ToleranceConfig")]
     del reads[("opeq.cli", "_tolerances")]  # reads the parsed flags, not a ToleranceConfig
     assert reads == OWN_RULES
-
-
-# algebra_membership compares entry magnitudes with the absolute bound, not a norm
-BOUND_COMPARISONS = {("opeq.projpair", "algebra_membership")}
 
 
 def _calls_residual_bound(node):
@@ -152,7 +147,7 @@ def test_norms_meet_residual_bounds_only_in_matcore():
         if name != "opeq.matcore"
         for top in _bound_comparisons(inspect.getsource(importlib.import_module(name)))
     }
-    assert found == BOUND_COMPARISONS
+    assert found == set()
 
 
 def test_bound_comparisons_are_seen_through_names_and_loops():

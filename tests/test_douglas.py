@@ -376,23 +376,41 @@ def test_positive_solution_rejects_bad_parameter(rank1_pair):
         dg.positive_solution(dg.factorize(a, c), -np.eye(2))
 
 
+def weak_axis_pair(x, scale):
+    """``(A, A X)`` for ``A = scale * diag(1e-3, 1)``, so that ``P = I`` and ``D = X``.
+
+    ``C A* = A X A*`` sees X's first row and column shrunk by 1e-3 and its
+    first diagonal entry by 1e-6, relative to the rest.  A defect of X there
+    can pass the criteria on ``C A*`` and still fail the builders' own check
+    of X, at every scale.
+    """
+    a = scale * np.diag([1e-3, 1.0]).astype(complex)
+    return a, a @ x
+
+
+# relative to the norms: -1e-5 reaches C A* as -1e-11, within its eigenvalue
+# floor, so the pair is judged POSITIVE; X0 is X itself, and its check refuses it
+NEAR_PSD = np.diag([-1e-5, 1.0])
+# relative to the norms: ||X - X*|| = 2e-6 reaches C A* as 2e-9, within its
+# bound 1e-8, while X fails the same bound
+NEAR_HERMITIAN = np.array([[1.0, 1e-6], [-1e-6, 1.0]])
+
+
 def test_positive_solution_checks_its_output_at_small_scale():
-    # a Hermitian-only pair scaled by 1e-6 passes the absolute thresholds of
-    # the criteria; the X0 built from it is not PSD, and the check catches it
-    a, c, _ = oc._consistent_pair(np.random.default_rng(1), oc.TrialSpec(dim_max=6), "hermitian")
-    f = dg.factorize(1e-6 * a, 1e-6 * c)
-    with pytest.raises(NotSolvablePositive) as info:
-        dg.positive_solution(f, np.zeros((a.shape[1], a.shape[1])))
-    certificate = info.value.certificate
-    assert "solution_psd" in certificate["failed_conditions"]
-    assert certificate["min_eigenvalue"] < 0.0
-    assert "equation_residual" in certificate and "residual_bound" in certificate
+    for scale in (1e-6, 1.0, 1e6):
+        f = dg.factorize(*weak_axis_pair(NEAR_PSD, scale))
+        assert dg.solvability_report(f).verdict is dg.Verdict.POSITIVE
+        with pytest.raises(NotSolvablePositive) as info:
+            dg.positive_solution(f, np.zeros((2, 2)))
+        certificate = info.value.certificate
+        assert certificate["failed_conditions"] == ["solution_psd"]
+        assert certificate["min_eigenvalue"] < 0.0
+        assert "equation_residual" in certificate and "residual_bound" in certificate
 
 
 def test_positive_solution_eigendecomposes_a_failing_output_once(monkeypatch):
     # the pair above: the PSD test and the certificate's least eigenvalue share one eigh of X
-    a, c, _ = oc._consistent_pair(np.random.default_rng(1), oc.TrialSpec(dim_max=6), "hermitian")
-    f = dg.factorize(1e-6 * a, 1e-6 * c)
+    f = dg.factorize(*weak_axis_pair(NEAR_PSD, 1e-6))
     x = f.x0  # X for Z = 0; the criteria read below are taken before counting
     assert f.range_ok and f.ca_psd and f.dp_range_eq
     log = count_lapack(monkeypatch)
@@ -404,14 +422,48 @@ def test_positive_solution_eigendecomposes_a_failing_output_once(monkeypatch):
 
 
 def test_hermitian_solution_checks_its_output_at_small_scale():
-    a, c, _ = oc._consistent_pair(np.random.default_rng(0), oc.TrialSpec(dim_max=6), "general")
-    assert a.shape == (6, 6)
-    f = dg.factorize(1e-6 * a, 1e-6 * c)
+    for scale in (1e-6, 1.0, 1e6):
+        f = dg.factorize(*weak_axis_pair(NEAR_HERMITIAN, scale))
+        assert f.range_ok and f.ca_hermitian
+        with pytest.raises(NotSolvableHermitian) as info:
+            dg.hermitian_solution(f, np.zeros((2, 2)))
+        certificate = info.value.certificate
+        assert certificate["failed_conditions"] == ["solution_hermitian"]
+        assert certificate["solution_deviation"] > certificate["deviation_bound"]
+
+
+def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
+    # ||X - X*|| = 1.2e-8 against ||X|| = 1: over the bound 1e-8, and within
+    # the looseness of the Frobenius bounds, so the check takes both norms
+    x = np.array([[1.0, 0.6e-8], [-0.6e-8, 1.0]])
+    f = dg.factorize(*weak_axis_pair(x, 1.0))
+    assert f.range_ok and f.ca_hermitian
+    log = count_lapack(monkeypatch)
     with pytest.raises(NotSolvableHermitian) as info:
-        dg.hermitian_solution(f, np.zeros((6, 6)))
+        dg.hermitian_solution(f, np.zeros((2, 2)))
     certificate = info.value.certificate
-    assert "solution_hermitian" in certificate["failed_conditions"]
     assert certificate["solution_deviation"] > certificate["deviation_bound"]
+    taken = [args[0] for name, args, _ in log if name == "svd"]
+    # the certificate's deviation bound reads the ||X|| the check took
+    assert sum(np.array_equal(m, f.h0) for m in taken) == 1
+    assert certificate["deviation_bound"] == f.tol.residual_bound(mc.spectral_norm(f.h0))
+
+    # D = diag(1, 0) + 5e-11 e_2 e_3*: its small singular value is below the rank
+    # cut, so D and DP both have rank 1, and D is 5e-11 outside the range of DP,
+    # over a bound of 4e-11 and within the Frobenius looseness of 3x3 matrices
+    tol = mc.ToleranceConfig(residual_atol=4e-11)
+    c = np.zeros((3, 3), dtype=complex)
+    c[0, 0], c[1, 2] = 1.0, 5e-11
+    f = dg.factorize(np.diag([1.0, 1.0, 0.0]), c, tol)
+    assert f._d_svd[1].size == f._dp_svd[1].size == 1
+    d_outside = f._outside_ranges()[0]
+    exact = mc.spectral_norm(d_outside)
+    log.clear()
+    report = dg.solvability_report(f)
+    assert report.certificate["failed_conditions"] == ["dp_range_eq"]
+    assert report.certificate["d_outside_range_dp"] == exact
+    # one SVD of the residual, by the test; the certificate reads its norm
+    assert sum(name == "svd" and np.array_equal(args[0], d_outside) for name, args, _ in log) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +534,10 @@ def test_range_certificate_reads_the_norm_its_test_took(ratio, monkeypatch):
 
 
 def test_parameter_certificate_reads_the_norm_its_test_took(rank1_pair, monkeypatch):
-    # ||Y - Y*|| = 1.2e-8 over the absolute bound 1e-8, with a lower Frobenius
-    # bound of 1.2e-8 / sqrt(2) below it: undecided, so it takes one SVD
+    # ||Y - Y*|| = 1.2e-8 over the bound 1e-8 of ||Y|| = 1, with a lower
+    # Frobenius bound of 1.2e-8 / sqrt(2) below it: undecided, so it takes one SVD
     f = dg.factorize(*rank1_pair)
-    y = np.diag([0.6e-8j, 0.0])
+    y = np.diag([1.0 + 0.6e-8j, 0.0])
     skew = y - y.conj().T
     exact = mc.hermitian_deviation(y)
     log = count_lapack(monkeypatch)
@@ -548,6 +600,19 @@ def test_block_psd_reads_each_hermitian_deviation_once(monkeypatch):
     assert Counter(name for name, _, _ in log) == Counter(eigh=2)
 
 
+def test_block_psd_judges_the_schur_complement_at_the_scale_of_a22():
+    # a rank-2 PSD matrix split after its rank: the Schur complement is zero up
+    # to roundoff, which fails the PSD test at its own scale but not at A22's
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        g = complex_gaussian(rng, 4, 2)
+        full = g @ g.conj().T
+        a11, a12, a22 = full[:2, :2], full[:2, 2:], full[2:, 2:]
+        schur = a22 - a12.conj().T @ np.linalg.pinv(a11) @ a12
+        assert not mc.is_psd(schur)
+        assert dg.block_psd_test(a11, a12, a22)
+
+
 def test_block_psd_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         dg.block_psd_test(np.array([[0, 1], [0, 0]], dtype=complex), np.zeros((2, 1)), np.eye(1))
@@ -603,3 +668,78 @@ def test_dp_ca_transfer_random():
             mc.hermitian_deviation(ca) <= tol.residual_atol
         )
         assert mc.is_psd(dp) == mc.is_psd(ca)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic laws: Douglas's criteria are homogeneous and basis-free, so the
+# verdict must not change when (A, C) is scaled or rotated
+
+
+def _repro_pairs():
+    """The 300 pairs ``oracle._consistent_pair`` draws from seeds 0-299, flavors cycled."""
+    flavors = ("general", "hermitian", "positive")
+    spec = oc.TrialSpec(dim_max=6)
+    return [
+        oc._consistent_pair(np.random.default_rng(seed), spec, flavors[seed % 3])[:2]
+        for seed in range(300)
+    ]
+
+
+@pytest.fixture(scope="module")
+def repro_reports():
+    return [(a, c, dg.solvability_report(dg.factorize(a, c))) for a, c in _repro_pairs()]
+
+
+METAMORPHIC_SCALES = (1e-6, 1e-3, 1e3, 1e6)
+
+
+def _relatively_close(x, y, scale=0.0):
+    """Both None, or both numbers within ``1e-6`` of the larger of them and ``scale``."""
+    if x is None or y is None:
+        return x is y
+    return abs(x - y) <= 1e-6 * max(abs(x), abs(y), scale)
+
+
+def test_verdicts_do_not_change_under_two_sided_scaling(repro_reports):
+    changed, positives = [], 0
+    for k, (a, c, base) in enumerate(repro_reports):
+        for s in METAMORPHIC_SCALES:
+            f = dg.factorize(s * a, s * c)
+            report = dg.solvability_report(f)
+            if report.verdict is not base.verdict:
+                changed.append((k, s, base.verdict.value, report.verdict.value))
+                continue
+            # C C* and C A* both scale by s^2, and D does not change; lambda, a
+            # norm of D's size, can be roundoff of it when (I - P) D = 0
+            assert _relatively_close(report.t_min, base.t_min), (k, s)
+            assert _relatively_close(report.lambda_estimate, base.lambda_estimate, f.d_norm), (k, s)
+            if report.verdict is dg.Verdict.POSITIVE:
+                dg.positive_solution(f, np.zeros((a.shape[1], a.shape[1])))
+                positives += 1
+    assert changed == []
+    assert positives > 0
+
+
+@pytest.mark.parametrize("side", ["a", "c"])
+def test_verdicts_do_not_change_under_one_sided_scaling(repro_reports, side):
+    changed = []
+    for k, (a, c, base) in enumerate(repro_reports):
+        for s in METAMORPHIC_SCALES:
+            scaled = (s * a, c) if side == "a" else (a, s * c)
+            verdict = dg.solvability_report(dg.factorize(*scaled)).verdict
+            if verdict is not base.verdict:
+                changed.append((k, s, base.verdict.value, verdict.value))
+    assert changed == []
+
+
+def test_verdicts_do_not_change_under_unitary_congruence(repro_reports):
+    rng = np.random.default_rng(101)
+    changed = []
+    for k, (a, c, base) in enumerate(repro_reports):
+        n = a.shape[0]
+        u, _ = np.linalg.qr(complex_gaussian(rng, n, n))
+        v, _ = np.linalg.qr(complex_gaussian(rng, n, n))
+        verdict = dg.solvability_report(dg.factorize(u @ a @ v.conj().T, u @ c @ v.conj().T)).verdict
+        if verdict is not base.verdict:
+            changed.append((k, base.verdict.value, verdict.value))
+    assert changed == []

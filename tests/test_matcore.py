@@ -48,7 +48,7 @@ TOPS = np.array([0.0, 0.5, 1.0, 3.0, 7.25e5])
 
 
 def test_residual_bound_of_a_float_and_an_array():
-    expected = 7e-9 * np.maximum(1.0, TOPS)
+    expected = 7e-9 * TOPS
     bounds = RULE_TOL.residual_bound(TOPS)
     np.testing.assert_array_equal(bounds, expected)
     assert np.all(expected <= bounds)
@@ -59,9 +59,14 @@ def test_residual_bound_of_a_float_and_an_array():
         assert bound <= value and not np.nextafter(bound, np.inf) <= value
 
 
-def test_residual_bound_without_a_norm_is_absolute():
-    assert RULE_TOL.residual_bound() == 7e-9
-    assert RULE_TOL.residual_bound(0.25) == 7e-9
+def test_residual_bound_needs_a_norm_and_is_exact_at_zero():
+    # every bound is relative to a norm the caller gives, and a zero norm tests exactly
+    with pytest.raises(TypeError):
+        RULE_TOL.residual_bound()
+    with pytest.raises(TypeError):
+        RULE_TOL.eigenvalue_floor()
+    assert RULE_TOL.residual_bound(0.25) == 7e-9 * 0.25
+    assert RULE_TOL.residual_bound(0.0) == 0.0 and RULE_TOL.eigenvalue_floor(0.0) == 0.0
 
 
 @pytest.mark.parametrize("norm", [0.0, 0.5, 3.0, 7.25e5])
@@ -74,19 +79,18 @@ def test_range_inclusion_passes_at_its_residual_bound(norm):
         assert as_floats is as_matrices
         return as_floats
 
-    bound = 7e-9 * max(1.0, norm)
+    bound = 7e-9 * norm
     assert mc.spectral_norm(np.array([[bound]])) == bound
     assert range_ok(bound)
     assert not range_ok(np.nextafter(bound, np.inf))
 
 
 def test_eigenvalue_floor_of_a_float_and_an_array():
-    expected = -3e-10 * np.maximum(1.0, TOPS)
+    expected = -3e-10 * TOPS
     floors = RULE_TOL.eigenvalue_floor(TOPS)
     np.testing.assert_array_equal(floors, expected)
     assert np.all(expected >= floors)
     assert not np.any(np.nextafter(expected, -np.inf) >= floors)
-    assert RULE_TOL.eigenvalue_floor() == -3e-10
     for top, floor in zip(TOPS.tolist(), expected.tolist()):
         value = RULE_TOL.eigenvalue_floor(top)
         assert type(value) is float
@@ -96,7 +100,7 @@ def test_eigenvalue_floor_of_a_float_and_an_array():
 @pytest.mark.parametrize("top", [0.5, 3.0, 7.25e5])
 def test_is_psd_passes_at_its_eigenvalue_floor(top):
     # eigh returns a real diagonal's entries exactly
-    floor = -3e-10 * max(1.0, top)
+    floor = -3e-10 * top
     assert mc.is_psd(np.diag([floor, top]), RULE_TOL)
     assert not mc.is_psd(np.diag([np.nextafter(floor, -np.inf), top]), RULE_TOL)
 
@@ -106,10 +110,13 @@ def test_is_psd_of_a_zero_matrix_takes_no_eigendecomposition(monkeypatch):
     zeros = [np.zeros((n, n)) for n in (1, 3, 8)] + [np.full((2, 2), -0.0 - 0.0j), np.zeros((0, 0))]
     assert all(mc.is_psd(z, RULE_TOL) for z in zeros)
     assert log == []
-    # one nonzero entry is enough to need the eigendecomposition
+    # one nonzero entry is enough to need the eigendecomposition, and the
+    # matrix is judged at its own scale: a subnormal below zero is negative
     tiny = np.zeros((3, 3))
     tiny[2, 2] = -5e-324
-    assert mc.is_psd(tiny, RULE_TOL) and [name for name, _, _ in log] == ["eigh"]
+    assert not mc.is_psd(tiny, RULE_TOL) and [name for name, _, _ in log] == ["eigh"]
+    tiny[2, 2] = 5e-324
+    assert mc.is_psd(tiny, RULE_TOL) and [name for name, _, _ in log] == ["eigh", "eigh"]
 
 
 def test_rank_cut_of_a_float_and_an_array():
@@ -515,8 +522,8 @@ def skewed(n, diagonal, b):
 @pytest.mark.parametrize(
     "n, diagonal, b",
     [
-        (1, 0.5, 0.5e-8),  # deviation 1e-8 at the absolute bound
-        (2, 0.5, 0.5e-8),  # the same, in a 2x2
+        (1, 0.5, 0.25e-8),  # deviation 0.5e-8 at 1e-8 * ||M||, ||M|| below 1
+        (2, 0.5, 0.25e-8),  # the same, in a 2x2
         (2, 4.0, 2e-8),  # deviation 4e-8 at 1e-8 * ||M||
     ],
 )
@@ -739,21 +746,25 @@ def test_screened_decision_survives_overflow_underflow_and_empty():
                 assert_screen_keeps_decision(m, r, tol)
     assert not mc._within_residual_bound(huge, huge, mc.DEFAULT_TOLERANCES)
     assert mc._within_residual_bound(1e-9 * huge, huge, mc.DEFAULT_TOLERANCES)
-    assert mc._within_residual_bound(tiny, 0.0, mc.DEFAULT_TOLERANCES)
-    assert not mc._within_residual_bound(tiny, 0.0, strict)
+    # against a zero scale only an exact zero passes, however small the residual
+    assert mc._within_residual_bound(tiny, 1.0, mc.DEFAULT_TOLERANCES)
+    assert not mc._within_residual_bound(tiny, 1.0, strict)
+    assert not mc._within_residual_bound(tiny, 0.0, mc.DEFAULT_TOLERANCES)
     assert mc._within_residual_bound(zero, 0.0, strict) and mc._within_residual_bound(empty, 0.0, strict)
     assert mc._single_norm_bounds(zero) == mc._single_norm_bounds(empty) == (0.0, 0.0)
 
 
 def test_hermitian_test_reuses_a_deviation_already_taken(monkeypatch):
-    # a deviation exactly at the absolute bound, which Frobenius bounds cannot settle
-    spectrum = mc.HermitianSpectrum(skewed(2, 0.5, 0.5e-8))
+    # a deviation exactly at the bound of ||M||, which Frobenius bounds cannot settle
+    m = skewed(2, 0.5, 0.25e-8)
+    bound = mc.DEFAULT_TOLERANCES.residual_bound(mc.spectral_norm(m))
+    spectrum = mc.HermitianSpectrum(m)
     log = count_lapack(monkeypatch)
-    assert spectrum.is_hermitian() and len(log) == 1
-    # the undecided test keeps the norm it took, so the certificate takes none
-    assert spectrum.deviation == mc.DEFAULT_TOLERANCES.residual_bound() and len(log) == 1
+    assert spectrum.is_hermitian() and len(log) == 2
+    # the undecided test keeps both norms it took, so neither is taken again
+    assert spectrum.deviation == bound and len(log) == 2
     assert spectrum.is_hermitian() and spectrum.is_psd()
-    assert [name for name, _, _ in log] == ["svd", "eigh"]
+    assert [name for name, _, _ in log] == ["svd", "svd", "eigh"]
 
 
 # ---------------------------------------------------------------------------
