@@ -35,7 +35,7 @@ limit of the compressed-resolvent norms ``||T_n||``, whose scan
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -126,18 +126,10 @@ class SolvabilityReport:
             raise ValueError("lambda_estimate is present exactly for a positive verdict")
 
     def to_json(self) -> dict:
-        return {
-            "range_ok": self.range_ok,
-            "ca_star_hermitian": self.ca_star_hermitian,
-            "ca_star_psd": self.ca_star_psd,
-            "t_min": self.t_min if self.t_min is not None else "inf",
-            "dp_range_eq": self.dp_range_eq,
-            "lambda_estimate": self.lambda_estimate
-            if self.lambda_estimate is not None
-            else "inf",
-            "verdict": self.verdict.value,
-            "certificate": self.certificate,
-        }
+        """Every field in order, with the verdict's value and "inf" for a None."""
+        out = {item.name: getattr(self, item.name) for item in fields(self)}
+        out["verdict"] = self.verdict.value
+        return {key: "inf" if value is None else value for key, value in out.items()}
 
 
 def _norm(s) -> float:
@@ -149,7 +141,7 @@ def _norm(s) -> float:
 class Factorization:
     """The one factorization of ``(A, C, tol)`` that every decision reads.
 
-    :func:`factorize` fills the fields from a single SVD of A: the
+    :func:`factorize` fills the fields from a single SVD of A: its norm, the
     orthonormal row-space basis ``B`` (so ``P = B B*``) and the reduced
     solution ``D = A^dagger C``.  The rest are properties computed on first
     use, and cached when more than one decision reads them, so a caller pays
@@ -161,8 +153,9 @@ class Factorization:
     :func:`~opeq.matcore._within_residual_bound`, which takes a zgesdd norm
     only when Frobenius bounds cannot settle it; the exact norms
     (``c_norm``, ``range_residual``, the deviation of ``C A*``,
-    ``range_equality``) are computed on first read, for certificates; all but
-    ``c_norm`` read the norms their tests took when those were undecided.
+    ``range_equality``) are computed on first read, for certificates, and
+    read the norms their tests took when those were undecided; a test
+    against ``||C||`` reads it once any test has taken it.
     No residual matrix is kept; nor is anything of an X it checks, so each
     check of an X reads that X as it is then.  ``a`` and ``c`` are held as
     given and must not be changed while the factorization is in use.
@@ -171,6 +164,7 @@ class Factorization:
     a: np.ndarray
     c: np.ndarray
     tol: ToleranceConfig
+    a_norm: float
     row_basis: np.ndarray
     d: np.ndarray
 
@@ -178,10 +172,17 @@ class Factorization:
     def c_norm(self) -> float:
         return spectral_norm(self.c)
 
+    def _c_test(self, m):
+        """``(passed, ||M||)`` of ``||M|| <= residual_bound(||C||)``; reads and keeps ``c_norm``."""
+        passed, m_norm, c_norm = _residual_test(m, self.__dict__.get("c_norm", self.c), self.tol)
+        if c_norm is not None:
+            self.__dict__["c_norm"] = c_norm
+        return passed, m_norm
+
     @cached_property
     def _range_test(self):
         """The range test, and ``||A D - C||`` when the test took that norm."""
-        return _residual_test(self.a @ self.d - self.c, self.c, self.tol)
+        return self._c_test(self.a @ self.d - self.c)
 
     @cached_property
     def range_residual(self) -> float:
@@ -211,8 +212,13 @@ class Factorization:
 
     @cached_property
     def _ca_spectrum(self) -> HermitianSpectrum:
-        """The one deviation and eigendecomposition of ``C A*`` that its three tests read."""
-        return HermitianSpectrum(self.ca)
+        """The one deviation and eigendecomposition of ``C A*`` that its three tests read.
+
+        Its Hermitian and PSD tests are judged at ``||C|| ||A||``, the size of
+        the roundoff in forming the product, not at ``||C A*||``: ``C A*``
+        cancels to roundoff where ``P X P`` is small for a solution X.
+        """
+        return HermitianSpectrum(self.ca, scale=self.a_norm * self.__dict__.get("c_norm", self.c))
 
     @cached_property
     def ca_hermitian(self) -> bool:
@@ -308,7 +314,7 @@ def factorize(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     basis = vh.conj().T
     # reduced_solution hands D out; read-only, so no caller can change it under f
     d.flags.writeable = basis.flags.writeable = False
-    return Factorization(a=a, c=c, tol=tol, row_basis=basis, d=d)
+    return Factorization(a=a, c=c, tol=tol, a_norm=_norm(s), row_basis=basis, d=d)
 
 
 def _check_same_shape(f: Factorization):
@@ -357,7 +363,7 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     if x.shape != shape:
         raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
     residual = f.a @ x - f.c
-    passed, resid, _ = _residual_test(residual, f.c, f.tol)
+    passed, resid = f._c_test(residual)
     if not passed:
         resid = spectral_norm(residual) if resid is None else resid
         raise NotASolution(
@@ -430,7 +436,7 @@ def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarr
     residual and its bound in the certificate.
     """
     residual = f.a @ x - f.c
-    passed, resid, c_norm = _residual_test(residual, f.c, f.tol)
+    passed, resid = f._c_test(residual)
     failed = failed + ["solution_residual"] * (not passed)
     if failed:
         raise error(
@@ -439,7 +445,7 @@ def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarr
                 "failed_conditions": failed,
                 **numbers(),
                 "equation_residual": spectral_norm(residual) if resid is None else resid,
-                "residual_bound": f.tol.residual_bound(f.c_norm if c_norm is None else c_norm),
+                "residual_bound": f.tol.residual_bound(f.c_norm),
             },
         )
     return x
@@ -462,12 +468,11 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
             f"no Hermitian solution exists (verdict {_verdict(f).value})",
             certificate=_failure_certificate(f),
         )
-    passed, y_dev, _ = _residual_test(y - y.conj().T, y, f.tol)
-    if not passed:
-        y_dev = hermitian_deviation(y) if y_dev is None else y_dev
+    y_spectrum = HermitianSpectrum(y)
+    if not y_spectrum.is_hermitian(f.tol):
         raise ParameterNotHermitian(
-            f"parameter Y must be Hermitian (deviation {y_dev:.3e})",
-            certificate={"parameter_deviation": y_dev},
+            f"parameter Y must be Hermitian (deviation {y_spectrum.deviation:.3e})",
+            certificate={"parameter_deviation": y_spectrum.deviation},
         )
 
     x = f.h0 + f.ip @ y @ f.ip

@@ -66,10 +66,11 @@ class ToleranceConfig:
     :meth:`residual_bound` -- ``residual_atol * norm``
         A residual or Hermitian deviation passes when it is at most this.
         ``norm`` is that of ``C`` for the range and equation residuals, of
-        ``D`` or ``DP`` for range equality, and of the matrix itself for every
-        Hermitian test (``C A*``, :func:`is_psd`, :func:`sqrt_psd`, the
-        Hermitian family's parameter Y and its X, the compressed ``DP``, the
-        Penrose identities), ``||A||`` for the polar identity, ``||X||`` for the
+        ``D`` or ``DP`` for range equality, ``||C|| ||A||`` for the Hermitian
+        test of ``C A*``, and of the matrix itself for every other Hermitian
+        test (:func:`is_psd`, :func:`sqrt_psd`, the Hermitian family's
+        parameter Y and its X, the compressed ``DP``, the Penrose
+        identities), ``||A||`` for the polar identity, ``||X||`` for the
         property suite's partial-isometry route to the general solution, ``||H||``
         for the leak test of :meth:`HermitianSpectrum.dominating_scale`, the
         node value for the off-diagonal part in ``algebra_membership``, and
@@ -88,13 +89,16 @@ class ToleranceConfig:
         A singular value, or a clamped eigenvalue of a PSD matrix, counts
         toward the rank when it is above this, ``top`` being the largest.
 
-    One decision takes its scale from another matrix: ``block_psd_test``
-    judges the Schur complement ``A22 - A12* A11^dagger A12`` at the norm of
-    ``A22``, since the complement cancels to roundoff when the block matrix is
-    singular.  The ``T_n`` scan of :mod:`opeq.oracle` reads the fields as
-    rules of its own: it converges when a doubling moves the norm by less
-    than ``residual_atol * (1 + estimate)``, diverges on growth by
-    ``1 + psd_atol`` per doubling, and matches lambda within that same bound.
+    Two PSD tests take their scale from other matrices, since what they
+    judge cancels to roundoff: ``C A*`` is judged at ``||C|| ||A||``, the size
+    of the roundoff in forming it, as it cancels where ``P X P`` is small for
+    a solution X; and ``block_psd_test`` judges the Schur complement
+    ``A22 - A12* A11^dagger A12`` at the norm of ``A22``, as the complement
+    cancels when the block matrix is singular.  The ``T_n`` scan of
+    :mod:`opeq.oracle` reads the fields as rules of its own: it converges
+    when a doubling moves the norm by less than ``residual_atol * (1 +
+    estimate)``, diverges on growth by ``1 + psd_atol`` per doubling, and
+    matches lambda within that same bound.
     """
 
     rank_rtol: float = 1e-10
@@ -521,11 +525,12 @@ class HermitianSpectrum:
     Each is computed on first use and kept, so that the PSD test and the
     least dominating scale of one matrix share the eigendecomposition;
     :func:`is_psd` is the method on a fresh instance.  Both tests judge M at
-    its own norm unless ``scale`` names another matrix (the Schur complement
-    of ``block_psd_test``).  The Hermitian test needs exact norms only when
-    its Frobenius bounds cannot settle it; it reads :attr:`deviation` when a
-    certificate has already taken it, and keeps the deviation and the norm of
-    the scale that it takes.
+    its own norm, ``||M||`` for the Hermitian test and ``max|w|`` for the
+    eigenvalue floor, unless ``scale`` gives another: a 2-D array whose norm
+    it is, or that norm as a float.  Each test is screened as a residual test
+    is: exact norms are taken only when Frobenius bounds cannot settle it.
+    The Hermitian test reads :attr:`deviation` when a certificate has already
+    taken it, and keeps the deviation and the norm of the scale that it takes.
     """
 
     def __init__(self, m, scale=None):
@@ -533,8 +538,8 @@ class HermitianSpectrum:
         if self.m.shape[0] != self.m.shape[1]:
             raise ShapeMismatch(f"expected a square matrix, got shape {self.m.shape}")
         self._own_scale = scale is None
-        # the matrix whose norm sets the thresholds, replaced by that norm once taken
-        self._scale = self.m if scale is None else as_matrix(scale)
+        # what sets the thresholds: a matrix, replaced by its norm once taken, or that norm
+        self._scale = self.m if scale is None else scale
 
     @cached_property
     def deviation(self) -> float:
@@ -555,15 +560,14 @@ class HermitianSpectrum:
         return np.linalg.eigh(0.5 * (self.m + self.m.conj().T))
 
     def is_psd(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-        """See :func:`is_psd`; at another matrix's scale, its norm is screened like a residual test's."""
+        """See :func:`is_psd`: the Hermitian test, then ``w[0]`` against the floor of the scale."""
         if not self.m.any():
             return True
         if not self.is_hermitian(tol):
             return False
         w, _ = self.eigh
-        if self._own_scale:
-            return bool(w[0] >= tol.eigenvalue_floor(float(np.max(np.abs(w)))))
-        return _residual_test(float(-w[0]), self._scale, tol, lambda norm: -tol.eigenvalue_floor(norm))[0]
+        scale = float(np.max(np.abs(w))) if self._own_scale else self._scale
+        return _residual_test(float(-w[0]), scale, tol, lambda top: -tol.eigenvalue_floor(top))[0]
 
     def range_pairs(self, tol: ToleranceConfig = DEFAULT_TOLERANCES):
         """Eigenpairs ``(w, V)`` that span the range of a PSD ``M``.

@@ -466,6 +466,29 @@ def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
     assert sum(name == "svd" and np.array_equal(args[0], d_outside) for name, args, _ in log) == 1
 
 
+def test_every_test_against_the_norm_of_c_reads_it_once_taken(monkeypatch):
+    # the weak-axis pair of NEAR_HERMITIAN, bordered by a range residual of 0.9
+    # times its bound in a third row that A cannot reach: undecided by the
+    # Frobenius bounds of 3x3 matrices, so the range test takes ||C||
+    tol = mc.DEFAULT_TOLERANCES
+    a2, c2 = weak_axis_pair(NEAR_HERMITIAN, 1.0)
+    a, c = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    a[:2, :2], c[:2, :2] = a2, c2
+    c[2, 2] = 0.9 * tol.residual_bound(mc.spectral_norm(c2))
+    bound = tol.residual_bound(mc.spectral_norm(c))
+    log = count_lapack(monkeypatch)
+    f = dg.factorize(a, c, tol)
+    assert f.range_ok and f.ca_hermitian
+    with pytest.raises(NotSolvableHermitian) as info:
+        dg.hermitian_solution(f, np.zeros((3, 3)))
+    certificate = info.value.certificate
+    assert certificate["failed_conditions"] == ["solution_hermitian"]
+    assert certificate["residual_bound"] == bound
+    # the range test takes ||C|| once; the Hermitian test of C A*, the check
+    # of X and its certificate read it
+    assert sum(name == "svd" and np.array_equal(args[0], c) for name, args, _ in log) == 1
+
+
 # ---------------------------------------------------------------------------
 # the factorization every decision reads
 
@@ -661,13 +684,11 @@ def test_dp_ca_transfer_random():
         n = int(rng.integers(1, 7))
         flavor = ("general", "hermitian", "positive")[int(rng.integers(3))]
         a, c = consistent_pair(rng, n, flavor)
-        d = dg.reduced_solution(dg.factorize(a, c))
-        dp = d @ mc.row_space_projector(a)
-        ca = c @ a.conj().T
-        assert (mc.hermitian_deviation(dp) <= tol.residual_atol) == (
-            mc.hermitian_deviation(ca) <= tol.residual_atol
-        )
-        assert mc.is_psd(dp) == mc.is_psd(ca)
+        f = dg.factorize(a, c)
+        dp = dg.reduced_solution(f) @ mc.row_space_projector(a)
+        # DP at its own scale, C A* at the scale its criteria are decided at
+        assert mc.HermitianSpectrum(dp).is_hermitian(tol) == f.ca_hermitian
+        assert mc.is_psd(dp, tol) == f.ca_psd
 
 
 # ---------------------------------------------------------------------------
@@ -732,13 +753,69 @@ def test_verdicts_do_not_change_under_one_sided_scaling(repro_reports, side):
     assert changed == []
 
 
+def _random_unitary(rng, n):
+    return np.linalg.qr(complex_gaussian(rng, n, n))[0]
+
+
+def _rotated_pairs(a, x, count, seed):
+    """``(A, A X)``, then ``count`` pairs ``(A', A' X')`` for ``A' = U A V*`` and ``X' = V X V*``.
+
+    Each rotated C is formed from the rotated factors, so it carries the
+    roundoff of ``V X V*`` and of the product, as a C computed in that basis would.
+    """
+    rng = np.random.default_rng(seed)
+    yield a, a @ x
+    for _ in range(count):
+        u, v = _random_unitary(rng, a.shape[0]), _random_unitary(rng, a.shape[1])
+        rotated = u @ a @ v.conj().T
+        yield rotated, rotated @ (v @ x @ v.conj().T)
+
+
+# A = diag(1, 0) and the Hermitian X = [[0, 1], [1, 0]]: P X P = 0, so
+# C A* = A X A* is exactly zero, and roundoff of size eps ||C|| ||A|| once
+# rotated.  D = P X is not zero while D P is, so the pair is HERMITIAN only.
+CANCELLING = (np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _ill_conditioned(eps):
+    """``A = diag(1, eps)`` and the PSD ``X = [[eps^2, eps], [eps, 1]]``.
+
+    ``||C A*||`` is about ``2 eps^2`` and ``||C|| ||A||`` about ``2 eps``: the
+    roundoff that a rotation leaves in C reaches ``C A*`` at the larger scale.
+    """
+    return np.diag([1.0, eps]), np.array([[eps * eps, eps], [eps, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "a, x, expected",
+    [
+        (*CANCELLING, dg.Verdict.HERMITIAN),
+        (*_ill_conditioned(1e-4), dg.Verdict.POSITIVE),
+        (*_ill_conditioned(1e-6), dg.Verdict.POSITIVE),
+    ],
+    ids=["c_a_star_cancels", "cond_1e4", "cond_1e6"],
+)
+def test_verdicts_hold_where_c_a_star_is_small_next_to_its_factors(a, x, expected):
+    # C A* is judged at ||C|| ||A||, the size of the roundoff in C and in
+    # forming C A*; judged at its own norm, these pairs turn GENERAL or
+    # HERMITIAN once rotated
+    changed = []
+    for k, (a_k, c_k) in enumerate(_rotated_pairs(a.astype(complex), x, 20, seed=109)):
+        for s in (1.0,) + METAMORPHIC_SCALES:
+            f = dg.factorize(s * a_k, s * c_k)
+            verdict = dg.solvability_report(f).verdict
+            if verdict is not expected:
+                changed.append((k, s, verdict.value))
+            elif verdict is dg.Verdict.POSITIVE:
+                dg.positive_solution(f, np.zeros((2, 2)))
+    assert changed == []
+
+
 def test_verdicts_do_not_change_under_unitary_congruence(repro_reports):
     rng = np.random.default_rng(101)
     changed = []
     for k, (a, c, base) in enumerate(repro_reports):
-        n = a.shape[0]
-        u, _ = np.linalg.qr(complex_gaussian(rng, n, n))
-        v, _ = np.linalg.qr(complex_gaussian(rng, n, n))
+        u, v = _random_unitary(rng, a.shape[0]), _random_unitary(rng, a.shape[1])
         verdict = dg.solvability_report(dg.factorize(u @ a @ v.conj().T, u @ c @ v.conj().T)).verdict
         if verdict is not base.verdict:
             changed.append((k, base.verdict.value, verdict.value))
