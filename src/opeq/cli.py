@@ -41,11 +41,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .matcore import (
+    MajorizationResult,
     ToleranceConfig,
     _within_residual_bound,
     matrix_from_json,
     matrix_to_wire,
-    min_majorization_scale,
     spectral_norm,
 )
 
@@ -279,9 +279,12 @@ def _cmd_majorize(args, tol) -> int:
         f = douglas.factorize(a, c, tol)
     except ShapeMismatch as exc:
         raise _InputError(str(exc)) from exc
-    payload = min_majorization_scale(a, c, tol).to_json()
+    # by Douglas, C C* <= mu A A* for some mu exactly when R(C) is inside R(A),
+    # and the least such mu is ||D||^2: both read the one factorization
+    d_norm_sq = f.d_norm**2 if f.range_ok else None
+    payload = MajorizationResult(finite=f.range_ok, mu_star=d_norm_sq).to_json()
     payload["range_inclusion"] = f.range_ok
-    payload["d_norm_sq"] = f.d_norm**2 if f.range_ok else None
+    payload["d_norm_sq"] = d_norm_sq
     _emit(payload, args.out)
     return EXIT_OK
 

@@ -202,8 +202,11 @@ class Factorization:
 
     @cached_property
     def ip(self) -> np.ndarray:
-        """Its complement ``I - P``."""
-        return np.eye(self.a.shape[1], dtype=np.complex128) - self.p
+        """Its complement ``I - P``: exactly zero when A has full column rank."""
+        n = self.a.shape[1]
+        if self.row_basis.shape[1] == n:
+            return np.zeros((n, n), dtype=np.complex128)
+        return np.eye(n, dtype=np.complex128) - self.p
 
     @cached_property
     def ca(self) -> np.ndarray:

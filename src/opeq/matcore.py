@@ -70,24 +70,32 @@ class ToleranceConfig:
         test of ``C A*``, and of the matrix itself for every other Hermitian
         test (:func:`is_psd`, :func:`sqrt_psd`, the Hermitian family's
         parameter Y and its X, the compressed ``DP``, the Penrose
-        identities), ``||A||`` for the polar identity, ``||X||`` for the
-        property suite's partial-isometry route to the general solution, ``||H||``
-        for the leak test of :meth:`HermitianSpectrum.dominating_scale`, the
-        node value for the off-diagonal part in ``algebra_membership``, and
-        ``||P(t)|| = 1`` for the ``perturb`` residual.  The tests of
-        :mod:`opeq.douglas`, :mod:`opeq.oracle`, :mod:`opeq.projpair` and
-        :class:`HermitianSpectrum` ask :func:`_within_residual_bound`, and
-        :func:`sqrt_psd` screens its stack the same way: Frobenius bounds
-        settle the test, and zgesdd norms are taken only when they cannot, so
-        each verdict is the one exact norms give; a norm is taken exactly only
-        where it is printed.
+        identities), ``||A||`` for the polar identity, ``||H||`` for the leak
+        test of :meth:`HermitianSpectrum.dominating_scale`, the node value
+        for the off-diagonal part in ``algebra_membership``, and ``||P(t)|| =
+        1`` for the ``perturb`` residual.  The property suite of
+        :mod:`opeq.oracle` judges each route at the norm of what it
+        reproduces: ``||X||`` for the partial-isometry route and the
+        parameter round trip, ``||A* A||`` for the square-root round trip,
+        ``||D||`` for the normal-equation route and for ``D - P D``, each
+        projector's norm for the kernel match ``N(D) = N(C)``, ``||D||^2`` for
+        the gap to the least majorization scale, and ``||X||`` for the excess
+        of ``t_min`` over it.  The tests of :mod:`opeq.douglas`,
+        :mod:`opeq.oracle`, :mod:`opeq.projpair` and :class:`HermitianSpectrum`
+        ask :func:`_within_residual_bound`, and :func:`sqrt_psd` screens its
+        stack the same way: Frobenius bounds settle the test, and zgesdd
+        norms are taken only when they cannot, so each verdict is the one
+        exact norms give; a norm is taken exactly only where it is printed,
+        and for ``||X||`` against ``t_min``, a number not a matrix.
     :meth:`eigenvalue_floor` -- ``-psd_atol * top``
         The least eigenvalue of ``(M + M*)/2`` passes when it is at least
         this, ``top`` being the largest ``|w|``; :func:`sqrt_psd` clamps the
         eigenvalues between it and 0 to 0.
     :meth:`rank_cut` -- ``rank_rtol * top``
         A singular value, or a clamped eigenvalue of a PSD matrix, counts
-        toward the rank when it is above this, ``top`` being the largest.
+        toward the rank when it is above this, ``top`` being the largest; the
+        eigenvalues of ``A* A`` that :func:`opeq.oracle.lsq_solve` inverts are
+        those.
 
     Two PSD tests take their scale from other matrices, since what they
     judge cancels to roundoff: ``C A*`` is judged at ``||C|| ||A||``, the size

@@ -174,3 +174,74 @@ def elsewhere(m, tol):
     return norm(m) <= bound
 """
     assert _bound_comparisons(source) == {"inline", "named", "looped"}
+
+
+# the float-literal thresholds the package keeps, each checking outside input
+# or an invariant of its own, not a numerical verdict: the spacing of a grid
+# handed to projpair.Grid, and the gap identity of a NonexistenceCertificate
+LITERAL_THRESHOLDS = Counter(
+    {
+        ("opeq.projpair", "Grid"): 1,
+        ("opeq.projpair", "NonexistenceCertificate"): 1,
+    }
+)
+
+
+def _is_draw(node):
+    """``rng.random()``: compared with a probability, not with a threshold."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "random"
+        and not node.args
+    )
+
+
+def _literal_thresholds(source, module):
+    """Comparisons in ``source`` that hold a float literal in (0, 1), by the top-level def."""
+    return Counter(
+        (module, getattr(top, "name", None))
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Compare)
+        and not any(map(_is_draw, (node.left, *node.comparators)))
+        and any(
+            isinstance(leaf, ast.Constant) and isinstance(leaf.value, float) and 0.0 < leaf.value < 1.0
+            for leaf in ast.walk(node)
+        )
+    )
+
+
+def test_no_decision_compares_with_a_float_literal():
+    # every numerical threshold is a ToleranceConfig rule times a norm, so it
+    # follows the settings and the scale of the matrix it judges
+    found = sum(
+        (
+            _literal_thresholds(inspect.getsource(importlib.import_module(name)), name)
+            for name in _package_modules()
+        ),
+        Counter(),
+    )
+    assert found == LITERAL_THRESHOLDS
+
+
+def test_literal_thresholds_are_seen_in_every_form():
+    source = """
+def absolute(m):
+    return norm(m) <= 1e-8
+
+def floored(m, r):
+    return norm(m) > 1e-9 * max(1.0, norm(r))
+
+def shifted(t, x):
+    return t > norm(x) + 1e-8
+
+def probability(rng):
+    return rng.random() < 0.5
+
+def ruled(m, tol):
+    return norm(m) <= tol.residual_bound(1.0)
+"""
+    assert _literal_thresholds(source, "m") == Counter(
+        {("m", "absolute"): 1, ("m", "floored"): 1, ("m", "shifted"): 1}
+    )

@@ -197,6 +197,20 @@ def test_majorize_disjoint(capsys, tmp_path):
     assert payload["d_norm_sq"] is None
 
 
+def test_majorize_agrees_with_check_on_a_small_singular_value(capsys, monkeypatch, tmp_path):
+    # sigma = 1e-7 is above the rank cut of A, though sigma^2 is below that cut
+    # of A A*: the scale is finite, as range inclusion and check say
+    a_file = write_matrix(tmp_path / "a.json", np.diag([1.0, 1e-7]))
+    c_file = write_matrix(tmp_path / "c.json", np.diag([0.0, 1e-7]))
+    _, report, _ = run_cli(capsys, "check", "--a", a_file, "--c", c_file)
+    log = count_lapack(monkeypatch)
+    code, payload, _ = run_cli(capsys, "majorize", "--a", a_file, "--c", c_file)
+    assert code == 0 and report["verdict"] == "SolvablePositive"
+    assert payload == {"d_norm_sq": 1.0, "finite": True, "mu_star": 1.0, "range_inclusion": True}
+    # the SVDs of A and D; no second rank decision through A A*
+    assert Counter(name for name, _, _ in log) == Counter(svd=2)
+
+
 # ---------------------------------------------------------------------------
 # grid commands
 

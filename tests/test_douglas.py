@@ -236,6 +236,19 @@ def test_report_c_equals_a():
     assert report.lambda_estimate == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_report_lambda_is_zero_when_a_has_full_column_rank(scale):
+    # P = I, so I - P and with it the correction term are exactly zero
+    rng = np.random.default_rng(47)
+    for n in (1, 3, 5):
+        a = scale * complex_gaussian(rng, n + 1, n)
+        f = dg.factorize(a, a @ random_psd(rng, n))
+        report = dg.solvability_report(f)
+        assert report.verdict is dg.Verdict.POSITIVE
+        assert report.lambda_estimate == 0.0
+        assert not f.ip.any()
+
+
 def test_report_zero_c():
     report = dg.solvability_report(dg.factorize(np.eye(3), np.zeros((3, 3))))
     assert report.verdict is dg.Verdict.POSITIVE

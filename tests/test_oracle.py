@@ -297,15 +297,21 @@ def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
         made.append(original(*args))
         return made[-1]
 
-    # matched by caller, not by value: the t_min compression of a 1x1 pair
-    # can equal the compression of D
+    # matched by the spectrum that asks, not by value: the t_min compression
+    # of a 1x1 pair can equal the compression of D.  The oracle's spectra are
+    # marked; douglas builds the spectrum of C A* through its own name.
+    class OracleSpectrum(mc.HermitianSpectrum):
+        pass
+
     calls, eigh = [], np.linalg.eigh
 
     def logged(m, *args, **kwargs):
-        calls.append((sys._getframe(1).f_code.co_name, m))
+        caller = sys._getframe(1).f_locals.get("self")
+        calls.append((isinstance(caller, OracleSpectrum), m))
         return eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(dg, "factorize", factorize)
+    monkeypatch.setattr(oc, "HermitianSpectrum", OracleSpectrum)
     monkeypatch.setattr(np.linalg, "eigh", logged)
     spec = oc.TrialSpec(dim_max=6, trials=12, seed=7)
     prop = _property_index("tn_monotone_lambda_match")
@@ -315,7 +321,7 @@ def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
         assert oc._check_tn_lambda(rng, spec, mc.DEFAULT_TOLERANCES) is None
         f = made[-1]
         comp = f.row_basis.conj().T @ f.d @ f.row_basis
-        of_comp = [m for caller, m in calls if caller == "_compressed_state"]
+        of_comp = [m for by_oracle, m in calls if by_oracle]
         assert len(of_comp) == 1
         np.testing.assert_allclose(of_comp[0], 0.5 * (comp + comp.conj().T), rtol=0, atol=1e-12)
 
@@ -525,6 +531,16 @@ def test_property_suite_catches_a_wrong_part(monkeypatch, mutant):
     failed = report["properties"][prop]
     assert report["violations"] == failed["failures"] >= 1
     assert failed["first_failure"]["detail"].startswith(detail)
+
+
+def test_property_suite_takes_exact_norms_only_where_they_decide(monkeypatch):
+    # every threshold test of the suite is screened by Frobenius bounds; the
+    # SVDs left are the factorizations, the independent routes and the norms
+    # the suite reads (||X|| against t_min), so an unscreened norm adds to this
+    log = count_lapack(monkeypatch)
+    report = oc.property_suite(oc.TrialSpec(trials=2, dim_max=4, seed=1000))
+    assert report["violations"] == 0
+    assert [name for name, _, _ in log].count("svd") == 36
 
 
 def test_property_suite_deterministic():
