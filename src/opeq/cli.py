@@ -43,8 +43,8 @@ from .errors import (
 from .matcore import (
     MajorizationResult,
     ToleranceConfig,
+    _matrix_from_text,
     _within_residual_bound,
-    matrix_from_json,
     matrix_to_wire,
     spectral_norm,
 )
@@ -135,13 +135,11 @@ def _tolerances(args) -> ToleranceConfig:
 def _load_matrix(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+            return _matrix_from_text(handle.read())
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+    except ValueError as exc:  # not UTF-8, a JSONDecodeError, or an integer past Python's digit limit
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
-    try:
-        return matrix_from_json(obj)
     except MatrixFormatError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 

@@ -14,13 +14,16 @@ entry is a list or tuple of two finite numbers: floats, integers of any size
 that converts to a finite float, or booleans (read as 1 and 0).  The parser
 rejects anything else -- strings, ``null``, lists of another length, NaN,
 infinity, integers too large for a float -- naming the first bad entry as
-``data[k]``.
+``data[k]``.  Text in the layout that ``json.dumps`` gives the format is read
+without a Python list per entry, to the same result (:func:`_matrix_from_text`).
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -215,6 +218,72 @@ def matrix_from_json(obj) -> np.ndarray:
         return _parse_entries(data).reshape(rows, cols)
     # a contiguous (k, 2) float64 array is (re, im) pairs in complex128's layout;
     # the view keeps every bit, signed zeros included
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+
+
+# The canonical layout, as matrix_to_json and json.dumps write it: these keys in
+# this order and JSON whitespace between any two tokens.  A size of more than
+# 18 digits goes the general way, which keeps int() within its digit limit.
+_WS = "[ \t\n\r]*"
+_SIZE = "([1-9][0-9]{0,17})"
+_CANONICAL_HEAD = re.compile(
+    _WS.join(["", r"\{", '"rows"', ":", _SIZE, ",", '"cols"', ":", _SIZE, ",", '"data"', ":", r"\["])
+)
+# what a canonical text keeps once its numbers and whitespace are dropped
+_SKELETON_HEAD = '{"rows":,"cols":,"data":['
+_DROP_NUMBERS = str.maketrans("", "", "0123456789+-.eE \t\n\r")
+# the braces become brackets and the rest of the skeleton but its commas becomes
+# spaces, which turns a canonical text into the JSON list [rows, cols, re, im, ...]
+_FLATTEN = str.maketrans('{}[]":rowscldat', "[]" + " " * 13)
+
+
+def _matrix_from_text(text: str) -> np.ndarray:
+    """``matrix_from_json(json.loads(text))``: the same array bits, or the same exception.
+
+    Text in the canonical layout is read as one flat list of numbers, so no
+    Python list is built per entry.  Anything else -- other key orders, extra
+    keys, a BOM, trailing text, or any check below failing -- goes through
+    ``json.loads`` and :func:`matrix_from_json`, the one source of errors.
+    """
+    matrix = _canonical_matrix(text)
+    return matrix_from_json(json.loads(text)) if matrix is None else matrix
+
+
+def _canonical_matrix(text: str) -> np.ndarray | None:
+    """The matrix of a canonical ``text``, or None when the flat reading does not apply.
+
+    What is left once the numbers and whitespace are dropped must be the
+    header and ``rows*cols`` ``[,]`` pairs exactly.  The brackets then become
+    spaces, so a slot that does not hold exactly one number fails to parse.
+    ``json`` still parses every token, so ``-0``, big integers and ``1e400``
+    keep their meaning, and the array must pass the dtype and finiteness
+    checks of :func:`matrix_from_json`.  Only the text and one working copy of
+    it are held at a time.
+    """
+    head = _CANONICAL_HEAD.match(text)
+    if head is None:
+        return None
+    rows, cols = int(head[1]), int(head[2])
+    skeleton = text.translate(_DROP_NUMBERS)
+    k = rows * cols
+    # the length first, so that no string sized by the header alone is built
+    if len(skeleton) != len(_SKELETON_HEAD) + 4 * k + 1 or skeleton != (
+        _SKELETON_HEAD + "[,]," * (k - 1) + "[,]]}"
+    ):
+        return None
+    del skeleton
+    try:
+        values = json.loads(text.translate(_FLATTEN))
+    except ValueError:
+        return None
+    del values[:2]  # rows and cols
+    try:
+        pairs = np.array(values)
+    except OverflowError:  # numpy may refuse an integer past 64 bits
+        return None
+    del values
+    if pairs.dtype.kind not in "biuf" or not np.all(np.isfinite(pairs)):
+        return None
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(rows, cols)
 
 
@@ -538,7 +607,8 @@ class HermitianSpectrum:
     it is, or that norm as a float.  Each test is screened as a residual test
     is: exact norms are taken only when Frobenius bounds cannot settle it.
     The Hermitian test reads :attr:`deviation` when a certificate has already
-    taken it, and keeps the deviation and the norm of the scale that it takes.
+    taken it, and keeps the deviation and the norm of the scale that it takes,
+    and its verdict at each ``tol``, which :meth:`is_psd` reads.
     """
 
     def __init__(self, m, scale=None):
@@ -548,19 +618,26 @@ class HermitianSpectrum:
         self._own_scale = scale is None
         # what sets the thresholds: a matrix, replaced by its norm once taken, or that norm
         self._scale = self.m if scale is None else scale
+        self._hermitian = {}  # the verdict of is_hermitian at each tol it was asked at
 
     @cached_property
     def deviation(self) -> float:
         return hermitian_deviation(self.m)
 
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-        """``||M - M*||`` within the residual bound of the scale; keeps the norms it takes."""
+        """``||M - M*||`` within the residual bound of the scale.
+
+        Keeps its verdict at ``tol`` and the norms it takes.
+        """
+        if tol in self._hermitian:
+            return self._hermitian[tol]
         deviation = self.__dict__.get("deviation")
         if deviation is None:
             deviation = self.m - self.m.conj().T
         passed, taken, scale = _residual_test(deviation, self._scale, tol)
         if taken is not None:
             self.__dict__["deviation"], self._scale = taken, scale
+        self._hermitian[tol] = passed
         return passed
 
     @cached_property

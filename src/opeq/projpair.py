@@ -29,7 +29,6 @@ near-solution that violates it.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -366,17 +365,27 @@ def equation_residual_max(
 def write_csv(f, stream) -> None:
     """Write node-by-node entries as CSV: t, then re/im of all four entries.
 
-    Rows are built as float tables one block of ``_BLOCK_NODES`` nodes at a
-    time; the csv writer formats floats with ``repr``, so every value is
-    written exactly.
+    Each block of ``_BLOCK_NODES`` nodes is a float table with one row per
+    CSV column, formatted a column at a time with ``float.__repr__``, so every
+    value is written exactly; a column whose values all have the same bits
+    (signed zeros told apart) is formatted once.  Lines end in ``\\r\\n``, as
+    the csv module ends them, and each block is one write.
     """
-    writer = csv.writer(stream)
-    writer.writerow(CSV_HEADER)
+    stream.write(",".join(CSV_HEADER) + "\r\n")
     points = f.points
     for lo in range(0, points.size, _BLOCK_NODES):
         values = f.values[lo : lo + _BLOCK_NODES].reshape(-1, 4)
-        table = np.empty((values.shape[0], len(CSV_HEADER)))
-        table[:, 0] = points[lo : lo + _BLOCK_NODES]
-        table[:, 1::2] = values.real
-        table[:, 2::2] = values.imag
-        writer.writerows(table.tolist())
+        table = np.empty((len(CSV_HEADER), values.shape[0]))
+        table[0] = points[lo : lo + _BLOCK_NODES]
+        table[1::2] = values.real.T
+        table[2::2] = values.imag.T
+        columns = [_column_reprs(column) for column in table]
+        stream.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _column_reprs(column):
+    """``float.__repr__`` of each value of a 1-D float64 array, in order."""
+    bits = column.view(np.uint64)
+    if np.all(bits == bits[0]):
+        return [float.__repr__(float(column[0]))] * column.size
+    return map(float.__repr__, column.tolist())

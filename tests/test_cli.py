@@ -3,6 +3,7 @@ import json
 from collections import Counter
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from opeq import cli
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq.cli import main
+from opeq.errors import MatrixFormatError
 
 
 def write_matrix(path, m):
@@ -351,6 +353,29 @@ def test_verify_bytes_are_pinned(tmp_path, args):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[args]
 
 
+# sha256 of each CSV the grid commands write, taken before the CSV writer
+# formatted by column; CI checks the same commands at --n 100000
+CSV_DIGESTS = {
+    ("twoproj", "--n", "5000", "--csv"): {
+        "--csv": "626a711749a85fb19214dca02331c35e625ce7cb3b5af3cc2b7e1ce22b4a27a9",
+    },
+    ("perturb", "--n", "5000", "--eps", "0.1", "--csv-x", "--csv-q"): {
+        "--csv-x": "d9934800e2f670eb788a08c923fd4dde5918444d90394e0caa69a220a7063b42",
+        "--csv-q": "7f93902e6b1df93b27cfd31552979552d094a0824e938839cc29d1e2822234a2",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(CSV_DIGESTS), ids=" ".join)
+def test_csv_bytes_are_pinned(tmp_path, args):
+    argv = [arg for arg in args if arg not in CSV_DIGESTS[args]]
+    for flag in CSV_DIGESTS[args]:
+        argv += [flag, str(tmp_path / f"{flag.strip('-')}.csv")]
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    for flag, digest in CSV_DIGESTS[args].items():
+        assert hashlib.sha256((tmp_path / f"{flag.strip('-')}.csv").read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # error handling and plumbing
 
@@ -388,6 +413,104 @@ def test_boolean_dimensions_are_input_error(capsys, tmp_path):
     flags.write_text('{"rows": true, "cols": true, "data": [[2, 0]]}')
     code, _, err = run_cli(capsys, "check", "--a", str(flags), "--c", str(flags))
     assert code == 1 and err.startswith("error: ") and "rows and cols must be positive integers" in err
+
+
+# ---------------------------------------------------------------------------
+# the flat reader against the general one: matrix_from_json(json.loads(text))
+
+
+def benchmark_text(m):
+    """A matrix as the benchmark writes its inputs: json.dumps of rows, cols and the (re, im) pairs."""
+    data = np.stack([m.real.ravel(), m.imag.ravel()], axis=1).tolist()
+    return json.dumps({"rows": m.shape[0], "cols": m.shape[1], "data": data})
+
+
+def _outcome(read, text):
+    """``(shape, dtype, bytes)`` of what ``read(text)`` returns, or ``(type, message)`` of what it raises."""
+    try:
+        m = read(text)
+    except (ValueError, MatrixFormatError) as exc:
+        return type(exc), str(exc)
+    return m.shape, m.dtype, m.tobytes()
+
+
+def assert_read_as_json_reads(capsys, tmp_path, text):
+    """The flat reader gives the general reader's bits, or ``opeq check`` its exit code and stderr."""
+    expected = _outcome(lambda t: mc.matrix_from_json(json.loads(t)), text)
+    assert _outcome(mc._matrix_from_text, text) == expected
+    kind, message = expected[:2]
+    if isinstance(kind, type):
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        where = f"{path}: " if kind is MatrixFormatError else f"{path} is not valid JSON: "
+        code, _, err = run_cli(capsys, "check", "--a", str(path), "--c", str(path))
+        assert (code, err) == (1, f"error: {where}{message}\n")
+
+
+@pytest.mark.parametrize("n", [1, 20, 200])
+def test_reader_takes_benchmark_files_flat(capsys, tmp_path, n):
+    rng = np.random.default_rng(n)
+    text = benchmark_text(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    assert mc._canonical_matrix(text) is not None
+    assert_read_as_json_reads(capsys, tmp_path, text)
+
+
+TOKENS = ["-0", "0", "1", "+1", ".5", "1.", "01", "1e05", "1e400", "NaN", "Infinity", "-Infinity", "true"]
+TOKENS += ["null", '"1"', "", "1 2", "1" + "0" * 400, "1" + "0" * 4999]
+
+
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("token", TOKENS, ids=lambda t: t if len(t) < 9 else f"{len(t)} digits")
+def test_reader_reads_each_token_as_json_does(capsys, tmp_path, token, where):
+    values = ["-0.0", "5e-324", "1e+22", "2", "3.5", "-1e-300", "7", "0.1"]
+    values[where] = token
+    data = ", ".join(f"[{re}, {im}]" for re, im in zip(values[::2], values[1::2]))
+    assert_read_as_json_reads(capsys, tmp_path, f'{{"rows": 2, "cols": 2, "data": [{data}]}}')
+
+
+BASE = '{"rows": 1, "cols": 2, "data": [[1.5, -0.0], [2, 3]]}'
+
+
+@pytest.mark.parametrize(
+    "text, flat",
+    [
+        (json.dumps(json.loads(BASE), indent="\t"), True),  # tabs and newlines
+        ("\r\n " + BASE.replace(" ", "\n\t") + "\n", True),
+        (BASE.replace(" ", ""), True),
+        ('{"cols": 2, "rows": 1, "data": [[1.5, -0.0], [2, 3]]}', False),
+        ('{"data": [[1.5, -0.0], [2, 3]], "rows": 1, "cols": 2}', False),
+        ('{"rows": 1, "cols": 2, "data": [[1.5, -0.0], [2, 3]], "note": 0}', False),
+        ('{"rows": 2, "rows": 1, "cols": 2, "data": [[1.5, -0.0], [2, 3]]}', False),
+        ('{"rows1":1, "cols": 2, "data": [[1.5, -0.0], [2, 3]]}', False),
+        ('{"rows1": , "cols": 2, "data": [[1.5, -0.0], [2, 3]]}', False),
+        ('{"rows": 01, "cols": 2, "data": [[1.5, -0.0], [2, 3]]}', False),
+        ('{"rows": 1, "cols": 2, "data": [[1.5, -0.0]2, [3, 4]]}', False),
+        ('{"rows": 1, "cols": 2, "data": [[1.5, -0.0], [2, 3]]5}', False),
+        ('{"rows": 1, "cols": 2, "data": [[1.5, -0.0], [2, 3], ]}', False),
+        ('{"rows": 1, "cols": 2, "data": [[1.5, -0.0], [2, 3, 4]]}', False),
+        ('{"rows": 1, "cols": 2, "data": [[1.5, -0.0] [2, 3]]}', False),
+        ('{"rows": 1, "cols": 2, "data": [[1.5, -0.0], [2, 3]]\u00a0}', False),
+        (BASE + "x", False),  # trailing text
+        (BASE + " 1", False),
+        ("\ufeff" + BASE, False),  # a BOM
+        (BASE[:-1], False),
+    ],
+)
+def test_reader_takes_other_layouts_the_general_way(capsys, tmp_path, text, flat):
+    assert (mc._canonical_matrix(text) is not None) == flat
+    assert_read_as_json_reads(capsys, tmp_path, text)
+
+
+def test_reader_builds_nothing_sized_by_the_header():
+    text = '{"rows": 100000, "cols": 100000, "data": [[1, 2]]}'
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixFormatError, match=r"^data must hold exactly rows\*cols = 10000000000 entries$"):
+            mc._matrix_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_shape_mismatch_exit(capsys, tmp_path):

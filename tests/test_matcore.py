@@ -767,6 +767,22 @@ def test_hermitian_test_reuses_a_deviation_already_taken(monkeypatch):
     assert [name for name, _, _ in log] == ["svd", "svd", "eigh"]
 
 
+def test_psd_test_reads_the_hermitian_verdict(monkeypatch):
+    tests = []
+
+    def residual_test(m, r, tol, rule=None):
+        tests.append(rule is None)  # the Hermitian test passes no rule
+        return residual_test_of_matcore(m, r, tol, rule)
+
+    residual_test_of_matcore = mc._residual_test
+    monkeypatch.setattr(mc, "_residual_test", residual_test)
+    spectrum = mc.HermitianSpectrum(random_psd(np.random.default_rng(8), 4))
+    assert spectrum.is_hermitian() and spectrum.is_psd()
+    assert tests == [True, False]
+    # another tol is another test
+    assert spectrum.is_psd(mc.ToleranceConfig(residual_atol=1e-12)) and tests == [True, False, True, False]
+
+
 # ---------------------------------------------------------------------------
 # polar partial isometry
 

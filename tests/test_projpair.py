@@ -390,11 +390,24 @@ def test_csv_bytes_match_per_entry_format():
     vals = rng.standard_normal((grid.n_points, 2, 2)) + 1j * rng.standard_normal((grid.n_points, 2, 2))
     vals[0] = [[-0.0, 1e-300], [-1e-300j, complex(-0.0, -0.0)]]
     vals[BLOCK] = [[5e-324, -5e-324j], [1e300 + 1e-300j, 0.1 + 0.2j]]
+    # a constant column, and one whose values all compare equal to 0.0 but one
+    # is -0.0: a constant column must be told by the bits of its values
+    constant = vals.copy()
+    constant[:, 0, 0] = 0.1
+    constant[:, 0, 1] = 0.0
+    constant[BLOCK + 7, 0, 1] = -0.0
     written = {}
-    for f in (pp.GridFunction(grid, vals), pp.pointwise_solution(grid)):
+    for f in (
+        pp.GridFunction(grid, vals),
+        pp.GridFunction(grid, constant),
+        pp.pointwise_solution(grid),
+        pp.perturbed_solution(grid, 0.1),
+        pp.perturb_q(grid, 0.1),
+        *pp.canonical_pair(grid),
+    ):
         buf = io.StringIO()
         pp.write_csv(f, buf)
         assert buf.getvalue() == csv_per_entry(f)
-        written[type(f)] = buf.getvalue().splitlines()
+        written.setdefault(type(f), buf.getvalue().splitlines())
     assert written[pp.GridFunction][1] == "0.0,-0.0,0.0,1e-300,0.0,-0.0,-1e-300,-0.0,-0.0"
     assert written[pp.GridFunction][BLOCK + 1].split(",")[1:5] == ["5e-324", "0.0", "-0.0", "-5e-324"]
