@@ -529,20 +529,22 @@ def max_spectral_norm(stack, floor: float = 0.0) -> float:
 
 
 def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition, of one matrix or a stack.
+    """Hermitian PSD square root of one matrix or a stack.
 
     ``m`` is a square matrix or a stack ``(k, n, n)`` of them; the result has
     the same shape.  Each matrix is tested on its own: a Hermitian deviation
     ``||M - M*||`` above ``residual_bound(||M||)`` raises :class:`NotPSD`,
-    eigenvalues in ``[eigenvalue_floor(max|lambda|), 0)`` are clamped to zero
-    (roundoff from upstream products), and anything more negative raises
-    :class:`NotPSD`.  For a stack the certificate carries the
+    eigenvalues of ``(M + M*)/2`` in ``[eigenvalue_floor(max|lambda|), 0)``
+    are clamped to zero (roundoff from upstream products), and anything more
+    negative raises :class:`NotPSD`.  For a stack the certificate carries the
     ``index`` of the first failing matrix.  A single matrix is the stack of
     one, so both shapes run the same batched calls.  A matrix passes the
     Hermitian test without an SVD when ``||M - M*||_F`` is within the bound
     of ``||M||_F / sqrt(n)`` (see :func:`_norm_bounds`); the others take both
     2-norms from one SVD call each, none when there are no others, so a
-    certificate carries the exact deviation.  One ``eigh`` takes the roots.
+    certificate carries the exact deviation.  2x2 matrices take their
+    eigenvalues and roots in closed form, elementwise over the stack
+    (:func:`_sqrt_2x2`); other sizes take them from one ``eigh``.
     """
     a = _as_complex_array(m, (2, 3), "a matrix or a stack of matrices")
     stacked = a.ndim == 3
@@ -569,10 +571,9 @@ def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
                 f"is not Hermitian (deviation {dev[j]:.3e})",
                 {"hermitian_deviation": float(dev[j])},
             )
-    w, v = np.linalg.eigh(0.5 * (a + a_star))
-    floor = tol.eigenvalue_floor(np.max(np.abs(w), axis=-1, initial=0.0))
-    # the least eigenvalue, or 0 for an empty matrix; below floor exactly when w[0] is
-    lowest = np.min(w, axis=-1, initial=0.0)
+    roots_of = _sqrt_2x2 if a.shape[1] == 2 else _sqrt_eigh
+    lowest, top, roots = roots_of(0.5 * (a + a_star))
+    floor = tol.eigenvalue_floor(top)
     bad = np.flatnonzero(lowest < floor)
     if bad.size:
         i = int(bad[0])
@@ -581,9 +582,61 @@ def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
             f"has eigenvalue {lowest[i]:.6e} below -psd_atol*norm = {floor[i]:.6e}",
             {"min_eigenvalue": float(lowest[i]), "floor": float(floor[i])},
         )
-    w = np.clip(w, 0.0, None)
-    roots = (v * np.sqrt(w)[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
     return roots if stacked else roots[0]
+
+
+def _sqrt_eigh(h):
+    """``(lowest, top, roots)`` of a ``(k, n, n)`` Hermitian stack from one ``eigh``.
+
+    ``lowest`` is each matrix's least eigenvalue and ``top`` its largest
+    ``|w|``, both 0 for an empty matrix; ``roots`` are the square roots with
+    the negative eigenvalues clamped to 0.
+    """
+    w, v = np.linalg.eigh(h)
+    lowest = np.min(w, axis=-1, initial=0.0)
+    top = np.max(np.abs(w), axis=-1, initial=0.0)
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
+    return lowest, top, roots
+
+
+def _sqrt_2x2(h):
+    """:func:`_sqrt_eigh` of a ``(k, 2, 2)`` Hermitian stack, in closed form.
+
+    With ``m`` the mean of the diagonal and ``r = hypot((h11 - h22)/2, |h12|)``,
+    the eigenvalues are ``low = m - r`` and ``high = m + r``; ``low`` is what
+    the eigenvalue floor reads.  The root is ``(H + r1 r2 I) / (r1 + r2)``
+    (Higham, *Functions of Matrices*, SIAM 2008, section 6.1), with ``r1 =
+    sqrt(high)`` and ``r2 = sqrt(small)``, where the small eigenvalue ``small
+    = det / high`` comes from the determinant, so that it is not lost to
+    cancellation.  A negative ``small`` is clamped to 0: the root is then
+    ``r1`` times the projector ``(H - small I) / (high - small)``, as for
+    eigenvalues clamped by :func:`_sqrt_eigh`, and a zero matrix has the zero
+    root.  Each matrix is first scaled by ``4^-k``, an exact power of two
+    near its largest entry, and its root by ``2^k`` back, so no product
+    overflows or underflows.
+    """
+    parts = np.ascontiguousarray(h).view(np.float64)
+    # frexp's exponent e puts the largest entry in [2^(e-1), 2^e); k is e // 2
+    k = np.frexp(np.max(np.abs(parts), axis=(1, 2), initial=0.0))[1] // 2
+    scaled = np.ldexp(parts, -2 * k[:, np.newaxis, np.newaxis]).view(np.complex128)
+    h11, h22, h12 = scaled[:, 0, 0].real, scaled[:, 1, 1].real, scaled[:, 0, 1]
+    mean = 0.5 * (h11 + h22)
+    radius = np.hypot(0.5 * (h11 - h22), np.abs(h12))
+    high, low = mean + radius, mean - radius
+    det = h11 * h22 - (h12.real * h12.real + h12.imag * h12.imag)
+    positive = high > 0.0
+    r1 = np.sqrt(high, where=positive, out=np.zeros_like(high))
+    small = np.divide(det, high, where=positive, out=np.zeros_like(high))
+    r2 = np.sqrt(np.maximum(small, 0.0))
+    clamped = small < 0.0
+    shift = np.where(clamped, -small, r1 * r2)
+    total = np.divide(high - small, r1, where=clamped, out=r1 + r2)[:, np.newaxis, np.newaxis]
+    scaled[:, 0, 0] += shift
+    scaled[:, 1, 1] += shift
+    roots = np.divide(scaled, total, where=total > 0.0, out=np.zeros_like(scaled))
+    roots = np.ldexp(roots.view(np.float64), k[:, np.newaxis, np.newaxis]).view(np.complex128)
+    top = np.maximum(np.abs(high), np.abs(low))
+    return np.ldexp(low, 2 * k), np.ldexp(top, 2 * k), roots
 
 
 def polar_partial_isometry(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -64,9 +64,12 @@ __all__ = [
 
 CSV_HEADER = ["t", "re11", "im11", "re12", "im12", "re21", "im21", "re22", "im22"]
 
-# nodes per batched LAPACK call in sup_distance and equation_residual_max and
-# per write in write_csv; 256 to 1024 ran about equally fast at 10^5 nodes,
-# and blocks keep the temporaries small for any grid size
+# nodes per block of sup_distance and equation_residual_max and per write in
+# write_csv; blocks keep the temporaries small for any grid size.  The
+# residual check is elementwise arithmetic with a fixed cost per numpy call, so
+# larger blocks run it faster (at 10^5 nodes, 110 ms at 512 against 63 ms at
+# 8192), but 8192 raised the peak RSS of perturb plus twoproj at 5000 nodes
+# from 67 to 71 MB
 _BLOCK_NODES = 512
 
 
@@ -335,15 +338,16 @@ def equation_residual_max(
 
     The square root is recomputed numerically from ``P + Q``
     (:func:`opeq.matcore.sqrt_psd`, with its Hermitian and eigenvalue
-    checks), never taken from the closed forms used to build candidate
-    solutions, so the check stays independent of them.  The nodes are
-    processed in blocks of ``_BLOCK_NODES``: one stacked ``sqrt_psd`` call
-    and one :func:`opeq.matcore.max_spectral_norm` call, with the running
-    max as its floor, per block, so the LAPACK call count grows at most with
-    the number of blocks, not of nodes, while the temporaries stay the size
-    of one block.  ``x`` may be partial, in which case t = 0 is skipped.
-    A node where ``P + Q`` is not PSD raises :class:`NotPSD` whose
-    certificate ``index`` is that node's grid index.
+    checks, in its closed form for 2x2 matrices), never taken from the
+    closed forms used to build candidate solutions, so the check stays
+    independent of them.  The nodes are processed in blocks of
+    ``_BLOCK_NODES``: one stacked ``sqrt_psd`` call, the products ``root X``
+    entry by entry over the block, and one
+    :func:`opeq.matcore.max_spectral_norm` call, with the running max as its
+    floor, per block, so no LAPACK call is made per node while the
+    temporaries stay the size of one block.  ``x`` may be partial, in which
+    case t = 0 is skipped.  A node where ``P + Q`` is not PSD raises
+    :class:`NotPSD` whose certificate ``index`` is that node's grid index.
     """
     offset = 1 if isinstance(x, PartialGridFunction) else 0
     worst = 0.0
@@ -355,10 +359,13 @@ def equation_residual_max(
         except NotPSD as exc:
             node = nodes.start + exc.certificate["index"]
             raise NotPSD(
-                f"P + Q is not PSD at grid node {node} (t = {p.grid.points[node]!r})",
+                f"P + Q is not PSD at grid node {node} (t = {float(p.grid.points[node])!r})",
                 certificate={**exc.certificate, "index": node},
             ) from exc
-        worst = max_spectral_norm(root @ x.values[lo : lo + _BLOCK_NODES] - p_vals, worst)
+        x_rows = x.values[lo : lo + _BLOCK_NODES, np.newaxis]
+        # (root X)_ij = root_i0 X_0j + root_i1 X_1j, without a zgemm per node
+        product = root[:, :, :1] * x_rows[:, :, 0] + root[:, :, 1:] * x_rows[:, :, 1]
+        worst = max_spectral_norm(product - p_vals, worst)
     return worst
 
 

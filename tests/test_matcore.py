@@ -404,6 +404,77 @@ def test_sqrt_psd_stack_shape_checks():
         mc.sqrt_psd(bad)
 
 
+def haar_unitary_2x2(rng):
+    q, r = np.linalg.qr(complex_gaussian(rng, 2, 2))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def eigh_root(m):
+    """The root from eigh: ``V diag(sqrt(max(w, 0))) V*``."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("delta", [1e-2, 1e-6, 1e-10, 1e-13, 1e-16, 0.0])
+def test_two_by_two_root_matches_mpmath(delta, scale):
+    # M = U diag(1, delta) U*, rounded to float; the reference is the root of
+    # the rounded M, its eigenvalues clamped at 0, to 50 digits.  Near rank
+    # one the small eigenvalue's root is far above roundoff, so both routes
+    # miss by up to about 1e-8, and the closed form may miss by no more
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(71)
+    unitaries = [haar_unitary_2x2(rng) for _ in range(60)]
+    stack = np.array([scale * (u * [1.0, delta]) @ u.conj().T for u in unitaries])
+    roots = mc.sqrt_psd(stack)
+    worst_closed = worst_eigh = 0.0
+    with mpmath.workdps(50):
+        for m, root in zip(stack, roots):
+            w, v = mpmath.eighe(mpmath.matrix(m.tolist()))
+            ref = v * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * v.H
+            closed, eigh = (mpmath.mnorm(mpmath.matrix(r.tolist()) - ref, "f") for r in (root, eigh_root(m)))
+            worst_closed, worst_eigh = max(worst_closed, float(closed)), max(worst_eigh, float(eigh))
+    assert 0.0 < worst_closed <= worst_eigh
+    assert worst_closed <= 1e-8 * math.sqrt(scale)
+
+
+def test_two_by_two_root_commutes_with_scales_by_powers_of_4():
+    # each node is scaled near 1 by a power of 4 before its root is taken, so
+    # scaling a node by 4^j scales its root by 2^j bit for bit, as long as the
+    # entries stay normal; unscaled, det would overflow at 2^1000
+    rng = np.random.default_rng(73)
+    stack = np.array([random_psd(rng, 2, rank=rank) for rank in (1, 2, 1, 2)])
+    roots = mc.sqrt_psd(stack)
+    for j in (-500, -1, 1, 500):
+        np.testing.assert_array_equal(mc.sqrt_psd(stack * 4.0**j), roots * 2.0**j)
+    huge = mc.sqrt_psd(np.array([[1e200, 1e199], [1e199, 1e200]]))
+    np.testing.assert_allclose(huge, 1e100 * mc.sqrt_psd(np.array([[1.0, 0.1], [0.1, 1.0]])), rtol=1e-15)
+
+
+def test_two_by_two_root_at_the_eigenvalue_floor():
+    rng = np.random.default_rng(72)
+    u = haar_unitary_2x2(rng)
+    # the least eigenvalue 1e-13 above and below the floor -1e-10 of a norm-1 node
+    above, below = ((u * [1.0, -1e-10 + margin]) @ u.conj().T for margin in (1e-13, -1e-13))
+    roots = mc.sqrt_psd(np.array([np.eye(2), above]))
+    # clamped at 0, as eigh's eigenvalues are: the root is U diag(1, 0) U*
+    np.testing.assert_allclose(roots[1], (u * [1.0, 0.0]) @ u.conj().T, rtol=0, atol=1e-15)
+    assert mc.is_psd(roots[1], mc.ToleranceConfig(psd_atol=1e-14))
+    with pytest.raises(NotPSD) as failed:
+        mc.sqrt_psd(np.array([np.eye(2), above, below, below]))
+    assert failed.value.certificate["index"] == 2
+    assert failed.value.certificate["min_eigenvalue"] == pytest.approx(-1e-10 - 1e-13, rel=1e-6)
+    # the closed form takes the eigenvalues of diag(1, -2^-33) without rounding,
+    # so its least one can sit exactly on the floor
+    edge = np.diag([1.0, -(2.0**-33)])
+    at_floor = mc.ToleranceConfig(psd_atol=2.0**-33)
+    np.testing.assert_array_equal(mc.sqrt_psd(edge, at_floor), np.diag([1.0, 0.0]))
+    floor = -np.nextafter(2.0**-33, 0.0)
+    with pytest.raises(NotPSD) as failed:
+        mc.sqrt_psd(np.array([edge, edge]), mc.ToleranceConfig(psd_atol=-floor))
+    assert failed.value.certificate == {"min_eigenvalue": -(2.0**-33), "floor": floor, "index": 0}
+
+
 # ---------------------------------------------------------------------------
 # Frobenius-screened norms, against the unscreened code they replace
 
@@ -427,9 +498,16 @@ def sqrt_psd_unscreened(m, tol=mc.DEFAULT_TOLERANCES):
         raise failure(
             i, f"is not Hermitian (deviation {dev[i]:.3e})", {"hermitian_deviation": float(dev[i])}
         )
-    w, v = np.linalg.eigh(0.5 * (a + a_star))
-    floor = tol.psd_atol * np.max(np.abs(w), axis=-1, initial=0.0)
-    lowest = np.min(w, axis=-1, initial=0.0)
+    h = 0.5 * (a + a_star)
+    if a.shape[1] == 2:
+        # the closed form of sqrt_psd; test_two_by_two_root_matches_mpmath pins it
+        lowest, top, roots = mc._sqrt_2x2(h)
+    else:
+        w, v = np.linalg.eigh(h)
+        lowest = np.min(w, axis=-1, initial=0.0)
+        top = np.max(np.abs(w), axis=-1, initial=0.0)
+        roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
+    floor = tol.psd_atol * top
     bad = np.flatnonzero(lowest < -floor)
     if bad.size:
         i = int(bad[0])
@@ -438,7 +516,6 @@ def sqrt_psd_unscreened(m, tol=mc.DEFAULT_TOLERANCES):
             f"has eigenvalue {lowest[i]:.6e} below -psd_atol*norm = {-floor[i]:.6e}",
             {"min_eigenvalue": float(lowest[i]), "floor": float(-floor[i])},
         )
-    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
     return roots if stacked else roots[0]
 
 

@@ -265,14 +265,12 @@ BLOCK = pp._BLOCK_NODES
 
 
 def residual_per_node(p, q, x):
-    """The residual check one node at a time, with 2-D square roots."""
+    """The residual check with every node's root from eigh and its norm from zgesdd."""
     offset = 1 if isinstance(x, pp.PartialGridFunction) else 0
-    worst = 0.0
-    for k, x_value in enumerate(x.values):
-        node = k + offset
-        root = mc.sqrt_psd(p.values[node] + q.values[node])
-        worst = max(worst, float(np.linalg.norm(root @ x_value - p.values[node], 2)))
-    return worst
+    nodes = slice(offset, None)
+    w, v = np.linalg.eigh(p.values[nodes] + q.values[nodes])
+    roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
+    return float(np.max(mc.spectral_norms(roots @ x.values - p.values[nodes])))
 
 
 @pytest.fixture(scope="module")
@@ -282,11 +280,19 @@ def blocked_grid():
 
 
 def test_residual_matches_per_node_reference(blocked_grid):
-    p, q = pp.canonical_pair(blocked_grid)
-    qp = pp.perturb_q(blocked_grid, 0.1)
-    x = pp.perturbed_solution(blocked_grid, 0.1)
+    assert_residual_matches_per_node(blocked_grid)
+
+
+def test_residual_matches_per_node_reference_at_100000_nodes():
+    assert_residual_matches_per_node(pp.uniform_grid(100_000))
+
+
+def assert_residual_matches_per_node(grid):
+    p, q = pp.canonical_pair(grid)
+    qp = pp.perturb_q(grid, 0.1)
+    x = pp.perturbed_solution(grid, 0.1)
     assert abs(pp.equation_residual_max(p, qp, x) - residual_per_node(p, qp, x)) <= 1e-15
-    xs = pp.pointwise_solution(blocked_grid)
+    xs = pp.pointwise_solution(grid)
     assert abs(pp.equation_residual_max(p, q, xs) - residual_per_node(p, q, xs)) <= 1e-15
 
 
@@ -321,6 +327,17 @@ def test_checks_survive_batching(blocked_grid, value, key):
         assert key in residual.value.certificate
 
 
+def test_not_psd_message_prints_the_node_as_a_float():
+    grid = pp.uniform_grid(1000)
+    p, _ = pp.canonical_pair(grid)
+    # P + Q = diag(1, -1) at node 700, in the second block
+    q_bad = _spoiled_q(grid, 700, np.diag([0.0, -1.0]))
+    with pytest.raises(NotPSD) as residual:
+        pp.equation_residual_max(p, q_bad, pp.perturbed_solution(grid, 0.1))
+    assert str(residual.value) == "P + Q is not PSD at grid node 700 (t = 0.7007007007007007)"
+    assert residual.value.certificate == {"min_eigenvalue": -1.0, "floor": -1e-10, "index": 700}
+
+
 def svd_matrices(log):
     """The number of matrices each logged ``svd`` call was handed."""
     return [len(args[0]) for name, args, _ in log if name == "svd"]
@@ -333,7 +350,8 @@ def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
     p, _ = pp.canonical_pair(grid)
     pp.equation_residual_max(p, pp.perturb_q(grid, 0.1), pp.perturbed_solution(grid, 0.1))
     calls = Counter(name for name, _, _ in log)
-    assert calls["eigh"] == math.ceil(n / BLOCK)
+    # the 2x2 roots are taken in closed form
+    assert calls["eigh"] == 0
     # P + Q' is exactly Hermitian, so every node passes the Hermitian screen;
     # of the residuals, only the largest, just right of eps, where P + Q' is
     # nearly singular, can reach the max under the closed-form 2x2 bounds
