@@ -55,7 +55,6 @@ from .matcore import (
     HermitianSpectrum,
     ToleranceConfig,
     _pinv_from_svd,
-    _residual_test,
     _within_residual_bound,
     as_matrix,
     hermitian_deviation,
@@ -151,14 +150,13 @@ class Factorization:
     ``(DP)^dagger`` -- are never computed for a general solution or a
     majorization.  Each threshold test asks
     :func:`~opeq.matcore._within_residual_bound`, which takes a zgesdd norm
-    only when Frobenius bounds cannot settle it; the exact norms
-    (``c_norm``, ``range_residual``, the deviation of ``C A*``,
-    ``range_equality``) are computed on first read, for certificates, and
-    read the norms their tests took when those were undecided; a test
-    against ``||C||`` reads it once any test has taken it.
-    No residual matrix is kept; nor is anything of an X it checks, so each
-    check of an X reads that X as it is then.  ``a`` and ``c`` are held as
-    given and must not be changed while the factorization is in use.
+    only when Frobenius bounds cannot settle it and returns only the
+    verdict; each number a certificate prints (``range_residual``, the
+    deviation of ``C A*``, ``range_equality``) is an exact norm of its own,
+    taken on first read.  No residual matrix is kept; nor is anything of an
+    X it checks, so each check of an X reads that X as it is then.  ``a``
+    and ``c`` are held as given and must not be changed while the
+    factorization is in use.
     """
 
     a: np.ndarray
@@ -169,31 +167,14 @@ class Factorization:
     d: np.ndarray
 
     @cached_property
-    def c_norm(self) -> float:
-        return spectral_norm(self.c)
-
-    def _c_test(self, m):
-        """``(passed, ||M||)`` of ``||M|| <= residual_bound(||C||)``; reads and keeps ``c_norm``."""
-        passed, m_norm, c_norm = _residual_test(m, self.__dict__.get("c_norm", self.c), self.tol)
-        if c_norm is not None:
-            self.__dict__["c_norm"] = c_norm
-        return passed, m_norm
-
-    @cached_property
-    def _range_test(self):
-        """The range test, and ``||A D - C||`` when the test took that norm."""
-        return self._c_test(self.a @ self.d - self.c)
+    def range_ok(self) -> bool:
+        """R(C) inside R(A): range residual within the residual bound of ``||C||``."""
+        return _within_residual_bound(self.a @ self.d - self.c, self.c, self.tol)
 
     @cached_property
     def range_residual(self) -> float:
-        """``||A D - C||``, read from the range test when it took the norm."""
-        taken = self._range_test[1]
-        return spectral_norm(self.a @ self.d - self.c) if taken is None else taken
-
-    @property
-    def range_ok(self) -> bool:
-        """R(C) inside R(A): range residual within the residual bound of ``||C||``."""
-        return self._range_test[0]
+        """``||A D - C||``, which the certificate of a failed range test prints."""
+        return spectral_norm(self.a @ self.d - self.c)
 
     @property
     def p(self) -> np.ndarray:
@@ -221,22 +202,22 @@ class Factorization:
         the roundoff in forming the product, not at ``||C A*||``: ``C A*``
         cancels to roundoff where ``P X P`` is small for a solution X.
         """
-        return HermitianSpectrum(self.ca, scale=self.a_norm * self.__dict__.get("c_norm", self.c))
+        return HermitianSpectrum(self.ca, self.tol, scale=self.a_norm * self.c)
 
-    @cached_property
+    @property
     def ca_hermitian(self) -> bool:
-        return self._ca_spectrum.is_hermitian(self.tol)
+        return self._ca_spectrum.is_hermitian
 
-    @cached_property
+    @property
     def ca_psd(self) -> bool:
-        return self._ca_spectrum.is_psd(self.tol)
+        return self._ca_spectrum.is_psd
 
     @property
     def t_min(self) -> float | None:
         """Least t with ``C C* <= t C A*``; None when ``C A*`` is not PSD or no finite t exists."""
         if not self.ca_psd:
             return None
-        return self._ca_spectrum.dominating_scale(self.c @ self.c.conj().T, self.tol)
+        return self._ca_spectrum.dominating_scale(self.c @ self.c.conj().T)
 
     @cached_property
     def dp(self) -> np.ndarray:
@@ -263,30 +244,23 @@ class Factorization:
         return self.d - (u_dp @ u_dp.conj().T) @ self.d, self.dp - (u_d @ u_d.conj().T) @ self.dp
 
     @cached_property
-    def _outside_tests(self) -> list:
-        """``(passed, norm)`` for each residual of ``_outside_ranges`` against its matrix's norm.
-
-        ``norm`` is the residual's exact norm when its test took it, else None.
-        """
-        norms = (self.d_norm, _norm(self._dp_svd[1]))
-        return [_residual_test(m, norm, self.tol)[:2] for m, norm in zip(self._outside_ranges(), norms)]
-
-    @cached_property
     def range_equality(self) -> dict:
         """Ranks of D and DP and each one's residual outside the other's range."""
         keys = ("d_outside_range_dp", "dp_outside_range_d")
-        residuals = zip(keys, self._outside_ranges(), self._outside_tests)
         return {
             "rank_d": int(self._d_svd[1].size),
             "rank_dp": int(self._dp_svd[1].size),
-            **{key: spectral_norm(m) if taken is None else taken for key, m, (_, taken) in residuals},
+            **{key: spectral_norm(m) for key, m in zip(keys, self._outside_ranges())},
         }
 
-    @property
+    @cached_property
     def dp_range_eq(self) -> bool:
         """R(D) = R(DP): equal ranks, and each residual within the residual bound of its norm."""
-        same_rank = self._d_svd[1].size == self._dp_svd[1].size
-        return same_rank and all(passed for passed, _ in self._outside_tests)
+        if self._d_svd[1].size != self._dp_svd[1].size:
+            return False
+        norms = (self.d_norm, _norm(self._dp_svd[1]))
+        residuals = self._outside_ranges()
+        return all(_within_residual_bound(m, norm, self.tol) for m, norm in zip(residuals, norms))
 
     @property
     def h0(self) -> np.ndarray:
@@ -366,9 +340,8 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     if x.shape != shape:
         raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
     residual = f.a @ x - f.c
-    passed, resid = f._c_test(residual)
-    if not passed:
-        resid = spectral_norm(residual) if resid is None else resid
+    if not _within_residual_bound(residual, f.c, f.tol):
+        resid = spectral_norm(residual)
         raise NotASolution(
             f"AX differs from C by {resid:.3e}", certificate={"equation_residual": resid}
         )
@@ -439,16 +412,15 @@ def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarr
     residual and its bound in the certificate.
     """
     residual = f.a @ x - f.c
-    passed, resid = f._c_test(residual)
-    failed = failed + ["solution_residual"] * (not passed)
+    failed = failed + ["solution_residual"] * (not _within_residual_bound(residual, f.c, f.tol))
     if failed:
         raise error(
             f"the emitted solution failed its own check: {', '.join(failed)}",
             certificate={
                 "failed_conditions": failed,
                 **numbers(),
-                "equation_residual": spectral_norm(residual) if resid is None else resid,
-                "residual_bound": f.tol.residual_bound(f.c_norm),
+                "equation_residual": spectral_norm(residual),
+                "residual_bound": f.tol.residual_bound(spectral_norm(f.c)),
             },
         )
     return x
@@ -471,23 +443,22 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
             f"no Hermitian solution exists (verdict {_verdict(f).value})",
             certificate=_failure_certificate(f),
         )
-    y_spectrum = HermitianSpectrum(y)
-    if not y_spectrum.is_hermitian(f.tol):
+    y_spectrum = HermitianSpectrum(y, f.tol)
+    if not y_spectrum.is_hermitian:
         raise ParameterNotHermitian(
             f"parameter Y must be Hermitian (deviation {y_spectrum.deviation:.3e})",
             certificate={"parameter_deviation": y_spectrum.deviation},
         )
 
     x = f.h0 + f.ip @ y @ f.ip
-    passed, x_dev, x_norm = _residual_test(x - x.conj().T, x, f.tol)
 
     def numbers():
         return {
-            "solution_deviation": hermitian_deviation(x) if x_dev is None else x_dev,
-            "deviation_bound": f.tol.residual_bound(spectral_norm(x) if x_norm is None else x_norm),
+            "solution_deviation": hermitian_deviation(x),
+            "deviation_bound": f.tol.residual_bound(spectral_norm(x)),
         }
 
-    failed = ["solution_hermitian"] * (not passed)
+    failed = ["solution_hermitian"] * (not _within_residual_bound(x - x.conj().T, x, f.tol))
     return _checked(f, x, NotSolvableHermitian, failed, numbers)
 
 
@@ -514,8 +485,8 @@ def positive_solution(f: Factorization, z) -> np.ndarray:
         raise ParameterNotPSD("parameter Z must be positive semidefinite")
 
     x = f.x0 + f.ip @ z @ f.ip
-    spectrum = HermitianSpectrum(x)
-    if spectrum.is_psd(f.tol):
+    spectrum = HermitianSpectrum(x, f.tol)
+    if spectrum.is_psd:
         return _checked(f, x, NotSolvablePositive, [])
     lowest = float(spectrum.eigh[0][0])
     return _checked(f, x, NotSolvablePositive, ["solution_psd"], lambda: {"min_eigenvalue": lowest})
@@ -539,19 +510,19 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
         raise ShapeMismatch(
             f"off-diagonal block must be {(a11.shape[0], a22.shape[0])}, got {a12.shape}"
         )
-    spectra = {"A11": HermitianSpectrum(a11), "A22": HermitianSpectrum(a22)}
+    spectra = {"A11": HermitianSpectrum(a11, tol), "A22": HermitianSpectrum(a22, tol)}
     for name, spectrum in spectra.items():
-        if not spectrum.is_hermitian(tol):
+        if not spectrum.is_hermitian:
             dev = spectrum.deviation
             raise NotHermitian(
                 f"{name} must be Hermitian (deviation {dev:.3e})",
                 certificate={"block": name, "deviation": dev},
             )
-    if not spectra["A11"].is_psd(tol):
+    if not spectra["A11"].is_psd:
         return False
     # A11's eigenpairs give the range condition, and X = A11^dagger A12 for the Schur complement
-    w, v = spectra["A11"].range_pairs(tol)
+    w, v = spectra["A11"].range_pairs
     coeffs = v.conj().T @ a12
     if not _within_residual_bound(a12 - v @ coeffs, a12, tol):
         return False
-    return HermitianSpectrum(a22 - a12.conj().T @ ((v / w) @ coeffs), scale=a22).is_psd(tol)
+    return HermitianSpectrum(a22 - a12.conj().T @ ((v / w) @ coeffs), tol, scale=a22).is_psd

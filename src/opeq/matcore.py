@@ -88,8 +88,9 @@ class ToleranceConfig:
         ask :func:`_within_residual_bound`, and :func:`sqrt_psd` screens its
         stack the same way: Frobenius bounds settle the test, and zgesdd
         norms are taken only when they cannot, so each verdict is the one
-        exact norms give; a norm is taken exactly only where it is printed,
-        and for ``||X||`` against ``t_min``, a number not a matrix.
+        exact norms give.  A test returns only its verdict; a norm is taken
+        exactly where it is printed, and for ``||X||`` against ``t_min``, a
+        number not a matrix.
     :meth:`eigenvalue_floor` -- ``-psd_atol * top``
         The least eigenvalue of ``(M + M*)/2`` passes when it is at least
         this, ``top`` being the largest ``|w|``; :func:`sqrt_psd` clamps the
@@ -469,39 +470,28 @@ def _single_norm_bounds(x):
     return 0.0, (math.inf if x.any() else 0.0)
 
 
-def _within_residual_bound(m, r, tol: ToleranceConfig) -> bool:
-    """``||M|| <= tol.residual_bound(||R||)``, decided as zgesdd's norms decide it.
-
-    ``m`` and ``r`` are each a 2-D array or an exact norm (a float; ``0.0``
-    makes the test exact).  The test passes when the upper bound of
-    ``||M||`` is within the residual bound of the lower bound of ``||R||``, and
-    fails when the lower bound of ``||M||`` is above the residual bound of the
-    upper bound of ``||R||`` (:func:`_single_norm_bounds`).  Only an undecided
-    test takes the norms from zgesdd, so the verdict always has the bits of
-    ``spectral_norm(m) <= tol.residual_bound(spectral_norm(r))``; a caller that
-    prints a norm takes it exactly, or reads it from :func:`_residual_test`.
-    """
-    return _residual_test(m, r, tol)[0]
-
-
-def _residual_test(m, r, tol: ToleranceConfig, rule=None):
-    """``(passed, m_norm, r_norm)``: ``||M|| <= rule(||R||)``, and the norms it took.
+def _within_residual_bound(m, r, tol: ToleranceConfig, rule=None) -> bool:
+    """``||M|| <= rule(||R||)``, decided as zgesdd's norms decide it.
 
     ``rule`` is ``tol.residual_bound`` unless given; any rule nondecreasing in
-    the norm is screened as :func:`_within_residual_bound` describes.  The
-    norms are the zgesdd 2-norms of ``m`` and ``r`` when the Frobenius bounds
-    left the test undecided, and None when they settled it; a certificate that
-    prints either reads it rather than taking the same norm twice.
+    the norm is screened the same way.  ``m`` and ``r`` are each a 2-D array
+    or an exact norm (a float; ``0.0`` makes the test exact).  The test passes
+    when the upper bound of ``||M||`` is within the rule of the lower bound of
+    ``||R||``, and fails when the lower bound of ``||M||`` is above the rule of
+    the upper bound of ``||R||`` (:func:`_single_norm_bounds`).  Only an
+    undecided test takes the norms from zgesdd, so the verdict always has the
+    bits of ``spectral_norm(m) <= rule(spectral_norm(r))``.  It returns the
+    verdict alone: a caller that prints a norm takes it with
+    :func:`spectral_norm` where it prints it.
     """
     rule = tol.residual_bound if rule is None else rule
     m_lo, m_hi = _single_norm_bounds(m)
     r_lo, r_hi = _single_norm_bounds(r)
     if m_hi <= rule(r_lo):
-        return True, None, None
+        return True
     if m_lo > rule(r_hi):
-        return False, None, None
-    m_norm, r_norm = _exact_norm(m), _exact_norm(r)
-    return m_norm <= rule(r_norm), m_norm, r_norm
+        return False
+    return _exact_norm(m) <= rule(_exact_norm(r))
 
 
 def _exact_norm(x) -> float:
@@ -560,8 +550,10 @@ def sqrt_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
 
     a_star = a.conj().swapaxes(1, 2)
     skew = a - a_star
-    unsure = np.flatnonzero(_norm_bounds(skew)[1] > tol.residual_bound(_norm_bounds(a)[0]))
-    if unsure.size:
+    unsure = []  # an exactly Hermitian stack, such as P + Q' of perturb, passes unscreened
+    if skew.any():
+        unsure = np.flatnonzero(_norm_bounds(skew)[1] > tol.residual_bound(_norm_bounds(a)[0]))
+    if len(unsure):
         dev = spectral_norms(skew[unsure])
         bad = np.flatnonzero(dev > tol.residual_bound(spectral_norms(a[unsure])))
         if bad.size:
@@ -650,64 +642,55 @@ def polar_partial_isometry(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.n
 
 
 class HermitianSpectrum:
-    """``||M - M*||`` and the eigendecomposition of ``(M + M*)/2`` for one square M.
+    """The Hermitian and PSD tests of one square M at one ``tol``, and what they read.
 
-    Each is computed on first use and kept, so that the PSD test and the
-    least dominating scale of one matrix share the eigendecomposition;
-    :func:`is_psd` is the method on a fresh instance.  Both tests judge M at
-    its own norm, ``||M||`` for the Hermitian test and ``max|w|`` for the
-    eigenvalue floor, unless ``scale`` gives another: a 2-D array whose norm
-    it is, or that norm as a float.  Each test is screened as a residual test
-    is: exact norms are taken only when Frobenius bounds cannot settle it.
-    The Hermitian test reads :attr:`deviation` when a certificate has already
-    taken it, and keeps the deviation and the norm of the scale that it takes,
-    and its verdict at each ``tol``, which :meth:`is_psd` reads.
+    ``||M - M*||`` and the eigendecomposition of ``(M + M*)/2`` are computed
+    on first use and kept, so that the PSD test and the least dominating
+    scale of one matrix share the eigendecomposition; so are both verdicts
+    and :attr:`range_pairs`.  :func:`is_psd` is :attr:`is_psd` on a fresh
+    instance.  Both tests judge M at its own norm, ``||M||`` for the Hermitian
+    test and ``max|w|`` for the eigenvalue floor, unless ``scale`` gives
+    another: a 2-D array whose norm it is, or that norm as a float.  Each
+    test asks :func:`_within_residual_bound`, so exact norms are taken only
+    when Frobenius bounds cannot settle it, and :attr:`deviation`, which a
+    certificate prints, is taken on its own.
     """
 
-    def __init__(self, m, scale=None):
+    def __init__(self, m, tol: ToleranceConfig, scale=None):
         self.m = as_matrix(m)
         if self.m.shape[0] != self.m.shape[1]:
             raise ShapeMismatch(f"expected a square matrix, got shape {self.m.shape}")
-        self._own_scale = scale is None
-        # what sets the thresholds: a matrix, replaced by its norm once taken, or that norm
-        self._scale = self.m if scale is None else scale
-        self._hermitian = {}  # the verdict of is_hermitian at each tol it was asked at
+        self.tol = tol
+        self.scale = scale
 
     @cached_property
     def deviation(self) -> float:
         return hermitian_deviation(self.m)
 
-    def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-        """``||M - M*||`` within the residual bound of the scale.
-
-        Keeps its verdict at ``tol`` and the norms it takes.
-        """
-        if tol in self._hermitian:
-            return self._hermitian[tol]
-        deviation = self.__dict__.get("deviation")
-        if deviation is None:
-            deviation = self.m - self.m.conj().T
-        passed, taken, scale = _residual_test(deviation, self._scale, tol)
-        if taken is not None:
-            self.__dict__["deviation"], self._scale = taken, scale
-        self._hermitian[tol] = passed
-        return passed
+    @cached_property
+    def is_hermitian(self) -> bool:
+        """``||M - M*||`` within the residual bound of the scale."""
+        scale = self.m if self.scale is None else self.scale
+        return _within_residual_bound(self.m - self.m.conj().T, scale, self.tol)
 
     @cached_property
     def eigh(self):
         return np.linalg.eigh(0.5 * (self.m + self.m.conj().T))
 
-    def is_psd(self, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+    @cached_property
+    def is_psd(self) -> bool:
         """See :func:`is_psd`: the Hermitian test, then ``w[0]`` against the floor of the scale."""
         if not self.m.any():
             return True
-        if not self.is_hermitian(tol):
+        if not self.is_hermitian:
             return False
         w, _ = self.eigh
-        scale = float(np.max(np.abs(w))) if self._own_scale else self._scale
-        return _residual_test(float(-w[0]), scale, tol, lambda top: -tol.eigenvalue_floor(top))[0]
+        scale = float(np.max(np.abs(w))) if self.scale is None else self.scale
+        floor = self.tol.eigenvalue_floor
+        return _within_residual_bound(float(-w[0]), scale, self.tol, lambda top: -floor(top))
 
-    def range_pairs(self, tol: ToleranceConfig = DEFAULT_TOLERANCES):
+    @cached_property
+    def range_pairs(self):
         """Eigenpairs ``(w, V)`` that span the range of a PSD ``M``.
 
         The eigenvalues are clamped at 0 and kept above the rank cut of the
@@ -716,10 +699,10 @@ class HermitianSpectrum:
         """
         w, v = self.eigh
         w = np.clip(w, 0.0, None)
-        keep = w > tol.rank_cut(np.max(w, initial=0.0))
+        keep = w > self.tol.rank_cut(np.max(w, initial=0.0))
         return w[keep], v[:, keep]
 
-    def dominating_scale(self, h, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float | None:
+    def dominating_scale(self, h) -> float | None:
         """Least ``t >= 0`` with ``H <= t M`` for Hermitian PSD ``M`` and ``H``.
 
         Returns None when no finite ``t`` exists, i.e. when ``H`` leaks outside
@@ -731,9 +714,9 @@ class HermitianSpectrum:
         h = as_matrix(h)
         if h.shape != self.m.shape:
             raise ShapeMismatch("M and H must be square matrices of equal size")
-        w, vr = self.range_pairs(tol)
+        w, vr = self.range_pairs
         outside = h - vr @ (vr.conj().T @ h) if w.size else h
-        if not _within_residual_bound(outside, h, tol):
+        if not _within_residual_bound(outside, h, self.tol):
             return None
         if not w.size:
             return 0.0
@@ -755,7 +738,7 @@ def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         return False
-    return HermitianSpectrum(a).is_psd(tol)
+    return HermitianSpectrum(a, tol).is_psd
 
 
 def min_majorization_scale(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> MajorizationResult:
@@ -769,7 +752,7 @@ def min_majorization_scale(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> M
     c = as_matrix(c)
     if a.shape[0] != c.shape[0]:
         raise ShapeMismatch("A and C must share their row count")
-    mu = HermitianSpectrum(a @ a.conj().T).dominating_scale(c @ c.conj().T, tol)
+    mu = HermitianSpectrum(a @ a.conj().T, tol).dominating_scale(c @ c.conj().T)
     if mu is None:
         return MajorizationResult(finite=False, mu_star=None)
     return MajorizationResult(finite=True, mu_star=mu)

@@ -113,7 +113,7 @@ def lsq_solve(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     """Least-squares solution of AX = C through the normal equations.
 
     Solves ``A* A X = A* C`` with the pseudoinverse of the PSD ``A* A`` from
-    :meth:`~opeq.matcore.HermitianSpectrum.range_pairs`: its eigenvalues above
+    :attr:`~opeq.matcore.HermitianSpectrum.range_pairs`: its eigenvalues above
     the rank cut of the largest.  It deliberately avoids the SVD
     pseudoinverse route.  When the equation is consistent this is the reduced
     solution; when it is not, the residual ``||A X - C||`` stays strictly
@@ -123,7 +123,7 @@ def lsq_solve(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     c = as_matrix(c)
     if a.shape[0] != c.shape[0]:
         raise ShapeMismatch("A and C must share their row count")
-    w, v = HermitianSpectrum(a.conj().T @ a).range_pairs(tol)
+    w, v = HermitianSpectrum(a.conj().T @ a, tol).range_pairs
     return (v / w) @ (v.conj().T @ (a.conj().T @ c))
 
 
@@ -236,15 +236,15 @@ def _compressed_state(f: douglas.Factorization):
     b = f.row_basis
     if b.shape[1] == 0:
         return np.zeros(0), np.zeros((0, d.shape[0]), dtype=np.complex128)
-    spectrum = HermitianSpectrum(b.conj().T @ d @ b)
-    if not spectrum.is_hermitian(f.tol):
+    spectrum = HermitianSpectrum(b.conj().T @ d @ b, f.tol)
+    if not spectrum.is_hermitian:
         dev = spectrum.deviation
         raise PreconditionFailed(
             f"DP is not Hermitian on the row space (deviation {dev:.3e})",
             certificate={"dp_hermitian_deviation": dev},
         )
     w, vecs = spectrum.eigh
-    if not spectrum.is_psd(f.tol):
+    if not spectrum.is_psd:
         raise PreconditionFailed(
             f"DP is not PSD on the row space (eigenvalue {w[0]:.3e})",
             certificate={"dp_min_eigenvalue": float(w[0])},
@@ -479,10 +479,10 @@ def _check_hermitian_criterion(rng, spec, tol):
     flavor = ("hermitian", "general", "positive")[int(rng.integers(3))]
     a, c, _ = _consistent_pair(rng, spec, flavor)
     f = douglas.factorize(a, c, tol)
-    dp = HermitianSpectrum(f.dp)
-    if dp.is_hermitian(tol) != f.ca_hermitian:
+    dp = HermitianSpectrum(f.dp, tol)
+    if dp.is_hermitian != f.ca_hermitian:
         return _fail("Hermitian-ness of DP and CA* disagree", a=a, c=c)
-    if dp.is_psd(tol) != f.ca_psd:
+    if dp.is_psd != f.ca_psd:
         return _fail("positivity of DP and CA* disagree", a=a, c=c)
     report = douglas.solvability_report(f)
     if flavor == "hermitian" and not report.verdict.at_least(douglas.Verdict.HERMITIAN):
@@ -493,7 +493,7 @@ def _check_hermitian_criterion(rng, spec, tol):
             x = douglas.hermitian_solution(f, y)
         except NotSolvableHermitian as exc:
             return _fail(f"Hermitian builder refused its own output: {exc}", a=a, c=c)
-        if not HermitianSpectrum(x).is_hermitian(tol):
+        if not HermitianSpectrum(x, tol).is_hermitian:
             return _fail("emitted solution is not Hermitian", a=a, c=c)
         if not _within_residual_bound(a @ x - c, f.c, tol):
             return _fail("emitted Hermitian member does not solve the equation", a=a, c=c)

@@ -245,3 +245,43 @@ def ruled(m, tol):
     assert _literal_thresholds(source, "m") == Counter(
         {("m", "absolute"): 1, ("m", "floored"): 1, ("m", "shifted"): 1}
     )
+
+
+def _dict_accesses(source):
+    """The top-level defs of ``source`` that reach an object's ``__dict__``, by attribute or by name."""
+    return {
+        getattr(top, "name", None)
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Constant) and node.value == "__dict__")
+    }
+
+
+def test_package_reads_and_writes_no_instance_dict():
+    # a cached value is a cached_property of its own, so no test hands a
+    # norm to another through an instance's __dict__
+    found = {
+        (name, top)
+        for name in _package_modules()
+        for top in _dict_accesses(inspect.getsource(importlib.import_module(name)))
+    }
+    assert found == set()
+
+
+def test_dict_accesses_are_seen_in_every_form():
+    source = """
+class Cached:
+    def read(self):
+        return self.__dict__.get("norm")
+
+def write(obj, value):
+    obj.__dict__["norm"] = value
+
+def through_getattr(obj):
+    return getattr(obj, "__dict__")
+
+def cached(obj):
+    return obj.norm
+"""
+    assert _dict_accesses(source) == {"Cached", "write", "through_getattr"}

@@ -445,6 +445,15 @@ def test_hermitian_solution_checks_its_output_at_small_scale():
         assert certificate["solution_deviation"] > certificate["deviation_bound"]
 
 
+def bordered_near_hermitian_pair(tol):
+    """The weak-axis pair of NEAR_HERMITIAN, with a range residual of 0.9 times its bound in a third row."""
+    a2, c2 = weak_axis_pair(NEAR_HERMITIAN, 1.0)
+    a, c = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
+    a[:2, :2], c[:2, :2] = a2, c2
+    c[2, 2] = 0.9 * tol.residual_bound(mc.spectral_norm(c2))
+    return a, c
+
+
 def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
     # ||X - X*|| = 1.2e-8 against ||X|| = 1: over the bound 1e-8, and within
     # the looseness of the Frobenius bounds, so the check takes both norms
@@ -457,8 +466,9 @@ def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
     certificate = info.value.certificate
     assert certificate["solution_deviation"] > certificate["deviation_bound"]
     taken = [args[0] for name, args, _ in log if name == "svd"]
-    # the certificate's deviation bound reads the ||X|| the check took
-    assert sum(np.array_equal(m, f.h0) for m in taken) == 1
+    # ||X|| is taken twice: by the undecided check, which keeps only its
+    # verdict, and by the certificate's deviation bound
+    assert sum(np.array_equal(m, f.h0) for m in taken) == 2
     assert certificate["deviation_bound"] == f.tol.residual_bound(mc.spectral_norm(f.h0))
 
     # D = diag(1, 0) + 5e-11 e_2 e_3*: its small singular value is below the rank
@@ -475,19 +485,15 @@ def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
     report = dg.solvability_report(f)
     assert report.certificate["failed_conditions"] == ["dp_range_eq"]
     assert report.certificate["d_outside_range_dp"] == exact
-    # one SVD of the residual, by the test; the certificate reads its norm
-    assert sum(name == "svd" and np.array_equal(args[0], d_outside) for name, args, _ in log) == 1
+    # two SVDs of the residual: one by the undecided test, one for the certificate
+    assert sum(name == "svd" and np.array_equal(args[0], d_outside) for name, args, _ in log) == 2
 
 
 def test_every_test_against_the_norm_of_c_reads_it_once_taken(monkeypatch):
-    # the weak-axis pair of NEAR_HERMITIAN, bordered by a range residual of 0.9
-    # times its bound in a third row that A cannot reach: undecided by the
-    # Frobenius bounds of 3x3 matrices, so the range test takes ||C||
+    # the range residual of the bordered pair, in a row that A cannot reach, is
+    # undecided by the Frobenius bounds of 3x3 matrices, so the range test takes ||C||
     tol = mc.DEFAULT_TOLERANCES
-    a2, c2 = weak_axis_pair(NEAR_HERMITIAN, 1.0)
-    a, c = np.zeros((3, 3), dtype=complex), np.zeros((3, 3), dtype=complex)
-    a[:2, :2], c[:2, :2] = a2, c2
-    c[2, 2] = 0.9 * tol.residual_bound(mc.spectral_norm(c2))
+    a, c = bordered_near_hermitian_pair(tol)
     bound = tol.residual_bound(mc.spectral_norm(c))
     log = count_lapack(monkeypatch)
     f = dg.factorize(a, c, tol)
@@ -497,9 +503,10 @@ def test_every_test_against_the_norm_of_c_reads_it_once_taken(monkeypatch):
     certificate = info.value.certificate
     assert certificate["failed_conditions"] == ["solution_hermitian"]
     assert certificate["residual_bound"] == bound
-    # the range test takes ||C|| once; the Hermitian test of C A*, the check
-    # of X and its certificate read it
-    assert sum(name == "svd" and np.array_equal(args[0], c) for name, args, _ in log) == 1
+    # ||C|| is taken three times: by the range test and by the check of X,
+    # both undecided, and by the certificate's residual bound; the Hermitian
+    # test of C A* is settled without it
+    assert sum(name == "svd" and np.array_equal(args[0], c) for name, args, _ in log) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +572,14 @@ def test_range_certificate_reads_the_norm_its_test_took(ratio, monkeypatch):
     assert f.range_residual == exact
     if not f.range_ok:
         assert dg.solvability_report(f).certificate["range_residual"] == exact
-    # one SVD of the residual for the test and its certificate together
-    assert sum(name == "svd" and np.array_equal(args[0], residual) for name, args, _ in log) == 1
+    # two SVDs of the residual: one by the test, one for range_residual
+    assert sum(name == "svd" and np.array_equal(args[0], residual) for name, args, _ in log) == 2
 
 
 def test_parameter_certificate_reads_the_norm_its_test_took(rank1_pair, monkeypatch):
     # ||Y - Y*|| = 1.2e-8 over the bound 1e-8 of ||Y|| = 1, with a lower
-    # Frobenius bound of 1.2e-8 / sqrt(2) below it: undecided, so it takes one SVD
+    # Frobenius bound of 1.2e-8 / sqrt(2) below it: undecided, so the test
+    # takes one SVD of Y - Y*, and the certificate's deviation another
     f = dg.factorize(*rank1_pair)
     y = np.diag([1.0 + 0.6e-8j, 0.0])
     skew = y - y.conj().T
@@ -580,7 +588,140 @@ def test_parameter_certificate_reads_the_norm_its_test_took(rank1_pair, monkeypa
     with pytest.raises(ParameterNotHermitian) as info:
         dg.hermitian_solution(f, y)
     assert info.value.certificate["parameter_deviation"] == exact
-    assert sum(name == "svd" and np.array_equal(args[0], skew) for name, args, _ in log) == 1
+    assert sum(name == "svd" and np.array_equal(args[0], skew) for name, args, _ in log) == 2
+
+
+def frobenius_settles(m, r, tol):
+    """Whether Frobenius bounds decide ``||M|| <= residual_bound(||R||)`` without zgesdd."""
+    m_lo, m_hi = mc._single_norm_bounds(m)
+    r_lo, r_hi = mc._single_norm_bounds(r)
+    return m_hi <= tol.residual_bound(r_lo) or m_lo > tol.residual_bound(r_hi)
+
+
+# Each failing certificate path, on an input whose test Frobenius bounds
+# settle and on one they leave undecided.  A path returns the test behind the
+# failure as (M, R, tol), the numbers it printed, and the exact norms of the
+# matrices those numbers describe, recomputed by the test.
+
+
+def range_path(settled):
+    tol = mc.DEFAULT_TOLERANCES
+    a = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    c = np.diag([2.0, 1.0, (10.0 if settled else 1.5) * tol.residual_bound(2.0)]).astype(complex)
+    f = dg.factorize(a, c, tol)
+    with pytest.raises(NotSolvable) as info:
+        dg.reduced_solution(f)
+    printed = [info.value.certificate["range_residual"]]
+    printed.append(dg.solvability_report(f).certificate["range_residual"])
+    residual = f.a @ f.d - f.c
+    return (residual, f.c, tol), printed, [mc.spectral_norm(residual)] * 2
+
+
+def ca_star_path(settled):
+    # A = I, so C A* = C, judged at ||C||
+    tol = mc.DEFAULT_TOLERANCES
+    b = 0.5 if settled else 0.6e-8
+    f = dg.factorize(np.eye(2), np.array([[1.0, b], [-b, 1.0]]), tol)
+    certificate = dg.solvability_report(f).certificate
+    assert certificate["failed_conditions"] == ["ca_star_hermitian", "ca_star_psd"]
+    ca = f.c @ f.a.conj().T
+    test = (ca - ca.conj().T, f.a_norm * f.c, tol)
+    return test, [certificate["ca_star_deviation"]], [mc.hermitian_deviation(ca)]
+
+
+def range_equality_path(settled):
+    # D = diag(1, 0) + 5e-11 e_2 e_3*: its small singular value is below the
+    # rank cut, so D is 5e-11 outside the range of DP at equal ranks
+    tol = mc.ToleranceConfig(residual_atol=1e-12 if settled else 4e-11)
+    c = np.zeros((3, 3), dtype=complex)
+    c[0, 0], c[1, 2] = 1.0, 5e-11
+    f = dg.factorize(np.diag([1.0, 1.0, 0.0]), c, tol)
+    certificate = dg.solvability_report(f).certificate
+    assert certificate["failed_conditions"] == ["dp_range_eq"]
+    printed = [certificate["d_outside_range_dp"], certificate["dp_outside_range_d"]]
+    residuals = f._outside_ranges()
+    return (residuals[0], f.d_norm, tol), printed, [mc.spectral_norm(m) for m in residuals]
+
+
+def equation_residual_path(settled):
+    # settled: a huge Y loses the equation to roundoff in (I - P) Y; undecided:
+    # X = H0 carries the range residual of the bordered pair, and fails as not Hermitian
+    tol = mc.DEFAULT_TOLERANCES
+    if settled:
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        a = u @ np.diag([1.0, 1.0, 0.0]) @ u.T
+        f = dg.factorize(a, a @ np.ones((3, 3)), tol)
+        y = (1e12 * rng.standard_normal((3, 3))).astype(complex)
+        x = f.d + f.ip @ y
+        with pytest.raises(NotSolvable) as info:
+            dg.general_solution(f, y)
+    else:
+        f = dg.factorize(*bordered_near_hermitian_pair(tol), tol)
+        y = np.zeros((3, 3), dtype=complex)
+        x = f.h0 + f.ip @ y @ f.ip
+        with pytest.raises(NotSolvableHermitian) as info:
+            dg.hermitian_solution(f, y)
+    certificate = info.value.certificate
+    residual = f.a @ x - f.c
+    printed = [certificate["equation_residual"], certificate["residual_bound"]]
+    return (residual, f.c, tol), printed, [mc.spectral_norm(residual), tol.residual_bound(mc.spectral_norm(f.c))]
+
+
+def solution_deviation_path(settled):
+    # ||X - X*|| is 2e-6 against ||X|| near 1, or 1.2e-8 within the looseness of the bounds
+    tol = mc.DEFAULT_TOLERANCES
+    b = 1e-6 if settled else 0.6e-8
+    f = dg.factorize(*weak_axis_pair(np.array([[1.0, b], [-b, 1.0]]), 1.0), tol)
+    y = np.zeros((2, 2), dtype=complex)
+    x = f.h0 + f.ip @ y @ f.ip
+    with pytest.raises(NotSolvableHermitian) as info:
+        dg.hermitian_solution(f, y)
+    certificate = info.value.certificate
+    assert certificate["failed_conditions"] == ["solution_hermitian"]
+    printed = [certificate["solution_deviation"], certificate["deviation_bound"]]
+    exact = [mc.hermitian_deviation(x), tol.residual_bound(mc.spectral_norm(x))]
+    return (x - x.conj().T, x, tol), printed, exact
+
+
+def parameter_deviation_path(settled):
+    tol = mc.DEFAULT_TOLERANCES
+    f = dg.factorize(np.diag([1.0, 0.0]), np.array([[2.0, 1.0], [0.0, 0.0]]), tol)
+    y = np.diag([1.0 + (1e-3j if settled else 0.6e-8j), 0.0])
+    with pytest.raises(ParameterNotHermitian) as info:
+        dg.hermitian_solution(f, y)
+    printed = [info.value.certificate["parameter_deviation"]]
+    return (y - y.conj().T, y, tol), printed, [mc.hermitian_deviation(y)]
+
+
+def not_a_solution_path(settled):
+    tol = mc.DEFAULT_TOLERANCES
+    f = dg.factorize(np.eye(2), np.eye(2), tol)
+    x = np.eye(2, dtype=complex)
+    x[0, 1] = 1e-3 if settled else 1.2e-8
+    with pytest.raises(NotASolution) as info:
+        dg.recover_parameter(f, x)
+    residual = f.a @ x - f.c
+    return (residual, f.c, tol), [info.value.certificate["equation_residual"]], [mc.spectral_norm(residual)]
+
+
+CERTIFICATE_PATHS = {
+    "range": range_path,
+    "ca_star": ca_star_path,
+    "range_equality": range_equality_path,
+    "equation_residual": equation_residual_path,
+    "solution_deviation": solution_deviation_path,
+    "parameter_deviation": parameter_deviation_path,
+    "not_a_solution": not_a_solution_path,
+}
+
+
+@pytest.mark.parametrize("settled", [True, False], ids=["settled", "undecided"])
+@pytest.mark.parametrize("path", list(CERTIFICATE_PATHS))
+def test_every_certificate_number_is_the_exact_norm_of_its_matrix(path, settled):
+    (m, r, tol), printed, exact = CERTIFICATE_PATHS[path](settled)
+    assert frobenius_settles(m, r, tol) is settled
+    assert [value.hex() for value in printed] == [value.hex() for value in exact]
 
 
 def test_factorize_runs_one_full_svd_of_a(monkeypatch):
@@ -700,7 +841,7 @@ def test_dp_ca_transfer_random():
         f = dg.factorize(a, c)
         dp = dg.reduced_solution(f) @ mc.row_space_projector(a)
         # DP at its own scale, C A* at the scale its criteria are decided at
-        assert mc.HermitianSpectrum(dp).is_hermitian(tol) == f.ca_hermitian
+        assert mc.HermitianSpectrum(dp, tol).is_hermitian == f.ca_hermitian
         assert mc.is_psd(dp, tol) == f.ca_psd
 
 

@@ -135,8 +135,8 @@ def test_rank_and_range_pairs_cut_at_the_same_value(top):
     assert mc._rank_of(np.array([top, above]), RULE_TOL) == 2
     assert mc.truncated_svd(np.diag([top, cut]), RULE_TOL)[1].size == 1
     assert mc.truncated_svd(np.diag([top, above]), RULE_TOL)[1].size == 2
-    assert mc.HermitianSpectrum(np.diag([cut, top])).range_pairs(RULE_TOL)[0].tolist() == [top]
-    kept = mc.HermitianSpectrum(np.diag([above, top])).range_pairs(RULE_TOL)[0]
+    assert mc.HermitianSpectrum(np.diag([cut, top]), RULE_TOL).range_pairs[0].tolist() == [top]
+    kept = mc.HermitianSpectrum(np.diag([above, top]), RULE_TOL).range_pairs[0]
     assert kept.tolist() == [above, top]
 
 
@@ -144,11 +144,11 @@ def test_rules_on_an_empty_spectrum():
     empty = np.zeros((0, 0))
     assert mc._rank_of(np.zeros(0), RULE_TOL) == 0
     assert mc.is_psd(empty, RULE_TOL)
-    w, v = mc.HermitianSpectrum(empty).range_pairs(RULE_TOL)
+    w, v = mc.HermitianSpectrum(empty, RULE_TOL).range_pairs
     assert w.shape == (0,) and v.shape == (0, 0)
     assert mc.sqrt_psd(np.zeros((3, 0, 0)), RULE_TOL).shape == (3, 0, 0)
     # an all-zero PSD matrix has an empty range
-    assert mc.HermitianSpectrum(np.zeros((2, 2))).range_pairs(RULE_TOL)[0].shape == (0,)
+    assert mc.HermitianSpectrum(np.zeros((2, 2)), RULE_TOL).range_pairs[0].shape == (0,)
 
 
 def test_matrix_json_round_trip():
@@ -660,6 +660,30 @@ def test_sqrt_psd_screen_at_an_extreme_residual_atol():
     assert assert_screen_keeps_sqrt_psd(symmetric, strict) is None
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sqrt_psd_skips_the_screen_of_an_exactly_hermitian_stack(n, monkeypatch):
+    calls = []
+
+    def norm_bounds(stack):
+        calls.append(len(stack))
+        return norm_bounds_of_matcore(stack)
+
+    norm_bounds_of_matcore = mc._norm_bounds
+    monkeypatch.setattr(mc, "_norm_bounds", norm_bounds)
+    rng = np.random.default_rng(59)
+    psd = near_hermitian_stack(rng, n, 20, 0.0)
+    psd = 0.5 * (psd + psd.conj().swapaxes(1, 2))  # M = M* bit for bit
+    indefinite = psd - 2 * np.max(mc.spectral_norms(psd)) * np.eye(n)
+    # the same roots, and the same certificate, as the unscreened code
+    assert assert_screen_keeps_sqrt_psd(psd) is None
+    assert "min_eigenvalue" in assert_screen_keeps_sqrt_psd(indefinite)[1]
+    assert calls == []
+    # a skew part of one ulp brings the screen back: the skew part and the stack
+    psd[3, 0, 1] = np.nextafter(psd[3, 0, 1].real, np.inf) + 1j * psd[3, 0, 1].imag
+    assert assert_screen_keeps_sqrt_psd(psd) is None
+    assert calls == [20, 20]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_max_spectral_norm_has_the_bits_of_every_norm(n):
     rng = np.random.default_rng(60 + n)
@@ -835,29 +859,40 @@ def test_hermitian_test_reuses_a_deviation_already_taken(monkeypatch):
     # a deviation exactly at the bound of ||M||, which Frobenius bounds cannot settle
     m = skewed(2, 0.5, 0.25e-8)
     bound = mc.DEFAULT_TOLERANCES.residual_bound(mc.spectral_norm(m))
-    spectrum = mc.HermitianSpectrum(m)
+    spectrum = mc.HermitianSpectrum(m, mc.DEFAULT_TOLERANCES)
     log = count_lapack(monkeypatch)
-    assert spectrum.is_hermitian() and len(log) == 2
-    # the undecided test keeps both norms it took, so neither is taken again
-    assert spectrum.deviation == bound and len(log) == 2
-    assert spectrum.is_hermitian() and spectrum.is_psd()
-    assert [name for name, _, _ in log] == ["svd", "svd", "eigh"]
+    assert spectrum.is_hermitian and len(log) == 2
+    # the undecided test keeps only its verdict, so the deviation is taken again
+    assert spectrum.deviation == bound and len(log) == 3
+    assert spectrum.is_hermitian and spectrum.is_psd
+    assert [name for name, _, _ in log] == ["svd", "svd", "svd", "eigh"]
 
 
 def test_psd_test_reads_the_hermitian_verdict(monkeypatch):
     tests = []
 
-    def residual_test(m, r, tol, rule=None):
+    def within_residual_bound(m, r, tol, rule=None):
         tests.append(rule is None)  # the Hermitian test passes no rule
-        return residual_test_of_matcore(m, r, tol, rule)
+        return within_residual_bound_of_matcore(m, r, tol, rule)
 
-    residual_test_of_matcore = mc._residual_test
-    monkeypatch.setattr(mc, "_residual_test", residual_test)
-    spectrum = mc.HermitianSpectrum(random_psd(np.random.default_rng(8), 4))
-    assert spectrum.is_hermitian() and spectrum.is_psd()
+    within_residual_bound_of_matcore = mc._within_residual_bound
+    monkeypatch.setattr(mc, "_within_residual_bound", within_residual_bound)
+    spectrum = mc.HermitianSpectrum(random_psd(np.random.default_rng(8), 4), mc.DEFAULT_TOLERANCES)
+    assert spectrum.is_hermitian and spectrum.is_psd
     assert tests == [True, False]
-    # another tol is another test
-    assert spectrum.is_psd(mc.ToleranceConfig(residual_atol=1e-12)) and tests == [True, False, True, False]
+    # both verdicts are kept
+    assert spectrum.is_hermitian and spectrum.is_psd and tests == [True, False]
+
+
+def test_each_spectrum_has_one_tolerance():
+    # ||M - M*|| is 2e-10 against ||M|| near 1: Hermitian at residual_atol
+    # 1e-8 and not at 1e-12, so PSD only at the first
+    m = np.array([[1.0, 1e-10], [-1e-10, 0.5]])
+    tols = [mc.ToleranceConfig(residual_atol=atol) for atol in (1e-8, 1e-12)]
+    spectra = [mc.HermitianSpectrum(m, tol) for tol in tols]
+    assert [mc.is_psd(m, tol) for tol in tols] == [True, False]
+    assert [spectrum.is_psd for spectrum in spectra] == [True, False]
+    assert [spectrum.is_hermitian for spectrum in spectra] == [True, False]
 
 
 # ---------------------------------------------------------------------------
