@@ -30,6 +30,13 @@ it holds, the norm ``lambda`` of the correction term
 ``(I - P) D* (D P)^dagger D (I - P)`` is reported in closed form; it is the
 limit of the compressed-resolvent norms ``||T_n||``, whose scan
 :mod:`opeq.oracle` keeps as a cross-check.
+
+Both live on the row space of A, as the paper's ``D = |A|^dagger U* C`` does:
+with ``M = B* D`` and ``K = B* D B``, ``D = B M``, ``D P = B K B*`` and
+``(D P)^dagger = B K^dagger B*``.  So one SVD of the ``r x r`` matrix K decides
+the range equality, which is one inclusion, since ``R(D P) = D R(P)`` always
+lies inside ``R(D)``, and gives the correction term; no ``n x n`` SVD of D or
+of ``D P`` is taken.
 """
 
 from __future__ import annotations
@@ -54,7 +61,10 @@ from .matcore import (
     DEFAULT_TOLERANCES,
     HermitianSpectrum,
     ToleranceConfig,
+    _norm2,
     _pinv_from_svd,
+    _rank_of,
+    _single_norm_bounds,
     _within_residual_bound,
     as_matrix,
     hermitian_deviation,
@@ -131,11 +141,6 @@ class SolvabilityReport:
         return {key: "inf" if value is None else value for key, value in out.items()}
 
 
-def _norm(s) -> float:
-    """Operator norm from the singular values of a truncated SVD."""
-    return float(s[0]) if s.size else 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class Factorization:
     """The one factorization of ``(A, C, tol)`` that every decision reads.
@@ -144,11 +149,12 @@ class Factorization:
     orthonormal row-space basis ``B`` (so ``P = B B*``) and the reduced
     solution ``D = A^dagger C``.  The rest are properties computed on first
     use, and cached when more than one decision reads them, so a caller pays
-    only for what it reads.  One SVD of D gives its rank, range and norm.
-    The square-only data -- ``C A*`` with one eigendecomposition for its PSD
-    test and ``t_min``, and one SVD of ``DP`` for its rank, range, norm and
-    ``(DP)^dagger`` -- are never computed for a general solution or a
-    majorization.  Each threshold test asks
+    only for what it reads.  D's row-space coordinates ``M = B* D`` carry its
+    norm and rank, from one SVD taken only where they are printed.  The
+    square-only data -- ``C A*`` with one eigendecomposition for its PSD test
+    and ``t_min``, and one SVD of the compression ``K = M B`` of ``DP`` for
+    the range equality and ``(DP)^dagger`` -- are never computed for a
+    general solution or a majorization.  Each threshold test asks
     :func:`~opeq.matcore._within_residual_bound`, which takes a zgesdd norm
     only when Frobenius bounds cannot settle it and returns only the
     verdict; each number a certificate prints (``range_residual``, the
@@ -168,8 +174,12 @@ class Factorization:
 
     @cached_property
     def range_ok(self) -> bool:
-        """R(C) inside R(A): range residual within the residual bound of ``||C||``."""
-        return _within_residual_bound(self.a @ self.d - self.c, self.c, self.tol)
+        """R(C) inside R(A): ``||A D - C||`` within the residual bound of ``||A|| ||D||``.
+
+        That product, not ``||C||``, is the size of the residual's roundoff: an
+        ill-conditioned A makes D, and with it the roundoff, large next to C.
+        """
+        return _within_residual_bound(self.a @ self.d - self.c, self.a_norm * self.d, self.tol)
 
     @cached_property
     def range_residual(self) -> float:
@@ -220,47 +230,52 @@ class Factorization:
         return self._ca_spectrum.dominating_scale(self.c @ self.c.conj().T)
 
     @cached_property
-    def dp(self) -> np.ndarray:
-        """``D P``, the reduced solution compressed to the row space of A."""
-        return (self.d @ self.row_basis) @ self.row_basis.conj().T
+    def m(self) -> np.ndarray:
+        """``M = B* D``, D in row-space coordinates: ``D = B M``, so ``||M|| = ||D||``."""
+        return self.row_basis.conj().T @ self.d
 
     @cached_property
-    def _d_svd(self):
-        u, s, _ = truncated_svd(self.d, self.tol)
-        return u, s  # Vh of D is never read; dropping it keeps the cache small
+    def k(self) -> np.ndarray:
+        """``K = M B = B* D B``, the compression of DP to the row space: ``DP = B K B*``."""
+        return self.m @ self.row_basis
 
     @cached_property
-    def _dp_svd(self):
-        return truncated_svd(self.dp, self.tol)
+    def _k_svd(self):
+        """Truncated SVD of K: DP's rank, its range ``B U_K`` and ``(DP)^dagger = B K^dagger B*``.
+
+        K carries the roundoff of M, so it is cut at the rank cut of ``||M||``,
+        read as its Frobenius lower bound: where DP is exactly zero and D is
+        not, K is that roundoff alone, and a cut at its own norm would count it.
+        """
+        if not self.k.size:  # A of rank 0 leaves K empty
+            return self.k, np.zeros(0), self.k
+        return truncated_svd(self.k, self.tol, scale=_single_norm_bounds(self.m)[0])
 
     @property
     def d_norm(self) -> float:
-        return _norm(self._d_svd[1])
+        """``||D|| = ||M||``, from one SVD of the ``r x k`` matrix M."""
+        return _norm2(self.m)
 
-    def _outside_ranges(self):
-        """D outside the range of DP, and DP outside the range of D."""
-        u_d = self._d_svd[0]
-        u_dp = self._dp_svd[0]
-        return self.d - (u_dp @ u_dp.conj().T) @ self.d, self.dp - (u_d @ u_d.conj().T) @ self.dp
+    def _outside_range_dp(self) -> np.ndarray:
+        """``M - U_K U_K* M``: D outside the range of DP, in row-space coordinates."""
+        return self.m - self._k_svd[0] @ (self._k_svd[0].conj().T @ self.m)
 
     @cached_property
     def range_equality(self) -> dict:
-        """Ranks of D and DP and each one's residual outside the other's range."""
-        keys = ("d_outside_range_dp", "dp_outside_range_d")
+        """Ranks of D (from an SVD of M) and of DP, and D's residual outside the range of DP."""
         return {
-            "rank_d": int(self._d_svd[1].size),
-            "rank_dp": int(self._dp_svd[1].size),
-            **{key: spectral_norm(m) for key, m in zip(keys, self._outside_ranges())},
+            "rank_d": _rank_of(np.linalg.svd(self.m, compute_uv=False), self.tol),
+            "rank_dp": int(self._k_svd[1].size),
+            "d_outside_range_dp": spectral_norm(self._outside_range_dp()),
         }
 
     @cached_property
     def dp_range_eq(self) -> bool:
-        """R(D) = R(DP): equal ranks, and each residual within the residual bound of its norm."""
-        if self._d_svd[1].size != self._dp_svd[1].size:
-            return False
-        norms = (self.d_norm, _norm(self._dp_svd[1]))
-        residuals = self._outside_ranges()
-        return all(_within_residual_bound(m, norm, self.tol) for m, norm in zip(residuals, norms))
+        """R(D) = R(DP): D's residual outside R(DP) within the residual bound of ``||D|| = ||M||``.
+
+        ``R(DP) = D R(P)`` always lies inside R(D), so this one inclusion decides it.
+        """
+        return _within_residual_bound(self._outside_range_dp(), self.m, self.tol)
 
     @property
     def h0(self) -> np.ndarray:
@@ -269,8 +284,13 @@ class Factorization:
 
     @property
     def x0_correction(self) -> np.ndarray:
-        """``(I - P) D* (DP)^dagger D (I - P)``; its norm is the reported lambda."""
-        return self.ip @ self.d.conj().T @ _pinv_from_svd(*self._dp_svd) @ (self.d @ self.ip)
+        """``(I - P) D* (DP)^dagger D (I - P) = E* K^dagger E``; its norm is the reported lambda.
+
+        ``E = B* D (I - P) = M - K B*``, formed as ``M (I - P)``, exactly zero when
+        A has full column rank.
+        """
+        e = self.m @ self.ip
+        return e.conj().T @ _pinv_from_svd(*self._k_svd) @ e
 
     @property
     def x0(self) -> np.ndarray:
@@ -291,7 +311,8 @@ def factorize(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     basis = vh.conj().T
     # reduced_solution hands D out; read-only, so no caller can change it under f
     d.flags.writeable = basis.flags.writeable = False
-    return Factorization(a=a, c=c, tol=tol, a_norm=_norm(s), row_basis=basis, d=d)
+    a_norm = float(s[0]) if s.size else 0.0
+    return Factorization(a=a, c=c, tol=tol, a_norm=a_norm, row_basis=basis, d=d)
 
 
 def _check_same_shape(f: Factorization):

@@ -68,13 +68,16 @@ class ToleranceConfig:
 
     :meth:`residual_bound` -- ``residual_atol * norm``
         A residual or Hermitian deviation passes when it is at most this.
-        ``norm`` is that of ``C`` for the range and equation residuals, of
-        ``D`` or ``DP`` for range equality, ``||C|| ||A||`` for the Hermitian
+        ``norm`` is ``||A|| ||D||`` for the range residual ``A D - C``, the
+        size of its roundoff, that of ``C`` for the equation residuals,
+        ``||M|| = ||D||`` for the range equality (D's row-space coordinates
+        ``M`` outside the range of ``DP``), ``||C|| ||A||`` for the Hermitian
         test of ``C A*``, and of the matrix itself for every other Hermitian
         test (:func:`is_psd`, :func:`sqrt_psd`, the Hermitian family's
         parameter Y and its X, the compressed ``DP``, the Penrose
         identities), ``||A||`` for the polar identity, ``||H||`` for the leak
-        test of :meth:`HermitianSpectrum.dominating_scale`, the node value
+        test of :meth:`HermitianSpectrum.dominating_scale`, ``||C||`` for
+        that of :func:`min_majorization_scale`, the node value
         for the off-diagonal part in ``algebra_membership``, and ``||P(t)|| =
         1`` for the ``perturb`` residual.  The property suite of
         :mod:`opeq.oracle` judges each route at the norm of what it
@@ -97,7 +100,9 @@ class ToleranceConfig:
         eigenvalues between it and 0 to 0.
     :meth:`rank_cut` -- ``rank_rtol * top``
         A singular value, or a clamped eigenvalue of a PSD matrix, counts
-        toward the rank when it is above this, ``top`` being the largest; the
+        toward the rank when it is above this, ``top`` being the largest, or
+        for the compression ``K`` of ``DP`` the Frobenius lower bound of
+        ``||M||`` when that is larger, since K carries M's roundoff; the
         eigenvalues of ``A* A`` that :func:`opeq.oracle.lsq_solve` inverts are
         those.
 
@@ -354,21 +359,23 @@ def hermitian_deviation(m) -> float:
     return _norm2(a - a.conj().T)
 
 
-def _rank_of(s, tol: ToleranceConfig) -> int:
-    """Count of singular values ``s`` (descending) above the rank cut of ``s[0]``."""
-    return int(np.count_nonzero(s > tol.rank_cut(s[0]))) if s.size else 0
+def _rank_of(s, tol: ToleranceConfig, scale: float = 0.0) -> int:
+    """Count of singular values ``s`` (descending) above the rank cut of ``max(s[0], scale)``."""
+    return int(np.count_nonzero(s > tol.rank_cut(max(s[0], scale)))) if s.size else 0
 
 
-def truncated_svd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES):
+def truncated_svd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES, scale: float = 0.0):
     """Thin SVD ``(U, s, Vh)`` of M cut to its rank.
 
     Singular values below ``rank_rtol * sigma_max`` are dropped with their
-    vectors, so the zero matrix has rank 0 and empty factors.  The
+    vectors, so the zero matrix has rank 0 and empty factors.  A matrix
+    formed from a larger one carries that one's roundoff, and ``scale``, when
+    above ``sigma_max``, gives the norm to cut at instead.  The
     pseudoinverse, row-space and polar helpers below all read it.
     """
     a = as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = _rank_of(s, tol)
+    r = _rank_of(s, tol, scale)
     return u[:, :r], s[:r], vh[:r, :]
 
 
@@ -746,13 +753,20 @@ def min_majorization_scale(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> M
 
     Finite exactly when the kernel of ``A A*`` sits inside the kernel of
     ``C C*``; the value then equals the squared operator norm of the reduced
-    solution of ``AX = C`` whenever that equation is consistent.
+    solution of ``AX = C`` whenever that equation is consistent.  It is read
+    from A's :func:`truncated_svd` ``U_r S V_r*``, cut at :meth:`~ToleranceConfig.rank_cut`
+    on the singular values as every rank here is: C must not leak outside
+    the range of ``U_r`` (a residual test at ``||C||``), and ``mu`` is then the
+    top eigenvalue of ``G G*`` with ``G = S^-1 U_r* C``.
     """
     a = as_matrix(a)
     c = as_matrix(c)
     if a.shape[0] != c.shape[0]:
         raise ShapeMismatch("A and C must share their row count")
-    mu = HermitianSpectrum(a @ a.conj().T, tol).dominating_scale(c @ c.conj().T)
-    if mu is None:
+    u, s, _ = truncated_svd(a, tol)
+    coords = u.conj().T @ c
+    if not _within_residual_bound(c - u @ coords, c, tol):
         return MajorizationResult(finite=False, mu_star=None)
-    return MajorizationResult(finite=True, mu_star=mu)
+    g = coords / s[:, np.newaxis]
+    top = np.max(np.linalg.eigvalsh(g @ g.conj().T), initial=0.0)  # 0 for A of rank 0
+    return MajorizationResult(finite=True, mu_star=float(top))

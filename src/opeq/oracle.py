@@ -223,7 +223,7 @@ def _compression_floor(basis, h0):
 
 
 def _compressed_state(f: douglas.Factorization):
-    """Eigendata of DP compressed to the row space of A, plus D(I - P) there.
+    """Eigendata of the compression K of DP to the row space of A, plus D(I - P) there.
 
     Returns ``(w, g)``: eigenvalues ``w`` of the compression, and ``g``
     such that ``T_n = g* diag(1 / (1/n + w)) g``.  Raises
@@ -236,7 +236,7 @@ def _compressed_state(f: douglas.Factorization):
     b = f.row_basis
     if b.shape[1] == 0:
         return np.zeros(0), np.zeros((0, d.shape[0]), dtype=np.complex128)
-    spectrum = HermitianSpectrum(b.conj().T @ d @ b, f.tol)
+    spectrum = HermitianSpectrum(f.k, f.tol)
     if not spectrum.is_hermitian:
         dev = spectrum.deviation
         raise PreconditionFailed(
@@ -479,7 +479,7 @@ def _check_hermitian_criterion(rng, spec, tol):
     flavor = ("hermitian", "general", "positive")[int(rng.integers(3))]
     a, c, _ = _consistent_pair(rng, spec, flavor)
     f = douglas.factorize(a, c, tol)
-    dp = HermitianSpectrum(f.dp, tol)
+    dp = HermitianSpectrum(f.k, tol)  # DP = B K B*: the same deviation and nonzero spectrum
     if dp.is_hermitian != f.ca_hermitian:
         return _fail("Hermitian-ness of DP and CA* disagree", a=a, c=c)
     if dp.is_psd != f.ca_psd:

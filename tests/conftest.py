@@ -127,3 +127,29 @@ def reference_positive_search(f, budget=1000, seed=20514):
                 return candidate
         drawn += take
     return None
+
+
+# the n x n route to positive solvability that douglas.Factorization replaced
+# with the r x r compression K = B* D B: one SVD each of D and of DP = D P,
+# the range equality as two inclusions plus a rank comparison, and (DP)^dagger
+# for the correction term; the row-space route must give its verdicts, and its
+# lambda to within the residual bound
+
+
+def reference_range_equality(f):
+    """``(dp_range_eq, lambda)`` of ``f`` by the n x n route, lambda None when the ranges differ."""
+    from opeq.matcore import _pinv_from_svd, _within_residual_bound, spectral_norm, truncated_svd
+
+    tol = f.tol
+    dp = (f.d @ f.row_basis) @ f.row_basis.conj().T
+    u_d, s_d, _ = truncated_svd(f.d, tol)
+    u_dp, s_dp, vh_dp = truncated_svd(dp, tol)
+    outside = (f.d - (u_dp @ u_dp.conj().T) @ f.d, dp - (u_d @ u_d.conj().T) @ dp)
+    norms = (s_d[0] if s_d.size else 0.0, s_dp[0] if s_dp.size else 0.0)
+    equal = s_d.size == s_dp.size and all(
+        _within_residual_bound(m, norm, tol) for m, norm in zip(outside, norms)
+    )
+    if not equal:
+        return False, None
+    correction = f.ip @ f.d.conj().T @ _pinv_from_svd(u_dp, s_dp, vh_dp) @ (f.d @ f.ip)
+    return True, spectral_norm(correction)

@@ -100,11 +100,12 @@ def test_solve_positive_lapack_calls(capsys, monkeypatch, tmp_path):
     log = count_lapack(monkeypatch)
     code, _, _ = run_cli(capsys, "solve", "--a", a_file, "--c", c_file, "--mode", "positive")
     assert code == 0
-    # one SVD each of A, D and DP, and one for the printed residual; one eigh
+    # one SVD each of A and of the r x r compression K of DP, and one for the
+    # printed residual; one eigh
     # each of C A* and X for their PSD tests, whose Hermitian tests, like the
     # range and range-equality tests, are settled by Frobenius bounds; the
     # default Z = 0 is PSD without one
-    assert Counter(name for name, _, _ in log) == Counter(svd=4, eigh=2)
+    assert Counter(name for name, _, _ in log) == Counter(svd=3, eigh=2)
 
 
 def test_solve_positive_unsolvable_is_exit_two(capsys, hermitian_only_files):

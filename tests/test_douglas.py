@@ -3,7 +3,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian, count_lapack, rank_deficient, random_hermitian, random_psd
+from conftest import (
+    complex_gaussian,
+    count_lapack,
+    random_hermitian,
+    random_psd,
+    rank_deficient,
+    reference_range_equality,
+)
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq import oracle as oc
@@ -471,15 +478,15 @@ def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
     assert sum(np.array_equal(m, f.h0) for m in taken) == 2
     assert certificate["deviation_bound"] == f.tol.residual_bound(mc.spectral_norm(f.h0))
 
-    # D = diag(1, 0) + 5e-11 e_2 e_3*: its small singular value is below the rank
-    # cut, so D and DP both have rank 1, and D is 5e-11 outside the range of DP,
-    # over a bound of 4e-11 and within the Frobenius looseness of 3x3 matrices
+    # D = diag(1, 0) + 5e-11 e_2 e_3*: DP = diag(1, 0, 0), so in row-space
+    # coordinates M = B* D is 5e-11 outside the range of K = B* D B, over a
+    # bound of 4e-11 and within the Frobenius looseness of 2x3 matrices
     tol = mc.ToleranceConfig(residual_atol=4e-11)
     c = np.zeros((3, 3), dtype=complex)
     c[0, 0], c[1, 2] = 1.0, 5e-11
     f = dg.factorize(np.diag([1.0, 1.0, 0.0]), c, tol)
-    assert f._d_svd[1].size == f._dp_svd[1].size == 1
-    d_outside = f._outside_ranges()[0]
+    assert f._k_svd[1].size == 1
+    d_outside = f._outside_range_dp()
     exact = mc.spectral_norm(d_outside)
     log.clear()
     report = dg.solvability_report(f)
@@ -491,7 +498,8 @@ def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
 
 def test_every_test_against_the_norm_of_c_reads_it_once_taken(monkeypatch):
     # the range residual of the bordered pair, in a row that A cannot reach, is
-    # undecided by the Frobenius bounds of 3x3 matrices, so the range test takes ||C||
+    # undecided by the Frobenius bounds of 3x3 matrices, so the range test takes
+    # the norm it is judged at, ||A|| ||D||, and not ||C||
     tol = mc.DEFAULT_TOLERANCES
     a, c = bordered_near_hermitian_pair(tol)
     bound = tol.residual_bound(mc.spectral_norm(c))
@@ -503,10 +511,9 @@ def test_every_test_against_the_norm_of_c_reads_it_once_taken(monkeypatch):
     certificate = info.value.certificate
     assert certificate["failed_conditions"] == ["solution_hermitian"]
     assert certificate["residual_bound"] == bound
-    # ||C|| is taken three times: by the range test and by the check of X,
-    # both undecided, and by the certificate's residual bound; the Hermitian
-    # test of C A* is settled without it
-    assert sum(name == "svd" and np.array_equal(args[0], c) for name, args, _ in log) == 3
+    # ||C|| is taken twice: by the check of X, undecided, and by the
+    # certificate's residual bound; the Hermitian test of C A* is settled without it
+    assert sum(name == "svd" and np.array_equal(args[0], c) for name, args, _ in log) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +558,11 @@ def test_report_lapack_calls_do_not_grow_with_n(monkeypatch):
         report = dg.solvability_report(dg.factorize(a, c))
         assert report.verdict is dg.Verdict.POSITIVE
         counts.append(Counter(name for name, _, _ in log))
-    # one SVD each of A, D and DP, and one for the printed lambda; every
-    # threshold test is settled by Frobenius bounds (the T_n scan alone used to
-    # add 41 SVDs); one eigh of C A* and one of the compression behind t_min
-    assert counts[0] == counts[1] == Counter(svd=4, eigh=2)
+    # one SVD each of A and of the r x r compression K of DP, and one for the
+    # printed lambda; every threshold test is settled by Frobenius bounds (the
+    # T_n scan alone used to add 41 SVDs); one eigh of C A* and one of the
+    # compression behind t_min
+    assert counts[0] == counts[1] == Counter(svd=3, eigh=2)
 
 
 @pytest.mark.parametrize("ratio", [1.0, 1.5])
@@ -614,7 +622,7 @@ def range_path(settled):
     printed = [info.value.certificate["range_residual"]]
     printed.append(dg.solvability_report(f).certificate["range_residual"])
     residual = f.a @ f.d - f.c
-    return (residual, f.c, tol), printed, [mc.spectral_norm(residual)] * 2
+    return (residual, f.a_norm * f.d, tol), printed, [mc.spectral_norm(residual)] * 2
 
 
 def ca_star_path(settled):
@@ -630,17 +638,15 @@ def ca_star_path(settled):
 
 
 def range_equality_path(settled):
-    # D = diag(1, 0) + 5e-11 e_2 e_3*: its small singular value is below the
-    # rank cut, so D is 5e-11 outside the range of DP at equal ranks
+    # D = diag(1, 0) + 5e-11 e_2 e_3*: D is 5e-11 outside the range of DP
     tol = mc.ToleranceConfig(residual_atol=1e-12 if settled else 4e-11)
     c = np.zeros((3, 3), dtype=complex)
     c[0, 0], c[1, 2] = 1.0, 5e-11
     f = dg.factorize(np.diag([1.0, 1.0, 0.0]), c, tol)
     certificate = dg.solvability_report(f).certificate
     assert certificate["failed_conditions"] == ["dp_range_eq"]
-    printed = [certificate["d_outside_range_dp"], certificate["dp_outside_range_d"]]
-    residuals = f._outside_ranges()
-    return (residuals[0], f.d_norm, tol), printed, [mc.spectral_norm(m) for m in residuals]
+    residual = f._outside_range_dp()
+    return (residual, f.m, tol), [certificate["d_outside_range_dp"]], [mc.spectral_norm(residual)]
 
 
 def equation_residual_path(settled):
@@ -828,6 +834,100 @@ def test_positive_routes_agree_on_thousand_instances():
 
 
 # ---------------------------------------------------------------------------
+# range equality in row-space coordinates: D = B M and DP = B K B*, so one
+# truncated SVD of the r x r compression K decides R(D) = R(DP) and gives (DP)^dagger
+
+
+def _flavoured_pair(rng, n, rank, flavor):
+    """A of the given rank with C = A X: X PSD, or a Hermitian-only pattern (n >= 3), or X general."""
+    if flavor == "hermitian_only" and n >= 3:
+        return oc._hermitian_but_never_positive(rng, n)
+    a = rank_deficient(rng, n, n, rank)
+    if flavor == "positive":
+        return a, a @ random_psd(rng, n, rank=int(rng.integers(0, n + 1)))
+    if flavor == "hermitian_only":
+        return a, a @ random_hermitian(rng, n)
+    return a, a @ complex_gaussian(rng, n, n)
+
+
+def test_row_space_route_matches_the_n_by_n_reference():
+    rng = np.random.default_rng(113)
+    flavors = ("positive", "hermitian_only", "general")
+    positives = 0
+    for k in range(360):
+        n = int(rng.integers(1, 9))
+        a, c = _flavoured_pair(rng, n, int(rng.integers(0, n + 1)), flavors[k % 3])
+        s = (1e-6, 1.0, 1e6)[(k // 3) % 3]
+        f = dg.factorize(s * a, s * c)
+        report = dg.solvability_report(f)
+        equal, lam = reference_range_equality(f)
+        assert report.dp_range_eq is equal, k
+        if not f.range_ok:
+            expected = dg.Verdict.UNSOLVABLE
+        elif f.ca_psd and equal:
+            expected = dg.Verdict.POSITIVE
+        else:
+            expected = dg.Verdict.HERMITIAN if f.ca_hermitian else dg.Verdict.GENERAL
+        assert report.verdict is expected, k
+        if expected is dg.Verdict.POSITIVE:
+            assert abs(report.lambda_estimate - lam) <= f.tol.residual_bound(lam), k
+            positives += 1
+    assert positives > 60
+
+
+def test_range_equality_reads_one_svd_of_the_compression(monkeypatch):
+    # n = 12, rank 5: the one SVD the range test takes is of the 5 x 5 K
+    rng = np.random.default_rng(127)
+    a = rank_deficient(rng, 12, 12, 5)
+    f = dg.factorize(a, a @ random_psd(rng, 12))
+    log = count_lapack(monkeypatch)
+    assert f.dp_range_eq
+    assert [(name, args[0].shape) for name, args, _ in log] == [("svd", (5, 5))]
+    # A of rank 0 leaves K empty, and the test takes no SVD
+    f = dg.factorize(np.zeros((3, 3)), np.zeros((3, 3)))
+    log.clear()
+    assert f.dp_range_eq and f._k_svd[1].size == 0
+    assert dg.solvability_report(f).lambda_estimate == 0.0
+    assert [name for name, _, _ in log].count("svd") == 1  # the printed lambda alone
+
+
+def test_range_equality_counts_a_roundoff_compression_as_rank_zero():
+    # DP is exactly zero while D is not: K is the roundoff of a rotation, far
+    # below the rank cut of ||M||, so DP has rank 0 and the ranges differ
+    a0, x = CANCELLING
+    for k, (a, c) in enumerate(_rotated_pairs(a0.astype(complex), x, 20, seed=131)):
+        f = dg.factorize(a, c)
+        assert not f.dp_range_eq, k
+        assert f.range_equality["rank_dp"] == 0 and f.range_equality["rank_d"] == 1, k
+
+
+# A = diag(1, 1, 0) and C = E11 + eps E23: D = C and DP = E11, so D has rank 2
+# and DP rank 1 at every eps above the rank cut, while D lies within eps of
+# the range of DP
+RISK_EPS = 1e-9  # above the rank cut 1e-10, under the residual bound 1e-8
+
+
+def test_range_equality_within_the_residual_bound_is_positive():
+    c = np.zeros((3, 3), dtype=complex)
+    c[0, 0], c[1, 2] = 1.0, RISK_EPS
+    f = dg.factorize(np.diag([1.0, 1.0, 0.0]), c)
+    assert f.range_equality["rank_d"] == 2 and f.range_equality["rank_dp"] == 1
+    assert f.range_equality["d_outside_range_dp"] == pytest.approx(RISK_EPS, rel=1e-12)
+    report = dg.solvability_report(f)
+    # the one inclusion holds within its bound, and t_min, the other route, is finite
+    assert report.verdict is dg.Verdict.POSITIVE
+    assert report.t_min == pytest.approx(1.0, rel=1e-12)
+    # X0 has the eigenvalue -eps, below the floor -1e-10, so the builder's
+    # own check refuses Z = 0; Z = I lifts it to -eps^2, within the floor
+    with pytest.raises(NotSolvablePositive) as info:
+        dg.positive_solution(f, np.zeros((3, 3)))
+    assert info.value.certificate["failed_conditions"] == ["solution_psd"]
+    x = dg.positive_solution(f, np.eye(3))
+    assert mc.is_psd(x, f.tol)
+    assert mc.spectral_norm(f.a @ x - f.c) <= f.tol.residual_bound(mc.spectral_norm(f.c))
+
+
+# ---------------------------------------------------------------------------
 # criterion transfer checks (reduced solution compression vs C A*)
 
 
@@ -963,6 +1063,25 @@ def test_verdicts_hold_where_c_a_star_is_small_next_to_its_factors(a, x, expecte
             elif verdict is dg.Verdict.POSITIVE:
                 dg.positive_solution(f, np.zeros((2, 2)))
     assert changed == []
+
+
+KAPPAS = (1e6, 1e7, 1e8, 1e9)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_range_test_holds_for_ill_conditioned_a(kappa):
+    # A = U diag(1, 1/kappa) V* has full rank, so R(C) lies in R(A) for every C;
+    # C = A V [[kappa^-2, kappa^-1], [kappa^-1, 1]] V* is A times a PSD X.  The
+    # residual A D - C carries roundoff of about eps ||A|| ||D||, near
+    # eps kappa ||C||, which a bound of residual_atol ||C|| misses from 1e8 up
+    rng = np.random.default_rng([137, KAPPAS.index(kappa)])
+    core = np.array([[kappa**-2, 1.0 / kappa], [1.0 / kappa, 1.0]])
+    verdicts = []
+    for _ in range(40):
+        u, v = _random_unitary(rng, 2), _random_unitary(rng, 2)
+        a = u @ np.diag([1.0, 1.0 / kappa]) @ v.conj().T
+        verdicts.append(dg.solvability_report(dg.factorize(a, a @ v @ core @ v.conj().T)).verdict)
+    assert dg.Verdict.UNSOLVABLE not in verdicts
 
 
 def test_verdicts_do_not_change_under_unitary_congruence(repro_reports):

@@ -1027,6 +1027,14 @@ def test_majorization_zero_c():
     assert result.finite and result.mu_star == 0.0
 
 
+def test_majorization_cuts_at_the_rank_of_a():
+    # A's small singular value 1e-7 is far above the rank cut 1e-10 of A's
+    # singular values, though its square is below the rank cut of A A*
+    result = mc.min_majorization_scale(np.diag([1.0, 1e-7]), np.diag([0.0, 1e-7]))
+    assert result.finite
+    assert abs(result.mu_star - 1.0) <= mc.DEFAULT_TOLERANCES.residual_bound(1.0)
+
+
 def test_majorization_norm_identity_random():
     rng = np.random.default_rng(29)
     for _ in range(200):
