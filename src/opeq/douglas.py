@@ -34,9 +34,12 @@ limit of the compressed-resolvent norms ``||T_n||``, whose scan
 Both live on the row space of A, as the paper's ``D = |A|^dagger U* C`` does:
 with ``M = B* D`` and ``K = B* D B``, ``D = B M``, ``D P = B K B*`` and
 ``(D P)^dagger = B K^dagger B*``.  So one SVD of the ``r x r`` matrix K decides
-the range equality, which is one inclusion, since ``R(D P) = D R(P)`` always
-lies inside ``R(D)``, and gives the correction term; no ``n x n`` SVD of D or
-of ``D P`` is taken.
+the range equality and gives the correction term; no ``n x n`` SVD of D or of
+``D P`` is taken.  Since ``R(D P) = D R(P)`` always lies inside ``R(D)``, the
+equality is one inclusion, D inside the range of DP within the residual bound,
+plus equal ranks: the bound is far above the rank cut, so a direction of D
+whose singular value lies between the two passes the inclusion alone.  The
+rank of M takes an SVD only when K's is below r, as M has r rows.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .matcore import (
     ToleranceConfig,
     _norm2,
     _pinv_from_svd,
-    _rank_of,
     _single_norm_bounds,
     _within_residual_bound,
     as_matrix,
@@ -86,6 +88,10 @@ __all__ = [
     "positive_solution",
     "block_psd_test",
 ]
+
+# roundoff per dimension, relative to ||A|| ||A^dagger|| ||C||, that an equation
+# residual A X - C is allowed beyond its residual bound (Factorization.equation_bound)
+_ROUNDOFF = 16 * float(np.finfo(np.float64).eps)
 
 
 class Verdict(enum.Enum):
@@ -145,41 +151,55 @@ class SolvabilityReport:
 class Factorization:
     """The one factorization of ``(A, C, tol)`` that every decision reads.
 
-    :func:`factorize` fills the fields from a single SVD of A: its norm, the
-    orthonormal row-space basis ``B`` (so ``P = B B*``) and the reduced
-    solution ``D = A^dagger C``.  The rest are properties computed on first
-    use, and cached when more than one decision reads them, so a caller pays
-    only for what it reads.  D's row-space coordinates ``M = B* D`` carry its
-    norm and rank, from one SVD taken only where they are printed.  The
-    square-only data -- ``C A*`` with one eigendecomposition for its PSD test
-    and ``t_min``, and one SVD of the compression ``K = M B`` of ``DP`` for
-    the range equality and ``(DP)^dagger`` -- are never computed for a
-    general solution or a majorization.  Each threshold test asks
+    :func:`factorize` fills the fields from a single SVD of A: its norm and
+    condition number ``||A|| ||A^dagger||``, the orthonormal row-space basis
+    ``B`` (so ``P = B B*``) and the reduced solution ``D = A^dagger C``.  The
+    rest are properties computed on first use, and cached when more than one
+    decision reads them, so a caller pays only for what it reads.  D's
+    row-space coordinates ``M = B* D`` carry its norm and rank, each from one
+    SVD of M taken only where it is read.  The square-only data -- ``C A*``
+    with one eigendecomposition for its PSD test and ``t_min``, and one SVD of
+    the compression ``K = M B`` of ``DP`` for the range equality and
+    ``(DP)^dagger`` -- are never computed for a general solution or a
+    majorization.  Every equation residual ``A X - C``, D's included, is judged
+    by one rule, :meth:`equation_ok`.  Each threshold test asks
     :func:`~opeq.matcore._within_residual_bound`, which takes a zgesdd norm
-    only when Frobenius bounds cannot settle it and returns only the
-    verdict; each number a certificate prints (``range_residual``, the
-    deviation of ``C A*``, ``range_equality``) is an exact norm of its own,
-    taken on first read.  No residual matrix is kept; nor is anything of an
-    X it checks, so each check of an X reads that X as it is then.  ``a``
-    and ``c`` are held as given and must not be changed while the
-    factorization is in use.
+    only when Frobenius bounds cannot settle it and returns only the verdict;
+    each number a certificate prints (``range_residual``, the deviation of
+    ``C A*``, ``range_equality``) is an exact norm of its own, taken on first
+    read.  No residual matrix is kept; nor is anything of an X it checks, so
+    each check of an X reads that X as it is then.  ``a`` and ``c`` are held as
+    given and must not be changed while the factorization is in use.
     """
 
     a: np.ndarray
     c: np.ndarray
     tol: ToleranceConfig
     a_norm: float
+    a_cond: float
     row_basis: np.ndarray
     d: np.ndarray
 
+    def equation_bound(self, c_norm: float) -> float:
+        """The largest ``||A X - C||`` that passes, given ``||C||``.
+
+        The residual bound of ``||C||`` plus the roundoff of forming
+        ``D = A^dagger C`` and ``A D``, ``16 n eps ||A|| ||A^dagger|| ||C||``
+        with n the larger side of A: over random pairs of condition number up
+        to 3e9, D's residual stayed below half of it.  That roundoff passes
+        ``residual_atol ||C||`` from a condition number of about
+        ``residual_atol / eps``, while a C outside R(A) by more still fails.
+        """
+        return self.tol.residual_bound(c_norm) + _ROUNDOFF * max(self.a.shape) * self.a_cond * c_norm
+
+    def equation_ok(self, x) -> bool:
+        """``||A X - C||`` within :meth:`equation_bound`, screened by Frobenius bounds."""
+        return _within_residual_bound(self.a @ x - self.c, self.c, self.tol, self.equation_bound)
+
     @cached_property
     def range_ok(self) -> bool:
-        """R(C) inside R(A): ``||A D - C||`` within the residual bound of ``||A|| ||D||``.
-
-        That product, not ``||C||``, is the size of the residual's roundoff: an
-        ill-conditioned A makes D, and with it the roundoff, large next to C.
-        """
-        return _within_residual_bound(self.a @ self.d - self.c, self.a_norm * self.d, self.tol)
+        """R(C) inside R(A): D solves ``A X = C`` by :meth:`equation_ok`."""
+        return self.equation_ok(self.d)
 
     @cached_property
     def range_residual(self) -> float:
@@ -241,15 +261,31 @@ class Factorization:
 
     @cached_property
     def _k_svd(self):
-        """Truncated SVD of K: DP's rank, its range ``B U_K`` and ``(DP)^dagger = B K^dagger B*``.
+        """Truncated SVD ``(U_K, s_K, V_K*)`` of K and the value it is cut at.
 
+        It gives DP's rank, its range ``B U_K`` and ``(DP)^dagger = B K^dagger B*``.
         K carries the roundoff of M, so it is cut at the rank cut of ``||M||``,
-        read as its Frobenius lower bound: where DP is exactly zero and D is
-        not, K is that roundoff alone, and a cut at its own norm would count it.
+        read as its Frobenius lower bound when that is above ``||K||``: where DP
+        is exactly zero and D is not, K is that roundoff alone, and a cut at its
+        own norm would count it.
         """
         if not self.k.size:  # A of rank 0 leaves K empty
-            return self.k, np.zeros(0), self.k
-        return truncated_svd(self.k, self.tol, scale=_single_norm_bounds(self.m)[0])
+            return self.k, np.zeros(0), self.k, 0.0
+        u, s, vh = np.linalg.svd(self.k, full_matrices=False)
+        cut = self.tol.rank_cut(max(s[0], _single_norm_bounds(self.m)[0]))
+        r = int(np.count_nonzero(s > cut))
+        return u[:, :r], s[:r], vh[:r, :], cut
+
+    @cached_property
+    def rank_d(self) -> int:
+        """Rank of ``D = B M``, cut where K is, so never below DP's.
+
+        M has r rows, so when K has rank r so does M, and no SVD is taken;
+        otherwise one values-only SVD of M gives it.
+        """
+        if self._k_svd[1].size == self.m.shape[0]:
+            return self.m.shape[0]
+        return int(np.count_nonzero(np.linalg.svd(self.m, compute_uv=False) > self._k_svd[3]))
 
     @property
     def d_norm(self) -> float:
@@ -262,20 +298,25 @@ class Factorization:
 
     @cached_property
     def range_equality(self) -> dict:
-        """Ranks of D (from an SVD of M) and of DP, and D's residual outside the range of DP."""
+        """Ranks of D and of DP, and D's residual outside the range of DP."""
         return {
-            "rank_d": _rank_of(np.linalg.svd(self.m, compute_uv=False), self.tol),
+            "rank_d": self.rank_d,
             "rank_dp": int(self._k_svd[1].size),
             "d_outside_range_dp": spectral_norm(self._outside_range_dp()),
         }
 
     @cached_property
     def dp_range_eq(self) -> bool:
-        """R(D) = R(DP): D's residual outside R(DP) within the residual bound of ``||D|| = ||M||``.
+        """R(D) = R(DP): D within the residual bound of ``||M||`` of R(DP), at equal ranks.
 
-        ``R(DP) = D R(P)`` always lies inside R(D), so this one inclusion decides it.
+        ``R(DP) = D R(P)`` always lies inside R(D), so the other inclusion holds.
+        The ranks are compared too: a direction of D whose singular value is
+        above the rank cut and below the residual bound is outside R(DP), and
+        the positive builder's X0 then has a negative eigenvalue of about that size.
         """
-        return _within_residual_bound(self._outside_range_dp(), self.m, self.tol)
+        if not _within_residual_bound(self._outside_range_dp(), self.m, self.tol):
+            return False
+        return self.rank_d == self._k_svd[1].size
 
     @property
     def h0(self) -> np.ndarray:
@@ -290,7 +331,7 @@ class Factorization:
         A has full column rank.
         """
         e = self.m @ self.ip
-        return e.conj().T @ _pinv_from_svd(*self._k_svd) @ e
+        return e.conj().T @ _pinv_from_svd(*self._k_svd[:3]) @ e
 
     @property
     def x0(self) -> np.ndarray:
@@ -311,8 +352,8 @@ def factorize(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
     basis = vh.conj().T
     # reduced_solution hands D out; read-only, so no caller can change it under f
     d.flags.writeable = basis.flags.writeable = False
-    a_norm = float(s[0]) if s.size else 0.0
-    return Factorization(a=a, c=c, tol=tol, a_norm=a_norm, row_basis=basis, d=d)
+    a_norm, a_cond = (float(s[0]), float(s[0] / s[-1])) if s.size else (0.0, 0.0)
+    return Factorization(a=a, c=c, tol=tol, a_norm=a_norm, a_cond=a_cond, row_basis=basis, d=d)
 
 
 def _check_same_shape(f: Factorization):
@@ -340,8 +381,8 @@ def reduced_solution(f: Factorization) -> np.ndarray:
 def general_solution(f: Factorization, y) -> np.ndarray:
     """Member ``D + (I - P) Y`` of the general solution family.
 
-    It is checked before it is returned: the equation residual must be within
-    the residual bound of ``||C||``, else :class:`NotSolvable`.
+    It is checked before it is returned: the equation residual must pass
+    :meth:`Factorization.equation_ok`, else :class:`NotSolvable`.
     """
     y = as_matrix(y)
     d = reduced_solution(f)
@@ -360,9 +401,8 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     shape = (f.a.shape[1], f.c.shape[1])
     if x.shape != shape:
         raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
-    residual = f.a @ x - f.c
-    if not _within_residual_bound(residual, f.c, f.tol):
-        resid = spectral_norm(residual)
+    if not f.equation_ok(x):
+        resid = spectral_norm(f.a @ x - f.c)
         raise NotASolution(
             f"AX differs from C by {resid:.3e}", certificate={"equation_residual": resid}
         )
@@ -428,20 +468,19 @@ def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarr
     """Return the emitted X if it solves AX = C and passed its class tests.
 
     ``failed`` names the class tests X failed.  The equation residual must be
-    within the residual bound of ``||C||``.  On any failure raise
+    within :meth:`Factorization.equation_bound`.  On any failure raise
     ``error`` with the failed conditions, the numbers of ``numbers()``, the
     residual and its bound in the certificate.
     """
-    residual = f.a @ x - f.c
-    failed = failed + ["solution_residual"] * (not _within_residual_bound(residual, f.c, f.tol))
+    failed = failed + ["solution_residual"] * (not f.equation_ok(x))
     if failed:
         raise error(
             f"the emitted solution failed its own check: {', '.join(failed)}",
             certificate={
                 "failed_conditions": failed,
                 **numbers(),
-                "equation_residual": spectral_norm(residual),
-                "residual_bound": f.tol.residual_bound(spectral_norm(f.c)),
+                "equation_residual": spectral_norm(f.a @ x - f.c),
+                "residual_bound": f.equation_bound(spectral_norm(f.c)),
             },
         )
     return x
@@ -451,8 +490,9 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
     """Member ``D + (I-P) D* + (I-P) Y (I-P)`` of the Hermitian family.
 
     Y must be Hermitian; the output is then Hermitian and solves AX = C.
-    It is checked before it is returned: ``||X - X*||`` and the equation residual must be within
-    the residual bounds of ``||X||`` and ``||C||``, else :class:`NotSolvableHermitian`.
+    It is checked before it is returned: ``||X - X*||`` must be within the residual
+    bound of ``||X||`` and the equation residual must pass
+    :meth:`Factorization.equation_ok`, else :class:`NotSolvableHermitian`.
     """
     _check_same_shape(f)
     y = as_matrix(y)
@@ -490,7 +530,7 @@ def positive_solution(f: Factorization, z) -> np.ndarray:
     projector, which is what keeps ``A X = C`` true for every admissible Z.
     Reads only the range, ``C A*`` PSD and range-equality tests and
     ``(DP)^dagger``.  The output is checked before it is returned (PSD, and the
-    equation residual within the residual bound of ``||C||``), else :class:`NotSolvablePositive`.
+    equation residual by :meth:`Factorization.equation_ok`), else :class:`NotSolvablePositive`.
     """
     _check_same_shape(f)
     z = as_matrix(z)

@@ -68,10 +68,12 @@ class ToleranceConfig:
 
     :meth:`residual_bound` -- ``residual_atol * norm``
         A residual or Hermitian deviation passes when it is at most this.
-        ``norm`` is ``||A|| ||D||`` for the range residual ``A D - C``, the
-        size of its roundoff, that of ``C`` for the equation residuals,
-        ``||M|| = ||D||`` for the range equality (D's row-space coordinates
-        ``M`` outside the range of ``DP``), ``||C|| ||A||`` for the Hermitian
+        ``norm`` is that of ``C`` for the range residual ``A D - C`` and the
+        equation residuals, which add the roundoff of forming D,
+        ``16 n eps ||A|| ||A^dagger|| ||C||``
+        (:meth:`opeq.douglas.Factorization.equation_bound`), ``||M|| = ||D||``
+        for the range equality (D's row-space coordinates ``M`` outside the
+        range of ``DP``), ``||C|| ||A||`` for the Hermitian
         test of ``C A*``, and of the matrix itself for every other Hermitian
         test (:func:`is_psd`, :func:`sqrt_psd`, the Hermitian family's
         parameter Y and its X, the compressed ``DP``, the Penrose
@@ -101,8 +103,9 @@ class ToleranceConfig:
     :meth:`rank_cut` -- ``rank_rtol * top``
         A singular value, or a clamped eigenvalue of a PSD matrix, counts
         toward the rank when it is above this, ``top`` being the largest, or
-        for the compression ``K`` of ``DP`` the Frobenius lower bound of
-        ``||M||`` when that is larger, since K carries M's roundoff; the
+        for the compression ``K`` of ``DP``, and for ``M`` where their ranks
+        are compared, the Frobenius lower bound of ``||M||`` when that is
+        larger, since K carries M's roundoff; the
         eigenvalues of ``A* A`` that :func:`opeq.oracle.lsq_solve` inverts are
         those.
 
@@ -359,23 +362,21 @@ def hermitian_deviation(m) -> float:
     return _norm2(a - a.conj().T)
 
 
-def _rank_of(s, tol: ToleranceConfig, scale: float = 0.0) -> int:
-    """Count of singular values ``s`` (descending) above the rank cut of ``max(s[0], scale)``."""
-    return int(np.count_nonzero(s > tol.rank_cut(max(s[0], scale)))) if s.size else 0
+def _rank_of(s, tol: ToleranceConfig) -> int:
+    """Count of singular values ``s`` (descending) above the rank cut of ``s[0]``."""
+    return int(np.count_nonzero(s > tol.rank_cut(s[0]))) if s.size else 0
 
 
-def truncated_svd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES, scale: float = 0.0):
+def truncated_svd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES):
     """Thin SVD ``(U, s, Vh)`` of M cut to its rank.
 
     Singular values below ``rank_rtol * sigma_max`` are dropped with their
-    vectors, so the zero matrix has rank 0 and empty factors.  A matrix
-    formed from a larger one carries that one's roundoff, and ``scale``, when
-    above ``sigma_max``, gives the norm to cut at instead.  The
+    vectors, so the zero matrix has rank 0 and empty factors.  The
     pseudoinverse, row-space and polar helpers below all read it.
     """
     a = as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    r = _rank_of(s, tol, scale)
+    r = _rank_of(s, tol)
     return u[:, :r], s[:r], vh[:r, :]
 
 

@@ -194,7 +194,7 @@ def positive_search(
             hits = np.nonzero(eigs[:, 0] >= tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1)))[0]
             for k in hits:
                 candidate = x[k]
-                if _within_residual_bound(f.a @ candidate - f.c, f.c, tol) and is_psd(candidate, tol):
+                if f.equation_ok(candidate) and is_psd(candidate, tol):
                     return candidate
     return None
 
@@ -495,7 +495,7 @@ def _check_hermitian_criterion(rng, spec, tol):
             return _fail(f"Hermitian builder refused its own output: {exc}", a=a, c=c)
         if not HermitianSpectrum(x, tol).is_hermitian:
             return _fail("emitted solution is not Hermitian", a=a, c=c)
-        if not _within_residual_bound(a @ x - c, f.c, tol):
+        if not f.equation_ok(x):
             return _fail("emitted Hermitian member does not solve the equation", a=a, c=c)
     return None
 
@@ -536,7 +536,7 @@ def _check_positive_criteria(rng, spec, tol):
             return _fail(f"positive builder refused its own output: {exc}", a=a, c=c)
         if not is_psd(x, tol):
             return _fail("emitted member of the positive family is not PSD", a=a, c=c)
-        if not _within_residual_bound(a @ x - c, f.c, tol):
+        if not f.equation_ok(x):
             return _fail("emitted positive member does not solve the equation", a=a, c=c)
         x_norm = spectral_norm(x)
         if not _within_residual_bound(report.t_min - x_norm, x_norm, tol):
@@ -555,7 +555,7 @@ def _check_positive_criteria(rng, spec, tol):
         return _fail("search produced a PSD solution on a pair judged unsolvable", a=a, c=c)
     if not is_psd(found, tol):
         return _fail("search returned a non-PSD matrix", a=a, c=c)
-    if not _within_residual_bound(a @ found - c, f.c, tol):
+    if not f.equation_ok(found):
         return _fail("search returned a non-solution", a=a, c=c)
     return None
 

@@ -214,6 +214,34 @@ def test_majorize_agrees_with_check_on_a_small_singular_value(capsys, monkeypatc
     assert Counter(name for name, _, _ in log) == Counter(svd=2)
 
 
+def test_check_and_solve_positive_agree_where_d_leaves_the_range_of_dp(capsys, tmp_path):
+    # A = diag(1, 1, 0), C = E11 + 1e-9 E23: D is 1e-9 outside the range of DP,
+    # within the residual bound but at a higher rank; neither command says positive
+    c = np.zeros((3, 3))
+    c[0, 0], c[1, 2] = 1.0, 1e-9
+    a_file = write_matrix(tmp_path / "a.json", np.diag([1.0, 1.0, 0.0]))
+    c_file = write_matrix(tmp_path / "c.json", c)
+    _, report, _ = run_cli(capsys, "check", "--a", a_file, "--c", c_file)
+    code, payload, _ = run_cli(capsys, "solve", "--a", a_file, "--c", c_file, "--mode", "positive")
+    assert report["verdict"] == "SolvableHermitian"
+    assert code == 2 and payload["status"] == "unsolvable"
+    assert payload["certificate"]["failed_conditions"] == ["dp_range_eq"]
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e9])
+def test_commands_agree_on_c_outside_the_range_of_ill_conditioned_a(capsys, tmp_path, kappa):
+    # A = diag(1, 1/kappa, 0) and C = 10 e2 e1* + e3 e1*: C is 1 outside R(A)
+    c = np.zeros((3, 3))
+    c[1, 0], c[2, 0] = 10.0, 1.0
+    a_file = write_matrix(tmp_path / "a.json", np.diag([1.0, 1.0 / kappa, 0.0]))
+    c_file = write_matrix(tmp_path / "c.json", c)
+    _, report, _ = run_cli(capsys, "check", "--a", a_file, "--c", c_file)
+    code, _, _ = run_cli(capsys, "solve", "--a", a_file, "--c", c_file, "--mode", "general")
+    _, payload, _ = run_cli(capsys, "majorize", "--a", a_file, "--c", c_file)
+    assert report["verdict"] == "Unsolvable" and code == 2
+    assert payload["finite"] is False and payload["range_inclusion"] is False
+
+
 # ---------------------------------------------------------------------------
 # grid commands
 

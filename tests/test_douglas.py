@@ -498,11 +498,9 @@ def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
 
 def test_every_test_against_the_norm_of_c_reads_it_once_taken(monkeypatch):
     # the range residual of the bordered pair, in a row that A cannot reach, is
-    # undecided by the Frobenius bounds of 3x3 matrices, so the range test takes
-    # the norm it is judged at, ||A|| ||D||, and not ||C||
+    # undecided by the Frobenius bounds of 3x3 matrices, so the range test takes ||C||
     tol = mc.DEFAULT_TOLERANCES
     a, c = bordered_near_hermitian_pair(tol)
-    bound = tol.residual_bound(mc.spectral_norm(c))
     log = count_lapack(monkeypatch)
     f = dg.factorize(a, c, tol)
     assert f.range_ok and f.ca_hermitian
@@ -510,10 +508,11 @@ def test_every_test_against_the_norm_of_c_reads_it_once_taken(monkeypatch):
         dg.hermitian_solution(f, np.zeros((3, 3)))
     certificate = info.value.certificate
     assert certificate["failed_conditions"] == ["solution_hermitian"]
-    assert certificate["residual_bound"] == bound
-    # ||C|| is taken twice: by the check of X, undecided, and by the
-    # certificate's residual bound; the Hermitian test of C A* is settled without it
-    assert sum(name == "svd" and np.array_equal(args[0], c) for name, args, _ in log) == 2
+    # ||C|| is taken three times: by the range test and by the check of X,
+    # both undecided, and by the certificate's residual bound; the Hermitian
+    # test of C A* is settled without it
+    assert sum(name == "svd" and np.array_equal(args[0], c) for name, args, _ in log) == 3
+    assert certificate["residual_bound"] == f.equation_bound(mc.spectral_norm(c))
 
 
 # ---------------------------------------------------------------------------
@@ -599,17 +598,21 @@ def test_parameter_certificate_reads_the_norm_its_test_took(rank1_pair, monkeypa
     assert sum(name == "svd" and np.array_equal(args[0], skew) for name, args, _ in log) == 2
 
 
-def frobenius_settles(m, r, tol):
-    """Whether Frobenius bounds decide ``||M|| <= residual_bound(||R||)`` without zgesdd."""
+def frobenius_settles(m, r, tol, rule=None):
+    """Whether Frobenius bounds decide ``||M|| <= rule(||R||)`` without zgesdd.
+
+    ``rule`` is ``tol.residual_bound`` unless given.
+    """
+    rule = tol.residual_bound if rule is None else rule
     m_lo, m_hi = mc._single_norm_bounds(m)
     r_lo, r_hi = mc._single_norm_bounds(r)
-    return m_hi <= tol.residual_bound(r_lo) or m_lo > tol.residual_bound(r_hi)
+    return m_hi <= rule(r_lo) or m_lo > rule(r_hi)
 
 
 # Each failing certificate path, on an input whose test Frobenius bounds
 # settle and on one they leave undecided.  A path returns the test behind the
-# failure as (M, R, tol), the numbers it printed, and the exact norms of the
-# matrices those numbers describe, recomputed by the test.
+# failure as (M, R, tol) or (M, R, tol, rule), the numbers it printed, and the
+# exact norms of the matrices those numbers describe, recomputed by the test.
 
 
 def range_path(settled):
@@ -622,7 +625,7 @@ def range_path(settled):
     printed = [info.value.certificate["range_residual"]]
     printed.append(dg.solvability_report(f).certificate["range_residual"])
     residual = f.a @ f.d - f.c
-    return (residual, f.a_norm * f.d, tol), printed, [mc.spectral_norm(residual)] * 2
+    return (residual, f.c, tol, f.equation_bound), printed, [mc.spectral_norm(residual)] * 2
 
 
 def ca_star_path(settled):
@@ -671,7 +674,8 @@ def equation_residual_path(settled):
     certificate = info.value.certificate
     residual = f.a @ x - f.c
     printed = [certificate["equation_residual"], certificate["residual_bound"]]
-    return (residual, f.c, tol), printed, [mc.spectral_norm(residual), tol.residual_bound(mc.spectral_norm(f.c))]
+    exact = [mc.spectral_norm(residual), f.equation_bound(mc.spectral_norm(f.c))]
+    return (residual, f.c, tol, f.equation_bound), printed, exact
 
 
 def solution_deviation_path(settled):
@@ -708,7 +712,8 @@ def not_a_solution_path(settled):
     with pytest.raises(NotASolution) as info:
         dg.recover_parameter(f, x)
     residual = f.a @ x - f.c
-    return (residual, f.c, tol), [info.value.certificate["equation_residual"]], [mc.spectral_norm(residual)]
+    test = (residual, f.c, tol, f.equation_bound)
+    return test, [info.value.certificate["equation_residual"]], [mc.spectral_norm(residual)]
 
 
 CERTIFICATE_PATHS = {
@@ -725,8 +730,8 @@ CERTIFICATE_PATHS = {
 @pytest.mark.parametrize("settled", [True, False], ids=["settled", "undecided"])
 @pytest.mark.parametrize("path", list(CERTIFICATE_PATHS))
 def test_every_certificate_number_is_the_exact_norm_of_its_matrix(path, settled):
-    (m, r, tol), printed, exact = CERTIFICATE_PATHS[path](settled)
-    assert frobenius_settles(m, r, tol) is settled
+    test, printed, exact = CERTIFICATE_PATHS[path](settled)
+    assert frobenius_settles(*test) is settled
     assert [value.hex() for value in printed] == [value.hex() for value in exact]
 
 
@@ -907,24 +912,43 @@ def test_range_equality_counts_a_roundoff_compression_as_rank_zero():
 RISK_EPS = 1e-9  # above the rank cut 1e-10, under the residual bound 1e-8
 
 
-def test_range_equality_within_the_residual_bound_is_positive():
+def risk_pair():
     c = np.zeros((3, 3), dtype=complex)
     c[0, 0], c[1, 2] = 1.0, RISK_EPS
-    f = dg.factorize(np.diag([1.0, 1.0, 0.0]), c)
+    return np.diag([1.0, 1.0, 0.0]).astype(complex), c
+
+
+def test_range_equality_within_the_residual_bound_needs_equal_ranks():
+    f = dg.factorize(*risk_pair())
     assert f.range_equality["rank_d"] == 2 and f.range_equality["rank_dp"] == 1
     assert f.range_equality["d_outside_range_dp"] == pytest.approx(RISK_EPS, rel=1e-12)
+    # the inclusion alone holds within its bound, but the ranks differ: X0 would
+    # have the eigenvalue -eps, below the floor -1e-10, so the pair is not POSITIVE
+    assert mc._within_residual_bound(f._outside_range_dp(), f.m, f.tol)
     report = dg.solvability_report(f)
-    # the one inclusion holds within its bound, and t_min, the other route, is finite
-    assert report.verdict is dg.Verdict.POSITIVE
-    assert report.t_min == pytest.approx(1.0, rel=1e-12)
-    # X0 has the eigenvalue -eps, below the floor -1e-10, so the builder's
-    # own check refuses Z = 0; Z = I lifts it to -eps^2, within the floor
+    assert report.verdict is dg.Verdict.HERMITIAN and not report.dp_range_eq
+    assert report.certificate["failed_conditions"] == ["dp_range_eq"]
+    assert report.certificate["rank_d"] == 2 and report.certificate["rank_dp"] == 1
     with pytest.raises(NotSolvablePositive) as info:
         dg.positive_solution(f, np.zeros((3, 3)))
-    assert info.value.certificate["failed_conditions"] == ["solution_psd"]
-    x = dg.positive_solution(f, np.eye(3))
-    assert mc.is_psd(x, f.tol)
-    assert mc.spectral_norm(f.a @ x - f.c) <= f.tol.residual_bound(mc.spectral_norm(f.c))
+    assert info.value.certificate["failed_conditions"] == ["dp_range_eq"]
+    assert not mc.is_psd(f.x0, f.tol)
+
+
+def test_rank_of_d_takes_an_svd_of_m_only_below_full_rank_k(monkeypatch):
+    rng = np.random.default_rng(139)
+    a = rank_deficient(rng, 6, 6, 4)
+    log = count_lapack(monkeypatch)
+    # K = B* X B of a positive definite X has rank r = 4, so M does too
+    f = dg.factorize(a, a @ random_psd(rng, 6, rank=6))
+    log.clear()
+    assert f.dp_range_eq and f.rank_d == 4
+    assert [args[0].shape for name, args, _ in log if name == "svd"] == [(4, 4)]
+    # the risk pair's K has rank 1 < r = 2: one values-only SVD of the 2 x 3 M
+    f = dg.factorize(*risk_pair())
+    log.clear()
+    assert not f.dp_range_eq
+    assert [args[0].shape for name, args, _ in log if name == "svd"] == [(2, 2), (2, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -1072,16 +1096,35 @@ KAPPAS = (1e6, 1e7, 1e8, 1e9)
 def test_range_test_holds_for_ill_conditioned_a(kappa):
     # A = U diag(1, 1/kappa) V* has full rank, so R(C) lies in R(A) for every C;
     # C = A V [[kappa^-2, kappa^-1], [kappa^-1, 1]] V* is A times a PSD X.  The
-    # residual A D - C carries roundoff of about eps ||A|| ||D||, near
-    # eps kappa ||C||, which a bound of residual_atol ||C|| misses from 1e8 up
+    # residual A D - C carries roundoff of about eps kappa ||C||, which a bound
+    # of residual_atol ||C|| alone misses from 1e8 up
     rng = np.random.default_rng([137, KAPPAS.index(kappa)])
     core = np.array([[kappa**-2, 1.0 / kappa], [1.0 / kappa, 1.0]])
     verdicts = []
     for _ in range(40):
         u, v = _random_unitary(rng, 2), _random_unitary(rng, 2)
         a = u @ np.diag([1.0, 1.0 / kappa]) @ v.conj().T
-        verdicts.append(dg.solvability_report(dg.factorize(a, a @ v @ core @ v.conj().T)).verdict)
+        f = dg.factorize(a, a @ v @ core @ v.conj().T)
+        verdicts.append(dg.solvability_report(f).verdict)
+        if f.range_ok:  # the general builder checks its X by the same rule
+            dg.general_solution(f, np.zeros((2, 2)))
     assert dg.Verdict.UNSOLVABLE not in verdicts
+
+
+@pytest.mark.parametrize("kappa", (1e4, 1e6, 1e8, 1e9))
+def test_range_test_rejects_c_outside_the_range_of_ill_conditioned_a(kappa):
+    # A = diag(1, 1/kappa, 0) and C = 10 e2 e1* + e3 e1*: D = 10 kappa e2 e1*, so
+    # ||A|| ||D|| = 10 kappa, while C is 1 outside R(A); the roundoff the range
+    # test allows, 16 n eps kappa ||C||, is 2e-4 at kappa = 1e9
+    a = np.diag([1.0, 1.0 / kappa, 0.0]).astype(complex)
+    c = np.zeros((3, 3), dtype=complex)
+    c[1, 0], c[2, 0] = 10.0, 1.0
+    f = dg.factorize(a, c)
+    assert not f.range_ok
+    assert dg.solvability_report(f).verdict is dg.Verdict.UNSOLVABLE
+    assert f.range_residual == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(NotSolvable):
+        dg.general_solution(f, np.zeros((3, 3)))
 
 
 def test_verdicts_do_not_change_under_unitary_congruence(repro_reports):

@@ -546,7 +546,7 @@ def test_property_suite_takes_exact_norms_only_where_they_decide(monkeypatch):
     log = count_lapack(monkeypatch)
     report = oc.property_suite(oc.TrialSpec(trials=2, dim_max=4, seed=1000))
     assert report["violations"] == 0
-    assert [name for name, _, _ in log].count("svd") == 32
+    assert [name for name, _, _ in log].count("svd") == 33
 
 
 def test_property_suite_deterministic():
