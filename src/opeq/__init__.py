@@ -65,7 +65,6 @@ from .projpair import (
     Grid,
     GridFunction,
     NonexistenceCertificate,
-    PartialGridFunction,
     algebra_membership,
     canonical_pair,
     nonexistence_certificate,

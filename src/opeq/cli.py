@@ -29,16 +29,11 @@ import numpy as np
 
 from . import douglas, oracle, projpair
 from .errors import (
-    BadEpsilon,
-    BadGridSize,
     MatrixFormatError,
     NotSolvable,
     NotSolvableHermitian,
     NotSolvablePositive,
     OpeqError,
-    ParameterNotHermitian,
-    ParameterNotPSD,
-    ShapeMismatch,
 )
 from .matcore import (
     MajorizationResult,
@@ -242,8 +237,6 @@ def _cmd_solve(args, tol) -> int:
             args.out,
         )
         return EXIT_NEGATIVE
-    except (ParameterNotHermitian, ParameterNotPSD, ShapeMismatch) as exc:
-        raise _InputError(str(exc)) from exc
     residual = spectral_norm(a @ x - c)  # the builder's check screened it; print it exactly
     del f  # free its cached factors before the solution is serialized
 
@@ -262,10 +255,7 @@ def _cmd_solve(args, tol) -> int:
 def _cmd_check(args, tol) -> int:
     a = _load_matrix(args.a)
     c = _load_matrix(args.c)
-    try:
-        report = douglas.solvability_report(douglas.factorize(a, c, tol))
-    except ShapeMismatch as exc:
-        raise _InputError(str(exc)) from exc
+    report = douglas.solvability_report(douglas.factorize(a, c, tol))
     _emit(report.to_json(), args.out)
     return EXIT_OK
 
@@ -273,10 +263,7 @@ def _cmd_check(args, tol) -> int:
 def _cmd_majorize(args, tol) -> int:
     a = _load_matrix(args.a)
     c = _load_matrix(args.c)
-    try:
-        f = douglas.factorize(a, c, tol)
-    except ShapeMismatch as exc:
-        raise _InputError(str(exc)) from exc
+    f = douglas.factorize(a, c, tol)
     # by Douglas, C C* <= mu A A* for some mu exactly when R(C) is inside R(A),
     # and the least such mu is ||D||^2: both read the one factorization
     d_norm_sq = f.d_norm**2 if f.range_ok else None
@@ -288,11 +275,8 @@ def _cmd_majorize(args, tol) -> int:
 
 
 def _cmd_twoproj(args, tol) -> int:
-    try:
-        grid = projpair.uniform_grid(args.n)
-        certificate = projpair.nonexistence_certificate(grid)
-    except BadGridSize as exc:
-        raise _InputError(str(exc)) from exc
+    grid = projpair.uniform_grid(args.n)
+    certificate = projpair.nonexistence_certificate(grid)
     if args.csv:
         _write_csv(projpair.pointwise_solution(grid), args.csv)
     _emit(certificate.to_json(), args.out)
@@ -300,13 +284,10 @@ def _cmd_twoproj(args, tol) -> int:
 
 
 def _cmd_perturb(args, tol) -> int:
-    try:
-        grid = projpair.uniform_grid(args.n)
-        eps_snapped = projpair.snap_eps(grid, args.eps)
-        q_prime = projpair.perturb_q(grid, args.eps)
-        x = projpair.perturbed_solution(grid, args.eps)
-    except (BadGridSize, BadEpsilon) as exc:
-        raise _InputError(str(exc)) from exc
+    grid = projpair.uniform_grid(args.n)
+    eps_snapped = projpair.snap_eps(grid, args.eps)
+    q_prime = projpair.perturb_q(grid, args.eps)
+    x = projpair.perturbed_solution(grid, args.eps)
     p, q = projpair.canonical_pair(grid)
     distance = projpair.sup_distance(q, q_prime)
     residual = projpair.equation_residual_max(p, q_prime, x, tol)
@@ -360,11 +341,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, _tolerances(args))
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OpeqError as exc:
-        # typed failures not handled more specifically above are input errors
+    except (_InputError, OpeqError) as exc:
+        # typed failures a command does not handle are input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

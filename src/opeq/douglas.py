@@ -22,10 +22,15 @@ Every decision reads one :class:`Factorization` of ``(A, C, tol)``, made by
 :func:`factorize` from a single SVD of ``A``; the builders check each
 solution they emit before returning it.
 
-Positive solvability admits two equivalent finite-dimensional tests, and
-both are computed so they can cross-check each other: the least ``t`` with
-``C C* <= t C A*`` is finite exactly when ``C A*`` is PSD and the ranges of
-``D`` and ``D P`` coincide.  The range-equality test is authoritative.  When
+Positive solvability admits two finite-dimensional tests, equivalent in exact
+arithmetic, and both are computed so they can cross-check each other: the
+least ``t`` with ``C C* <= t C A*`` is finite exactly when ``C A*`` is PSD and
+the ranges of ``D`` and ``D P`` coincide.  The range-equality test is
+authoritative.  Computed, they agree with one known exception: a singular
+value of D outside ``R(DP)`` between the rank cut and the residual bound.  The
+range equality counts it in D's rank; the leak test of ``t_min`` sees it only
+squared in ``C C*``, below its bound.  So A = diag(1, 1, 0),
+C = E11 + 1e-9 E23 reads HERMITIAN with ``t_min`` 1.0.  When
 it holds, the norm ``lambda`` of the correction term
 ``(I - P) D* (D P)^dagger D (I - P)`` is reported in closed form; it is the
 limit of the compressed-resolvent norms ``||T_n||``, whose scan
@@ -161,8 +166,10 @@ class Factorization:
     with one eigendecomposition for its PSD test and ``t_min``, and one SVD of
     the compression ``K = M B`` of ``DP`` for the range equality and
     ``(DP)^dagger`` -- are never computed for a general solution or a
-    majorization.  Every equation residual ``A X - C``, D's included, is judged
-    by one rule, :meth:`equation_ok`.  Each threshold test asks
+    majorization; nor is ``E = M (I - P)``, which with ``K^dagger`` gives
+    X0's correction term ``E* K^dagger E``.  Every equation residual
+    ``A X - C``, D's included, is judged by one rule, :meth:`equation_ok`.
+    Each threshold test asks
     :func:`~opeq.matcore._within_residual_bound`, which takes a zgesdd norm
     only when Frobenius bounds cannot settle it and returns only the verdict;
     each number a certificate prints (``range_residual``, the deviation of
@@ -206,33 +213,24 @@ class Factorization:
         """``||A D - C||``, which the certificate of a failed range test prints."""
         return spectral_norm(self.a @ self.d - self.c)
 
-    @property
-    def p(self) -> np.ndarray:
-        """Orthogonal projector onto the row space of A."""
-        return self.row_basis @ self.row_basis.conj().T
-
     @cached_property
     def ip(self) -> np.ndarray:
-        """Its complement ``I - P``: exactly zero when A has full column rank."""
+        """``I - P``, with ``P = B B*`` A's row-space projector: zero at full column rank."""
         n = self.a.shape[1]
         if self.row_basis.shape[1] == n:
             return np.zeros((n, n), dtype=np.complex128)
-        return np.eye(n, dtype=np.complex128) - self.p
-
-    @cached_property
-    def ca(self) -> np.ndarray:
-        """``C A*``, whose Hermitian and PSD tests decide the Hermitian class."""
-        return self.c @ self.a.conj().T
+        return np.eye(n, dtype=np.complex128) - self.row_basis @ self.row_basis.conj().T
 
     @cached_property
     def _ca_spectrum(self) -> HermitianSpectrum:
         """The one deviation and eigendecomposition of ``C A*`` that its three tests read.
 
-        Its Hermitian and PSD tests are judged at ``||C|| ||A||``, the size of
-        the roundoff in forming the product, not at ``||C A*||``: ``C A*``
-        cancels to roundoff where ``P X P`` is small for a solution X.
+        ``C A*`` decides the Hermitian class.  Its Hermitian and PSD tests are
+        judged at ``||C|| ||A||``, the size of the roundoff in forming the
+        product, not at ``||C A*||``: ``C A*`` cancels to roundoff where
+        ``P X P`` is small for a solution X.
         """
-        return HermitianSpectrum(self.ca, self.tol, scale=self.a_norm * self.c)
+        return HermitianSpectrum(self.c @ self.a.conj().T, self.tol, scale=self.a_norm * self.c)
 
     @property
     def ca_hermitian(self) -> bool:
@@ -324,13 +322,18 @@ class Factorization:
         return self.d + self.ip @ self.d.conj().T
 
     @property
-    def x0_correction(self) -> np.ndarray:
-        """``(I - P) D* (DP)^dagger D (I - P) = E* K^dagger E``; its norm is the reported lambda.
+    def e(self) -> np.ndarray:
+        """``E = B* D (I - P) = M - K B*``, formed as ``M (I - P)``: zero at full column rank.
 
-        ``E = B* D (I - P) = M - K B*``, formed as ``M (I - P)``, exactly zero when
-        A has full column rank.
+        Formed on each read and not kept: ``x0_correction`` and the T_n scan of
+        :mod:`opeq.oracle` read it once each.
         """
-        e = self.m @ self.ip
+        return self.m @ self.ip
+
+    @property
+    def x0_correction(self) -> np.ndarray:
+        """``(I - P) D* (DP)^dagger D (I - P) = E* K^dagger E``; its norm is the reported lambda."""
+        e = self.e
         return e.conj().T @ _pinv_from_svd(*self._k_svd[:3]) @ e
 
     @property
@@ -446,8 +449,11 @@ def solvability_report(f: Factorization) -> SolvabilityReport:
     ``C C* <= t C A*``, the range equality ``R(D) = R(DP)``, and, for a
     positive verdict, the closed-form lambda.  The verdict is decided by the
     exact finite-dimensional tests (range, PSD, range equality); ``t_min``
-    offers the independent route, finite precisely when those hold, so the
-    two can be checked against each other.
+    offers the independent route, in exact arithmetic finite precisely when
+    those hold, so the two can be checked against each other.  They disagree
+    computed only where D has a singular value outside ``R(DP)`` between the
+    rank cut and the residual bound (see the module docstring): ``t_min`` is
+    then finite though the range equality fails.
     """
     _check_same_shape(f)
     verdict = _verdict(f)

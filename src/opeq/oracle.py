@@ -139,13 +139,16 @@ def positive_search(
 
     Candidates that cannot pass are never formed.  With ``P = B B*``, every
     X has the same compression ``B* X B = B* H0 B`` (``H0 = D + (I-P) D*``),
-    so by the Rayleigh quotient ``lambda_min(X) <= mu``, the least eigenvalue
-    of that compression.  ``U = (h + s ||G||_F^2)(1 + slack)``, with ``h``
-    the Frobenius bound of ``||H0||`` and ``slack = matcore._BOUND_SLACK``,
+    which is the factorization's ``K = B* D B`` since ``B* (I-P) = 0``; so by
+    the Rayleigh quotient ``lambda_min(X) <= mu``, the least eigenvalue of
+    ``sym(K)``.  ``U = (h + s ||G||_F^2)(1 + slack)``, with ``h`` the
+    Frobenius bound of ``||H0||`` and ``slack = matcore._BOUND_SLACK``,
     bounds ``||X||``, since ``||Y|| <= s ||G||_F^2`` and ``||I - P|| = 1``.
     A candidate with ``mu + slack * U < eigenvalue_floor(U)`` fails the
     floor test, and the rule is exact: the computed least eigenvalue is at
-    most ``mu`` plus a roundoff far below ``slack * U``, and the floor,
+    most ``mu`` plus a roundoff far below ``slack * U`` (computed, K and
+    ``B* H0 B`` differ by ``B* (I-P) D* B``, of order ``eps ||D||``, and
+    ``||D|| = ||P H0|| <= ||H0|| <= U``), and the floor,
     nonincreasing in the norm, is at least ``eigenvalue_floor(U)``.  The
     generator is still drawn in chunks of 256, so each candidate keeps its
     bits; the rest are formed and tested in order, in slices of 1, 4, 16, ...
@@ -164,7 +167,7 @@ def positive_search(
     n = f.a.shape[1]
     ip = f.ip
     base = f.h0
-    mu, base_top = _compression_floor(f.row_basis, base)
+    mu, base_top = _compression_floor(f.k, base)
 
     rng = _sub_rng(seed, 1)
     chunk = 256
@@ -199,18 +202,17 @@ def positive_search(
     return None
 
 
-def _compression_floor(basis, h0):
+def _compression_floor(k, h0):
     """``(mu, h)`` for the screen of :func:`positive_search`, or ``(None, None)`` for none.
 
-    ``mu`` is the least eigenvalue of ``sym(B* H0 B)``, from one ``eigvalsh`` of
-    an ``r x r`` matrix, and ``h`` the Frobenius upper bound of ``||H0||``
-    (``matcore._single_norm_bounds``).  There is no screen when A has rank 0
-    or either number is not finite.
+    ``mu`` is the least eigenvalue of ``sym(K)``, K the factorization's
+    ``B* D B``, from one ``eigvalsh`` of an ``r x r`` matrix, and ``h`` the
+    Frobenius upper bound of ``||H0||`` (``matcore._single_norm_bounds``).
+    There is no screen when A has rank 0 or either number is not finite.
     """
-    if not basis.shape[1]:
+    if not k.size:
         return None, None
-    comp = basis.conj().T @ h0 @ basis
-    mu = float(np.linalg.eigvalsh(0.5 * (comp + comp.conj().T))[0])
+    mu = float(np.linalg.eigvalsh(0.5 * (k + k.conj().T))[0])
     top = _single_norm_bounds(h0)[1]
     if not (math.isfinite(mu) and math.isfinite(top)):
         return None, None
@@ -232,10 +234,9 @@ def _compressed_state(f: douglas.Factorization):
     and PSD tests of :class:`~opeq.matcore.HermitianSpectrum`, whose one
     eigendecomposition it then reads.
     """
-    d = douglas.reduced_solution(f)
-    b = f.row_basis
-    if b.shape[1] == 0:
-        return np.zeros(0), np.zeros((0, d.shape[0]), dtype=np.complex128)
+    douglas.reduced_solution(f)  # raises NotSolvable for an inconsistent equation
+    if not f.k.size:  # A of rank 0: E is 0 x n
+        return np.zeros(0), f.e
     spectrum = HermitianSpectrum(f.k, f.tol)
     if not spectrum.is_hermitian:
         dev = spectrum.deviation
@@ -250,9 +251,7 @@ def _compressed_state(f: douglas.Factorization):
             certificate={"dp_min_eigenvalue": float(w[0])},
         )
     w = np.clip(w, 0.0, None)
-    e = d - d @ f.p  # D (I - P)
-    g = vecs.conj().T @ (b.conj().T @ e)
-    return w, g
+    return w, vecs.conj().T @ f.e
 
 
 def _tn_stack(w, g, n_values):
@@ -405,7 +404,7 @@ def _reduced_solution_facts(f: douglas.Factorization) -> tuple[bool, bool, bool]
     norm_ok = maj.finite and _within_residual_bound(abs(maj.mu_star - d_norm_sq), d_norm_sq, tol)
     pc, pd = row_space_projector(f.c, tol), row_space_projector(d, tol)
     kernel_ok = all(_within_residual_bound(p - q @ p, p, tol) for p, q in ((pd, pc), (pc, pd)))
-    rowspace_ok = _within_residual_bound(d - f.p @ d, d, tol)
+    rowspace_ok = _within_residual_bound(d - f.row_basis @ f.m, d, tol)
     return norm_ok, kernel_ok, rowspace_ok
 
 

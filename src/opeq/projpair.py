@@ -20,8 +20,8 @@ continuous across ``t = eps``; the perturbation distance is
 ``sin(pi*eps/2)``, so it can be made as small as desired.
 
 Grid functions are value tables, one 2x2 matrix per node.  Quantities that
-are singular at t = 0 are represented by :class:`PartialGridFunction`,
-whose table starts at the first positive node.  Membership in the algebra
+are singular at t = 0 are a :class:`GridFunction` with ``first=1``, whose
+table starts at the first positive node.  Membership in the algebra
 (diagonal endpoint values) is a checked predicate, never silently enforced:
 the whole point of the nonexistence certificate is to exhibit the
 near-solution that violates it.
@@ -30,7 +30,7 @@ near-solution that violates it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .matcore import (
 __all__ = [
     "Grid",
     "GridFunction",
-    "PartialGridFunction",
     "NonexistenceCertificate",
     "uniform_grid",
     "canonical_pair",
@@ -107,43 +106,23 @@ def uniform_grid(n_points: int) -> Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """A 2x2 matrix value at every node of a grid."""
+    """A 2x2 matrix value at every node of a grid from index ``first`` on.
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n_points, 2, 2):
-            raise MatrixFormatError(
-                f"values must have shape ({self.grid.n_points}, 2, 2), got {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
-            raise MatrixFormatError("grid-function values must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.grid.points
-
-
-@dataclass(frozen=True)
-class PartialGridFunction:
-    """A 2x2 matrix value at every positive node; undefined at t = 0.
-
-    ``values[k]`` belongs to ``grid.points[k + 1]``.
+    ``values[k]`` belongs to ``grid.points[first + k]``; ``first=1`` leaves a
+    function undefined at t = 0.
     """
 
     grid: Grid
     values: np.ndarray
+    first: int = 0
 
     def __post_init__(self):
+        if not 0 <= self.first < self.grid.n_points:
+            raise MatrixFormatError(f"first must index a grid node, got {self.first!r}")
         vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n_points - 1, 2, 2):
-            raise MatrixFormatError(
-                f"values must have shape ({self.grid.n_points - 1}, 2, 2), got {vals.shape}"
-            )
+        n_values = self.grid.n_points - self.first
+        if vals.shape != (n_values, 2, 2):
+            raise MatrixFormatError(f"values must have shape ({n_values}, 2, 2), got {vals.shape}")
         if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
             raise MatrixFormatError("grid-function values must be finite")
         vals.setflags(write=False)
@@ -151,7 +130,7 @@ class PartialGridFunction:
 
     @property
     def points(self) -> np.ndarray:
-        return self.grid.points[1:]
+        return self.grid.points[self.first :]
 
 
 @dataclass(frozen=True)
@@ -174,12 +153,7 @@ class NonexistenceCertificate:
             raise ValueError("gap must equal |interior_limit - boundary_value|")
 
     def to_json(self) -> dict:
-        return {
-            "boundary_value": self.boundary_value,
-            "interior_limit": self.interior_limit,
-            "gap": self.gap,
-            "grid_resolution": self.grid_resolution,
-        }
+        return asdict(self)
 
 
 def _cos_sin(points: np.ndarray):
@@ -212,18 +186,19 @@ def _solution_columns(points: np.ndarray):
     return 0.5 * (root_plus + root_minus), 0.5 * (-root_plus + root_minus)
 
 
-def pointwise_solution(grid: Grid) -> PartialGridFunction:
+def pointwise_solution(grid: Grid) -> GridFunction:
     """The unique X(t) with ``(P + Q)^{1/2} X = P`` at each positive node.
 
     Equals ``(P + Q)^{-1/2} P``: first column ``(x11, x21)``, second column
-    zero.  ``x11 -> 1/sqrt(2)`` and ``x21 -> -1/sqrt(2)`` as t -> 0.
+    zero.  ``x11 -> 1/sqrt(2)`` and ``x21 -> -1/sqrt(2)`` as t -> 0.  X is
+    singular at t = 0, so the result has ``first=1``.
     """
     pts = grid.points[1:]
     x11, x21 = _solution_columns(pts)
     vals = np.zeros((pts.size, 2, 2), dtype=np.complex128)
     vals[:, 0, 0] = x11
     vals[:, 1, 0] = x21
-    return PartialGridFunction(grid, vals)
+    return GridFunction(grid, vals, first=1)
 
 
 def nonexistence_certificate(grid: Grid) -> NonexistenceCertificate:
@@ -331,7 +306,7 @@ def sup_distance(f: GridFunction, g: GridFunction) -> float:
 def equation_residual_max(
     p: GridFunction,
     q: GridFunction,
-    x,
+    x: GridFunction,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> float:
     """Max over nodes of ``||(P + Q)^{1/2} X - P||``.
@@ -345,14 +320,13 @@ def equation_residual_max(
     entry by entry over the block, and one
     :func:`opeq.matcore.max_spectral_norm` call, with the running max as its
     floor, per block, so no LAPACK call is made per node while the
-    temporaries stay the size of one block.  ``x`` may be partial, in which
-    case t = 0 is skipped.  A node where ``P + Q`` is not PSD raises
+    temporaries stay the size of one block.  Nodes before ``x.first`` are
+    skipped.  A node where ``P + Q`` is not PSD raises
     :class:`NotPSD` whose certificate ``index`` is that node's grid index.
     """
-    offset = 1 if isinstance(x, PartialGridFunction) else 0
     worst = 0.0
     for lo in range(0, x.values.shape[0], _BLOCK_NODES):
-        nodes = slice(lo + offset, lo + offset + _BLOCK_NODES)
+        nodes = slice(lo + x.first, lo + x.first + _BLOCK_NODES)
         p_vals = p.values[nodes]
         try:
             root = sqrt_psd(p_vals + q.values[nodes], tol)

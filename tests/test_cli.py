@@ -549,6 +549,60 @@ def test_shape_mismatch_exit(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+ROWS = "A has 2 rows but C has 3; ranges live in different spaces"
+NO_GRID = "need an integer number of points >= 3, got 2"
+NO_EPS = "eps must lie strictly inside (0, 1), got "
+# every typed failure a command meets, and the input errors the CLI raises
+# itself, against its message: exit 1, nothing on stdout, the message alone on stderr
+INPUT_ERRORS = {
+    "check --a a.json --c c32.json": ROWS,
+    "majorize --a a.json --c c32.json": ROWS,
+    "solve --a a.json --c c32.json": ROWS,
+    "solve --a a.json --c c23.json --mode hermitian": (
+        "A and C must have identical shape for a square solution space, got (2, 2) and (2, 3)"
+    ),
+    "solve --a a.json --c c.json --mode hermitian --y skew.json": (
+        "parameter Y must be Hermitian (deviation 1.000e+00)"
+    ),
+    "solve --a a.json --c c.json --mode positive --z neg.json": (
+        "parameter Z must be positive semidefinite"
+    ),
+    "solve --a a.json --c c.json --y eye3.json": "parameter Y must have shape (2, 2), got (3, 3)",
+    "solve --a a.json --c c.json --mode hermitian --y eye3.json": "parameter Y must be 2x2, got (3, 3)",
+    "twoproj --n 50": "certificate needs a grid of at least 100 points, got 50",
+    "twoproj --n 2": NO_GRID,
+    "perturb --n 2 --eps 0.1": NO_GRID,
+    "perturb --n 100 --eps 1.5": NO_EPS + "1.5",
+    "perturb --n 100 --eps nan": NO_EPS + "nan",
+    "check --a no.json --c c.json": "cannot read no.json: [Errno 2] No such file or directory: 'no.json'",
+    "check --a a.json --c c.json --rank-rtol 2": (
+        "rank_rtol must be a number strictly between 0 and 1, got 2.0"
+    ),
+    "verify --max-dim 9": "dimensions must satisfy 1 <= dim_max <= 8",
+}
+
+
+@pytest.mark.parametrize("argv", list(INPUT_ERRORS))
+def test_input_errors_print_the_message_alone(capsys, monkeypatch, tmp_path, rank1_pair, argv):
+    monkeypatch.chdir(tmp_path)
+    a, c = rank1_pair
+    matrices = {
+        "a": a,
+        "c": c,
+        "c32": np.ones((3, 2)),
+        "c23": np.ones((2, 3)),
+        "skew": [[0, 1], [0, 0]],
+        "neg": [[-1, 0], [0, 0]],
+        "eye3": np.eye(3),
+    }
+    for name, m in matrices.items():
+        write_matrix(tmp_path / f"{name}.json", m)
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {INPUT_ERRORS[argv]}\n"
+
+
 def test_unknown_flag(capsys, rank1_files):
     code, _, _ = run_cli(capsys, "check", "--a", rank1_files[0], "--c", rank1_files[1], "--frobnicate")
     assert code == 1

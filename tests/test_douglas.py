@@ -522,12 +522,16 @@ def test_every_test_against_the_norm_of_c_reads_it_once_taken(monkeypatch):
 def test_factorization_invariants(rank1_pair):
     a, c = rank1_pair
     f = dg.factorize(a, c)
-    p = f.p
+    p = np.eye(2) - f.ip
     assert mc.hermitian_deviation(p) < 1e-12
     assert mc.spectral_norm(p @ p - p) < 1e-12
     np.testing.assert_allclose(p @ f.d, f.d, atol=1e-12)
-    np.testing.assert_allclose(f.ip, np.eye(2) - p, atol=1e-14)
+    np.testing.assert_allclose(p, f.row_basis @ f.row_basis.conj().T, atol=1e-14)
+    np.testing.assert_allclose(f.e, f.m @ (np.eye(2) - p), atol=1e-14)
     np.testing.assert_allclose(f.x0, np.array([[2, 1], [1, 0.5]]), atol=1e-12)
+    # at full column rank I - P is exactly zero, and so is E
+    full = dg.factorize(np.diag([1.0, 2.0]), c)
+    assert full.e.shape == (2, 2) and not full.e.any()
 
 
 def test_square_only_decisions_reject_column_mismatch():
@@ -927,6 +931,9 @@ def test_range_equality_within_the_residual_bound_needs_equal_ranks():
     assert mc._within_residual_bound(f._outside_range_dp(), f.m, f.tol)
     report = dg.solvability_report(f)
     assert report.verdict is dg.Verdict.HERMITIAN and not report.dp_range_eq
+    # the one known disagreement of the two routes: t_min's leak test sees the
+    # eps direction squared in C C* (1e-18), below the residual bound, and passes
+    assert report.t_min == 1.0
     assert report.certificate["failed_conditions"] == ["dp_range_eq"]
     assert report.certificate["rank_d"] == 2 and report.certificate["rank_dp"] == 1
     with pytest.raises(NotSolvablePositive) as info:

@@ -52,7 +52,9 @@ def test_gridfunction_shape_checks():
     with pytest.raises(MatrixFormatError):
         pp.GridFunction(g, np.zeros((3, 2, 2)))
     with pytest.raises(MatrixFormatError):
-        pp.PartialGridFunction(g, np.zeros((4, 2, 2)))
+        pp.GridFunction(g, np.zeros((4, 2, 2)), first=1)
+    with pytest.raises(MatrixFormatError):
+        pp.GridFunction(g, np.zeros((5, 2, 2)), first=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +268,7 @@ BLOCK = pp._BLOCK_NODES
 
 def residual_per_node(p, q, x):
     """The residual check with every node's root from eigh and its norm from zgesdd."""
-    offset = 1 if isinstance(x, pp.PartialGridFunction) else 0
-    nodes = slice(offset, None)
+    nodes = slice(x.first, None)
     w, v = np.linalg.eigh(p.values[nodes] + q.values[nodes])
     roots = (v * np.sqrt(np.clip(w, 0.0, None))[:, np.newaxis, :]) @ v.conj().swapaxes(1, 2)
     return float(np.max(mc.spectral_norms(roots @ x.values - p.values[nodes])))
