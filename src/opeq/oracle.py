@@ -137,24 +137,33 @@ def positive_search(
     the PSD and residual tests.  Returns None when the budget is exhausted;
     that is evidence of unsolvability, not proof.
 
-    Candidates that cannot pass are never formed.  With ``P = B B*``, every
-    X has the same compression ``B* X B = B* H0 B`` (``H0 = D + (I-P) D*``),
-    which is the factorization's ``K = B* D B`` since ``B* (I-P) = 0``; so by
-    the Rayleigh quotient ``lambda_min(X) <= mu``, the least eigenvalue of
-    ``sym(K)``.  ``U = (h + s ||G||_F^2)(1 + slack)``, with ``h`` the
-    Frobenius bound of ``||H0||`` and ``slack = matcore._BOUND_SLACK``,
-    bounds ``||X||``, since ``||Y|| <= s ||G||_F^2`` and ``||I - P|| = 1``.
-    A candidate with ``mu + slack * U < eigenvalue_floor(U)`` fails the
-    floor test, and the rule is exact: the computed least eigenvalue is at
-    most ``mu`` plus a roundoff far below ``slack * U`` (computed, K and
+    Candidates that cannot pass are never formed.  By Cauchy interlacing,
+    ``lambda_min(X)`` is at most the least eigenvalue of X's compression to
+    any subspace, and two compressions are read without forming X.  With
+    ``P = B B*``, every X has the same compression ``B* X B = B* H0 B``
+    (``H0 = D + (I-P) D*``), which is the factorization's ``K = B* D B``
+    since ``B* (I-P) = 0``; so ``lambda_min(X) <= mu``, the least eigenvalue
+    of ``sym(K)``.  Where that rejects nothing, as when DP is singular, the
+    2x2 compression of :func:`_border` bounds each candidate by its
+    ``lambda_2``, so ``lambda_min(X) <= min(mu, lambda_2)``.
+    ``U = (h + s ||G||_F^2)(1 + slack)``, with ``h`` the Frobenius bound of
+    ``||H0||`` and ``slack = matcore._BOUND_SLACK``, bounds ``||X||``, since
+    ``||Y|| <= s ||G||_F^2`` and ``||I - P|| = 1``.  A candidate with
+    ``min(mu, lambda_2) + slack * U < eigenvalue_floor(U)`` fails the floor
+    test, and the rule is exact: the computed least eigenvalue is at most
+    that bound plus a roundoff far below ``slack * U`` (computed, K and
     ``B* H0 B`` differ by ``B* (I-P) D* B``, of order ``eps ||D||``, and
-    ``||D|| = ||P H0|| <= ||H0|| <= U``), and the floor,
-    nonincreasing in the norm, is at least ``eigenvalue_floor(U)``.  The
-    generator is still drawn in chunks of 256, so each candidate keeps its
-    bits; the rest are formed and tested in order, in slices of 1, 4, 16, ...
-    up to 256, and the search stops at its first hit.  So it returns what
-    testing every candidate returns, bit for bit.  Nothing is screened when
-    A has rank 0 or ``mu`` or ``h`` is not finite.
+    ``||D|| = ||P H0|| <= ||H0|| <= U``; the 2x2 entries differ from X's
+    compression by ``O(eps U)`` too), and the floor, nonincreasing in the
+    norm, is at least ``eigenvalue_floor(U)``.  The generator is still drawn
+    in chunks of 256, so each candidate keeps its bits; the rest are formed
+    and tested in order, in slices of 1, 4, 16, ... up to 256, and the search
+    stops at its first hit.  So it returns what testing every candidate
+    returns, bit for bit.  The 2x2 bound is built only once a formed slice has
+    missed, so a search that hits at once pays nothing for it; it then
+    re-screens that chunk's remaining candidates and screens every later
+    chunk.  Nothing is screened when A has rank 0 or ``mu`` or ``h`` is not
+    finite.
     """
     if f.a.shape != f.c.shape:
         raise ShapeMismatch("A and C must have identical shape")
@@ -168,6 +177,8 @@ def positive_search(
     ip = f.ip
     base = f.h0
     mu, base_top = _compression_floor(f.k, base)
+    border = None
+    bordered = mu is None  # True once the border is built or ruled out
 
     rng = _sub_rng(seed, 1)
     chunk = 256
@@ -185,7 +196,7 @@ def positive_search(
         if mu is not None:
             parts = g.view(np.float64)
             top = (base_top + scales * np.einsum("kij,kij->k", parts, parts)) * (1.0 + _BOUND_SLACK)
-            survivors = np.flatnonzero(~(mu + _BOUND_SLACK * top < tol.eigenvalue_floor(top)))
+            survivors = _screened(survivors, mu, border, g, scales, top, tol)
         while survivors.size:
             pick, survivors = survivors[:step], survivors[step:]
             step = min(4 * step, chunk)
@@ -199,6 +210,11 @@ def positive_search(
                 candidate = x[k]
                 if f.equation_ok(candidate) and is_psd(candidate, tol):
                     return candidate
+            if not bordered:
+                bordered = True
+                border = _border(f, base)
+                if border is not None:
+                    survivors = _screened(survivors, mu, border, g, scales, top, tol)
     return None
 
 
@@ -208,7 +224,9 @@ def _compression_floor(k, h0):
     ``mu`` is the least eigenvalue of ``sym(K)``, K the factorization's
     ``B* D B``, from one ``eigvalsh`` of an ``r x r`` matrix, and ``h`` the
     Frobenius upper bound of ``||H0||`` (``matcore._single_norm_bounds``).
-    There is no screen when A has rank 0 or either number is not finite.
+    ``mu`` bounds every candidate's least eigenvalue; :func:`_border` adds a
+    bound per candidate where ``mu`` alone rejects nothing.  There is no
+    screen when A has rank 0 or either number is not finite.
     """
     if not k.size:
         return None, None
@@ -217,6 +235,53 @@ def _compression_floor(k, h0):
     if not (math.isfinite(mu) and math.isfinite(top)):
         return None, None
     return mu, top
+
+
+def _border(f: douglas.Factorization, h0):
+    """``(a, b, c0, eta)`` of the 2x2 compressions of :func:`positive_search`, or None.
+
+    ``xi`` is the unit direction of the largest column of the range-equality
+    witness ``M - U_K U_K* M`` and ``eta = E* xi / ||E* xi||``, with
+    ``E = M (I - P)``; ``eta`` lies in ``R(I - P)``, so it is orthogonal to
+    ``B xi``.  Since ``B* (I - P) = 0``, each candidate's compression to
+    ``span{B xi, eta}`` is ``[[a, b], [b, c0 + s ||G eta||^2]]``, with
+    ``a = xi* sym(K) xi``, ``b = ||E* xi||`` and ``c0 = eta* H0 eta``.  Where
+    R(D) and R(DP) differ, ``a`` is 0 and b is not, so its least eigenvalue is
+    about ``-b^2 / c``.  None when the witness or ``E* xi`` is zero or not
+    finite.  With K's SVD already taken, no LAPACK call is made.
+    """
+    witness = f._outside_range_dp()
+    if not witness.size:
+        return None
+    xi = witness[:, int(np.argmax(np.einsum("ij,ij->j", witness.conj(), witness).real))]
+    length = float(np.linalg.norm(xi))
+    if not (math.isfinite(length) and length > 0.0):
+        return None
+    xi = xi / length
+    ex = f.e.conj().T @ xi
+    b = float(np.linalg.norm(ex))
+    if not (math.isfinite(b) and b > 0.0):
+        return None
+    eta = ex / b
+    a = float(np.vdot(xi, f.k @ xi).real)
+    c0 = float(np.vdot(eta, h0 @ eta).real)
+    return a, b, c0, eta
+
+
+def _screened(survivors, mu, border, g, scales, top, tol):
+    """The candidates among ``survivors`` whose bound ``min(mu, lambda_2)`` can pass the floor.
+
+    ``lambda_2``, read only when ``border`` is given, is the least eigenvalue
+    of each candidate's 2x2 compression (:func:`_border`), in closed form.
+    """
+    bound = mu
+    if border is not None:
+        a, b, c0, eta = border
+        parts = (g[survivors] @ eta).view(np.float64)
+        c = c0 + scales[survivors] * np.einsum("ki,ki->k", parts, parts)
+        bound = np.minimum(mu, 0.5 * (a + c) - np.hypot(0.5 * (c - a), b))
+    cap = top[survivors]
+    return survivors[~(bound + _BOUND_SLACK * cap < tol.eigenvalue_floor(cap))]
 
 
 # ---------------------------------------------------------------------------

@@ -280,24 +280,31 @@ def algebra_membership(f: GridFunction, tol: ToleranceConfig = DEFAULT_TOLERANCE
     """True iff the values at t = 0 and t = 1 are diagonal within tolerance.
 
     A value is diagonal when its off-diagonal part is within the residual
-    bound of the value's norm.
+    bound of the value's norm.  A function with ``first > 0`` has no value at
+    t = 0, so it is not a member.
     """
+    if f.first:
+        return False
     ends = (f.values[0], f.values[-1])
     return all(_within_residual_bound(v - np.diag(np.diag(v)), v, tol) for v in ends)
 
 
 def sup_distance(f: GridFunction, g: GridFunction) -> float:
-    """Max over shared nodes of the operator-norm distance between values.
+    """Max over nodes of the operator-norm distance between values.
 
-    The nodes are processed in blocks of ``_BLOCK_NODES``, each one
+    Both functions must start at the same node, else
+    :class:`~opeq.errors.MatrixFormatError`.  The nodes are processed in
+    blocks of ``_BLOCK_NODES``, each one
     :func:`opeq.matcore.max_spectral_norm` call with the running max as its
     floor, so only nodes whose distance can still raise the max reach zgesdd
     and the temporaries stay the size of one block.
     """
     if f.grid.n_points != g.grid.n_points:
         raise MatrixFormatError("grid functions live on different grids")
+    if f.first != g.first:
+        raise MatrixFormatError(f"grid functions start at nodes {f.first} and {g.first}")
     worst = 0.0
-    for lo in range(0, f.grid.n_points, _BLOCK_NODES):
+    for lo in range(0, f.values.shape[0], _BLOCK_NODES):
         nodes = slice(lo, lo + _BLOCK_NODES)
         worst = max_spectral_norm(f.values[nodes] - g.values[nodes], worst)
     return worst

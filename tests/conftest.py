@@ -95,12 +95,14 @@ def inv_sqrt_sum(points):
 
 # the randomized search of opeq.oracle before its candidates were screened:
 # every drawn candidate formed and eigendecomposed in chunks of 256, the hits
-# tested in order; positive_search must return what this returns, bit for bit
+# tested in order by the same acceptance rule (the PSD test and
+# Factorization.equation_ok); positive_search must return what this returns,
+# bit for bit
 
 
 def reference_positive_search(f, budget=1000, seed=20514):
     """``oracle.positive_search`` with no screen and no early stop within a chunk."""
-    from opeq.matcore import _within_residual_bound, is_psd
+    from opeq.matcore import is_psd
     from opeq.oracle import _sub_rng
 
     if not (f.range_ok and f.ca_hermitian):
@@ -123,7 +125,7 @@ def reference_positive_search(f, budget=1000, seed=20514):
         hits = np.nonzero(eigs[:, 0] >= tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1)))[0]
         for k in hits:
             candidate = x[k]
-            if _within_residual_bound(f.a @ candidate - f.c, f.c, tol) and is_psd(candidate, tol):
+            if f.equation_ok(candidate) and is_psd(candidate, tol):
                 return candidate
         drawn += take
     return None

@@ -167,6 +167,37 @@ def test_screened_search_matches_near_a_psd_compression(delta, monkeypatch):
         assert formed > 0
 
 
+def pair_needing_a_large_parameter(rng, n, rank, size=2.0):
+    """A positively solvable pair whose PSD solutions need a large Y.
+
+    In the basis ``(V, V_perp)`` of A's row space and its complement, the
+    solution ``[[W, F], [F*, F* W^-1 F]]`` is PSD with a zero Schur
+    complement, so a candidate passes only where ``s G*G`` compressed to the
+    complement dominates ``F* W^-1 F``: the first candidates often miss and a
+    later one hits, after the 2x2 bound is built.
+    """
+    u, v = oc._unitaries(rng, n, 2)
+    a = (u[:, :rank] * rng.uniform(0.3, 2.0, rank)) @ v[:, :rank].conj().T
+    w = random_psd(rng, rank) + np.eye(rank)
+    off = size * complex_gaussian(rng, rank, n - rank)
+    x = np.block([[w, off], [off.conj().T, off.conj().T @ np.linalg.solve(w, off)]])
+    return a, a @ (v @ x @ v.conj().T)
+
+
+def test_screened_search_matches_where_the_border_is_built(monkeypatch):
+    built = []
+    border = oc._border
+    monkeypatch.setattr(oc, "_border", lambda f, h0: built.append(1) or border(f, h0))
+    hits = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        f = dg.factorize(*pair_needing_a_large_parameter(rng, n, int(rng.integers(1, n))))
+        hits += assert_search_matches_reference(f, 384, seed)
+    # most searches miss at first, build the bound, and still find the hit
+    assert len(built) >= 30 and hits >= 50
+
+
 def test_search_forms_no_candidate_when_the_compression_is_negative(monkeypatch):
     rng = np.random.default_rng(5)
     a = complex_gaussian(rng, 4, 4)
@@ -192,6 +223,22 @@ def test_search_hit_at_the_first_candidate_forms_only_it(monkeypatch):
     assert calls[0] == ("eigvalsh", (2, 2))
     assert sum(int(np.prod(shape[:-2])) for _, shape in calls[1:]) <= 2
     np.testing.assert_array_equal(x, reference_positive_search(f, budget=10**4, seed=1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_search_forms_one_candidate_on_a_range_deficient_pair(monkeypatch, n):
+    # K is PSD and singular there, so mu rejects nothing; the 2x2 bound, built
+    # once the first candidate misses, rules out the other 383, and K's SVD,
+    # already taken by the report, gives the witness without a LAPACK call
+    log = count_lapack(monkeypatch)
+    for seed in range(5):
+        f = dg.factorize(*oc._hermitian_but_never_positive(np.random.default_rng(seed), n))
+        assert dg.solvability_report(f).verdict is dg.Verdict.HERMITIAN
+        log.clear()
+        assert oc.positive_search(f, budget=384, seed=seed) is None
+        r = f.row_basis.shape[1]
+        calls = [(name, args[0].shape) for name, args, _ in log]
+        assert calls == [("eigvalsh", (r, r)), ("eigvalsh", (1, n, n))]
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,16 @@ def test_near_solution_fails_membership(grid):
     assert not pp.algebra_membership(extended)
 
 
+def test_membership_needs_a_value_at_zero(grid):
+    # the table of a first=1 function starts at t_1; with a diagonal value
+    # there and at t = 1 it is still not a member, as nothing is given at t = 0
+    x = pp.pointwise_solution(grid)
+    assert x.first == 1
+    diagonal = np.broadcast_to(np.eye(2, dtype=complex), x.values.shape)
+    assert not pp.algebra_membership(pp.GridFunction(grid, diagonal, first=1))
+    assert pp.algebra_membership(pp.GridFunction(grid, np.concatenate([diagonal[:1], diagonal])))
+
+
 # ---------------------------------------------------------------------------
 # the perturbation that restores solvability
 
@@ -373,6 +383,17 @@ def test_sup_distance_lapack_calls(monkeypatch, n, matrices):
     assert [name for name, _, _ in log] == ["svd"] * len(matrices)
     assert svd_matrices(log) == matrices
     assert distance == float(np.max(mc.spectral_norms(q.values - qp.values)))
+
+
+def test_sup_distance_rejects_functions_starting_at_different_nodes():
+    grid = pp.uniform_grid(600)
+    p, _ = pp.canonical_pair(grid)
+    x = pp.pointwise_solution(grid)
+    with pytest.raises(MatrixFormatError, match="start at nodes 0 and 1"):
+        pp.sup_distance(p, x)
+    assert pp.sup_distance(x, x) == 0.0
+    shifted = pp.GridFunction(grid, x.values + np.eye(2), first=1)
+    assert pp.sup_distance(x, shifted) == pytest.approx(1.0)
 
 
 def test_csv_export(grid):
