@@ -71,7 +71,6 @@ from .projpair import (
     perturb_q,
     perturbed_solution,
     pointwise_solution,
-    uniform_grid,
 )
 from .oracle import (
     TrialSpec,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from functools import cache
 
 import numpy as np
@@ -65,62 +66,52 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="FILE", help="write JSON here instead of stdout")
-    common.add_argument("--rank-rtol", type=float, default=None, metavar="X")
-    common.add_argument("--psd-atol", type=float, default=None, metavar="X")
-    common.add_argument("--residual-atol", type=float, default=None, metavar="X")
+    for setting in fields(ToleranceConfig):
+        common.add_argument(f"--{setting.name.replace('_', '-')}", type=float, metavar="X")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--a", required=True, metavar="FILE")
+    pair.add_argument("--c", required=True, metavar="FILE")
 
     parser = _Parser(prog="opeq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="solve AX = C in a chosen class")
-    p_solve.add_argument("--a", required=True, metavar="FILE")
-    p_solve.add_argument("--c", required=True, metavar="FILE")
-    p_solve.add_argument(
-        "--mode", choices=("general", "hermitian", "positive"), default="general"
-    )
+    def command(name, handler, summary, *parents):
+        subparser = sub.add_parser(name, parents=[common, *parents], help=summary)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    p_solve = command("solve", _cmd_solve, "solve AX = C in a chosen class", pair)
+    p_solve.add_argument("--mode", choices=_SOLVE_MODES, default="general")
     p_solve.add_argument("--y", metavar="FILE", help="free parameter for general/hermitian")
     p_solve.add_argument("--z", metavar="FILE", help="free PSD parameter for positive")
 
-    p_check = sub.add_parser("check", parents=[common], help="full solvability report")
-    p_check.add_argument("--a", required=True, metavar="FILE")
-    p_check.add_argument("--c", required=True, metavar="FILE")
+    command("check", _cmd_check, "full solvability report", pair)
+    command("majorize", _cmd_majorize, "least scale with CC* <= mu AA*", pair)
 
-    p_major = sub.add_parser("majorize", parents=[common], help="least scale with CC* <= mu AA*")
-    p_major.add_argument("--a", required=True, metavar="FILE")
-    p_major.add_argument("--c", required=True, metavar="FILE")
-
-    p_two = sub.add_parser(
-        "twoproj", parents=[common], help="nonexistence certificate for (P+Q)^(1/2) X = P"
-    )
+    p_two = command("twoproj", _cmd_twoproj, "nonexistence certificate for (P+Q)^(1/2) X = P")
     p_two.add_argument("--n", required=True, type=int, metavar="N", help="grid points (>= 100)")
     p_two.add_argument("--csv", metavar="FILE", help="export the candidate solution curve")
 
-    p_pert = sub.add_parser(
-        "perturb", parents=[common], help="perturb Q so the equation becomes solvable"
-    )
+    p_pert = command("perturb", _cmd_perturb, "perturb Q so the equation becomes solvable")
     p_pert.add_argument("--n", required=True, type=int, metavar="N")
     p_pert.add_argument("--eps", required=True, type=float, metavar="E")
     p_pert.add_argument("--csv-x", metavar="FILE", help="export the solution curve")
     p_pert.add_argument("--csv-q", metavar="FILE", help="export the perturbed projection")
 
-    p_ver = sub.add_parser("verify", parents=[common], help="seeded randomized property suite")
+    p_ver = command("verify", _cmd_verify, "seeded randomized property suite")
     p_ver.add_argument("--trials", type=int, default=500, metavar="T")
     p_ver.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED, metavar="S")
     p_ver.add_argument("--max-dim", type=int, default=6, metavar="D")
-    p_ver.add_argument(
-        "--rank-policy", choices=("full", "deficient", "random"), default="random"
-    )
+    p_ver.add_argument("--rank-policy", choices=oracle.RANK_POLICIES, default="random")
     return parser
 
 
 def _tolerances(args) -> ToleranceConfig:
-    overrides = {}
-    if args.rank_rtol is not None:
-        overrides["rank_rtol"] = args.rank_rtol
-    if args.psd_atol is not None:
-        overrides["psd_atol"] = args.psd_atol
-    if args.residual_atol is not None:
-        overrides["residual_atol"] = args.residual_atol
+    overrides = {
+        setting.name: value
+        for setting in fields(ToleranceConfig)
+        if (value := getattr(args, setting.name)) is not None
+    }
     try:
         return ToleranceConfig(**overrides)
     except ValueError as exc:
@@ -137,6 +128,11 @@ def _load_matrix(path: str) -> np.ndarray:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
     except MatrixFormatError as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of ``--a`` and ``--c``, read in that order."""
+    return _load_matrix(args.a), _load_matrix(args.c)
 
 
 _INDENT = 2
@@ -204,26 +200,27 @@ def _write_csv(fn, path: str) -> None:
         raise _InputError(f"cannot write {path}: {exc}") from exc
 
 
+# the solution families of solve --mode; the builder of each is
+# douglas.<mode>_solution, looked up when it is called, so that a wrapper
+# installed in douglas (as the benchmark's tracer installs one) is the one called
+_SOLVE_MODES = ("general", "hermitian", "positive")
+
+
 def _cmd_solve(args, tol) -> int:
-    a = _load_matrix(args.a)
-    c = _load_matrix(args.c)
+    a, c = _load_pair(args)
     if args.mode == "positive" and args.y:
         raise _InputError("--y does not apply to positive mode; use --z")
     if args.mode != "positive" and args.z:
         raise _InputError("--z only applies to positive mode; use --y")
 
-    n_param = (a.shape[1], c.shape[1])
     try:
         f = douglas.factorize(a, c, tol)
-        if args.mode == "general":
-            y = _load_matrix(args.y) if args.y else np.zeros(n_param)
-            x = douglas.general_solution(f, y)
-        elif args.mode == "hermitian":
-            y = _load_matrix(args.y) if args.y else np.zeros((a.shape[1], a.shape[1]))
-            x = douglas.hermitian_solution(f, y)
-        else:
-            z = _load_matrix(args.z) if args.z else np.zeros((a.shape[1], a.shape[1]))
-            x = douglas.positive_solution(f, z)
+        # the free parameter, Y or Z by the mode; its default is the zero matrix
+        # of the shape a general member takes, which for the other families,
+        # whose A and C share a shape, is square
+        path = args.y or args.z
+        free = _load_matrix(path) if path else np.zeros((a.shape[1], c.shape[1]))
+        x = getattr(douglas, f"{args.mode}_solution")(f, free)
     except (NotSolvable, NotSolvableHermitian, NotSolvablePositive) as exc:
         report = douglas.solvability_report(f) if a.shape == c.shape else None
         _emit(
@@ -253,29 +250,23 @@ def _cmd_solve(args, tol) -> int:
 
 
 def _cmd_check(args, tol) -> int:
-    a = _load_matrix(args.a)
-    c = _load_matrix(args.c)
-    report = douglas.solvability_report(douglas.factorize(a, c, tol))
+    report = douglas.solvability_report(douglas.factorize(*_load_pair(args), tol))
     _emit(report.to_json(), args.out)
     return EXIT_OK
 
 
 def _cmd_majorize(args, tol) -> int:
-    a = _load_matrix(args.a)
-    c = _load_matrix(args.c)
-    f = douglas.factorize(a, c, tol)
+    f = douglas.factorize(*_load_pair(args), tol)
     # by Douglas, C C* <= mu A A* for some mu exactly when R(C) is inside R(A),
     # and the least such mu is ||D||^2: both read the one factorization
     d_norm_sq = f.d_norm**2 if f.range_ok else None
-    payload = MajorizationResult(finite=f.range_ok, mu_star=d_norm_sq).to_json()
-    payload["range_inclusion"] = f.range_ok
-    payload["d_norm_sq"] = d_norm_sq
-    _emit(payload, args.out)
+    payload = MajorizationResult(mu_star=d_norm_sq).to_json()
+    _emit({**payload, "range_inclusion": f.range_ok, "d_norm_sq": d_norm_sq}, args.out)
     return EXIT_OK
 
 
 def _cmd_twoproj(args, tol) -> int:
-    grid = projpair.uniform_grid(args.n)
+    grid = projpair.Grid(args.n)
     certificate = projpair.nonexistence_certificate(grid)
     if args.csv:
         _write_csv(projpair.pointwise_solution(grid), args.csv)
@@ -284,7 +275,7 @@ def _cmd_twoproj(args, tol) -> int:
 
 
 def _cmd_perturb(args, tol) -> int:
-    grid = projpair.uniform_grid(args.n)
+    grid = projpair.Grid(args.n)
     eps_snapped = projpair.snap_eps(grid, args.eps)
     q_prime = projpair.perturb_q(grid, args.eps)
     x = projpair.perturbed_solution(grid, args.eps)
@@ -326,21 +317,11 @@ def _cmd_verify(args, tol) -> int:
     return EXIT_OK if report["violations"] == 0 else EXIT_NEGATIVE
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "check": _cmd_check,
-    "majorize": _cmd_majorize,
-    "twoproj": _cmd_twoproj,
-    "perturb": _cmd_perturb,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, _tolerances(args))
+        return args.handler(args, _tolerances(args))
     except (_InputError, OpeqError) as exc:
         # typed failures a command does not handle are input errors
         print(f"error: {exc}", file=sys.stderr)

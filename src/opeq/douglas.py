@@ -74,7 +74,6 @@ from .matcore import (
     _single_norm_bounds,
     _within_residual_bound,
     as_matrix,
-    hermitian_deviation,
     is_psd,
     spectral_norm,
     truncated_svd,
@@ -518,14 +517,15 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
         )
 
     x = f.h0 + f.ip @ y @ f.ip
+    spectrum = HermitianSpectrum(x, f.tol)
 
     def numbers():
         return {
-            "solution_deviation": hermitian_deviation(x),
+            "solution_deviation": spectrum.deviation,
             "deviation_bound": f.tol.residual_bound(spectral_norm(x)),
         }
 
-    failed = ["solution_hermitian"] * (not _within_residual_bound(x - x.conj().T, x, f.tol))
+    failed = ["solution_hermitian"] * (not spectrum.is_hermitian)
     return _checked(f, x, NotSolvableHermitian, failed, numbers)
 
 

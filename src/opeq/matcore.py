@@ -24,7 +24,7 @@ import cmath
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -118,7 +118,11 @@ class ToleranceConfig:
     :mod:`opeq.oracle` reads the fields as rules of its own: it converges
     when a doubling moves the norm by less than ``residual_atol * (1 +
     estimate)``, diverges on growth by ``1 + psd_atol`` per doubling, and
-    matches lambda within that same bound.
+    matches lambda within that same bound.  The ``1 +`` is an absolute floor
+    the shared rule lacks, and the scan needs it where lambda is 0: there the
+    ``T_n`` norms are roundoff that doubles with n (about 3e-20 on ``A = U
+    diag(1, 0.7, 0) V*``, ``C = A V diag(1.3, 0, 0.9) V*``), which a bound
+    relative to the estimate alone calls unsettled on every such pair.
     """
 
     rank_rtol: float = 1e-10
@@ -126,11 +130,11 @@ class ToleranceConfig:
     residual_atol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rtol", "psd_atol", "residual_atol"):
-            value = getattr(self, name)
+        for setting in fields(self):
+            value = getattr(self, setting.name)
             if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
                 raise ValueError(
-                    f"{name} must be a number strictly between 0 and 1, got {value!r}"
+                    f"{setting.name} must be a number strictly between 0 and 1, got {value!r}"
                 )
 
     def residual_bound(self, norm):
@@ -153,20 +157,21 @@ DEFAULT_TOLERANCES = ToleranceConfig()
 class MajorizationResult:
     """Least scale ``mu`` with ``C C* <= mu A A*``, or the fact that none exists.
 
-    Infinity is an explicit flag, never a sentinel float: ``finite`` is False
-    exactly when ``mu_star`` is None.
+    Infinity is an explicit flag, never a sentinel float: ``mu_star`` is None
+    when no finite scale exists, and :attr:`finite` is False exactly then.
     """
 
-    finite: bool
     mu_star: float | None
 
     def __post_init__(self):
-        if self.finite != (self.mu_star is not None):
-            raise ValueError("finite flag must match presence of mu_star")
         if self.mu_star is not None and not (
             math.isfinite(self.mu_star) and self.mu_star >= 0.0
         ):
             raise ValueError("mu_star must be a finite nonnegative number")
+
+    @property
+    def finite(self) -> bool:
+        return self.mu_star is not None
 
     def to_json(self):
         return {"finite": self.finite, "mu_star": self.mu_star if self.finite else "inf"}
@@ -767,7 +772,7 @@ def min_majorization_scale(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> M
     u, s, _ = truncated_svd(a, tol)
     coords = u.conj().T @ c
     if not _within_residual_bound(c - u @ coords, c, tol):
-        return MajorizationResult(finite=False, mu_star=None)
+        return MajorizationResult(mu_star=None)
     g = coords / s[:, np.newaxis]
     top = np.max(np.linalg.eigvalsh(g @ g.conj().T), initial=0.0)  # 0 for A of rank 0
-    return MajorizationResult(finite=True, mu_star=float(top))
+    return MajorizationResult(mu_star=float(top))

@@ -31,6 +31,7 @@ its head ``T_1, ..., T_16``; the head's monotonicity tests are one more.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,7 @@ from .matcore import (
 __all__ = [
     "GENERATOR_NAME",
     "DEFAULT_SEED",
+    "RANK_POLICIES",
     "TrialSpec",
     "lsq_solve",
     "positive_search",
@@ -81,9 +83,17 @@ _SCHEDULE = tuple(2**k for k in range(41))
 _HEAD = _SCHEDULE[:5]  # T_1, T_2, T_4, T_8, T_16
 
 
+# how the rank of a random operator is drawn: full, below full, or either
+RANK_POLICIES = ("full", "deficient", "random")
+
+
 @dataclass(frozen=True)
 class TrialSpec:
-    """How to drive a randomized run: dimensions 1 to dim_max, rank policy, count, seed."""
+    """How to drive a randomized run: dimensions 1 to dim_max, rank policy, count, seed.
+
+    ``dim_max``, ``trials`` and ``seed`` may be of any integer type
+    (:func:`operator.index`) and are kept as Python ints.
+    """
 
     dim_max: int = 6
     rank_policy: str = "random"
@@ -91,13 +101,19 @@ class TrialSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("dim_max", "trials", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not (1 <= self.dim_max <= 8):
             raise ValueError("dimensions must satisfy 1 <= dim_max <= 8")
-        if self.rank_policy not in ("full", "deficient", "random"):
+        if self.rank_policy not in RANK_POLICIES:
             raise ValueError(f"unknown rank policy {self.rank_policy!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
 

@@ -1,8 +1,9 @@
 """Two projections in an algebra of 2x2 matrix functions on [0, 1].
 
 The model: continuous functions from [0, 1] into 2x2 complex matrices whose
-values at both endpoints are diagonal, discretized on a uniform grid.  The
-canonical pair of pointwise projections is
+values at both endpoints are diagonal, discretized on the uniform grid
+``Grid(n)`` of [0, 1], which its node count n alone fixes.  The canonical
+pair of pointwise projections is
 
     P(t) = [[1, 0], [0, 0]],    Q(t) = [[c^2, s c], [s c, s^2]],
 
@@ -30,7 +31,9 @@ near-solution that violates it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import numbers
+import operator
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,7 +50,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "NonexistenceCertificate",
-    "uniform_grid",
     "canonical_pair",
     "pointwise_solution",
     "nonexistence_certificate",
@@ -74,34 +76,27 @@ _BLOCK_NODES = 512
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform sample points 0 = t_0 < t_1 < ... < t_{n-1} = 1."""
+    """``Grid(n)``: the uniform grid 0 = t_0 < t_1 < ... < t_{n-1} = 1 of n >= 3 nodes.
 
-    points: np.ndarray
+    ``points`` is ``np.linspace(0.0, 1.0, n)``, read-only.  ``n`` may be any
+    integer type (:func:`operator.index`); anything else raises
+    :class:`BadGridSize`.
+    """
+
+    n_points: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 3:
-            raise BadGridSize("a grid needs at least 3 points on one axis")
-        if pts[0] != 0.0 or pts[-1] != 1.0:
-            raise BadGridSize("grid must start at exactly 0 and end at exactly 1")
-        steps = np.diff(pts)
-        if np.any(steps <= 0.0):
-            raise BadGridSize("grid points must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-12:
-            raise BadGridSize("grid spacing must be uniform")
+        try:
+            n = operator.index(self.n_points)
+        except TypeError:  # not an integer
+            n = 0
+        if n < 3:
+            raise BadGridSize(f"need an integer number of points >= 3, got {self.n_points!r}")
+        pts = np.linspace(0.0, 1.0, n)
         pts.setflags(write=False)
+        object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "points", pts)
-
-    @property
-    def n_points(self) -> int:
-        return int(self.points.size)
-
-
-def uniform_grid(n_points: int) -> Grid:
-    """Uniform grid on [0, 1] with the given number of nodes (at least 3)."""
-    if not (isinstance(n_points, int) and n_points >= 3):
-        raise BadGridSize(f"need an integer number of points >= 3, got {n_points!r}")
-    return Grid(np.linspace(0.0, 1.0, n_points))
 
 
 @dataclass(frozen=True)
@@ -139,21 +134,21 @@ class NonexistenceCertificate:
 
     The boundary constraint pins ``x21(0)`` to ``boundary_value`` (zero, by
     diagonality), while the unique candidate solution approaches
-    ``interior_limit`` at the smallest positive node.  A positive ``gap``
+    ``interior_limit`` at the smallest positive node.  A positive :attr:`gap`
     certifies unsolvability at this resolution.
     """
 
     boundary_value: float
     interior_limit: float
-    gap: float
     grid_resolution: int
 
-    def __post_init__(self):
-        if abs(abs(self.interior_limit - self.boundary_value) - self.gap) > 1e-12:
-            raise ValueError("gap must equal |interior_limit - boundary_value|")
+    @property
+    def gap(self) -> float:
+        """``|interior_limit - boundary_value|``."""
+        return abs(self.interior_limit - self.boundary_value)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "gap": self.gap}
 
 
 def _cos_sin(points: np.ndarray):
@@ -212,27 +207,22 @@ def nonexistence_certificate(grid: Grid) -> NonexistenceCertificate:
         raise BadGridSize(
             f"certificate needs a grid of at least 100 points, got {grid.n_points}"
         )
-    t1 = grid.points[1]
-    _, x21 = _solution_columns(np.array([t1]))
-    interior = float(x21[0])
-    boundary = 0.0
+    _, x21 = _solution_columns(grid.points[1:2])
     return NonexistenceCertificate(
-        boundary_value=boundary,
-        interior_limit=interior,
-        gap=abs(interior - boundary),
-        grid_resolution=grid.n_points,
+        boundary_value=0.0, interior_limit=float(x21[0]), grid_resolution=grid.n_points
     )
 
 
 def snap_eps(grid: Grid, eps: float) -> float:
     """Snap eps to the nearest interior grid node.
 
-    Raises :class:`BadEpsilon` unless ``0 < eps < 1``; the snapped value is
-    always strictly inside (0, 1) as well.
+    Raises :class:`BadEpsilon` unless eps is a real number (any
+    :class:`numbers.Real`) with ``0 < eps < 1``; the snapped value is always
+    strictly inside (0, 1) as well.
     """
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and 0.0 < eps < 1.0):
+    if not (isinstance(eps, numbers.Real) and math.isfinite(eps) and 0.0 < eps < 1.0):
         raise BadEpsilon(f"eps must lie strictly inside (0, 1), got {eps!r}")
-    idx = int(round(eps * (grid.n_points - 1)))
+    idx = int(round(float(eps) * (grid.n_points - 1)))
     idx = min(max(idx, 1), grid.n_points - 2)
     return float(grid.points[idx])
 

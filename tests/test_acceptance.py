@@ -93,7 +93,7 @@ def test_criterion_2_hermitian_but_never_positive(pair3):
 
 def test_criterion_3_nonexistence_certificate():
     t0 = time.perf_counter()
-    grid = pp.uniform_grid(1000)
+    grid = pp.Grid(1000)
     cert = pp.nonexistence_certificate(grid)
     x = pp.pointwise_solution(grid)
     x21_first = float(x.values[0][1, 0].real)
@@ -112,7 +112,7 @@ def test_criterion_3_nonexistence_certificate():
 
 def test_criterion_4_closed_form_validation():
     t0 = time.perf_counter()
-    grid = pp.uniform_grid(1000)
+    grid = pp.Grid(1000)
     p, q = pp.canonical_pair(grid)
     closed = sqrt_sum_closed_form(grid.points)
     worst = max(
@@ -133,7 +133,7 @@ def test_criterion_4_closed_form_validation():
 
 def test_criterion_5_perturbation_realization():
     t0 = time.perf_counter()
-    grid = pp.uniform_grid(1000)
+    grid = pp.Grid(1000)
     p, q = pp.canonical_pair(grid)
     distances = []
     all_ok = True

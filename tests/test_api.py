@@ -4,10 +4,14 @@ import inspect
 import pkgutil
 import types
 from collections import Counter
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
-from opeq.errors import OpeqError
+from opeq import oracle as oc
+from opeq import projpair as pp
+from opeq.errors import BadEpsilon, BadGridSize, OpeqError
 
 LAYERS = ("opeq.matcore", "opeq.douglas", "opeq.projpair", "opeq.oracle")
 
@@ -88,7 +92,6 @@ def test_every_layer_name_is_read_in_the_package():
 def test_tolerance_fields_are_read_only_by_their_rules():
     reads = sum((_field_reads(name) for name in _package_modules()), Counter())
     del reads[("opeq.matcore", "ToleranceConfig")]
-    del reads[("opeq.cli", "_tolerances")]  # reads the parsed flags, not a ToleranceConfig
     assert reads == OWN_RULES
 
 
@@ -176,15 +179,8 @@ def elsewhere(m, tol):
     assert _bound_comparisons(source) == {"inline", "named", "looped"}
 
 
-# the float-literal thresholds the package keeps, each checking outside input
-# or an invariant of its own, not a numerical verdict: the spacing of a grid
-# handed to projpair.Grid, and the gap identity of a NonexistenceCertificate
-LITERAL_THRESHOLDS = Counter(
-    {
-        ("opeq.projpair", "Grid"): 1,
-        ("opeq.projpair", "NonexistenceCertificate"): 1,
-    }
-)
+# the float-literal thresholds the package keeps: none
+LITERAL_THRESHOLDS = Counter()
 
 
 def _is_draw(node):
@@ -285,3 +281,43 @@ def cached(obj):
     return obj.norm
 """
     assert _dict_accesses(source) == {"Cached", "write", "through_getattr"}
+
+
+# counts, seeds and eps of any numeric type are read as the Python numbers they equal
+NUMPY_SCALARS = {
+    "grid_count": (lambda: [pp.Grid(np.int64(1000)).n_points], [1000]),
+    "eps": (lambda: [pp.snap_eps(pp.Grid(1001), np.float32(0.25))], [0.25]),
+    "trial_spec": (
+        lambda: astuple(oc.TrialSpec(dim_max=np.uint8(4), trials=np.int32(2), seed=np.int64(3))),
+        [4, "random", 2, 3],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMPY_SCALARS))
+def test_numpy_scalars_are_read_as_python_numbers(case):
+    read, expected = NUMPY_SCALARS[case]
+    got = list(read())
+    assert got == expected
+    assert list(map(type, got)) == list(map(type, expected))
+
+
+NUMERIC_REJECTS = {
+    "grid_float_count": (lambda: pp.Grid(np.float64(1000.0)), BadGridSize),
+    "grid_small_count": (lambda: pp.Grid(np.int64(2)), BadGridSize),
+    "eps_nan": (lambda: pp.snap_eps(pp.Grid(100), np.float32("nan")), BadEpsilon),
+    "eps_inf": (lambda: pp.snap_eps(pp.Grid(100), np.float64("inf")), BadEpsilon),
+    "eps_range": (lambda: pp.snap_eps(pp.Grid(100), np.float32(1.5)), BadEpsilon),
+    "eps_text": (lambda: pp.snap_eps(pp.Grid(100), "0.1"), BadEpsilon),
+    "seed_float": (lambda: oc.TrialSpec(seed=3.0), ValueError),
+    "seed_negative": (lambda: oc.TrialSpec(seed=np.int64(-1)), ValueError),
+    "trials_float": (lambda: oc.TrialSpec(trials=np.float64(2.0)), ValueError),
+    "dim_max_range": (lambda: oc.TrialSpec(dim_max=np.int8(9)), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMERIC_REJECTS))
+def test_numeric_inputs_out_of_type_or_range_are_rejected(case):
+    build, error = NUMERIC_REJECTS[case]
+    with pytest.raises(error):
+        build()

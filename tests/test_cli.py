@@ -603,6 +603,17 @@ def test_input_errors_print_the_message_alone(capsys, monkeypatch, tmp_path, ran
     assert captured.err == f"error: {INPUT_ERRORS[argv]}\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "check", "majorize", "twoproj", "perturb", "verify"])
+def test_every_command_lists_the_common_flags_in_its_help(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: opeq {command} ")
+    for flag in ("--out", "--rank-rtol", "--psd-atol", "--residual-atol"):
+        assert f"{flag} " in out
+
+
 def test_unknown_flag(capsys, rank1_files):
     code, _, _ = run_cli(capsys, "check", "--a", rank1_files[0], "--c", rank1_files[1], "--frobnicate")
     assert code == 1

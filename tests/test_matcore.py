@@ -1048,9 +1048,8 @@ def test_majorization_norm_identity_random():
 
 
 def test_majorization_result_invariant():
-    with pytest.raises(ValueError):
-        mc.MajorizationResult(finite=False, mu_star=1.0)
-    with pytest.raises(ValueError):
-        mc.MajorizationResult(finite=True, mu_star=None)
-    with pytest.raises(ValueError):
-        mc.MajorizationResult(finite=True, mu_star=-2.0)
+    assert mc.MajorizationResult(None).finite is False
+    assert mc.MajorizationResult(0.0).finite is True
+    for bad in (-2.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mc.MajorizationResult(mu_star=bad)

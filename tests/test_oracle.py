@@ -326,6 +326,25 @@ def test_tn_sequence_divergent(hermitian_only_pair):
     assert diverged and not converged
 
 
+def test_tn_check_settles_where_lambda_is_roundoff(monkeypatch):
+    # A = U diag(1, 0.7, 0) V* and X0 = V diag(1.3, 0, 0.9) V*: D = P X0 is
+    # 1.3 v1 v1*, zero on the kernel of A, so T_n and lambda are 0 in exact
+    # arithmetic and the computed T_n norms are roundoff (about 3e-20) that
+    # doubles with n.  The scan settles only through the absolute floor of
+    # residual_atol * (1 + estimate); a bound relative to the estimate alone
+    # fails every one of these pairs
+    def pair(rng, spec, flavor):
+        u, v = oc._unitaries(rng, 3, 2)
+        a = u @ np.diag([1.0, 0.7, 0.0]) @ v.conj().T
+        x0 = v @ np.diag([1.3, 0.0, 0.9]) @ v.conj().T
+        return a, a @ x0, x0
+
+    monkeypatch.setattr(oc, "_consistent_pair", pair)
+    spec = oc.TrialSpec(dim_max=2, trials=1)
+    for seed in range(40):
+        assert oc._check_tn_lambda(np.random.default_rng(seed), spec, mc.DEFAULT_TOLERANCES) is None
+
+
 def test_tn_monotone_loewner(rank1_pair):
     # 3 and 5 are off the schedule
     ts = oc._tn_stack(*oc._compressed_state(dg.factorize(*rank1_pair)), [1, 2, 3, 4, 5, 8, 16, 32])
@@ -532,7 +551,7 @@ def _search_hit_moved(shift):
 
 def _majorization_off_by_one(a, c, tol):
     mu_star = mc.min_majorization_scale(a, c, tol).mu_star
-    return mc.MajorizationResult(finite=True, mu_star=mu_star + 1.0)
+    return mc.MajorizationResult(mu_star=mu_star + 1.0)
 
 
 # a wrong part fails the property that checks it, with that check's detail

@@ -16,7 +16,7 @@ INV_ROOT2 = 1.0 / math.sqrt(2.0)
 
 @pytest.fixture(scope="module")
 def grid():
-    return pp.uniform_grid(1000)
+    return pp.Grid(1000)
 
 
 @pytest.fixture(scope="module")
@@ -28,27 +28,37 @@ def pair(grid):
 # grid plumbing
 
 
-def test_uniform_grid_basic():
-    g = pp.uniform_grid(5)
+def test_grid_basic():
+    g = pp.Grid(5)
     np.testing.assert_allclose(g.points, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert g.n_points == 5
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, -3, 2.5])
-def test_uniform_grid_rejects(n):
+@pytest.mark.parametrize("n", [3, 5, 1000, 1001, 5000])
+def test_grid_points_are_the_read_only_linspace(n):
+    g = pp.Grid(n)
+    assert g.points.tobytes() == np.linspace(0.0, 1.0, n).tobytes()
+    assert not g.points.flags.writeable
+    with pytest.raises(ValueError):
+        g.points[1] = 0.5
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, -3, 2.5, 1000.0])
+def test_grid_rejects(n):
     with pytest.raises(BadGridSize):
-        pp.uniform_grid(n)
+        pp.Grid(n)
 
 
-def test_grid_rejects_nonuniform():
+def test_grid_rejects_a_point_array():
+    # a grid is fixed by its node count; its points are never handed in
     with pytest.raises(BadGridSize):
         pp.Grid(np.array([0.0, 0.1, 1.0]))
     with pytest.raises(BadGridSize):
-        pp.Grid(np.array([0.0, 0.5, 0.9]))
+        pp.Grid(np.linspace(0.0, 1.0, 5))
 
 
 def test_gridfunction_shape_checks():
-    g = pp.uniform_grid(4)
+    g = pp.Grid(4)
     with pytest.raises(MatrixFormatError):
         pp.GridFunction(g, np.zeros((3, 2, 2)))
     with pytest.raises(MatrixFormatError):
@@ -62,7 +72,7 @@ def test_gridfunction_shape_checks():
 
 
 def test_rotating_projection_endpoints():
-    g = pp.uniform_grid(1001)  # node 500 is t = 1/2 exactly
+    g = pp.Grid(1001)  # node 500 is t = 1/2 exactly
     _, q = pp.canonical_pair(g)
     np.testing.assert_allclose(q.values[0], np.diag([1.0, 0.0]), atol=1e-15)
     np.testing.assert_allclose(q.values[-1], np.diag([0.0, 1.0]), atol=1e-15)
@@ -168,19 +178,34 @@ def test_certificate_values(grid):
     assert cert.interior_limit == pytest.approx(-INV_ROOT2, abs=5e-3)
 
 
+def test_certificate_gap_is_read_from_its_values():
+    cert = pp.nonexistence_certificate(pp.Grid(1000))
+    assert cert.gap == abs(cert.interior_limit - cert.boundary_value)
+    assert cert.to_json() == {
+        "boundary_value": 0.0,
+        "interior_limit": cert.interior_limit,
+        "gap": cert.gap,
+        "grid_resolution": 1000,
+    }
+    with pytest.raises(TypeError):
+        pp.NonexistenceCertificate(
+            boundary_value=0.0, interior_limit=-0.7, gap=0.7, grid_resolution=1000
+        )
+
+
 def test_certificate_coarse():
-    cert = pp.nonexistence_certificate(pp.uniform_grid(100))
+    cert = pp.nonexistence_certificate(pp.Grid(100))
     assert cert.gap >= 0.69
 
 
 def test_certificate_gap_monotone():
-    gaps = [pp.nonexistence_certificate(pp.uniform_grid(n)).gap for n in (100, 200, 500, 1000)]
+    gaps = [pp.nonexistence_certificate(pp.Grid(n)).gap for n in (100, 200, 500, 1000)]
     assert all(g2 >= g1 for g1, g2 in zip(gaps, gaps[1:]))
 
 
 def test_certificate_needs_resolution():
     with pytest.raises(BadGridSize):
-        pp.nonexistence_certificate(pp.uniform_grid(50))
+        pp.nonexistence_certificate(pp.Grid(50))
 
 
 def test_near_solution_fails_membership(grid):
@@ -287,7 +312,7 @@ def residual_per_node(p, q, x):
 @pytest.fixture(scope="module")
 def blocked_grid():
     # neither N nor N - 1 is a multiple of the block size: the last block is partial
-    return pp.uniform_grid(2 * BLOCK + 37)
+    return pp.Grid(2 * BLOCK + 37)
 
 
 def test_residual_matches_per_node_reference(blocked_grid):
@@ -295,7 +320,7 @@ def test_residual_matches_per_node_reference(blocked_grid):
 
 
 def test_residual_matches_per_node_reference_at_100000_nodes():
-    assert_residual_matches_per_node(pp.uniform_grid(100_000))
+    assert_residual_matches_per_node(pp.Grid(100_000))
 
 
 def assert_residual_matches_per_node(grid):
@@ -339,7 +364,7 @@ def test_checks_survive_batching(blocked_grid, value, key):
 
 
 def test_not_psd_message_prints_the_node_as_a_float():
-    grid = pp.uniform_grid(1000)
+    grid = pp.Grid(1000)
     p, _ = pp.canonical_pair(grid)
     # P + Q = diag(1, -1) at node 700, in the second block
     q_bad = _spoiled_q(grid, 700, np.diag([0.0, -1.0]))
@@ -357,7 +382,7 @@ def svd_matrices(log):
 @pytest.mark.parametrize("n", [1000, 4000])
 def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
     log = count_lapack(monkeypatch)
-    grid = pp.uniform_grid(n)
+    grid = pp.Grid(n)
     p, _ = pp.canonical_pair(grid)
     pp.equation_residual_max(p, pp.perturb_q(grid, 0.1), pp.perturbed_solution(grid, 0.1))
     calls = Counter(name for name, _, _ in log)
@@ -371,7 +396,7 @@ def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
 
 @pytest.mark.parametrize("n, matrices", [(1000, [1]), (4000, [1])])
 def test_sup_distance_lapack_calls(monkeypatch, n, matrices):
-    grid = pp.uniform_grid(n)
+    grid = pp.Grid(n)
     _, q = pp.canonical_pair(grid)
     qp = pp.perturb_q(grid, 0.1)
     log = count_lapack(monkeypatch)
@@ -386,7 +411,7 @@ def test_sup_distance_lapack_calls(monkeypatch, n, matrices):
 
 
 def test_sup_distance_rejects_functions_starting_at_different_nodes():
-    grid = pp.uniform_grid(600)
+    grid = pp.Grid(600)
     p, _ = pp.canonical_pair(grid)
     x = pp.pointwise_solution(grid)
     with pytest.raises(MatrixFormatError, match="start at nodes 0 and 1"):
@@ -425,7 +450,7 @@ def csv_per_entry(f):
 
 
 def test_csv_bytes_match_per_entry_format():
-    grid = pp.uniform_grid(BLOCK + 45)  # the rows cross a block boundary
+    grid = pp.Grid(BLOCK + 45)  # the rows cross a block boundary
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((grid.n_points, 2, 2)) + 1j * rng.standard_normal((grid.n_points, 2, 2))
     vals[0] = [[-0.0, 1e-300], [-1e-300j, complex(-0.0, -0.0)]]
