@@ -161,8 +161,9 @@ class Factorization:
     rest are properties computed on first use, and cached when more than one
     decision reads them, so a caller pays only for what it reads.  D's
     row-space coordinates ``M = B* D`` carry its norm and rank, each from one
-    SVD of M taken only where it is read.  The square-only data -- ``C A*``
-    with one eigendecomposition for its PSD test and ``t_min``, and one SVD of
+    SVD of M taken only where it is read.  The square-only data -- ``C A*``,
+    decomposed once (eigenpairs for ``t_min``, whose values its PSD test
+    reuses, or values alone for the PSD test read first), and one SVD of
     the compression ``K = M B`` of ``DP`` for the range equality and
     ``(DP)^dagger`` -- are never computed for a general solution or a
     majorization; nor is ``E = M (I - P)``, which with ``K^dagger`` gives
@@ -222,7 +223,7 @@ class Factorization:
 
     @cached_property
     def _ca_spectrum(self) -> HermitianSpectrum:
-        """The one deviation and eigendecomposition of ``C A*`` that its three tests read.
+        """The one deviation and spectrum of ``C A*`` that its three tests read.
 
         ``C A*`` decides the Hermitian class.  Its Hermitian and PSD tests are
         judged at ``||C|| ||A||``, the size of the roundoff in forming the
@@ -241,10 +242,18 @@ class Factorization:
 
     @property
     def t_min(self) -> float | None:
-        """Least t with ``C C* <= t C A*``; None when ``C A*`` is not PSD or no finite t exists."""
+        """Least t with ``C C* <= t C A*``; None when ``C A*`` is not PSD or no finite t exists.
+
+        It takes the eigenpairs of a Hermitian ``C A*`` before :attr:`ca_psd`,
+        which then reads their values; read alone, :attr:`ca_psd` takes one
+        ``eigvalsh``.
+        """
+        spectrum = self._ca_spectrum
+        if spectrum.is_hermitian:
+            spectrum.eigh  # the pairs dominating_scale reads, before the PSD test reads their values
         if not self.ca_psd:
             return None
-        return self._ca_spectrum.dominating_scale(self.c @ self.c.conj().T)
+        return spectrum.dominating_scale(self.c @ self.c.conj().T)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -455,13 +464,14 @@ def solvability_report(f: Factorization) -> SolvabilityReport:
     then finite though the range equality fails.
     """
     _check_same_shape(f)
+    t_min = f.t_min  # before the verdict, so the PSD test of C A* reads t_min's eigenpairs
     verdict = _verdict(f)
     positive = verdict is Verdict.POSITIVE
     return SolvabilityReport(
         range_ok=f.range_ok,
         ca_star_hermitian=f.ca_hermitian,
         ca_star_psd=f.ca_psd,
-        t_min=f.t_min,
+        t_min=t_min,
         dp_range_eq=f.dp_range_eq,
         lambda_estimate=spectral_norm(f.x0_correction) if positive else None,
         verdict=verdict,
@@ -555,7 +565,7 @@ def positive_solution(f: Factorization, z) -> np.ndarray:
     spectrum = HermitianSpectrum(x, f.tol)
     if spectrum.is_psd:
         return _checked(f, x, NotSolvablePositive, [])
-    lowest = float(spectrum.eigh[0][0])
+    lowest = float(spectrum.eigenvalues[0])
     return _checked(f, x, NotSolvablePositive, ["solution_psd"], lambda: {"min_eigenvalue": lowest})
 
 
@@ -585,10 +595,11 @@ def block_psd_test(a11, a12, a22, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> 
                 f"{name} must be Hermitian (deviation {dev:.3e})",
                 certificate={"block": name, "deviation": dev},
             )
+    # A11's eigenpairs, taken before its PSD test reads their values, give the
+    # range condition and X = A11^dagger A12 for the Schur complement
+    w, v = spectra["A11"].range_pairs
     if not spectra["A11"].is_psd:
         return False
-    # A11's eigenpairs give the range condition, and X = A11^dagger A12 for the Schur complement
-    w, v = spectra["A11"].range_pairs
     coeffs = v.conj().T @ a12
     if not _within_residual_bound(a12 - v @ coeffs, a12, tol):
         return False

@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -58,13 +59,15 @@ __all__ = [
 class ToleranceConfig:
     """Thresholds of every floating-point decision, and the three rules that apply them.
 
-    Each setting is a number strictly between 0 and 1, and each rule is the
-    setting times the norm of the matrix a decision judges, so a verdict does
-    not change when its inputs are scaled: Douglas's criteria are homogeneous
-    in ``(A, C)``.  A zero norm gives a zero threshold, so the test of a zero
-    matrix is exact: only an exact zero passes a residual test against it, and
-    only a nonnegative eigenvalue its floor.  Each rule takes a float or an
-    array (elementwise), so a batched test runs the code of a single one.
+    Each setting is a number strictly between 0 and 1 (any
+    :class:`numbers.Real` but a bool, kept as a Python float), and each rule
+    is the setting times the norm of the matrix a decision judges, so a
+    verdict does not change when its inputs are scaled: Douglas's criteria
+    are homogeneous in ``(A, C)``.  A zero norm gives a zero threshold, so
+    the test of a zero matrix is exact: only an exact zero passes a residual
+    test against it, and only a nonnegative eigenvalue its floor.  Each rule
+    takes a float or an array (elementwise), so a batched test runs the code
+    of a single one.
 
     :meth:`residual_bound` -- ``residual_atol * norm``
         A residual or Hermitian deviation passes when it is at most this.
@@ -132,10 +135,13 @@ class ToleranceConfig:
     def __post_init__(self):
         for setting in fields(self):
             value = getattr(self, setting.name)
-            if not (isinstance(value, (int, float)) and 0.0 < value < 1.0):
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0.0 < value < 1.0):
                 raise ValueError(
                     f"{setting.name} must be a number strictly between 0 and 1, got {value!r}"
                 )
+            # kept as the Python float it equals, so each rule computes in float64
+            object.__setattr__(self, setting.name, float(value))
 
     def residual_bound(self, norm):
         """``residual_atol * norm``: the largest residual that passes."""
@@ -657,15 +663,18 @@ def polar_partial_isometry(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.n
 class HermitianSpectrum:
     """The Hermitian and PSD tests of one square M at one ``tol``, and what they read.
 
-    ``||M - M*||`` and the eigendecomposition of ``(M + M*)/2`` are computed
-    on first use and kept, so that the PSD test and the least dominating
-    scale of one matrix share the eigendecomposition; so are both verdicts
-    and :attr:`range_pairs`.  :func:`is_psd` is :attr:`is_psd` on a fresh
-    instance.  Both tests judge M at its own norm, ``||M||`` for the Hermitian
-    test and ``max|w|`` for the eigenvalue floor, unless ``scale`` gives
-    another: a 2-D array whose norm it is, or that norm as a float.  Each
-    test asks :func:`_within_residual_bound`, so exact norms are taken only
-    when Frobenius bounds cannot settle it, and :attr:`deviation`, which a
+    ``||M - M*||`` and the spectrum of ``(M + M*)/2`` are computed on first use
+    and kept, and so are both verdicts and :attr:`range_pairs`.  The PSD test
+    reads :attr:`eigenvalues` only: one ``eigvalsh``, or the values of
+    :attr:`eigh` when a reader has already taken the pairs.  Pairs are taken
+    only by readers of eigenvectors -- :attr:`range_pairs` and so
+    :meth:`dominating_scale` -- so a reader of both takes the pairs before the
+    PSD test and decomposes M once.  :func:`is_psd` is :attr:`is_psd` on a fresh instance.
+    Both tests judge M at its own norm, ``||M||`` for the Hermitian test and
+    ``max|w|`` for the eigenvalue floor, unless ``scale`` gives another: a
+    2-D array whose norm it is, or that norm as a float.  Each test asks
+    :func:`_within_residual_bound`, so exact norms are taken only when
+    Frobenius bounds cannot settle it, and :attr:`deviation`, which a
     certificate prints, is taken on its own.
     """
 
@@ -675,6 +684,7 @@ class HermitianSpectrum:
             raise ShapeMismatch(f"expected a square matrix, got shape {self.m.shape}")
         self.tol = tol
         self.scale = scale
+        self._values = None  # the values of eigh once taken, else of one eigvalsh
 
     @cached_property
     def deviation(self) -> float:
@@ -688,7 +698,16 @@ class HermitianSpectrum:
 
     @cached_property
     def eigh(self):
-        return np.linalg.eigh(0.5 * (self.m + self.m.conj().T))
+        """Eigenpairs ``(w, V)`` of ``(M + M*)/2``, for readers of eigenvectors."""
+        self._values, v = np.linalg.eigh(0.5 * (self.m + self.m.conj().T))
+        return self._values, v
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of ``(M + M*)/2``: :attr:`eigh`'s once taken, else one ``eigvalsh``."""
+        if self._values is None:
+            self._values = np.linalg.eigvalsh(0.5 * (self.m + self.m.conj().T))
+        return self._values
 
     @cached_property
     def is_psd(self) -> bool:
@@ -697,7 +716,7 @@ class HermitianSpectrum:
             return True
         if not self.is_hermitian:
             return False
-        w, _ = self.eigh
+        w = self.eigenvalues
         scale = float(np.max(np.abs(w))) if self.scale is None else self.scale
         floor = self.tol.eigenvalue_floor
         return _within_residual_bound(float(-w[0]), scale, self.tol, lambda top: -floor(top))
@@ -721,8 +740,9 @@ class HermitianSpectrum:
         Returns None when no finite ``t`` exists, i.e. when ``H`` leaks outside
         the range of ``M`` (tested through a projector residual).  Otherwise the
         value is the top eigenvalue of ``M^{dagger/2} H M^{dagger/2}`` restricted
-        to the range of ``M``; both matrices are symmetrized and eigenvalue-
-        clamped before use, so roundoff-level negativity is tolerated.
+        to the range of ``M``, from one ``eigvalsh`` of that compression; M's
+        eigenvalues are clamped before use and the compression is symmetrized,
+        so roundoff-level negativity is tolerated.
         """
         h = as_matrix(h)
         if h.shape != self.m.shape:
@@ -735,8 +755,8 @@ class HermitianSpectrum:
             return 0.0
         scaled = vr / np.sqrt(w)
         compressed = scaled.conj().T @ h @ scaled
-        ew = np.linalg.eigh(0.5 * (compressed + compressed.conj().T))[0]
-        return float(max(ew[-1], 0.0)) if ew.size else 0.0
+        ew = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
+        return float(max(ew[-1], 0.0))
 
 
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
@@ -744,9 +764,10 @@ def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
 
     True iff ``||M - M*||`` is within the residual bound of ``||M||`` and the
     least eigenvalue of the symmetrization is at least its eigenvalue floor
-    (:class:`ToleranceConfig`).  An all-zero M passes without an
-    eigendecomposition; any other M is judged at its own scale, however small,
-    so a subnormal negative eigenvalue on an otherwise zero M fails.
+    (:class:`ToleranceConfig`).  It reads eigenvalues only, from one
+    ``eigvalsh``.  An all-zero M passes without one; any other M is judged at
+    its own scale, however small, so a subnormal negative eigenvalue on an
+    otherwise zero M fails.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:

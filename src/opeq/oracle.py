@@ -559,12 +559,12 @@ def _check_hermitian_criterion(rng, spec, tol):
     flavor = ("hermitian", "general", "positive")[int(rng.integers(3))]
     a, c, _ = _consistent_pair(rng, spec, flavor)
     f = douglas.factorize(a, c, tol)
+    report = douglas.solvability_report(f)  # first, so C A* is decomposed once, for t_min
     dp = HermitianSpectrum(f.k, tol)  # DP = B K B*: the same deviation and nonzero spectrum
-    if dp.is_hermitian != f.ca_hermitian:
+    if dp.is_hermitian != report.ca_star_hermitian:
         return _fail("Hermitian-ness of DP and CA* disagree", a=a, c=c)
-    if dp.is_psd != f.ca_psd:
+    if dp.is_psd != report.ca_star_psd:
         return _fail("positivity of DP and CA* disagree", a=a, c=c)
-    report = douglas.solvability_report(f)
     if flavor == "hermitian" and not report.verdict.at_least(douglas.Verdict.HERMITIAN):
         return _fail("pair built from a Hermitian factor judged non-Hermitian", a=a, c=c)
     if report.verdict.at_least(douglas.Verdict.HERMITIAN):

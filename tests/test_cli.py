@@ -92,20 +92,22 @@ def test_solve_reports_the_residual_its_builder_checked(capsys, monkeypatch, tmp
 
 
 def test_solve_positive_lapack_calls(capsys, monkeypatch, tmp_path):
-    rng = np.random.default_rng(83)
-    g = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    a = (rng.standard_normal((40, 30)) @ rng.standard_normal((30, 40))).astype(complex)
-    c = a @ g @ g.conj().T
-    a_file, c_file = write_matrix(tmp_path / "a.json", a), write_matrix(tmp_path / "c.json", c)
     log = count_lapack(monkeypatch)
-    code, _, _ = run_cli(capsys, "solve", "--a", a_file, "--c", c_file, "--mode", "positive")
-    assert code == 0
-    # one SVD each of A and of the r x r compression K of DP, and one for the
-    # printed residual; one eigh
-    # each of C A* and X for their PSD tests, whose Hermitian tests, like the
-    # range and range-equality tests, are settled by Frobenius bounds; the
-    # default Z = 0 is PSD without one
-    assert Counter(name for name, _, _ in log) == Counter(svd=3, eigh=2)
+    for n in (12, 40):
+        rng = np.random.default_rng(83)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = (rng.standard_normal((n, 3 * n // 4)) @ rng.standard_normal((3 * n // 4, n))).astype(complex)
+        c = a @ g @ g.conj().T
+        a_file, c_file = write_matrix(tmp_path / "a.json", a), write_matrix(tmp_path / "c.json", c)
+        log.clear()
+        code, _, _ = run_cli(capsys, "solve", "--a", a_file, "--c", c_file, "--mode", "positive")
+        assert code == 0
+        # one SVD each of A and of the r x r compression K of DP, and one for
+        # the printed residual; one values-only eigvalsh each of C A* and X for
+        # their PSD tests, whose Hermitian tests, like the range and
+        # range-equality tests, are settled by Frobenius bounds; the default
+        # Z = 0 is PSD without one, and no eigenvector is read
+        assert Counter(name for name, _, _ in log) == Counter(svd=3, eigvalsh=2)
 
 
 def test_solve_positive_unsolvable_is_exit_two(capsys, hermitian_only_files):

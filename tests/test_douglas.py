@@ -429,15 +429,15 @@ def test_positive_solution_checks_its_output_at_small_scale():
 
 
 def test_positive_solution_eigendecomposes_a_failing_output_once(monkeypatch):
-    # the pair above: the PSD test and the certificate's least eigenvalue share one eigh of X
+    # the pair above: the PSD test and the certificate's least eigenvalue share one eigvalsh of X
     f = dg.factorize(*weak_axis_pair(NEAR_PSD, 1e-6))
     x = f.x0  # X for Z = 0; the criteria read below are taken before counting
     assert f.range_ok and f.ca_psd and f.dp_range_eq
     log = count_lapack(monkeypatch)
     with pytest.raises(NotSolvablePositive) as info:
         dg.positive_solution(f, np.zeros(x.shape))
-    assert [name for name, _, _ in log if name != "svd"] == ["eigh"]
-    lowest = np.linalg.eigh(0.5 * (x + x.conj().T))[0][0]
+    assert [name for name, _, _ in log if name != "svd"] == ["eigvalsh"]
+    lowest = np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0]
     assert info.value.certificate["min_eigenvalue"] == float(lowest)
 
 
@@ -563,9 +563,10 @@ def test_report_lapack_calls_do_not_grow_with_n(monkeypatch):
         counts.append(Counter(name for name, _, _ in log))
     # one SVD each of A and of the r x r compression K of DP, and one for the
     # printed lambda; every threshold test is settled by Frobenius bounds (the
-    # T_n scan alone used to add 41 SVDs); one eigh of C A* and one of the
-    # compression behind t_min
-    assert counts[0] == counts[1] == Counter(svd=3, eigh=2)
+    # T_n scan alone used to add 41 SVDs); one eigh of C A*, whose pairs t_min
+    # reads and whose values its PSD test reuses, and one eigvalsh of the
+    # compression behind t_min, whose top eigenvalue alone is read
+    assert counts[0] == counts[1] == Counter(svd=3, eigh=1, eigvalsh=1)
 
 
 @pytest.mark.parametrize("ratio", [1.0, 1.5])
@@ -787,9 +788,10 @@ def test_block_psd_reads_each_hermitian_deviation_once(monkeypatch):
     log = count_lapack(monkeypatch)
     assert dg.block_psd_test(full[:3, :3], full[:3, 3:], full[3:, 3:])
     # the Hermitian tests of A11, A22 and the Schur complement and the range
-    # test are settled by Frobenius bounds, with no SVD; A11's PSD test, range
-    # and pseudoinverse all read its one eigh, and the Schur complement has one
-    assert Counter(name for name, _, _ in log) == Counter(eigh=2)
+    # test are settled by Frobenius bounds, with no SVD; A11's range and
+    # pseudoinverse read its one eigh, whose values its PSD test reuses, and
+    # the Schur complement's PSD test reads one values-only eigvalsh
+    assert Counter(name for name, _, _ in log) == Counter(eigh=1, eigvalsh=1)
 
 
 def test_block_psd_judges_the_schur_complement_at_the_scale_of_a22():

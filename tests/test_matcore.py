@@ -41,6 +41,22 @@ def test_tolerance_validation(bad):
         mc.ToleranceConfig(residual_atol=bad)
 
 
+@pytest.mark.parametrize("value", [np.float32(1e-10), np.float64(1e-10)])
+def test_tolerance_reads_a_numpy_float_as_a_python_float(value):
+    tol = mc.ToleranceConfig(rank_rtol=value, psd_atol=value, residual_atol=value)
+    for setting in (tol.rank_rtol, tol.psd_atol, tol.residual_atol):
+        assert type(setting) is float and setting == float(value)
+    # so each rule computes in float64, as it does for a Python float
+    assert type(tol.residual_bound(3.0)) is float and tol.residual_bound(3.0) == float(value) * 3.0
+
+
+@pytest.mark.parametrize("bad", [np.int64(0), True, float("nan"), np.float32("nan"), "1e-10"])
+def test_tolerance_rejects_a_non_number_bool_or_nan(bad):
+    for name in ("rank_rtol", "psd_atol", "residual_atol"):
+        with pytest.raises(ValueError, match=f"{name} must be a number strictly between 0 and 1"):
+            mc.ToleranceConfig(**{name: bad})
+
+
 # each rule, of a float and of an array: the value exactly at the threshold
 # passes, and the next float on the failing side fails
 RULE_TOL = mc.ToleranceConfig(rank_rtol=1e-6, psd_atol=3e-10, residual_atol=7e-9)
@@ -110,13 +126,60 @@ def test_is_psd_of_a_zero_matrix_takes_no_eigendecomposition(monkeypatch):
     zeros = [np.zeros((n, n)) for n in (1, 3, 8)] + [np.full((2, 2), -0.0 - 0.0j), np.zeros((0, 0))]
     assert all(mc.is_psd(z, RULE_TOL) for z in zeros)
     assert log == []
-    # one nonzero entry is enough to need the eigendecomposition, and the
-    # matrix is judged at its own scale: a subnormal below zero is negative
+    # one nonzero entry is enough to need the eigenvalues, and the matrix is
+    # judged at its own scale: a subnormal below zero is negative
     tiny = np.zeros((3, 3))
     tiny[2, 2] = -5e-324
-    assert not mc.is_psd(tiny, RULE_TOL) and [name for name, _, _ in log] == ["eigh"]
+    assert not mc.is_psd(tiny, RULE_TOL) and [name for name, _, _ in log] == ["eigvalsh"]
     tiny[2, 2] = 5e-324
-    assert mc.is_psd(tiny, RULE_TOL) and [name for name, _, _ in log] == ["eigh", "eigh"]
+    assert mc.is_psd(tiny, RULE_TOL) and [name for name, _, _ in log] == ["eigvalsh", "eigvalsh"]
+
+
+def near_floor_hermitian(rng, n, multiple, tol):
+    """Exactly Hermitian ``U diag(w) U*``: least ``multiple * eigenvalue_floor(1)``, top 1 if n > 1."""
+    q, r = np.linalg.qr(complex_gaussian(rng, n, n))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    least = multiple * tol.eigenvalue_floor(1.0)
+    w = np.concatenate([[least], rng.uniform(0.1, 1.0, max(n - 2, 0)), [1.0]])[:n]
+    m = (u * w) @ u.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 40])
+def test_values_only_psd_test_matches_mpmath(n):
+    # the verdict of the rounded matrix's exact eigenvalues, to 50 digits, is
+    # the values-only test's wherever the least eigenvalue is more than n eps
+    # top from the floor; with n = 1 the least eigenvalue is the top, so its sign decides
+    mpmath = pytest.importorskip("mpmath")
+    tol = mc.DEFAULT_TOLERANCES
+    rng = np.random.default_rng(300 + n)
+    for multiple in (0.5, 2.0, -0.5, -2.0):
+        m = near_floor_hermitian(rng, n, multiple, tol)
+        with mpmath.workdps(50):
+            w = mpmath.eighe(mpmath.matrix(m.tolist()), eigvals_only=True)
+            top = max(abs(x) for x in w)
+            floor = -mpmath.mpf(tol.psd_atol) * top
+            assert abs(w[0] - floor) > n * np.finfo(np.float64).eps * top
+            exact = bool(w[0] >= floor)
+        assert mc.HermitianSpectrum(m, tol).is_psd is mc.is_psd(m, tol) is exact
+        assert exact is (multiple < 0.0 if n == 1 else multiple != 2.0)
+
+
+@pytest.mark.parametrize("first", ["eigh", "range_pairs"])
+def test_eigenvalues_are_those_of_eigh_once_the_pairs_are_taken(first, monkeypatch):
+    # the PSD test then reads them too, with no eigvalsh of its own; M is
+    # Hermitian to roundoff, so its symmetrization is not M itself
+    rng = np.random.default_rng(31)
+    log = count_lapack(monkeypatch)
+    for n in (2, 3, 8, 40):
+        m = near_floor_hermitian(rng, n, -2.0, mc.DEFAULT_TOLERANCES)
+        m = m + 1e-13 * complex_gaussian(rng, n, n)
+        expected = np.linalg.eigh(0.5 * (m + m.conj().T))[0]
+        spectrum = mc.HermitianSpectrum(m, mc.DEFAULT_TOLERANCES)
+        getattr(spectrum, first)
+        log.clear()
+        assert spectrum.eigenvalues.tobytes() == expected.tobytes()
+        assert spectrum.is_psd and [name for name, _, _ in log if name != "svd"] == []
 
 
 def test_rank_cut_of_a_float_and_an_array():
@@ -865,7 +928,7 @@ def test_hermitian_test_reuses_a_deviation_already_taken(monkeypatch):
     # the undecided test keeps only its verdict, so the deviation is taken again
     assert spectrum.deviation == bound and len(log) == 3
     assert spectrum.is_hermitian and spectrum.is_psd
-    assert [name for name, _, _ in log] == ["svd", "svd", "svd", "eigh"]
+    assert [name for name, _, _ in log] == ["svd", "svd", "svd", "eigvalsh"]
 
 
 def test_psd_test_reads_the_hermitian_verdict(monkeypatch):
