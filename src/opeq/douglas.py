@@ -22,29 +22,29 @@ Every decision reads one :class:`Factorization` of ``(A, C, tol)``, made by
 :func:`factorize` from a single SVD of ``A``; the builders check each
 solution they emit before returning it.
 
-Positive solvability admits two finite-dimensional tests, equivalent in exact
-arithmetic, and both are computed so they can cross-check each other: the
-least ``t`` with ``C C* <= t C A*`` is finite exactly when ``C A*`` is PSD and
-the ranges of ``D`` and ``D P`` coincide.  The range-equality test is
-authoritative.  Computed, they agree with one known exception: a singular
-value of D outside ``R(DP)`` between the rank cut and the residual bound.  The
-range equality counts it in D's rank; the leak test of ``t_min`` sees it only
-squared in ``C C*``, below its bound.  So A = diag(1, 1, 0),
-C = E11 + 1e-9 E23 reads HERMITIAN with ``t_min`` 1.0.  When
-it holds, the norm ``lambda`` of the correction term
-``(I - P) D* (D P)^dagger D (I - P)`` is reported in closed form; it is the
-limit of the compressed-resolvent norms ``||T_n||``, whose scan
-:mod:`opeq.oracle` keeps as a cross-check.
+Positive solvability is decided by the exact finite-dimensional tests:
+``R(C)`` inside ``R(A)``, ``C A*`` PSD, and the range equality
+``R(D) = R(DP)``.  Exactly then the least ``t`` with ``C C* <= t C A*`` is
+finite, and it and the norm ``lambda`` of the correction term
+``(I - P) D* (D P)^dagger D (I - P)`` are reported; ``lambda`` is the limit
+of the compressed-resolvent norms ``||T_n||``.  :mod:`opeq.oracle` keeps the
+``||T_n||`` scan and the ``n x n`` majorization route, the leak of ``C C*``
+outside the range of ``C A*``, as cross-checks.
 
-Both live on the row space of A, as the paper's ``D = |A|^dagger U* C`` does:
-with ``M = B* D`` and ``K = B* D B``, ``D = B M``, ``D P = B K B*`` and
-``(D P)^dagger = B K^dagger B*``.  So one SVD of the ``r x r`` matrix K decides
-the range equality and gives the correction term; no ``n x n`` SVD of D or of
-``D P`` is taken.  Since ``R(D P) = D R(P)`` always lies inside ``R(D)``, the
-equality is one inclusion, D inside the range of DP within the residual bound,
-plus equal ranks: the bound is far above the rank cut, so a direction of D
-whose singular value lies between the two passes the inclusion alone.  The
-rank of M takes an SVD only when K's is below r, as M has r rows.
+All of it lives on the row space of A, as the paper's ``D = |A|^dagger U* C``
+does: with ``M = B* D`` and ``K = B* D B``, ``D = B M``, ``D P = B K B*`` and
+``(D P)^dagger = B K^dagger B*``.  So one SVD ``U_K S_K V_K*`` of the
+``r x r`` matrix K decides the range equality and gives the correction term;
+no ``n x n`` SVD of D or of ``D P`` is taken.  Since ``R(D P) = D R(P)``
+always lies inside ``R(D)``, the equality is one inclusion, D inside the
+range of DP within the residual bound, plus equal ranks: the bound is far
+above the rank cut, so a direction of D whose singular value lies between
+the two passes the inclusion alone.  The rank of M takes an SVD only when
+K's is below r, as M has r rows.  With ``A = U_r S B*`` and ``U_r S``
+injective, ``C C* <= t C A*`` holds iff ``M M* <= t K``, and
+``M M* = K K* + E E*`` with ``E = M (I - P)``; so with
+``G = S_K^{-1/2} U_K* E``, ``t_min = ||S_K + G G*||`` and
+``lambda = ||G||^2``, read from ``r x r`` matrices.
 """
 
 from __future__ import annotations
@@ -115,12 +115,12 @@ class Verdict(enum.Enum):
 class SolvabilityReport:
     """Structured verdict for AX = C with the failing certificate when negative.
 
-    ``t_min`` is the least ``t`` with ``C C* <= t C A*`` (None when no finite
-    ``t`` exists).  ``lambda_estimate`` is the closed form
-    ``||(I - P) D* (DP)^dagger D (I - P)||``, the limit of the
-    compressed-resolvent norms ``||T_n||``; it is set exactly when the
-    verdict is POSITIVE, since otherwise those norms diverge or are
-    undefined.  Both serialize as the string ``"inf"`` when None.
+    ``t_min`` is the least ``t`` with ``C C* <= t C A*``, and
+    ``lambda_estimate`` the closed form ``||(I - P) D* (DP)^dagger D (I - P)||``,
+    the limit of the compressed-resolvent norms ``||T_n||``.  Both are set
+    exactly when the verdict is POSITIVE, since otherwise no finite ``t``
+    exists and those norms diverge or are undefined; both serialize as the
+    string ``"inf"`` when None.
     """
 
     range_ok: bool
@@ -141,8 +141,9 @@ class SolvabilityReport:
             self.range_ok and self.ca_star_hermitian
         ):
             raise ValueError("Hermitian verdict requires range and Hermitian flags")
-        if (self.lambda_estimate is not None) != (self.verdict is Verdict.POSITIVE):
-            raise ValueError("lambda_estimate is present exactly for a positive verdict")
+        for name in ("t_min", "lambda_estimate"):
+            if (getattr(self, name) is not None) != (self.verdict is Verdict.POSITIVE):
+                raise ValueError(f"{name} is present exactly for a positive verdict")
 
     def to_json(self) -> dict:
         """Every field in order, with the verdict's value and "inf" for a None."""
@@ -161,11 +162,10 @@ class Factorization:
     rest are properties computed on first use, and cached when more than one
     decision reads them, so a caller pays only for what it reads.  D's
     row-space coordinates ``M = B* D`` carry its norm and rank, each from one
-    SVD of M taken only where it is read.  The square-only data -- ``C A*``,
-    decomposed once (eigenpairs for ``t_min``, whose values its PSD test
-    reuses, or values alone for the PSD test read first), and one SVD of
-    the compression ``K = M B`` of ``DP`` for the range equality and
-    ``(DP)^dagger`` -- are never computed for a general solution or a
+    SVD of M taken only where it is read.  The square-only data -- the
+    eigenvalues of ``C A*`` for its PSD test, and one SVD of the compression
+    ``K = M B`` of ``DP`` for the range equality, ``(DP)^dagger``, ``t_min``
+    and lambda -- are never computed for a general solution or a
     majorization; nor is ``E = M (I - P)``, which with ``K^dagger`` gives
     X0's correction term ``E* K^dagger E``.  Every equation residual
     ``A X - C``, D's included, is judged by one rule, :meth:`equation_ok`.
@@ -240,21 +240,6 @@ class Factorization:
     def ca_psd(self) -> bool:
         return self._ca_spectrum.is_psd
 
-    @property
-    def t_min(self) -> float | None:
-        """Least t with ``C C* <= t C A*``; None when ``C A*`` is not PSD or no finite t exists.
-
-        It takes the eigenpairs of a Hermitian ``C A*`` before :attr:`ca_psd`,
-        which then reads their values; read alone, :attr:`ca_psd` takes one
-        ``eigvalsh``.
-        """
-        spectrum = self._ca_spectrum
-        if spectrum.is_hermitian:
-            spectrum.eigh  # the pairs dominating_scale reads, before the PSD test reads their values
-        if not self.ca_psd:
-            return None
-        return spectrum.dominating_scale(self.c @ self.c.conj().T)
-
     @cached_property
     def m(self) -> np.ndarray:
         """``M = B* D``, D in row-space coordinates: ``D = B M``, so ``||M|| = ||D||``."""
@@ -325,6 +310,39 @@ class Factorization:
         return self.rank_d == self._k_svd[1].size
 
     @property
+    def positive(self) -> bool:
+        """The positive class: R(C) inside R(A), ``C A*`` PSD and R(D) = R(DP)."""
+        return self.range_ok and self.ca_psd and self.dp_range_eq
+
+    @cached_property
+    def _positive_norms(self) -> tuple[float, float] | None:
+        """``(t_min, lambda)`` from K's SVD ``U_K S_K V_K*``; None off the positive class.
+
+        ``t_min = ||S_K + G G*||`` and ``lambda = ||G||^2`` with
+        ``G = S_K^{-1/2} U_K* E`` (see the module docstring): the top
+        eigenvalues of one ``eigvalsh`` of the stacked pair.
+        """
+        if not self.positive:
+            return None
+        u, s = self._k_svd[:2]
+        if not s.size:  # D is zero, and so are C and the correction term
+            return 0.0, 0.0
+        g = (u.conj().T @ self.e) / np.sqrt(s)[:, np.newaxis]
+        gram = g @ g.conj().T
+        top = np.linalg.eigvalsh(np.stack([np.diag(s) + gram, gram]))[:, -1]
+        return float(top[0]), max(0.0, float(top[1]))
+
+    @property
+    def t_min(self) -> float | None:
+        """Least t with ``C C* <= t C A*``, which is finite exactly on the positive class."""
+        return None if self._positive_norms is None else self._positive_norms[0]
+
+    @property
+    def lambda_estimate(self) -> float | None:
+        """``||x0_correction||`` on the positive class, else None."""
+        return None if self._positive_norms is None else self._positive_norms[1]
+
+    @property
     def h0(self) -> np.ndarray:
         """``D + (I - P) D*``, the Hermitian family's member at ``Y = 0``."""
         return self.d + self.ip @ self.d.conj().T
@@ -333,14 +351,14 @@ class Factorization:
     def e(self) -> np.ndarray:
         """``E = B* D (I - P) = M - K B*``, formed as ``M (I - P)``: zero at full column rank.
 
-        Formed on each read and not kept: ``x0_correction`` and the T_n scan of
-        :mod:`opeq.oracle` read it once each.
+        Formed on each read and not kept: ``x0_correction``, ``t_min`` and
+        lambda, and the T_n scan of :mod:`opeq.oracle` read it once each.
         """
         return self.m @ self.ip
 
     @property
     def x0_correction(self) -> np.ndarray:
-        """``(I - P) D* (DP)^dagger D (I - P) = E* K^dagger E``; its norm is the reported lambda."""
+        """``(I - P) D* (DP)^dagger D (I - P) = E* K^dagger E``, whose norm is lambda."""
         e = self.e
         return e.conj().T @ _pinv_from_svd(*self._k_svd[:3]) @ e
 
@@ -423,7 +441,7 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
 def _verdict(f: Factorization) -> Verdict:
     if not f.range_ok:
         return Verdict.UNSOLVABLE
-    if f.ca_psd and f.dp_range_eq:
+    if f.positive:
         return Verdict.POSITIVE
     if f.ca_hermitian:
         return Verdict.HERMITIAN
@@ -456,26 +474,21 @@ def solvability_report(f: Factorization) -> SolvabilityReport:
     positivity of ``C A*``, the least majorization scale ``t_min`` with
     ``C C* <= t C A*``, the range equality ``R(D) = R(DP)``, and, for a
     positive verdict, the closed-form lambda.  The verdict is decided by the
-    exact finite-dimensional tests (range, PSD, range equality); ``t_min``
-    offers the independent route, in exact arithmetic finite precisely when
-    those hold, so the two can be checked against each other.  They disagree
-    computed only where D has a singular value outside ``R(DP)`` between the
-    rank cut and the residual bound (see the module docstring): ``t_min`` is
-    then finite though the range equality fails.
+    exact finite-dimensional tests (range, PSD, range equality), and
+    ``t_min`` and lambda are read from K where they hold (see the module
+    docstring), so they are finite exactly on a POSITIVE verdict.
     """
     _check_same_shape(f)
-    t_min = f.t_min  # before the verdict, so the PSD test of C A* reads t_min's eigenpairs
     verdict = _verdict(f)
-    positive = verdict is Verdict.POSITIVE
     return SolvabilityReport(
         range_ok=f.range_ok,
         ca_star_hermitian=f.ca_hermitian,
         ca_star_psd=f.ca_psd,
-        t_min=t_min,
+        t_min=f.t_min,
         dp_range_eq=f.dp_range_eq,
-        lambda_estimate=spectral_norm(f.x0_correction) if positive else None,
+        lambda_estimate=f.lambda_estimate,
         verdict=verdict,
-        certificate={} if positive else _failure_certificate(f),
+        certificate={} if verdict is Verdict.POSITIVE else _failure_certificate(f),
     )
 
 
@@ -553,7 +566,7 @@ def positive_solution(f: Factorization, z) -> np.ndarray:
     n = f.a.shape[1]
     if z.shape != (n, n):
         raise ShapeMismatch(f"parameter Z must be {n}x{n}, got {z.shape}")
-    if not (f.range_ok and f.ca_psd and f.dp_range_eq):
+    if not f.positive:
         raise NotSolvablePositive(
             f"no PSD solution exists (verdict {_verdict(f).value})",
             certificate=_failure_certificate(f),

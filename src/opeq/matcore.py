@@ -80,9 +80,8 @@ class ToleranceConfig:
         test of ``C A*``, and of the matrix itself for every other Hermitian
         test (:func:`is_psd`, :func:`sqrt_psd`, the Hermitian family's
         parameter Y and its X, the compressed ``DP``, the Penrose
-        identities), ``||A||`` for the polar identity, ``||H||`` for the leak
-        test of :meth:`HermitianSpectrum.dominating_scale`, ``||C||`` for
-        that of :func:`min_majorization_scale`, the node value
+        identities), ``||A||`` for the polar identity, ``||C||`` for the leak
+        test of :func:`min_majorization_scale`, the node value
         for the off-diagonal part in ``algebra_membership``, and ``||P(t)|| =
         1`` for the ``perturb`` residual.  The property suite of
         :mod:`opeq.oracle` judges each route at the norm of what it
@@ -90,7 +89,8 @@ class ToleranceConfig:
         parameter round trip, ``||A* A||`` for the square-root round trip,
         ``||D||`` for the normal-equation route and for ``D - P D``, each
         projector's norm for the kernel match ``N(D) = N(C)``, ``||D||^2`` for
-        the gap to the least majorization scale, and ``||X||`` for the excess
+        the gap to the least majorization scale, ``||C C*||`` for the leak of
+        ``C C*`` outside the range of ``C A*``, and ``||X||`` for the excess
         of ``t_min`` over it.  The tests of :mod:`opeq.douglas`,
         :mod:`opeq.oracle`, :mod:`opeq.projpair` and :class:`HermitianSpectrum`
         ask :func:`_within_residual_bound`, and :func:`sqrt_psd` screens its
@@ -667,9 +667,9 @@ class HermitianSpectrum:
     and kept, and so are both verdicts and :attr:`range_pairs`.  The PSD test
     reads :attr:`eigenvalues` only: one ``eigvalsh``, or the values of
     :attr:`eigh` when a reader has already taken the pairs.  Pairs are taken
-    only by readers of eigenvectors -- :attr:`range_pairs` and so
-    :meth:`dominating_scale` -- so a reader of both takes the pairs before the
-    PSD test and decomposes M once.  :func:`is_psd` is :attr:`is_psd` on a fresh instance.
+    only by readers of eigenvectors, such as :attr:`range_pairs`, so a reader
+    of both takes the pairs before the PSD test and decomposes M once.
+    :func:`is_psd` is :attr:`is_psd` on a fresh instance.
     Both tests judge M at its own norm, ``||M||`` for the Hermitian test and
     ``max|w|`` for the eigenvalue floor, unless ``scale`` gives another: a
     2-D array whose norm it is, or that norm as a float.  Each test asks
@@ -733,30 +733,6 @@ class HermitianSpectrum:
         w = np.clip(w, 0.0, None)
         keep = w > self.tol.rank_cut(np.max(w, initial=0.0))
         return w[keep], v[:, keep]
-
-    def dominating_scale(self, h) -> float | None:
-        """Least ``t >= 0`` with ``H <= t M`` for Hermitian PSD ``M`` and ``H``.
-
-        Returns None when no finite ``t`` exists, i.e. when ``H`` leaks outside
-        the range of ``M`` (tested through a projector residual).  Otherwise the
-        value is the top eigenvalue of ``M^{dagger/2} H M^{dagger/2}`` restricted
-        to the range of ``M``, from one ``eigvalsh`` of that compression; M's
-        eigenvalues are clamped before use and the compression is symmetrized,
-        so roundoff-level negativity is tolerated.
-        """
-        h = as_matrix(h)
-        if h.shape != self.m.shape:
-            raise ShapeMismatch("M and H must be square matrices of equal size")
-        w, vr = self.range_pairs
-        outside = h - vr @ (vr.conj().T @ h) if w.size else h
-        if not _within_residual_bound(outside, h, self.tol):
-            return None
-        if not w.size:
-            return 0.0
-        scaled = vr / np.sqrt(w)
-        compressed = scaled.conj().T @ h @ scaled
-        ew = np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))
-        return float(max(ew[-1], 0.0))
 
 
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -4,7 +4,8 @@ Each check reaches a decision by a second route: normal equations instead
 of the SVD pseudoinverse, the partial-isometry form
 ``|A|^+ U* C + (I - U*U) Y`` (with ``A = U|A|``) instead of ``D + (I - P) Y``,
 sampling of the Hermitian family for PSD solutions instead of the closed
-form, and the ``||T_n||`` scan for the closed-form lambda.  Absence of a
+form, the leak of ``C C*`` outside the range of ``C A*`` instead of the range
+equality, and the ``||T_n||`` scan for the closed-form lambda.  Absence of a
 search hit is evidence, never proof.  The routes share their inputs with
 the decisions: every trial builds one :class:`~opeq.douglas.Factorization`
 and reads D, P, ``C A*`` and DP from it.
@@ -559,7 +560,7 @@ def _check_hermitian_criterion(rng, spec, tol):
     flavor = ("hermitian", "general", "positive")[int(rng.integers(3))]
     a, c, _ = _consistent_pair(rng, spec, flavor)
     f = douglas.factorize(a, c, tol)
-    report = douglas.solvability_report(f)  # first, so C A* is decomposed once, for t_min
+    report = douglas.solvability_report(f)
     dp = HermitianSpectrum(f.k, tol)  # DP = B K B*: the same deviation and nonzero spectrum
     if dp.is_hermitian != report.ca_star_hermitian:
         return _fail("Hermitian-ness of DP and CA* disagree", a=a, c=c)
@@ -583,6 +584,8 @@ def _check_hermitian_criterion(rng, spec, tol):
 def _check_positive_criteria(rng, spec, tol):
     """The positivity routes agree on one pair, and the randomized search respects them.
 
+    The majorization route, a finite t with ``C C* <= t C A*``, reads the
+    ``n x n`` matrices: ``C A*`` PSD and no leak of ``C C*`` outside its range.
     A search hit must come with a POSITIVE verdict, be PSD and solve the equation.
     """
     pick = int(rng.integers(4))
@@ -596,8 +599,11 @@ def _check_positive_criteria(rng, spec, tol):
         expect = "positive" if flavor == "positive" else None
     sub_seed = int(rng.integers(2**32))
     f = douglas.factorize(a, c, tol)
+    # the pairs first, so the report's PSD test of C A* reads their values
+    v = f._ca_spectrum.range_pairs[1] if f.ca_hermitian else None
     report = douglas.solvability_report(f)
-    t_finite = report.t_min is not None
+    cc = c @ c.conj().T
+    t_finite = report.ca_star_psd and _within_residual_bound(cc - v @ (v.conj().T @ cc), cc, tol)
     exact = report.ca_star_psd and report.dp_range_eq
     if t_finite != exact:
         return _fail(
@@ -626,7 +632,7 @@ def _check_positive_criteria(rng, spec, tol):
             return _fail(
                 f"range-deficient pattern misclassified as {report.verdict.value}", a=a, c=c
             )
-        if report.dp_range_eq or report.t_min is not None:
+        if report.dp_range_eq or t_finite:
             return _fail("range-deficient pattern passed a positivity route", a=a, c=c)
     found = positive_search(f, budget=384, seed=sub_seed)
     if found is None:

@@ -131,15 +131,21 @@ def reference_positive_search(f, budget=1000, seed=20514):
     return None
 
 
-# the n x n route to positive solvability that douglas.Factorization replaced
+# the n x n routes to positive solvability that douglas.Factorization replaced
 # with the r x r compression K = B* D B: one SVD each of D and of DP = D P,
 # the range equality as two inclusions plus a rank comparison, and (DP)^dagger
-# for the correction term; the row-space route must give its verdicts, and its
-# lambda to within the residual bound
+# for the correction term; and the least t with C C* <= t C A*, from the
+# eigenpairs of C A*: none when C C* leaks outside their range, else the top
+# eigenvalue of the compression of C C* to it.  The row-space route must give
+# the verdicts, and lambda and t_min to within the residual bound
 
 
 def reference_range_equality(f):
-    """``(dp_range_eq, lambda)`` of ``f`` by the n x n route, lambda None when the ranges differ."""
+    """``(dp_range_eq, lambda, t_min)`` of ``f`` by the n x n routes.
+
+    lambda is None when the ranges differ, and t_min when ``C A*`` is not PSD
+    or ``C C*`` leaks outside its range.
+    """
     from opeq.matcore import _pinv_from_svd, _within_residual_bound, spectral_norm, truncated_svd
 
     tol = f.tol
@@ -151,7 +157,24 @@ def reference_range_equality(f):
     equal = s_d.size == s_dp.size and all(
         _within_residual_bound(m, norm, tol) for m, norm in zip(outside, norms)
     )
-    if not equal:
-        return False, None
-    correction = f.ip @ f.d.conj().T @ _pinv_from_svd(u_dp, s_dp, vh_dp) @ (f.d @ f.ip)
-    return True, spectral_norm(correction)
+    lam = None
+    if equal:
+        correction = f.ip @ f.d.conj().T @ _pinv_from_svd(u_dp, s_dp, vh_dp) @ (f.d @ f.ip)
+        lam = spectral_norm(correction)
+    return equal, lam, _reference_t_min(f)
+
+
+def _reference_t_min(f):
+    from opeq.matcore import _within_residual_bound
+
+    if not f.ca_psd:
+        return None
+    h = f.c @ f.c.conj().T
+    w, v = f._ca_spectrum.range_pairs
+    if not _within_residual_bound(h - v @ (v.conj().T @ h), h, f.tol):
+        return None
+    if not w.size:
+        return 0.0
+    scaled = v / np.sqrt(w)
+    compressed = scaled.conj().T @ h @ scaled
+    return float(max(np.linalg.eigvalsh(0.5 * (compressed + compressed.conj().T))[-1], 0.0))

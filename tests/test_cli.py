@@ -225,7 +225,7 @@ def test_check_and_solve_positive_agree_where_d_leaves_the_range_of_dp(capsys, t
     c_file = write_matrix(tmp_path / "c.json", c)
     _, report, _ = run_cli(capsys, "check", "--a", a_file, "--c", c_file)
     code, payload, _ = run_cli(capsys, "solve", "--a", a_file, "--c", c_file, "--mode", "positive")
-    assert report["verdict"] == "SolvableHermitian"
+    assert report["verdict"] == "SolvableHermitian" and report["t_min"] == "inf"
     assert code == 2 and payload["status"] == "unsolvable"
     assert payload["certificate"]["failed_conditions"] == ["dp_range_eq"]
 

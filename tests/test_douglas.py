@@ -295,6 +295,21 @@ def test_report_invariant_enforced():
         )
 
 
+@pytest.mark.parametrize("verdict", [dg.Verdict.POSITIVE, dg.Verdict.HERMITIAN])
+def test_report_t_min_is_present_exactly_for_a_positive_verdict(verdict):
+    positive = verdict is dg.Verdict.POSITIVE
+    with pytest.raises(ValueError, match="t_min is present exactly"):
+        dg.SolvabilityReport(
+            range_ok=True,
+            ca_star_hermitian=True,
+            ca_star_psd=True,
+            t_min=None if positive else 1.0,
+            dp_range_eq=positive,
+            lambda_estimate=0.0 if positive else None,
+            verdict=verdict,
+        )
+
+
 def test_report_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         dg.solvability_report(dg.factorize(np.eye(2), np.eye(3)))
@@ -561,12 +576,11 @@ def test_report_lapack_calls_do_not_grow_with_n(monkeypatch):
         report = dg.solvability_report(dg.factorize(a, c))
         assert report.verdict is dg.Verdict.POSITIVE
         counts.append(Counter(name for name, _, _ in log))
-    # one SVD each of A and of the r x r compression K of DP, and one for the
-    # printed lambda; every threshold test is settled by Frobenius bounds (the
-    # T_n scan alone used to add 41 SVDs); one eigh of C A*, whose pairs t_min
-    # reads and whose values its PSD test reuses, and one eigvalsh of the
-    # compression behind t_min, whose top eigenvalue alone is read
-    assert counts[0] == counts[1] == Counter(svd=3, eigh=1, eigvalsh=1)
+    # one SVD each of A and of the r x r compression K of DP; every threshold
+    # test is settled by Frobenius bounds (the T_n scan alone used to add 41
+    # SVDs); one eigvalsh of C A* for its PSD test, and one of the stacked
+    # r x r pair whose top eigenvalues are t_min and lambda; no eigh
+    assert counts[0] == counts[1] == Counter(svd=2, eigvalsh=2)
 
 
 @pytest.mark.parametrize("ratio", [1.0, 1.5])
@@ -818,8 +832,9 @@ def test_block_psd_shape_mismatch():
 
 
 def test_positive_routes_agree_on_thousand_instances():
-    # the least majorization scale is finite exactly when CA* is PSD and the
-    # ranges of D and DP coincide; both routes computed on every instance
+    # the least majorization scale of the n x n route is finite exactly when
+    # CA* is PSD and the ranges of D and DP coincide; both routes computed on
+    # every instance
     rng = np.random.default_rng(79)
     disagreements = 0
     for k in range(1000):
@@ -838,8 +853,9 @@ def test_positive_routes_agree_on_thousand_instances():
             n = int(rng.integers(1, 7))
             flavor = ("general", "hermitian", "positive")[k % 3]
             a, c = consistent_pair(rng, n, flavor)
-        rep = dg.solvability_report(dg.factorize(a, c))
-        if (rep.t_min is not None) != (rep.ca_star_psd and rep.dp_range_eq):
+        f = dg.factorize(a, c)
+        rep = dg.solvability_report(f)
+        if (reference_range_equality(f)[2] is not None) != (rep.ca_star_psd and rep.dp_range_eq):
             disagreements += 1
     assert disagreements == 0
 
@@ -871,7 +887,7 @@ def test_row_space_route_matches_the_n_by_n_reference():
         s = (1e-6, 1.0, 1e6)[(k // 3) % 3]
         f = dg.factorize(s * a, s * c)
         report = dg.solvability_report(f)
-        equal, lam = reference_range_equality(f)
+        equal, lam, t_min = reference_range_equality(f)
         assert report.dp_range_eq is equal, k
         if not f.range_ok:
             expected = dg.Verdict.UNSOLVABLE
@@ -882,7 +898,10 @@ def test_row_space_route_matches_the_n_by_n_reference():
         assert report.verdict is expected, k
         if expected is dg.Verdict.POSITIVE:
             assert abs(report.lambda_estimate - lam) <= f.tol.residual_bound(lam), k
+            assert abs(report.t_min - t_min) <= f.tol.residual_bound(t_min), k
             positives += 1
+        else:
+            assert report.t_min is None, k
     assert positives > 60
 
 
@@ -894,12 +913,13 @@ def test_range_equality_reads_one_svd_of_the_compression(monkeypatch):
     log = count_lapack(monkeypatch)
     assert f.dp_range_eq
     assert [(name, args[0].shape) for name, args, _ in log] == [("svd", (5, 5))]
-    # A of rank 0 leaves K empty, and the test takes no SVD
+    # A of rank 0 leaves K empty: neither the test nor t_min and lambda take a call
     f = dg.factorize(np.zeros((3, 3)), np.zeros((3, 3)))
     log.clear()
     assert f.dp_range_eq and f._k_svd[1].size == 0
-    assert dg.solvability_report(f).lambda_estimate == 0.0
-    assert [name for name, _, _ in log].count("svd") == 1  # the printed lambda alone
+    report = dg.solvability_report(f)
+    assert report.lambda_estimate == 0.0 and report.t_min == 0.0
+    assert log == []
 
 
 def test_range_equality_counts_a_roundoff_compression_as_rank_zero():
@@ -933,9 +953,10 @@ def test_range_equality_within_the_residual_bound_needs_equal_ranks():
     assert mc._within_residual_bound(f._outside_range_dp(), f.m, f.tol)
     report = dg.solvability_report(f)
     assert report.verdict is dg.Verdict.HERMITIAN and not report.dp_range_eq
-    # the one known disagreement of the two routes: t_min's leak test sees the
-    # eps direction squared in C C* (1e-18), below the residual bound, and passes
-    assert report.t_min == 1.0
+    # t_min is read where the range equality holds, so it is None here; the
+    # n x n route's leak test sees the eps direction only squared in C C*
+    # (1e-18), below its residual bound, and calls it finite
+    assert report.t_min is None and reference_range_equality(f)[2] == 1.0
     assert report.certificate["failed_conditions"] == ["dp_range_eq"]
     assert report.certificate["rank_d"] == 2 and report.certificate["rank_dp"] == 1
     with pytest.raises(NotSolvablePositive) as info:

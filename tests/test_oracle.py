@@ -1,5 +1,4 @@
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -369,31 +368,18 @@ def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
         made.append(original(*args))
         return made[-1]
 
-    # matched by the spectrum that asks, not by value: the t_min compression
-    # of a 1x1 pair can equal the compression of D.  The oracle's spectra are
-    # marked; douglas builds the spectrum of C A* through its own name.
-    class OracleSpectrum(mc.HermitianSpectrum):
-        pass
-
-    calls, eigh = [], np.linalg.eigh
-
-    def logged(m, *args, **kwargs):
-        caller = sys._getframe(1).f_locals.get("self")
-        calls.append((isinstance(caller, OracleSpectrum), m))
-        return eigh(m, *args, **kwargs)
-
+    # douglas takes no eigenpairs, so every eigh of the check is the oracle's
     monkeypatch.setattr(dg, "factorize", factorize)
-    monkeypatch.setattr(oc, "HermitianSpectrum", OracleSpectrum)
-    monkeypatch.setattr(np.linalg, "eigh", logged)
+    log = count_lapack(monkeypatch)
     spec = oc.TrialSpec(dim_max=6, trials=12, seed=7)
     prop = _property_index("tn_monotone_lambda_match")
     for trial in range(spec.trials):
-        calls.clear()
+        log.clear()
         rng = oc._sub_rng(spec.seed, prop, trial)
         assert oc._check_tn_lambda(rng, spec, mc.DEFAULT_TOLERANCES) is None
         f = made[-1]
         comp = f.row_basis.conj().T @ f.d @ f.row_basis
-        of_comp = [m for by_oracle, m in calls if by_oracle]
+        of_comp = [args[0] for name, args, _ in log if name == "eigh"]
         assert len(of_comp) == 1
         np.testing.assert_allclose(of_comp[0], 0.5 * (comp + comp.conj().T), rtol=0, atol=1e-12)
 
@@ -421,11 +407,12 @@ def test_tn_check_takes_the_schedule_norms_in_one_call(monkeypatch):
         rng = oc._sub_rng(spec.seed, prop, trial)
         assert oc._check_tn_lambda(rng, spec, mc.DEFAULT_TOLERANCES) is None
         # the 41 norms and the 5 PSD tests are one eigvalsh of the stack, and
-        # the 4 monotonicity tests one more; no SVD reads a stack
+        # the 4 monotonicity tests one more; the report's (t_min, lambda) pair
+        # is a third, of two r x r matrices, where the verdict is POSITIVE; no
+        # SVD reads a stack
         assert [args[0].shape for name, args, _ in log if name == "svd" and args[0].ndim != 2] == []
         stacks = [args[0].shape for name, args, _ in log if name == "eigvalsh" and args[0].ndim == 3]
-        assert sum(shape[0] == schedule for shape in stacks) == 1
-        assert len(stacks) <= 2
+        assert sorted(shape[0] for shape in stacks) in ([4, schedule], [2, 4, schedule])
 
 
 # ---------------------------------------------------------------------------
@@ -554,51 +541,83 @@ def _majorization_off_by_one(a, c, tol):
     return mc.MajorizationResult(mu_star=mu_star + 1.0)
 
 
-# a wrong part fails the property that checks it, with that check's detail
+def _scaled_member(name, factor):
+    """A property in place of ``Factorization.<name>`` that reads the original times ``factor``."""
+    original = getattr(dg.Factorization, name)
+
+    def scaled(f):
+        value = original.__get__(f, dg.Factorization)
+        return None if value is None else factor * value
+
+    return property(scaled)
+
+
+# a wrong part fails the property that checks it, with that check's detail; a
+# part is an attribute of the oracle module or a member of the Factorization
 MUTANTS = {
     "pinv": (
+        oc,
         "pinv",
         lambda m, tol: 2.0 * mc.pinv(m, tol),
         "general_solution_routes",
         "M Mp M = M violated by",
     ),
     "sqrt_psd": (
+        oc,
         "sqrt_psd",
         lambda m, tol: 1.5 * mc.sqrt_psd(m, tol),
         "general_solution_routes",
         "sqrt round trip off by",
     ),
     "majorization": (
+        oc,
         "min_majorization_scale",
         _majorization_off_by_one,
         "general_solution_routes",
         "reduced-solution properties failed: norm=False kernel=True rowspace=True",
     ),
     "search_unsolvable": (
+        oc,
         "positive_search",
         _search_hit_on_unsolvable,
         "positive_criteria_agreement",
         "search produced a PSD solution on a pair judged unsolvable",
     ),
     "search_non_psd": (
+        oc,
         "positive_search",
         _search_hit_moved(lambda x: -(1.0 + mc.spectral_norm(x)) * np.eye(len(x))),
         "positive_criteria_agreement",
         "search returned a non-PSD matrix",
     ),
     "search_non_solution": (
+        oc,
         "positive_search",
         _search_hit_moved(lambda x: np.eye(len(x))),
         "positive_criteria_agreement",
         "search returned a non-solution",
+    ),
+    "t_min": (
+        dg.Factorization,
+        "t_min",
+        _scaled_member("t_min", 1.01),
+        "positive_criteria_agreement",
+        "t_min exceeds the norm of an emitted positive solution",
+    ),
+    "lambda": (
+        dg.Factorization,
+        "lambda_estimate",
+        _scaled_member("lambda_estimate", 1.01),
+        "tn_monotone_lambda_match",
+        "closed-form lambda",
     ),
 }
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_property_suite_catches_a_wrong_part(monkeypatch, mutant):
-    attribute, wrong, prop, detail = MUTANTS[mutant]
-    monkeypatch.setattr(oc, attribute, wrong)
+    owner, attribute, wrong, prop, detail = MUTANTS[mutant]
+    monkeypatch.setattr(owner, attribute, wrong)
     report = oc.property_suite(oc.TrialSpec(trials=12, seed=3))
     failed = report["properties"][prop]
     assert report["violations"] == failed["failures"] >= 1
@@ -612,7 +631,7 @@ def test_property_suite_takes_exact_norms_only_where_they_decide(monkeypatch):
     log = count_lapack(monkeypatch)
     report = oc.property_suite(oc.TrialSpec(trials=2, dim_max=4, seed=1000))
     assert report["violations"] == 0
-    assert [name for name, _, _ in log].count("svd") == 33
+    assert [name for name, _, _ in log].count("svd") == 30
 
 
 def test_property_suite_deterministic():
