@@ -2,11 +2,12 @@
 
 Four layers:
 
-- :mod:`opeq.matcore` -- complex-matrix primitives (pseudoinverse, PSD square
-  root, polar partial isometry, PSD and majorization tests) behind a single
-  tolerance configuration;
-- :mod:`opeq.douglas` -- the solvability criteria and the general /
-  Hermitian / positive solution families, all read from one
+- :mod:`opeq.matcore` -- single-matrix primitives (pseudoinverse, PSD square
+  root, polar partial isometry, PSD test) and the matrix wire format, behind a
+  single tolerance configuration;
+- :mod:`opeq.douglas` -- the solvability criteria, the two least scales of
+  ``C C* <= mu A A*`` and ``C C* <= t C A*``, and the general / Hermitian /
+  positive solution families, all read from one
   :class:`~opeq.douglas.Factorization` per ``(A, C, tol)``;
 - :mod:`opeq.projpair` -- a discretized algebra of 2x2 matrix functions on
   [0, 1] with diagonal boundary values, where ``(P + Q)^{1/2} X = P`` is
@@ -36,13 +37,11 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOLERANCES,
-    MajorizationResult,
     ToleranceConfig,
     as_matrix,
     is_psd,
     matrix_from_json,
     matrix_to_json,
-    min_majorization_scale,
     pinv,
     polar_partial_isometry,
     spectral_norm,

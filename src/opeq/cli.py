@@ -37,12 +37,10 @@ from .errors import (
     OpeqError,
 )
 from .matcore import (
-    MajorizationResult,
     ToleranceConfig,
     _matrix_from_text,
     _within_residual_bound,
     matrix_to_wire,
-    spectral_norm,
 )
 
 EXIT_OK = 0
@@ -234,7 +232,7 @@ def _cmd_solve(args, tol) -> int:
             args.out,
         )
         return EXIT_NEGATIVE
-    residual = spectral_norm(a @ x - c)  # the builder's check screened it; print it exactly
+    residual = f.residual(x)  # the builder's check screened it; print it exactly
     del f  # free its cached factors before the solution is serialized
 
     _emit(
@@ -257,11 +255,9 @@ def _cmd_check(args, tol) -> int:
 
 def _cmd_majorize(args, tol) -> int:
     f = douglas.factorize(*_load_pair(args), tol)
-    # by Douglas, C C* <= mu A A* for some mu exactly when R(C) is inside R(A),
-    # and the least such mu is ||D||^2: both read the one factorization
-    d_norm_sq = f.d_norm**2 if f.range_ok else None
-    payload = MajorizationResult(mu_star=d_norm_sq).to_json()
-    _emit({**payload, "range_inclusion": f.range_ok, "d_norm_sq": d_norm_sq}, args.out)
+    mu = f.majorization_scale
+    payload = {"d_norm_sq": mu, "finite": mu is not None, "mu_star": "inf" if mu is None else mu}
+    _emit({**payload, "range_inclusion": f.range_ok}, args.out)
     return EXIT_OK
 
 

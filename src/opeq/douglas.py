@@ -22,14 +22,19 @@ Every decision reads one :class:`Factorization` of ``(A, C, tol)``, made by
 :func:`factorize` from a single SVD of ``A``; the builders check each
 solution they emit before returning it.
 
-Positive solvability is decided by the exact finite-dimensional tests:
-``R(C)`` inside ``R(A)``, ``C A*`` PSD, and the range equality
-``R(D) = R(DP)``.  Exactly then the least ``t`` with ``C C* <= t C A*`` is
-finite, and it and the norm ``lambda`` of the correction term
+The paper's two least scales read the same factorization.  By Douglas,
+``C C* <= mu A A*`` holds for some ``mu`` exactly when ``R(C)`` lies inside
+``R(A)``, and the least such ``mu`` is ``||D||^2``
+(:attr:`Factorization.majorization_scale`).  Positive solvability is decided
+by the exact finite-dimensional tests: ``R(C)`` inside ``R(A)``, ``C A*``
+PSD, and the range equality ``R(D) = R(DP)``.  Exactly then the least ``t``
+with ``C C* <= t C A*`` (:attr:`Factorization.t_min`) is finite, and it and
+the norm ``lambda`` of the correction term
 ``(I - P) D* (D P)^dagger D (I - P)`` are reported; ``lambda`` is the limit
 of the compressed-resolvent norms ``||T_n||``.  :mod:`opeq.oracle` keeps the
-``||T_n||`` scan and the ``n x n`` majorization route, the leak of ``C C*``
-outside the range of ``C A*``, as cross-checks.
+``||T_n||`` scan, the ``n x n`` route to ``t``, the leak of ``C C*`` outside
+the range of ``C A*``, and a route to ``mu`` from a second SVD of A, as
+cross-checks.
 
 All of it lives on the row space of A, as the paper's ``D = |A|^dagger U* C``
 does: with ``M = B* D`` and ``K = B* D B``, ``D = B M``, ``D P = B K B*`` and
@@ -203,6 +208,10 @@ class Factorization:
         """``||A X - C||`` within :meth:`equation_bound`, screened by Frobenius bounds."""
         return _within_residual_bound(self.a @ x - self.c, self.c, self.tol, self.equation_bound)
 
+    def residual(self, x) -> float:
+        """``||A X - C||`` exactly, from one zgesdd call: what certificates and ``solve`` print."""
+        return spectral_norm(self.a @ x - self.c)
+
     @cached_property
     def range_ok(self) -> bool:
         """R(C) inside R(A): D solves ``A X = C`` by :meth:`equation_ok`."""
@@ -211,7 +220,7 @@ class Factorization:
     @cached_property
     def range_residual(self) -> float:
         """``||A D - C||``, which the certificate of a failed range test prints."""
-        return spectral_norm(self.a @ self.d - self.c)
+        return self.residual(self.d)
 
     @cached_property
     def ip(self) -> np.ndarray:
@@ -333,6 +342,15 @@ class Factorization:
         return float(top[0]), max(0.0, float(top[1]))
 
     @property
+    def majorization_scale(self) -> float | None:
+        """Least ``mu`` with ``C C* <= mu A A*``: ``||D||^2`` where R(C) lies in R(A), else None.
+
+        By Douglas such a ``mu`` exists exactly when R(C) is inside R(A), and
+        the least one is ``||D||^2``.
+        """
+        return self.d_norm**2 if self.range_ok else None
+
+    @property
     def t_min(self) -> float | None:
         """Least t with ``C C* <= t C A*``, which is finite exactly on the positive class."""
         return None if self._positive_norms is None else self._positive_norms[0]
@@ -431,7 +449,7 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     if x.shape != shape:
         raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
     if not f.equation_ok(x):
-        resid = spectral_norm(f.a @ x - f.c)
+        resid = f.residual(x)
         raise NotASolution(
             f"AX differs from C by {resid:.3e}", certificate={"equation_residual": resid}
         )
@@ -507,7 +525,7 @@ def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarr
             certificate={
                 "failed_conditions": failed,
                 **numbers(),
-                "equation_residual": spectral_norm(f.a @ x - f.c),
+                "equation_residual": f.residual(x),
                 "residual_bound": f.equation_bound(spectral_norm(f.c)),
             },
         )

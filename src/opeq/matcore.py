@@ -35,7 +35,6 @@ from .errors import MatrixFormatError, NotPSD, ShapeMismatch
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOLERANCES",
-    "MajorizationResult",
     "as_matrix",
     "matrix_from_json",
     "matrix_to_json",
@@ -51,7 +50,6 @@ __all__ = [
     "polar_partial_isometry",
     "HermitianSpectrum",
     "is_psd",
-    "min_majorization_scale",
 ]
 
 
@@ -80,16 +78,17 @@ class ToleranceConfig:
         test of ``C A*``, and of the matrix itself for every other Hermitian
         test (:func:`is_psd`, :func:`sqrt_psd`, the Hermitian family's
         parameter Y and its X, the compressed ``DP``, the Penrose
-        identities), ``||A||`` for the polar identity, ``||C||`` for the leak
-        test of :func:`min_majorization_scale`, the node value
+        identities), ``||A||`` for the polar identity, the node value
         for the off-diagonal part in ``algebra_membership``, and ``||P(t)|| =
         1`` for the ``perturb`` residual.  The property suite of
         :mod:`opeq.oracle` judges each route at the norm of what it
         reproduces: ``||X||`` for the partial-isometry route and the
         parameter round trip, ``||A* A||`` for the square-root round trip,
         ``||D||`` for the normal-equation route and for ``D - P D``, each
-        projector's norm for the kernel match ``N(D) = N(C)``, ``||D||^2`` for
-        the gap to the least majorization scale, ``||C C*||`` for the leak of
+        projector's norm for the kernel match ``N(D) = N(C)``, ``||C||`` for
+        the leak of C outside the range of A in its own route to the least
+        majorization scale, ``||D||^2`` for that scale's gap to
+        ``Factorization.majorization_scale``, ``||C C*||`` for the leak of
         ``C C*`` outside the range of ``C A*``, and ``||X||`` for the excess
         of ``t_min`` over it.  The tests of :mod:`opeq.douglas`,
         :mod:`opeq.oracle`, :mod:`opeq.projpair` and :class:`HermitianSpectrum`
@@ -157,30 +156,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
-
-
-@dataclass(frozen=True)
-class MajorizationResult:
-    """Least scale ``mu`` with ``C C* <= mu A A*``, or the fact that none exists.
-
-    Infinity is an explicit flag, never a sentinel float: ``mu_star`` is None
-    when no finite scale exists, and :attr:`finite` is False exactly then.
-    """
-
-    mu_star: float | None
-
-    def __post_init__(self):
-        if self.mu_star is not None and not (
-            math.isfinite(self.mu_star) and self.mu_star >= 0.0
-        ):
-            raise ValueError("mu_star must be a finite nonnegative number")
-
-    @property
-    def finite(self) -> bool:
-        return self.mu_star is not None
-
-    def to_json(self):
-        return {"finite": self.finite, "mu_star": self.mu_star if self.finite else "inf"}
 
 
 def as_matrix(m) -> np.ndarray:
@@ -749,27 +724,3 @@ def is_psd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     if a.shape[0] != a.shape[1]:
         return False
     return HermitianSpectrum(a, tol).is_psd
-
-
-def min_majorization_scale(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> MajorizationResult:
-    """Least ``mu`` with ``C C* <= mu A A*`` in the semidefinite order.
-
-    Finite exactly when the kernel of ``A A*`` sits inside the kernel of
-    ``C C*``; the value then equals the squared operator norm of the reduced
-    solution of ``AX = C`` whenever that equation is consistent.  It is read
-    from A's :func:`truncated_svd` ``U_r S V_r*``, cut at :meth:`~ToleranceConfig.rank_cut`
-    on the singular values as every rank here is: C must not leak outside
-    the range of ``U_r`` (a residual test at ``||C||``), and ``mu`` is then the
-    top eigenvalue of ``G G*`` with ``G = S^-1 U_r* C``.
-    """
-    a = as_matrix(a)
-    c = as_matrix(c)
-    if a.shape[0] != c.shape[0]:
-        raise ShapeMismatch("A and C must share their row count")
-    u, s, _ = truncated_svd(a, tol)
-    coords = u.conj().T @ c
-    if not _within_residual_bound(c - u @ coords, c, tol):
-        return MajorizationResult(mu_star=None)
-    g = coords / s[:, np.newaxis]
-    top = np.max(np.linalg.eigvalsh(g @ g.conj().T), initial=0.0)  # 0 for A of rank 0
-    return MajorizationResult(mu_star=float(top))

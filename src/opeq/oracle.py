@@ -5,10 +5,11 @@ of the SVD pseudoinverse, the partial-isometry form
 ``|A|^+ U* C + (I - U*U) Y`` (with ``A = U|A|``) instead of ``D + (I - P) Y``,
 sampling of the Hermitian family for PSD solutions instead of the closed
 form, the leak of ``C C*`` outside the range of ``C A*`` instead of the range
-equality, and the ``||T_n||`` scan for the closed-form lambda.  Absence of a
-search hit is evidence, never proof.  The routes share their inputs with
-the decisions: every trial builds one :class:`~opeq.douglas.Factorization`
-and reads D, P, ``C A*`` and DP from it.
+equality, a second SVD of A for the least ``mu`` with ``C C* <= mu A A*``
+instead of ``||D||^2``, and the ``||T_n||`` scan for the closed-form lambda.
+Absence of a search hit is evidence, never proof.  The routes share their
+inputs with the decisions: every trial builds one
+:class:`~opeq.douglas.Factorization` and reads D, P, ``C A*`` and DP from it.
 
 The suite has five properties, and a check runs on the pair of the property
 that builds its input: ``general_solution_routes`` also checks the Penrose
@@ -56,12 +57,12 @@ from .matcore import (
     as_matrix,
     is_psd,
     matrix_to_json,
-    min_majorization_scale,
     pinv,
     polar_partial_isometry,
     row_space_projector,
     spectral_norm,
     sqrt_psd,
+    truncated_svd,
 )
 
 __all__ = [
@@ -92,8 +93,8 @@ RANK_POLICIES = ("full", "deficient", "random")
 class TrialSpec:
     """How to drive a randomized run: dimensions 1 to dim_max, rank policy, count, seed.
 
-    ``dim_max``, ``trials`` and ``seed`` may be of any integer type
-    (:func:`operator.index`) and are kept as Python ints.
+    ``dim_max``, ``trials`` and ``seed`` may be of any integer type but a
+    bool (:func:`operator.index`) and are kept as Python ints.
     """
 
     dim_max: int = 6
@@ -105,6 +106,8 @@ class TrialSpec:
         for name in ("dim_max", "trials", "seed"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):  # operator.index would read it as 0 or 1
+                    raise TypeError
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -223,10 +226,10 @@ def positive_search(
             x = 0.5 * (x + np.conj(np.transpose(x, (0, 2, 1))))
             eigs = np.linalg.eigvalsh(x)
             hits = np.nonzero(eigs[:, 0] >= tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1)))[0]
+            # x is exactly Hermitian, so the floor test above is is_psd's own
             for k in hits:
-                candidate = x[k]
-                if f.equation_ok(candidate) and is_psd(candidate, tol):
-                    return candidate
+                if f.equation_ok(x[k]):
+                    return x[k]
             if not bordered:
                 bordered = True
                 border = _border(f, base)
@@ -472,18 +475,38 @@ def _fail(detail, **mats):
     return {"detail": detail, "instance": {name: matrix_to_json(m) for name, m in mats.items()}}
 
 
+def _majorization_scale(a, c, tol: ToleranceConfig) -> float | None:
+    """Least ``mu`` with ``C C* <= mu A A*`` by a route of its own; None when none is finite.
+
+    The reference for :attr:`~opeq.douglas.Factorization.majorization_scale`,
+    read from A's :func:`~opeq.matcore.truncated_svd` ``U_r S V_r*``: C must
+    not leak outside the range of ``U_r`` (a residual test at ``||C||``), and
+    ``mu`` is then the top eigenvalue of ``G G*`` with ``G = S^-1 U_r* C``.
+    """
+    u, s, _ = truncated_svd(a, tol)
+    coords = u.conj().T @ c
+    if not _within_residual_bound(c - u @ coords, c, tol):
+        return None
+    g = coords / s[:, np.newaxis]
+    return float(np.max(np.linalg.eigvalsh(g @ g.conj().T), initial=0.0))  # 0 for A of rank 0
+
+
 def _reduced_solution_facts(f: douglas.Factorization) -> tuple[bool, bool, bool]:
     """Douglas's three facts about the reduced solution D: ``(norm, kernel, rowspace)``.
 
-    norm identity: ``||D||^2`` equals the least majorization scale;
+    norm identity: the factorization's least majorization scale ``||D||^2``
+    equals :func:`_majorization_scale`'s;
     kernel match: ``N(D) = N(C)`` through mutual projector residuals;
     row-space location: ``(I - P) D = 0``.  They hold when the equation is consistent.
     """
     tol = f.tol
     d = f.d
-    maj = min_majorization_scale(f.a, f.c, tol)
-    d_norm_sq = f.d_norm**2
-    norm_ok = maj.finite and _within_residual_bound(abs(maj.mu_star - d_norm_sq), d_norm_sq, tol)
+    mu, d_norm_sq = _majorization_scale(f.a, f.c, tol), f.majorization_scale
+    norm_ok = (
+        mu is not None
+        and d_norm_sq is not None
+        and _within_residual_bound(abs(mu - d_norm_sq), d_norm_sq, tol)
+    )
     pc, pd = row_space_projector(f.c, tol), row_space_projector(d, tol)
     kernel_ok = all(_within_residual_bound(p - q @ p, p, tol) for p, q in ((pd, pc), (pc, pd)))
     rowspace_ok = _within_residual_bound(d - f.row_basis @ f.m, d, tol)

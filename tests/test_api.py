@@ -313,6 +313,9 @@ NUMERIC_REJECTS = {
     "seed_negative": (lambda: oc.TrialSpec(seed=np.int64(-1)), ValueError),
     "trials_float": (lambda: oc.TrialSpec(trials=np.float64(2.0)), ValueError),
     "dim_max_range": (lambda: oc.TrialSpec(dim_max=np.int8(9)), ValueError),
+    "seed_bool": (lambda: oc.TrialSpec(seed=True), ValueError),
+    "trials_bool": (lambda: oc.TrialSpec(trials=True), ValueError),
+    "dim_max_bool": (lambda: oc.TrialSpec(dim_max=True), ValueError),
 }
 
 

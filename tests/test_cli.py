@@ -12,6 +12,7 @@ from conftest import count_lapack
 from opeq import cli
 from opeq import douglas as dg
 from opeq import matcore as mc
+from opeq import oracle as oc
 from opeq.cli import main
 from opeq.errors import MatrixFormatError
 
@@ -242,6 +243,27 @@ def test_commands_agree_on_c_outside_the_range_of_ill_conditioned_a(capsys, tmp_
     _, payload, _ = run_cli(capsys, "majorize", "--a", a_file, "--c", c_file)
     assert report["verdict"] == "Unsolvable" and code == 2
     assert payload["finite"] is False and payload["range_inclusion"] is False
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e9])
+def test_check_majorize_and_the_factorization_agree_on_ill_conditioned_pairs(capsys, tmp_path, kappa):
+    # A = U diag(1, 1/kappa, 0) V* and C = A X with X = V E22 V*: C lies in
+    # R(A).  At kappa = 1e9 a second rank decision, through its own SVD of A
+    # and a leak test at ||C||, called 36 of these 40 pairs non-majorizable
+    x = np.zeros((3, 3))
+    x[1, 1] = 1.0
+    for s in range(40):
+        rng = np.random.default_rng([9, s])
+        u, v = oc._unitaries(rng, 3, 2)
+        a = u @ np.diag([1.0, 1.0 / kappa, 0.0]) @ v.conj().T
+        c = a @ (v @ x @ v.conj().T)
+        a_file = write_matrix(tmp_path / "a.json", a)
+        c_file = write_matrix(tmp_path / "c.json", c)
+        _, report, _ = run_cli(capsys, "check", "--a", a_file, "--c", c_file)
+        code, payload, _ = run_cli(capsys, "majorize", "--a", a_file, "--c", c_file)
+        finite = dg.factorize(a, c).majorization_scale is not None
+        assert code == 0
+        assert [report["range_ok"], payload["finite"], payload["range_inclusion"], finite] == [True] * 4
 
 
 # ---------------------------------------------------------------------------

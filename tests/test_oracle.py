@@ -248,7 +248,8 @@ def test_douglas_check_fixture(rank1_pair):
     a, c = rank1_pair
     f = dg.factorize(a, c)
     assert oc._reduced_solution_facts(f) == (True, True, True)
-    assert mc.min_majorization_scale(a, c).mu_star == pytest.approx(5.0, rel=1e-10)
+    assert oc._majorization_scale(a, c, f.tol) == pytest.approx(5.0, rel=1e-10)
+    assert f.majorization_scale == pytest.approx(5.0, rel=1e-10)
     assert f.d_norm**2 == pytest.approx(5.0, rel=1e-10)
 
 
@@ -536,9 +537,11 @@ def _search_hit_moved(shift):
     return search
 
 
+MAJORIZATION_SCALE = oc._majorization_scale
+
+
 def _majorization_off_by_one(a, c, tol):
-    mu_star = mc.min_majorization_scale(a, c, tol).mu_star
-    return mc.MajorizationResult(mu_star=mu_star + 1.0)
+    return MAJORIZATION_SCALE(a, c, tol) + 1.0
 
 
 def _scaled_member(name, factor):
@@ -571,8 +574,15 @@ MUTANTS = {
     ),
     "majorization": (
         oc,
-        "min_majorization_scale",
+        "_majorization_scale",
         _majorization_off_by_one,
+        "general_solution_routes",
+        "reduced-solution properties failed: norm=False kernel=True rowspace=True",
+    ),
+    "majorization_scale": (
+        dg.Factorization,
+        "majorization_scale",
+        _scaled_member("majorization_scale", 1.01),
         "general_solution_routes",
         "reduced-solution properties failed: norm=False kernel=True rowspace=True",
     ),
