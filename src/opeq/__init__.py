@@ -49,7 +49,6 @@ from .matcore import (
 )
 from .douglas import (
     Factorization,
-    SolvabilityReport,
     Verdict,
     block_psd_test,
     factorize,

@@ -220,14 +220,13 @@ def _cmd_solve(args, tol) -> int:
         free = _load_matrix(path) if path else np.zeros((a.shape[1], c.shape[1]))
         x = getattr(douglas, f"{args.mode}_solution")(f, free)
     except (NotSolvable, NotSolvableHermitian, NotSolvablePositive) as exc:
-        report = douglas.solvability_report(f) if a.shape == c.shape else None
         _emit(
             {
                 "status": "unsolvable",
                 "mode": args.mode,
                 "reason": str(exc),
                 "certificate": exc.certificate,
-                "report": report.to_json() if report else None,
+                "report": douglas.solvability_report(f) if a.shape == c.shape else None,
             },
             args.out,
         )
@@ -248,8 +247,7 @@ def _cmd_solve(args, tol) -> int:
 
 
 def _cmd_check(args, tol) -> int:
-    report = douglas.solvability_report(douglas.factorize(*_load_pair(args), tol))
-    _emit(report.to_json(), args.out)
+    _emit(douglas.solvability_report(douglas.factorize(*_load_pair(args), tol)), args.out)
     return EXIT_OK
 
 

@@ -20,7 +20,10 @@ the form under which ``A X = C`` holds for every PSD ``Z``.
 
 Every decision reads one :class:`Factorization` of ``(A, C, tol)``, made by
 :func:`factorize` from a single SVD of ``A``; the builders check each
-solution they emit before returning it.
+solution they emit before returning it.  The solvability class is
+:attr:`Factorization.verdict`, read with the flags it is decided by;
+:func:`solvability_report` writes them as the JSON that ``opeq check``
+prints, with the exact norms of every failed criterion, which no decision reads.
 
 The paper's two least scales read the same factorization.  By Douglas,
 ``C C* <= mu A A*`` holds for some ``mu`` exactly when ``R(C)`` lies inside
@@ -55,7 +58,7 @@ injective, ``C C* <= t C A*`` holds iff ``M M* <= t K``, and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -66,6 +69,7 @@ from .errors import (
     NotSolvable,
     NotSolvableHermitian,
     NotSolvablePositive,
+    OpeqError,
     ParameterNotHermitian,
     ParameterNotPSD,
     ShapeMismatch,
@@ -86,7 +90,6 @@ from .matcore import (
 
 __all__ = [
     "Verdict",
-    "SolvabilityReport",
     "Factorization",
     "factorize",
     "reduced_solution",
@@ -99,8 +102,23 @@ __all__ = [
 ]
 
 # roundoff per dimension, relative to ||A|| ||A^dagger|| ||C||, that an equation
-# residual A X - C is allowed beyond its residual bound (Factorization.equation_bound)
+# residual A X - C is allowed beyond its residual bound (_equation_bound)
 _ROUNDOFF = 16 * float(np.finfo(np.float64).eps)
+
+
+def _equation_bound(tol: ToleranceConfig, n: int, cond: float, c_norm: float) -> float:
+    """The largest ``||A X - C||`` that passes, given ``||C||``.
+
+    The residual bound of ``||C||`` plus the roundoff of forming
+    ``D = A^dagger C`` and ``A D``, ``16 n eps ||A|| ||A^dagger|| ||C||``
+    with n the larger side of A and ``cond = ||A|| ||A^dagger||``: over random
+    pairs of condition number up to 3e9, D's residual stayed below half of it.
+    That roundoff passes ``residual_atol ||C||`` from a condition number of
+    about ``residual_atol / eps``, while a C outside R(A) by more still fails.
+    :meth:`Factorization.equation_bound` applies it, and so does the oracle's
+    own route to the least majorization scale, with ``cond`` from its own SVD.
+    """
+    return tol.residual_bound(c_norm) + _ROUNDOFF * n * cond * c_norm
 
 
 class Verdict(enum.Enum):
@@ -114,47 +132,6 @@ class Verdict(enum.Enum):
     def at_least(self, other: "Verdict") -> bool:
         order = list(Verdict)  # definition order, weakest first
         return order.index(self) >= order.index(other)
-
-
-@dataclass(frozen=True)
-class SolvabilityReport:
-    """Structured verdict for AX = C with the failing certificate when negative.
-
-    ``t_min`` is the least ``t`` with ``C C* <= t C A*``, and
-    ``lambda_estimate`` the closed form ``||(I - P) D* (DP)^dagger D (I - P)||``,
-    the limit of the compressed-resolvent norms ``||T_n||``.  Both are set
-    exactly when the verdict is POSITIVE, since otherwise no finite ``t``
-    exists and those norms diverge or are undefined; both serialize as the
-    string ``"inf"`` when None.
-    """
-
-    range_ok: bool
-    ca_star_hermitian: bool
-    ca_star_psd: bool
-    t_min: float | None
-    dp_range_eq: bool
-    lambda_estimate: float | None
-    verdict: Verdict
-    certificate: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.verdict is Verdict.POSITIVE and not (
-            self.range_ok and self.ca_star_psd and self.dp_range_eq
-        ):
-            raise ValueError("positive verdict requires range, PSD and range-equality flags")
-        if self.verdict.at_least(Verdict.HERMITIAN) and not (
-            self.range_ok and self.ca_star_hermitian
-        ):
-            raise ValueError("Hermitian verdict requires range and Hermitian flags")
-        for name in ("t_min", "lambda_estimate"):
-            if (getattr(self, name) is not None) != (self.verdict is Verdict.POSITIVE):
-                raise ValueError(f"{name} is present exactly for a positive verdict")
-
-    def to_json(self) -> dict:
-        """Every field in order, with the verdict's value and "inf" for a None."""
-        out = {item.name: getattr(self, item.name) for item in fields(self)}
-        out["verdict"] = self.verdict.value
-        return {key: "inf" if value is None else value for key, value in out.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,16 +170,8 @@ class Factorization:
     d: np.ndarray
 
     def equation_bound(self, c_norm: float) -> float:
-        """The largest ``||A X - C||`` that passes, given ``||C||``.
-
-        The residual bound of ``||C||`` plus the roundoff of forming
-        ``D = A^dagger C`` and ``A D``, ``16 n eps ||A|| ||A^dagger|| ||C||``
-        with n the larger side of A: over random pairs of condition number up
-        to 3e9, D's residual stayed below half of it.  That roundoff passes
-        ``residual_atol ||C||`` from a condition number of about
-        ``residual_atol / eps``, while a C outside R(A) by more still fails.
-        """
-        return self.tol.residual_bound(c_norm) + _ROUNDOFF * max(self.a.shape) * self.a_cond * c_norm
+        """The largest ``||A X - C||`` that passes, given ``||C||``, by :func:`_equation_bound`."""
+        return _equation_bound(self.tol, max(self.a.shape), self.a_cond, c_norm)
 
     def equation_ok(self, x) -> bool:
         """``||A X - C||`` within :meth:`equation_bound`, screened by Frobenius bounds."""
@@ -324,6 +293,26 @@ class Factorization:
         return self.range_ok and self.ca_psd and self.dp_range_eq
 
     @cached_property
+    def verdict(self) -> Verdict:
+        """The solvability class of AX = C over the square parameter space.
+
+        Decided by the exact finite-dimensional tests, range inclusion, then
+        the positive class, then ``C A*`` Hermitian, so POSITIVE implies the
+        range, PSD and range-equality flags, HERMITIAN or higher implies the
+        range and Hermitian flags, and ``t_min`` and lambda are finite exactly
+        on POSITIVE.  Raises :class:`~opeq.errors.ShapeMismatch` unless A and C
+        have the same shape.
+        """
+        _check_same_shape(self)
+        if not self.range_ok:
+            return Verdict.UNSOLVABLE
+        if self.positive:
+            return Verdict.POSITIVE
+        if self.ca_hermitian:
+            return Verdict.HERMITIAN
+        return Verdict.GENERAL
+
+    @cached_property
     def _positive_norms(self) -> tuple[float, float] | None:
         """``(t_min, lambda)`` from K's SVD ``U_K S_K V_K*``; None off the positive class.
 
@@ -346,9 +335,17 @@ class Factorization:
         """Least ``mu`` with ``C C* <= mu A A*``: ``||D||^2`` where R(C) lies in R(A), else None.
 
         By Douglas such a ``mu`` exists exactly when R(C) is inside R(A), and
-        the least one is ``||D||^2``.
+        the least one is ``||D||^2``.  Raises :class:`~opeq.errors.OpeqError`
+        where ``||D||`` is a float but its square is not.
         """
-        return self.d_norm**2 if self.range_ok else None
+        if not self.range_ok:
+            return None
+        d_norm = self.d_norm
+        try:
+            return d_norm**2
+        except OverflowError:
+            message = f"the least majorization scale ||D||^2 overflows: ||D|| = {d_norm:.3e}"
+            raise OpeqError(message) from None
 
     @property
     def t_min(self) -> float | None:
@@ -456,16 +453,6 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     return x - reduced_solution(f)
 
 
-def _verdict(f: Factorization) -> Verdict:
-    if not f.range_ok:
-        return Verdict.UNSOLVABLE
-    if f.positive:
-        return Verdict.POSITIVE
-    if f.ca_hermitian:
-        return Verdict.HERMITIAN
-    return Verdict.GENERAL
-
-
 def _failure_certificate(f: Factorization) -> dict:
     """Every failed criterion, with the numbers behind it."""
     failed = []
@@ -485,29 +472,28 @@ def _failure_certificate(f: Factorization) -> dict:
     return certificate
 
 
-def solvability_report(f: Factorization) -> SolvabilityReport:
-    """Full solvability classification of AX = C over square parameter space.
+def solvability_report(f: Factorization) -> dict:
+    """Full solvability classification of AX = C over square parameter space, JSON-ready.
 
-    Populates every criterion: range inclusion, Hermitian-ness and
-    positivity of ``C A*``, the least majorization scale ``t_min`` with
-    ``C C* <= t C A*``, the range equality ``R(D) = R(DP)``, and, for a
-    positive verdict, the closed-form lambda.  The verdict is decided by the
-    exact finite-dimensional tests (range, PSD, range equality), and
-    ``t_min`` and lambda are read from K where they hold (see the module
-    docstring), so they are finite exactly on a POSITIVE verdict.
+    Reads :attr:`Factorization.verdict` and every criterion behind it: range
+    inclusion, Hermitian-ness and positivity of ``C A*``, the least ``t_min``
+    with ``C C* <= t C A*``, the range equality ``R(D) = R(DP)`` and the
+    closed-form lambda, with the verdict's value, ``"inf"`` for a None, and
+    off POSITIVE the certificate of every failed criterion with the exact
+    norms behind it.
     """
-    _check_same_shape(f)
-    verdict = _verdict(f)
-    return SolvabilityReport(
-        range_ok=f.range_ok,
-        ca_star_hermitian=f.ca_hermitian,
-        ca_star_psd=f.ca_psd,
-        t_min=f.t_min,
-        dp_range_eq=f.dp_range_eq,
-        lambda_estimate=f.lambda_estimate,
-        verdict=verdict,
-        certificate={} if verdict is Verdict.POSITIVE else _failure_certificate(f),
-    )
+    verdict = f.verdict
+    report = {
+        "range_ok": f.range_ok,
+        "ca_star_hermitian": f.ca_hermitian,
+        "ca_star_psd": f.ca_psd,
+        "t_min": f.t_min,
+        "dp_range_eq": f.dp_range_eq,
+        "lambda_estimate": f.lambda_estimate,
+        "verdict": verdict.value,
+        "certificate": {} if verdict is Verdict.POSITIVE else _failure_certificate(f),
+    }
+    return {key: "inf" if value is None else value for key, value in report.items()}
 
 
 def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarray:
@@ -547,7 +533,7 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
         raise ShapeMismatch(f"parameter Y must be {n}x{n}, got {y.shape}")
     if not (f.range_ok and f.ca_hermitian):
         raise NotSolvableHermitian(
-            f"no Hermitian solution exists (verdict {_verdict(f).value})",
+            f"no Hermitian solution exists (verdict {f.verdict.value})",
             certificate=_failure_certificate(f),
         )
     y_spectrum = HermitianSpectrum(y, f.tol)
@@ -586,7 +572,7 @@ def positive_solution(f: Factorization, z) -> np.ndarray:
         raise ShapeMismatch(f"parameter Z must be {n}x{n}, got {z.shape}")
     if not f.positive:
         raise NotSolvablePositive(
-            f"no PSD solution exists (verdict {_verdict(f).value})",
+            f"no PSD solution exists (verdict {f.verdict.value})",
             certificate=_failure_certificate(f),
         )
     if not is_psd(z, f.tol):

@@ -87,7 +87,8 @@ class ToleranceConfig:
         ``||D||`` for the normal-equation route and for ``D - P D``, each
         projector's norm for the kernel match ``N(D) = N(C)``, ``||C||`` for
         the leak of C outside the range of A in its own route to the least
-        majorization scale, ``||D||^2`` for that scale's gap to
+        majorization scale, with the roundoff term of the equation residuals
+        added, ``||D||^2`` for that scale's gap to
         ``Factorization.majorization_scale``, ``||C C*||`` for the leak of
         ``C C*`` outside the range of ``C A*``, and ``||X||`` for the excess
         of ``t_min`` over it.  The tests of :mod:`opeq.douglas`,

@@ -9,7 +9,8 @@ equality, a second SVD of A for the least ``mu`` with ``C C* <= mu A A*``
 instead of ``||D||^2``, and the ``||T_n||`` scan for the closed-form lambda.
 Absence of a search hit is evidence, never proof.  The routes share their
 inputs with the decisions: every trial builds one
-:class:`~opeq.douglas.Factorization` and reads D, P, ``C A*`` and DP from it.
+:class:`~opeq.douglas.Factorization` and reads D, P, ``C A*`` and DP from it,
+and its verdict and flags, never a report, so no failure certificate is formed.
 
 The suite has five properties, and a check runs on the pair of the property
 that builds its input: ``general_solution_routes`` also checks the Penrose
@@ -32,6 +33,7 @@ its head ``T_1, ..., T_16``; the head's monotonicity tests are one more.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -480,12 +482,16 @@ def _majorization_scale(a, c, tol: ToleranceConfig) -> float | None:
 
     The reference for :attr:`~opeq.douglas.Factorization.majorization_scale`,
     read from A's :func:`~opeq.matcore.truncated_svd` ``U_r S V_r*``: C must
-    not leak outside the range of ``U_r`` (a residual test at ``||C||``), and
-    ``mu`` is then the top eigenvalue of ``G G*`` with ``G = S^-1 U_r* C``.
+    not leak outside the range of ``U_r`` by more than the equation bound of
+    ``||C||`` (:func:`~opeq.douglas._equation_bound`, with the condition number
+    ``S[0] / S[-1]`` of this SVD), and ``mu`` is then the top eigenvalue of
+    ``G G*`` with ``G = S^-1 U_r* C``.
     """
     u, s, _ = truncated_svd(a, tol)
     coords = u.conj().T @ c
-    if not _within_residual_bound(c - u @ coords, c, tol):
+    cond = float(s[0] / s[-1]) if s.size else 0.0
+    rule = functools.partial(douglas._equation_bound, tol, max(a.shape), cond)
+    if not _within_residual_bound(c - u @ coords, c, tol, rule):
         return None
     g = coords / s[:, np.newaxis]
     return float(np.max(np.linalg.eigvalsh(g @ g.conj().T), initial=0.0))  # 0 for A of rank 0
@@ -583,15 +589,15 @@ def _check_hermitian_criterion(rng, spec, tol):
     flavor = ("hermitian", "general", "positive")[int(rng.integers(3))]
     a, c, _ = _consistent_pair(rng, spec, flavor)
     f = douglas.factorize(a, c, tol)
-    report = douglas.solvability_report(f)
+    verdict = f.verdict
     dp = HermitianSpectrum(f.k, tol)  # DP = B K B*: the same deviation and nonzero spectrum
-    if dp.is_hermitian != report.ca_star_hermitian:
+    if dp.is_hermitian != f.ca_hermitian:
         return _fail("Hermitian-ness of DP and CA* disagree", a=a, c=c)
-    if dp.is_psd != report.ca_star_psd:
+    if dp.is_psd != f.ca_psd:
         return _fail("positivity of DP and CA* disagree", a=a, c=c)
-    if flavor == "hermitian" and not report.verdict.at_least(douglas.Verdict.HERMITIAN):
+    if flavor == "hermitian" and not verdict.at_least(douglas.Verdict.HERMITIAN):
         return _fail("pair built from a Hermitian factor judged non-Hermitian", a=a, c=c)
-    if report.verdict.at_least(douglas.Verdict.HERMITIAN):
+    if verdict.at_least(douglas.Verdict.HERMITIAN):
         y = random_hermitian(rng, a.shape[1])
         try:
             x = douglas.hermitian_solution(f, y)
@@ -622,12 +628,12 @@ def _check_positive_criteria(rng, spec, tol):
         expect = "positive" if flavor == "positive" else None
     sub_seed = int(rng.integers(2**32))
     f = douglas.factorize(a, c, tol)
-    # the pairs first, so the report's PSD test of C A* reads their values
+    # the pairs first, so the PSD test of C A* reads their values
     v = f._ca_spectrum.range_pairs[1] if f.ca_hermitian else None
-    report = douglas.solvability_report(f)
+    verdict = f.verdict
     cc = c @ c.conj().T
-    t_finite = report.ca_star_psd and _within_residual_bound(cc - v @ (v.conj().T @ cc), cc, tol)
-    exact = report.ca_star_psd and report.dp_range_eq
+    t_finite = f.ca_psd and _within_residual_bound(cc - v @ (v.conj().T @ cc), cc, tol)
+    exact = f.ca_psd and f.dp_range_eq
     if t_finite != exact:
         return _fail(
             f"majorization route (finite={t_finite}) disagrees with "
@@ -636,7 +642,7 @@ def _check_positive_criteria(rng, spec, tol):
             c=c,
         )
     if expect == "positive":
-        if report.verdict is not douglas.Verdict.POSITIVE:
+        if verdict is not douglas.Verdict.POSITIVE:
             return _fail("pair built from a PSD factor judged not positively solvable", a=a, c=c)
         z = random_psd(rng, a.shape[1], rank=_pick_rank(rng, a.shape[1], "random"))
         try:
@@ -648,19 +654,17 @@ def _check_positive_criteria(rng, spec, tol):
         if not f.equation_ok(x):
             return _fail("emitted positive member does not solve the equation", a=a, c=c)
         x_norm = spectral_norm(x)
-        if not _within_residual_bound(report.t_min - x_norm, x_norm, tol):
+        if not _within_residual_bound(f.t_min - x_norm, x_norm, tol):
             return _fail("t_min exceeds the norm of an emitted positive solution", a=a, c=c)
     if expect == "blocked":
-        if report.verdict is not douglas.Verdict.HERMITIAN:
-            return _fail(
-                f"range-deficient pattern misclassified as {report.verdict.value}", a=a, c=c
-            )
-        if report.dp_range_eq or t_finite:
+        if verdict is not douglas.Verdict.HERMITIAN:
+            return _fail(f"range-deficient pattern misclassified as {verdict.value}", a=a, c=c)
+        if f.dp_range_eq or t_finite:
             return _fail("range-deficient pattern passed a positivity route", a=a, c=c)
     found = positive_search(f, budget=384, seed=sub_seed)
     if found is None:
         return None
-    if report.verdict is not douglas.Verdict.POSITIVE:
+    if verdict is not douglas.Verdict.POSITIVE:
         return _fail("search produced a PSD solution on a pair judged unsolvable", a=a, c=c)
     if not is_psd(found, tol):
         return _fail("search returned a non-PSD matrix", a=a, c=c)
@@ -726,18 +730,17 @@ def _check_tn_lambda(rng, spec, tol):
     norms = norms.tolist()
     converged, diverged = _diagnose(norms, tol)
     estimate = norms[-1]
-    report = douglas.solvability_report(f)
-    if report.dp_range_eq and not converged:
+    if f.dp_range_eq and not converged:
         return _fail("ranges match but the T_n norms did not settle", a=a, c=c)
-    if not report.dp_range_eq and not diverged:
+    if not f.dp_range_eq and not diverged:
         return _fail("ranges differ but the T_n norms did not diverge", a=a, c=c)
     # the scan's own convergence rule bounds how far the closed form may sit
     if converged and (
-        report.lambda_estimate is None
-        or abs(report.lambda_estimate - estimate) > tol.residual_atol * (1.0 + estimate)
+        f.lambda_estimate is None
+        or abs(f.lambda_estimate - estimate) > tol.residual_atol * (1.0 + estimate)
     ):
         return _fail(
-            f"closed-form lambda {report.lambda_estimate!r} misses the T_n limit {estimate!r}",
+            f"closed-form lambda {f.lambda_estimate!r} misses the T_n limit {estimate!r}",
             a=a,
             c=c,
         )

@@ -78,8 +78,7 @@ def test_criterion_2_hermitian_but_never_positive(pair3):
         expected = np.array([[1, 0, 0], [0, 0, 1], [0, 1, x33]], dtype=complex)
         shape_ok &= np.max(np.abs(x - expected)) <= 1e-12
 
-    rep = dg.solvability_report(f)
-    verdict_ok = rep.verdict is dg.Verdict.HERMITIAN and rep.dp_range_eq is False
+    verdict_ok = f.verdict is dg.Verdict.HERMITIAN and f.dp_range_eq is False
 
     found = oc.positive_search(f, budget=10**4, seed=oc.DEFAULT_SEED)
     elapsed = time.perf_counter() - t0

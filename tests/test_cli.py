@@ -203,6 +203,17 @@ def test_majorize_disjoint(capsys, tmp_path):
     assert payload["d_norm_sq"] is None
 
 
+def test_majorize_reports_an_overflowing_scale_as_an_error(capsys, tmp_path):
+    # ||D|| = 1e200 is a float, its square is not; check reads t_min from K
+    a_file = write_matrix(tmp_path / "a.json", [[1e-100]])
+    c_file = write_matrix(tmp_path / "c.json", [[1e100]])
+    code, report, _ = run_cli(capsys, "check", "--a", a_file, "--c", c_file)
+    assert code == 0 and report["verdict"] == "SolvablePositive" and report["t_min"] == 1e200
+    code, payload, err = run_cli(capsys, "majorize", "--a", a_file, "--c", c_file)
+    assert code == 1 and payload is None
+    assert err == "error: the least majorization scale ||D||^2 overflows: ||D|| = 1.000e+200\n"
+
+
 def test_majorize_agrees_with_check_on_a_small_singular_value(capsys, monkeypatch, tmp_path):
     # sigma = 1e-7 is above the rank cut of A, though sigma^2 is below that cut
     # of A A*: the scale is finite, as range inclusion and check say

@@ -208,39 +208,38 @@ def test_general_solution_checks_its_output():
 
 def test_report_fixture(rank1_pair):
     a, c = rank1_pair
-    report = dg.solvability_report(dg.factorize(a, c))
-    assert report.range_ok and report.ca_star_hermitian
+    f = dg.factorize(a, c)
+    assert f.range_ok and f.ca_hermitian
     np.testing.assert_allclose(c @ a.conj().T, np.diag([2.0, 0.0]))
-    assert report.verdict is dg.Verdict.POSITIVE
-    assert report.t_min == pytest.approx(2.5, rel=1e-9)
+    assert f.verdict is dg.Verdict.POSITIVE
+    assert f.t_min == pytest.approx(2.5, rel=1e-9)
 
 
 def test_report_three_by_three(hermitian_only_pair):
-    a, c = hermitian_only_pair
-    report = dg.solvability_report(dg.factorize(a, c))
-    assert report.verdict is dg.Verdict.HERMITIAN
-    assert report.range_ok and report.ca_star_hermitian and report.ca_star_psd
-    assert not report.dp_range_eq
-    assert report.t_min is None
-    assert report.lambda_estimate is None
-    assert "dp_range_eq" in report.certificate["failed_conditions"]
+    f = dg.factorize(*hermitian_only_pair)
+    assert f.verdict is dg.Verdict.HERMITIAN
+    assert f.range_ok and f.ca_hermitian and f.ca_psd
+    assert not f.dp_range_eq
+    assert f.t_min is None
+    assert f.lambda_estimate is None
+    assert "dp_range_eq" in dg.solvability_report(f)["certificate"]["failed_conditions"]
 
 
 def test_report_non_hermitian_product():
     a = np.eye(2, dtype=complex)
     c = np.array([[0, 1], [0, 0]], dtype=complex)
-    report = dg.solvability_report(dg.factorize(a, c))
-    assert not report.ca_star_hermitian
-    assert report.verdict is dg.Verdict.GENERAL
+    f = dg.factorize(a, c)
+    assert not f.ca_hermitian
+    assert f.verdict is dg.Verdict.GENERAL
 
 
 def test_report_c_equals_a():
     rng = np.random.default_rng(43)
     a = rank_deficient(rng, 4, 4, 2)
-    report = dg.solvability_report(dg.factorize(a, a))
-    assert report.verdict is dg.Verdict.POSITIVE
-    assert report.t_min == pytest.approx(1.0, rel=1e-8)
-    assert report.lambda_estimate == pytest.approx(0.0, abs=1e-12)
+    f = dg.factorize(a, a)
+    assert f.verdict is dg.Verdict.POSITIVE
+    assert f.t_min == pytest.approx(1.0, rel=1e-8)
+    assert f.lambda_estimate == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -250,30 +249,47 @@ def test_report_lambda_is_zero_when_a_has_full_column_rank(scale):
     for n in (1, 3, 5):
         a = scale * complex_gaussian(rng, n + 1, n)
         f = dg.factorize(a, a @ random_psd(rng, n))
-        report = dg.solvability_report(f)
-        assert report.verdict is dg.Verdict.POSITIVE
-        assert report.lambda_estimate == 0.0
+        assert f.verdict is dg.Verdict.POSITIVE
+        assert f.lambda_estimate == 0.0
         assert not f.ip.any()
 
 
 def test_report_zero_c():
-    report = dg.solvability_report(dg.factorize(np.eye(3), np.zeros((3, 3))))
-    assert report.verdict is dg.Verdict.POSITIVE
-    assert report.t_min == 0.0
+    f = dg.factorize(np.eye(3), np.zeros((3, 3)))
+    assert f.verdict is dg.Verdict.POSITIVE
+    assert f.t_min == 0.0
 
 
 def test_report_unsolvable():
-    report = dg.solvability_report(dg.factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])))
-    assert report.verdict is dg.Verdict.UNSOLVABLE
-    assert not report.range_ok
-    assert report.certificate["range_residual"] > 0.5
+    f = dg.factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    assert f.verdict is dg.Verdict.UNSOLVABLE
+    assert not f.range_ok
+    assert dg.solvability_report(f)["certificate"]["range_residual"] > 0.5
 
 
-def test_report_json_markers(hermitian_only_pair):
-    payload = dg.solvability_report(dg.factorize(*hermitian_only_pair)).to_json()
+def test_report_json_markers(hermitian_only_pair, rank1_pair):
+    payload = dg.solvability_report(dg.factorize(*hermitian_only_pair))
     assert payload["t_min"] == "inf"
     assert payload["lambda_estimate"] == "inf"
     assert payload["verdict"] == "SolvableHermitian"
+    # every flag of the report is the factorization's, in the order check prints
+    for a, c in (hermitian_only_pair, rank1_pair):
+        f = dg.factorize(a, c)
+        payload = dg.solvability_report(f)
+        assert list(payload) == [
+            "range_ok",
+            "ca_star_hermitian",
+            "ca_star_psd",
+            "t_min",
+            "dp_range_eq",
+            "lambda_estimate",
+            "verdict",
+            "certificate",
+        ]
+        values = [f.range_ok, f.ca_hermitian, f.ca_psd, f.t_min, f.dp_range_eq, f.lambda_estimate]
+        values = ["inf" if value is None else value for value in values] + [f.verdict.value]
+        assert list(payload.values())[:7] == values
+        assert (payload["certificate"] == {}) is (f.verdict is dg.Verdict.POSITIVE)
 
 
 def test_verdict_ordering():
@@ -282,37 +298,41 @@ def test_verdict_ordering():
     assert not dg.Verdict.GENERAL.at_least(dg.Verdict.HERMITIAN)
 
 
-def test_report_invariant_enforced():
-    with pytest.raises(ValueError):
-        dg.SolvabilityReport(
-            range_ok=False,
-            ca_star_hermitian=False,
-            ca_star_psd=False,
-            t_min=None,
-            dp_range_eq=False,
-            lambda_estimate=None,
-            verdict=dg.Verdict.POSITIVE,
-        )
-
-
-@pytest.mark.parametrize("verdict", [dg.Verdict.POSITIVE, dg.Verdict.HERMITIAN])
-def test_report_t_min_is_present_exactly_for_a_positive_verdict(verdict):
-    positive = verdict is dg.Verdict.POSITIVE
-    with pytest.raises(ValueError, match="t_min is present exactly"):
-        dg.SolvabilityReport(
-            range_ok=True,
-            ca_star_hermitian=True,
-            ca_star_psd=True,
-            t_min=None if positive else 1.0,
-            dp_range_eq=positive,
-            lambda_estimate=0.0 if positive else None,
-            verdict=verdict,
-        )
+def test_verdict_invariants_hold_over_random_pairs():
+    # POSITIVE implies the range, PSD and range-equality flags; HERMITIAN or
+    # higher implies the range and Hermitian flags; t_min and lambda are
+    # present exactly on POSITIVE.  Every class is drawn, at three scales
+    rng = np.random.default_rng(61)
+    seen = Counter()
+    for k in range(240):
+        n = int(rng.integers(1, 6))
+        flavor = ("general", "hermitian", "positive")[k % 3]
+        if k % 4 == 3:
+            a, c = rank_deficient(rng, n, n, max(1, n - 1)), complex_gaussian(rng, n, n)
+        else:
+            a, c = consistent_pair(rng, n, flavor)
+        s = (1e-6, 1.0, 1e6)[(k // 3) % 3]
+        f = dg.factorize(s * a, s * c)
+        verdict = f.verdict
+        seen[verdict] += 1
+        if verdict is dg.Verdict.POSITIVE:
+            assert f.range_ok and f.ca_psd and f.dp_range_eq, k
+        if verdict.at_least(dg.Verdict.HERMITIAN):
+            assert f.range_ok and f.ca_hermitian, k
+        for value in (f.t_min, f.lambda_estimate):
+            assert (value is not None) is (verdict is dg.Verdict.POSITIVE), k
+        assert (verdict is dg.Verdict.UNSOLVABLE) is (not f.range_ok), k
+    assert set(seen) == set(dg.Verdict)
 
 
 def test_report_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         dg.solvability_report(dg.factorize(np.eye(2), np.eye(3)))
+    # rows agree, so A and C factorize, but the verdict needs a square parameter space
+    f = dg.factorize(np.eye(2), np.ones((2, 3)))
+    for decide in (dg.solvability_report, lambda f: f.verdict):
+        with pytest.raises(ShapeMismatch, match="identical shape"):
+            decide(f)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +408,15 @@ def test_positive_solution_c_equals_a():
 def test_positive_solution_random_parameters():
     rng = np.random.default_rng(59)
     a, c = consistent_pair(rng, 4, "positive")
-    report = dg.solvability_report(dg.factorize(a, c))
-    assert report.verdict is dg.Verdict.POSITIVE
+    f = dg.factorize(a, c)
+    assert f.verdict is dg.Verdict.POSITIVE
     for _ in range(200):
         z = random_psd(rng, 4, rank=int(rng.integers(1, 5)))
         x = dg.positive_solution(dg.factorize(a, c), z)
         assert mc.is_psd(x)
         assert mc.spectral_norm(a @ x - c) <= 1e-8 * max(1.0, mc.spectral_norm(c))
         # norm bound: the least majorization scale never exceeds ||X||
-        assert report.t_min <= mc.spectral_norm(x) + 1e-8
+        assert f.t_min <= mc.spectral_norm(x) + 1e-8
 
 
 def test_positive_solution_rejects_three_by_three(hermitian_only_pair):
@@ -434,7 +454,7 @@ NEAR_HERMITIAN = np.array([[1.0, 1e-6], [-1e-6, 1.0]])
 def test_positive_solution_checks_its_output_at_small_scale():
     for scale in (1e-6, 1.0, 1e6):
         f = dg.factorize(*weak_axis_pair(NEAR_PSD, scale))
-        assert dg.solvability_report(f).verdict is dg.Verdict.POSITIVE
+        assert f.verdict is dg.Verdict.POSITIVE
         with pytest.raises(NotSolvablePositive) as info:
             dg.positive_solution(f, np.zeros((2, 2)))
         certificate = info.value.certificate
@@ -504,9 +524,9 @@ def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
     d_outside = f._outside_range_dp()
     exact = mc.spectral_norm(d_outside)
     log.clear()
-    report = dg.solvability_report(f)
-    assert report.certificate["failed_conditions"] == ["dp_range_eq"]
-    assert report.certificate["d_outside_range_dp"] == exact
+    certificate = dg.solvability_report(f)["certificate"]
+    assert certificate["failed_conditions"] == ["dp_range_eq"]
+    assert certificate["d_outside_range_dp"] == exact
     # two SVDs of the residual: one by the undecided test, one for the certificate
     assert sum(name == "svd" and np.array_equal(args[0], d_outside) for name, args, _ in log) == 2
 
@@ -574,7 +594,7 @@ def test_report_lapack_calls_do_not_grow_with_n(monkeypatch):
         c = a @ random_psd(rng, n)
         log.clear()
         report = dg.solvability_report(dg.factorize(a, c))
-        assert report.verdict is dg.Verdict.POSITIVE
+        assert report["verdict"] == dg.Verdict.POSITIVE.value
         counts.append(Counter(name for name, _, _ in log))
     # one SVD each of A and of the r x r compression K of DP; every threshold
     # test is settled by Frobenius bounds (the T_n scan alone used to add 41
@@ -597,7 +617,7 @@ def test_range_certificate_reads_the_norm_its_test_took(ratio, monkeypatch):
     assert f.range_ok is (ratio == 1.0)
     assert f.range_residual == exact
     if not f.range_ok:
-        assert dg.solvability_report(f).certificate["range_residual"] == exact
+        assert dg.solvability_report(f)["certificate"]["range_residual"] == exact
     # two SVDs of the residual: one by the test, one for range_residual
     assert sum(name == "svd" and np.array_equal(args[0], residual) for name, args, _ in log) == 2
 
@@ -642,7 +662,7 @@ def range_path(settled):
     with pytest.raises(NotSolvable) as info:
         dg.reduced_solution(f)
     printed = [info.value.certificate["range_residual"]]
-    printed.append(dg.solvability_report(f).certificate["range_residual"])
+    printed.append(dg.solvability_report(f)["certificate"]["range_residual"])
     residual = f.a @ f.d - f.c
     return (residual, f.c, tol, f.equation_bound), printed, [mc.spectral_norm(residual)] * 2
 
@@ -652,7 +672,7 @@ def ca_star_path(settled):
     tol = mc.DEFAULT_TOLERANCES
     b = 0.5 if settled else 0.6e-8
     f = dg.factorize(np.eye(2), np.array([[1.0, b], [-b, 1.0]]), tol)
-    certificate = dg.solvability_report(f).certificate
+    certificate = dg.solvability_report(f)["certificate"]
     assert certificate["failed_conditions"] == ["ca_star_hermitian", "ca_star_psd"]
     ca = f.c @ f.a.conj().T
     test = (ca - ca.conj().T, f.a_norm * f.c, tol)
@@ -665,7 +685,7 @@ def range_equality_path(settled):
     c = np.zeros((3, 3), dtype=complex)
     c[0, 0], c[1, 2] = 1.0, 5e-11
     f = dg.factorize(np.diag([1.0, 1.0, 0.0]), c, tol)
-    certificate = dg.solvability_report(f).certificate
+    certificate = dg.solvability_report(f)["certificate"]
     assert certificate["failed_conditions"] == ["dp_range_eq"]
     residual = f._outside_range_dp()
     return (residual, f.m, tol), [certificate["d_outside_range_dp"]], [mc.spectral_norm(residual)]
@@ -854,8 +874,7 @@ def test_positive_routes_agree_on_thousand_instances():
             flavor = ("general", "hermitian", "positive")[k % 3]
             a, c = consistent_pair(rng, n, flavor)
         f = dg.factorize(a, c)
-        rep = dg.solvability_report(f)
-        if (reference_range_equality(f)[2] is not None) != (rep.ca_star_psd and rep.dp_range_eq):
+        if (reference_range_equality(f)[2] is not None) != (f.ca_psd and f.dp_range_eq):
             disagreements += 1
     assert disagreements == 0
 
@@ -886,22 +905,21 @@ def test_row_space_route_matches_the_n_by_n_reference():
         a, c = _flavoured_pair(rng, n, int(rng.integers(0, n + 1)), flavors[k % 3])
         s = (1e-6, 1.0, 1e6)[(k // 3) % 3]
         f = dg.factorize(s * a, s * c)
-        report = dg.solvability_report(f)
         equal, lam, t_min = reference_range_equality(f)
-        assert report.dp_range_eq is equal, k
+        assert f.dp_range_eq is equal, k
         if not f.range_ok:
             expected = dg.Verdict.UNSOLVABLE
         elif f.ca_psd and equal:
             expected = dg.Verdict.POSITIVE
         else:
             expected = dg.Verdict.HERMITIAN if f.ca_hermitian else dg.Verdict.GENERAL
-        assert report.verdict is expected, k
+        assert f.verdict is expected, k
         if expected is dg.Verdict.POSITIVE:
-            assert abs(report.lambda_estimate - lam) <= f.tol.residual_bound(lam), k
-            assert abs(report.t_min - t_min) <= f.tol.residual_bound(t_min), k
+            assert abs(f.lambda_estimate - lam) <= f.tol.residual_bound(lam), k
+            assert abs(f.t_min - t_min) <= f.tol.residual_bound(t_min), k
             positives += 1
         else:
-            assert report.t_min is None, k
+            assert f.t_min is None, k
     assert positives > 60
 
 
@@ -917,8 +935,8 @@ def test_range_equality_reads_one_svd_of_the_compression(monkeypatch):
     f = dg.factorize(np.zeros((3, 3)), np.zeros((3, 3)))
     log.clear()
     assert f.dp_range_eq and f._k_svd[1].size == 0
-    report = dg.solvability_report(f)
-    assert report.lambda_estimate == 0.0 and report.t_min == 0.0
+    assert f.verdict is dg.Verdict.POSITIVE
+    assert f.lambda_estimate == 0.0 and f.t_min == 0.0
     assert log == []
 
 
@@ -951,14 +969,14 @@ def test_range_equality_within_the_residual_bound_needs_equal_ranks():
     # the inclusion alone holds within its bound, but the ranks differ: X0 would
     # have the eigenvalue -eps, below the floor -1e-10, so the pair is not POSITIVE
     assert mc._within_residual_bound(f._outside_range_dp(), f.m, f.tol)
-    report = dg.solvability_report(f)
-    assert report.verdict is dg.Verdict.HERMITIAN and not report.dp_range_eq
+    assert f.verdict is dg.Verdict.HERMITIAN and not f.dp_range_eq
     # t_min is read where the range equality holds, so it is None here; the
     # n x n route's leak test sees the eps direction only squared in C C*
     # (1e-18), below its residual bound, and calls it finite
-    assert report.t_min is None and reference_range_equality(f)[2] == 1.0
-    assert report.certificate["failed_conditions"] == ["dp_range_eq"]
-    assert report.certificate["rank_d"] == 2 and report.certificate["rank_dp"] == 1
+    assert f.t_min is None and reference_range_equality(f)[2] == 1.0
+    certificate = dg.solvability_report(f)["certificate"]
+    assert certificate["failed_conditions"] == ["dp_range_eq"]
+    assert certificate["rank_d"] == 2 and certificate["rank_dp"] == 1
     with pytest.raises(NotSolvablePositive) as info:
         dg.positive_solution(f, np.zeros((3, 3)))
     assert info.value.certificate["failed_conditions"] == ["dp_range_eq"]
@@ -1015,8 +1033,8 @@ def _repro_pairs():
 
 
 @pytest.fixture(scope="module")
-def repro_reports():
-    return [(a, c, dg.solvability_report(dg.factorize(a, c))) for a, c in _repro_pairs()]
+def repro_factorizations():
+    return [(a, c, dg.factorize(a, c)) for a, c in _repro_pairs()]
 
 
 METAMORPHIC_SCALES = (1e-6, 1e-3, 1e3, 1e6)
@@ -1029,20 +1047,19 @@ def _relatively_close(x, y, scale=0.0):
     return abs(x - y) <= 1e-6 * max(abs(x), abs(y), scale)
 
 
-def test_verdicts_do_not_change_under_two_sided_scaling(repro_reports):
+def test_verdicts_do_not_change_under_two_sided_scaling(repro_factorizations):
     changed, positives = [], 0
-    for k, (a, c, base) in enumerate(repro_reports):
+    for k, (a, c, base) in enumerate(repro_factorizations):
         for s in METAMORPHIC_SCALES:
             f = dg.factorize(s * a, s * c)
-            report = dg.solvability_report(f)
-            if report.verdict is not base.verdict:
-                changed.append((k, s, base.verdict.value, report.verdict.value))
+            if f.verdict is not base.verdict:
+                changed.append((k, s, base.verdict.value, f.verdict.value))
                 continue
             # C C* and C A* both scale by s^2, and D does not change; lambda, a
             # norm of D's size, can be roundoff of it when (I - P) D = 0
-            assert _relatively_close(report.t_min, base.t_min), (k, s)
-            assert _relatively_close(report.lambda_estimate, base.lambda_estimate, f.d_norm), (k, s)
-            if report.verdict is dg.Verdict.POSITIVE:
+            assert _relatively_close(f.t_min, base.t_min), (k, s)
+            assert _relatively_close(f.lambda_estimate, base.lambda_estimate, f.d_norm), (k, s)
+            if f.verdict is dg.Verdict.POSITIVE:
                 dg.positive_solution(f, np.zeros((a.shape[1], a.shape[1])))
                 positives += 1
     assert changed == []
@@ -1050,12 +1067,12 @@ def test_verdicts_do_not_change_under_two_sided_scaling(repro_reports):
 
 
 @pytest.mark.parametrize("side", ["a", "c"])
-def test_verdicts_do_not_change_under_one_sided_scaling(repro_reports, side):
+def test_verdicts_do_not_change_under_one_sided_scaling(repro_factorizations, side):
     changed = []
-    for k, (a, c, base) in enumerate(repro_reports):
+    for k, (a, c, base) in enumerate(repro_factorizations):
         for s in METAMORPHIC_SCALES:
             scaled = (s * a, c) if side == "a" else (a, s * c)
-            verdict = dg.solvability_report(dg.factorize(*scaled)).verdict
+            verdict = dg.factorize(*scaled).verdict
             if verdict is not base.verdict:
                 changed.append((k, s, base.verdict.value, verdict.value))
     assert changed == []
@@ -1111,7 +1128,7 @@ def test_verdicts_hold_where_c_a_star_is_small_next_to_its_factors(a, x, expecte
     for k, (a_k, c_k) in enumerate(_rotated_pairs(a.astype(complex), x, 20, seed=109)):
         for s in (1.0,) + METAMORPHIC_SCALES:
             f = dg.factorize(s * a_k, s * c_k)
-            verdict = dg.solvability_report(f).verdict
+            verdict = f.verdict
             if verdict is not expected:
                 changed.append((k, s, verdict.value))
             elif verdict is dg.Verdict.POSITIVE:
@@ -1135,7 +1152,7 @@ def test_range_test_holds_for_ill_conditioned_a(kappa):
         u, v = _random_unitary(rng, 2), _random_unitary(rng, 2)
         a = u @ np.diag([1.0, 1.0 / kappa]) @ v.conj().T
         f = dg.factorize(a, a @ v @ core @ v.conj().T)
-        verdicts.append(dg.solvability_report(f).verdict)
+        verdicts.append(f.verdict)
         if f.range_ok:  # the general builder checks its X by the same rule
             dg.general_solution(f, np.zeros((2, 2)))
     assert dg.Verdict.UNSOLVABLE not in verdicts
@@ -1151,18 +1168,18 @@ def test_range_test_rejects_c_outside_the_range_of_ill_conditioned_a(kappa):
     c[1, 0], c[2, 0] = 10.0, 1.0
     f = dg.factorize(a, c)
     assert not f.range_ok
-    assert dg.solvability_report(f).verdict is dg.Verdict.UNSOLVABLE
+    assert f.verdict is dg.Verdict.UNSOLVABLE
     assert f.range_residual == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(NotSolvable):
         dg.general_solution(f, np.zeros((3, 3)))
 
 
-def test_verdicts_do_not_change_under_unitary_congruence(repro_reports):
+def test_verdicts_do_not_change_under_unitary_congruence(repro_factorizations):
     rng = np.random.default_rng(101)
     changed = []
-    for k, (a, c, base) in enumerate(repro_reports):
+    for k, (a, c, base) in enumerate(repro_factorizations):
         u, v = _random_unitary(rng, a.shape[0]), _random_unitary(rng, a.shape[1])
-        verdict = dg.solvability_report(dg.factorize(u @ a @ v.conj().T, u @ c @ v.conj().T)).verdict
+        verdict = dg.factorize(u @ a @ v.conj().T, u @ c @ v.conj().T).verdict
         if verdict is not base.verdict:
             changed.append((k, base.verdict.value, verdict.value))
     assert changed == []

@@ -1114,3 +1114,17 @@ def test_majorization_norm_identity_random():
         for mu in majorization_scales(a, c):
             assert mu is not None
             assert abs(mu - d_norm_sq) <= 1e-8 * max(1.0, d_norm_sq)
+
+
+@pytest.mark.parametrize("kappa", [1e4, 1e7, 1e8, 1e9])
+def test_majorization_reference_allows_the_roundoff_of_an_ill_conditioned_a(kappa):
+    # A = U diag(1, 1/kappa, 0) V* and C = A V E22 V*: C lies in R(A), and its
+    # leak outside the range of A's SVD is roundoff of size eps kappa ||C||,
+    # which the reference, like the range test, allows through the equation bound
+    for s in range(40):
+        u, v = oc._unitaries(np.random.default_rng([9, s]), 3, 2)
+        a = u @ np.diag([1.0, 1.0 / kappa, 0.0]) @ v.conj().T
+        c = a @ v @ np.diag([0.0, 1.0, 0.0]) @ v.conj().T
+        mu, reference = majorization_scales(a, c)
+        assert mu is not None and reference is not None, s
+        assert reference == pytest.approx(mu, rel=1e-14), s

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -228,11 +229,11 @@ def test_search_hit_at_the_first_candidate_forms_only_it(monkeypatch):
 def test_search_forms_one_candidate_on_a_range_deficient_pair(monkeypatch, n):
     # K is PSD and singular there, so mu rejects nothing; the 2x2 bound, built
     # once the first candidate misses, rules out the other 383, and K's SVD,
-    # already taken by the report, gives the witness without a LAPACK call
+    # already taken by the verdict, gives the witness without a LAPACK call
     log = count_lapack(monkeypatch)
     for seed in range(5):
         f = dg.factorize(*oc._hermitian_but_never_positive(np.random.default_rng(seed), n))
-        assert dg.solvability_report(f).verdict is dg.Verdict.HERMITIAN
+        assert f.verdict is dg.Verdict.HERMITIAN
         log.clear()
         assert oc.positive_search(f, budget=384, seed=seed) is None
         r = f.row_basis.shape[1]
@@ -524,7 +525,7 @@ SEARCH = oc.positive_search
 
 
 def _search_hit_on_unsolvable(f, budget, seed):
-    if dg.solvability_report(f).verdict is dg.Verdict.POSITIVE:
+    if f.verdict is dg.Verdict.POSITIVE:
         return SEARCH(f, budget, seed)
     return np.eye(f.a.shape[1])
 
@@ -637,11 +638,21 @@ def test_property_suite_catches_a_wrong_part(monkeypatch, mutant):
 def test_property_suite_takes_exact_norms_only_where_they_decide(monkeypatch):
     # every threshold test of the suite is screened by Frobenius bounds; the
     # SVDs left are the factorizations, the independent routes and the norms
-    # the suite reads (||X|| against t_min), so an unscreened norm adds to this
+    # the suite reads (||X|| against t_min), so an unscreened norm adds to this.
+    # The checks read the factorization's verdict and flags, never a report,
+    # so no failure certificate, whose exact norms no property reads, is formed
+    built = []
+    for name in ("solvability_report", "_failure_certificate"):
+
+        def counted(f, _name=name, _original=getattr(dg, name)):
+            built.append(_name)
+            return _original(f)
+
+        monkeypatch.setattr(dg, name, counted)
     log = count_lapack(monkeypatch)
     report = oc.property_suite(oc.TrialSpec(trials=2, dim_max=4, seed=1000))
-    assert report["violations"] == 0
-    assert [name for name, _, _ in log].count("svd") == 30
+    assert report["violations"] == 0 and built == []
+    assert Counter(name for name, _, _ in log) == Counter(svd=25, eigh=8, eigvalsh=18)
 
 
 def test_property_suite_deterministic():
