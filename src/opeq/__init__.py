@@ -2,13 +2,14 @@
 
 Four layers:
 
-- :mod:`opeq.matcore` -- single-matrix primitives (pseudoinverse, PSD square
-  root, polar partial isometry, PSD test) and the matrix wire format, behind a
-  single tolerance configuration;
+- :mod:`opeq.matcore` -- single-matrix primitives (truncated SVD, PSD square
+  root, PSD test) and the matrix wire format, behind a single tolerance
+  configuration;
 - :mod:`opeq.douglas` -- the solvability criteria, the two least scales of
   ``C C* <= mu A A*`` and ``C C* <= t C A*``, and the general / Hermitian /
   positive solution families, all read from one
-  :class:`~opeq.douglas.Factorization` per ``(A, C, tol)``;
+  :class:`~opeq.douglas.Factorization` per ``(A, C, tol)``, which keeps the
+  one truncated SVD of A that D and the oracle's routes are read from;
 - :mod:`opeq.projpair` -- a discretized algebra of 2x2 matrix functions on
   [0, 1] with diagonal boundary values, where ``(P + Q)^{1/2} X = P`` is
   provably unsolvable and an arbitrarily small perturbation of Q repairs it;
@@ -42,8 +43,6 @@ from .matcore import (
     is_psd,
     matrix_from_json,
     matrix_to_json,
-    pinv,
-    polar_partial_isometry,
     spectral_norm,
     sqrt_psd,
 )

@@ -277,6 +277,12 @@ def _cmd_perturb(args, tol) -> int:
     distance = projpair.sup_distance(q, q_prime)
     residual = projpair.equation_residual_max(p, q_prime, x, tol)
     member = projpair.algebra_membership(x, tol)
+    # the CSVs first, as twoproj writes its one: a path that cannot be written
+    # then stops the command before any JSON is written
+    if args.csv_x:
+        _write_csv(x, args.csv_x)
+    if args.csv_q:
+        _write_csv(q_prime, args.csv_q)
     _emit(
         {
             "eps_requested": args.eps,
@@ -288,10 +294,6 @@ def _cmd_perturb(args, tol) -> int:
         },
         args.out,
     )
-    if args.csv_x:
-        _write_csv(x, args.csv_x)
-    if args.csv_q:
-        _write_csv(q_prime, args.csv_q)
     # ||P(t)|| = 1 at every node, so that is the residual's scale
     return EXIT_OK if (_within_residual_bound(residual, 1.0, tol) and member) else EXIT_NEGATIVE
 

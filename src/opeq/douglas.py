@@ -19,8 +19,8 @@ positive family keeps its free parameter in the complement of ``P``: that is
 the form under which ``A X = C`` holds for every PSD ``Z``.
 
 Every decision reads one :class:`Factorization` of ``(A, C, tol)``, made by
-:func:`factorize` from a single SVD of ``A``; the builders check each
-solution they emit before returning it.  The solvability class is
+:func:`factorize` from a single SVD of ``A``, which it keeps; the builders
+check each solution they emit before returning it.  The solvability class is
 :attr:`Factorization.verdict`, read with the flags it is decided by;
 :func:`solvability_report` writes them as the JSON that ``opeq check``
 prints, with the exact norms of every failed criterion, which no decision reads.
@@ -36,8 +36,8 @@ the norm ``lambda`` of the correction term
 ``(I - P) D* (D P)^dagger D (I - P)`` are reported; ``lambda`` is the limit
 of the compressed-resolvent norms ``||T_n||``.  :mod:`opeq.oracle` keeps the
 ``||T_n||`` scan, the ``n x n`` route to ``t``, the leak of ``C C*`` outside
-the range of ``C A*``, and a route to ``mu`` from a second SVD of A, as
-cross-checks.
+the range of ``C A*``, and a route to ``mu`` through ``U_r* C`` from the
+factorization's SVD of A, as cross-checks.
 
 All of it lives on the row space of A, as the paper's ``D = |A|^dagger U* C``
 does: with ``M = B* D`` and ``K = B* D B``, ``D = B M``, ``D P = B K B*`` and
@@ -102,23 +102,8 @@ __all__ = [
 ]
 
 # roundoff per dimension, relative to ||A|| ||A^dagger|| ||C||, that an equation
-# residual A X - C is allowed beyond its residual bound (_equation_bound)
+# residual A X - C is allowed beyond its residual bound (Factorization.equation_bound)
 _ROUNDOFF = 16 * float(np.finfo(np.float64).eps)
-
-
-def _equation_bound(tol: ToleranceConfig, n: int, cond: float, c_norm: float) -> float:
-    """The largest ``||A X - C||`` that passes, given ``||C||``.
-
-    The residual bound of ``||C||`` plus the roundoff of forming
-    ``D = A^dagger C`` and ``A D``, ``16 n eps ||A|| ||A^dagger|| ||C||``
-    with n the larger side of A and ``cond = ||A|| ||A^dagger||``: over random
-    pairs of condition number up to 3e9, D's residual stayed below half of it.
-    That roundoff passes ``residual_atol ||C||`` from a condition number of
-    about ``residual_atol / eps``, while a C outside R(A) by more still fails.
-    :meth:`Factorization.equation_bound` applies it, and so does the oracle's
-    own route to the least majorization scale, with ``cond`` from its own SVD.
-    """
-    return tol.residual_bound(c_norm) + _ROUNDOFF * n * cond * c_norm
 
 
 class Verdict(enum.Enum):
@@ -138,11 +123,15 @@ class Verdict(enum.Enum):
 class Factorization:
     """The one factorization of ``(A, C, tol)`` that every decision reads.
 
-    :func:`factorize` fills the fields from a single SVD of A: its norm and
-    condition number ``||A|| ||A^dagger||``, the orthonormal row-space basis
-    ``B`` (so ``P = B B*``) and the reduced solution ``D = A^dagger C``.  The
-    rest are properties computed on first use, and cached when more than one
-    decision reads them, so a caller pays only for what it reads.  D's
+    :func:`factorize` fills the fields from a single SVD of A: the truncated
+    SVD ``svd = (U_r, s, B)`` itself, with ``A = U_r diag(s) B*`` and B the
+    orthonormal row-space basis (so ``P = B B*``), and the reduced solution
+    ``D = A^dagger C`` formed from it.  A's norm ``s[0]`` and condition number
+    ``||A|| ||A^dagger|| = s[0] / s[-1]`` are read from ``s``, and the oracle
+    reads ``U_r`` and B for its pseudoinverse, polar and majorization routes,
+    so no second SVD of A is taken.  The rest are properties computed on
+    first use, and cached when more than one decision reads them, so a
+    caller pays only for what it reads.  D's
     row-space coordinates ``M = B* D`` carry its norm and rank, each from one
     SVD of M taken only where it is read.  The square-only data -- the
     eigenvalues of ``C A*`` for its PSD test, and one SVD of the compression
@@ -164,14 +153,36 @@ class Factorization:
     a: np.ndarray
     c: np.ndarray
     tol: ToleranceConfig
-    a_norm: float
-    a_cond: float
-    row_basis: np.ndarray
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray]
     d: np.ndarray
 
+    @property
+    def row_basis(self) -> np.ndarray:
+        """B, the orthonormal row-space basis of A: ``P = B B*``."""
+        return self.svd[2]
+
+    @property
+    def a_norm(self) -> float:
+        """``||A||``, A's largest singular value; 0.0 at rank 0."""
+        return float(self.svd[1][0]) if self.svd[1].size else 0.0
+
+    @property
+    def a_cond(self) -> float:
+        """``||A|| ||A^dagger||``, A's largest over its least kept singular value; 0.0 at rank 0."""
+        return float(self.svd[1][0] / self.svd[1][-1]) if self.svd[1].size else 0.0
+
     def equation_bound(self, c_norm: float) -> float:
-        """The largest ``||A X - C||`` that passes, given ``||C||``, by :func:`_equation_bound`."""
-        return _equation_bound(self.tol, max(self.a.shape), self.a_cond, c_norm)
+        """The largest ``||A X - C||`` that passes, given ``||C||``.
+
+        The residual bound of ``||C||`` plus the roundoff of forming
+        ``D = A^dagger C`` and ``A D``, ``16 n eps ||A|| ||A^dagger|| ||C||``
+        with n the larger side of A: over random pairs of condition number up
+        to 3e9, D's residual stayed below half of it.  That roundoff passes
+        ``residual_atol ||C||`` from a condition number of about
+        ``residual_atol / eps``, while a C outside R(A) by more still fails.
+        The oracle's own route to the least majorization scale applies it too.
+        """
+        return self.tol.residual_bound(c_norm) + _ROUNDOFF * max(self.a.shape) * self.a_cond * c_norm
 
     def equation_ok(self, x) -> bool:
         """``||A X - C||`` within :meth:`equation_bound`, screened by Frobenius bounds."""
@@ -206,9 +217,15 @@ class Factorization:
         ``C A*`` decides the Hermitian class.  Its Hermitian and PSD tests are
         judged at ``||C|| ||A||``, the size of the roundoff in forming the
         product, not at ``||C A*||``: ``C A*`` cancels to roundoff where
-        ``P X P`` is small for a solution X.
+        ``P X P`` is small for a solution X.  Raises
+        :class:`~opeq.errors.OpeqError` where the product overflows, though A
+        and C are finite.
         """
-        return HermitianSpectrum(self.c @ self.a.conj().T, self.tol, scale=self.a_norm * self.c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ca = self.c @ self.a.conj().T
+        if not np.isfinite(ca).all():
+            raise OpeqError(f"C A* overflows: ||A|| = {self.a_norm:.3e}")
+        return HermitianSpectrum(ca, self.tol, scale=self.a_norm * self.c)
 
     @property
     def ca_hermitian(self) -> bool:
@@ -392,12 +409,15 @@ def factorize(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
             f"A has {a.shape[0]} rows but C has {c.shape[0]}; ranges live in different spaces"
         )
     u, s, vh = truncated_svd(a, tol)
-    d = _pinv_from_svd(u, s, vh) @ c
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = _pinv_from_svd(u, s, vh) @ c
+    if not np.isfinite(d).all():
+        raise OpeqError(f"D = A^dagger C overflows: A's least kept singular value is {s[-1]:.3e}")
     basis = vh.conj().T
-    # reduced_solution hands D out; read-only, so no caller can change it under f
-    d.flags.writeable = basis.flags.writeable = False
-    a_norm, a_cond = (float(s[0]), float(s[0] / s[-1])) if s.size else (0.0, 0.0)
-    return Factorization(a=a, c=c, tol=tol, a_norm=a_norm, a_cond=a_cond, row_basis=basis, d=d)
+    # reduced_solution hands D out and the oracle reads the factors; read-only,
+    # so no caller can change them under f
+    u.flags.writeable = s.flags.writeable = basis.flags.writeable = d.flags.writeable = False
+    return Factorization(a=a, c=c, tol=tol, svd=(u, s, basis), d=d)
 
 
 def _check_same_shape(f: Factorization):

@@ -43,11 +43,9 @@ __all__ = [
     "spectral_norms",
     "max_spectral_norm",
     "hermitian_deviation",
-    "pinv",
     "truncated_svd",
     "row_space_projector",
     "sqrt_psd",
-    "polar_partial_isometry",
     "HermitianSpectrum",
     "is_psd",
 ]
@@ -86,9 +84,9 @@ class ToleranceConfig:
         parameter round trip, ``||A* A||`` for the square-root round trip,
         ``||D||`` for the normal-equation route and for ``D - P D``, each
         projector's norm for the kernel match ``N(D) = N(C)``, ``||C||`` for
-        the leak of C outside the range of A in its own route to the least
-        majorization scale, with the roundoff term of the equation residuals
-        added, ``||D||^2`` for that scale's gap to
+        the leak of C outside the range of the factorization's ``U_r`` in its
+        own route to the least majorization scale, with the roundoff term of
+        the equation residuals added, ``||D||^2`` for that scale's gap to
         ``Factorization.majorization_scale``, ``||C C*||`` for the leak of
         ``C C*`` outside the range of ``C A*``, and ``||X||`` for the excess
         of ``t_min`` over it.  The tests of :mod:`opeq.douglas`,
@@ -358,8 +356,11 @@ def truncated_svd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES):
     """Thin SVD ``(U, s, Vh)`` of M cut to its rank.
 
     Singular values below ``rank_rtol * sigma_max`` are dropped with their
-    vectors, so the zero matrix has rank 0 and empty factors.  The
-    pseudoinverse, row-space and polar helpers below all read it.
+    vectors, so the zero matrix has rank 0 and empty factors.
+    :func:`row_space_projector` reads it, and
+    :func:`opeq.douglas.factorize` keeps A's, from which D, the oracle's
+    pseudoinverse and polar factor of A and its route to the least
+    majorization scale are read, so A is decomposed once per input.
     """
     a = as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=False)
@@ -367,17 +368,12 @@ def truncated_svd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES):
     return u[:, :r], s[:r], vh[:r, :]
 
 
-def pinv(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the shared rank cutoff.
-
-    Singular values below ``rank_rtol * sigma_max`` are treated as exactly
-    zero, so the zero matrix maps to the zero matrix of transposed shape.
-    """
-    return _pinv_from_svd(*truncated_svd(m, tol))
-
-
 def _pinv_from_svd(u, s, vh) -> np.ndarray:
-    """Moore-Penrose pseudoinverse from the factors of a :func:`truncated_svd`."""
+    """Moore-Penrose pseudoinverse from the factors of a :func:`truncated_svd`.
+
+    The singular values it cut are read as exactly zero, so the zero matrix
+    maps to the zero matrix of transposed shape.
+    """
     return (vh.conj().T / s) @ u.conj().T
 
 
@@ -624,16 +620,6 @@ def _sqrt_2x2(h):
     roots = np.ldexp(roots.view(np.float64), k[:, np.newaxis, np.newaxis]).view(np.complex128)
     top = np.maximum(np.abs(high), np.abs(low))
     return np.ldexp(low, 2 * k), np.ldexp(top, 2 * k), roots
-
-
-def polar_partial_isometry(m, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Partial isometry U with ``U (M* M)^{1/2} = M`` and ``U* U`` the row-space projector.
-
-    Built from the SVD with the shared rank cutoff; the zero matrix yields
-    the zero partial isometry.
-    """
-    u, _, vh = truncated_svd(m, tol)
-    return u @ vh
 
 
 class HermitianSpectrum:

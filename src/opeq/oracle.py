@@ -5,18 +5,20 @@ of the SVD pseudoinverse, the partial-isometry form
 ``|A|^+ U* C + (I - U*U) Y`` (with ``A = U|A|``) instead of ``D + (I - P) Y``,
 sampling of the Hermitian family for PSD solutions instead of the closed
 form, the leak of ``C C*`` outside the range of ``C A*`` instead of the range
-equality, a second SVD of A for the least ``mu`` with ``C C* <= mu A A*``
-instead of ``||D||^2``, and the ``||T_n||`` scan for the closed-form lambda.
-Absence of a search hit is evidence, never proof.  The routes share their
-inputs with the decisions: every trial builds one
-:class:`~opeq.douglas.Factorization` and reads D, P, ``C A*`` and DP from it,
-and its verdict and flags, never a report, so no failure certificate is formed.
+equality, the leak of C outside the range of ``U_r`` and ``S^-1 U_r* C`` for
+the least ``mu`` with ``C C* <= mu A A*`` instead of ``||D||^2``, and the
+``||T_n||`` scan for the closed-form lambda.  Absence of a search hit is
+evidence, never proof.  The routes share their inputs with the decisions:
+every trial builds one :class:`~opeq.douglas.Factorization` and reads from
+it D, P, ``C A*``, DP, A's truncated SVD ``U_r S B*`` (so A is decomposed
+once per trial) and the verdict and flags, never a report, so no failure
+certificate is formed.
 
 The suite has five properties, and a check runs on the pair of the property
 that builds its input: ``general_solution_routes`` also checks the Penrose
-identities of ``pinv(A)``, ``|A|`` as the square root of ``A*A`` and
-Douglas's three facts about D, and ``positive_criteria_agreement`` runs the
-search on every pair it classifies.
+identities of ``A^+ = B S^-1 U_r*``, the pseudoinverse D is formed with,
+``|A|`` as the square root of ``A*A`` and Douglas's three facts about D, and
+``positive_criteria_agreement`` runs the search on every pair it classifies.
 
 All randomness flows from a named generator (PCG64) with an explicit seed;
 every trial derives its own sub-seed deterministically from the seed and the
@@ -33,7 +35,6 @@ its head ``T_1, ..., T_16``; the head's monotonicity tests are one more.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -54,17 +55,15 @@ from .matcore import (
     HermitianSpectrum,
     ToleranceConfig,
     _BOUND_SLACK,
+    _pinv_from_svd,
     _single_norm_bounds,
     _within_residual_bound,
     as_matrix,
     is_psd,
     matrix_to_json,
-    pinv,
-    polar_partial_isometry,
     row_space_projector,
     spectral_norm,
     sqrt_psd,
-    truncated_svd,
 )
 
 __all__ = [
@@ -477,21 +476,18 @@ def _fail(detail, **mats):
     return {"detail": detail, "instance": {name: matrix_to_json(m) for name, m in mats.items()}}
 
 
-def _majorization_scale(a, c, tol: ToleranceConfig) -> float | None:
+def _majorization_scale(f: douglas.Factorization) -> float | None:
     """Least ``mu`` with ``C C* <= mu A A*`` by a route of its own; None when none is finite.
 
     The reference for :attr:`~opeq.douglas.Factorization.majorization_scale`,
-    read from A's :func:`~opeq.matcore.truncated_svd` ``U_r S V_r*``: C must
-    not leak outside the range of ``U_r`` by more than the equation bound of
-    ``||C||`` (:func:`~opeq.douglas._equation_bound`, with the condition number
-    ``S[0] / S[-1]`` of this SVD), and ``mu`` is then the top eigenvalue of
-    ``G G*`` with ``G = S^-1 U_r* C``.
+    read from the factors ``U_r`` and ``S`` of the factorization's SVD of A,
+    not from D: C must not leak outside the range of ``U_r`` by more than
+    :meth:`~opeq.douglas.Factorization.equation_bound` of ``||C||``, and
+    ``mu`` is then the top eigenvalue of ``G G*`` with ``G = S^-1 U_r* C``.
     """
-    u, s, _ = truncated_svd(a, tol)
-    coords = u.conj().T @ c
-    cond = float(s[0] / s[-1]) if s.size else 0.0
-    rule = functools.partial(douglas._equation_bound, tol, max(a.shape), cond)
-    if not _within_residual_bound(c - u @ coords, c, tol, rule):
+    u, s, _ = f.svd
+    coords = u.conj().T @ f.c
+    if not _within_residual_bound(f.c - u @ coords, f.c, f.tol, f.equation_bound):
         return None
     g = coords / s[:, np.newaxis]
     return float(np.max(np.linalg.eigvalsh(g @ g.conj().T), initial=0.0))  # 0 for A of rank 0
@@ -507,7 +503,7 @@ def _reduced_solution_facts(f: douglas.Factorization) -> tuple[bool, bool, bool]
     """
     tol = f.tol
     d = f.d
-    mu, d_norm_sq = _majorization_scale(f.a, f.c, tol), f.majorization_scale
+    mu, d_norm_sq = _majorization_scale(f), f.majorization_scale
     norm_ok = (
         mu is not None
         and d_norm_sq is not None
@@ -525,8 +521,9 @@ def _check_general_solution(rng, spec, tol):
     With ``A = U|A|``, the paper's partial-isometry form ``|A|^+ U* C + (I - U*U) Y``
     must equal the builder's ``D + (I - P) Y``, the normal equations must give D,
     and recovering Y from X must give X back.  The same pair checks the parts:
-    the four Penrose identities of ``pinv(A)``, ``|A|`` as the PSD square root
-    of ``A*A``, and the three facts of :func:`_reduced_solution_facts`.
+    the four Penrose identities of ``A^+ = B S^-1 U_r*``, ``|A|`` as the PSD
+    square root of ``A*A``, and the three facts of :func:`_reduced_solution_facts`.
+    ``A^+`` and ``U = U_r B*`` are read from the factorization's SVD of A.
     """
     rows, cols, k = (int(rng.integers(1, spec.dim_max + 1)) for _ in range(3))
     a = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
@@ -535,7 +532,8 @@ def _check_general_solution(rng, spec, tol):
     f = douglas.factorize(a, c, tol)
     if not f.range_ok:
         return _fail("range inclusion rejected a consistent pair", a=a, c=c)
-    ap = pinv(a, tol)
+    u_r, s, b = f.svd  # A = U_r S B*, from the SVD that D was formed from
+    ap = _pinv_from_svd(u_r, s, b.conj().T)
     a_ap, ap_a = a @ ap, ap @ a
     penrose = [
         ("M Mp M = M", a_ap @ a - a, a),
@@ -553,11 +551,11 @@ def _check_general_solution(rng, spec, tol):
         return _fail(f"sqrt round trip off by {spectral_norm(resid):.3e}", a=a)
     if not is_psd(modulus, tol):
         return _fail("square root is not PSD", a=a)
-    u = polar_partial_isometry(a, tol)
+    u = u_r @ b.conj().T
     if not _within_residual_bound(u @ modulus - a, a, tol):
         return _fail("U |A| does not reproduce A", a=a)
     # |A| + I - U*U is invertible and agrees with |A| on the range of U*U, so
-    # solving with it gives |A|^+ U* C; pinv(|A|) would count the square roots
+    # solving with it gives |A|^+ U* C; a pseudoinverse of |A| would count the square roots
     # of A*A's roundoff eigenvalues (about 1e-8) toward the rank
     leak = np.eye(cols) - u.conj().T @ u
     x_pi = np.linalg.solve(modulus + leak, u.conj().T @ c) + leak @ y

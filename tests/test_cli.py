@@ -4,6 +4,7 @@ from collections import Counter
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,34 @@ def test_majorize_reports_an_overflowing_scale_as_an_error(capsys, tmp_path):
     assert err == "error: the least majorization scale ||D||^2 overflows: ||D|| = 1.000e+200\n"
 
 
+EXTREME_SCALE_COMMANDS = [["check"], ["majorize"], *(["solve", "--mode", mode] for mode in cli._SOLVE_MODES)]
+
+
+@pytest.mark.parametrize("command", EXTREME_SCALE_COMMANDS, ids=" ".join)
+def test_a_subnormal_a_is_an_error_not_a_traceback(capsys, tmp_path, command):
+    # A = C = 1e-310 I: 1 / 1e-310 is not a float, so D = A^dagger C cannot be formed
+    a_file = write_matrix(tmp_path / "a.json", 1e-310 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload, err = run_cli(capsys, *command, "--a", a_file, "--c", a_file)
+    assert code == 1 and payload is None
+    assert err == "error: D = A^dagger C overflows: A's least kept singular value is 1.000e-310\n"
+
+
+@pytest.mark.parametrize("command", EXTREME_SCALE_COMMANDS, ids=" ".join)
+def test_an_overflowing_c_a_star_is_an_error_not_blamed_on_the_input(capsys, tmp_path, command):
+    # A = C = 1e160 I are finite, C A* = 1e320 I is not; majorize and a general
+    # solution do not read C A*
+    a_file = write_matrix(tmp_path / "a.json", 1e160 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, payload, err = run_cli(capsys, *command, "--a", a_file, "--c", a_file)
+    if command in (["majorize"], ["solve", "--mode", "general"]):
+        assert (code, err) == (0, "")
+    else:
+        assert (code, payload, err) == (1, None, "error: C A* overflows: ||A|| = 1.000e+160\n")
+
+
 def test_majorize_agrees_with_check_on_a_small_singular_value(capsys, monkeypatch, tmp_path):
     # sigma = 1e-7 is above the rank cut of A, though sigma^2 is below that cut
     # of A A*: the scale is finite, as range inclusion and check say
@@ -336,6 +365,16 @@ def test_perturb_csv_outputs(capsys, tmp_path):
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,re11,im11,re12,im12,re21,im21,re22,im22"
         assert len(lines) == 201
+
+
+@pytest.mark.parametrize("flag", ["--csv-x", "--csv-q"])
+def test_perturb_writes_no_json_when_a_csv_cannot_be_written(capsys, tmp_path, flag):
+    # the CSVs are written before the JSON, as twoproj writes its one
+    path = tmp_path / "missing" / "out.csv"
+    code = main(["perturb", "--n", "200", "--eps", "0.1", flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
 
 
 # ---------------------------------------------------------------------------

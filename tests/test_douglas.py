@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -783,6 +784,25 @@ def test_factorize_runs_one_full_svd_of_a(monkeypatch):
     assert all(name == "svd" for name, _, _ in log)
     full = [args[0] for _, args, kwargs in log if kwargs.get("compute_uv", True)]
     assert len(full) == 1 and full[0] is a
+
+
+def test_factorization_keeps_the_truncated_svd_of_a_read_only():
+    # A's norm, condition number and row-space basis are read from the kept
+    # factors, with the bits of a truncated SVD of A taken on its own
+    rng = np.random.default_rng(97)
+    a = rank_deficient(rng, 6, 4, 3)
+    f = dg.factorize(a, a @ complex_gaussian(rng, 4, 2))
+    assert [field.name for field in dataclasses.fields(f)] == ["a", "c", "tol", "svd", "d"]
+    u, s, vh = mc.truncated_svd(a)
+    for kept, own in zip(f.svd, (u, s, vh.conj().T)):
+        np.testing.assert_array_equal(kept, own)
+        assert not kept.flags.writeable
+    assert f.row_basis is f.svd[2]
+    assert (f.a_norm, f.a_cond) == (float(s[0]), float(s[0] / s[-1]))
+    assert not f.d.flags.writeable
+    rank0 = dg.factorize(np.zeros((3, 2)), np.zeros((3, 1)))
+    assert [factor.shape for factor in rank0.svd] == [(3, 0), (0,), (2, 0)]
+    assert (rank0.a_norm, rank0.a_cond) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
