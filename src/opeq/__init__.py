@@ -12,7 +12,8 @@ Four layers:
   one truncated SVD of A that D and the oracle's routes are read from;
 - :mod:`opeq.projpair` -- a discretized algebra of 2x2 matrix functions on
   [0, 1] with diagonal boundary values, where ``(P + Q)^{1/2} X = P`` is
-  provably unsolvable and an arbitrarily small perturbation of Q repairs it;
+  provably unsolvable and an arbitrarily small perturbation of Q, built with
+  its solution by :func:`~opeq.projpair.perturbation`, repairs it;
 - :mod:`opeq.oracle` -- deliberately naive verifiers, the ``T_n`` scan that
   cross-checks the closed-form lambda, and the seeded randomized property
   suite.
@@ -65,8 +66,7 @@ from .projpair import (
     algebra_membership,
     canonical_pair,
     nonexistence_certificate,
-    perturb_q,
-    perturbed_solution,
+    perturbation,
     pointwise_solution,
 )
 from .oracle import (

@@ -13,6 +13,13 @@ All commands emit UTF-8 JSON to stdout (or ``--out FILE``); the grid
 commands optionally export CSV curves with the header
 ``t,re11,im11,re12,im12,re21,im21,re22,im22``.
 
+The tolerance flags of every command and the flags of ``verify`` are named
+after the fields of :class:`~opeq.matcore.ToleranceConfig` and
+:class:`~opeq.oracle.TrialSpec` (``--max-dim`` sets ``dim_max``).  A flag
+left unset keeps the field's default, so each default is stated once, in its
+dataclass.  ``perturb`` prints the snapped eps that
+:func:`~opeq.projpair.perturbation` built Q' and the solution from.
+
 Exit codes: 0 success, 1 input error (parse, shape, bad flag values),
 2 negative verdict with certificate (unsolvable equation, failed
 perturbation residual, property violations).
@@ -97,21 +104,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--csv-q", metavar="FILE", help="export the perturbed projection")
 
     p_ver = command("verify", _cmd_verify, "seeded randomized property suite")
-    p_ver.add_argument("--trials", type=int, default=500, metavar="T")
-    p_ver.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED, metavar="S")
-    p_ver.add_argument("--max-dim", type=int, default=6, metavar="D")
-    p_ver.add_argument("--rank-policy", choices=oracle.RANK_POLICIES, default="random")
+    # each flag is named after a TrialSpec field; left unset, it keeps that field's default
+    p_ver.add_argument("--trials", type=int, metavar="T")
+    p_ver.add_argument("--seed", type=int, metavar="S")
+    p_ver.add_argument("--max-dim", type=int, dest="dim_max", metavar="D")
+    p_ver.add_argument("--rank-policy", choices=oracle.RANK_POLICIES)
     return parser
 
 
-def _tolerances(args) -> ToleranceConfig:
-    overrides = {
+def _settings(cls, args):
+    """``cls`` (a settings dataclass) built from the flags named after its fields.
+
+    A flag left unset (None) keeps the field's default; a value the dataclass
+    rejects is an input error.
+    """
+    given = {
         setting.name: value
-        for setting in fields(ToleranceConfig)
+        for setting in fields(cls)
         if (value := getattr(args, setting.name)) is not None
     }
     try:
-        return ToleranceConfig(**overrides)
+        return cls(**given)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
 
@@ -270,9 +283,7 @@ def _cmd_twoproj(args, tol) -> int:
 
 def _cmd_perturb(args, tol) -> int:
     grid = projpair.Grid(args.n)
-    eps_snapped = projpair.snap_eps(grid, args.eps)
-    q_prime = projpair.perturb_q(grid, args.eps)
-    x = projpair.perturbed_solution(grid, args.eps)
+    eps_snapped, q_prime, x = projpair.perturbation(grid, args.eps)
     p, q = projpair.canonical_pair(grid)
     distance = projpair.sup_distance(q, q_prime)
     residual = projpair.equation_residual_max(p, q_prime, x, tol)
@@ -299,16 +310,7 @@ def _cmd_perturb(args, tol) -> int:
 
 
 def _cmd_verify(args, tol) -> int:
-    try:
-        spec = oracle.TrialSpec(
-            dim_max=args.max_dim,
-            rank_policy=args.rank_policy,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    report = oracle.property_suite(spec, tol)
+    report = oracle.property_suite(_settings(oracle.TrialSpec, args), tol)
     _emit(report, args.out)
     return EXIT_OK if report["violations"] == 0 else EXIT_NEGATIVE
 
@@ -317,7 +319,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args, _tolerances(args))
+        return args.handler(args, _settings(ToleranceConfig, args))
     except (_InputError, OpeqError) as exc:
         # typed failures a command does not handle are input errors
         print(f"error: {exc}", file=sys.stderr)

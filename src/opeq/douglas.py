@@ -217,15 +217,17 @@ class Factorization:
         ``C A*`` decides the Hermitian class.  Its Hermitian and PSD tests are
         judged at ``||C|| ||A||``, the size of the roundoff in forming the
         product, not at ``||C A*||``: ``C A*`` cancels to roundoff where
-        ``P X P`` is small for a solution X.  Raises
-        :class:`~opeq.errors.OpeqError` where the product overflows, though A
-        and C are finite.
+        ``P X P`` is small for a solution X.  That scale is the norm of C
+        itself, with ``||A||`` multiplying each threshold, so a threshold
+        overflows only where it is above the largest float, though
+        ``||A|| C`` may overflow.  Raises :class:`~opeq.errors.OpeqError`
+        where the product overflows, though A and C are finite.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             ca = self.c @ self.a.conj().T
         if not np.isfinite(ca).all():
             raise OpeqError(f"C A* overflows: ||A|| = {self.a_norm:.3e}")
-        return HermitianSpectrum(ca, self.tol, scale=self.a_norm * self.c)
+        return HermitianSpectrum(ca, self.tol, scale=self.c, factor=self.a_norm)
 
     @property
     def ca_hermitian(self) -> bool:

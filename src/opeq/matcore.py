@@ -113,7 +113,10 @@ class ToleranceConfig:
     Two PSD tests take their scale from other matrices, since what they
     judge cancels to roundoff: ``C A*`` is judged at ``||C|| ||A||``, the size
     of the roundoff in forming it, as it cancels where ``P X P`` is small for
-    a solution X; and ``block_psd_test`` judges the Schur complement
+    a solution X, with ``||A||`` multiplying the rule of C's own norm
+    (:class:`HermitianSpectrum`'s ``factor``), so no scaled copy of C is
+    formed and a threshold overflows only where it is itself above the
+    largest float; and ``block_psd_test`` judges the Schur complement
     ``A22 - A12* A11^dagger A12`` at the norm of ``A22``, as the complement
     cancels when the block matrix is singular.  The ``T_n`` scan of
     :mod:`opeq.oracle` reads the fields as rules of its own: it converges
@@ -634,18 +637,22 @@ class HermitianSpectrum:
     :func:`is_psd` is :attr:`is_psd` on a fresh instance.
     Both tests judge M at its own norm, ``||M||`` for the Hermitian test and
     ``max|w|`` for the eigenvalue floor, unless ``scale`` gives another: a
-    2-D array whose norm it is, or that norm as a float.  Each test asks
+    2-D array whose norm it is, or that norm as a float, times ``factor``.
+    The factor multiplies each threshold, not the scale, so no scaled copy of
+    a matrix is formed and a threshold overflows only where it is itself
+    above the largest float.  Each test asks
     :func:`_within_residual_bound`, so exact norms are taken only when
     Frobenius bounds cannot settle it, and :attr:`deviation`, which a
     certificate prints, is taken on its own.
     """
 
-    def __init__(self, m, tol: ToleranceConfig, scale=None):
+    def __init__(self, m, tol: ToleranceConfig, scale=None, factor: float = 1.0):
         self.m = as_matrix(m)
         if self.m.shape[0] != self.m.shape[1]:
             raise ShapeMismatch(f"expected a square matrix, got shape {self.m.shape}")
         self.tol = tol
         self.scale = scale
+        self.factor = factor
         self._values = None  # the values of eigh once taken, else of one eigvalsh
 
     @cached_property
@@ -656,7 +663,10 @@ class HermitianSpectrum:
     def is_hermitian(self) -> bool:
         """``||M - M*||`` within the residual bound of the scale."""
         scale = self.m if self.scale is None else self.scale
-        return _within_residual_bound(self.m - self.m.conj().T, scale, self.tol)
+        bound = self.tol.residual_bound
+        return _within_residual_bound(
+            self.m - self.m.conj().T, scale, self.tol, lambda norm: self.factor * bound(norm)
+        )
 
     @cached_property
     def eigh(self):
@@ -681,7 +691,9 @@ class HermitianSpectrum:
         w = self.eigenvalues
         scale = float(np.max(np.abs(w))) if self.scale is None else self.scale
         floor = self.tol.eigenvalue_floor
-        return _within_residual_bound(float(-w[0]), scale, self.tol, lambda top: -floor(top))
+        return _within_residual_bound(
+            float(-w[0]), scale, self.tol, lambda top: -self.factor * floor(top)
+        )
 
     @cached_property
     def range_pairs(self):

@@ -396,13 +396,12 @@ def _pick_rank(rng, n, policy):
 
 
 def random_operator(rng, rows, cols, rank=None):
-    """Random matrix with singular values in [0.3, 2] at the requested rank."""
-    full = min(rows, cols)
+    """Random matrix with singular values in [0.3, 2], of rank ``min(rows, cols)`` unless given.
+
+    A given rank lies in ``[1, min(rows, cols)]``, as :func:`_pick_rank` draws it.
+    """
     if rank is None:
-        rank = full
-    rank = max(0, min(rank, full))
-    if rank == 0:
-        return np.zeros((rows, cols), dtype=np.complex128)
+        rank = min(rows, cols)
     if rows == cols:
         u, v = _unitaries(rng, rows, 2)
     else:
@@ -417,11 +416,11 @@ def random_hermitian(rng, n):
     return 0.5 * (g + g.conj().T)
 
 
-def random_psd(rng, n, rank=None):
-    """Random PSD matrix with nonzero eigenvalues in [0.3, 2]."""
-    if rank is None:
-        rank = n
-    rank = max(0, min(rank, n))
+def random_psd(rng, n, rank):
+    """Random PSD matrix of the given rank, its nonzero eigenvalues in [0.3, 2].
+
+    The rank lies in ``[1, n]``, as :func:`_pick_rank` draws it.
+    """
     u = _unitaries(rng, n, 1)[0]
     eigs = np.zeros(n)
     eigs[:rank] = rng.uniform(0.3, 2.0, size=rank)

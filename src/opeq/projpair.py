@@ -19,6 +19,8 @@ by the perturbation that freezes it at its t = 0 value on ``[0, eps]`` and
 reparametrizes the rest restores solvability with an explicit solution,
 continuous across ``t = eps``; the perturbation distance is
 ``sin(pi*eps/2)``, so it can be made as small as desired.
+:func:`perturbation` builds the perturbed projection and that solution
+together, from one snapped eps and one reparametrization.
 
 Grid functions are value tables, one 2x2 matrix per node.  Quantities that
 are singular at t = 0 are a :class:`GridFunction` with ``first=1``, whose
@@ -54,8 +56,7 @@ __all__ = [
     "pointwise_solution",
     "nonexistence_certificate",
     "snap_eps",
-    "perturb_q",
-    "perturbed_solution",
+    "perturbation",
     "algebra_membership",
     "sup_distance",
     "equation_residual_max",
@@ -227,43 +228,32 @@ def snap_eps(grid: Grid, eps: float) -> float:
     return float(grid.points[idx])
 
 
-def perturb_q(grid: Grid, eps: float) -> GridFunction:
-    """Projection Q' at distance about ``sin(pi*eps/2)`` from Q.
+def perturbation(grid: Grid, eps: float) -> tuple[float, GridFunction, GridFunction]:
+    """``(eps_hat, Q', X)``: the perturbed projection and the solution it admits.
 
-    Q' freezes Q at its t = 0 value on ``[0, eps]`` and traverses the
-    original path on ``[eps, 1]`` (linearly reparametrized), so it is again
-    a pointwise projection with diagonal endpoint values.  ``eps`` snaps to
-    the nearest interior node, keeping the piecewise definition exact on
-    grid nodes.
+    ``eps`` snaps once to the nearest interior node ``eps_hat``
+    (:func:`snap_eps`), which keeps the piecewise definitions exact on grid
+    nodes, and both functions read one reparametrization ``u = (t - eps_hat)
+    / (1 - eps_hat)`` for ``t >= eps_hat``, 0 before.  Q' is the rotating
+    projection at u: it freezes Q at its t = 0 value on ``[0, eps_hat]`` and
+    traverses the original path on ``[eps_hat, 1]``, so it is again a
+    pointwise projection with diagonal endpoint values, at distance about
+    ``sin(pi*eps/2)`` from Q.  X solves ``(P + Q')^{1/2} X = P`` and belongs
+    to the algebra: on ``[eps_hat, 1]`` it is the unique solution at u, and
+    before ``eps_hat``, where the equation only constrains the first row, the
+    free lower-left entry ramps linearly from 0 to ``-1/sqrt(2)``, meeting it
+    continuously.
     """
     eps_hat = snap_eps(grid, eps)
     pts = grid.points
-    u = np.where(pts >= eps_hat, (pts - eps_hat) / (1.0 - eps_hat), 0.0)
-    return _rotating_projection(grid, u)
-
-
-def perturbed_solution(grid: Grid, eps: float) -> GridFunction:
-    """Solution X of ``(P + Q')^{1/2} X = P`` that belongs to the algebra.
-
-    On ``[0, eps]`` the equation only constrains the first row, so the free
-    lower-left entry is ramped linearly from 0 to ``-1/sqrt(2)``, where it
-    meets the unique solution of the reparametrized equation on ``[eps, 1]``
-    continuously.  The result has diagonal values at both endpoints.
-    """
-    eps_hat = snap_eps(grid, eps)
-    pts = grid.points
-    n = grid.n_points
-    inv_root2 = 1.0 / math.sqrt(2.0)
-    vals = np.zeros((n, 2, 2), dtype=np.complex128)
-    left = pts < eps_hat
-    vals[left, 0, 0] = inv_root2
+    right = pts >= eps_hat
+    u = np.where(right, (pts - eps_hat) / (1.0 - eps_hat), 0.0)
+    vals = np.zeros((grid.n_points, 2, 2), dtype=np.complex128)
+    left = ~right
+    vals[left, 0, 0] = 1.0 / math.sqrt(2.0)
     vals[left, 1, 0] = -pts[left] / (eps_hat * math.sqrt(2.0))
-    right = ~left
-    u = (pts[right] - eps_hat) / (1.0 - eps_hat)
-    x11, x21 = _solution_columns(u)
-    vals[right, 0, 0] = x11
-    vals[right, 1, 0] = x21
-    return GridFunction(grid, vals)
+    vals[right, 0, 0], vals[right, 1, 0] = _solution_columns(u[right])
+    return eps_hat, _rotating_projection(grid, u), GridFunction(grid, vals)
 
 
 def algebra_membership(f: GridFunction, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

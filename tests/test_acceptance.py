@@ -137,8 +137,7 @@ def test_criterion_5_perturbation_realization():
     distances = []
     all_ok = True
     for eps in (0.2, 0.1, 0.05):
-        q_prime = pp.perturb_q(grid, eps)
-        x = pp.perturbed_solution(grid, eps)
+        _, q_prime, x = pp.perturbation(grid, eps)
         member = pp.algebra_membership(x)
         resid = pp.equation_residual_max(p, q_prime, x)
         dist = pp.sup_distance(q, q_prime)

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import types
 from collections import Counter
 from dataclasses import astuple
@@ -9,9 +10,11 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from opeq import douglas as dg
+from opeq import matcore as mc
 from opeq import oracle as oc
 from opeq import projpair as pp
-from opeq.errors import BadEpsilon, BadGridSize, OpeqError
+from opeq.errors import BadEpsilon, BadGridSize, MatrixFormatError, OpeqError, ShapeMismatch
 
 LAYERS = ("opeq.matcore", "opeq.douglas", "opeq.projpair", "opeq.oracle")
 
@@ -324,3 +327,72 @@ def test_numeric_inputs_out_of_type_or_range_are_rejected(case):
     build, error = NUMERIC_REJECTS[case]
     with pytest.raises(error):
         build()
+
+
+def _solvable_pair(c_cols=2):
+    return dg.factorize(np.eye(2), np.ones((2, c_cols)))
+
+
+# each layer's input checks, against their messages: a pattern the whole message matches
+INPUT_CHECKS = {
+    "recover_parameter_shape": (
+        lambda: dg.recover_parameter(_solvable_pair(), np.eye(3)),
+        ShapeMismatch,
+        re.escape("X must have shape (2, 2), got (3, 3)"),
+    ),
+    "positive_solution_z_shape": (
+        lambda: dg.positive_solution(_solvable_pair(), np.eye(3)),
+        ShapeMismatch,
+        re.escape("parameter Z must be 2x2, got (3, 3)"),
+    ),
+    "block_not_square": (
+        lambda: dg.block_psd_test(np.ones((2, 3)), np.ones((2, 1)), np.eye(1)),
+        ShapeMismatch,
+        "diagonal blocks must be square",
+    ),
+    # numpy words its own part of the message
+    "not_complex": (lambda: mc.as_matrix([["x"]]), MatrixFormatError, "not a complex matrix: .+"),
+    "deviation_not_square": (
+        lambda: mc.hermitian_deviation(np.ones((2, 3))),
+        ShapeMismatch,
+        "Hermitian deviation needs a square matrix",
+    ),
+    "spectrum_not_square": (
+        lambda: mc.HermitianSpectrum(np.ones((2, 3)), mc.DEFAULT_TOLERANCES),
+        ShapeMismatch,
+        re.escape("expected a square matrix, got shape (2, 3)"),
+    ),
+    "grid_function_not_finite": (
+        lambda: pp.GridFunction(pp.Grid(3), np.full((3, 2, 2), np.inf)),
+        MatrixFormatError,
+        "grid-function values must be finite",
+    ),
+    "sup_distance_across_grids": (
+        lambda: pp.sup_distance(pp.canonical_pair(pp.Grid(3))[0], pp.canonical_pair(pp.Grid(4))[0]),
+        MatrixFormatError,
+        "grid functions live on different grids",
+    ),
+    "lsq_solve_rows": (
+        lambda: oc.lsq_solve(np.eye(2), np.eye(3)),
+        ShapeMismatch,
+        "A and C must share their row count",
+    ),
+    "positive_search_not_square": (
+        lambda: oc.positive_search(_solvable_pair(c_cols=3)),
+        ShapeMismatch,
+        "A and C must have identical shape",
+    ),
+    "positive_search_no_budget": (
+        lambda: oc.positive_search(_solvable_pair(), budget=0),
+        ValueError,
+        "budget must be at least 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CHECKS))
+def test_input_checks_raise_their_type_and_message(case):
+    build, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and re.fullmatch(message, str(info.value))

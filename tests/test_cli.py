@@ -243,6 +243,19 @@ def test_an_overflowing_c_a_star_is_an_error_not_blamed_on_the_input(capsys, tmp
         assert (code, payload, err) == (1, None, "error: C A* overflows: ||A|| = 1.000e+160\n")
 
 
+def test_c_a_star_is_judged_where_a_scaled_copy_of_c_would_overflow(capsys, tmp_path):
+    # ||A|| C holds 1e400, yet C A* = diag(-1, 1e200) is finite, and -1 is
+    # above its floor -psd_atol ||C|| ||A||, which is below the least float
+    a_file = write_matrix(tmp_path / "a.json", np.diag([1e200, 1.0]))
+    c_file = write_matrix(tmp_path / "c.json", np.diag([-1e-200, 1e200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, err = run_cli(capsys, "check", "--a", a_file, "--c", c_file)
+    assert (code, err) == (0, "")
+    assert report["ca_star_psd"] is True
+    assert report["certificate"]["failed_conditions"] == ["range_inclusion"]
+
+
 def test_majorize_agrees_with_check_on_a_small_singular_value(capsys, monkeypatch, tmp_path):
     # sigma = 1e-7 is above the rank cut of A, though sigma^2 is below that cut
     # of A A*: the scale is finite, as range inclusion and check say
@@ -386,6 +399,15 @@ def test_verify_small(capsys):
     assert code == 0
     assert payload["violations"] == 0
     assert payload["seed"] == 9
+
+
+def test_verify_flags_are_the_trial_spec_fields(capsys, monkeypatch):
+    # a flag left out keeps the TrialSpec default; each given one sets its field
+    specs = []
+    monkeypatch.setattr(oc, "property_suite", lambda spec, tol: specs.append(spec) or {"violations": 0})
+    assert main(["verify"]) == 0
+    assert main(["verify", "--max-dim", "3", "--rank-policy", "full", "--trials", "2", "--seed", "5"]) == 0
+    assert specs == [oc.TrialSpec(), oc.TrialSpec(dim_max=3, rank_policy="full", trials=2, seed=5)]
 
 
 def test_verify_deterministic_bytes(capsys):
@@ -560,6 +582,7 @@ def test_reader_takes_benchmark_files_flat(capsys, tmp_path, n):
 
 TOKENS = ["-0", "0", "1", "+1", ".5", "1.", "01", "1e05", "1e400", "NaN", "Infinity", "-Infinity", "true"]
 TOKENS += ["null", '"1"', "", "1 2", "1" + "0" * 400, "1" + "0" * 4999]
+TOKENS += [str(2**64)]  # past 64 bits, which numpy may refuse, yet a float holds it
 
 
 @pytest.mark.parametrize("where", [0, -1])
@@ -653,6 +676,10 @@ INPUT_ERRORS = {
         "rank_rtol must be a number strictly between 0 and 1, got 2.0"
     ),
     "verify --max-dim 9": "dimensions must satisfy 1 <= dim_max <= 8",
+    "solve --a a.json --c c.json --z a.json": "--z only applies to positive mode; use --y",
+    "check --a a.json --c c.json --out missing/out.json": (
+        "cannot write missing/out.json: [Errno 2] No such file or directory: 'missing/out.json'"
+    ),
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -232,6 +233,18 @@ def test_report_non_hermitian_product():
     f = dg.factorize(a, c)
     assert not f.ca_hermitian
     assert f.verdict is dg.Verdict.GENERAL
+
+
+@pytest.mark.parametrize("least, psd", [(-1e299, True), (-1e301, False)])
+def test_c_a_star_is_judged_where_a_scaled_copy_of_c_overflows(least, psd):
+    # ||A|| = 1e160 and ||C|| = 1e150: ||A|| C does not fit a float, but the
+    # floor -psd_atol ||C|| ||A|| = -1e300 does, and so does C A* = diag(least, 1e301)
+    a = np.diag([1e160, 1e151])
+    c = np.diag([least / 1e160, 1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = dg.factorize(a, c)
+        assert f.ca_hermitian and f.ca_psd is psd
 
 
 def test_report_c_equals_a():

@@ -134,6 +134,11 @@ def test_is_psd_passes_at_its_eigenvalue_floor(top):
     assert not mc.is_psd(np.diag([np.nextafter(floor, -np.inf), top]), RULE_TOL)
 
 
+def test_is_psd_of_a_matrix_that_is_not_square_is_false(monkeypatch):
+    log = count_lapack(monkeypatch)
+    assert mc.is_psd(np.ones((2, 3))) is False and log == []
+
+
 def test_is_psd_of_a_zero_matrix_takes_no_eigendecomposition(monkeypatch):
     log = count_lapack(monkeypatch)
     zeros = [np.zeros((n, n)) for n in (1, 3, 8)] + [np.full((2, 2), -0.0 - 0.0j), np.zeros((0, 0))]
@@ -948,7 +953,7 @@ def test_psd_test_reads_the_hermitian_verdict(monkeypatch):
     tests = []
 
     def within_residual_bound(m, r, tol, rule=None):
-        tests.append(rule is None)  # the Hermitian test passes no rule
+        tests.append(not isinstance(m, float))  # the Hermitian test judges M - M*, the PSD test a number
         return within_residual_bound_of_matcore(m, r, tol, rule)
 
     within_residual_bound_of_matcore = mc._within_residual_bound

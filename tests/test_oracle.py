@@ -14,7 +14,7 @@ from conftest import (
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq import oracle as oc
-from opeq.errors import PreconditionFailed
+from opeq.errors import NotSolvable, NotSolvableHermitian, NotSolvablePositive, PreconditionFailed
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +583,31 @@ def _scaled_member(name, factor):
     return property(scaled)
 
 
+def _refusing(error):
+    """A builder in place of a douglas one that refuses every input with ``error``."""
+
+    def builder(f, parameter):
+        raise error("refused")
+
+    return builder
+
+
+def _builder_moved(name, shift):
+    """``douglas.<name>`` with ``shift(f, x)`` added to what it returns."""
+    original = getattr(dg, name)
+
+    def builder(f, parameter):
+        x = original(f, parameter)
+        return x + shift(f, x)
+
+    return builder
+
+
+LSQ_SOLVE = oc.lsq_solve
+
+
 # a wrong part fails the property that checks it, with that check's detail; a
-# part is an attribute of the oracle module or a member of the Factorization
+# part is an attribute of the oracle or douglas module or a member of the Factorization
 MUTANTS = {
     "pinv": (
         oc,
@@ -600,6 +623,41 @@ MUTANTS = {
         "general_solution_routes",
         "sqrt round trip off by",
     ),
+    "sqrt_psd_negated": (
+        oc,
+        "sqrt_psd",
+        lambda m, tol: -mc.sqrt_psd(m, tol),
+        "general_solution_routes",
+        "square root is not PSD",
+    ),
+    "general_refuses": (
+        dg,
+        "general_solution",
+        _refusing(NotSolvable),
+        "general_solution_routes",
+        "family member does not solve the equation",
+    ),
+    "general_off_the_partial_isometry_route": (
+        dg,
+        "general_solution",
+        _builder_moved("general_solution", lambda f, x: f.ip @ np.ones(x.shape)),
+        "general_solution_routes",
+        "partial-isometry route disagrees",
+    ),
+    "recover_parameter": (
+        dg,
+        "recover_parameter",
+        _builder_moved("recover_parameter", lambda f, y: np.ones(y.shape)),
+        "general_solution_routes",
+        "parameter round trip off",
+    ),
+    "lsq_solve": (
+        oc,
+        "lsq_solve",
+        lambda a, c, tol: 1.01 * LSQ_SOLVE(a, c, tol),
+        "general_solution_routes",
+        "normal-equation route disagrees",
+    ),
     "majorization": (
         oc,
         "_majorization_scale",
@@ -613,6 +671,55 @@ MUTANTS = {
         _scaled_member("majorization_scale", 1.01),
         "general_solution_routes",
         "reduced-solution properties failed: norm=False kernel=True rowspace=True",
+    ),
+    "ca_hermitian": (
+        dg.Factorization,
+        "ca_hermitian",
+        property(lambda f: True),
+        "hermitian_criterion_transfer",
+        "Hermitian-ness of DP and CA* disagree",
+    ),
+    "hermitian_refuses": (
+        dg,
+        "hermitian_solution",
+        _refusing(NotSolvableHermitian),
+        "hermitian_criterion_transfer",
+        "Hermitian builder refused its own output",
+    ),
+    "hermitian_not_hermitian": (
+        dg,
+        "hermitian_solution",
+        _builder_moved("hermitian_solution", lambda f, x: 1j * np.eye(len(x))),
+        "hermitian_criterion_transfer",
+        "emitted solution is not Hermitian",
+    ),
+    "hermitian_non_solution": (
+        dg,
+        "hermitian_solution",
+        _builder_moved("hermitian_solution", lambda f, x: f.row_basis @ f.row_basis.conj().T),
+        "hermitian_criterion_transfer",
+        "emitted Hermitian member does not solve the equation",
+    ),
+    "positive_refuses": (
+        dg,
+        "positive_solution",
+        _refusing(NotSolvablePositive),
+        "positive_criteria_agreement",
+        "positive builder refused its own output",
+    ),
+    "positive_not_psd": (
+        dg,
+        "positive_solution",
+        _builder_moved("positive_solution", lambda f, x: -(1.0 + mc.spectral_norm(x)) * np.eye(len(x))),
+        "positive_criteria_agreement",
+        "emitted member of the positive family is not PSD",
+    ),
+    "positive_non_solution": (
+        dg,
+        "positive_solution",
+        _builder_moved("positive_solution", lambda f, x: np.eye(len(x))),
+        "positive_criteria_agreement",
+        "emitted positive member does not solve the equation",
     ),
     "search_unsolvable": (
         oc,
@@ -648,6 +755,20 @@ MUTANTS = {
         _scaled_member("lambda_estimate", 1.01),
         "tn_monotone_lambda_match",
         "closed-form lambda",
+    ),
+    "tn_never_settles": (
+        oc,
+        "_diagnose",
+        lambda norms, tol: (False, False),
+        "tn_monotone_lambda_match",
+        "ranges match but the T_n norms did not settle",
+    ),
+    "tn_never_diverges": (
+        oc,
+        "_diagnose",
+        lambda norms, tol: (True, False),
+        "tn_monotone_lambda_match",
+        "ranges differ but the T_n norms did not diverge",
     ),
 }
 

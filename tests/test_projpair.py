@@ -241,8 +241,8 @@ def test_snap_eps(grid):
 
 
 def test_perturbed_projection_frozen_left(grid):
-    qp = pp.perturb_q(grid, 0.1)
-    eps_hat = pp.snap_eps(grid, 0.1)
+    eps_hat, qp, _ = pp.perturbation(grid, 0.1)
+    assert eps_hat == pp.snap_eps(grid, 0.1)
     for k, t in enumerate(grid.points):
         if t > eps_hat:
             break
@@ -250,7 +250,7 @@ def test_perturbed_projection_frozen_left(grid):
 
 
 def test_perturbed_projection_is_projection(grid):
-    qp = pp.perturb_q(grid, 0.1)
+    _, qp, _ = pp.perturbation(grid, 0.1)
     prod = np.einsum("kij,kjl->kil", qp.values, qp.values)
     assert np.max(np.abs(prod - qp.values)) < 1e-12
     assert pp.algebra_membership(qp)
@@ -258,7 +258,7 @@ def test_perturbed_projection_is_projection(grid):
 
 def test_perturbation_distance(grid, pair):
     _, q = pair
-    qp = pp.perturb_q(grid, 0.1)
+    _, qp, _ = pp.perturbation(grid, 0.1)
     dist = pp.sup_distance(q, qp)
     assert dist == pytest.approx(math.sin(0.05 * math.pi), abs=0.01)
     assert dist <= math.sin(0.05 * math.pi) + 2.0 * grid.points[1]
@@ -266,19 +266,18 @@ def test_perturbation_distance(grid, pair):
 
 def test_perturbation_distance_decreases(grid, pair):
     _, q = pair
-    dists = [pp.sup_distance(q, pp.perturb_q(grid, e)) for e in (0.2, 0.1, 0.05)]
+    dists = [pp.sup_distance(q, pp.perturbation(grid, e)[1]) for e in (0.2, 0.1, 0.05)]
     assert dists[0] > dists[1] > dists[2]
 
 
 def test_perturbed_solution_boundary(grid):
-    x = pp.perturbed_solution(grid, 0.1)
+    _, _, x = pp.perturbation(grid, 0.1)
     np.testing.assert_allclose(x.values[0], np.diag([INV_ROOT2, 0.0]), atol=1e-15)
     assert pp.algebra_membership(x)
 
 
 def test_perturbed_solution_continuous_at_eps(grid):
-    x = pp.perturbed_solution(grid, 0.1)
-    eps_hat = pp.snap_eps(grid, 0.1)
+    eps_hat, _, x = pp.perturbation(grid, 0.1)
     k = int(round(eps_hat * (grid.n_points - 1)))
     assert x.values[k][1, 0].real == pytest.approx(-INV_ROOT2, abs=1e-12)
     # adjacent nodes on both sides stay within a spacing-scaled jump bound
@@ -289,8 +288,7 @@ def test_perturbed_solution_continuous_at_eps(grid):
 def test_perturbed_solution_residual(grid, pair):
     p, _ = pair
     for eps in (0.2, 0.1, 0.05, 0.9999):
-        qp = pp.perturb_q(grid, eps)
-        x = pp.perturbed_solution(grid, eps)
+        _, qp, x = pp.perturbation(grid, eps)
         assert pp.equation_residual_max(p, qp, x) < 1e-8
         assert pp.algebra_membership(x)
 
@@ -325,8 +323,7 @@ def test_residual_matches_per_node_reference_at_100000_nodes():
 
 def assert_residual_matches_per_node(grid):
     p, q = pp.canonical_pair(grid)
-    qp = pp.perturb_q(grid, 0.1)
-    x = pp.perturbed_solution(grid, 0.1)
+    _, qp, x = pp.perturbation(grid, 0.1)
     assert abs(pp.equation_residual_max(p, qp, x) - residual_per_node(p, qp, x)) <= 1e-15
     xs = pp.pointwise_solution(grid)
     assert abs(pp.equation_residual_max(p, q, xs) - residual_per_node(p, q, xs)) <= 1e-15
@@ -356,7 +353,7 @@ def test_checks_survive_batching(blocked_grid, value, key):
         mc.sqrt_psd(p.values + q_bad.values)
     assert stacked.value.certificate["index"] == node
     assert key in stacked.value.certificate
-    for x in (pp.perturbed_solution(blocked_grid, 0.1), pp.pointwise_solution(blocked_grid)):
+    for x in (pp.perturbation(blocked_grid, 0.1)[2], pp.pointwise_solution(blocked_grid)):
         with pytest.raises(NotPSD) as residual:
             pp.equation_residual_max(p, q_bad, x)
         assert residual.value.certificate["index"] == node
@@ -369,7 +366,7 @@ def test_not_psd_message_prints_the_node_as_a_float():
     # P + Q = diag(1, -1) at node 700, in the second block
     q_bad = _spoiled_q(grid, 700, np.diag([0.0, -1.0]))
     with pytest.raises(NotPSD) as residual:
-        pp.equation_residual_max(p, q_bad, pp.perturbed_solution(grid, 0.1))
+        pp.equation_residual_max(p, q_bad, pp.perturbation(grid, 0.1)[2])
     assert str(residual.value) == "P + Q is not PSD at grid node 700 (t = 0.7007007007007007)"
     assert residual.value.certificate == {"min_eigenvalue": -1.0, "floor": -1e-10, "index": 700}
 
@@ -384,7 +381,7 @@ def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
     log = count_lapack(monkeypatch)
     grid = pp.Grid(n)
     p, _ = pp.canonical_pair(grid)
-    pp.equation_residual_max(p, pp.perturb_q(grid, 0.1), pp.perturbed_solution(grid, 0.1))
+    pp.equation_residual_max(p, *pp.perturbation(grid, 0.1)[1:])
     calls = Counter(name for name, _, _ in log)
     # the 2x2 roots are taken in closed form
     assert calls["eigh"] == 0
@@ -398,7 +395,7 @@ def test_residual_lapack_calls_scale_with_blocks(monkeypatch, n):
 def test_sup_distance_lapack_calls(monkeypatch, n, matrices):
     grid = pp.Grid(n)
     _, q = pp.canonical_pair(grid)
-    qp = pp.perturb_q(grid, 0.1)
+    _, qp, _ = pp.perturbation(grid, 0.1)
     log = count_lapack(monkeypatch)
     distance = pp.sup_distance(q, qp)
     # ||Q - Q'|| peaks at eps, in the first block; its two singular values are
@@ -466,8 +463,7 @@ def test_csv_bytes_match_per_entry_format():
         pp.GridFunction(grid, vals),
         pp.GridFunction(grid, constant),
         pp.pointwise_solution(grid),
-        pp.perturbed_solution(grid, 0.1),
-        pp.perturb_q(grid, 0.1),
+        *pp.perturbation(grid, 0.1)[1:],
         *pp.canonical_pair(grid),
     ):
         buf = io.StringIO()
