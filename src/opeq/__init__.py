@@ -72,7 +72,6 @@ from .projpair import (
 from .oracle import (
     TrialSpec,
     lsq_solve,
-    positive_search,
     property_suite,
 )
 

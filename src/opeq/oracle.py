@@ -3,12 +3,14 @@
 Each check reaches a decision by a second route: normal equations instead
 of the SVD pseudoinverse, the partial-isometry form
 ``|A|^+ U* C + (I - U*U) Y`` (with ``A = U|A|``) instead of ``D + (I - P) Y``,
-sampling of the Hermitian family for PSD solutions instead of the closed
-form, the leak of ``C C*`` outside the range of ``C A*`` instead of the range
-equality, the leak of C outside the range of ``U_r`` and ``S^-1 U_r* C`` for
-the least ``mu`` with ``C C* <= mu A A*`` instead of ``||D||^2``, and the
-``||T_n||`` scan for the closed-form lambda.  Absence of a search hit is
-evidence, never proof.  The routes share their inputs with the decisions:
+a witness that members of the Hermitian family are indefinite instead of the
+verdict that no PSD solution exists, the leak of ``C C*`` outside the range
+of ``C A*`` instead of the range equality, the leak of C outside the range of
+``U_r`` and ``S^-1 U_r* C`` for the least ``mu`` with ``C C* <= mu A A*``
+instead of ``||D||^2``, and the ``||T_n||`` scan for the closed-form lambda.
+The witness is a vector or a 2-plane on which every Hermitian solution is
+indefinite (Albert's theorem), so where it certifies its members it proves
+the verdict.  The routes share their inputs with the decisions:
 every trial builds one :class:`~opeq.douglas.Factorization` and reads from
 it D, P, ``C A*``, DP, A's truncated SVD ``U_r S B*`` (so A is decomposed
 once per trial) and the verdict and flags, never a report, so no failure
@@ -18,7 +20,8 @@ The suite has five properties, and a check runs on the pair of the property
 that builds its input: ``general_solution_routes`` also checks the Penrose
 identities of ``A^+ = B S^-1 U_r*``, the pseudoinverse D is formed with,
 ``|A|`` as the square root of ``A*A`` and Douglas's three facts about D, and
-``positive_criteria_agreement`` runs the search on every pair it classifies.
+``positive_criteria_agreement`` checks the witness on every pair it judges
+HERMITIAN.
 
 All randomness flows from a named generator (PCG64) with an explicit seed;
 every trial derives its own sub-seed deterministically from the seed and the
@@ -54,9 +57,7 @@ from .matcore import (
     DEFAULT_TOLERANCES,
     HermitianSpectrum,
     ToleranceConfig,
-    _BOUND_SLACK,
     _pinv_from_svd,
-    _single_norm_bounds,
     _within_residual_bound,
     as_matrix,
     is_psd,
@@ -72,7 +73,6 @@ __all__ = [
     "RANK_POLICIES",
     "TrialSpec",
     "lsq_solve",
-    "positive_search",
     "property_suite",
 ]
 
@@ -84,6 +84,9 @@ DEFAULT_SEED = 20514
 # above eigenvalue roundoff.  The PSD and monotonicity tests read its head.
 _SCHEDULE = tuple(2**k for k in range(41))
 _HEAD = _SCHEDULE[:5]  # T_1, T_2, T_4, T_8, T_16
+
+# roundoff per dimension of a compression W* X W, relative to ||X||_F ||W||_F^2
+_ROUNDOFF = 16 * float(np.finfo(np.float64).eps)
 
 
 # how the rank of a random operator is drawn: full, below full, or either
@@ -148,133 +151,31 @@ def lsq_solve(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
     return (v / w) @ (v.conj().T @ (a.conj().T @ c))
 
 
-def positive_search(
-    f: douglas.Factorization, budget: int = 1000, seed: int = DEFAULT_SEED
-) -> np.ndarray | None:
-    """Randomized hunt for a PSD solution of AX = C inside the Hermitian family.
+def _indefinite_witness(f: douglas.Factorization) -> np.ndarray | None:
+    """Columns W on which every Hermitian solution of AX = C is indefinite, or None.
 
-    Samples ``Y = s G* G`` (Gaussian G, slowly growing scale s), forms
-    ``X = D + (I-P) D* + (I-P) Y (I-P)`` and keeps the first X that passes
-    the PSD and residual tests.  Returns None when the budget is exhausted;
-    that is evidence of unsolvability, not proof.
-
-    Candidates that cannot pass are never formed.  By Cauchy interlacing,
-    ``lambda_min(X)`` is at most the least eigenvalue of X's compression to
-    any subspace, and two compressions are read without forming X.  With
-    ``P = B B*``, every X has the same compression ``B* X B = B* H0 B``
-    (``H0 = D + (I-P) D*``), which is the factorization's ``K = B* D B``
-    since ``B* (I-P) = 0``; so ``lambda_min(X) <= mu``, the least eigenvalue
-    of ``sym(K)``.  Where that rejects nothing, as when DP is singular, the
-    2x2 compression of :func:`_border` bounds each candidate by its
-    ``lambda_2``, so ``lambda_min(X) <= min(mu, lambda_2)``.
-    ``U = (h + s ||G||_F^2)(1 + slack)``, with ``h`` the Frobenius bound of
-    ``||H0||`` and ``slack = matcore._BOUND_SLACK``, bounds ``||X||``, since
-    ``||Y|| <= s ||G||_F^2`` and ``||I - P|| = 1``.  A candidate with
-    ``min(mu, lambda_2) + slack * U < eigenvalue_floor(U)`` fails the floor
-    test, and the rule is exact: the computed least eigenvalue is at most
-    that bound plus a roundoff far below ``slack * U`` (computed, K and
-    ``B* H0 B`` differ by ``B* (I-P) D* B``, of order ``eps ||D||``, and
-    ``||D|| = ||P H0|| <= ||H0|| <= U``; the 2x2 entries differ from X's
-    compression by ``O(eps U)`` too), and the floor, nonincreasing in the
-    norm, is at least ``eigenvalue_floor(U)``.  The generator is still drawn
-    in chunks of 256, so each candidate keeps its bits; the rest are formed
-    and tested in order, in slices of 1, 4, 16, ... up to 256, and the search
-    stops at its first hit.  So it returns what testing every candidate
-    returns, bit for bit.  The 2x2 bound is built only once a formed slice has
-    missed, so a search that hits at once pays nothing for it; it then
-    re-screens that chunk's remaining candidates and screens every later
-    chunk.  Nothing is screened when A has rank 0 or ``mu`` or ``h`` is not
-    finite.
+    In A's row-space coordinates every member of the Hermitian family is the
+    block matrix ``[[K, E], [E*, Z]]`` with Z free, and by Albert's theorem
+    some Z makes it PSD iff K is PSD and R(E) lies inside R(K).  Where
+    ``C A*`` is not PSD, W is ``u = A* v``, with v the least eigenvector of
+    ``C A*``: every member has ``u* X u = v* C A* v < 0``.  Otherwise W is the
+    plane ``[B xi, eta]``: ``xi`` is the unit direction of the largest column
+    of the range-equality witness ``M - U_K U_K* M``, which K maps to about 0,
+    and ``eta = E* xi / ||E* xi||``, which lies in ``R(I - P)``, so the plane
+    is orthonormal.  Since ``B* (I - P) = 0``, every member's compression to
+    it is ``[[xi* K xi, b], [b, c]]`` with ``b = ||E* xi||`` and c free: its
+    determinant is about ``-b^2`` for every c.  None when the witness or
+    ``E* xi`` is zero or not finite.  It reads the eigenpairs of ``C A*``,
+    which the property takes for its majorization route, and K's SVD, which
+    the verdict took, so it makes no LAPACK call.
     """
-    if f.a.shape != f.c.shape:
-        raise ShapeMismatch("A and C must have identical shape")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if not (f.range_ok and f.ca_hermitian):
+    if not f.ca_psd:
+        v = f._ca_spectrum.eigh[1]
+        return f.a.conj().T @ v[:, :1]
+    outside = f._outside_range_dp()
+    if not outside.size:
         return None
-
-    tol = f.tol
-    n = f.a.shape[1]
-    ip = f.ip
-    base = f.h0
-    mu, base_top = _compression_floor(f.k, base)
-    border = None
-    bordered = mu is None  # True once the border is built or ruled out
-
-    rng = _sub_rng(seed, 1)
-    chunk = 256
-    step = 1
-    drawn = 0
-    while drawn < budget:
-        take = min(chunk, budget - drawn)
-        g = rng.standard_normal((take, n, n)) + 1j * rng.standard_normal((take, n, n))
-        # gentle scale ladder, capped: blowing the parameter up without bound
-        # would eventually slip an indefinite matrix of huge norm past any
-        # norm-relative eigenvalue floor, turning absence-evidence into noise
-        scales = 2.0 ** np.minimum((drawn + np.arange(take)) // 256, 6)
-        drawn += take
-        survivors = np.arange(take)
-        if mu is not None:
-            parts = g.view(np.float64)
-            top = (base_top + scales * np.einsum("kij,kij->k", parts, parts)) * (1.0 + _BOUND_SLACK)
-            survivors = _screened(survivors, mu, border, g, scales, top, tol)
-        while survivors.size:
-            pick, survivors = survivors[:step], survivors[step:]
-            step = min(4 * step, chunk)
-            gp = g[pick]
-            y = np.einsum("kij,kil->kjl", gp.conj(), gp) * scales[pick, None, None]
-            x = base[None, :, :] + ip[None, :, :] @ y @ ip[None, :, :]
-            x = 0.5 * (x + np.conj(np.transpose(x, (0, 2, 1))))
-            eigs = np.linalg.eigvalsh(x)
-            hits = np.nonzero(eigs[:, 0] >= tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1)))[0]
-            # x is exactly Hermitian, so the floor test above is is_psd's own
-            for k in hits:
-                if f.equation_ok(x[k]):
-                    return x[k]
-            if not bordered:
-                bordered = True
-                border = _border(f, base)
-                if border is not None:
-                    survivors = _screened(survivors, mu, border, g, scales, top, tol)
-    return None
-
-
-def _compression_floor(k, h0):
-    """``(mu, h)`` for the screen of :func:`positive_search`, or ``(None, None)`` for none.
-
-    ``mu`` is the least eigenvalue of ``sym(K)``, K the factorization's
-    ``B* D B``, from one ``eigvalsh`` of an ``r x r`` matrix, and ``h`` the
-    Frobenius upper bound of ``||H0||`` (``matcore._single_norm_bounds``).
-    ``mu`` bounds every candidate's least eigenvalue; :func:`_border` adds a
-    bound per candidate where ``mu`` alone rejects nothing.  There is no
-    screen when A has rank 0 or either number is not finite.
-    """
-    if not k.size:
-        return None, None
-    mu = float(np.linalg.eigvalsh(0.5 * (k + k.conj().T))[0])
-    top = _single_norm_bounds(h0)[1]
-    if not (math.isfinite(mu) and math.isfinite(top)):
-        return None, None
-    return mu, top
-
-
-def _border(f: douglas.Factorization, h0):
-    """``(a, b, c0, eta)`` of the 2x2 compressions of :func:`positive_search`, or None.
-
-    ``xi`` is the unit direction of the largest column of the range-equality
-    witness ``M - U_K U_K* M`` and ``eta = E* xi / ||E* xi||``, with
-    ``E = M (I - P)``; ``eta`` lies in ``R(I - P)``, so it is orthogonal to
-    ``B xi``.  Since ``B* (I - P) = 0``, each candidate's compression to
-    ``span{B xi, eta}`` is ``[[a, b], [b, c0 + s ||G eta||^2]]``, with
-    ``a = xi* sym(K) xi``, ``b = ||E* xi||`` and ``c0 = eta* H0 eta``.  Where
-    R(D) and R(DP) differ, ``a`` is 0 and b is not, so its least eigenvalue is
-    about ``-b^2 / c``.  None when the witness or ``E* xi`` is zero or not
-    finite.  With K's SVD already taken, no LAPACK call is made.
-    """
-    witness = f._outside_range_dp()
-    if not witness.size:
-        return None
-    xi = witness[:, int(np.argmax(np.einsum("ij,ij->j", witness.conj(), witness).real))]
+    xi = outside[:, int(np.argmax(np.einsum("ij,ij->j", outside.conj(), outside).real))]
     length = float(np.linalg.norm(xi))
     if not (math.isfinite(length) and length > 0.0):
         return None
@@ -283,26 +184,45 @@ def _border(f: douglas.Factorization, h0):
     b = float(np.linalg.norm(ex))
     if not (math.isfinite(b) and b > 0.0):
         return None
-    eta = ex / b
-    a = float(np.vdot(xi, f.k @ xi).real)
-    c0 = float(np.vdot(eta, h0 @ eta).real)
-    return a, b, c0, eta
+    return np.column_stack([f.row_basis @ xi, ex / b])
 
 
-def _screened(survivors, mu, border, g, scales, top, tol):
-    """The candidates among ``survivors`` whose bound ``min(mu, lambda_2)`` can pass the floor.
+def _family_members(f: douglas.Factorization, seed: int) -> np.ndarray:
+    """Two members ``H0 + (I - P) Y (I - P)`` of the Hermitian family, as a ``(2, n, n)`` stack.
 
-    ``lambda_2``, read only when ``border`` is given, is the least eigenvalue
-    of each candidate's 2x2 compression (:func:`_border`), in closed form.
+    ``Y = s G* G``, with G a complex Gaussian drawn from ``_sub_rng(seed, 1)``,
+    s = 1 for the first member and s = 64 for the second, a large one.
     """
-    bound = mu
-    if border is not None:
-        a, b, c0, eta = border
-        parts = (g[survivors] @ eta).view(np.float64)
-        c = c0 + scales[survivors] * np.einsum("ki,ki->k", parts, parts)
-        bound = np.minimum(mu, 0.5 * (a + c) - np.hypot(0.5 * (c - a), b))
-    cap = top[survivors]
-    return survivors[~(bound + _BOUND_SLACK * cap < tol.eigenvalue_floor(cap))]
+    n = f.a.shape[1]
+    rng = _sub_rng(seed, 1)
+    g = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    y = np.einsum("kij,kil->kjl", g.conj(), g) * np.array([1.0, 64.0])[:, None, None]
+    return f.h0 + f.ip @ y @ f.ip
+
+
+def _uncertified(w, members) -> str | None:
+    """None when W certifies each member indefinite, else the detail of the first it does not.
+
+    The certificate is the 1x1 value or the 2x2 determinant of the
+    compression ``W* X W``, below minus its roundoff margin
+    ``(16 n eps ||X||_F ||W||_F^2)^k``, k the number of columns of W: each
+    entry of the compression is off by about ``n eps ||X|| ||W||^2``, and a
+    k x k determinant has degree k in them.
+    """
+    if w is None:
+        return "HERMITIAN verdict without an indefiniteness witness"
+    q = w.conj().T @ members @ w
+    q = 0.5 * (q + q.conj().swapaxes(1, 2))
+    if w.shape[1] == 1:
+        values = q[:, 0, 0].real
+    else:
+        values = q[:, 0, 0].real * q[:, 1, 1].real - np.abs(q[:, 0, 1]) ** 2
+    sizes = np.linalg.norm(members, axis=(1, 2)) * float(np.linalg.norm(w)) ** 2
+    margins = (_ROUNDOFF * members.shape[1] * sizes) ** w.shape[1]
+    for k, (value, margin) in enumerate(zip(values.tolist(), margins.tolist())):
+        if not value < -margin:
+            return f"witness does not certify member {k} indefinite: {value:.3e} against -{margin:.3e}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +528,13 @@ def _check_hermitian_criterion(rng, spec, tol):
 
 
 def _check_positive_criteria(rng, spec, tol):
-    """The positivity routes agree on one pair, and the randomized search respects them.
+    """The positivity routes agree on one pair, and a HERMITIAN verdict comes with its proof.
 
     The majorization route, a finite t with ``C C* <= t C A*``, reads the
     ``n x n`` matrices: ``C A*`` PSD and no leak of ``C C*`` outside its range.
-    A search hit must come with a POSITIVE verdict, be PSD and solve the equation.
+    A HERMITIAN verdict says no PSD solution exists: :func:`_indefinite_witness`
+    must give a vector or plane that certifies two members of the Hermitian
+    family, formed by :func:`_family_members`, indefinite beyond roundoff.
     """
     pick = int(rng.integers(4))
     if pick == 3 and spec.dim_max >= 3:
@@ -658,15 +580,10 @@ def _check_positive_criteria(rng, spec, tol):
             return _fail(f"range-deficient pattern misclassified as {verdict.value}", a=a, c=c)
         if f.dp_range_eq or t_finite:
             return _fail("range-deficient pattern passed a positivity route", a=a, c=c)
-    found = positive_search(f, budget=384, seed=sub_seed)
-    if found is None:
-        return None
-    if verdict is not douglas.Verdict.POSITIVE:
-        return _fail("search produced a PSD solution on a pair judged unsolvable", a=a, c=c)
-    if not is_psd(found, tol):
-        return _fail("search returned a non-PSD matrix", a=a, c=c)
-    if not f.equation_ok(found):
-        return _fail("search returned a non-solution", a=a, c=c)
+    if verdict is douglas.Verdict.HERMITIAN:
+        detail = _uncertified(_indefinite_witness(f), _family_members(f, sub_seed))
+        if detail is not None:
+            return _fail(detail, a=a, c=c)
     return None
 
 

@@ -93,44 +93,6 @@ def inv_sqrt_sum(points):
     return _symmetric(gamma / s, -beta / s, alpha / s)
 
 
-# the randomized search of opeq.oracle before its candidates were screened:
-# every drawn candidate formed and eigendecomposed in chunks of 256, the hits
-# tested in order by the same acceptance rule (the PSD test and
-# Factorization.equation_ok); positive_search must return what this returns,
-# bit for bit
-
-
-def reference_positive_search(f, budget=1000, seed=20514):
-    """``oracle.positive_search`` with no screen and no early stop within a chunk."""
-    from opeq.matcore import is_psd
-    from opeq.oracle import _sub_rng
-
-    if not (f.range_ok and f.ca_hermitian):
-        return None
-    tol = f.tol
-    n = f.a.shape[1]
-    ip = f.ip
-    base = f.h0
-    rng = _sub_rng(seed, 1)
-    chunk = 256
-    drawn = 0
-    while drawn < budget:
-        take = min(chunk, budget - drawn)
-        g = rng.standard_normal((take, n, n)) + 1j * rng.standard_normal((take, n, n))
-        scales = 2.0 ** np.minimum((drawn + np.arange(take)) // 256, 6)
-        y = np.einsum("kij,kil->kjl", g.conj(), g) * scales[:, None, None]
-        x = base[None, :, :] + ip[None, :, :] @ y @ ip[None, :, :]
-        x = 0.5 * (x + np.conj(np.transpose(x, (0, 2, 1))))
-        eigs = np.linalg.eigvalsh(x)
-        hits = np.nonzero(eigs[:, 0] >= tol.eigenvalue_floor(np.max(np.abs(eigs), axis=1)))[0]
-        for k in hits:
-            candidate = x[k]
-            if f.equation_ok(candidate) and is_psd(candidate, tol):
-                return candidate
-        drawn += take
-    return None
-
-
 # the n x n routes to positive solvability that douglas.Factorization replaced
 # with the r x r compression K = B* D B: one SVD each of D and of DP = D P,
 # the range equality as two inclusions plus a rank comparison, and (DP)^dagger

@@ -329,8 +329,8 @@ def test_numeric_inputs_out_of_type_or_range_are_rejected(case):
         build()
 
 
-def _solvable_pair(c_cols=2):
-    return dg.factorize(np.eye(2), np.ones((2, c_cols)))
+def _solvable_pair():
+    return dg.factorize(np.eye(2), np.ones((2, 2)))
 
 
 # each layer's input checks, against their messages: a pattern the whole message matches
@@ -376,16 +376,6 @@ INPUT_CHECKS = {
         lambda: oc.lsq_solve(np.eye(2), np.eye(3)),
         ShapeMismatch,
         "A and C must share their row count",
-    ),
-    "positive_search_not_square": (
-        lambda: oc.positive_search(_solvable_pair(c_cols=3)),
-        ShapeMismatch,
-        "A and C must have identical shape",
-    ),
-    "positive_search_no_budget": (
-        lambda: oc.positive_search(_solvable_pair(), budget=0),
-        ValueError,
-        "budget must be at least 1",
     ),
 }
 

@@ -9,7 +9,6 @@ from conftest import (
     count_lapack,
     rank_deficient,
     random_psd,
-    reference_positive_search,
 )
 from opeq import douglas as dg
 from opeq import matcore as mc
@@ -51,194 +50,61 @@ def test_lsq_agrees_with_reduced_solution():
 
 
 # ---------------------------------------------------------------------------
-# randomized positive search
+# the indefiniteness witness of the positive_criteria_agreement property
 
 
-def test_search_finds_fixture_solution(rank1_pair):
-    a, c = rank1_pair
-    x = oc.positive_search(dg.factorize(a, c), budget=100, seed=oc.DEFAULT_SEED)
-    assert x is not None
-    assert mc.is_psd(x)
-    assert mc.spectral_norm(a @ x - c) < 1e-8
+def _certified(f, seed):
+    """The property's test: the witness certifies its two family members indefinite."""
+    return oc._uncertified(oc._indefinite_witness(f), oc._family_members(f, seed)) is None
 
 
-def test_search_exhausts_on_hermitian_only_pair(hermitian_only_pair):
-    a, c = hermitian_only_pair
-    assert oc.positive_search(dg.factorize(a, c), budget=10**4, seed=oc.DEFAULT_SEED) is None
-
-
-def test_search_immediate_for_self():
-    rng = np.random.default_rng(29)
-    a = rank_deficient(rng, 3, 3, 2)
-    x = oc.positive_search(dg.factorize(a, a), budget=10, seed=1)
-    assert x is not None and mc.is_psd(x)
-
-
-def test_search_skips_unsolvable():
-    f = dg.factorize(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
-    assert oc.positive_search(f, budget=10) is None
-
-
-def test_search_deterministic(rank1_pair):
-    f = dg.factorize(*rank1_pair)
-    x1 = oc.positive_search(f, budget=64, seed=5)
-    x2 = oc.positive_search(f, budget=64, seed=5)
-    np.testing.assert_array_equal(x1, x2)
-
-
-def assert_search_matches_reference(f, budget, seed):
-    """positive_search returns what the unscreened search returns, bit for bit."""
-    got = oc.positive_search(f, budget=budget, seed=seed)
-    want = reference_positive_search(f, budget=budget, seed=seed)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None and got.shape == want.shape and got.tobytes() == want.tobytes()
-    return want is not None
-
-
-SEARCH_BUDGETS = (1, 255, 256, 257, 384)
-
-
-@pytest.mark.parametrize("psd_atol", [1e-10, 1e-300])
-def test_screened_search_matches_the_unscreened_one(psd_atol):
-    tol = mc.ToleranceConfig(psd_atol=psd_atol)
-    spec = oc.TrialSpec(dim_max=6, trials=1)
-    found = {}
-    for seed in range(300):
-        rng = np.random.default_rng(seed)
-        flavor = ("positive", "hermitian", "general", "never_positive")[seed % 4]
-        if flavor == "never_positive":
-            a, c = oc._hermitian_but_never_positive(rng, int(rng.integers(3, 7)))
-        else:
-            a, c = oc._consistent_pair(rng, spec, flavor)[:2]
-        budget = SEARCH_BUDGETS[(seed // 4) % len(SEARCH_BUDGETS)]
-        hit = assert_search_matches_reference(dg.factorize(a, c, tol), budget, seed)
-        found[flavor] = found.get(flavor, 0) + hit
-    # both outcomes are covered: positive pairs are found, the others are not
-    assert found["positive"] > 0 and found["never_positive"] == 0
-
-
-@pytest.mark.parametrize("budget", SEARCH_BUDGETS)
-def test_screened_search_matches_on_rank_zero_and_one_by_one(budget):
-    rng = np.random.default_rng(budget)
-    pairs = [(np.zeros((3, 3)), np.zeros((3, 3))), (np.zeros((1, 1)), np.zeros((1, 1)))]
-    for _ in range(12):
-        a = complex_gaussian(rng, 1, 1)
-        pairs.append((a, a * rng.uniform(-2.0, 2.0)))
-    hits = [assert_search_matches_reference(dg.factorize(a, c), budget, 7) for a, c in pairs]
-    # rank 0 has no screen, and every candidate is PSD
-    assert hits[0] and hits[1] and not all(hits)
-
-
-def compression_with_least_eigenvalue(rng, delta, n=4, rank=2):
-    """A pair whose solutions all compress to the row space with least eigenvalue ``-delta``.
-
-    X is block diagonal in ``P = V V*``: ``-delta`` and 1 on the row space, a
-    PSD block on its complement, so the candidates' least eigenvalue is near
-    ``-delta`` and a small ``delta`` survives the screen.
-    """
-    u, v = oc._unitaries(rng, n, 2)
-    v = v[:, :rank]
-    a = (u[:, :rank] * rng.uniform(0.3, 2.0, rank)) @ v.conj().T
-    w = v @ np.diag([-delta, 1.0]) @ v.conj().T
-    ip = np.eye(n) - v @ v.conj().T
-    return a, a @ (w + ip @ random_psd(rng, n) @ ip)
-
-
-@pytest.mark.parametrize("delta", [10.0**-k for k in range(2, 15)])
-def test_screened_search_matches_near_a_psd_compression(delta, monkeypatch):
+@pytest.mark.parametrize("n", range(3, 9))
+def test_witness_certifies_the_pairs_with_no_psd_solution(monkeypatch, n):
+    # C A* is PSD there and R(D) is not R(DP): the witness is a plane, read
+    # from the eigenpairs and K's SVD the verdict took, with no LAPACK call
     log = count_lapack(monkeypatch)
-    outcomes = []
-    for seed in range(3):
-        f = dg.factorize(*compression_with_least_eigenvalue(np.random.default_rng(seed), delta))
-        for budget in (1, 257):
-            outcomes.append(assert_search_matches_reference(f, budget, seed))
-    log.clear()
-    oc.positive_search(f, budget=257, seed=0)
-    formed = sum(args[0].shape[0] for name, args, _ in log if name == "eigvalsh" and args[0].ndim == 3)
-    if delta >= 1e-4:
-        # mu + 1e-6 * ||X|| is below the floor: every candidate is ruled out
-        assert formed == 0 and not any(outcomes)
-    elif delta <= 1e-12:
-        # -delta is above the floor: the first candidate is a hit
-        assert formed == 1 and all(outcomes)
-    else:
-        assert formed > 0
-
-
-def pair_needing_a_large_parameter(rng, n, rank, size=2.0):
-    """A positively solvable pair whose PSD solutions need a large Y.
-
-    In the basis ``(V, V_perp)`` of A's row space and its complement, the
-    solution ``[[W, F], [F*, F* W^-1 F]]`` is PSD with a zero Schur
-    complement, so a candidate passes only where ``s G*G`` compressed to the
-    complement dominates ``F* W^-1 F``: the first candidates often miss and a
-    later one hits, after the 2x2 bound is built.
-    """
-    u, v = oc._unitaries(rng, n, 2)
-    a = (u[:, :rank] * rng.uniform(0.3, 2.0, rank)) @ v[:, :rank].conj().T
-    w = random_psd(rng, rank) + np.eye(rank)
-    off = size * complex_gaussian(rng, rank, n - rank)
-    x = np.block([[w, off], [off.conj().T, off.conj().T @ np.linalg.solve(w, off)]])
-    return a, a @ (v @ x @ v.conj().T)
-
-
-def test_screened_search_matches_where_the_border_is_built(monkeypatch):
-    built = []
-    border = oc._border
-    monkeypatch.setattr(oc, "_border", lambda f, h0: built.append(1) or border(f, h0))
-    hits = 0
-    for seed in range(60):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        f = dg.factorize(*pair_needing_a_large_parameter(rng, n, int(rng.integers(1, n))))
-        hits += assert_search_matches_reference(f, 384, seed)
-    # most searches miss at first, build the bound, and still find the hit
-    assert len(built) >= 30 and hits >= 50
-
-
-def test_search_forms_no_candidate_when_the_compression_is_negative(monkeypatch):
-    rng = np.random.default_rng(5)
-    a = complex_gaussian(rng, 4, 4)
-    h = np.diag([1.0, 0.5, -0.25, 2.0]).astype(complex)
-    f = dg.factorize(a, a @ h)  # C A* = A H A* is Hermitian, not PSD
-    assert f.ca_hermitian and not f.ca_psd
-    log = count_lapack(monkeypatch)
-    assert oc.positive_search(f, budget=10**4, seed=3) is None
-    # the compression's one eigvalsh; no candidate stack
-    assert [(name, args[0].shape) for name, args, _ in log] == [("eigvalsh", (4, 4))]
-
-
-def test_search_hit_at_the_first_candidate_forms_only_it(monkeypatch):
-    rng = np.random.default_rng(29)
-    a = rank_deficient(rng, 3, 3, 2)
-    f = dg.factorize(a, a)
-    log = count_lapack(monkeypatch)
-    x = oc.positive_search(f, budget=10**4, seed=1)
-    calls = [(name, args[0].shape) for name, args, _ in log]
-    assert x is not None and mc.is_psd(x)
-    # the 2x2 compression's eigvalsh first, then at most two candidate matrices:
-    # the stack of one and the PSD test of the hit
-    assert calls[0] == ("eigvalsh", (2, 2))
-    assert sum(int(np.prod(shape[:-2])) for _, shape in calls[1:]) <= 2
-    np.testing.assert_array_equal(x, reference_positive_search(f, budget=10**4, seed=1))
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_search_forms_one_candidate_on_a_range_deficient_pair(monkeypatch, n):
-    # K is PSD and singular there, so mu rejects nothing; the 2x2 bound, built
-    # once the first candidate misses, rules out the other 383, and K's SVD,
-    # already taken by the verdict, gives the witness without a LAPACK call
-    log = count_lapack(monkeypatch)
-    for seed in range(5):
+    for seed in range(8):
         f = dg.factorize(*oc._hermitian_but_never_positive(np.random.default_rng(seed), n))
-        assert f.verdict is dg.Verdict.HERMITIAN
+        assert f.verdict is dg.Verdict.HERMITIAN and f.ca_psd and not f.dp_range_eq
         log.clear()
-        assert oc.positive_search(f, budget=384, seed=seed) is None
-        r = f.row_basis.shape[1]
-        calls = [(name, args[0].shape) for name, args, _ in log]
-        assert calls == [("eigvalsh", (r, r)), ("eigvalsh", (1, n, n))]
+        assert oc._indefinite_witness(f).shape == (n, 2)
+        assert _certified(f, seed)
+        assert log == []
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_witness_certifies_an_indefinite_c_a_star(monkeypatch, rank):
+    # X = V diag(1, -0.25, 0.5, 2) V* with A's row space spanned by V's first
+    # columns: C A* = A X A* is Hermitian, and indefinite at either rank
+    u, v = oc._unitaries(np.random.default_rng(5), 4, 2)
+    a = (u[:, :rank] * np.linspace(2.0, 0.5, rank)) @ v[:, :rank].conj().T
+    f = dg.factorize(a, a @ (v * np.array([1.0, -0.25, 0.5, 2.0])) @ v.conj().T)
+    assert f.verdict is dg.Verdict.HERMITIAN and not f.ca_psd
+    f._ca_spectrum.range_pairs  # the property takes the eigenpairs before the verdict
+    log = count_lapack(monkeypatch)
+    assert oc._indefinite_witness(f).shape == (4, 1)
+    assert _certified(f, 3)
+    assert log == []
+
+
+def test_witness_plane_does_not_certify_positive_pairs():
+    # no plane certifies a PSD member, and none certifies the property's two
+    # members of a pair that has PSD solutions
+    spec = oc.TrialSpec(dim_max=6, trials=1)
+    planes = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        f = dg.factorize(*oc._consistent_pair(rng, spec, "positive")[:2])
+        assert f.verdict is dg.Verdict.POSITIVE
+        w = oc._indefinite_witness(f)
+        if w is None:  # A of full column rank: E = 0
+            continue
+        planes += 1
+        assert w.shape[1] == 2
+        psd = np.stack([f.x0, dg.positive_solution(f, random_psd(rng, f.a.shape[1]))])
+        assert oc._uncertified(w, psd) is not None
+        assert not _certified(f, seed)
+    assert planes >= 50
 
 
 # ---------------------------------------------------------------------------
@@ -548,23 +414,6 @@ def test_property_suite_lets_other_exceptions_through(monkeypatch):
         oc.property_suite(oc.TrialSpec(trials=1))
 
 
-SEARCH = oc.positive_search
-
-
-def _search_hit_on_unsolvable(f, budget, seed):
-    if f.verdict is dg.Verdict.POSITIVE:
-        return SEARCH(f, budget, seed)
-    return np.eye(f.a.shape[1])
-
-
-def _search_hit_moved(shift):
-    def search(f, budget, seed):
-        x = SEARCH(f, budget, seed)
-        return None if x is None else x + shift(x)
-
-    return search
-
-
 MAJORIZATION_SCALE = oc._majorization_scale
 
 
@@ -721,26 +570,19 @@ MUTANTS = {
         "positive_criteria_agreement",
         "emitted positive member does not solve the equation",
     ),
-    "search_unsolvable": (
+    "witness_wrong_plane": (
         oc,
-        "positive_search",
-        _search_hit_on_unsolvable,
+        "_indefinite_witness",
+        lambda f: f.row_basis[:, :1],
         "positive_criteria_agreement",
-        "search produced a PSD solution on a pair judged unsolvable",
+        "witness does not certify member",
     ),
-    "search_non_psd": (
+    "witness_missing": (
         oc,
-        "positive_search",
-        _search_hit_moved(lambda x: -(1.0 + mc.spectral_norm(x)) * np.eye(len(x))),
+        "_indefinite_witness",
+        lambda f: None,
         "positive_criteria_agreement",
-        "search returned a non-PSD matrix",
-    ),
-    "search_non_solution": (
-        oc,
-        "positive_search",
-        _search_hit_moved(lambda x: np.eye(len(x))),
-        "positive_criteria_agreement",
-        "search returned a non-solution",
+        "HERMITIAN verdict without an indefiniteness witness",
     ),
     "t_min": (
         dg.Factorization,
@@ -800,7 +642,7 @@ def test_property_suite_takes_exact_norms_only_where_they_decide(monkeypatch):
     log = count_lapack(monkeypatch)
     report = oc.property_suite(oc.TrialSpec(trials=2, dim_max=4, seed=1000))
     assert report["violations"] == 0 and built == []
-    assert Counter(name for name, _, _ in log) == Counter(svd=19, eigh=8, eigvalsh=18)
+    assert Counter(name for name, _, _ in log) == Counter(svd=19, eigh=8, eigvalsh=17)
 
 
 def test_property_suite_deterministic():
