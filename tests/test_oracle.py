@@ -107,6 +107,70 @@ def test_witness_plane_does_not_certify_positive_pairs():
     assert planes >= 50
 
 
+@pytest.mark.parametrize("ratio", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("phase", [0.0, 0.5, 2.0, -1.0])
+def test_witness_certifies_a_one_by_one_pair_with_negative_c_a_star(phase, ratio):
+    # a = e^{i phase}, c = -2 ratio a: the one solution c / a = -2 ratio is
+    # Hermitian and negative, and the witness is u = conj(a)
+    a = np.array([[np.exp(1j * phase)]])
+    f = dg.factorize(a, -2.0 * ratio * a)
+    assert f.verdict is dg.Verdict.HERMITIAN and not f.ca_psd
+    w = oc._indefinite_witness(f)
+    np.testing.assert_allclose(w, a.conj(), atol=1e-15)
+    assert _certified(f, 1)
+
+
+@pytest.mark.parametrize("rank", range(1, 5))
+def test_witness_vector_reads_the_least_eigenvalue_of_c_a_star(rank):
+    # u = A* v lies in R(A*), where (I - P) vanishes, so every member has
+    # u* X u = v* A H0 A* v = v* C A* v, whatever Y is
+    u, v = oc._unitaries(np.random.default_rng(6), 4, 2)
+    a = (u[:, :rank] * np.linspace(2.0, 0.5, rank)) @ v[:, :rank].conj().T
+    f = dg.factorize(a, a @ (v * np.array([-1.0, 0.5, -0.25, 2.0])) @ v.conj().T)
+    assert f.verdict is dg.Verdict.HERMITIAN and not f.ca_psd
+    w = oc._indefinite_witness(f)
+    assert w.shape == (4, 1)
+    least = float(f._ca_spectrum.eigh[0][0])
+    assert least < 0.0
+    members = oc._family_members(f, 2)
+    values = (w.conj().T @ members @ w)[:, 0, 0].real
+    np.testing.assert_allclose(values, least, rtol=1e-10)
+    assert _certified(f, 2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_witness_certifies_under_a_unitary_change_of_basis(n):
+    # (U A V*, U C V*) has the solutions V X V*, so it has no PSD solution
+    # either; the witness is built afresh in the new basis and still certifies
+    rng = np.random.default_rng(40 + n)
+    a, c = oc._hermitian_but_never_positive(rng, n)
+    u, v = oc._unitaries(rng, n, 2)
+    f = dg.factorize(u @ a @ v.conj().T, u @ c @ v.conj().T)
+    assert f.verdict is dg.Verdict.HERMITIAN and f.ca_psd and not f.dp_range_eq
+    assert oc._indefinite_witness(f).shape == (n, 2)
+    for seed in range(4):
+        assert _certified(f, seed)
+
+
+@pytest.mark.parametrize("power", [-150, -100, -50, -10, 0, 10, 50, 100, 150])
+def test_witness_certifies_when_a_and_c_are_scaled_together(power):
+    # (s A, s C) has the solutions of (A, C), so its members are the same
+    # matrices and the certificate must not depend on s
+    a, c = oc._hermitian_but_never_positive(np.random.default_rng(4), 5)
+    s = 2.0**power
+    f = dg.factorize(s * a, s * c)
+    assert f.verdict is dg.Verdict.HERMITIAN
+    assert _certified(f, 4)
+
+
+def test_witness_and_members_are_deterministic():
+    a, c = oc._hermitian_but_never_positive(np.random.default_rng(8), 6)
+    first, second = dg.factorize(a, c), dg.factorize(a, c)
+    np.testing.assert_array_equal(oc._indefinite_witness(first), oc._indefinite_witness(second))
+    np.testing.assert_array_equal(oc._family_members(first, 9), oc._family_members(second, 9))
+    assert not np.array_equal(oc._family_members(first, 9), oc._family_members(first, 10))
+
+
 # ---------------------------------------------------------------------------
 # Douglas's three facts about the reduced solution D
 
