@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import count_lapack
+from conftest import complex_gaussian, count_lapack, random_hermitian, random_psd, rank_deficient
 from opeq import cli
 from opeq import douglas as dg
 from opeq import matcore as mc
@@ -476,6 +476,129 @@ def test_verify_bytes_are_pinned(tmp_path, args):
     out = tmp_path / "verify.json"
     assert main(["verify", *args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_DIGESTS[args]
+
+
+def dense_pair(n, kind):
+    """A rank-3n/4 complex A and a C of one kind: positive, Gaussian or Hermitian.
+
+    ``A X0`` with ``X0`` positive definite, a complex Gaussian C (not in R(A)),
+    or ``A H`` with H Hermitian; A is the same for every kind at one n.
+    """
+    rng = np.random.default_rng([8, n])
+    a = rank_deficient(rng, n, n, 3 * n // 4)
+    if kind == "positive":
+        return a, a @ (random_psd(rng, n) + 0.5 * np.eye(n))
+    if kind == "gaussian":
+        return a, complex_gaussian(rng, n, n)
+    return a, a @ random_hermitian(rng, n)
+
+
+DENSE_COMMANDS = [["check"], ["majorize"], *(["solve", "--mode", mode] for mode in cli._SOLVE_MODES)]
+
+# sha256 of the --out file of each dense command on each pair of dense_pair;
+# a change that moves these bytes on purpose updates them and says so in CHANGES.md
+DENSE_DIGESTS = {
+    ('8', 'positive', 'check'): (
+        "4d03b230dc066bef7472c8cfad1f11fccbeb6104de5ccd09eda945758222fa03"
+    ),
+    ('8', 'positive', 'majorize'): (
+        "22cf021bcd7a3a4f2040c25375368aa760367d91a0bd21b4e7103509692456c0"
+    ),
+    ('8', 'positive', 'solve', '--mode', 'general'): (
+        "749e740279cabe61ffc6ebba7a091d4719b7da2bebaaa4687862dddb8662cf9e"
+    ),
+    ('8', 'positive', 'solve', '--mode', 'hermitian'): (
+        "94ba6abadf74e21f5b3d47b8dfcf8c6f3f28bd902fdda4c16e7d41b826726dfd"
+    ),
+    ('8', 'positive', 'solve', '--mode', 'positive'): (
+        "16e543d75b11623aa51493c678dec0941cd74a2734cf90cea4cf351dad467d6b"
+    ),
+    ('8', 'gaussian', 'check'): (
+        "f744c6e93f6830f1f37239e3b45b09cf7fa80c7ef7d00e0d94e6ccaeb92e7182"
+    ),
+    ('8', 'gaussian', 'majorize'): (
+        "93318f3c4cac050e5b0f8b3de4f0ce9572341198f575bf49b5f978c4ed66ae07"
+    ),
+    ('8', 'gaussian', 'solve', '--mode', 'general'): (
+        "bcf49b9ac98b46b5047dc83c761840241d9f8e8ed6009c5a5f5e47bcfee9b605"
+    ),
+    ('8', 'gaussian', 'solve', '--mode', 'hermitian'): (
+        "b8fa6524cff46398a863a6f2aa1a33afab3042c596b62620b6e6c691c779d549"
+    ),
+    ('8', 'gaussian', 'solve', '--mode', 'positive'): (
+        "001c42f8a1ef82b923c9baa7d50490761bbe0fe1d9c20943e52d0821249d81f9"
+    ),
+    ('8', 'hermitian', 'check'): (
+        "2c489e2238e5d0affbf4328bb175371f940cec692546135a64e58bdc177873d9"
+    ),
+    ('8', 'hermitian', 'majorize'): (
+        "0e63a5ff663266e2d55a40b5f71561c48c639fc725021186393d570d27fa9d21"
+    ),
+    ('8', 'hermitian', 'solve', '--mode', 'general'): (
+        "35ebbf1412b6209f1f092588186dd715f3fdeede285fcbc921271ba01838c070"
+    ),
+    ('8', 'hermitian', 'solve', '--mode', 'hermitian'): (
+        "9d213eb2bf837e2e35d89120d73d5c94d1b93eee77e8b36cea63283ceb24afab"
+    ),
+    ('8', 'hermitian', 'solve', '--mode', 'positive'): (
+        "7436f2527f8f2f10c6cb2f23aa6a63b9f60aa29f80c28d4a4a590451ae85fd90"
+    ),
+    ('12', 'positive', 'check'): (
+        "aa9b2f8930e0c6044e8ecb2f9c78175116adcbfbf398c6897daf7689e71f0aca"
+    ),
+    ('12', 'positive', 'majorize'): (
+        "94200baa2ba3e28c6607588c2edb3d6c8d0a5fee3948e8f21040175450a44a8a"
+    ),
+    ('12', 'positive', 'solve', '--mode', 'general'): (
+        "97b1bd810152a50eab9af918b0630572c89c24a5dc74ac6b8ed0779872e47441"
+    ),
+    ('12', 'positive', 'solve', '--mode', 'hermitian'): (
+        "a407113e87de288af01764ef9085993b8cebdcffd3d09faa35409cf888c1855b"
+    ),
+    ('12', 'positive', 'solve', '--mode', 'positive'): (
+        "f326a31d4e6114617c6652297da39e1c25bd58f34645bbce29db4c71a12313dd"
+    ),
+    ('12', 'gaussian', 'check'): (
+        "099c21d23831d357f7deb663ce0789b1d8c6acc54750c25bc0f7076706cf8656"
+    ),
+    ('12', 'gaussian', 'majorize'): (
+        "93318f3c4cac050e5b0f8b3de4f0ce9572341198f575bf49b5f978c4ed66ae07"
+    ),
+    ('12', 'gaussian', 'solve', '--mode', 'general'): (
+        "72a79bb129dbe822381ffa4e9e9f4a1eef35de6fc7fb74cc346eb2e3024d34a8"
+    ),
+    ('12', 'gaussian', 'solve', '--mode', 'hermitian'): (
+        "3dfe9ea4628c78f74b85cd48a205fd03ca001b51aea20be7706b85fa7da42989"
+    ),
+    ('12', 'gaussian', 'solve', '--mode', 'positive'): (
+        "e1003c0d43fb0e3b5c3f4afb064f9cae5f71e5309b217139b7264c79904116f9"
+    ),
+    ('12', 'hermitian', 'check'): (
+        "2c489e2238e5d0affbf4328bb175371f940cec692546135a64e58bdc177873d9"
+    ),
+    ('12', 'hermitian', 'majorize'): (
+        "1b9baf747733e5ccf1abc9a9151fb87a918494c24f8cb2ec62e0ae4973341538"
+    ),
+    ('12', 'hermitian', 'solve', '--mode', 'general'): (
+        "8f0a7127dfe56d18f80b7de390fe1136b6b0e927f99f9bfd69ac66a0b8d31e43"
+    ),
+    ('12', 'hermitian', 'solve', '--mode', 'hermitian'): (
+        "3c87e7760fd9344e02587a4534fcd7d85e5feab71367c107cff114ab115c872f"
+    ),
+    ('12', 'hermitian', 'solve', '--mode', 'positive'): (
+        "7436f2527f8f2f10c6cb2f23aa6a63b9f60aa29f80c28d4a4a590451ae85fd90"
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(DENSE_DIGESTS), ids=" ".join)
+def test_dense_bytes_are_pinned(tmp_path, key):
+    n, kind, *command = key
+    a, c = dense_pair(int(n), kind)
+    files = write_matrix(tmp_path / "a.json", a), write_matrix(tmp_path / "c.json", c)
+    out = tmp_path / "out.json"
+    main([*command, "--a", files[0], "--c", files[1], "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DENSE_DIGESTS[key]
 
 
 # sha256 of each CSV the grid commands write, taken before the CSV writer
