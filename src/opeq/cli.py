@@ -244,7 +244,7 @@ def _cmd_solve(args, tol) -> int:
             args.out,
         )
         return EXIT_NEGATIVE
-    residual = f.residual(x)  # the builder's check screened it; print it exactly
+    residual = f.residual(f.scaled(x))  # the builder's check screened it; print it exactly
     del f  # free its cached factors before the solution is serialized
 
     _emit(

@@ -69,7 +69,6 @@ from .errors import (
     NotSolvable,
     NotSolvableHermitian,
     NotSolvablePositive,
-    OpeqError,
     ParameterNotHermitian,
     ParameterNotPSD,
     ShapeMismatch,
@@ -78,6 +77,8 @@ from .matcore import (
     DEFAULT_TOLERANCES,
     HermitianSpectrum,
     ToleranceConfig,
+    _equilibrated,
+    _ldexp_exact,
     _norm2,
     _pinv_from_svd,
     _single_norm_bounds,
@@ -123,6 +124,17 @@ class Verdict(enum.Enum):
 class Factorization:
     """The one factorization of ``(A, C, tol)`` that every decision reads.
 
+    Douglas's criteria are homogeneous, so every decision reads the
+    equilibrated pair ``a = 2^-a_exp A``, ``c = 2^-c_exp C`` (see
+    :func:`factorize`), and every array and norm below is of that pair.
+    Each value handed out -- D and each emitted X, ``t_min`` and lambda
+    (``2^x_exp``, ``x_exp = c_exp - a_exp``), the least majorization scale
+    (``2^(2 x_exp)``), residuals (``2^c_exp``) and the deviation of ``C A*``
+    (``2^(a_exp + c_exp)``) -- is scaled back exactly by
+    :func:`~opeq.matcore._ldexp_exact`, which raises
+    :class:`~opeq.errors.OpeqError` where the value is not a float at the
+    input's scale; :meth:`scaled` takes a matrix the other way.
+
     :func:`factorize` fills the fields from a single SVD of A: the truncated
     SVD ``svd = (U_r, s, B)`` itself, with ``A = U_r diag(s) B*`` and B the
     orthonormal row-space basis (so ``P = B B*``), and the reduced solution
@@ -146,8 +158,9 @@ class Factorization:
     each number a certificate prints (``range_residual``, the deviation of
     ``C A*``, ``range_equality``) is an exact norm of its own, taken on first
     read.  No residual matrix is kept; nor is anything of an X it checks, so
-    each check of an X reads that X as it is then.  ``a`` and ``c`` are held as
-    given and must not be changed while the factorization is in use.
+    each check of an X reads that X as it is then.  At exponent 0, ``a`` and
+    ``c`` are the arrays given, which must not be changed while the
+    factorization is in use.
     """
 
     a: np.ndarray
@@ -155,6 +168,17 @@ class Factorization:
     tol: ToleranceConfig
     svd: tuple[np.ndarray, np.ndarray, np.ndarray]
     d: np.ndarray
+    a_exp: int
+    c_exp: int
+
+    @property
+    def x_exp(self) -> int:
+        """``c_exp - a_exp``: D and every solution X at the input's scale are ``2^x_exp`` times ours."""
+        return self.c_exp - self.a_exp
+
+    def scaled(self, x, what: str = "X") -> np.ndarray:
+        """A solution or parameter given at the input's scale, at ours: ``2^-x_exp X``."""
+        return _ldexp_exact(x, -self.x_exp, what)
 
     @property
     def row_basis(self) -> np.ndarray:
@@ -163,7 +187,7 @@ class Factorization:
 
     @property
     def a_norm(self) -> float:
-        """``||A||``, A's largest singular value; 0.0 at rank 0."""
+        """``||A||`` of our pair, its largest singular value; 0.0 at rank 0."""
         return float(self.svd[1][0]) if self.svd[1].size else 0.0
 
     @property
@@ -185,12 +209,15 @@ class Factorization:
         return self.tol.residual_bound(c_norm) + _ROUNDOFF * max(self.a.shape) * self.a_cond * c_norm
 
     def equation_ok(self, x) -> bool:
-        """``||A X - C||`` within :meth:`equation_bound`, screened by Frobenius bounds."""
+        """``||A X - C||`` within :meth:`equation_bound` for X at our scale, Frobenius bounds first."""
         return _within_residual_bound(self.a @ x - self.c, self.c, self.tol, self.equation_bound)
 
     def residual(self, x) -> float:
-        """``||A X - C||`` exactly, from one zgesdd call: what certificates and ``solve`` print."""
-        return spectral_norm(self.a @ x - self.c)
+        """``||A X - C||`` at the input's scale, for X at ours, from one zgesdd call.
+
+        It is what certificates and ``solve`` print.
+        """
+        return _ldexp_exact(spectral_norm(self.a @ x - self.c), self.c_exp, "||A X - C||")
 
     @cached_property
     def range_ok(self) -> bool:
@@ -199,7 +226,7 @@ class Factorization:
 
     @cached_property
     def range_residual(self) -> float:
-        """``||A D - C||``, which the certificate of a failed range test prints."""
+        """``||A D - C||`` at the input's scale, which the certificate of a failed range test prints."""
         return self.residual(self.d)
 
     @cached_property
@@ -215,19 +242,12 @@ class Factorization:
         """The one deviation and spectrum of ``C A*`` that its three tests read.
 
         ``C A*`` decides the Hermitian class.  Its Hermitian and PSD tests are
-        judged at ``||C|| ||A||``, the size of the roundoff in forming the
+        judged at ``||A|| C``, the size of the roundoff in forming the
         product, not at ``||C A*||``: ``C A*`` cancels to roundoff where
-        ``P X P`` is small for a solution X.  That scale is the norm of C
-        itself, with ``||A||`` multiplying each threshold, so a threshold
-        overflows only where it is above the largest float, though
-        ``||A|| C`` may overflow.  Raises :class:`~opeq.errors.OpeqError`
-        where the product overflows, though A and C are finite.
+        ``P X P`` is small for a solution X.  The pair is equilibrated, so
+        neither the product nor the scale can overflow.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            ca = self.c @ self.a.conj().T
-        if not np.isfinite(ca).all():
-            raise OpeqError(f"C A* overflows: ||A|| = {self.a_norm:.3e}")
-        return HermitianSpectrum(ca, self.tol, scale=self.c, factor=self.a_norm)
+        return HermitianSpectrum(self.c @ self.a.conj().T, self.tol, scale=self.a_norm * self.c)
 
     @property
     def ca_hermitian(self) -> bool:
@@ -275,22 +295,18 @@ class Factorization:
             return self.m.shape[0]
         return int(np.count_nonzero(np.linalg.svd(self.m, compute_uv=False) > self._k_svd[3]))
 
-    @property
-    def d_norm(self) -> float:
-        """``||D|| = ||M||``, from one SVD of the ``r x k`` matrix M."""
-        return _norm2(self.m)
-
     def _outside_range_dp(self) -> np.ndarray:
         """``M - U_K U_K* M``: D outside the range of DP, in row-space coordinates."""
         return self.m - self._k_svd[0] @ (self._k_svd[0].conj().T @ self.m)
 
     @cached_property
     def range_equality(self) -> dict:
-        """Ranks of D and of DP, and D's residual outside the range of DP."""
+        """Ranks of D and of DP, and D's residual outside the range of DP at the input's scale."""
+        outside = _ldexp_exact(spectral_norm(self._outside_range_dp()), self.x_exp, "D outside R(DP)")
         return {
             "rank_d": self.rank_d,
             "rank_dp": int(self._k_svd[1].size),
-            "d_outside_range_dp": spectral_norm(self._outside_range_dp()),
+            "d_outside_range_dp": outside,
         }
 
     @cached_property
@@ -337,7 +353,8 @@ class Factorization:
 
         ``t_min = ||S_K + G G*||`` and ``lambda = ||G||^2`` with
         ``G = S_K^{-1/2} U_K* E`` (see the module docstring): the top
-        eigenvalues of one ``eigvalsh`` of the stacked pair.
+        eigenvalues of one ``eigvalsh`` of the stacked pair, at the input's
+        scale; reading either raises where one of them is not a float there.
         """
         if not self.positive:
             return None
@@ -347,24 +364,20 @@ class Factorization:
         g = (u.conj().T @ self.e) / np.sqrt(s)[:, np.newaxis]
         gram = g @ g.conj().T
         top = np.linalg.eigvalsh(np.stack([np.diag(s) + gram, gram]))[:, -1]
-        return float(top[0]), max(0.0, float(top[1]))
+        t_min, lam = float(top[0]), max(0.0, float(top[1]))
+        return _ldexp_exact(t_min, self.x_exp, "t_min"), _ldexp_exact(lam, self.x_exp, "lambda")
 
     @property
     def majorization_scale(self) -> float | None:
         """Least ``mu`` with ``C C* <= mu A A*``: ``||D||^2`` where R(C) lies in R(A), else None.
 
         By Douglas such a ``mu`` exists exactly when R(C) is inside R(A), and
-        the least one is ``||D||^2``.  Raises :class:`~opeq.errors.OpeqError`
-        where ``||D||`` is a float but its square is not.
+        the least one is ``||D||^2``, at the input's scale: ``||D|| = ||M||``,
+        from one SVD of the ``r x k`` matrix M.
         """
         if not self.range_ok:
             return None
-        d_norm = self.d_norm
-        try:
-            return d_norm**2
-        except OverflowError:
-            message = f"the least majorization scale ||D||^2 overflows: ||D|| = {d_norm:.3e}"
-            raise OpeqError(message) from None
+        return _ldexp_exact(_norm2(self.m) ** 2, 2 * self.x_exp, "the least majorization scale ||D||^2")
 
     @property
     def t_min(self) -> float | None:
@@ -373,7 +386,7 @@ class Factorization:
 
     @property
     def lambda_estimate(self) -> float | None:
-        """``||x0_correction||`` on the positive class, else None."""
+        """``||x0_correction||`` at the input's scale on the positive class, else None."""
         return None if self._positive_norms is None else self._positive_norms[1]
 
     @property
@@ -403,23 +416,26 @@ class Factorization:
 
 
 def factorize(a, c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> Factorization:
-    """Validate A and C, which must share their row count, and factorize them once."""
-    a = as_matrix(a)
-    c = as_matrix(c)
+    """Validate A and C, which must share their row count, and factorize them once.
+
+    A and C are first scaled by ``2^-a_exp`` and ``2^-c_exp``, even powers of
+    two that put each one's largest entry in [1/2, 2) (exact, barring
+    entries 2^1000 below the largest), so no product of the decisions
+    overflows.  The exponents are even because ``t_min`` and lambda read
+    square roots of K's singular values, which then scale exactly too.
+    """
+    (a, a_exp), (c, c_exp) = (_equilibrated(as_matrix(m)) for m in (a, c))
     if a.shape[0] != c.shape[0]:
         raise ShapeMismatch(
             f"A has {a.shape[0]} rows but C has {c.shape[0]}; ranges live in different spaces"
         )
     u, s, vh = truncated_svd(a, tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = _pinv_from_svd(u, s, vh) @ c
-    if not np.isfinite(d).all():
-        raise OpeqError(f"D = A^dagger C overflows: A's least kept singular value is {s[-1]:.3e}")
+    d = _pinv_from_svd(u, s, vh) @ c
     basis = vh.conj().T
     # reduced_solution hands D out and the oracle reads the factors; read-only,
     # so no caller can change them under f
     u.flags.writeable = s.flags.writeable = basis.flags.writeable = d.flags.writeable = False
-    return Factorization(a=a, c=c, tol=tol, svd=(u, s, basis), d=d)
+    return Factorization(a=a, c=c, tol=tol, svd=(u, s, basis), d=d, a_exp=a_exp, c_exp=c_exp)
 
 
 def _check_same_shape(f: Factorization):
@@ -441,7 +457,7 @@ def reduced_solution(f: Factorization) -> np.ndarray:
             f"range of C is not contained in range of A (residual {f.range_residual:.3e})",
             certificate={"range_residual": f.range_residual},
         )
-    return f.d
+    return _ldexp_exact(f.d, f.x_exp, "D")
 
 
 def general_solution(f: Factorization, y) -> np.ndarray:
@@ -454,7 +470,7 @@ def general_solution(f: Factorization, y) -> np.ndarray:
     d = reduced_solution(f)
     if y.shape != d.shape:
         raise ShapeMismatch(f"parameter Y must have shape {d.shape}, got {y.shape}")
-    return _checked(f, d + f.ip @ y, NotSolvable, [])
+    return _checked(f, f.d + f.ip @ f.scaled(y, "Y"), NotSolvable, [])
 
 
 def recover_parameter(f: Factorization, x) -> np.ndarray:
@@ -464,11 +480,10 @@ def recover_parameter(f: Factorization, x) -> np.ndarray:
     reproduces X, which makes the parametrization onto the full solution set.
     """
     x = as_matrix(x)
-    shape = (f.a.shape[1], f.c.shape[1])
-    if x.shape != shape:
-        raise ShapeMismatch(f"X must have shape {shape}, got {x.shape}")
-    if not f.equation_ok(x):
-        resid = f.residual(x)
+    if x.shape != f.d.shape:
+        raise ShapeMismatch(f"X must have shape {f.d.shape}, got {x.shape}")
+    if not f.equation_ok(f.scaled(x)):
+        resid = f.residual(f.scaled(x))
         raise NotASolution(
             f"AX differs from C by {resid:.3e}", certificate={"equation_residual": resid}
         )
@@ -484,7 +499,8 @@ def _failure_certificate(f: Factorization) -> dict:
         certificate["range_residual"] = f.range_residual
     if not f.ca_hermitian:
         failed.append("ca_star_hermitian")
-        certificate["ca_star_deviation"] = f._ca_spectrum.deviation
+        deviation = f._ca_spectrum.deviation
+        certificate["ca_star_deviation"] = _ldexp_exact(deviation, f.a_exp + f.c_exp, "||C A* - A C*||")
     if not f.ca_psd:
         failed.append("ca_star_psd")
     if not f.dp_range_eq:
@@ -519,12 +535,12 @@ def solvability_report(f: Factorization) -> dict:
 
 
 def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarray:
-    """Return the emitted X if it solves AX = C and passed its class tests.
+    """The emitted X, given at our scale, at the input's if it solves AX = C and passed its tests.
 
     ``failed`` names the class tests X failed.  The equation residual must be
     within :meth:`Factorization.equation_bound`.  On any failure raise
-    ``error`` with the failed conditions, the numbers of ``numbers()``, the
-    residual and its bound in the certificate.
+    ``error`` with the failed conditions, the numbers of ``numbers()`` (each
+    at the scale of X), the residual and its bound in the certificate.
     """
     failed = failed + ["solution_residual"] * (not f.equation_ok(x))
     if failed:
@@ -532,12 +548,22 @@ def _checked(f: Factorization, x, error, failed: list, numbers=dict) -> np.ndarr
             f"the emitted solution failed its own check: {', '.join(failed)}",
             certificate={
                 "failed_conditions": failed,
-                **numbers(),
+                **{key: _ldexp_exact(v, f.x_exp, key) for key, v in numbers().items()},
                 "equation_residual": f.residual(x),
-                "residual_bound": f.equation_bound(spectral_norm(f.c)),
+                "residual_bound": _ldexp_exact(f.equation_bound(spectral_norm(f.c)), f.c_exp, "bound"),
             },
         )
-    return x
+    return _ldexp_exact(x, f.x_exp, "X")
+
+
+def _square_parameter(f: Factorization, y, name: str) -> np.ndarray:
+    """The free parameter of a square family, as an ``n x n`` matrix with n the columns of A."""
+    _check_same_shape(f)
+    y = as_matrix(y)
+    n = f.a.shape[1]
+    if y.shape != (n, n):
+        raise ShapeMismatch(f"parameter {name} must be {n}x{n}, got {y.shape}")
+    return y
 
 
 def hermitian_solution(f: Factorization, y) -> np.ndarray:
@@ -548,11 +574,7 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
     bound of ``||X||`` and the equation residual must pass
     :meth:`Factorization.equation_ok`, else :class:`NotSolvableHermitian`.
     """
-    _check_same_shape(f)
-    y = as_matrix(y)
-    n = f.a.shape[1]
-    if y.shape != (n, n):
-        raise ShapeMismatch(f"parameter Y must be {n}x{n}, got {y.shape}")
+    y = _square_parameter(f, y, "Y")
     if not (f.range_ok and f.ca_hermitian):
         raise NotSolvableHermitian(
             f"no Hermitian solution exists (verdict {f.verdict.value})",
@@ -565,7 +587,7 @@ def hermitian_solution(f: Factorization, y) -> np.ndarray:
             certificate={"parameter_deviation": y_spectrum.deviation},
         )
 
-    x = f.h0 + f.ip @ y @ f.ip
+    x = f.h0 + f.ip @ f.scaled(y, "Y") @ f.ip
     spectrum = HermitianSpectrum(x, f.tol)
 
     def numbers():
@@ -587,11 +609,7 @@ def positive_solution(f: Factorization, z) -> np.ndarray:
     ``(DP)^dagger``.  The output is checked before it is returned (PSD, and the
     equation residual by :meth:`Factorization.equation_ok`), else :class:`NotSolvablePositive`.
     """
-    _check_same_shape(f)
-    z = as_matrix(z)
-    n = f.a.shape[1]
-    if z.shape != (n, n):
-        raise ShapeMismatch(f"parameter Z must be {n}x{n}, got {z.shape}")
+    z = _square_parameter(f, z, "Z")
     if not f.positive:
         raise NotSolvablePositive(
             f"no PSD solution exists (verdict {f.verdict.value})",
@@ -600,7 +618,7 @@ def positive_solution(f: Factorization, z) -> np.ndarray:
     if not is_psd(z, f.tol):
         raise ParameterNotPSD("parameter Z must be positive semidefinite")
 
-    x = f.x0 + f.ip @ z @ f.ip
+    x = f.x0 + f.ip @ f.scaled(z, "Z") @ f.ip
     spectrum = HermitianSpectrum(x, f.tol)
     if spectrum.is_psd:
         return _checked(f, x, NotSolvablePositive, [])

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MatrixFormatError, NotPSD, ShapeMismatch
+from .errors import MatrixFormatError, NotPSD, OpeqError, ShapeMismatch
 
 __all__ = [
     "ToleranceConfig",
@@ -111,12 +111,11 @@ class ToleranceConfig:
         those.
 
     Two PSD tests take their scale from other matrices, since what they
-    judge cancels to roundoff: ``C A*`` is judged at ``||C|| ||A||``, the size
-    of the roundoff in forming it, as it cancels where ``P X P`` is small for
-    a solution X, with ``||A||`` multiplying the rule of C's own norm
-    (:class:`HermitianSpectrum`'s ``factor``), so no scaled copy of C is
-    formed and a threshold overflows only where it is itself above the
-    largest float; and ``block_psd_test`` judges the Schur complement
+    judge cancels to roundoff: ``C A*`` is judged at ``||A|| C``, the size of
+    the roundoff in forming it, as it cancels where ``P X P`` is small for a
+    solution X (formed from the equilibrated pair of
+    :func:`opeq.douglas.factorize`, so it cannot overflow); and
+    ``block_psd_test`` judges the Schur complement
     ``A22 - A12* A11^dagger A12`` at the norm of ``A22``, as the complement
     cancels when the block matrix is singular.  The ``T_n`` scan of
     :mod:`opeq.oracle` reads the fields as rules of its own: it converges
@@ -369,6 +368,38 @@ def truncated_svd(m, tol: ToleranceConfig = DEFAULT_TOLERANCES):
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     r = _rank_of(s, tol)
     return u[:, :r], s[:r], vh[:r, :]
+
+
+def _equilibrated(m):
+    """``(2^-e M, e)`` for a complex matrix M: e is even and puts M's largest entry in [1/2, 2).
+
+    frexp's exponent f puts the entry in [2^(f-1), 2^f), and e is f rounded
+    down to even.  At e = 0, a zero M among them, M itself is returned.
+    Scaling by a power of two is exact, but for entries about 2^1000 below
+    the largest, which may fall into the subnormals.
+    """
+    parts = np.ascontiguousarray(m).view(np.float64)
+    e = 2 * (math.frexp(float(np.abs(parts).max(initial=0.0)))[1] // 2)
+    return (np.ldexp(parts, -e).view(np.complex128) if e else m), e
+
+
+def _ldexp_exact(value, exponent: int, what: str):
+    """``2^exponent value``, exactly, for a float, or a float or complex array.
+
+    Scaling by a power of two is exact unless the result overflows, or falls
+    into the subnormals and loses bits (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 2.1).  Either way the value is not a float
+    at this scale, and :class:`~opeq.errors.OpeqError` names ``what``; the
+    round trip back to ``value`` tells.  Exponent 0 returns ``value`` itself.
+    """
+    if not exponent:
+        return value
+    parts = np.ascontiguousarray(value).view(np.float64)
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(parts, exponent)
+    if not np.array_equal(np.ldexp(scaled, -exponent), parts):
+        raise OpeqError(f"{what} times 2^{exponent} is not a float")
+    return scaled.item() if isinstance(value, float) else scaled.view(value.dtype)
 
 
 def _pinv_from_svd(u, s, vh) -> np.ndarray:
@@ -637,22 +668,18 @@ class HermitianSpectrum:
     :func:`is_psd` is :attr:`is_psd` on a fresh instance.
     Both tests judge M at its own norm, ``||M||`` for the Hermitian test and
     ``max|w|`` for the eigenvalue floor, unless ``scale`` gives another: a
-    2-D array whose norm it is, or that norm as a float, times ``factor``.
-    The factor multiplies each threshold, not the scale, so no scaled copy of
-    a matrix is formed and a threshold overflows only where it is itself
-    above the largest float.  Each test asks
+    2-D array whose norm it is, or that norm as a float.  Each test asks
     :func:`_within_residual_bound`, so exact norms are taken only when
     Frobenius bounds cannot settle it, and :attr:`deviation`, which a
     certificate prints, is taken on its own.
     """
 
-    def __init__(self, m, tol: ToleranceConfig, scale=None, factor: float = 1.0):
+    def __init__(self, m, tol: ToleranceConfig, scale=None):
         self.m = as_matrix(m)
         if self.m.shape[0] != self.m.shape[1]:
             raise ShapeMismatch(f"expected a square matrix, got shape {self.m.shape}")
         self.tol = tol
         self.scale = scale
-        self.factor = factor
         self._values = None  # the values of eigh once taken, else of one eigvalsh
 
     @cached_property
@@ -663,10 +690,7 @@ class HermitianSpectrum:
     def is_hermitian(self) -> bool:
         """``||M - M*||`` within the residual bound of the scale."""
         scale = self.m if self.scale is None else self.scale
-        bound = self.tol.residual_bound
-        return _within_residual_bound(
-            self.m - self.m.conj().T, scale, self.tol, lambda norm: self.factor * bound(norm)
-        )
+        return _within_residual_bound(self.m - self.m.conj().T, scale, self.tol)
 
     @cached_property
     def eigh(self):
@@ -691,9 +715,7 @@ class HermitianSpectrum:
         w = self.eigenvalues
         scale = float(np.max(np.abs(w))) if self.scale is None else self.scale
         floor = self.tol.eigenvalue_floor
-        return _within_residual_bound(
-            float(-w[0]), scale, self.tol, lambda top: -self.factor * floor(top)
-        )
+        return _within_residual_bound(float(-w[0]), scale, self.tol, lambda top: -floor(top))
 
     @cached_property
     def range_pairs(self):

@@ -38,7 +38,6 @@ its head ``T_1, ..., T_16``; the head's monotonicity tests are one more.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -57,6 +56,7 @@ from .matcore import (
     DEFAULT_TOLERANCES,
     HermitianSpectrum,
     ToleranceConfig,
+    _ldexp_exact,
     _pinv_from_svd,
     _within_residual_bound,
     as_matrix,
@@ -165,7 +165,8 @@ def _indefinite_witness(f: douglas.Factorization) -> np.ndarray | None:
     is orthonormal.  Since ``B* (I - P) = 0``, every member's compression to
     it is ``[[xi* K xi, b], [b, c]]`` with ``b = ||E* xi||`` and c free: its
     determinant is about ``-b^2`` for every c.  None when the witness or
-    ``E* xi`` is zero or not finite.  It reads the eigenpairs of ``C A*``,
+    ``E* xi`` is zero; both are read on the factorization's equilibrated
+    pair, where neither overflows.  It reads the eigenpairs of ``C A*``,
     which the property takes for its majorization route, and K's SVD, which
     the verdict took, so it makes no LAPACK call.
     """
@@ -177,12 +178,12 @@ def _indefinite_witness(f: douglas.Factorization) -> np.ndarray | None:
         return None
     xi = outside[:, int(np.argmax(np.einsum("ij,ij->j", outside.conj(), outside).real))]
     length = float(np.linalg.norm(xi))
-    if not (math.isfinite(length) and length > 0.0):
+    if not length > 0.0:
         return None
     xi = xi / length
     ex = f.e.conj().T @ xi
     b = float(np.linalg.norm(ex))
-    if not (math.isfinite(b) and b > 0.0):
+    if not b > 0.0:
         return None
     return np.column_stack([f.row_basis @ xi, ex / b])
 
@@ -191,7 +192,9 @@ def _family_members(f: douglas.Factorization, seed: int) -> np.ndarray:
     """Two members ``H0 + (I - P) Y (I - P)`` of the Hermitian family, as a ``(2, n, n)`` stack.
 
     ``Y = s G* G``, with G a complex Gaussian drawn from ``_sub_rng(seed, 1)``,
-    s = 1 for the first member and s = 64 for the second, a large one.
+    s = 1 for the first member and s = 64 for the second, a large one.  They
+    are members of the factorization's equilibrated pair, whose H0 is of unit
+    scale whatever the scales of A and C, so Y is drawn at that scale.
     """
     n = f.a.shape[1]
     rng = _sub_rng(seed, 1)
@@ -243,7 +246,8 @@ def _compressed_state(f: douglas.Factorization):
     douglas.reduced_solution(f)  # raises NotSolvable for an inconsistent equation
     if not f.k.size:  # A of rank 0: E is 0 x n
         return np.zeros(0), f.e
-    spectrum = HermitianSpectrum(f.k, f.tol)
+    # K and E at the input's scale: the 1/n of T_n is not scaled with them
+    spectrum = HermitianSpectrum(_ldexp_exact(f.k, f.x_exp, "K"), f.tol)
     if not spectrum.is_hermitian:
         dev = spectrum.deviation
         raise PreconditionFailed(
@@ -257,7 +261,7 @@ def _compressed_state(f: douglas.Factorization):
             certificate={"dp_min_eigenvalue": float(w[0])},
         )
     w = np.clip(w, 0.0, None)
-    return w, vecs.conj().T @ f.e
+    return w, vecs.conj().T @ _ldexp_exact(f.e, f.x_exp, "E")
 
 
 def _tn_stack(w, g, n_values):
@@ -402,14 +406,16 @@ def _majorization_scale(f: douglas.Factorization) -> float | None:
     read from the factors ``U_r`` and ``S`` of the factorization's SVD of A,
     not from D: C must not leak outside the range of ``U_r`` by more than
     :meth:`~opeq.douglas.Factorization.equation_bound` of ``||C||``, and
-    ``mu`` is then the top eigenvalue of ``G G*`` with ``G = S^-1 U_r* C``.
+    ``mu`` is then the top eigenvalue of ``G G*`` with ``G = S^-1 U_r* C``,
+    read on the equilibrated pair and scaled back to the input's.
     """
     u, s, _ = f.svd
     coords = u.conj().T @ f.c
     if not _within_residual_bound(f.c - u @ coords, f.c, f.tol, f.equation_bound):
         return None
     g = coords / s[:, np.newaxis]
-    return float(np.max(np.linalg.eigvalsh(g @ g.conj().T), initial=0.0))  # 0 for A of rank 0
+    mu = float(np.max(np.linalg.eigvalsh(g @ g.conj().T), initial=0.0))  # 0 for A of rank 0
+    return _ldexp_exact(mu, 2 * f.x_exp, "mu")
 
 
 def _reduced_solution_facts(f: douglas.Factorization) -> tuple[bool, bool, bool]:
@@ -451,8 +457,10 @@ def _check_general_solution(rng, spec, tol):
     f = douglas.factorize(a, c, tol)
     if not f.range_ok:
         return _fail("range inclusion rejected a consistent pair", a=a, c=c)
-    u_r, s, b = f.svd  # A = U_r S B*, from the SVD that D was formed from
-    ap = _pinv_from_svd(u_r, s, b.conj().T)
+    # A = U_r S B*, from the SVD that D was formed from; S is the equilibrated
+    # A's, so it is scaled back to the A of this pair
+    u_r, s, b = f.svd
+    ap = _pinv_from_svd(u_r, _ldexp_exact(s, f.a_exp, "S"), b.conj().T)
     a_ap, ap_a = a @ ap, ap @ a
     penrose = [
         ("M Mp M = M", a_ap @ a - a, a),
@@ -522,7 +530,7 @@ def _check_hermitian_criterion(rng, spec, tol):
             return _fail(f"Hermitian builder refused its own output: {exc}", a=a, c=c)
         if not HermitianSpectrum(x, tol).is_hermitian:
             return _fail("emitted solution is not Hermitian", a=a, c=c)
-        if not f.equation_ok(x):
+        if not f.equation_ok(f.scaled(x)):
             return _fail("emitted Hermitian member does not solve the equation", a=a, c=c)
     return None
 
@@ -570,7 +578,7 @@ def _check_positive_criteria(rng, spec, tol):
             return _fail(f"positive builder refused its own output: {exc}", a=a, c=c)
         if not is_psd(x, tol):
             return _fail("emitted member of the positive family is not PSD", a=a, c=c)
-        if not f.equation_ok(x):
+        if not f.equation_ok(f.scaled(x)):
             return _fail("emitted positive member does not solve the equation", a=a, c=c)
         x_norm = spectral_norm(x)
         if not _within_residual_bound(f.t_min - x_norm, x_norm, tol):

@@ -105,8 +105,9 @@ def inv_sqrt_sum(points):
 def reference_range_equality(f):
     """``(dp_range_eq, lambda, t_min)`` of ``f`` by the n x n routes.
 
-    lambda is None when the ranges differ, and t_min when ``C A*`` is not PSD
-    or ``C C*`` leaks outside its range.
+    They read the factorization's equilibrated pair, so lambda and t_min are
+    ``2^-x_exp`` times the factorization's.  lambda is None when the ranges
+    differ, and t_min when ``C A*`` is not PSD or ``C C*`` leaks outside its range.
     """
     from opeq.matcore import _pinv_from_svd, _within_residual_bound, spectral_norm, truncated_svd
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter
 import subprocess
 import sys
@@ -212,35 +213,39 @@ def test_majorize_reports_an_overflowing_scale_as_an_error(capsys, tmp_path):
     assert code == 0 and report["verdict"] == "SolvablePositive" and report["t_min"] == 1e200
     code, payload, err = run_cli(capsys, "majorize", "--a", a_file, "--c", c_file)
     assert code == 1 and payload is None
-    assert err == "error: the least majorization scale ||D||^2 overflows: ||D|| = 1.000e+200\n"
+    # 1e-100 and 1e100 are equilibrated by 2^-332 and 2^332
+    assert err == "error: the least majorization scale ||D||^2 times 2^1328 is not a float\n"
 
 
 EXTREME_SCALE_COMMANDS = [["check"], ["majorize"], *(["solve", "--mode", mode] for mode in cli._SOLVE_MODES)]
 
 
-@pytest.mark.parametrize("command", EXTREME_SCALE_COMMANDS, ids=" ".join)
-def test_a_subnormal_a_is_an_error_not_a_traceback(capsys, tmp_path, command):
-    # A = C = 1e-310 I: 1 / 1e-310 is not a float, so D = A^dagger C cannot be formed
-    a_file = write_matrix(tmp_path / "a.json", 1e-310 * np.eye(2))
+def _decided_as_identity(capsys, path, command):
+    """Run ``command`` on ``A = C`` read from ``path``: it is POSITIVE, and every solution is I."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, payload, err = run_cli(capsys, *command, "--a", a_file, "--c", a_file)
-    assert code == 1 and payload is None
-    assert err == "error: D = A^dagger C overflows: A's least kept singular value is 1.000e-310\n"
-
-
-@pytest.mark.parametrize("command", EXTREME_SCALE_COMMANDS, ids=" ".join)
-def test_an_overflowing_c_a_star_is_an_error_not_blamed_on_the_input(capsys, tmp_path, command):
-    # A = C = 1e160 I are finite, C A* = 1e320 I is not; majorize and a general
-    # solution do not read C A*
-    a_file = write_matrix(tmp_path / "a.json", 1e160 * np.eye(2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, payload, err = run_cli(capsys, *command, "--a", a_file, "--c", a_file)
-    if command in (["majorize"], ["solve", "--mode", "general"]):
-        assert (code, err) == (0, "")
+        code, payload, err = run_cli(capsys, *command, "--a", path, "--c", path)
+    assert (code, err) == (0, "")
+    if command == ["check"]:
+        assert payload["verdict"] == "SolvablePositive"
+        assert (payload["t_min"], payload["lambda_estimate"]) == (1.0, 0.0)
+    elif command == ["majorize"]:
+        assert payload["mu_star"] == 1.0
     else:
-        assert (code, payload, err) == (1, None, "error: C A* overflows: ||A|| = 1.000e+160\n")
+        assert np.array_equal(mc.matrix_from_json(payload["solution"]), np.eye(2))
+        assert payload["residual"] == 0.0
+
+
+@pytest.mark.parametrize("command", EXTREME_SCALE_COMMANDS, ids=" ".join)
+def test_a_subnormal_pair_is_decided(capsys, tmp_path, command):
+    # A = C = 2^-1030 I: 1 / 2^-1030 is not a float, but the equilibrated pair is I, I
+    _decided_as_identity(capsys, write_matrix(tmp_path / "a.json", 2.0**-1030 * np.eye(2)), command)
+
+
+@pytest.mark.parametrize("command", EXTREME_SCALE_COMMANDS, ids=" ".join)
+def test_a_pair_whose_c_a_star_overflows_is_decided(capsys, tmp_path, command):
+    # A = C = 1e160 I: C A* = 1e320 I is not a float, but that of the equilibrated pair is
+    _decided_as_identity(capsys, write_matrix(tmp_path / "a.json", 1e160 * np.eye(2)), command)
 
 
 def test_c_a_star_is_judged_where_a_scaled_copy_of_c_would_overflow(capsys, tmp_path):
@@ -254,6 +259,49 @@ def test_c_a_star_is_judged_where_a_scaled_copy_of_c_would_overflow(capsys, tmp_
     assert (code, err) == (0, "")
     assert report["ca_star_psd"] is True
     assert report["certificate"]["failed_conditions"] == ["range_inclusion"]
+
+
+def scale_law_pair():
+    """n = 12, rank 9, ``C = A X0`` with ``X0 = G G^T + I/2`` positive definite."""
+    rng = np.random.default_rng(1)
+    g1, g2, g = (rng.standard_normal((12, 12)) for _ in range(3))
+    a = g1 @ np.diag([1.0] * 9 + [0.0] * 3) @ g2
+    return a, a @ (g @ g.T + 0.5 * np.eye(12))
+
+
+def _times_power_of_two(value, exponent):
+    """``2^exponent value`` where that is exactly a float, else None."""
+    try:
+        scaled = math.ldexp(value, exponent)
+    except OverflowError:
+        return None
+    return scaled if math.ldexp(scaled, -exponent) == value else None
+
+
+SCALE_LAW_EXPONENTS = (-1000, -500, 0, 500, 1000)
+
+
+@pytest.mark.parametrize("j", SCALE_LAW_EXPONENTS)
+@pytest.mark.parametrize("k", SCALE_LAW_EXPONENTS)
+def test_check_keeps_the_scale_law_bit_for_bit(capsys, tmp_path, j, k):
+    # (A, C) -> (2^j A, 2^k C) keeps the verdict and flags and scales t_min and
+    # lambda by 2^(k - j) exactly; where that is not a float, one error line
+    a, c = scale_law_pair()
+    base = dg.solvability_report(dg.factorize(a, c))
+    assert base["verdict"] == "SolvablePositive"
+    scaled = np.ldexp(a, j), np.ldexp(c, k)
+    assert np.array_equal(np.ldexp(scaled[0], -j), a) and np.array_equal(np.ldexp(scaled[1], -k), c)
+    files = write_matrix(tmp_path / "a.json", scaled[0]), write_matrix(tmp_path / "c.json", scaled[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, err = run_cli(capsys, "check", "--a", files[0], "--c", files[1])
+    expect = {key: _times_power_of_two(base[key], k - j) for key in ("t_min", "lambda_estimate")}
+    if None in expect.values():
+        assert (code, report) == (1, None)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert (code, err) == (0, "")
+    assert report == {**base, **expect}
 
 
 def test_majorize_agrees_with_check_on_a_small_singular_value(capsys, monkeypatch, tmp_path):

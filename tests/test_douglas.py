@@ -160,7 +160,7 @@ def test_general_solution_and_recover_parameter_take_no_svd(monkeypatch):
     log = count_lapack(monkeypatch)
     x = dg.general_solution(f, y)
     # Frobenius bounds settle both checks of ||A X - C|| on this pair
-    np.testing.assert_array_equal(dg.recover_parameter(f, x), x - f.d)
+    np.testing.assert_array_equal(dg.recover_parameter(f, x), x - 2.0**f.x_exp * f.d)
     assert log == []
 
 
@@ -487,7 +487,7 @@ def test_positive_solution_eigendecomposes_a_failing_output_once(monkeypatch):
         dg.positive_solution(f, np.zeros(x.shape))
     assert [name for name, _, _ in log if name != "svd"] == ["eigvalsh"]
     lowest = np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0]
-    assert info.value.certificate["min_eigenvalue"] == float(lowest)
+    assert info.value.certificate["min_eigenvalue"] == 2.0**f.x_exp * float(lowest)
 
 
 def test_hermitian_solution_checks_its_output_at_small_scale():
@@ -525,7 +525,7 @@ def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
     # ||X|| is taken twice: by the undecided check, which keeps only its
     # verdict, and by the certificate's deviation bound
     assert sum(np.array_equal(m, f.h0) for m in taken) == 2
-    assert certificate["deviation_bound"] == f.tol.residual_bound(mc.spectral_norm(f.h0))
+    assert certificate["deviation_bound"] == 2.0**f.x_exp * f.tol.residual_bound(mc.spectral_norm(f.h0))
 
     # D = diag(1, 0) + 5e-11 e_2 e_3*: DP = diag(1, 0, 0), so in row-space
     # coordinates M = B* D is 5e-11 outside the range of K = B* D B, over a
@@ -540,7 +540,7 @@ def test_undecided_failing_checks_read_the_norms_they_took(monkeypatch):
     log.clear()
     certificate = dg.solvability_report(f)["certificate"]
     assert certificate["failed_conditions"] == ["dp_range_eq"]
-    assert certificate["d_outside_range_dp"] == exact
+    assert certificate["d_outside_range_dp"] == 2.0**f.x_exp * exact
     # two SVDs of the residual: one by the undecided test, one for the certificate
     assert sum(name == "svd" and np.array_equal(args[0], d_outside) for name, args, _ in log) == 2
 
@@ -577,7 +577,7 @@ def test_factorization_invariants(rank1_pair):
     np.testing.assert_allclose(p @ f.d, f.d, atol=1e-12)
     np.testing.assert_allclose(p, f.row_basis @ f.row_basis.conj().T, atol=1e-14)
     np.testing.assert_allclose(f.e, f.m @ (np.eye(2) - p), atol=1e-14)
-    np.testing.assert_allclose(f.x0, np.array([[2, 1], [1, 0.5]]), atol=1e-12)
+    np.testing.assert_allclose(2.0**f.x_exp * f.x0, np.array([[2, 1], [1, 0.5]]), atol=1e-12)
     # at full column rank I - P is exactly zero, and so is E
     full = dg.factorize(np.diag([1.0, 2.0]), c)
     assert full.e.shape == (2, 2) and not full.e.any()
@@ -626,7 +626,7 @@ def test_range_certificate_reads_the_norm_its_test_took(ratio, monkeypatch):
     c = np.diag([2.0, 1.0, ratio * tol.residual_bound(2.0)]).astype(complex)
     f = dg.factorize(a, c, tol)
     residual = f.a @ f.d - f.c
-    exact = mc.spectral_norm(residual)
+    exact = 2.0**f.c_exp * mc.spectral_norm(residual)
     log = count_lapack(monkeypatch)
     assert f.range_ok is (ratio == 1.0)
     assert f.range_residual == exact
@@ -678,7 +678,7 @@ def range_path(settled):
     printed = [info.value.certificate["range_residual"]]
     printed.append(dg.solvability_report(f)["certificate"]["range_residual"])
     residual = f.a @ f.d - f.c
-    return (residual, f.c, tol, f.equation_bound), printed, [mc.spectral_norm(residual)] * 2
+    return (residual, f.c, tol, f.equation_bound), printed, [2.0**f.c_exp * mc.spectral_norm(residual)] * 2
 
 
 def ca_star_path(settled):
@@ -690,7 +690,7 @@ def ca_star_path(settled):
     assert certificate["failed_conditions"] == ["ca_star_hermitian", "ca_star_psd"]
     ca = f.c @ f.a.conj().T
     test = (ca - ca.conj().T, f.a_norm * f.c, tol)
-    return test, [certificate["ca_star_deviation"]], [mc.hermitian_deviation(ca)]
+    return test, [certificate["ca_star_deviation"]], [2.0 ** (f.a_exp + f.c_exp) * mc.hermitian_deviation(ca)]
 
 
 def range_equality_path(settled):
@@ -702,7 +702,7 @@ def range_equality_path(settled):
     certificate = dg.solvability_report(f)["certificate"]
     assert certificate["failed_conditions"] == ["dp_range_eq"]
     residual = f._outside_range_dp()
-    return (residual, f.m, tol), [certificate["d_outside_range_dp"]], [mc.spectral_norm(residual)]
+    return (residual, f.m, tol), [certificate["d_outside_range_dp"]], [2.0**f.x_exp * mc.spectral_norm(residual)]
 
 
 def equation_residual_path(settled):
@@ -715,7 +715,7 @@ def equation_residual_path(settled):
         a = u @ np.diag([1.0, 1.0, 0.0]) @ u.T
         f = dg.factorize(a, a @ np.ones((3, 3)), tol)
         y = (1e12 * rng.standard_normal((3, 3))).astype(complex)
-        x = f.d + f.ip @ y
+        x = f.d + f.ip @ f.scaled(y)
         with pytest.raises(NotSolvable) as info:
             dg.general_solution(f, y)
     else:
@@ -727,7 +727,7 @@ def equation_residual_path(settled):
     certificate = info.value.certificate
     residual = f.a @ x - f.c
     printed = [certificate["equation_residual"], certificate["residual_bound"]]
-    exact = [mc.spectral_norm(residual), f.equation_bound(mc.spectral_norm(f.c))]
+    exact = [2.0**f.c_exp * mc.spectral_norm(residual), 2.0**f.c_exp * f.equation_bound(mc.spectral_norm(f.c))]
     return (residual, f.c, tol, f.equation_bound), printed, exact
 
 
@@ -743,7 +743,7 @@ def solution_deviation_path(settled):
     certificate = info.value.certificate
     assert certificate["failed_conditions"] == ["solution_hermitian"]
     printed = [certificate["solution_deviation"], certificate["deviation_bound"]]
-    exact = [mc.hermitian_deviation(x), tol.residual_bound(mc.spectral_norm(x))]
+    exact = [2.0**f.x_exp * mc.hermitian_deviation(x), 2.0**f.x_exp * tol.residual_bound(mc.spectral_norm(x))]
     return (x - x.conj().T, x, tol), printed, exact
 
 
@@ -764,9 +764,9 @@ def not_a_solution_path(settled):
     x[0, 1] = 1e-3 if settled else 1.2e-8
     with pytest.raises(NotASolution) as info:
         dg.recover_parameter(f, x)
-    residual = f.a @ x - f.c
+    residual = f.a @ f.scaled(x) - f.c
     test = (residual, f.c, tol, f.equation_bound)
-    return test, [info.value.certificate["equation_residual"]], [mc.spectral_norm(residual)]
+    return test, [info.value.certificate["equation_residual"]], [2.0**f.c_exp * mc.spectral_norm(residual)]
 
 
 CERTIFICATE_PATHS = {
@@ -793,10 +793,11 @@ def test_factorize_runs_one_full_svd_of_a(monkeypatch):
     a = rank_deficient(rng, 8, 8, 5)
     c = a @ complex_gaussian(rng, 8, 8)
     log = count_lapack(monkeypatch)
-    dg.factorize(a, c)
+    f = dg.factorize(a, c)
     assert all(name == "svd" for name, _, _ in log)
     full = [args[0] for _, args, kwargs in log if kwargs.get("compute_uv", True)]
-    assert len(full) == 1 and full[0] is a
+    # of the equilibrated A, exactly 2^-a_exp A
+    assert len(full) == 1 and full[0] is f.a and np.array_equal(2.0**f.a_exp * f.a, a)
 
 
 def test_factorization_keeps_the_truncated_svd_of_a_read_only():
@@ -805,8 +806,8 @@ def test_factorization_keeps_the_truncated_svd_of_a_read_only():
     rng = np.random.default_rng(97)
     a = rank_deficient(rng, 6, 4, 3)
     f = dg.factorize(a, a @ complex_gaussian(rng, 4, 2))
-    assert [field.name for field in dataclasses.fields(f)] == ["a", "c", "tol", "svd", "d"]
-    u, s, vh = mc.truncated_svd(a)
+    assert [field.name for field in dataclasses.fields(f)] == ["a", "c", "tol", "svd", "d", "a_exp", "c_exp"]
+    u, s, vh = mc.truncated_svd(f.a)
     for kept, own in zip(f.svd, (u, s, vh.conj().T)):
         np.testing.assert_array_equal(kept, own)
         assert not kept.flags.writeable
@@ -948,6 +949,8 @@ def test_row_space_route_matches_the_n_by_n_reference():
             expected = dg.Verdict.HERMITIAN if f.ca_hermitian else dg.Verdict.GENERAL
         assert f.verdict is expected, k
         if expected is dg.Verdict.POSITIVE:
+            # the reference reads the equilibrated pair; lambda and t_min are at the input's scale
+            lam, t_min = 2.0**f.x_exp * lam, 2.0**f.x_exp * t_min
             assert abs(f.lambda_estimate - lam) <= f.tol.residual_bound(lam), k
             assert abs(f.t_min - t_min) <= f.tol.residual_bound(t_min), k
             positives += 1
@@ -1091,7 +1094,8 @@ def test_verdicts_do_not_change_under_two_sided_scaling(repro_factorizations):
             # C C* and C A* both scale by s^2, and D does not change; lambda, a
             # norm of D's size, can be roundoff of it when (I - P) D = 0
             assert _relatively_close(f.t_min, base.t_min), (k, s)
-            assert _relatively_close(f.lambda_estimate, base.lambda_estimate, f.d_norm), (k, s)
+            d_norm = 2.0**f.x_exp * mc.spectral_norm(f.d)  # ||D|| at the input's scale
+            assert _relatively_close(f.lambda_estimate, base.lambda_estimate, d_norm), (k, s)
             if f.verdict is dg.Verdict.POSITIVE:
                 dg.positive_solution(f, np.zeros((a.shape[1], a.shape[1])))
                 positives += 1

@@ -8,13 +8,17 @@ from conftest import complex_gaussian, count_lapack, rank_deficient, random_psd
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq import oracle as oc
-from opeq.errors import MatrixFormatError, NotPSD, ShapeMismatch
+from opeq.errors import MatrixFormatError, NotPSD, OpeqError, ShapeMismatch
 
 
 def factor_pinv(m, tol=mc.DEFAULT_TOLERANCES):
-    """``A^+ = B S^-1 U_r*`` from the truncated SVD a factorization of A keeps: D's pseudoinverse."""
-    u, s, b = dg.factorize(m, m, tol).svd
-    return mc._pinv_from_svd(u, s, b.conj().T)
+    """``A^+ = B S^-1 U_r*`` from the truncated SVD a factorization of A keeps: D's pseudoinverse.
+
+    The factorization keeps the SVD of its equilibrated ``2^-a_exp A``.
+    """
+    f = dg.factorize(m, m, tol)
+    u, s, b = f.svd
+    return 2.0**-f.a_exp * mc._pinv_from_svd(u, s, b.conj().T)
 
 
 def factor_polar(m, tol=mc.DEFAULT_TOLERANCES):
@@ -1146,3 +1150,51 @@ def test_majorization_reference_allows_the_roundoff_of_an_ill_conditioned_a(kapp
         mu, reference = majorization_scales(a, c)
         assert mu is not None and reference is not None, s
         assert reference == pytest.approx(mu, rel=1e-14), s
+
+
+# ---------------------------------------------------------------------------
+# power-of-two scaling: the equilibration of factorize and the way back
+
+
+@pytest.mark.parametrize("scale", [2.0**-1060, 1e-300, 0.3, 1.0, 3e150])
+def test_equilibrated_puts_the_largest_entry_in_a_half_to_two_by_an_even_power(scale):
+    m = complex_gaussian(np.random.default_rng(61), 2, 3) * scale
+    scaled, e = mc._equilibrated(m)
+    assert type(e) is int and e % 2 == 0
+    assert 0.5 <= np.max(np.abs(scaled.view(np.float64))) < 2.0
+    # exact: 2^-e times the matrix given, the subnormal one included
+    np.testing.assert_array_equal(np.ldexp(scaled.view(np.float64), e).view(complex), m)
+    if e == 0:
+        assert scaled is m
+
+
+def test_equilibrated_leaves_a_zero_matrix_as_it_is():
+    zero = np.zeros((2, 3), dtype=complex)
+    scaled, e = mc._equilibrated(zero)
+    assert scaled is zero and e == 0
+
+
+def test_ldexp_exact_hands_back_exact_floats_and_arrays():
+    x = np.array([[1.5 - 2j, 0.0], [2.0**-1000, -3.0]]).T  # not C-contiguous
+    for exponent in (-40, 7, 1000):
+        np.testing.assert_array_equal(mc._ldexp_exact(x, exponent, "X"), x * 2.0**exponent)
+        value = mc._ldexp_exact(1.5, exponent, "t")
+        assert type(value) is float and value == 1.5 * 2.0**exponent
+    assert mc._ldexp_exact(x, 0, "X") is x
+    assert mc._ldexp_exact(1.0, -1074, "t") == 2.0**-1074  # the least subnormal, exactly
+
+
+@pytest.mark.parametrize(
+    "value, exponent",
+    [
+        (1.5, 1024),  # overflows
+        (1.0, -1075),  # underflows to zero
+        (3.0, -1075),  # a subnormal that loses a bit
+        (np.array([[1.0, 2.0**1000]]), 24),
+        (np.array([[1.0, 3.0 * 2.0**-40]]), -1040),  # 3 * 2^-1080 is below the least subnormal
+    ],
+)
+def test_ldexp_exact_raises_where_the_value_is_not_a_float(value, exponent):
+    with pytest.raises(OpeqError) as info:
+        mc._ldexp_exact(value, exponent, "the value")
+    assert str(info.value) == f"the value times 2^{exponent} is not a float"

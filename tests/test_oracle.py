@@ -101,7 +101,8 @@ def test_witness_plane_does_not_certify_positive_pairs():
             continue
         planes += 1
         assert w.shape[1] == 2
-        psd = np.stack([f.x0, dg.positive_solution(f, random_psd(rng, f.a.shape[1]))])
+        # members at the factorization's scale, where the witness is read
+        psd = np.stack([f.x0, f.scaled(dg.positive_solution(f, random_psd(rng, f.a.shape[1])))])
         assert oc._uncertified(w, psd) is not None
         assert not _certified(f, seed)
     assert planes >= 50
@@ -163,6 +164,20 @@ def test_witness_certifies_when_a_and_c_are_scaled_together(power):
     assert _certified(f, 4)
 
 
+@pytest.mark.parametrize("side", ["A", "C"])
+def test_witness_certifies_when_a_or_c_is_scaled_alone(side):
+    # (2^k A, C) and (A, 2^k C) keep the verdict, and their members are built
+    # from the equilibrated pair's H0, of unit scale whatever k is, like the Y
+    # added to it; against an H0 of size 2^k, Y would swamp the plane's b
+    a, c = oc._hermitian_but_never_positive(np.random.default_rng(4), 5)
+    uncertified = []
+    for k in range(-60, 61, 2):
+        f = dg.factorize(2.0**k * a, c) if side == "A" else dg.factorize(a, 2.0**k * c)
+        if f.verdict is not dg.Verdict.HERMITIAN or not _certified(f, 4):
+            uncertified.append(k)
+    assert uncertified == []
+
+
 def test_witness_and_members_are_deterministic():
     a, c = oc._hermitian_but_never_positive(np.random.default_rng(8), 6)
     first, second = dg.factorize(a, c), dg.factorize(a, c)
@@ -181,7 +196,7 @@ def test_douglas_check_fixture(rank1_pair):
     assert oc._reduced_solution_facts(f) == (True, True, True)
     assert oc._majorization_scale(f) == pytest.approx(5.0, rel=1e-10)
     assert f.majorization_scale == pytest.approx(5.0, rel=1e-10)
-    assert f.d_norm**2 == pytest.approx(5.0, rel=1e-10)
+    assert 2.0 ** (2 * f.x_exp) * mc.spectral_norm(f.d) ** 2 == pytest.approx(5.0, rel=1e-10)
 
 
 def test_douglas_check_identity():
@@ -311,7 +326,8 @@ def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
         rng = oc._sub_rng(spec.seed, prop, trial)
         assert oc._check_tn_lambda(rng, spec, mc.DEFAULT_TOLERANCES) is None
         f = made[-1]
-        comp = f.row_basis.conj().T @ f.d @ f.row_basis
+        # the scan reads the compression at the input's scale
+        comp = 2.0**f.x_exp * (f.row_basis.conj().T @ f.d @ f.row_basis)
         of_comp = [args[0] for name, args, _ in log if name == "eigh"]
         assert len(of_comp) == 1
         np.testing.assert_allclose(of_comp[0], 0.5 * (comp + comp.conj().T), rtol=0, atol=1e-12)
@@ -379,7 +395,7 @@ def test_general_solution_routes_decompose_a_once(monkeypatch):
         log.clear()
         rng = oc._sub_rng(spec.seed, prop, trial)
         assert oc._check_general_solution(rng, spec, mc.DEFAULT_TOLERANCES) is None
-        a = drawn[0]
+        a = mc._equilibrated(mc.as_matrix(drawn[0]))[0]  # the A the factorization decomposes
         calls = [args[0] for name, args, _ in log if name == "svd"]
         assert sum(m.shape == a.shape and np.array_equal(m, a) for m in calls) == 1, trial
 
