@@ -91,9 +91,8 @@ def integer_pairs(seed=2, count=PAIRS):
     for _ in range(count):
         n = int(rng.integers(1, 6))
         inner = int(rng.integers(0, n + 1))  # rank 0 included
-        a = _product(
-            rng.integers(-2, 3, size=(n, inner)).tolist(), rng.integers(-2, 3, size=(inner, n)).tolist()
-        ) if inner else [[0] * n for _ in range(n)]
+        # integer products are exact in int64 at these sizes
+        a = (rng.integers(-2, 3, size=(n, inner)) @ rng.integers(-2, 3, size=(inner, n))).tolist()
         w = rng.integers(-2, 3, size=(n, n))
         w = (w, w + w.T, w @ w.T)[int(rng.integers(3))]
         m = SCALES[int(rng.integers(len(SCALES)))]
