@@ -226,11 +226,12 @@ def _cmd_solve(args, tol) -> int:
 
     try:
         f = douglas.factorize(a, c, tol)
+        del a, c  # f keeps the equilibrated pair, the one copy of each input held from here
         # the free parameter, Y or Z by the mode; its default is the zero matrix
         # of the shape a general member takes, which for the other families,
         # whose A and C share a shape, is square
         path = args.y or args.z
-        free = _load_matrix(path) if path else np.zeros((a.shape[1], c.shape[1]))
+        free = _load_matrix(path) if path else np.zeros((f.a.shape[1], f.c.shape[1]))
         x = getattr(douglas, f"{args.mode}_solution")(f, free)
     except (NotSolvable, NotSolvableHermitian, NotSolvablePositive) as exc:
         _emit(
@@ -239,7 +240,7 @@ def _cmd_solve(args, tol) -> int:
                 "mode": args.mode,
                 "reason": str(exc),
                 "certificate": exc.certificate,
-                "report": douglas.solvability_report(f) if a.shape == c.shape else None,
+                "report": douglas.solvability_report(f) if f.a.shape == f.c.shape else None,
             },
             args.out,
         )

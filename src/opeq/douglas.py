@@ -52,7 +52,11 @@ K's is below r, as M has r rows.  With ``A = U_r S B*`` and ``U_r S``
 injective, ``C C* <= t C A*`` holds iff ``M M* <= t K``, and
 ``M M* = K K* + E E*`` with ``E = M (I - P)``; so with
 ``G = S_K^{-1/2} U_K* E``, ``t_min = ||S_K + G G*||`` and
-``lambda = ||G||^2``, read from ``r x r`` matrices.
+``lambda = ||G||^2``, read from ``r x r`` matrices.  ``C A*`` is decided on
+the row space too: where R(C) lies in R(A), ``C A* = U_r H U_r*`` with
+``H = U_r* C B S``, which is ``S K S`` in exact arithmetic, so its Hermitian
+and PSD tests read the ``r x r`` H, and A's SVD is the one ``n x n``
+decomposition a verdict takes.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ from .matcore import (
     _single_norm_bounds,
     _within_residual_bound,
     as_matrix,
+    hermitian_deviation,
     is_psd,
     spectral_norm,
     truncated_svd,
@@ -146,7 +151,8 @@ class Factorization:
     caller pays only for what it reads.  D's
     row-space coordinates ``M = B* D`` carry its norm and rank, each from one
     SVD of M taken only where it is read.  The square-only data -- the
-    eigenvalues of ``C A*`` for its PSD test, and one SVD of the compression
+    eigenvalues of the ``r x r`` compression H of ``C A*`` for its PSD
+    test, and one SVD of the compression
     ``K = M B`` of ``DP`` for the range equality, ``(DP)^dagger``, ``t_min``
     and lambda -- are never computed for a general solution or a
     majorization; nor is ``E = M (I - P)``, which with ``K^dagger`` gives
@@ -237,16 +243,35 @@ class Factorization:
             return np.zeros((n, n), dtype=np.complex128)
         return np.eye(n, dtype=np.complex128) - self.row_basis @ self.row_basis.conj().T
 
+    @property
+    def _ca_compression(self) -> np.ndarray:
+        """``H / ||A||``, with ``H = U_r* C A* U_r = U_r* (C B) S`` the ``r x r`` compression of ``C A*``.
+
+        Where R(C) lies in R(A), ``C A* = U_r H U_r*``, so H carries every
+        nonzero eigenvalue of ``C A*`` and none of its ``n - r`` structural
+        zeros.  It is formed from ``C B``, not as ``S K S``: K's roundoff is
+        that of D, about ``eps ||A^dagger|| ||C||`` in every direction, and S
+        on both sides lifts it to ``eps kappa ||A|| ||C||``.  Divided by
+        ``||A||`` (zero at rank 0, where H is empty), it is judged at ``||C||``.
+        """
+        u, s, basis = self.svd
+        return (u.conj().T @ (self.c @ basis)) * (s / self.a_norm)
+
     @cached_property
     def _ca_spectrum(self) -> HermitianSpectrum:
-        """The one deviation and spectrum of ``C A*`` that its three tests read.
+        """The one spectrum of ``C A*`` that its Hermitian and PSD tests read.
 
-        ``C A*`` decides the Hermitian class.  Its Hermitian and PSD tests are
-        judged at ``||A|| C``, the size of the roundoff in forming the
-        product, not at ``||C A*||``: ``C A*`` cancels to roundoff where
-        ``P X P`` is small for a solution X.  The pair is equilibrated, so
-        neither the product nor the scale can overflow.
+        ``C A*`` decides the Hermitian class.  Its tests are judged at
+        ``||A|| ||C||``, the size of the roundoff in forming the product, not
+        at ``||C A*||``: ``C A*`` cancels to roundoff where ``P X P`` is small
+        for a solution X.  Where R(C) lies in R(A) it is the spectrum of the
+        ``r x r`` :attr:`_ca_compression` ``H / ||A||``, judged at ``||C||``
+        with no ``n x n`` array formed.  Where it does not, ``C A*`` is not
+        ``U_r H U_r*``, and it is the ``n x n`` product's, judged at ``||A||``
+        times C's norm.  The pair is equilibrated, so nothing here overflows.
         """
+        if self.range_ok:
+            return HermitianSpectrum(self._ca_compression, self.tol, scale=self.c)
         return HermitianSpectrum(self.c @ self.a.conj().T, self.tol, scale=self.a_norm * self.c)
 
     @property
@@ -499,7 +524,7 @@ def _failure_certificate(f: Factorization) -> dict:
         certificate["range_residual"] = f.range_residual
     if not f.ca_hermitian:
         failed.append("ca_star_hermitian")
-        deviation = f._ca_spectrum.deviation
+        deviation = hermitian_deviation(f.c @ f.a.conj().T)  # of C A* itself, wherever it was judged
         certificate["ca_star_deviation"] = _ldexp_exact(deviation, f.a_exp + f.c_exp, "||C A* - A C*||")
     if not f.ca_psd:
         failed.append("ca_star_psd")

@@ -51,12 +51,17 @@ __all__ = [
 ]
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Thresholds of every floating-point decision, and the three rules that apply them.
 
     Each setting is a number strictly between 0 and 1 (any
-    :class:`numbers.Real` but a bool, kept as a Python float), and each rule
+    :class:`numbers.Real` but a bool, kept as a Python float), ``rank_rtol``
+    at least float64 eps (2^-52): a singular value below eps times the
+    largest is roundoff in any backward-stable SVD.  Each rule
     is the setting times the norm of the matrix a decision judges, so a
     verdict does not change when its inputs are scaled: Douglas's criteria
     are homogeneous in ``(A, C)``.  A zero norm gives a zero threshold, so
@@ -72,7 +77,7 @@ class ToleranceConfig:
         ``16 n eps ||A|| ||A^dagger|| ||C||``
         (:meth:`opeq.douglas.Factorization.equation_bound`), ``||M|| = ||D||``
         for the range equality (D's row-space coordinates ``M`` outside the
-        range of ``DP``), ``||C|| ||A||`` for the Hermitian
+        range of ``DP``), ``||A|| ||C||`` for the Hermitian
         test of ``C A*``, and of the matrix itself for every other Hermitian
         test (:func:`is_psd`, :func:`sqrt_psd`, the Hermitian family's
         parameter Y and its X, the compressed ``DP``, the Penrose
@@ -111,10 +116,11 @@ class ToleranceConfig:
         those.
 
     Two PSD tests take their scale from other matrices, since what they
-    judge cancels to roundoff: ``C A*`` is judged at ``||A|| C``, the size of
-    the roundoff in forming it, as it cancels where ``P X P`` is small for a
-    solution X (formed from the equilibrated pair of
-    :func:`opeq.douglas.factorize`, so it cannot overflow); and
+    judge cancels to roundoff: ``C A*`` is judged at ``||A|| ||C||``, the
+    size of the roundoff in forming it, as it cancels where ``P X P`` is
+    small for a solution X (where R(C) lies in R(A), on its ``r x r``
+    compression ``H = U_r* C A* U_r``, whose tests read ``H / ||A||`` against
+    ``||C||``; see :attr:`opeq.douglas.Factorization._ca_spectrum`); and
     ``block_psd_test`` judges the Schur complement
     ``A22 - A12* A11^dagger A12`` at the norm of ``A22``, as the complement
     cancels when the block matrix is singular.  The ``T_n`` scan of
@@ -142,6 +148,11 @@ class ToleranceConfig:
                 )
             # kept as the Python float it equals, so each rule computes in float64
             object.__setattr__(self, setting.name, float(value))
+        if self.rank_rtol < _EPS:
+            raise ValueError(
+                f"rank_rtol must be at least float64 eps (2^-52), got {self.rank_rtol!r}: "
+                "a singular value below eps times the largest is roundoff"
+            )
 
     def residual_bound(self, norm):
         """``residual_atol * norm``: the largest residual that passes."""

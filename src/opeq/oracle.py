@@ -157,8 +157,9 @@ def _indefinite_witness(f: douglas.Factorization) -> np.ndarray | None:
     In A's row-space coordinates every member of the Hermitian family is the
     block matrix ``[[K, E], [E*, Z]]`` with Z free, and by Albert's theorem
     some Z makes it PSD iff K is PSD and R(E) lies inside R(K).  Where
-    ``C A*`` is not PSD, W is ``u = A* v``, with v the least eigenvector of
-    ``C A*``: every member has ``u* X u = v* C A* v < 0``.  Otherwise W is the
+    ``C A*`` is not PSD, W is ``u = B (S y)``, with y the least eigenvector of
+    its compression ``H = U_r* C A* U_r = S K S``: since ``B* X B = K``, every
+    member has ``u* X u = y* H y < 0``.  Otherwise W is the
     plane ``[B xi, eta]``: ``xi`` is the unit direction of the largest column
     of the range-equality witness ``M - U_K U_K* M``, which K maps to about 0,
     and ``eta = E* xi / ||E* xi||``, which lies in ``R(I - P)``, so the plane
@@ -166,13 +167,13 @@ def _indefinite_witness(f: douglas.Factorization) -> np.ndarray | None:
     it is ``[[xi* K xi, b], [b, c]]`` with ``b = ||E* xi||`` and c free: its
     determinant is about ``-b^2`` for every c.  None when the witness or
     ``E* xi`` is zero; both are read on the factorization's equilibrated
-    pair, where neither overflows.  It reads the eigenpairs of ``C A*``,
-    which the property takes for its majorization route, and K's SVD, which
-    the verdict took, so it makes no LAPACK call.
+    pair, where neither overflows.  It reads the eigenpairs of H, which the
+    property takes for its majorization route, and K's SVD, which the
+    verdict took, so it makes no LAPACK call.
     """
-    if not f.ca_psd:
-        v = f._ca_spectrum.eigh[1]
-        return f.a.conj().T @ v[:, :1]
+    if not f.ca_psd:  # a HERMITIAN verdict, so R(C) lies in R(A) and the spectrum is H's
+        y = f._ca_spectrum.eigh[1][:, :1]
+        return f.row_basis @ (f.svd[1][:, np.newaxis] * y)
     outside = f._outside_range_dp()
     if not outside.size:
         return None
@@ -520,6 +521,14 @@ def _check_hermitian_criterion(rng, spec, tol):
         return _fail("Hermitian-ness of DP and CA* disagree", a=a, c=c)
     if dp.is_psd != f.ca_psd:
         return _fail("positivity of DP and CA* disagree", a=a, c=c)
+    if f.range_ok:
+        # the flags were judged on the spectrum of H / ||A||, and C A* = U_r H U_r*
+        # but for the leak of C outside R(A): the range test bounds it by
+        # equation_bound(||C||), and so ||A|| times that bounds the gap
+        u = f.svd[0]
+        gap = f.c @ f.a.conj().T - u @ (f.a_norm * f._ca_spectrum.m) @ u.conj().T
+        if not _within_residual_bound(gap, f.c, tol, lambda norm: f.a_norm * f.equation_bound(norm)):
+            return _fail(f"C A* differs from U_r H U_r* by {spectral_norm(gap):.3e}", a=a, c=c)
     if flavor == "hermitian" and not verdict.at_least(douglas.Verdict.HERMITIAN):
         return _fail("pair built from a Hermitian factor judged non-Hermitian", a=a, c=c)
     if verdict.at_least(douglas.Verdict.HERMITIAN):
@@ -538,8 +547,10 @@ def _check_hermitian_criterion(rng, spec, tol):
 def _check_positive_criteria(rng, spec, tol):
     """The positivity routes agree on one pair, and a HERMITIAN verdict comes with its proof.
 
-    The majorization route, a finite t with ``C C* <= t C A*``, reads the
-    ``n x n`` matrices: ``C A*`` PSD and no leak of ``C C*`` outside its range.
+    The majorization route, a finite t with ``C C* <= t C A*``, reads
+    ``C A*`` PSD and no leak of the ``n x n`` ``C C*`` outside its range,
+    ``U_r Y`` for Y the range eigenvectors of its compression H where R(C)
+    lies in R(A).
     A HERMITIAN verdict says no PSD solution exists: :func:`_indefinite_witness`
     must give a vector or plane that certifies two members of the Hermitian
     family, formed by :func:`_family_members`, indefinite beyond roundoff.
@@ -557,6 +568,8 @@ def _check_positive_criteria(rng, spec, tol):
     f = douglas.factorize(a, c, tol)
     # the pairs first, so the PSD test of C A* reads their values
     v = f._ca_spectrum.range_pairs[1] if f.ca_hermitian else None
+    if v is not None and f.range_ok:  # the eigenvectors of H, in the coordinates of U_r
+        v = f.svd[0] @ v
     verdict = f.verdict
     cc = c @ c.conj().T
     t_finite = f.ca_psd and _within_residual_bound(cc - v @ (v.conj().T @ cc), cc, tol)

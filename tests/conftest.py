@@ -128,12 +128,14 @@ def reference_range_equality(f):
 
 
 def _reference_t_min(f):
-    from opeq.matcore import _within_residual_bound
+    from opeq.matcore import HermitianSpectrum, _within_residual_bound
 
     if not f.ca_psd:
         return None
     h = f.c @ f.c.conj().T
-    w, v = f._ca_spectrum.range_pairs
+    # the eigenpairs of the n x n C A* itself, judged as douglas judged it
+    # before it decided on the r x r compression
+    w, v = HermitianSpectrum(f.c @ f.a.conj().T, f.tol, scale=f.a_norm * f.c).range_pairs
     if not _within_residual_bound(h - v @ (v.conj().T @ h), h, f.tol):
         return None
     if not w.size:

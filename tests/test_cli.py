@@ -304,6 +304,69 @@ def test_check_keeps_the_scale_law_bit_for_bit(capsys, tmp_path, j, k):
     assert report == {**base, **expect}
 
 
+@pytest.mark.parametrize("pair", ["dense 8", "dense 12", "scale law"])
+def test_c_a_star_has_no_structural_zeros_at_a_psd_tolerance_below_roundoff(capsys, tmp_path, pair):
+    # C = A X0 with every eigenvalue of X0 at least 0.5: C A* = A X0 A* is PSD,
+    # its r nonzero eigenvalues far from 0.  Its n - r zero eigenvalues sit at
+    # +-roundoff in the n x n product, below a floor of -1e-300 ||A|| ||C||;
+    # its r x r compression H = U_r* C A* U_r has none of them
+    a, c = scale_law_pair() if pair == "scale law" else dense_pair(int(pair.split()[1]), "positive")
+    files = write_matrix(tmp_path / "a.json", a), write_matrix(tmp_path / "c.json", c)
+    code, report, err = run_cli(capsys, "check", "--a", files[0], "--c", files[1], "--psd-atol", "1e-300")
+    assert (code, err) == (0, "")
+    assert report["verdict"] == "SolvablePositive"
+    f = dg.factorize(a, c)
+    r = len(f.svd[1])
+    assert r < len(a) and f._ca_spectrum.m.shape == (r, r)
+
+
+def _lapack_shapes(log):
+    """The ``(name, shape)`` of each logged call, by the shape of the matrix it decomposes."""
+    return Counter((name, np.shape(args[0])) for name, args, _ in log)
+
+
+def test_check_and_solve_decompose_n_by_n_matrices_only_where_they_must(capsys, monkeypatch, tmp_path):
+    a, c = scale_law_pair()  # n = 12, rank 9
+    files = write_matrix(tmp_path / "a.json", a), write_matrix(tmp_path / "c.json", c)
+    log = count_lapack(monkeypatch)
+    code, report, _ = run_cli(capsys, "check", "--a", files[0], "--c", files[1])
+    assert code == 0 and report["verdict"] == "SolvablePositive"
+    # A's SVD is the one 12 x 12 call; K's SVD, the PSD test of C A* on its
+    # compression H, and the stacked pair behind t_min and lambda are 9 x 9
+    assert _lapack_shapes(log) == Counter(
+        {("svd", (12, 12)): 1, ("svd", (9, 9)): 1, ("eigvalsh", (9, 9)): 1, ("eigvalsh", (2, 9, 9)): 1}
+    )
+    log.clear()
+    code, _, _ = run_cli(capsys, "solve", "--a", files[0], "--c", files[1], "--mode", "positive")
+    assert code == 0
+    # n x n: A's SVD, the PSD test of X and the printed residual ||A X - C||
+    assert _lapack_shapes(log) == Counter(
+        {("svd", (12, 12)): 2, ("svd", (9, 9)): 1, ("eigvalsh", (9, 9)): 1, ("eigvalsh", (12, 12)): 1}
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "majorize", "solve"])
+def test_a_rank_tolerance_below_eps_is_an_error_not_a_traceback(capsys, tmp_path, command):
+    # at rank_rtol 1e-320, A = diag(1, 2^-1060) would keep its subnormal
+    # singular value, and 1/s overflows; below eps it is roundoff in any SVD
+    a_file = write_matrix(tmp_path / "a.json", np.diag([1.0, 2.0**-1060]))
+    c_file = write_matrix(tmp_path / "c.json", np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _outputs(capsys, command, "--a", a_file, "--c", c_file, "--rank-rtol", "1e-320")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: rank_rtol must be at least float64 eps (2^-52), got 1e-320: "
+            "a singular value below eps times the largest is roundoff\n"
+        )
+        # at eps itself the subnormal singular value is cut, and C = I is outside R(A)
+        code, report, err = run_cli(
+            capsys, "check", "--a", a_file, "--c", c_file, "--rank-rtol", repr(2.0**-52)
+        )
+    assert (code, err) == (0, "")
+    assert report["verdict"] == "Unsolvable"
+
+
 def test_majorize_agrees_with_check_on_a_small_singular_value(capsys, monkeypatch, tmp_path):
     # sigma = 1e-7 is above the rank cut of A, though sigma^2 is below that cut
     # of A A*: the scale is finite, as range inclusion and check say

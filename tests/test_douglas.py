@@ -1195,6 +1195,22 @@ def test_range_test_holds_for_ill_conditioned_a(kappa):
     assert dg.Verdict.UNSOLVABLE not in verdicts
 
 
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_c_a_star_tests_hold_for_ill_conditioned_a(kappa):
+    # A = U diag(1, kappa^-1/2, 1/kappa, 0) V* and C = A X0 with X0 - I/2 PSD:
+    # POSITIVE at every kappa.  C A* is decided on H = U_r* C A* U_r, formed
+    # from C B: formed as S K S, it carries K's roundoff, about
+    # eps ||A^dagger|| ||C||, times S on both sides, eps kappa ||A|| ||C||,
+    # which passes the Hermitian test's residual_atol ||A|| ||C|| near kappa = 1e8
+    rng = np.random.default_rng([139, KAPPAS.index(kappa)])
+    verdicts = []
+    for _ in range(40):
+        u, v = _random_unitary(rng, 4), _random_unitary(rng, 4)
+        a = (u[:, :3] * np.geomspace(1.0, 1.0 / kappa, 3)) @ v[:, :3].conj().T
+        verdicts.append(dg.factorize(a, a @ (random_psd(rng, 4) + 0.5 * np.eye(4))).verdict)
+    assert verdicts == [dg.Verdict.POSITIVE] * 40
+
+
 @pytest.mark.parametrize("kappa", (1e4, 1e6, 1e8, 1e9))
 def test_range_test_rejects_c_outside_the_range_of_ill_conditioned_a(kappa):
     # A = diag(1, 1/kappa, 0) and C = 10 e2 e1* + e3 e1*: D = 10 kappa e2 e1*, so

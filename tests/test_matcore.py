@@ -58,6 +58,17 @@ def test_tolerance_validation(bad):
         mc.ToleranceConfig(residual_atol=bad)
 
 
+@pytest.mark.parametrize("tiny", [1e-320, 1e-300, 2.0**-53, np.nextafter(2.0**-52, 0.0)])
+def test_tolerance_validation_floors_the_rank_tolerance_at_eps(tiny):
+    # a singular value below eps times the largest is roundoff in any
+    # backward-stable SVD; the other two settings go as low as a float does
+    with pytest.raises(ValueError, match=r"^rank_rtol must be at least float64 eps \(2\^-52\), got "):
+        mc.ToleranceConfig(rank_rtol=tiny)
+    assert mc.ToleranceConfig(rank_rtol=2.0**-52).rank_rtol == 2.0**-52
+    tol = mc.ToleranceConfig(psd_atol=tiny, residual_atol=tiny)
+    assert (tol.psd_atol, tol.residual_atol) == (tiny, tiny)
+
+
 @pytest.mark.parametrize("value", [np.float32(1e-10), np.float64(1e-10)])
 def test_tolerance_reads_a_numpy_float_as_a_python_float(value):
     tol = mc.ToleranceConfig(rank_rtol=value, psd_atol=value, residual_atol=value)

@@ -112,12 +112,15 @@ def test_witness_plane_does_not_certify_positive_pairs():
 @pytest.mark.parametrize("phase", [0.0, 0.5, 2.0, -1.0])
 def test_witness_certifies_a_one_by_one_pair_with_negative_c_a_star(phase, ratio):
     # a = e^{i phase}, c = -2 ratio a: the one solution c / a = -2 ratio is
-    # Hermitian and negative, and the witness is u = conj(a)
+    # Hermitian and negative, and the witness is u = B S y = A* v, with the
+    # unit v = U_r y lifted from the eigenvector y of C A*'s 1x1 compression
     a = np.array([[np.exp(1j * phase)]])
     f = dg.factorize(a, -2.0 * ratio * a)
     assert f.verdict is dg.Verdict.HERMITIAN and not f.ca_psd
     w = oc._indefinite_witness(f)
-    np.testing.assert_allclose(w, a.conj(), atol=1e-15)
+    v = f.svd[0] @ f._ca_spectrum.eigh[1]
+    assert abs(v[0, 0]) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(w, a.conj() @ v, atol=1e-15)
     assert _certified(f, 1)
 
 
@@ -131,7 +134,8 @@ def test_witness_vector_reads_the_least_eigenvalue_of_c_a_star(rank):
     assert f.verdict is dg.Verdict.HERMITIAN and not f.ca_psd
     w = oc._indefinite_witness(f)
     assert w.shape == (4, 1)
-    least = float(f._ca_spectrum.eigh[0][0])
+    ca = f.c @ f.a.conj().T  # of the pair the witness is read on
+    least = float(np.linalg.eigvalsh(0.5 * (ca + ca.conj().T))[0])
     assert least < 0.0
     members = oc._family_members(f, 2)
     values = (w.conj().T @ members @ w)[:, 0, 0].real
@@ -607,6 +611,16 @@ MUTANTS = {
         property(lambda f: True),
         "hermitian_criterion_transfer",
         "Hermitian-ness of DP and CA* disagree",
+    ),
+    # H = U_r* C A* U_r left at ||A|| times the scale the flags read: Hermitian
+    # and PSD where the right one is, with the same eigenvectors, so only the
+    # property's own C A* sees it
+    "ca_compression_not_divided_by_the_norm_of_a": (
+        dg.Factorization,
+        "_ca_compression",
+        property(lambda f: (f.svd[0].conj().T @ f.c) @ (f.row_basis * f.svd[1])),
+        "hermitian_criterion_transfer",
+        "C A* differs from U_r H U_r* by",
     ),
     "hermitian_refuses": (
         dg,
