@@ -25,9 +25,14 @@ HERMITIAN.
 
 All randomness flows from a named generator (PCG64) with an explicit seed;
 every trial derives its own sub-seed deterministically from the seed and the
-trial index, so any reported failure is reproducible bit for bit.  Haar
-unitaries are drawn in batches from that one stream: the stack of ``k`` is one
-normal draw and one stacked QR, with the numbers ``k`` single draws give.
+trial index, so any reported failure is reproducible bit for bit.  A trial is
+drawn before it is built: its draw takes every number from its stream, in
+the order of the checks, and keeps each Haar unitary as the complex Gaussian
+it is made from.  The suite draws a property's trials a chunk at a time,
+makes the chunk's unitaries with one stacked QR per size, then builds and
+checks each trial in order (:class:`_HaarDraws`).  A stacked QR factors each
+matrix alone, so every unitary has the bits of its own QR, and no number a
+trial reads depends on the chunking.
 
 The ``T_n`` scan runs only inside the ``tn_monotone_lambda_match`` property,
 on the fixed schedule ``n = 1, 2, 4, ..., 2^40``: the matrices along it form
@@ -295,21 +300,50 @@ def _diagnose(norms, tol):
 # ---------------------------------------------------------------------------
 # randomized instance generators (controlled singular spectra so the suite's
 # residual tests, at residual_atol times the norm they judge, sit far above
-# roundoff)
+# roundoff).  Each takes its numbers from the trial's stream at once and
+# returns the function that builds its matrices once _HaarDraws.make has run.
 
 
-def _unitaries(rng, n, k):
-    """``k`` Haar-random ``n x n`` unitaries as a ``(k, n, n)`` stack: one batched QR.
+class _HaarDraws:
+    """The Haar unitaries of a chunk of trials, drawn one stack at a time and made together.
+
+    Each unitary is the QR factor Q of a complex Gaussian, its columns turned
+    by the phases of R's diagonal (Mezzadri, *Notices AMS* 54, 2007).
+    :func:`_unitaries` adds the Gaussians as they are drawn; :meth:`make`
+    takes one stacked QR and one phase fix per size.  A stacked QR runs the
+    same LAPACK call on each matrix, so each unitary has the bits of its own QR.
+    """
+
+    def __init__(self):
+        self._drawn = {}  # size -> its (k, 2, n, n) real and imaginary parts, in draw order
+        self._counts = {}  # size -> the number of unitaries drawn
+        self._made = {}  # size -> the (m, n, n) unitaries of those draws
+
+    def add(self, parts):
+        """Keep the ``(k, 2, n, n)`` draw ``parts``; returns the function that gives its unitaries."""
+        n, k = parts.shape[-1], len(parts)
+        start = self._counts.get(n, 0)
+        self._counts[n] = start + k
+        self._drawn.setdefault(n, []).append(parts)
+        return lambda: self._made[n][start : start + k]
+
+    def make(self):
+        for n, drawn in self._drawn.items():
+            x = np.concatenate(drawn)
+            q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+            diag = np.diagonal(r, axis1=1, axis2=2).copy()
+            diag[diag == 0] = 1.0
+            self._made[n] = q * (diag / np.abs(diag))[:, np.newaxis, :]
+
+
+def _unitaries(rng, haar, n, k):
+    """``k`` Haar-random ``n x n`` unitaries: the function that gives their ``(k, n, n)`` stack.
 
     The draw ``(k, 2, n, n)`` is the stream of ``k`` draws of a real then an
     imaginary ``n x n`` part, so the generator ends where ``k`` one-at-a-time
     draws would leave it, and each unitary has the same bits.
     """
-    x = rng.standard_normal((k, 2, n, n))
-    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
-    diag = np.diagonal(r, axis1=1, axis2=2).copy()
-    diag[diag == 0] = 1.0
-    return q * (diag / np.abs(diag))[:, np.newaxis, :]
+    return haar.add(rng.standard_normal((k, 2, n, n)))
 
 
 def _pick_rank(rng, n, policy):
@@ -320,7 +354,7 @@ def _pick_rank(rng, n, policy):
     return int(rng.integers(1, n + 1))
 
 
-def random_operator(rng, rows, cols, rank=None):
+def random_operator(rng, haar, rows, cols, rank=None):
     """Random matrix with singular values in [0.3, 2], of rank ``min(rows, cols)`` unless given.
 
     A given rank lies in ``[1, min(rows, cols)]``, as :func:`_pick_rank` draws it.
@@ -328,12 +362,17 @@ def random_operator(rng, rows, cols, rank=None):
     if rank is None:
         rank = min(rows, cols)
     if rows == cols:
-        u, v = _unitaries(rng, rows, 2)
+        pair = _unitaries(rng, haar, rows, 2)
     else:
-        u, v = _unitaries(rng, rows, 1)[0], _unitaries(rng, cols, 1)[0]
-    u, v = u[:, :rank], v[:, :rank]
+        left, right = _unitaries(rng, haar, rows, 1), _unitaries(rng, haar, cols, 1)
+        pair = lambda: (left()[0], right()[0])
     sing = rng.uniform(0.3, 2.0, size=rank)
-    return (u * sing) @ v.conj().T
+
+    def build():
+        u, v = pair()
+        return (u[:, :rank] * sing) @ v[:, :rank].conj().T
+
+    return build
 
 
 def random_hermitian(rng, n):
@@ -341,18 +380,23 @@ def random_hermitian(rng, n):
     return 0.5 * (g + g.conj().T)
 
 
-def random_psd(rng, n, rank):
+def random_psd(rng, haar, n, rank):
     """Random PSD matrix of the given rank, its nonzero eigenvalues in [0.3, 2].
 
     The rank lies in ``[1, n]``, as :func:`_pick_rank` draws it.
     """
-    u = _unitaries(rng, n, 1)[0]
+    unitary = _unitaries(rng, haar, n, 1)
     eigs = np.zeros(n)
     eigs[:rank] = rng.uniform(0.3, 2.0, size=rank)
-    return (u * eigs) @ u.conj().T
+
+    def build():
+        u = unitary()[0]
+        return (u * eigs) @ u.conj().T
+
+    return build
 
 
-def _hermitian_but_never_positive(rng, n):
+def _hermitian_but_never_positive(rng, haar, n):
     """Consistent pair with CA* PSD yet no PSD solution (needs n >= 3).
 
     A random-basis copy of the pattern A = diag(a, b, 0), C = a E11 + b E23:
@@ -371,29 +415,41 @@ def _hermitian_but_never_positive(rng, n):
             val = rng.uniform(0.3, 2.0)
             a_diag[extra, extra] = val
             c_core[extra, extra] = val
-    u, v = _unitaries(rng, n, 2)
-    return u @ a_diag @ v.conj().T, u @ c_core @ v.conj().T
+    pair = _unitaries(rng, haar, n, 2)
+
+    def build():
+        u, v = pair()
+        return u @ a_diag @ v.conj().T, u @ c_core @ v.conj().T
+
+    return build
 
 
-def _consistent_pair(rng, spec: TrialSpec, flavor: str):
-    """Dimensions and factors for one randomized AX = C instance."""
+def _consistent_pair(rng, haar, spec: TrialSpec, flavor: str):
+    """``(n, build)`` for one randomized AX = C instance: C = A X, both n x n, X of the flavor."""
     n = int(rng.integers(1, spec.dim_max + 1))
     rank = _pick_rank(rng, n, spec.rank_policy)
-    a = random_operator(rng, n, n, rank)
+    a = random_operator(rng, haar, n, n, rank)
     if flavor == "general":
-        w = random_operator(rng, n, n)
-        return a, a @ w, w
-    if flavor == "hermitian":
+        x = random_operator(rng, haar, n, n)
+    elif flavor == "hermitian":
         h = random_hermitian(rng, n)
-        return a, a @ h, h
-    if flavor == "positive":
-        x0 = random_psd(rng, n, rank=_pick_rank(rng, n, "random"))
-        return a, a @ x0, x0
-    raise ValueError(flavor)
+        x = lambda: h
+    elif flavor == "positive":
+        x = random_psd(rng, haar, n, _pick_rank(rng, n, "random"))
+    else:
+        raise ValueError(flavor)
+
+    def build():
+        a_m = a()
+        return a_m, a_m @ x()
+
+    return n, build
 
 
 # ---------------------------------------------------------------------------
-# one check per named property; return None on pass, failure detail on fail
+# one draw and one check per named property: the draw takes a trial's numbers
+# and returns the function that builds the check's arguments; the check
+# returns None on pass, failure detail on fail
 
 
 def _fail(detail, **mats):
@@ -441,7 +497,20 @@ def _reduced_solution_facts(f: douglas.Factorization) -> tuple[bool, bool, bool]
     return norm_ok, kernel_ok, rowspace_ok
 
 
-def _check_general_solution(rng, spec, tol):
+def _draw_general_solution(rng, haar, spec):
+    rows, cols, k = (int(rng.integers(1, spec.dim_max + 1)) for _ in range(3))
+    a = random_operator(rng, haar, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
+    w = random_operator(rng, haar, cols, k)
+    y = random_operator(rng, haar, cols, k)
+
+    def build():
+        a_m = a()
+        return a_m, a_m @ w(), y()
+
+    return build
+
+
+def _check_general_solution(a, c, y, tol):
     """Every route to the general solution of one rectangular pair lands on the same X.
 
     With ``A = U|A|``, the paper's partial-isometry form ``|A|^+ U* C + (I - U*U) Y``
@@ -451,10 +520,6 @@ def _check_general_solution(rng, spec, tol):
     square root of ``A*A``, and the three facts of :func:`_reduced_solution_facts`.
     ``A^+`` and ``U = U_r B*`` are read from the factorization's SVD of A.
     """
-    rows, cols, k = (int(rng.integers(1, spec.dim_max + 1)) for _ in range(3))
-    a = random_operator(rng, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
-    c = a @ random_operator(rng, cols, k)
-    y = random_operator(rng, cols, k)
     f = douglas.factorize(a, c, tol)
     if not f.range_ok:
         return _fail("range inclusion rejected a consistent pair", a=a, c=c)
@@ -485,7 +550,7 @@ def _check_general_solution(rng, spec, tol):
     # |A| + I - U*U is invertible and agrees with |A| on the range of U*U, so
     # solving with it gives |A|^+ U* C; a pseudoinverse of |A| would count the square roots
     # of A*A's roundoff eigenvalues (about 1e-8) toward the rank
-    leak = np.eye(cols) - u.conj().T @ u
+    leak = np.eye(a.shape[1]) - u.conj().T @ u
     x_pi = np.linalg.solve(modulus + leak, u.conj().T @ c) + leak @ y
     try:  # the builder checks that each member solves the equation
         x = douglas.general_solution(f, y)
@@ -511,9 +576,14 @@ def _check_general_solution(rng, spec, tol):
     return None
 
 
-def _check_hermitian_criterion(rng, spec, tol):
+def _draw_hermitian_criterion(rng, haar, spec):
     flavor = ("hermitian", "general", "positive")[int(rng.integers(3))]
-    a, c, _ = _consistent_pair(rng, spec, flavor)
+    n, pair = _consistent_pair(rng, haar, spec, flavor)
+    y = random_hermitian(rng, n)  # the trial's last draw: read where the verdict is at least HERMITIAN
+    return lambda: (flavor, *pair(), y)
+
+
+def _check_hermitian_criterion(flavor, a, c, y, tol):
     f = douglas.factorize(a, c, tol)
     verdict = f.verdict
     dp = HermitianSpectrum(f.k, tol)  # DP = B K B*: the same deviation and nonzero spectrum
@@ -532,7 +602,6 @@ def _check_hermitian_criterion(rng, spec, tol):
     if flavor == "hermitian" and not verdict.at_least(douglas.Verdict.HERMITIAN):
         return _fail("pair built from a Hermitian factor judged non-Hermitian", a=a, c=c)
     if verdict.at_least(douglas.Verdict.HERMITIAN):
-        y = random_hermitian(rng, a.shape[1])
         try:
             x = douglas.hermitian_solution(f, y)
         except NotSolvableHermitian as exc:
@@ -544,7 +613,23 @@ def _check_hermitian_criterion(rng, spec, tol):
     return None
 
 
-def _check_positive_criteria(rng, spec, tol):
+def _draw_positive_criteria(rng, haar, spec):
+    pick = int(rng.integers(4))
+    if pick == 3 and spec.dim_max >= 3:
+        n = int(rng.integers(3, spec.dim_max + 1))
+        pair = _hermitian_but_never_positive(rng, haar, n)
+        expect = "blocked"
+    else:
+        flavor = ("positive", "hermitian", "general")[pick % 3]
+        n, pair = _consistent_pair(rng, haar, spec, flavor)
+        expect = "positive" if flavor == "positive" else None
+    sub_seed = int(rng.integers(2**32))
+    # the trial's last draw: the builder's parameter where the pair is built to be positive
+    z = random_psd(rng, haar, n, _pick_rank(rng, n, "random"))
+    return lambda: (expect, *pair(), sub_seed, z())
+
+
+def _check_positive_criteria(expect, a, c, sub_seed, z, tol):
     """The positivity routes agree on one pair, and a HERMITIAN verdict comes with its proof.
 
     The majorization route, a finite t with ``C C* <= t C A*``, reads
@@ -555,16 +640,6 @@ def _check_positive_criteria(rng, spec, tol):
     must give a vector or plane that certifies two members of the Hermitian
     family, formed by :func:`_family_members`, indefinite beyond roundoff.
     """
-    pick = int(rng.integers(4))
-    if pick == 3 and spec.dim_max >= 3:
-        n = int(rng.integers(3, spec.dim_max + 1))
-        a, c = _hermitian_but_never_positive(rng, n)
-        expect = "blocked"
-    else:
-        flavor = ("positive", "hermitian", "general")[pick % 3]
-        a, c = _consistent_pair(rng, spec, flavor)[:2]
-        expect = "positive" if flavor == "positive" else None
-    sub_seed = int(rng.integers(2**32))
     f = douglas.factorize(a, c, tol)
     # the pairs first, so the PSD test of C A* reads their values
     v = f._ca_spectrum.range_pairs[1] if f.ca_hermitian else None
@@ -584,7 +659,6 @@ def _check_positive_criteria(rng, spec, tol):
     if expect == "positive":
         if verdict is not douglas.Verdict.POSITIVE:
             return _fail("pair built from a PSD factor judged not positively solvable", a=a, c=c)
-        z = random_psd(rng, a.shape[1], rank=_pick_rank(rng, a.shape[1], "random"))
         try:
             x = douglas.positive_solution(f, z)
         except NotSolvablePositive as exc:
@@ -608,18 +682,22 @@ def _check_positive_criteria(rng, spec, tol):
     return None
 
 
-def _check_block_positivity(rng, spec, tol):
+def _draw_block_positivity(rng, haar, spec):
     d1 = int(rng.integers(1, min(4, spec.dim_max) + 1))
     d2 = int(rng.integers(1, min(4, spec.dim_max) + 1))
     if rng.random() < 0.5:
-        full = random_psd(rng, d1 + d2, rank=_pick_rank(rng, d1 + d2, "random"))
-    else:
-        full = np.zeros((d1 + d2, d1 + d2), dtype=np.complex128)
-        full[:d1, :d1] = random_hermitian(rng, d1)
-        full[d1:, d1:] = random_hermitian(rng, d2)
-        off = rng.standard_normal((d1, d2)) + 1j * rng.standard_normal((d1, d2))
-        full[:d1, d1:] = off
-        full[d1:, :d1] = off.conj().T
+        psd = random_psd(rng, haar, d1 + d2, _pick_rank(rng, d1 + d2, "random"))
+        return lambda: (psd(), d1)
+    full = np.zeros((d1 + d2, d1 + d2), dtype=np.complex128)
+    full[:d1, :d1] = random_hermitian(rng, d1)
+    full[d1:, d1:] = random_hermitian(rng, d2)
+    off = rng.standard_normal((d1, d2)) + 1j * rng.standard_normal((d1, d2))
+    full[:d1, d1:] = off
+    full[d1:, :d1] = off.conj().T
+    return lambda: (full, d1)
+
+
+def _check_block_positivity(full, d1, tol):
     a11, a12, a22 = full[:d1, :d1], full[:d1, d1:], full[d1:, d1:]
     by_blocks = douglas.block_psd_test(a11, a12, a22, tol)
     by_eigen = is_psd(full, tol)
@@ -633,7 +711,13 @@ def _check_block_positivity(rng, spec, tol):
     return None
 
 
-def _check_tn_lambda(rng, spec, tol):
+def _draw_tn_lambda(rng, haar, spec):
+    if spec.dim_max >= 3 and rng.random() < 0.4:
+        return _hermitian_but_never_positive(rng, haar, int(rng.integers(3, spec.dim_max + 1)))
+    return _consistent_pair(rng, haar, spec, "positive")[1]
+
+
+def _check_tn_lambda(a, c, tol):
     """``||T_n||`` settles exactly when R(D) = R(DP), and then on the closed-form lambda.
 
     A uniform bound on the compressed resolvent norms would also certify
@@ -641,12 +725,6 @@ def _check_tn_lambda(rng, spec, tol):
     of DP, i.e. the range equality R(D) = R(DP), which remains the
     authoritative test.  The scan only cross-checks it.
     """
-    if spec.dim_max >= 3 and rng.random() < 0.4:
-        n = int(rng.integers(3, spec.dim_max + 1))
-        a, c = _hermitian_but_never_positive(rng, n)
-    else:
-        a, c = _consistent_pair(rng, spec, "positive")[:2]
-
     f = douglas.factorize(a, c, tol)
     # one stack of every T_n and one eigvalsh of it: T_n is PSD, so its norm is
     # its largest |eigenvalue|, and the PSD tests read the head's least
@@ -683,12 +761,31 @@ def _check_tn_lambda(rng, spec, tol):
 
 
 _PROPERTY_CHECKS = [
-    ("general_solution_routes", _check_general_solution),
-    ("hermitian_criterion_transfer", _check_hermitian_criterion),
-    ("positive_criteria_agreement", _check_positive_criteria),
-    ("block_positivity_vs_eigen", _check_block_positivity),
-    ("tn_monotone_lambda_match", _check_tn_lambda),
+    ("general_solution_routes", _draw_general_solution, _check_general_solution),
+    ("hermitian_criterion_transfer", _draw_hermitian_criterion, _check_hermitian_criterion),
+    ("positive_criteria_agreement", _draw_positive_criteria, _check_positive_criteria),
+    ("block_positivity_vs_eigen", _draw_block_positivity, _check_block_positivity),
+    ("tn_monotone_lambda_match", _draw_tn_lambda, _check_tn_lambda),
 ]
+
+# the most trials of one property drawn before their unitaries are made: one
+# QR per size serves them all, and the suite holds one chunk's instances at a time
+_CHUNK = 64
+
+
+def _outcomes(spec, tol, prop_index, draw, check):
+    """``(trial, outcome)`` for each trial of one property, drawn and checked a chunk at a time."""
+    for start in range(0, spec.trials, _CHUNK):
+        trials = range(start, min(start + _CHUNK, spec.trials))
+        haar = _HaarDraws()
+        builds = [draw(_sub_rng(spec.seed, prop_index, trial), haar, spec) for trial in trials]
+        haar.make()
+        for trial, build in zip(trials, builds):
+            try:
+                outcome = check(*build(), tol)
+            except OpeqError as exc:
+                outcome = _fail(f"{type(exc).__name__}: {exc}")
+            yield trial, outcome
 
 
 def property_suite(spec: TrialSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> dict:
@@ -702,15 +799,10 @@ def property_suite(spec: TrialSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES) -
     """
     properties = {}
     violations = 0
-    for prop_index, (name, check) in enumerate(_PROPERTY_CHECKS):
+    for prop_index, (name, draw, check) in enumerate(_PROPERTY_CHECKS):
         failures = 0
         first_failure = None
-        for trial in range(spec.trials):
-            rng = _sub_rng(spec.seed, prop_index, trial)
-            try:
-                outcome = check(rng, spec, tol)
-            except OpeqError as exc:
-                outcome = _fail(f"{type(exc).__name__}: {exc}")
+        for trial, outcome in _outcomes(spec, tol, prop_index, draw, check):
             if outcome is not None:
                 failures += 1
                 if first_failure is None:

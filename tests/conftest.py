@@ -38,12 +38,33 @@ def random_psd(rng, n, rank=None):
     return g @ g.conj().T
 
 
-def count_lapack(monkeypatch):
-    """Log every svd, eigh and eigvalsh call as ``(name, args, kwargs)``."""
+def built(generator, rng, *args):
+    """The matrices an ``opeq.oracle`` generator builds from the draws it takes from ``rng``.
+
+    Draws as the property suite does, ``generator(rng, haar, *args)``, makes
+    the Haar unitaries the draw took, then builds.
+    """
+    from opeq import oracle
+
+    haar = oracle._HaarDraws()
+    build = generator(rng, haar, *args)
+    haar.make()
+    return build()
+
+
+def oracle_pair(rng, spec, flavor):
+    """The ``(A, C)`` that ``opeq.oracle._consistent_pair`` draws from ``rng``."""
+    from opeq import oracle
+
+    return built(lambda rng, haar: oracle._consistent_pair(rng, haar, spec, flavor)[1], rng)
+
+
+def count_lapack(monkeypatch, names=("svd", "eigh", "eigvalsh")):
+    """Log every call of the ``numpy.linalg`` functions ``names`` as ``(name, args, kwargs)``."""
     # np.linalg.norm(M, 2) calls the private module's own svd, so patch there too
     private = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     log = []
-    for name in ("svd", "eigh", "eigvalsh"):
+    for name in names:
         original = getattr(np.linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):

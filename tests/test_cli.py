@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian, count_lapack, random_hermitian, random_psd, rank_deficient
+from conftest import built, complex_gaussian, count_lapack, random_hermitian, random_psd, rank_deficient
 from opeq import cli
 from opeq import douglas as dg
 from opeq import matcore as mc
@@ -418,7 +418,7 @@ def test_check_majorize_and_the_factorization_agree_on_ill_conditioned_pairs(cap
     x[1, 1] = 1.0
     for s in range(40):
         rng = np.random.default_rng([9, s])
-        u, v = oc._unitaries(rng, 3, 2)
+        u, v = built(oc._unitaries, rng, 3, 2)
         a = u @ np.diag([1.0, 1.0 / kappa, 0.0]) @ v.conj().T
         c = a @ (v @ x @ v.conj().T)
         a_file = write_matrix(tmp_path / "a.json", a)

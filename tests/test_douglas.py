@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    built,
     complex_gaussian,
     count_lapack,
+    oracle_pair,
     random_hermitian,
     random_psd,
     rank_deficient,
@@ -921,7 +923,7 @@ def test_positive_routes_agree_on_thousand_instances():
 def _flavoured_pair(rng, n, rank, flavor):
     """A of the given rank with C = A X: X PSD, or a Hermitian-only pattern (n >= 3), or X general."""
     if flavor == "hermitian_only" and n >= 3:
-        return oc._hermitian_but_never_positive(rng, n)
+        return built(oc._hermitian_but_never_positive, rng, n)
     a = rank_deficient(rng, n, n, rank)
     if flavor == "positive":
         return a, a @ random_psd(rng, n, rank=int(rng.integers(0, n + 1)))
@@ -1063,8 +1065,7 @@ def _repro_pairs():
     flavors = ("general", "hermitian", "positive")
     spec = oc.TrialSpec(dim_max=6)
     return [
-        oc._consistent_pair(np.random.default_rng(seed), spec, flavors[seed % 3])[:2]
-        for seed in range(300)
+        oracle_pair(np.random.default_rng(seed), spec, flavors[seed % 3]) for seed in range(300)
     ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    built,
     complex_gaussian,
     count_lapack,
+    oracle_pair,
     rank_deficient,
     random_psd,
 )
@@ -64,7 +67,7 @@ def test_witness_certifies_the_pairs_with_no_psd_solution(monkeypatch, n):
     # from the eigenpairs and K's SVD the verdict took, with no LAPACK call
     log = count_lapack(monkeypatch)
     for seed in range(8):
-        f = dg.factorize(*oc._hermitian_but_never_positive(np.random.default_rng(seed), n))
+        f = dg.factorize(*built(oc._hermitian_but_never_positive, np.random.default_rng(seed), n))
         assert f.verdict is dg.Verdict.HERMITIAN and f.ca_psd and not f.dp_range_eq
         log.clear()
         assert oc._indefinite_witness(f).shape == (n, 2)
@@ -76,7 +79,7 @@ def test_witness_certifies_the_pairs_with_no_psd_solution(monkeypatch, n):
 def test_witness_certifies_an_indefinite_c_a_star(monkeypatch, rank):
     # X = V diag(1, -0.25, 0.5, 2) V* with A's row space spanned by V's first
     # columns: C A* = A X A* is Hermitian, and indefinite at either rank
-    u, v = oc._unitaries(np.random.default_rng(5), 4, 2)
+    u, v = built(oc._unitaries, np.random.default_rng(5), 4, 2)
     a = (u[:, :rank] * np.linspace(2.0, 0.5, rank)) @ v[:, :rank].conj().T
     f = dg.factorize(a, a @ (v * np.array([1.0, -0.25, 0.5, 2.0])) @ v.conj().T)
     assert f.verdict is dg.Verdict.HERMITIAN and not f.ca_psd
@@ -94,7 +97,7 @@ def test_witness_plane_does_not_certify_positive_pairs():
     planes = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
-        f = dg.factorize(*oc._consistent_pair(rng, spec, "positive")[:2])
+        f = dg.factorize(*oracle_pair(rng, spec, "positive"))
         assert f.verdict is dg.Verdict.POSITIVE
         w = oc._indefinite_witness(f)
         if w is None:  # A of full column rank: E = 0
@@ -128,7 +131,7 @@ def test_witness_certifies_a_one_by_one_pair_with_negative_c_a_star(phase, ratio
 def test_witness_vector_reads_the_least_eigenvalue_of_c_a_star(rank):
     # u = A* v lies in R(A*), where (I - P) vanishes, so every member has
     # u* X u = v* A H0 A* v = v* C A* v, whatever Y is
-    u, v = oc._unitaries(np.random.default_rng(6), 4, 2)
+    u, v = built(oc._unitaries, np.random.default_rng(6), 4, 2)
     a = (u[:, :rank] * np.linspace(2.0, 0.5, rank)) @ v[:, :rank].conj().T
     f = dg.factorize(a, a @ (v * np.array([-1.0, 0.5, -0.25, 2.0])) @ v.conj().T)
     assert f.verdict is dg.Verdict.HERMITIAN and not f.ca_psd
@@ -148,8 +151,8 @@ def test_witness_certifies_under_a_unitary_change_of_basis(n):
     # (U A V*, U C V*) has the solutions V X V*, so it has no PSD solution
     # either; the witness is built afresh in the new basis and still certifies
     rng = np.random.default_rng(40 + n)
-    a, c = oc._hermitian_but_never_positive(rng, n)
-    u, v = oc._unitaries(rng, n, 2)
+    a, c = built(oc._hermitian_but_never_positive, rng, n)
+    u, v = built(oc._unitaries, rng, n, 2)
     f = dg.factorize(u @ a @ v.conj().T, u @ c @ v.conj().T)
     assert f.verdict is dg.Verdict.HERMITIAN and f.ca_psd and not f.dp_range_eq
     assert oc._indefinite_witness(f).shape == (n, 2)
@@ -161,7 +164,7 @@ def test_witness_certifies_under_a_unitary_change_of_basis(n):
 def test_witness_certifies_when_a_and_c_are_scaled_together(power):
     # (s A, s C) has the solutions of (A, C), so its members are the same
     # matrices and the certificate must not depend on s
-    a, c = oc._hermitian_but_never_positive(np.random.default_rng(4), 5)
+    a, c = built(oc._hermitian_but_never_positive, np.random.default_rng(4), 5)
     s = 2.0**power
     f = dg.factorize(s * a, s * c)
     assert f.verdict is dg.Verdict.HERMITIAN
@@ -173,7 +176,7 @@ def test_witness_certifies_when_a_or_c_is_scaled_alone(side):
     # (2^k A, C) and (A, 2^k C) keep the verdict, and their members are built
     # from the equilibrated pair's H0, of unit scale whatever k is, like the Y
     # added to it; against an H0 of size 2^k, Y would swamp the plane's b
-    a, c = oc._hermitian_but_never_positive(np.random.default_rng(4), 5)
+    a, c = built(oc._hermitian_but_never_positive, np.random.default_rng(4), 5)
     uncertified = []
     for k in range(-60, 61, 2):
         f = dg.factorize(2.0**k * a, c) if side == "A" else dg.factorize(a, 2.0**k * c)
@@ -183,7 +186,7 @@ def test_witness_certifies_when_a_or_c_is_scaled_alone(side):
 
 
 def test_witness_and_members_are_deterministic():
-    a, c = oc._hermitian_but_never_positive(np.random.default_rng(8), 6)
+    a, c = built(oc._hermitian_but_never_positive, np.random.default_rng(8), 6)
     first, second = dg.factorize(a, c), dg.factorize(a, c)
     np.testing.assert_array_equal(oc._indefinite_witness(first), oc._indefinite_witness(second))
     np.testing.assert_array_equal(oc._family_members(first, 9), oc._family_members(second, 9))
@@ -237,7 +240,13 @@ def _scan(f):
 
 
 def _property_index(name):
-    return [entry for entry, _ in oc._PROPERTY_CHECKS].index(name)
+    return [entry for entry, _, _ in oc._PROPERTY_CHECKS].index(name)
+
+
+def _outcome(name, rng, spec):
+    """One trial of the property ``name``, drawn from ``rng`` and checked as the suite does."""
+    _, draw, check = oc._PROPERTY_CHECKS[_property_index(name)]
+    return check(*built(draw, rng, spec), mc.DEFAULT_TOLERANCES)
 
 
 def test_tn_sequence_fixture(rank1_pair):
@@ -284,16 +293,21 @@ def test_tn_check_settles_where_lambda_is_roundoff(monkeypatch):
     # doubles with n.  The scan settles only through the absolute floor of
     # residual_atol * (1 + estimate); a bound relative to the estimate alone
     # fails every one of these pairs
-    def pair(rng, spec, flavor):
-        u, v = oc._unitaries(rng, 3, 2)
-        a = u @ np.diag([1.0, 0.7, 0.0]) @ v.conj().T
-        x0 = v @ np.diag([1.3, 0.0, 0.9]) @ v.conj().T
-        return a, a @ x0, x0
+    def pair(rng, haar, spec, flavor):
+        unitaries = oc._unitaries(rng, haar, 3, 2)
+
+        def build():
+            u, v = unitaries()
+            a = u @ np.diag([1.0, 0.7, 0.0]) @ v.conj().T
+            x0 = v @ np.diag([1.3, 0.0, 0.9]) @ v.conj().T
+            return a, a @ x0
+
+        return 3, build
 
     monkeypatch.setattr(oc, "_consistent_pair", pair)
     spec = oc.TrialSpec(dim_max=2, trials=1)
     for seed in range(40):
-        assert oc._check_tn_lambda(np.random.default_rng(seed), spec, mc.DEFAULT_TOLERANCES) is None
+        assert _outcome("tn_monotone_lambda_match", np.random.default_rng(seed), spec) is None
 
 
 def test_tn_monotone_loewner(rank1_pair):
@@ -328,7 +342,7 @@ def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
     for trial in range(spec.trials):
         log.clear()
         rng = oc._sub_rng(spec.seed, prop, trial)
-        assert oc._check_tn_lambda(rng, spec, mc.DEFAULT_TOLERANCES) is None
+        assert _outcome("tn_monotone_lambda_match", rng, spec) is None
         f = made[-1]
         # the scan reads the compression at the input's scale
         comp = 2.0**f.x_exp * (f.row_basis.conj().T @ f.d @ f.row_basis)
@@ -341,8 +355,7 @@ def test_tn_stack_matches_one_matrix_at_a_time():
     spec = oc.TrialSpec(dim_max=6, trials=1)
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        a, c = oc._consistent_pair(rng, spec, "positive")[:2]
-        w, g = oc._compressed_state(dg.factorize(a, c))
+        w, g = oc._compressed_state(dg.factorize(*oracle_pair(rng, spec, "positive")))
         norms = mc.spectral_norms(oc._tn_stack(w, g, oc._SCHEDULE))
         for n, norm in zip(oc._SCHEDULE, norms):
             t = (g.conj().T * (1.0 / (1.0 / float(n) + w))) @ g
@@ -358,7 +371,7 @@ def test_tn_check_takes_the_schedule_norms_in_one_call(monkeypatch):
     for trial in range(spec.trials):
         log.clear()
         rng = oc._sub_rng(spec.seed, prop, trial)
-        assert oc._check_tn_lambda(rng, spec, mc.DEFAULT_TOLERANCES) is None
+        assert _outcome("tn_monotone_lambda_match", rng, spec) is None
         # the 41 norms and the 5 PSD tests are one eigvalsh of the stack, and
         # the 4 monotonicity tests one more; the report's (t_min, lambda) pair
         # is a third, of two r x r matrices, where the verdict is POSITIVE; no
@@ -377,7 +390,7 @@ def test_general_solution_routes_pass_on_rank_deficient_pairs():
     prop = _property_index("general_solution_routes")
     for trial in range(spec.trials):
         rng = oc._sub_rng(spec.seed, prop, trial)
-        assert oc._check_general_solution(rng, spec, mc.DEFAULT_TOLERANCES) is None
+        assert _outcome("general_solution_routes", rng, spec) is None
 
 
 def test_general_solution_routes_decompose_a_once(monkeypatch):
@@ -398,8 +411,8 @@ def test_general_solution_routes_decompose_a_once(monkeypatch):
         drawn.clear()
         log.clear()
         rng = oc._sub_rng(spec.seed, prop, trial)
-        assert oc._check_general_solution(rng, spec, mc.DEFAULT_TOLERANCES) is None
-        a = mc._equilibrated(mc.as_matrix(drawn[0]))[0]  # the A the factorization decomposes
+        assert _outcome("general_solution_routes", rng, spec) is None
+        a = mc._equilibrated(mc.as_matrix(drawn[0]()))[0]  # the A the factorization decomposes
         calls = [args[0] for name, args, _ in log if name == "svd"]
         assert sum(m.shape == a.shape and np.array_equal(m, a) for m in calls) == 1, trial
 
@@ -428,15 +441,26 @@ def _unitary_one_at_a_time(rng, n):
     return q * (diag / np.abs(diag))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_batched_unitaries_match_one_at_a_time_draws(n):
-    batched_rng, single_rng = np.random.default_rng(n), np.random.default_rng(n)
-    batch = oc._unitaries(batched_rng, n, 2)
-    assert batch.shape == (2, n, n)
-    for u in batch:
-        np.testing.assert_array_equal(u, _unitary_one_at_a_time(single_rng, n))
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
-    # the generator stands where two single draws leave it
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_batched_unitaries_match_one_at_a_time_draws(monkeypatch, seed):
+    # stacks of one or two unitaries of sizes 1..8, drawn in a mixed order and
+    # made by one stacked QR per size, as a chunk of the suite's trials is
+    order = np.random.default_rng([17, seed])
+    sizes, counts = order.permutation(np.repeat(np.arange(1, 9), 3)), order.integers(1, 3, 24)
+    draws = [(int(n), int(k)) for n, k in zip(sizes, counts)]
+    batched_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    haar = oc._HaarDraws()
+    stacks = [oc._unitaries(batched_rng, haar, n, k) for n, k in draws]
+    log = count_lapack(monkeypatch, ("qr",))
+    haar.make()
+    made = sorted((args[0].shape for _, args, _ in log), key=lambda shape: shape[-1])
+    assert made == [(sum(k for m, k in draws if m == n), n, n) for n in range(1, 9)]
+    for (n, k), stack in zip(draws, stacks):
+        assert stack().shape == (k, n, n)
+        for u in stack():
+            np.testing.assert_array_equal(u, _unitary_one_at_a_time(single_rng, n))
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
+    # the generator stands where the single draws leave it
     assert batched_rng.standard_normal() == single_rng.standard_normal()
 
 
@@ -470,18 +494,22 @@ def test_trial_spec_validation(kwargs):
 def test_property_suite_small_run_passes():
     report = oc.property_suite(oc.TrialSpec(trials=8, seed=123))
     assert report["violations"] == 0
-    assert list(report["properties"]) == [name for name, _ in oc._PROPERTY_CHECKS]
+    assert list(report["properties"]) == [name for name, _, _ in oc._PROPERTY_CHECKS]
     for entry in report["properties"].values():
         assert entry["trials"] == 8 and entry["failures"] == 0
 
 
 def test_property_suite_counts_a_raised_error_as_a_failed_trial(monkeypatch):
-    def raises_on_odd_trials(rng, spec, tol):
-        if rng.integers(2):
+    def draw(rng, haar, spec):
+        odd = rng.integers(2)
+        return lambda: (odd,)
+
+    def raises_on_odd_trials(odd, tol):
+        if odd:
             raise PreconditionFailed("no state", certificate={"why": "test"})
         return None
 
-    monkeypatch.setattr(oc, "_PROPERTY_CHECKS", [("raises", raises_on_odd_trials)])
+    monkeypatch.setattr(oc, "_PROPERTY_CHECKS", [("raises", draw, raises_on_odd_trials)])
     report = oc.property_suite(oc.TrialSpec(trials=6, seed=5))
     entry = report["properties"]["raises"]
     assert report["violations"] == entry["failures"] >= 1
@@ -490,10 +518,10 @@ def test_property_suite_counts_a_raised_error_as_a_failed_trial(monkeypatch):
 
 
 def test_property_suite_lets_other_exceptions_through(monkeypatch):
-    def broken(rng, spec, tol):
+    def broken(tol):
         raise TypeError("a bug, not a failed property")
 
-    monkeypatch.setattr(oc, "_PROPERTY_CHECKS", [("broken", broken)])
+    monkeypatch.setattr(oc, "_PROPERTY_CHECKS", [("broken", lambda rng, haar, spec: lambda: (), broken)])
     with pytest.raises(TypeError):
         oc.property_suite(oc.TrialSpec(trials=1))
 
@@ -719,6 +747,30 @@ def test_property_suite_catches_a_wrong_part(monkeypatch, mutant):
     assert failed["first_failure"]["detail"].startswith(detail)
 
 
+# a decision that several properties read, forced False on every pair: the
+# failures it makes in each property at TrialSpec(trials=12, seed=3)
+SHARED_MUTANTS = {
+    "ca_psd": {
+        "hermitian_criterion_transfer": 3,
+        "positive_criteria_agreement": 8,
+        "tn_monotone_lambda_match": 8,
+    },
+    "dp_range_eq": {
+        "positive_criteria_agreement": 4,
+        "tn_monotone_lambda_match": 8,
+    },
+}
+
+
+@pytest.mark.parametrize("member", list(SHARED_MUTANTS))
+def test_property_suite_catches_a_wrong_decision_in_each_property_that_reads_it(monkeypatch, member):
+    monkeypatch.setattr(dg.Factorization, member, property(lambda f: False))
+    report = oc.property_suite(oc.TrialSpec(trials=12, seed=3))
+    failed = {name: entry["failures"] for name, entry in report["properties"].items() if entry["failures"]}
+    assert failed == SHARED_MUTANTS[member]
+    assert report["violations"] == sum(failed.values())
+
+
 def test_property_suite_takes_exact_norms_only_where_they_decide(monkeypatch):
     # every threshold test of the suite is screened by Frobenius bounds; the
     # SVDs left are the factorizations, the independent routes and the norms
@@ -737,6 +789,65 @@ def test_property_suite_takes_exact_norms_only_where_they_decide(monkeypatch):
     report = oc.property_suite(oc.TrialSpec(trials=2, dim_max=4, seed=1000))
     assert report["violations"] == 0 and built == []
     assert Counter(name for name, _, _ in log) == Counter(svd=19, eigh=8, eigvalsh=17)
+
+
+# one sha256 over every matrix the suite hands to douglas's factorization,
+# block test and builders over the 16 seeds of the benchmark's verify workload
+# and the mutant spec: the drawn instances, whatever order the draws and QRs take
+INSTANCE_SPECS = [oc.TrialSpec(trials=10, seed=s) for s in range(1000, 1016)] + [oc.TrialSpec(trials=12, seed=3)]
+INSTANCE_DIGEST = "5a691acf5bf069cbb6878b2267d65db0bd7a0c2de0d91e427196d748f43e546c"
+
+
+def test_property_suite_draws_the_pinned_instances(monkeypatch):
+    digest = hashlib.sha256()
+    for name in ("factorize", "block_psd_test", "general_solution", "hermitian_solution", "positive_solution"):
+
+        def hashed(*args, _name=name, _original=getattr(dg, name)):
+            for m in args:
+                if isinstance(m, np.ndarray):
+                    m = np.ascontiguousarray(m)
+                    digest.update(f"{_name} {m.dtype.str} {m.shape}".encode())
+                    digest.update(m.tobytes())
+            return _original(*args)
+
+        monkeypatch.setattr(dg, name, hashed)
+    for spec in INSTANCE_SPECS:
+        oc.property_suite(spec)
+    assert digest.hexdigest() == INSTANCE_DIGEST
+
+
+def test_property_suite_takes_one_qr_per_size_per_property(monkeypatch):
+    # seed 1000's 106 unitaries, of sizes 1 to 8, come from 23 stacked QRs
+    log = count_lapack(monkeypatch, ("qr",))
+    oc.property_suite(oc.TrialSpec(trials=10, seed=1000))
+    assert len(log) == 23
+
+
+def test_property_suite_takes_one_qr_per_size_per_chunk(monkeypatch):
+    # a run of three chunks: each QR stacks every unitary of one size that one
+    # chunk of one property draws, in the order the sizes were first drawn
+    spec = oc.TrialSpec(trials=2 * oc._CHUNK + 5, dim_max=4, seed=21)
+    drawn = {}  # (property, chunk) -> {size: unitaries}
+    trial = []
+    sub_rng, unitaries = oc._sub_rng, oc._unitaries
+
+    def trial_rng(seed, *indices):
+        if len(indices) == 2:  # a trial's stream, not a family member's
+            trial[:] = [indices[0], indices[1] // oc._CHUNK]
+        return sub_rng(seed, *indices)
+
+    def recorded(rng, haar, n, k):
+        sizes = drawn.setdefault(tuple(trial), {})
+        sizes[n] = sizes.get(n, 0) + k
+        return unitaries(rng, haar, n, k)
+
+    monkeypatch.setattr(oc, "_sub_rng", trial_rng)
+    monkeypatch.setattr(oc, "_unitaries", recorded)
+    log = count_lapack(monkeypatch, ("qr",))
+    assert oc.property_suite(spec)["violations"] == 0
+    assert {chunk for _, chunk in drawn} == {0, 1, 2}
+    expected = [(k, n, n) for sizes in drawn.values() for n, k in sizes.items()]
+    assert [args[0].shape for _, args, _ in log] == expected
 
 
 def test_property_suite_deterministic():
