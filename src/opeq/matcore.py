@@ -216,15 +216,18 @@ def matrix_from_json(obj) -> np.ndarray:
         pairs = np.array(data)
     except (ValueError, TypeError, OverflowError):  # ragged, or not numbers
         pairs = None
-    if (
-        pairs is None
-        or pairs.shape != (rows * cols, 2)
-        or pairs.dtype.kind not in "biuf"
-        or not np.all(np.isfinite(pairs))
-    ):
-        return _parse_entries(data).reshape(rows, cols)
-    # a contiguous (k, 2) float64 array is (re, im) pairs in complex128's layout;
-    # the view keeps every bit, signed zeros included
+    matrix = None if pairs is None or pairs.shape != (rows * cols, 2) else _from_pairs(pairs, rows, cols)
+    return _parse_entries(data).reshape(rows, cols) if matrix is None else matrix
+
+
+def _from_pairs(pairs, rows, cols) -> np.ndarray | None:
+    """The ``rows x cols`` matrix of the (re, im) pairs ``pairs``; None unless they are finite numbers.
+
+    A contiguous float64 array of (re, im) pairs is in complex128's layout,
+    so the view keeps every bit, signed zeros included.
+    """
+    if pairs.dtype.kind not in "biuf" or not np.all(np.isfinite(pairs)):
+        return None
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(rows, cols)
 
 
@@ -264,8 +267,8 @@ def _canonical_matrix(text: str) -> np.ndarray | None:
     spaces, so a slot that does not hold exactly one number fails to parse.
     ``json`` still parses every token, so ``-0``, big integers and ``1e400``
     keep their meaning, and the array must pass the dtype and finiteness
-    checks of :func:`matrix_from_json`.  Only the text and one working copy of
-    it are held at a time.
+    checks of :func:`_from_pairs`, as in :func:`matrix_from_json`.  Only the
+    text and one working copy of it are held at a time.
     """
     head = _CANONICAL_HEAD.match(text)
     if head is None:
@@ -289,9 +292,7 @@ def _canonical_matrix(text: str) -> np.ndarray | None:
     except OverflowError:  # numpy may refuse an integer past 64 bits
         return None
     del values
-    if pairs.dtype.kind not in "biuf" or not np.all(np.isfinite(pairs)):
-        return None
-    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+    return _from_pairs(pairs, rows, cols)
 
 
 def _parse_entries(data) -> np.ndarray:

@@ -27,12 +27,13 @@ All randomness flows from a named generator (PCG64) with an explicit seed;
 every trial derives its own sub-seed deterministically from the seed and the
 trial index, so any reported failure is reproducible bit for bit.  A trial is
 drawn before it is built: its draw takes every number from its stream, in
-the order of the checks, and keeps each Haar unitary as the complex Gaussian
-it is made from.  The suite draws a property's trials a chunk at a time,
-makes the chunk's unitaries with one stacked QR per size, then builds and
-checks each trial in order (:class:`_HaarDraws`).  A stacked QR factors each
-matrix alone, so every unitary has the bits of its own QR, and no number a
-trial reads depends on the chunking.
+the order of the checks, and each Haar unitary it reads is an array kept
+beside the complex Gaussian it is made from (:func:`_unitary`).  The suite
+draws a property's trials a chunk at a time, fills the chunk's arrays with
+one stacked QR per size (:func:`_make_unitaries`), then builds and checks
+each trial in order.  A stacked QR factors each matrix alone, so every
+unitary has the bits of its own QR, and no number a trial reads depends on
+the chunking.
 
 The ``T_n`` scan runs only inside the ``tn_monotone_lambda_match`` property,
 on the fixed schedule ``n = 1, 2, 4, ..., 2^40``: the matrices along it form
@@ -301,49 +302,37 @@ def _diagnose(norms, tol):
 # randomized instance generators (controlled singular spectra so the suite's
 # residual tests, at residual_atol times the norm they judge, sit far above
 # roundoff).  Each takes its numbers from the trial's stream at once and
-# returns the function that builds its matrices once _HaarDraws.make has run.
+# returns the function that builds its matrices once _make_unitaries has run.
 
 
-class _HaarDraws:
-    """The Haar unitaries of a chunk of trials, drawn one stack at a time and made together.
+def _unitary(rng, drawn, n):
+    """An ``n x n`` Haar unitary: its complex Gaussian is drawn now, its array filled later.
 
-    Each unitary is the QR factor Q of a complex Gaussian, its columns turned
-    by the phases of R's diagonal (Mezzadri, *Notices AMS* 54, 2007).
-    :func:`_unitaries` adds the Gaussians as they are drawn; :meth:`make`
-    takes one stacked QR and one phase fix per size.  A stacked QR runs the
-    same LAPACK call on each matrix, so each unitary has the bits of its own QR.
+    Draws the real then the imaginary ``n x n`` part from ``rng`` and keeps
+    them in ``drawn[n]`` beside the returned array, which is NaN until
+    :func:`_make_unitaries` fills it: a build that runs first gives NaN, which
+    :func:`~opeq.matcore.as_matrix` rejects, not the numbers of another draw.
     """
-
-    def __init__(self):
-        self._drawn = {}  # size -> its (k, 2, n, n) real and imaginary parts, in draw order
-        self._counts = {}  # size -> the number of unitaries drawn
-        self._made = {}  # size -> the (m, n, n) unitaries of those draws
-
-    def add(self, parts):
-        """Keep the ``(k, 2, n, n)`` draw ``parts``; returns the function that gives its unitaries."""
-        n, k = parts.shape[-1], len(parts)
-        start = self._counts.get(n, 0)
-        self._counts[n] = start + k
-        self._drawn.setdefault(n, []).append(parts)
-        return lambda: self._made[n][start : start + k]
-
-    def make(self):
-        for n, drawn in self._drawn.items():
-            x = np.concatenate(drawn)
-            q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
-            diag = np.diagonal(r, axis1=1, axis2=2).copy()
-            diag[diag == 0] = 1.0
-            self._made[n] = q * (diag / np.abs(diag))[:, np.newaxis, :]
+    u = np.full((n, n), np.nan, dtype=np.complex128)
+    drawn.setdefault(n, []).append((rng.standard_normal((2, n, n)), u))
+    return u
 
 
-def _unitaries(rng, haar, n, k):
-    """``k`` Haar-random ``n x n`` unitaries: the function that gives their ``(k, n, n)`` stack.
+def _make_unitaries(drawn):
+    """Fill each array of ``drawn`` with its unitary, by one stacked QR and one phase fix per size.
 
-    The draw ``(k, 2, n, n)`` is the stream of ``k`` draws of a real then an
-    imaginary ``n x n`` part, so the generator ends where ``k`` one-at-a-time
-    draws would leave it, and each unitary has the same bits.
+    Each unitary is the QR factor Q of its complex Gaussian, its columns turned
+    by the phases of R's diagonal (Mezzadri, *Notices AMS* 54, 2007).  A stacked
+    QR runs the same LAPACK call on each matrix, so each unitary has the bits of
+    its own QR.
     """
-    return haar.add(rng.standard_normal((k, 2, n, n)))
+    for draws in drawn.values():
+        x = np.array([parts for parts, _ in draws])
+        q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+        diag = np.diagonal(r, axis1=1, axis2=2).copy()
+        diag[diag == 0] = 1.0
+        for (_, u), made in zip(draws, q * (diag / np.abs(diag))[:, np.newaxis, :]):
+            u[...] = made
 
 
 def _pick_rank(rng, n, policy):
@@ -354,25 +343,16 @@ def _pick_rank(rng, n, policy):
     return int(rng.integers(1, n + 1))
 
 
-def random_operator(rng, haar, rows, cols, rank=None):
+def random_operator(rng, drawn, rows, cols, rank=None):
     """Random matrix with singular values in [0.3, 2], of rank ``min(rows, cols)`` unless given.
 
     A given rank lies in ``[1, min(rows, cols)]``, as :func:`_pick_rank` draws it.
     """
     if rank is None:
         rank = min(rows, cols)
-    if rows == cols:
-        pair = _unitaries(rng, haar, rows, 2)
-    else:
-        left, right = _unitaries(rng, haar, rows, 1), _unitaries(rng, haar, cols, 1)
-        pair = lambda: (left()[0], right()[0])
+    u, v = _unitary(rng, drawn, rows), _unitary(rng, drawn, cols)
     sing = rng.uniform(0.3, 2.0, size=rank)
-
-    def build():
-        u, v = pair()
-        return (u[:, :rank] * sing) @ v[:, :rank].conj().T
-
-    return build
+    return lambda: (u[:, :rank] * sing) @ v[:, :rank].conj().T
 
 
 def random_hermitian(rng, n):
@@ -380,23 +360,18 @@ def random_hermitian(rng, n):
     return 0.5 * (g + g.conj().T)
 
 
-def random_psd(rng, haar, n, rank):
+def random_psd(rng, drawn, n, rank):
     """Random PSD matrix of the given rank, its nonzero eigenvalues in [0.3, 2].
 
     The rank lies in ``[1, n]``, as :func:`_pick_rank` draws it.
     """
-    unitary = _unitaries(rng, haar, n, 1)
+    u = _unitary(rng, drawn, n)
     eigs = np.zeros(n)
     eigs[:rank] = rng.uniform(0.3, 2.0, size=rank)
-
-    def build():
-        u = unitary()[0]
-        return (u * eigs) @ u.conj().T
-
-    return build
+    return lambda: (u * eigs) @ u.conj().T
 
 
-def _hermitian_but_never_positive(rng, haar, n):
+def _hermitian_but_never_positive(rng, drawn, n):
     """Consistent pair with CA* PSD yet no PSD solution (needs n >= 3).
 
     A random-basis copy of the pattern A = diag(a, b, 0), C = a E11 + b E23:
@@ -415,27 +390,22 @@ def _hermitian_but_never_positive(rng, haar, n):
             val = rng.uniform(0.3, 2.0)
             a_diag[extra, extra] = val
             c_core[extra, extra] = val
-    pair = _unitaries(rng, haar, n, 2)
-
-    def build():
-        u, v = pair()
-        return u @ a_diag @ v.conj().T, u @ c_core @ v.conj().T
-
-    return build
+    u, v = _unitary(rng, drawn, n), _unitary(rng, drawn, n)
+    return lambda: (u @ a_diag @ v.conj().T, u @ c_core @ v.conj().T)
 
 
-def _consistent_pair(rng, haar, spec: TrialSpec, flavor: str):
+def _consistent_pair(rng, drawn, spec: TrialSpec, flavor: str):
     """``(n, build)`` for one randomized AX = C instance: C = A X, both n x n, X of the flavor."""
     n = int(rng.integers(1, spec.dim_max + 1))
     rank = _pick_rank(rng, n, spec.rank_policy)
-    a = random_operator(rng, haar, n, n, rank)
+    a = random_operator(rng, drawn, n, n, rank)
     if flavor == "general":
-        x = random_operator(rng, haar, n, n)
+        x = random_operator(rng, drawn, n, n)
     elif flavor == "hermitian":
         h = random_hermitian(rng, n)
         x = lambda: h
     elif flavor == "positive":
-        x = random_psd(rng, haar, n, _pick_rank(rng, n, "random"))
+        x = random_psd(rng, drawn, n, _pick_rank(rng, n, "random"))
     else:
         raise ValueError(flavor)
 
@@ -497,11 +467,11 @@ def _reduced_solution_facts(f: douglas.Factorization) -> tuple[bool, bool, bool]
     return norm_ok, kernel_ok, rowspace_ok
 
 
-def _draw_general_solution(rng, haar, spec):
+def _draw_general_solution(rng, drawn, spec):
     rows, cols, k = (int(rng.integers(1, spec.dim_max + 1)) for _ in range(3))
-    a = random_operator(rng, haar, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
-    w = random_operator(rng, haar, cols, k)
-    y = random_operator(rng, haar, cols, k)
+    a = random_operator(rng, drawn, rows, cols, _pick_rank(rng, min(rows, cols), spec.rank_policy))
+    w = random_operator(rng, drawn, cols, k)
+    y = random_operator(rng, drawn, cols, k)
 
     def build():
         a_m = a()
@@ -576,9 +546,9 @@ def _check_general_solution(a, c, y, tol):
     return None
 
 
-def _draw_hermitian_criterion(rng, haar, spec):
+def _draw_hermitian_criterion(rng, drawn, spec):
     flavor = ("hermitian", "general", "positive")[int(rng.integers(3))]
-    n, pair = _consistent_pair(rng, haar, spec, flavor)
+    n, pair = _consistent_pair(rng, drawn, spec, flavor)
     y = random_hermitian(rng, n)  # the trial's last draw: read where the verdict is at least HERMITIAN
     return lambda: (flavor, *pair(), y)
 
@@ -613,19 +583,19 @@ def _check_hermitian_criterion(flavor, a, c, y, tol):
     return None
 
 
-def _draw_positive_criteria(rng, haar, spec):
+def _draw_positive_criteria(rng, drawn, spec):
     pick = int(rng.integers(4))
     if pick == 3 and spec.dim_max >= 3:
         n = int(rng.integers(3, spec.dim_max + 1))
-        pair = _hermitian_but_never_positive(rng, haar, n)
+        pair = _hermitian_but_never_positive(rng, drawn, n)
         expect = "blocked"
     else:
         flavor = ("positive", "hermitian", "general")[pick % 3]
-        n, pair = _consistent_pair(rng, haar, spec, flavor)
+        n, pair = _consistent_pair(rng, drawn, spec, flavor)
         expect = "positive" if flavor == "positive" else None
     sub_seed = int(rng.integers(2**32))
     # the trial's last draw: the builder's parameter where the pair is built to be positive
-    z = random_psd(rng, haar, n, _pick_rank(rng, n, "random"))
+    z = random_psd(rng, drawn, n, _pick_rank(rng, n, "random"))
     return lambda: (expect, *pair(), sub_seed, z())
 
 
@@ -682,11 +652,11 @@ def _check_positive_criteria(expect, a, c, sub_seed, z, tol):
     return None
 
 
-def _draw_block_positivity(rng, haar, spec):
+def _draw_block_positivity(rng, drawn, spec):
     d1 = int(rng.integers(1, min(4, spec.dim_max) + 1))
     d2 = int(rng.integers(1, min(4, spec.dim_max) + 1))
     if rng.random() < 0.5:
-        psd = random_psd(rng, haar, d1 + d2, _pick_rank(rng, d1 + d2, "random"))
+        psd = random_psd(rng, drawn, d1 + d2, _pick_rank(rng, d1 + d2, "random"))
         return lambda: (psd(), d1)
     full = np.zeros((d1 + d2, d1 + d2), dtype=np.complex128)
     full[:d1, :d1] = random_hermitian(rng, d1)
@@ -711,10 +681,10 @@ def _check_block_positivity(full, d1, tol):
     return None
 
 
-def _draw_tn_lambda(rng, haar, spec):
+def _draw_tn_lambda(rng, drawn, spec):
     if spec.dim_max >= 3 and rng.random() < 0.4:
-        return _hermitian_but_never_positive(rng, haar, int(rng.integers(3, spec.dim_max + 1)))
-    return _consistent_pair(rng, haar, spec, "positive")[1]
+        return _hermitian_but_never_positive(rng, drawn, int(rng.integers(3, spec.dim_max + 1)))
+    return _consistent_pair(rng, drawn, spec, "positive")[1]
 
 
 def _check_tn_lambda(a, c, tol):
@@ -777,9 +747,9 @@ def _outcomes(spec, tol, prop_index, draw, check):
     """``(trial, outcome)`` for each trial of one property, drawn and checked a chunk at a time."""
     for start in range(0, spec.trials, _CHUNK):
         trials = range(start, min(start + _CHUNK, spec.trials))
-        haar = _HaarDraws()
-        builds = [draw(_sub_rng(spec.seed, prop_index, trial), haar, spec) for trial in trials]
-        haar.make()
+        drawn = {}
+        builds = [draw(_sub_rng(spec.seed, prop_index, trial), drawn, spec) for trial in trials]
+        _make_unitaries(drawn)
         for trial, build in zip(trials, builds):
             try:
                 outcome = check(*build(), tol)

@@ -41,22 +41,32 @@ def random_psd(rng, n, rank=None):
 def built(generator, rng, *args):
     """The matrices an ``opeq.oracle`` generator builds from the draws it takes from ``rng``.
 
-    Draws as the property suite does, ``generator(rng, haar, *args)``, makes
+    Draws as the property suite does, ``generator(rng, drawn, *args)``, fills
     the Haar unitaries the draw took, then builds.
     """
     from opeq import oracle
 
-    haar = oracle._HaarDraws()
-    build = generator(rng, haar, *args)
-    haar.make()
+    drawn = {}
+    build = generator(rng, drawn, *args)
+    oracle._make_unitaries(drawn)
     return build()
+
+
+def haar_unitaries(rng, n, k):
+    """``k`` Haar-random ``n x n`` unitaries, drawn from ``rng`` as the property suite draws them."""
+    from opeq import oracle
+
+    drawn = {}
+    made = [oracle._unitary(rng, drawn, n) for _ in range(k)]
+    oracle._make_unitaries(drawn)
+    return made
 
 
 def oracle_pair(rng, spec, flavor):
     """The ``(A, C)`` that ``opeq.oracle._consistent_pair`` draws from ``rng``."""
     from opeq import oracle
 
-    return built(lambda rng, haar: oracle._consistent_pair(rng, haar, spec, flavor)[1], rng)
+    return built(lambda rng, drawn: oracle._consistent_pair(rng, drawn, spec, flavor)[1], rng)
 
 
 def count_lapack(monkeypatch, names=("svd", "eigh", "eigvalsh")):

@@ -10,7 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import built, complex_gaussian, count_lapack, random_hermitian, random_psd, rank_deficient
+from conftest import (
+    complex_gaussian,
+    count_lapack,
+    haar_unitaries,
+    random_hermitian,
+    random_psd,
+    rank_deficient,
+)
 from opeq import cli
 from opeq import douglas as dg
 from opeq import matcore as mc
@@ -418,7 +425,7 @@ def test_check_majorize_and_the_factorization_agree_on_ill_conditioned_pairs(cap
     x[1, 1] = 1.0
     for s in range(40):
         rng = np.random.default_rng([9, s])
-        u, v = built(oc._unitaries, rng, 3, 2)
+        u, v = haar_unitaries(rng, 3, 2)
         a = u @ np.diag([1.0, 1.0 / kappa, 0.0]) @ v.conj().T
         c = a @ (v @ x @ v.conj().T)
         a_file = write_matrix(tmp_path / "a.json", a)
@@ -578,6 +585,10 @@ VERIFY_DIGESTS = {
     ),
     ("--trials", "10", "--max-dim", "6", "--seed", "1000", "--rank-policy", "deficient"): (
         "77b801a83003d7d9d3ed6394a6eae8d04984f2111483eb81698c4dc3839858f0"
+    ),
+    # three chunks of trials per property: 64 + 64 + 2
+    ("--trials", "130", "--seed", "21"): (
+        "b73a7bc1245178adbb0753548dccab3467e246580eaa6c1c475dd9636b3af7e2"
     ),
 }
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import built, complex_gaussian, count_lapack, rank_deficient, random_psd
+from conftest import complex_gaussian, count_lapack, haar_unitaries, rank_deficient, random_psd
 from opeq import douglas as dg
 from opeq import matcore as mc
 from opeq import oracle as oc
@@ -1155,7 +1155,7 @@ def test_majorization_reference_allows_the_roundoff_of_an_ill_conditioned_a(kapp
     # leak outside the range of A's SVD is roundoff of size eps kappa ||C||,
     # which the reference, like the range test, allows through the equation bound
     for s in range(40):
-        u, v = built(oc._unitaries, np.random.default_rng([9, s]), 3, 2)
+        u, v = haar_unitaries(np.random.default_rng([9, s]), 3, 2)
         a = u @ np.diag([1.0, 1.0 / kappa, 0.0]) @ v.conj().T
         c = a @ v @ np.diag([0.0, 1.0, 0.0]) @ v.conj().T
         mu, reference = majorization_scales(a, c)

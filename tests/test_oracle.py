@@ -9,6 +9,7 @@ from conftest import (
     built,
     complex_gaussian,
     count_lapack,
+    haar_unitaries,
     oracle_pair,
     rank_deficient,
     random_psd,
@@ -79,7 +80,7 @@ def test_witness_certifies_the_pairs_with_no_psd_solution(monkeypatch, n):
 def test_witness_certifies_an_indefinite_c_a_star(monkeypatch, rank):
     # X = V diag(1, -0.25, 0.5, 2) V* with A's row space spanned by V's first
     # columns: C A* = A X A* is Hermitian, and indefinite at either rank
-    u, v = built(oc._unitaries, np.random.default_rng(5), 4, 2)
+    u, v = haar_unitaries(np.random.default_rng(5), 4, 2)
     a = (u[:, :rank] * np.linspace(2.0, 0.5, rank)) @ v[:, :rank].conj().T
     f = dg.factorize(a, a @ (v * np.array([1.0, -0.25, 0.5, 2.0])) @ v.conj().T)
     assert f.verdict is dg.Verdict.HERMITIAN and not f.ca_psd
@@ -131,7 +132,7 @@ def test_witness_certifies_a_one_by_one_pair_with_negative_c_a_star(phase, ratio
 def test_witness_vector_reads_the_least_eigenvalue_of_c_a_star(rank):
     # u = A* v lies in R(A*), where (I - P) vanishes, so every member has
     # u* X u = v* A H0 A* v = v* C A* v, whatever Y is
-    u, v = built(oc._unitaries, np.random.default_rng(6), 4, 2)
+    u, v = haar_unitaries(np.random.default_rng(6), 4, 2)
     a = (u[:, :rank] * np.linspace(2.0, 0.5, rank)) @ v[:, :rank].conj().T
     f = dg.factorize(a, a @ (v * np.array([-1.0, 0.5, -0.25, 2.0])) @ v.conj().T)
     assert f.verdict is dg.Verdict.HERMITIAN and not f.ca_psd
@@ -152,7 +153,7 @@ def test_witness_certifies_under_a_unitary_change_of_basis(n):
     # either; the witness is built afresh in the new basis and still certifies
     rng = np.random.default_rng(40 + n)
     a, c = built(oc._hermitian_but_never_positive, rng, n)
-    u, v = built(oc._unitaries, rng, n, 2)
+    u, v = haar_unitaries(rng, n, 2)
     f = dg.factorize(u @ a @ v.conj().T, u @ c @ v.conj().T)
     assert f.verdict is dg.Verdict.HERMITIAN and f.ca_psd and not f.dp_range_eq
     assert oc._indefinite_witness(f).shape == (n, 2)
@@ -293,11 +294,10 @@ def test_tn_check_settles_where_lambda_is_roundoff(monkeypatch):
     # doubles with n.  The scan settles only through the absolute floor of
     # residual_atol * (1 + estimate); a bound relative to the estimate alone
     # fails every one of these pairs
-    def pair(rng, haar, spec, flavor):
-        unitaries = oc._unitaries(rng, haar, 3, 2)
+    def pair(rng, drawn, spec, flavor):
+        u, v = oc._unitary(rng, drawn, 3), oc._unitary(rng, drawn, 3)
 
         def build():
-            u, v = unitaries()
             a = u @ np.diag([1.0, 0.7, 0.0]) @ v.conj().T
             x0 = v @ np.diag([1.3, 0.0, 0.9]) @ v.conj().T
             return a, a @ x0
@@ -325,6 +325,26 @@ def test_tn_precondition(rank1_pair):
     # DP must be PSD on the row space: A = I, C = -I gives DP = -I
     with pytest.raises(PreconditionFailed):
         oc._compressed_state(dg.factorize(np.eye(2), -np.eye(2)))
+
+
+def test_tn_check_passes_a_pair_of_rank_zero():
+    # A = C = 0: K is 0 x 0 and E is 0 x n, so every T_n is the n x n zero
+    # matrix and the scan settles on lambda = 0
+    zero = np.zeros((3, 3), dtype=complex)
+    w, g = oc._compressed_state(dg.factorize(zero, zero))
+    assert w.shape == (0,) and g.shape == (0, 3)
+    assert oc._check_tn_lambda(zero, zero, mc.DEFAULT_TOLERANCES) is None
+
+
+def test_tn_precondition_names_a_compression_that_is_not_hermitian():
+    # C = A W with A and W Gaussian: the equation is consistent, and the
+    # compression K = B* W B of DP to the row space of A is not Hermitian
+    rng = np.random.default_rng(11)
+    a = complex_gaussian(rng, 3, 3)
+    c = a @ complex_gaussian(rng, 3, 3)
+    with pytest.raises(PreconditionFailed) as info:
+        oc._check_tn_lambda(a, c, mc.DEFAULT_TOLERANCES)
+    assert info.value.certificate["dp_hermitian_deviation"] > 0.1
 
 
 def test_tn_check_eigendecomposes_the_compression_once(monkeypatch):
@@ -443,21 +463,22 @@ def _unitary_one_at_a_time(rng, n):
 
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_batched_unitaries_match_one_at_a_time_draws(monkeypatch, seed):
-    # stacks of one or two unitaries of sizes 1..8, drawn in a mixed order and
-    # made by one stacked QR per size, as a chunk of the suite's trials is
+    # one or two unitaries at a time of sizes 1..8, drawn in a mixed order into
+    # one dict and made by one stacked QR per size, as a chunk of the suite's trials is
     order = np.random.default_rng([17, seed])
     sizes, counts = order.permutation(np.repeat(np.arange(1, 9), 3)), order.integers(1, 3, 24)
     draws = [(int(n), int(k)) for n, k in zip(sizes, counts)]
     batched_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    haar = oc._HaarDraws()
-    stacks = [oc._unitaries(batched_rng, haar, n, k) for n, k in draws]
+    drawn = {}
+    stacks = [[oc._unitary(batched_rng, drawn, n) for _ in range(k)] for n, k in draws]
+    assert all(np.isnan(u).all() for stack in stacks for u in stack)  # unfilled until made
     log = count_lapack(monkeypatch, ("qr",))
-    haar.make()
+    oc._make_unitaries(drawn)
     made = sorted((args[0].shape for _, args, _ in log), key=lambda shape: shape[-1])
     assert made == [(sum(k for m, k in draws if m == n), n, n) for n in range(1, 9)]
     for (n, k), stack in zip(draws, stacks):
-        assert stack().shape == (k, n, n)
-        for u in stack():
+        assert np.shape(stack) == (k, n, n)
+        for u in stack:
             np.testing.assert_array_equal(u, _unitary_one_at_a_time(single_rng, n))
             np.testing.assert_allclose(u.conj().T @ u, np.eye(n), atol=1e-12)
     # the generator stands where the single draws leave it
@@ -500,7 +521,7 @@ def test_property_suite_small_run_passes():
 
 
 def test_property_suite_counts_a_raised_error_as_a_failed_trial(monkeypatch):
-    def draw(rng, haar, spec):
+    def draw(rng, drawn, spec):
         odd = rng.integers(2)
         return lambda: (odd,)
 
@@ -521,7 +542,7 @@ def test_property_suite_lets_other_exceptions_through(monkeypatch):
     def broken(tol):
         raise TypeError("a bug, not a failed property")
 
-    monkeypatch.setattr(oc, "_PROPERTY_CHECKS", [("broken", lambda rng, haar, spec: lambda: (), broken)])
+    monkeypatch.setattr(oc, "_PROPERTY_CHECKS", [("broken", lambda rng, drawn, spec: lambda: (), broken)])
     with pytest.raises(TypeError):
         oc.property_suite(oc.TrialSpec(trials=1))
 
@@ -829,20 +850,20 @@ def test_property_suite_takes_one_qr_per_size_per_chunk(monkeypatch):
     spec = oc.TrialSpec(trials=2 * oc._CHUNK + 5, dim_max=4, seed=21)
     drawn = {}  # (property, chunk) -> {size: unitaries}
     trial = []
-    sub_rng, unitaries = oc._sub_rng, oc._unitaries
+    sub_rng, unitary = oc._sub_rng, oc._unitary
 
     def trial_rng(seed, *indices):
         if len(indices) == 2:  # a trial's stream, not a family member's
             trial[:] = [indices[0], indices[1] // oc._CHUNK]
         return sub_rng(seed, *indices)
 
-    def recorded(rng, haar, n, k):
+    def recorded(rng, chunk, n):
         sizes = drawn.setdefault(tuple(trial), {})
-        sizes[n] = sizes.get(n, 0) + k
-        return unitaries(rng, haar, n, k)
+        sizes[n] = sizes.get(n, 0) + 1
+        return unitary(rng, chunk, n)
 
     monkeypatch.setattr(oc, "_sub_rng", trial_rng)
-    monkeypatch.setattr(oc, "_unitaries", recorded)
+    monkeypatch.setattr(oc, "_unitary", recorded)
     log = count_lapack(monkeypatch, ("qr",))
     assert oc.property_suite(spec)["violations"] == 0
     assert {chunk for _, chunk in drawn} == {0, 1, 2}
